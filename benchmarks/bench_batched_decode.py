@@ -1,18 +1,17 @@
 """Benchmark: decode-path trajectory for Trans_JO beam search.
 
-Three phases over the same workload (beam width 8, 8-table queries):
+Two phases over the same workload (beam width 8, 8-table queries):
 
-- ``sequential``   — one decoder forward per beam per timestep (the
-  original reference path, running on the current default mode).
-- ``tape_batched`` — the batched search under ``nn.force_tape()``: every
-  op records autograd bookkeeping exactly as the pre-fast-path code did.
-  This is the pre-PR batched decode the fast path is measured against.
-- ``fast_batched`` — the batched search on the no-tape fast path
-  (raw-ndarray kernels, per-decode KV cache, session scratch arena).
+- ``sequential``   — the test-side reference search
+  (``tests/sequential_oracle.py``): one decoder forward per beam per
+  timestep, memory K/V re-projected at every step, under ``no_grad``.
+- ``fast_batched`` — the production search (``drive_beam_states``): all
+  beams of a timestep in one forward on raw ndarrays, per-decode KV
+  cache, session scratch arena.
 
-Candidates from all phases are verified bit-identical before any timing
-is trusted.  Timing is interleaved (one repeat of each phase per round,
-best-of-N) so CPU frequency drift hits all phases equally.
+Candidates from both phases are verified bit-identical before any
+timing is trusted.  Timing is interleaved (one repeat of each phase per
+round, best-of-N) so CPU frequency drift hits both phases equally.
 
 Run:
     PYTHONPATH=src python benchmarks/bench_batched_decode.py                 # full: asserts gates
@@ -23,9 +22,10 @@ Run:
     PYTHONPATH=src python benchmarks/bench_batched_decode.py \
         --check-against BENCH_decode.json                                    # perf trajectory gate
 
-The ``--check-against`` mode fails when the fresh fast-vs-tape speedup
-falls more than 15% below the committed snapshot's — the perf trajectory
-gate: the fast path may only get faster relative to the tape path.
+The ``--check-against`` mode fails when the fresh fast-vs-sequential
+speedup falls more than 15% below the committed snapshot's — the perf
+trajectory gate: the batched search may only get faster relative to the
+one-forward-per-beam reference.
 
 This file is a standalone script (not collected by the tier-1 pytest
 run) so the CI decode-speed job can run it directly.
@@ -38,28 +38,24 @@ import gc
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import repro.nn as nn
-from repro.core import ModelConfig, TransJO
-from repro.core.beam import (
-    beam_search_join_order,
-    beam_search_join_order_sequential,
-)
+from repro.core import ModelConfig, TransJO, beam_search_join_order
 
-# The fast path may regress to no less than this fraction of the
-# committed snapshot's fast-vs-tape speedup (--check-against).
+# The reference search lives with the tests; it is not part of the package.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from sequential_oracle import beam_search_join_order_sequential  # noqa: E402
+
+# The batched search may regress to no less than this fraction of the
+# committed snapshot's fast-vs-sequential speedup (--check-against).
 REGRESSION_TOLERANCE = 0.85
-# Absolute within-run floor asserted by the full run.  The measured
-# ratio (recorded in BENCH_decode.json) is ~2x; the hard floor sits
-# below it so shared-runner noise cannot flake the gate, while the
-# trajectory check above keeps the recorded ratio honest.
-FAST_VS_TAPE_FLOOR = 1.5
-# Batched vs sequential, both on the current default mode.  The old 3x
-# floor was calibrated when both ran the tape path; the fast path sped
-# the sequential reference up more than the batched search (it has more
-# per-op overhead to shed), so the honest same-mode ratio sits ~2.9x.
+# Absolute within-run floor asserted by the full run.  The hard floor
+# sits well below the measured ratio (recorded in BENCH_decode.json) so
+# shared-runner noise cannot flake the gate, while the trajectory check
+# above keeps the recorded ratio honest.
 SEQ_VS_BATCHED_FLOOR = 2.5
 
 
@@ -105,15 +101,9 @@ def run_benchmark(
     scratch = nn.ScratchArena()  # stands in for InferenceSession.scratch
 
     def sequential():
-        return [
-            beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=beam_width)
-            for memory, adjacency in cases
-        ]
-
-    def tape_batched():
-        with nn.force_tape():
+        with nn.no_grad():
             return [
-                beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width)
+                beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=beam_width)
                 for memory, adjacency in cases
             ]
 
@@ -123,10 +113,10 @@ def run_benchmark(
             for memory, adjacency in cases
         ]
 
-    phases = {"sequential": sequential, "tape_batched": tape_batched, "fast_batched": fast_batched}
+    phases = {"sequential": sequential, "fast_batched": fast_batched}
 
     # Parity first: the speedup is meaningless if the answers differ.
-    # (This run doubles as warmup for every phase.)
+    # (This run doubles as warmup for both phases.)
     results = {name: [_candidate_key(q) for q in fn()] for name, fn in phases.items()}
     reference = results["sequential"]
     mismatches = sum(
@@ -138,9 +128,8 @@ def run_benchmark(
 
     # Interleaved best-of-N: each round times every phase once, so slow
     # drift (thermal / frequency scaling) cannot bias one phase.  GC is
-    # paused inside the timed region (standard timeit hygiene — the tape
-    # phase's graph churn otherwise triggers collections at random
-    # points, smearing several ms onto whichever phase is running).
+    # paused inside the timed region (standard timeit hygiene — otherwise
+    # collections land at random points on whichever phase is running).
     best = {name: float("inf") for name in phases}
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -155,7 +144,6 @@ def run_benchmark(
         if gc_was_enabled:
             gc.enable()
 
-    fast_s, tape_s, seq_s = best["fast_batched"], best["tape_batched"], best["sequential"]
     return {
         "meta": {
             "num_queries": num_queries,
@@ -171,12 +159,7 @@ def run_benchmark(
         "mismatches": mismatches,
         "phases_ms": {name: 1000.0 * seconds for name, seconds in best.items()},
         "qps": {name: num_queries / seconds for name, seconds in best.items()},
-        "speedups": {
-            "fast_vs_tape": tape_s / fast_s,
-            "fast_vs_sequential": seq_s / fast_s,
-            "sequential_vs_batched": seq_s / fast_s,  # legacy alias
-            "tape_batched_vs_sequential": seq_s / tape_s,
-        },
+        "speedups": {"fast_vs_sequential": best["sequential"] / best["fast_batched"]},
     }
 
 
@@ -190,26 +173,27 @@ def check_against(result: dict, path: str) -> list[str]:
     """Perf-trajectory gate: compare a fresh run to the committed snapshot.
 
     Returns a list of failure messages (empty = pass).  Only ratios are
-    compared — absolute times differ across machines, but the fast/tape
-    ratio is a property of the code, measured within one process.
+    compared — absolute times differ across machines, but the
+    fast/sequential ratio is a property of the code, measured within one
+    process.
     """
     with open(path) as f:
         snapshot = json.load(f)
     failures = []
-    committed = snapshot["speedups"]["fast_vs_tape"]
-    fresh = result["speedups"]["fast_vs_tape"]
+    committed = snapshot["speedups"]["fast_vs_sequential"]
+    fresh = result["speedups"]["fast_vs_sequential"]
     floor = committed * REGRESSION_TOLERANCE
     if fresh < floor:
         failures.append(
-            f"fast_vs_tape speedup regressed: fresh {fresh:.2f}x < "
+            f"fast_vs_sequential speedup regressed: fresh {fresh:.2f}x < "
             f"{floor:.2f}x ({REGRESSION_TOLERANCE:.0%} of committed {committed:.2f}x)"
         )
     return failures
 
 
-def report(result: dict, required_fast: float | None, required_seq: float | None) -> None:
+def report(result: dict, required_seq: float | None) -> None:
     meta = result["meta"]
-    print("Trans_JO decode trajectory: sequential / tape batched / fast batched")
+    print("Trans_JO decode trajectory: sequential / fast batched")
     print("-" * 68)
     print(
         f"queries={meta['num_queries']}  tables={meta['m']}  "
@@ -218,9 +202,7 @@ def report(result: dict, required_fast: float | None, required_seq: float | None
     )
     for name, ms in result["phases_ms"].items():
         print(f"{name:<16}{ms:>10.1f} ms   {result['qps'][name]:>8.1f} qps")
-    fast_gate = f"(required >= {required_fast:.1f}x)" if required_fast else "(informational)"
     seq_gate = f"(required >= {required_seq:.1f}x)" if required_seq else "(informational)"
-    print(f"{'fast vs tape':<16}{result['speedups']['fast_vs_tape']:>10.2f} x   {fast_gate}")
     print(f"{'fast vs seq':<16}{result['speedups']['fast_vs_sequential']:>10.2f} x   {seq_gate}")
     parity = "bit-identical" if result["mismatches"] == 0 else "MISMATCH"
     print(f"{'parity':<16}{parity:>13}")
@@ -245,20 +227,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-against",
         metavar="PATH",
-        help="fail if the fresh fast-vs-tape speedup is more than 15%% below "
+        help="fail if the fresh fast-vs-sequential speedup is more than 15%% below "
         "the committed snapshot's (perf trajectory gate)",
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
         result = run_benchmark(num_queries=4, m=8, beam_width=8, repeats=2)
-        required_fast = required_seq = None
+        required_seq = None
     else:
         result = run_benchmark(num_queries=8, m=8, beam_width=8, repeats=7)
-        required_fast = FAST_VS_TAPE_FLOOR
         required_seq = SEQ_VS_BATCHED_FLOOR
 
-    report(result, required_fast, required_seq)
+    report(result, required_seq)
 
     if args.profile:
         config = ModelConfig(d_model=48, num_heads=4, decoder_layers=2)
@@ -270,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
             for memory, adjacency in cases:
                 beam_search_join_order(trans_jo, memory, adjacency, beam_width=8, scratch=scratch)
         print()
-        print("fast-path kernel profile (one decode sweep):")
+        print("kernel profile (one decode sweep):")
         print(profile.table())
 
     if args.save:
@@ -280,11 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     if result["mismatches"]:
         failures.append(f"{result['mismatches']} candidate mismatches between decode paths")
-    if required_fast is not None and result["speedups"]["fast_vs_tape"] < required_fast:
-        failures.append(
-            f"fast_vs_tape speedup {result['speedups']['fast_vs_tape']:.2f}x "
-            f"below required {required_fast:.1f}x"
-        )
     if required_seq is not None and result["speedups"]["fast_vs_sequential"] < required_seq:
         failures.append(
             f"fast_vs_sequential speedup {result['speedups']['fast_vs_sequential']:.2f}x "

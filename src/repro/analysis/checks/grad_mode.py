@@ -13,16 +13,13 @@ bare ``no_grad()``) block.
 Training code (``core/trainer.py``, losses) is intentionally outside
 the scopes — it needs the tape.
 
-A second checker, :class:`RawKernelChecker`, pins the dual-mode nn
-substrate's central invariant from the other side: the raw-ndarray
-fast path (``nn.kernels.*`` ops and ``infer_*`` methods) skips all
-autograd bookkeeping, so a call site that could run with the tape on
-would silently train on garbage gradients (the kernels never record
-them).  Every such call must therefore be statically unreachable with
-grad enabled: lexically under ``with no_grad():``, inside a branch
-guarded by ``no_tape_active()`` / ``not is_grad_enabled()``, or inside
-a function that is itself part of the ``infer_*`` namespace (whose
-callers carry the same obligation, inductively).
+A second checker, :class:`RawKernelChecker`, pins the nn substrate's
+central invariant from the other side: the raw-ndarray kernels
+(``nn.kernels.*``) skip all autograd bookkeeping, so code that calls one
+directly could silently train on garbage gradients.  Layer bodies never
+need to — they are written once against the ``nn.functional`` op table,
+which picks the kernel only for operands that are already raw ndarrays —
+so the rule is simply that the op table is the kernels' only caller.
 """
 
 from __future__ import annotations
@@ -131,8 +128,8 @@ class GradModeChecker(Checker):
 
 
 # The raw-ndarray compute kernels of repro.nn.kernels.  A call like
-# ``kernels.linear(...)`` / ``nn.kernels.softmax(...)`` is a fast-path
-# entry; ScratchArena/profiled/KernelProfile are mode-neutral plumbing.
+# ``kernels.linear(...)`` / ``nn.kernels.softmax(...)`` bypasses the tape;
+# ScratchArena/profiled/KernelProfile are mode-neutral plumbing.
 KERNEL_OPS = frozenset(
     {
         "matmul",
@@ -146,31 +143,24 @@ KERNEL_OPS = frozenset(
     }
 )
 
-# Predicates that statically prove the tape is off on a branch.
-_NO_TAPE_PREDICATES = frozenset({"no_tape_active"})
-_GRAD_PREDICATES = frozenset({"is_grad_enabled"})
-
 
 class RawKernelChecker(Checker):
-    """``kernels.*`` / ``infer_*`` call sites must be tape-unreachable.
+    """Only the op table may call ``kernels.*``.
 
-    A call is accepted when it is
-
-    - lexically inside ``with no_grad():``, or
-    - in the then-branch of ``if no_tape_active():`` or
-      ``if not is_grad_enabled():`` (also as a conjunct of an ``and``),
-      or in the else-branch of ``if is_grad_enabled():``, or
-    - inside a function whose own (qual)name marks it ``infer_*`` — its
-      callers carry the obligation instead — or a function *defined* on
-      an already-guarded line (a nested helper of a guarded branch).
-
+    ``nn/functional.py`` dispatches each op on its operand's type, so a
+    kernel there can only ever see raw ndarrays; any other call site
+    would have to re-argue that for itself, and none needs to.
     ``nn.kernels`` itself is exempt: it defines the ops.
     """
 
     name = "raw-kernel"
-    description = "raw kernels / infer_* entry points unreachable with the tape on"
+    description = "nn.kernels ops called only from the nn.functional op table"
 
-    def __init__(self, exempt_globs=("*nn/kernels.py",), kernel_ops=KERNEL_OPS):
+    def __init__(
+        self,
+        exempt_globs=("*nn/kernels.py", "*nn/functional.py"),
+        kernel_ops=KERNEL_OPS,
+    ):
         self.exempt_globs = tuple(exempt_globs)
         self.kernel_ops = frozenset(kernel_ops)
 
@@ -178,96 +168,25 @@ class RawKernelChecker(Checker):
         if any(fnmatch(module.rel_path, glob) for glob in self.exempt_globs):
             return []
         findings: list[Finding] = []
-        for child in module.tree.body:
-            self._walk(module, child, guarded=False, symbol="<module>", findings=findings)
+        self._walk(module, module.tree, "<module>", findings)
         return findings
 
-    # -- guard recognition --------------------------------------------------
-    @staticmethod
-    def _predicate_leaf(expr: ast.AST) -> str | None:
-        """Leaf name of a bare or ``nn.``-dotted predicate call."""
-        if isinstance(expr, ast.Call) and not expr.args and not expr.keywords:
-            name = dotted_name(expr.func)
-            if name is not None:
-                return name.rsplit(".", 1)[-1]
-        return None
-
-    @classmethod
-    def _proves_no_tape(cls, test: ast.AST) -> bool:
-        """True if ``test`` being truthy implies the tape is off."""
-        leaf = cls._predicate_leaf(test)
-        if leaf in _NO_TAPE_PREDICATES:
-            return True
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            if cls._predicate_leaf(test.operand) in _GRAD_PREDICATES:
-                return True
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            return any(cls._proves_no_tape(value) for value in test.values)
-        return False
-
-    @classmethod
-    def _proves_tape(cls, test: ast.AST) -> bool:
-        """True if ``test`` being *falsy* implies the tape is off."""
-        return cls._predicate_leaf(test) in _GRAD_PREDICATES
-
-    @staticmethod
-    def _is_infer_function(qualname: str) -> bool:
-        return any(part.startswith("infer_") for part in qualname.split("."))
-
-    def _is_raw_call(self, node: ast.Call) -> str | None:
-        name = dotted_name(node.func)
-        if name is None:
-            return None
-        parts = name.split(".")
-        leaf = parts[-1]
-        if leaf.startswith("infer_"):
-            return leaf
-        if len(parts) >= 2 and parts[-2] == "kernels" and leaf in self.kernel_ops:
-            return name
-        return None
-
-    # -- walk ---------------------------------------------------------------
-    def _walk(self, module, node, guarded, symbol, findings) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qual = f"{symbol}.{node.name}" if symbol != "<module>" else node.name
-            # An infer_* function is itself a raw entry point (callers are
-            # checked); a helper defined under a guard inherits the guard.
-            inner_guarded = guarded or self._is_infer_function(qual)
-            for child in node.body:
-                self._walk(module, child, inner_guarded, qual, findings)
-            return
-        if isinstance(node, ast.ClassDef):
-            qual = f"{symbol}.{node.name}" if symbol != "<module>" else node.name
-            for child in node.body:
-                self._walk(module, child, guarded, qual, findings)
-            return
-        if isinstance(node, ast.With) and GradModeChecker._enters_no_grad(node):
-            for child in node.body:
-                self._walk(module, child, True, symbol, findings)
-            for item in node.items:
-                self._walk(module, item.context_expr, guarded, symbol, findings)
-            return
-        if isinstance(node, ast.If) and not guarded:
-            self._walk(module, node.test, guarded, symbol, findings)
-            body_guarded = self._proves_no_tape(node.test)
-            orelse_guarded = self._proves_tape(node.test)
-            for child in node.body:
-                self._walk(module, child, body_guarded, symbol, findings)
-            for child in node.orelse:
-                self._walk(module, child, orelse_guarded, symbol, findings)
-            return
-        if not guarded and isinstance(node, ast.Call):
-            raw = self._is_raw_call(node)
-            if raw is not None:
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        f"raw fast-path call {raw}() reachable with the tape on — "
-                        f"wrap it in nn.no_grad(), guard it with no_tape_active(), "
-                        f"or move it into an infer_* function",
-                        symbol=symbol,
-                    )
-                )
+    def _walk(self, module, node, symbol, findings) -> None:
         for child in ast.iter_child_nodes(node):
-            self._walk(module, child, guarded, symbol, findings)
+            inner = symbol
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if symbol == "<module>" else f"{symbol}.{child.name}"
+            elif isinstance(child, ast.Call):
+                parts = (dotted_name(child.func) or "").split(".")
+                if len(parts) >= 2 and parts[-2] == "kernels" and parts[-1] in self.kernel_ops:
+                    findings.append(
+                        self.finding(
+                            module,
+                            child,
+                            f"raw kernel call {'.'.join(parts)}() outside the op table — "
+                            f"it skips the tape whatever the grad mode; call the "
+                            f"nn.functional op of the same name instead",
+                            symbol=symbol,
+                        )
+                    )
+            self._walk(module, child, inner, findings)

@@ -1,11 +1,11 @@
-"""Symbolic shape / dtype / dual-mode parity checkers.
+"""Symbolic shape / dtype checkers.
 
 These wrap :mod:`repro.analysis.shapes` — the abstract interpreter over
 ``@shape_spec``-annotated modules — in the standard :class:`Checker`
 interface, so its findings flow through the same suppression, baseline
 and fingerprint machinery as every AST lint.
 
-Three checkers, three failure classes:
+Two checkers, two failure classes:
 
 - ``shape-spec`` — interprets every annotated method/function body over
   symbolic dims and reports shape mismatches, unintended implicit
@@ -14,10 +14,6 @@ Three checkers, three failure classes:
   or ``astype(...)`` outside the canonical {float64, int64, bool} set.
   Scoped to the numeric core (``nn/``, ``core/``) where the canonical-
   dtype rule applies; tools and tests may use narrow dtypes freely.
-- ``dual-mode-parity`` — every ``forward``/``infer_forward`` (more
-  generally ``m``/``infer_m``) pair must declare identical symbolic
-  output specs, declare and *read* the same parameter set, and apply
-  the same structural ops.
 
 Cross-file resolution: when the checked file is a real file inside a
 ``repro`` package checkout, the interpreter loads specs for the whole
@@ -42,11 +38,10 @@ from ..shapes import (
     interpret_class,
     interpret_function,
     library_registry,
-    parity_problems,
 )
 from .base import Checker
 
-__all__ = ["ShapeChecker", "DtypeChecker", "DualModeParityChecker"]
+__all__ = ["ShapeChecker", "DtypeChecker"]
 
 # Where the canonical-dtype rule (and the annotated substrate) lives.
 _NUMERIC_SCOPE = ("*nn/*.py", "*core/*.py")
@@ -70,14 +65,22 @@ def _registries(module: SourceModule) -> tuple[SpecRegistry, set, set]:
     return registry, own_classes, decorated_function_names(module.tree)
 
 
-class _InterpreterChecker(Checker):
-    """Shared plumbing: run the interpreter, keep a subset of kinds."""
+class ShapeChecker(Checker):
+    """Abstract interpretation of every ``@shape_spec`` body."""
 
-    kinds: tuple[str, ...] = ()
+    name = "shape-spec"
+    description = (
+        "symbolic shape/dtype interpretation of @shape_spec-annotated "
+        "methods: mismatches, implicit broadcasts, declared-dtype breaks"
+    )
 
     def check(self, module: SourceModule) -> list[Finding]:
         registry, own_classes, own_functions = _registries(module)
-        problems = self._problems(registry, own_classes, own_functions)
+        problems: list[Problem] = []
+        for name in sorted(own_classes):
+            problems.extend(interpret_class(registry, registry.classes[name]))
+        for name in sorted(own_functions):
+            problems.extend(interpret_function(registry, registry.functions[name]))
         return sorted(
             Finding(
                 path=module.rel_path,
@@ -87,30 +90,7 @@ class _InterpreterChecker(Checker):
                 message=problem.message,
             )
             for problem in problems
-            if problem.kind in self.kinds
         )
-
-    def _problems(self, registry, own_classes, own_functions) -> list[Problem]:
-        raise NotImplementedError
-
-
-class ShapeChecker(_InterpreterChecker):
-    """Abstract interpretation of every ``@shape_spec`` body."""
-
-    name = "shape-spec"
-    description = (
-        "symbolic shape/dtype interpretation of @shape_spec-annotated "
-        "methods: mismatches, implicit broadcasts, declared-dtype breaks"
-    )
-    kinds = ("mismatch", "broadcast", "dtype")
-
-    def _problems(self, registry, own_classes, own_functions) -> list[Problem]:
-        problems: list[Problem] = []
-        for name in sorted(own_classes):
-            problems.extend(interpret_class(registry, registry.classes[name]))
-        for name in sorted(own_functions):
-            problems.extend(interpret_function(registry, registry.functions[name]))
-        return problems
 
 
 class DtypeChecker(Checker):
@@ -138,20 +118,3 @@ class DtypeChecker(Checker):
             )
             for problem in dtype_problems(module.tree)
         )
-
-
-class DualModeParityChecker(_InterpreterChecker):
-    """Static parity of every tape/no-tape method pair."""
-
-    name = "dual-mode-parity"
-    description = (
-        "forward/infer_forward pairs must declare identical output "
-        "specs and read the same parameters"
-    )
-    kinds = ("parity",)
-
-    def _problems(self, registry, own_classes, own_functions) -> list[Problem]:
-        problems: list[Problem] = []
-        for name in sorted(own_classes):
-            problems.extend(parity_problems(registry, registry.classes[name]))
-        return problems

@@ -1,7 +1,7 @@
 """Symbolic shape/dtype abstract interpretation for the nn substrate.
 
-This module is the engine behind the ``shape-spec``, ``dtype-lattice``
-and ``dual-mode-parity`` checkers (:mod:`repro.analysis.checks.shapes`).
+This module is the engine behind the ``shape-spec`` and ``dtype-lattice``
+checkers (:mod:`repro.analysis.checks.shapes`).
 It never imports numpy or executes model code: every layer in
 ``repro.nn`` declares its symbolic signature with the runtime-inert
 ``@shape_spec`` decorator (see :mod:`repro.nn.spec`), and this module
@@ -26,17 +26,12 @@ only for *provable* violations — a matmul whose inner dims are distinct
 class-level symbols, a declared output spec the body cannot produce, a
 rank-equal broadcast that silently stretches a declared size-1 dim.
 
-Dual-mode parity (``forward`` vs ``infer_forward`` et al.) is checked
-from three angles, so a desynced kernel edit fails statically:
-
-1. both siblings must declare the same ``out`` spec and ``params`` set;
-2. the *parameter-bearing attribute reads* of the two bodies must be
-   the same set (the tape method's ``if no_tape_active():`` dispatch
-   prologue is excluded; parameter-free modules like ``Dropout`` —
-   an inference-mode identity — do not count);
-3. the *mode-symmetric op set* (relu/sigmoid/tanh/softmax/log_softmax/
-   masked_fill) of the two bodies must be equal, with tape spellings
-   (``x.relu()``, ``functional.softmax``) normalized to kernel ones.
+Layers have one body each, written against the ``nn.functional`` op
+table, so there is no second copy for a static check to keep in sync:
+tape↔kernel identity is the op table's property and is tested where it
+lives (``tests/test_op_table.py``).  The interpreter walks that single
+body; op-table calls resolve through the ``@shape_spec`` declared on the
+kernel of the same name.
 """
 
 from __future__ import annotations
@@ -61,10 +56,7 @@ __all__ = [
     "collect_registry",
     "library_registry",
     "interpret_class",
-    "parity_problems",
     "dtype_problems",
-    "MODE_PAIR_PREFIX",
-    "mode_pairs",
 ]
 
 
@@ -371,7 +363,7 @@ class MethodSpec:
     params: tuple | None
     node: ast.FunctionDef
     lineno: int
-    raw_out: object = None  # normalized out spec text for parity compare
+    raw_out: object = None  # the declared out spec as written
 
     def arg_names(self) -> list[str]:
         args = [a.arg for a in self.node.args.args]
@@ -463,30 +455,6 @@ class SpecRegistry:
 
     def class_for(self, name: str | None) -> ClassInfo | None:
         return self.classes.get(name) if name else None
-
-    def is_param_bearing(self, class_name: str | None, _seen=None) -> bool:
-        """Does the class (transitively) own trainable parameters?
-
-        Unknown classes default to True — better a parity mismatch that
-        makes someone annotate than a silently ignored parameter.
-        """
-        if class_name in ("Dropout",):
-            return False
-        info = self.classes.get(class_name)
-        if info is None:
-            return True
-        _seen = _seen or set()
-        if class_name in _seen:
-            return False
-        _seen.add(class_name)
-        for attr in info.attrs.values():
-            if attr.kind == "param":
-                return True
-            if attr.kind in ("module", "module_list") and self.is_param_bearing(
-                attr.class_name, _seen
-            ):
-                return True
-        return False
 
 
 _PARAM_FACTORIES = frozenset({"Parameter"})
@@ -736,7 +704,7 @@ def library_registry(rel_path: str) -> SpecRegistry | None:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Problem:
-    kind: str  # "mismatch" | "broadcast" | "dtype" | "parity"
+    kind: str  # "mismatch" | "broadcast" | "dtype"
     lineno: int
     symbol: str  # Class.method
     message: str
@@ -749,9 +717,6 @@ _ELEMENTWISE_METHODS = frozenset(
     {"relu", "sigmoid", "tanh", "exp", "log", "abs", "clip", "copy"}
 )
 _REDUCTIONS = frozenset({"sum", "mean", "max", "min"})
-_SYMMETRIC_OPS = frozenset(
-    {"relu", "sigmoid", "tanh", "softmax", "log_softmax", "masked_fill"}
-)
 _SHAPE_PRESERVING_FUNCS = frozenset(
     {
         "softmax",
@@ -760,6 +725,8 @@ _SHAPE_PRESERVING_FUNCS = frozenset(
         "sigmoid",
         "tanh",
         "gelu",
+        "scale",
+        "operand",
         "exp",
         "sqrt",
         "ascontiguousarray",
@@ -788,7 +755,6 @@ class _Interpreter:
                 # int dims like `length` flow into zeros()/reshape();
                 # anything used as a tensor degrades to ANY at the op
                 self.env[arg] = Scalar(Dim.sym(arg), "any")
-        self.is_tape_method = not spec.name.startswith("infer_")
 
     # -- problem helpers ----------------------------------------------------
     def problem(self, kind: str, node: ast.AST, message: str) -> None:
@@ -832,10 +798,6 @@ class _Interpreter:
             if stmt.value is not None:
                 self._check_return(stmt, self.eval(stmt.value, env))
         elif isinstance(stmt, ast.If):
-            if self.is_tape_method and self._is_no_tape_test(stmt.test):
-                # the fast-path dispatch prologue: not this mode's body
-                self._exec_body(stmt.orelse, env)
-                return
             before = dict(env)
             self._exec_body(stmt.body, env)
             after_body = dict(env)
@@ -886,20 +848,6 @@ class _Interpreter:
             self._bind(target, iterable.elem if iterable.elem is not None else ANY, env)
         else:
             self._bind(target, ANY, env)
-
-    @staticmethod
-    def _is_no_tape_test(test: ast.AST) -> bool:
-        if isinstance(test, ast.Call):
-            name = _dotted(test.func)
-            if name and name.rsplit(".", 1)[-1] == "no_tape_active":
-                return True
-        if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            inner = test.operand
-            if isinstance(inner, ast.Call):
-                name = _dotted(inner.func)
-                if name and name.rsplit(".", 1)[-1] == "is_grad_enabled":
-                    return True
-        return False
 
     # -- return check --------------------------------------------------------
     def _check_return(self, node, value) -> None:
@@ -1108,8 +1056,6 @@ class _Interpreter:
         if info is None:
             return ANY
         spec = info.methods.get(method)
-        if spec is None and method == "infer_forward":
-            spec = info.methods.get("forward")
         if spec is None:
             return ANY
         return self._apply_spec(node, info, ref, spec, args, kwargs)
@@ -1216,15 +1162,17 @@ class _Interpreter:
         for want, got in zip(dd, ad):
             if want is STAR or got is STAR:
                 continue
-            resolved = want.subst(mapping).subst(bindings)
+            # callee-space symbols not yet bound (a bound one may resolve
+            # to a same-named caller symbol; that is not "free")
             free = [
                 s
-                for s in resolved.free_symbols()
+                for s in want.free_symbols()
                 if s not in mapping and s not in bindings and not s.startswith("?")
             ]
+            resolved = want.subst(mapping).subst(bindings)
             if resolved == got:
                 continue
-            if len(free) == 1 and resolved == Dim.sym(free[0]):
+            if len(free) == 1 and want == Dim.sym(free[0]):
                 bindings[free[0]] = got
                 continue
             if free:
@@ -1421,7 +1369,7 @@ class _Interpreter:
                 return self._matmul(node, args[0], args[1])
             return ANY
         if leaf == "linear":
-            # kernels.linear(x, W, b): (..., in) @ (in, out) + (out,)
+            # linear(x, W, b): (..., in) @ (in, out) + (out,)
             if len(args) >= 2 and isinstance(args[0], SymTensor) and isinstance(args[1], SymTensor):
                 return self._matmul(node, args[0], args[1])
             return ANY
@@ -1478,8 +1426,6 @@ class _Interpreter:
             ):
                 return SymTensor((args[1].dim,) + first.dims[1:], first.dtype)
             return ANY
-        if leaf == "_wrap":
-            return first
         return ANY
 
     def _concat(self, args, kwargs, stacked: bool):
@@ -1712,165 +1658,6 @@ def interpret_class(registry: SpecRegistry, info: ClassInfo) -> list[Problem]:
 
 def interpret_function(registry: SpecRegistry, spec: MethodSpec) -> list[Problem]:
     return _Interpreter(registry, None, spec).run()
-
-
-# ---------------------------------------------------------------------------
-# Dual-mode parity
-# ---------------------------------------------------------------------------
-MODE_PAIR_PREFIX = "infer_"
-
-
-def mode_pairs(info: ClassInfo) -> list[tuple[str, str]]:
-    """(tape, no-tape) method-name pairs by the ``infer_`` convention."""
-    pairs = []
-    for name in sorted(info.func_nodes):
-        if name.startswith(MODE_PAIR_PREFIX):
-            continue
-        sibling = MODE_PAIR_PREFIX + name
-        if sibling in info.func_nodes:
-            pairs.append((name, sibling))
-    return pairs
-
-
-# tape-path spellings normalized to the kernel op vocabulary
-_TAPE_OP_ALIASES = {"tanh": "tanh", "relu": "relu", "sigmoid": "sigmoid"}
-
-
-def _body_reads_and_ops(
-    registry: SpecRegistry, info: ClassInfo, func: ast.FunctionDef, skip_dispatch: bool
-) -> tuple[set[str], set[str]]:
-    """(param-bearing attr reads, mode-symmetric op set) of one body."""
-    reads: set[str] = set()
-    ops: set[str] = set()
-
-    def param_bearing(attr: str) -> bool:
-        sub = info.attrs.get(attr)
-        if sub is None:
-            return False
-        if sub.kind == "param":
-            return True
-        if sub.kind in ("module", "module_list"):
-            return registry.is_param_bearing(sub.class_name)
-        return False
-
-    def walk(node) -> None:
-        if isinstance(node, ast.If) and skip_dispatch and _Interpreter._is_no_tape_test(node.test):
-            for child in node.orelse:
-                walk(child)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not func:
-            return
-        if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and param_bearing(node.attr)
-            ):
-                reads.add(node.attr)
-        if isinstance(node, ast.Call):
-            # method spelling (`x.relu()`, even on a call result) or
-            # function spelling (`kernels.relu(x)`, `softmax(x)`)
-            if isinstance(node.func, ast.Attribute):
-                leaf = node.func.attr
-            else:
-                name = _dotted(node.func)
-                leaf = name.rsplit(".", 1)[-1] if name else None
-            if leaf in _SYMMETRIC_OPS:
-                ops.add(leaf)
-        for child in ast.iter_child_nodes(node):
-            walk(child)
-
-    for stmt in func.body:
-        walk(stmt)
-    return reads, ops
-
-
-def parity_problems(registry: SpecRegistry, info: ClassInfo) -> list[Problem]:
-    """Dual-mode parity findings for one class."""
-    problems: list[Problem] = []
-    for tape_name, infer_name in mode_pairs(info):
-        tape_func = info.func_nodes[tape_name]
-        infer_func = info.func_nodes[infer_name]
-        symbol = f"{info.name}.{infer_name}"
-        tape_spec = info.methods.get(tape_name)
-        infer_spec = info.methods.get(infer_name)
-        if tape_spec is not None and infer_spec is not None:
-            if tape_spec.raw_out != infer_spec.raw_out:
-                problems.append(
-                    Problem(
-                        "parity",
-                        infer_spec.lineno,
-                        symbol,
-                        f"declared output spec {infer_spec.raw_out!r} differs "
-                        f"from {info.name}.{tape_name}'s {tape_spec.raw_out!r} — "
-                        f"dual-mode siblings must produce identical specs",
-                    )
-                )
-            if (
-                tape_spec.params is not None
-                and infer_spec.params is not None
-                and set(tape_spec.params) != set(infer_spec.params)
-            ):
-                problems.append(
-                    Problem(
-                        "parity",
-                        infer_spec.lineno,
-                        symbol,
-                        f"declared params {sorted(set(infer_spec.params))} differ "
-                        f"from {info.name}.{tape_name}'s "
-                        f"{sorted(set(tape_spec.params))} — both modes must draw "
-                        f"from the same parameter set",
-                    )
-                )
-        elif (tape_spec is None) != (infer_spec is None):
-            undecorated = tape_name if tape_spec is None else infer_name
-            problems.append(
-                Problem(
-                    "parity",
-                    info.func_nodes[undecorated].lineno,
-                    f"{info.name}.{undecorated}",
-                    f"dual-mode pair {tape_name}/{infer_name}: only one side "
-                    f"declares a @shape_spec — annotate both so parity is "
-                    f"checkable",
-                )
-            )
-        tape_reads, tape_ops = _body_reads_and_ops(registry, info, tape_func, True)
-        infer_reads, infer_ops = _body_reads_and_ops(registry, info, infer_func, False)
-        missing = tape_reads - infer_reads
-        extra = infer_reads - tape_reads
-        if missing or extra:
-            detail = []
-            if missing:
-                detail.append(f"missing {sorted(missing)}")
-            if extra:
-                detail.append(f"extra {sorted(extra)}")
-            problems.append(
-                Problem(
-                    "parity",
-                    infer_func.lineno,
-                    symbol,
-                    f"parameter reads desynced from {info.name}.{tape_name}: "
-                    + ", ".join(detail),
-                )
-            )
-        if tape_ops != infer_ops:
-            missing_ops = tape_ops - infer_ops
-            extra_ops = infer_ops - tape_ops
-            detail = []
-            if missing_ops:
-                detail.append(f"missing {sorted(missing_ops)}")
-            if extra_ops:
-                detail.append(f"extra {sorted(extra_ops)}")
-            problems.append(
-                Problem(
-                    "parity",
-                    infer_func.lineno,
-                    symbol,
-                    f"op set desynced from {info.name}.{tape_name}: "
-                    + ", ".join(detail),
-                )
-            )
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .beam import (
     BeamCandidate,
     BeamSearchState,
     beam_search_join_order,
-    beam_search_join_order_sequential,
     connected_components,
     drive_beam_states,
     is_legal_order,
@@ -85,7 +84,6 @@ __all__ = [
     "BeamCandidate",
     "BeamSearchState",
     "beam_search_join_order",
-    "beam_search_join_order_sequential",
     "connected_components",
     "require_connected",
     "drive_beam_states",

@@ -18,11 +18,13 @@ and the legality masks are vectorized numpy operations over the
 adjacency matrix.  :class:`BeamSearchState` holds one query's beam
 frontier so that many searches can be driven in lockstep off one shared
 decoder call (see :func:`drive_beam_states` and
-``MTMLFQO.predict_join_orders``).  The original one-forward-per-beam
-path is kept as :func:`beam_search_join_order_sequential`; the batched
-search is bit-identical to it (the parity tests assert so) because every
-row of a batched forward performs the same float operations as the
-corresponding single-row forward.
+``MTMLFQO.predict_join_orders``).  There is one decode path: the driver
+projects each query's encoder memory once (a per-decode ``nn.KVCache``)
+and steps the decoder on raw ndarrays.  A one-forward-per-beam reference
+search lives with the tests (``tests/sequential_oracle.py``); the batched
+search is bit-identical to it because every row of a batched forward
+performs the same float operations as the corresponding single-row
+forward.
 
 A disconnected join graph has no legal complete order; with legality
 enforced the search detects this up front and raises ``ValueError``
@@ -44,7 +46,6 @@ __all__ = [
     "BeamCandidate",
     "BeamSearchState",
     "beam_search_join_order",
-    "beam_search_join_order_sequential",
     "connected_components",
     "require_connected",
     "drive_beam_states",
@@ -149,9 +150,6 @@ class BeamSearchState:
     def num_active(self) -> int:
         return 0 if self.done else self.prefixes.shape[0]
 
-    def active_prefixes(self) -> list[list[int]]:
-        return [row.tolist() for row in self.prefixes]
-
     def _allowed_mask(self) -> np.ndarray:
         """(B, m) mask of positions each beam may expand to."""
         allowed = ~self.used
@@ -235,25 +233,22 @@ def drive_beam_states(
     BLAS kernels and differ in the last ulp.  Workloads have few
     distinct table counts, so the fan-in per call stays high.
 
-    On the no-tape fast path each query's encoder memory is projected
-    (cross-attention K/V per decoder layer, pointer keys) exactly once
-    into a per-query :class:`nn.KVCache` created here — and therefore
-    dropped here, so projections can never leak across decodes or model
-    hot-swaps — then broadcast to the active beams and concatenated per
-    step.  ``scratch`` is the caller's session-private arena for kernel
-    output buffers.
+    Each query's encoder memory is projected (cross-attention K/V per
+    decoder layer, pointer keys) exactly once into a per-query
+    :class:`nn.KVCache` created here — and therefore dropped here, so
+    projections can never leak across decodes or model hot-swaps — then
+    broadcast to the active beams and concatenated per step.  ``scratch``
+    is the caller's session-private arena for kernel output buffers.
     """
     if len(memories) != len(states):
         raise ValueError("one memory per beam state required")
-    use_fast = nn.fastpath_enabled() and hasattr(trans_jo, "infer_step_logits_batch")
     # One cache per query, living exactly as long as this drive call.
-    caches = [nn.KVCache(memory) for memory in memories] if use_fast else None
+    caches = [nn.KVCache(memory) for memory in memories]
     # Assembled batched inputs depend only on (group, beam counts) —
     # which stabilize after the first step — so they too are memoized
-    # for the duration of this drive (fast path only).
+    # for the duration of this drive.
     assembled: dict[tuple, tuple] = {}
     with nn.no_grad():
-        fast = use_fast and nn.no_tape_active()
         while True:
             by_size: dict[int, list[int]] = {}
             for i, state in enumerate(states):
@@ -263,61 +258,39 @@ def drive_beam_states(
                 return
             for group in by_size.values():
                 counts = [states[i].num_active for i in group]
-                if fast:
-                    # All states of a group advanced in lockstep from step
-                    # 0, so their prefix matrices share one length — the
-                    # concatenated dense matrix is exactly the padded
-                    # batch pad_index_sequences would build from lists.
-                    if len(group) == 1:
-                        prefixes = states[group[0]].prefixes
-                    else:
-                        prefixes = np.concatenate(
-                            [states[i].prefixes for i in group], axis=0
-                        )
-                    key = (tuple(group), tuple(counts))
-                    cached = assembled.get(key)
-                    if cached is None:
-                        blocks = [
-                            np.broadcast_to(memories[i].data, (n,) + memories[i].shape[1:])
-                            for i, n in zip(group, counts)
-                        ]
-                        per_query = [trans_jo.infer_memory_kv(memories[i], caches[i]) for i in group]
-                        memory_nd = np.concatenate(blocks, axis=0)
-                        start_block = np.ascontiguousarray(
-                            np.broadcast_to(
-                                trans_jo.start_token.data.reshape(1, 1, -1),
-                                (memory_nd.shape[0], 1, memory_nd.shape[2]),
-                            )
-                        )
-                        cached = (
-                            memory_nd,
-                            *trans_jo.concat_memory_kv(per_query, counts),
-                            start_block,
-                        )
-                        assembled[key] = cached
-                    memory_nd, memory_kv, pointer_keys, start_block = cached
-                    log_probs = nn.kernels.log_softmax(
-                        trans_jo.infer_step_logits_batch(
-                            memory_nd,
-                            prefixes,
-                            memory_kv=memory_kv,
-                            pointer_keys=pointer_keys,
-                            scratch=scratch,
-                            start_block=start_block,
-                        )
-                    )
+                # All states of a group advanced in lockstep from step 0,
+                # so their prefix matrices share one length — the
+                # concatenated dense matrix is exactly the padded batch
+                # pad_index_sequences would build from lists.
+                if len(group) == 1:
+                    prefixes = states[group[0]].prefixes
                 else:
-                    prefixes = []
-                    for i in group:
-                        prefixes.extend(states[i].active_prefixes())
+                    prefixes = np.concatenate([states[i].prefixes for i in group], axis=0)
+                key = (tuple(group), tuple(counts))
+                cached = assembled.get(key)
+                if cached is None:
                     blocks = [
                         np.broadcast_to(memories[i].data, (n,) + memories[i].shape[1:])
                         for i, n in zip(group, counts)
                     ]
-                    logits = trans_jo.step_logits_batch(
-                        nn.Tensor(np.concatenate(blocks, axis=0)), prefixes
+                    per_query = [trans_jo.project_memory(memories[i], caches[i]) for i in group]
+                    memory = np.concatenate(blocks, axis=0)
+                    start_block = F.repeat_batch(
+                        trans_jo.start_token.data.reshape(1, 1, -1), memory.shape[0]
                     )
-                    log_probs = F.log_softmax(logits).data
+                    cached = (memory, *trans_jo.concat_memory_kv(per_query, counts), start_block)
+                    assembled[key] = cached
+                memory, memory_kv, pointer_keys, start_block = cached
+                log_probs = F.log_softmax(
+                    trans_jo.step_logits_batch(
+                        memory,
+                        prefixes,
+                        memory_kv=memory_kv,
+                        pointer_keys=pointer_keys,
+                        scratch=scratch,
+                        start_block=start_block,
+                    )
+                )
                 offset = 0
                 for i in group:
                     n_beams = states[i].num_active
@@ -339,9 +312,7 @@ def beam_search_join_order(
     Parameters
     ----------
     trans_jo:
-        A :class:`repro.core.trans_jo.TransJO` (or anything exposing
-        ``step_logits_batch(memory, prefixes) -> Tensor``; objects
-        exposing only ``step_logits`` fall back to the sequential path).
+        The :class:`repro.core.trans_jo.TransJO` decoder.
     memory:
         (1, m, d) single-table representations from Trans_Share.
     adjacency:
@@ -358,15 +329,6 @@ def beam_search_join_order(
     adjacency = np.asarray(adjacency, dtype=bool)
     if enforce_legality:
         require_connected(adjacency)
-    if not hasattr(trans_jo, "step_logits_batch"):
-        return beam_search_join_order_sequential(
-            trans_jo,
-            memory,
-            adjacency,
-            beam_width=beam_width,
-            enforce_legality=enforce_legality,
-            max_candidates=max_candidates,
-        )
     state = BeamSearchState(
         adjacency,
         beam_width=beam_width,
@@ -375,70 +337,3 @@ def beam_search_join_order(
     )
     drive_beam_states(trans_jo, [memory], [state], scratch=scratch)
     return state.candidates()
-
-
-def beam_search_join_order_sequential(
-    trans_jo,
-    memory: nn.Tensor,
-    adjacency: np.ndarray,
-    beam_width: int = 3,
-    enforce_legality: bool = True,
-    max_candidates: int = 16,
-) -> list[BeamCandidate]:
-    """Reference beam search: one decoder forward per beam per timestep.
-
-    Kept as the ground truth the batched path is parity-tested against,
-    and as the baseline of ``benchmarks/bench_batched_decode.py``.
-    """
-    if enforce_legality:
-        require_connected(adjacency)
-    m = memory.shape[1]
-    # Per-search KV cache (fast path only): projections of this memory
-    # are computed once and die with this search.
-    kv_cache = nn.KVCache(memory) if hasattr(trans_jo, "infer_memory_kv") else None
-    beams: list[tuple[list[int], float]] = [([], 0.0)]
-    for _ in range(m):
-        expansions: list[tuple[list[int], float]] = []
-        for prefix, score in beams:
-            with nn.no_grad():
-                if kv_cache is not None:
-                    logits = trans_jo.step_logits(memory, prefix, kv_cache=kv_cache)
-                else:
-                    logits = trans_jo.step_logits(memory, prefix)
-            log_probs = F.log_softmax(logits.reshape(1, -1)).data.reshape(-1)
-            allowed = _allowed_positions(prefix, adjacency, enforce_legality)
-            if not allowed:
-                continue
-            ranked = sorted(allowed, key=lambda p: -log_probs[p])[:beam_width]
-            for position in ranked:
-                expansions.append((prefix + [position], score + float(log_probs[position])))
-        if not expansions:
-            break
-        expansions.sort(key=lambda item: -item[1])
-        beams = expansions[: max(beam_width, 1) if len(expansions[0][0]) < m else max_candidates]
-
-    candidates = [
-        BeamCandidate(
-            positions=prefix,
-            log_prob=score,
-            legal=is_legal_order(prefix, adjacency),
-        )
-        for prefix, score in beams
-        if len(prefix) == m
-    ]
-    candidates.sort(key=lambda c: -c.log_prob)
-    return candidates[:max_candidates]
-
-
-def _allowed_positions(prefix: list[int], adjacency: np.ndarray, enforce_legality: bool) -> list[int]:
-    m = adjacency.shape[0]
-    used = set(prefix)
-    allowed = []
-    for position in range(m):
-        if position in used:
-            continue
-        if enforce_legality and prefix:
-            if not any(adjacency[position, j] for j in prefix):
-                continue
-        allowed.append(position)
-    return allowed

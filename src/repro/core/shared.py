@@ -48,5 +48,5 @@ class SharedRepresentation(nn.Module):
     ) -> nn.Tensor:
         """(B, L, node_feature_dim) + (B, L, d_model) tree pos -> (B, L, d_model)."""
         x = self.input_proj(node_features)
-        x = x + nn.Tensor(tree_encodings)
+        x = x + tree_encodings
         return self.encoder(x, key_padding_mask=key_padding_mask)

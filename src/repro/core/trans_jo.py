@@ -17,9 +17,10 @@ documented design choice in DESIGN.md (section 1).
 
 Decoding is batched: :meth:`TransJO.step_logits_batch` expands many
 beam prefixes — potentially spanning several queries — in one decoder
-forward (DESIGN.md section 2); :meth:`TransJO.step_logits` is the
-single-prefix reference path the batched search is parity-tested
-against.
+forward (DESIGN.md section 2).  Like every layer it has one body: handed
+Tensors it records tape, handed raw ndarrays (the beam driver, with the
+per-decode projections of :meth:`TransJO.project_memory`) it runs the
+in-place kernels — the same function either way.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
+from ..nn import functional as F
 from ..nn.spec import shape_spec
 from .config import ModelConfig
 
@@ -54,111 +56,86 @@ class TransJO(nn.Module):
         self.logit_scale = 1.0 / np.sqrt(config.d_model)
 
     # ------------------------------------------------------------------
-    @shape_spec(inputs={"memory": "(1, m, d_model)"},
-                out="(m,)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def step_logits(
-        self,
-        memory: nn.Tensor,
-        prefix_positions: list[int],
-        kv_cache: "nn.KVCache | None" = None,
-    ) -> nn.Tensor:
-        """Logits over the m tables for the next timestamp.
-
-        ``memory`` is (1, m, d): the single-table representations.
-        ``prefix_positions`` are the positions already emitted; the
-        decoder input is [start, S_{p1}, ..., S_{pt}].  ``kv_cache``
-        (fast path only) amortizes the memory's cross-attention K/V and
-        pointer-key projections across the steps of one beam search.
-        """
-        if nn.no_tape_active():
-            memory_kv, pointer_keys = self.infer_memory_kv(memory, kv_cache)
-            return nn.Tensor._wrap(
-                self.infer_step_logits(
-                    memory.data, prefix_positions, memory_kv=memory_kv, pointer_keys=pointer_keys
-                )
-            )
-        inputs = [self.start_token.reshape(1, 1, -1)]
-        for position in prefix_positions:
-            inputs.append(memory[:, position: position + 1, :])
-        x = nn.functional.concat(inputs, axis=1) if len(inputs) > 1 else inputs[0]
-        hidden = self.decoder(x, memory)          # (1, t+1, d)
-        last = hidden[:, -1, :]                   # (1, d)
-        keys = self.pointer_proj(memory)          # (1, m, d)
-        logits = keys.matmul(last.reshape(-1, 1)).reshape(-1) * self.logit_scale  # (m,)
-        return logits
-
     @shape_spec(inputs={"memory": "(B, m, d_model)"},
                 out="(B, m)",
                 params=("start_token", "decoder", "pointer_proj"))
     def step_logits_batch(
         self,
-        memory: nn.Tensor,
-        prefixes: list[list[int]],
+        memory,
+        prefixes,
         memory_padding_mask: np.ndarray | None = None,
-    ) -> nn.Tensor:
+        memory_kv: list | None = None,
+        pointer_keys=None,
+        scratch=None,
+        start_block=None,
+    ):
         """Next-timestamp logits for a whole batch of prefixes at once.
 
         ``memory`` is (B, m, d): one row of single-table representations
         per prefix (rows may repeat when several beams share one query).
-        ``prefixes`` may be ragged; shorter rows are padded (the causal
-        self-attention mask keeps pad slots from influencing the read
-        position) and each row's logits are taken at its own last real
-        timestamp.  ``memory_padding_mask`` is (B, m) boolean, True at
-        padded table slots when queries of different table counts share
-        the batch; those slots are excluded from cross-attention and
-        their pointer logits forced to -1e9.
+        ``prefixes`` may be a ragged list of lists — shorter rows are
+        padded (the causal self-attention mask keeps pad slots from
+        influencing the read position) and each row's logits are taken at
+        its own last real timestamp — or, from the lockstep beam driver
+        where every row has the same length, the dense ``(B, t)`` int64
+        matrix ``pad_index_sequences`` would build.
+        ``memory_padding_mask`` is (B, m) boolean, True at padded table
+        slots when queries of different table counts share the batch;
+        those slots are excluded from cross-attention and their pointer
+        logits forced to -1e9.
 
-        Returns (B, m) pointer logits — one decoder forward for what
-        :meth:`step_logits` would need B calls to produce.
+        The remaining arguments carry what one decode can reuse across
+        its steps: ``memory_kv``/``pointer_keys`` are the batched
+        projections of ``memory`` (see :meth:`project_memory` and
+        :meth:`concat_memory_kv`; projected here when omitted),
+        ``start_block`` the broadcast start token (a function of the
+        batch size only), ``scratch`` the session's kernel buffer arena.
+
+        Returns (B, m) pointer logits.
         """
         batch, m, _ = memory.shape
-        if len(prefixes) != batch:
-            raise ValueError(f"{len(prefixes)} prefixes for a memory batch of {batch}")
-        if nn.no_tape_active():
-            return nn.Tensor._wrap(
-                self.infer_step_logits_batch(
-                    memory.data, prefixes, memory_padding_mask=memory_padding_mask
-                )
-            )
-        indices, lengths = nn.functional.pad_index_sequences(prefixes)
+        if isinstance(prefixes, np.ndarray):
+            indices = prefixes
+            lengths = np.full(batch, indices.shape[1], dtype=np.int64)
+        else:
+            if len(prefixes) != batch:
+                raise ValueError(f"{len(prefixes)} prefixes for a memory batch of {batch}")
+            indices, lengths = F.pad_index_sequences(prefixes)
         rows = np.arange(batch)
-        start = nn.functional.repeat_batch(self.start_token.reshape(1, 1, -1), batch)
+        x = start_block
+        if x is None:
+            x = F.repeat_batch(F.operand(self.start_token, like=memory).reshape(1, 1, -1), batch)
         if indices.shape[1]:
             gathered = memory[rows[:, None], indices]  # (B, Tmax, d)
-            x = nn.functional.concat([start, gathered], axis=1)
-        else:
-            x = start
-        hidden = self.decoder(x, memory, memory_padding_mask=memory_padding_mask)
+            x = F.concat([x, gathered], axis=1)
+        hidden = self.decoder(
+            x,
+            memory,
+            memory_padding_mask=memory_padding_mask,
+            memory_kv=memory_kv,
+            scratch=scratch,
+            tag="jo",
+        )
         last = hidden[rows, lengths]              # (B, d): each row's last real step
-        keys = self.pointer_proj(memory)          # (B, m, d)
-        logits = keys.matmul(last.reshape(batch, -1, 1)).reshape(batch, m) * self.logit_scale
+        keys = pointer_keys if pointer_keys is not None else self.pointer_proj(memory)
+        logits = (keys @ last.reshape(batch, -1, 1)).reshape(batch, m) * self.logit_scale
         if memory_padding_mask is not None:
-            logits = nn.functional.masked_fill(logits, memory_padding_mask, -1e9)
+            logits = F.masked_fill(logits, memory_padding_mask, -1e9)
         return logits
 
-    # ------------------------------------------------------------------
-    # No-tape fast path.  The beam driver calls these directly (under
-    # ``nn.no_grad``) so it can thread a per-decode KV cache and a
-    # session scratch arena through every step.
-    # ------------------------------------------------------------------
-    def infer_memory_kv(self, memory, kv_cache: "nn.KVCache | None" = None):
+    def project_memory(self, memory: nn.Tensor, kv_cache: "nn.KVCache | None" = None):
         """Per-decode projections of one (1, m, d) encoder memory.
 
-        Returns ``(memory_kv, pointer_keys)``: the per-layer
-        cross-attention K/V pairs plus the pointer keys ``W S_i`` — all
-        the projections of the memory that every decoder step would
-        otherwise recompute.  With ``kv_cache`` (a :class:`nn.KVCache`
-        bound to exactly this memory) the projection runs once per
-        decode; a cache bound to a different memory is a bug upstream
-        and is rejected loudly.
+        Returns ``(memory_kv, pointer_keys)`` as raw ndarrays: the
+        per-layer cross-attention K/V pairs plus the pointer keys
+        ``W S_i`` — all the projections of the memory that every decoder
+        step would otherwise recompute.  With ``kv_cache`` (a
+        :class:`nn.KVCache` bound to exactly this memory) the projection
+        runs once per decode; a cache bound to a different memory is a
+        bug upstream and is rejected loudly.
         """
         def project():
-            mem = memory.data if isinstance(memory, nn.Tensor) else np.asarray(memory)
-            return (
-                self.decoder.infer_project_memory_kv(mem),
-                self.pointer_proj.infer_forward(mem),
-            )
+            return self.decoder.project_memory_kv(memory.data), self.pointer_proj(memory.data)
 
         if kv_cache is None:
             return project()
@@ -170,7 +147,7 @@ class TransJO(nn.Module):
     def concat_memory_kv(per_query, counts: list[int]):
         """Assemble batched projections from per-query cached ones.
 
-        ``per_query[i]`` is :meth:`infer_memory_kv` output for query i,
+        ``per_query[i]`` is :meth:`project_memory` output for query i,
         ``counts[i]`` its number of active beams.  Each query's (1, ...)
         projections are broadcast to its beam count and concatenated —
         bit-identical to projecting the batched memory directly, because
@@ -201,101 +178,20 @@ class TransJO(nn.Module):
         return memory_kv, pointer_keys
 
     @shape_spec(inputs={"memory": "(1, m, d_model)"},
-                out="(m,)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def infer_step_logits(
-        self,
-        memory: np.ndarray,
-        prefix_positions: list[int],
-        memory_kv=None,
-        pointer_keys: np.ndarray | None = None,
-        scratch=None,
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`step_logits` on raw ndarrays."""
-        inputs = [self.start_token.data.reshape(1, 1, -1)]
-        for position in prefix_positions:
-            inputs.append(memory[:, position: position + 1, :])
-        x = np.concatenate(inputs, axis=1) if len(inputs) > 1 else inputs[0]
-        hidden = self.decoder.infer_forward(x, memory, memory_kv=memory_kv, scratch=scratch, tag="jo")
-        last = hidden[:, -1, :]
-        keys = pointer_keys if pointer_keys is not None else self.pointer_proj.infer_forward(memory)
-        return np.matmul(keys, last.reshape(-1, 1)).reshape(-1) * self.logit_scale
-
-    @shape_spec(inputs={"memory": "(B, m, d_model)"},
-                out="(B, m)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def infer_step_logits_batch(
-        self,
-        memory: np.ndarray,
-        prefixes,
-        memory_padding_mask: np.ndarray | None = None,
-        memory_kv=None,
-        pointer_keys: np.ndarray | None = None,
-        scratch=None,
-        start_block: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`step_logits_batch`.
-
-        ``memory_kv``/``pointer_keys`` take batched projections (see
-        :meth:`concat_memory_kv`); when omitted they are projected from
-        ``memory`` in place, which is still tape-free but repays the
-        per-step projection cost the KV cache exists to remove.
-
-        ``prefixes`` may be the usual ragged list of lists, or — from the
-        lockstep beam driver, where every row has the same length — a
-        dense ``(B, t)`` int64 matrix, which skips the pad/repack (the
-        dense matrix is exactly what ``pad_index_sequences`` would
-        build).  ``start_block`` optionally supplies the broadcast
-        start-token block, which depends only on the batch size and so
-        can be reused across the steps of one decode.
-        """
-        batch, m, _ = memory.shape
-        if isinstance(prefixes, np.ndarray):
-            indices = prefixes
-            lengths = np.full(batch, indices.shape[1], dtype=np.int64)
-        else:
-            indices, lengths = nn.functional.pad_index_sequences(prefixes)
-        rows = np.arange(batch)
-        start = start_block
-        if start is None:
-            start = np.ascontiguousarray(
-                np.broadcast_to(self.start_token.data.reshape(1, 1, -1), (batch, 1, self.config.d_model))
-            )
-        if indices.shape[1]:
-            gathered = memory[rows[:, None], indices]  # (B, Tmax, d)
-            x = np.concatenate([start, gathered], axis=1)
-        else:
-            x = start
-        hidden = self.decoder.infer_forward(
-            x,
-            memory,
-            memory_padding_mask=memory_padding_mask,
-            memory_kv=memory_kv,
-            scratch=scratch,
-            tag="jo",
-        )
-        last = hidden[rows, lengths]              # (B, d): each row's last real step
-        keys = pointer_keys if pointer_keys is not None else self.pointer_proj.infer_forward(memory)
-        logits = np.matmul(keys, last.reshape(batch, -1, 1)).reshape(batch, m) * self.logit_scale
-        if memory_padding_mask is not None:
-            logits = nn.kernels.masked_fill(logits, memory_padding_mask, -1e9)
-        return logits
-
-    @shape_spec(inputs={"memory": "(1, m, d_model)"},
                 out="(m, m)",
                 params=("start_token", "decoder", "pointer_proj"))
-    def forward(self, memory: nn.Tensor, target_positions: list[int]) -> nn.Tensor:
+    def forward(self, memory, target_positions: list[int]):
         """Teacher-forced logits for a whole order, shape (m, m).
 
         Row t holds the logits for timestamp t given the *true* prefix
         (teacher forcing, Section 4.2).
         """
         m = memory.shape[1]
-        inputs = [self.start_token.reshape(1, 1, -1)]
+        inputs = [F.operand(self.start_token, like=memory).reshape(1, 1, -1)]
         for position in target_positions[:-1]:
             inputs.append(memory[:, position: position + 1, :])
-        x = nn.functional.concat(inputs, axis=1) if len(inputs) > 1 else inputs[0]
+        x = F.concat(inputs, axis=1) if len(inputs) > 1 else inputs[0]
         hidden = self.decoder(x, memory)          # (1, m, d) causal
         keys = self.pointer_proj(memory)          # (1, m, d)
-        logits = hidden.matmul(keys.swapaxes(-1, -2)) * self.logit_scale  # (1, m, m)
+        logits = (hidden @ keys.swapaxes(-1, -2)) * self.logit_scale  # (1, m, m)
         return logits.reshape(len(target_positions), m)

@@ -1,9 +1,20 @@
-"""Functional operations on :class:`repro.nn.Tensor`.
+"""The op table: every operation a layer body needs, written twice.
 
-These free functions complement the methods on ``Tensor`` with
-operations that combine several tensors (``concat``, ``stack``,
-``where``) or that are numerically specialised (``softmax``,
-``log_softmax``, ``gelu``).
+Each function here has two implementations and picks one by the type of
+its operand: a :class:`Tensor` runs the autograd op (records tape, same
+float-op order as ever, so training is bit-identical), a raw
+``np.ndarray`` runs the matching :mod:`repro.nn.kernels` function
+(in place where it can, into a ``ScratchArena`` buffer when given one).
+Layer bodies are written once against this table plus the operators
+``Tensor`` and ``ndarray`` already share (``+``, ``*``, ``@``, slicing,
+``reshape``/``transpose``/``swapaxes``); which half runs is decided by
+what ``Module.__call__`` hands the body — never by the body.
+
+The two halves of every op are bit-identical (``tests/test_op_table.py``
+compares them on contiguous, transposed and broadcast operands), which
+is the whole tape↔kernel parity argument: one body over equal ops is
+one function.  This is the only module allowed to call ``kernels.*``
+(the ``raw-kernel`` checker enforces it).
 """
 
 from __future__ import annotations
@@ -11,35 +22,105 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor, no_tape_active
+from .tensor import Tensor
 
 __all__ = [
-    "concat",
-    "stack",
+    "matmul",
+    "linear",
+    "layer_norm",
+    "scale",
+    "relu",
+    "sigmoid",
+    "tanh",
     "softmax",
     "log_softmax",
+    "masked_fill",
+    "concat",
+    "stack",
+    "repeat_batch",
+    "operand",
+    "zeros",
     "gelu",
     "where",
-    "masked_fill",
     "pad_sequences",
     "pad_index_sequences",
-    "repeat_batch",
     "one_hot",
 ]
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    if no_tape_active():
-        arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64) for t in tensors]
-        return Tensor._wrap(np.concatenate(arrays, axis=axis))
+def operand(param: Tensor, like):
+    """``param`` as an operand of ``like``'s kind: itself among Tensors,
+    its raw ``.data`` among ndarrays."""
+    return param.data if isinstance(like, np.ndarray) else param
+
+
+def zeros(shape: tuple, like):
+    """Zeros of ``like``'s kind (e.g. an initial recurrent state)."""
+    data = np.zeros(shape)
+    return data if isinstance(like, np.ndarray) else Tensor(data)
+
+
+def matmul(a, b, scratch=None, tag: str = ""):
+    """``a @ b``; the ndarray half can write into a ``scratch`` buffer."""
+    if isinstance(a, np.ndarray):
+        return kernels.matmul(a, b, scratch, tag)
+    return a.matmul(b)
+
+
+def linear(x, weight: Tensor, bias: Tensor | None = None, scratch=None, tag: str = ""):
+    """Affine map ``x @ W`` then ``+ b`` over parameters ``weight``/``bias``."""
+    if isinstance(x, np.ndarray):
+        return kernels.linear(x, weight.data, None if bias is None else bias.data, scratch, tag)
+    out = x.matmul(weight)
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float, dim: int):
+    """Normalise the last axis (mean as ``sum * (1/dim)`` in both halves)."""
+    if isinstance(x, np.ndarray):
+        return kernels.layer_norm(x, gamma.data, beta.data, eps, dim)
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normed = centered * (var + eps) ** -0.5
+    return normed * gamma + beta
+
+
+def scale(x, factor: float):
+    """``x * factor``; in place on an ndarray (callers pass a fresh one)."""
+    if isinstance(x, np.ndarray):
+        return np.multiply(x, factor, out=x)
+    return x * factor
+
+
+def relu(x):
+    return kernels.relu(x) if isinstance(x, np.ndarray) else x.relu()
+
+
+def sigmoid(x):
+    return kernels.sigmoid(x) if isinstance(x, np.ndarray) else x.sigmoid()
+
+
+def tanh(x):
+    return np.tanh(x) if isinstance(x, np.ndarray) else x.tanh()
+
+
+def _all_raw(tensors) -> bool:
+    return not any(isinstance(t, Tensor) for t in tensors)
+
+
+def concat(tensors: list, axis: int = 0):
+    """Concatenate along ``axis`` (with gradient support among Tensors)."""
+    if _all_raw(tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     requires = any(t.requires_grad for t in tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(grad):
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if tensor.requires_grad:
                 index = [slice(None)] * grad.ndim
@@ -49,11 +130,10 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), backward, requires)
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient support."""
-    if no_tape_active():
-        arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64) for t in tensors]
-        return Tensor._wrap(np.stack(arrays, axis=axis))
+def stack(tensors: list, axis: int = 0):
+    """Stack along a new ``axis`` (with gradient support among Tensors)."""
+    if _all_raw(tensors):
+        return np.stack(tensors, axis=axis)
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
     requires = any(t.requires_grad for t in tensors)
@@ -67,10 +147,10 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), backward, requires)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x, axis: int = -1):
     """Numerically stable softmax along ``axis``."""
-    if no_tape_active():
-        return Tensor._wrap(kernels.softmax(x.data, axis=axis))
+    if isinstance(x, np.ndarray):
+        return kernels.softmax(x, axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     exps = np.exp(shifted)
     out = exps / exps.sum(axis=axis, keepdims=True)
@@ -83,32 +163,64 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out, (x,), backward, x.requires_grad)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(x, axis: int = -1):
     """Numerically stable log-softmax along ``axis``."""
-    if no_tape_active():
-        # Identical arithmetic (the kernel mirrors the lines below); just
-        # skip materializing the backward-only softmax intermediate.
-        return Tensor._wrap(kernels.log_softmax(x.data, axis=axis))
+    if isinstance(x, np.ndarray):
+        return kernels.log_softmax(x, axis)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - logsumexp
-    soft = np.exp(out)
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+            x._accumulate(grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out, (x,), backward, x.requires_grad)
 
 
+def masked_fill(x, mask: np.ndarray, value: float):
+    """Replace entries where ``mask`` is True by ``value`` (no grad there)."""
+    if isinstance(x, np.ndarray):
+        return kernels.masked_fill(x, mask, value)
+    mask = np.asarray(mask, dtype=bool)
+    data = np.where(mask, value, x.data)
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad * ~mask)
+
+    return Tensor._make(data, (x,), backward, x.requires_grad)
+
+
+def repeat_batch(x, repeats: int):
+    """Repeat a ``(1, ...)`` array ``repeats`` times along axis 0.
+
+    Among Tensors gradients sum back over the repeated axis, so this is
+    the batched-decoding equivalent of broadcasting one encoder memory
+    (or the start token) across every active beam.
+    """
+    if x.shape[0] != 1:
+        raise ValueError(f"repeat_batch expects a leading axis of 1, got shape {x.shape}")
+    if isinstance(x, np.ndarray):
+        return np.ascontiguousarray(np.broadcast_to(x, (repeats,) + x.shape[1:]))
+    data = np.ascontiguousarray(np.broadcast_to(x.data, (repeats,) + x.data.shape[1:]))
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad.sum(axis=0, keepdims=True))
+
+    return Tensor._make(data, (x,), backward, x.requires_grad)
+
+
+# ---------------------------------------------------------------------------
+# Tensor-only ops (no layer body uses them, so they have no kernel half)
+# ---------------------------------------------------------------------------
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     c = np.sqrt(2.0 / np.pi)
     inner = c * (x.data + 0.044715 * x.data ** 3)
     t = np.tanh(inner)
     out = 0.5 * x.data * (1.0 + t)
-    if no_tape_active():
-        return Tensor._wrap(out)
 
     def backward(grad):
         if x.requires_grad:
@@ -120,10 +232,6 @@ def gelu(x: Tensor) -> Tensor:
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select: ``condition ? a : b`` (condition is constant)."""
-    if no_tape_active():
-        a_nd = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-        b_nd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-        return Tensor._wrap(np.where(np.asarray(condition, dtype=bool), a_nd, b_nd))
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     condition = np.asarray(condition, dtype=bool)
@@ -136,20 +244,6 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(grad * ~condition)
 
     return Tensor._make(data, (a, b), backward, a.requires_grad or b.requires_grad)
-
-
-def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``mask`` is True by ``value`` (no grad there)."""
-    mask = np.asarray(mask, dtype=bool)
-    if no_tape_active():
-        return Tensor._wrap(kernels.masked_fill(x.data, mask, value))
-    data = np.where(mask, value, x.data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * ~mask)
-
-    return Tensor._make(data, (x,), backward, x.requires_grad)
 
 
 def pad_sequences(arrays: list[np.ndarray], pad_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -185,26 +279,6 @@ def pad_index_sequences(
     for i, seq in enumerate(sequences):
         indices[i, : len(seq)] = seq
     return indices, lengths
-
-
-def repeat_batch(x: Tensor, repeats: int) -> Tensor:
-    """Repeat a ``(1, ...)`` tensor ``repeats`` times along axis 0.
-
-    Gradients sum back over the repeated axis, so this is the
-    batched-decoding equivalent of broadcasting one encoder memory
-    across every active beam.
-    """
-    if x.shape[0] != 1:
-        raise ValueError(f"repeat_batch expects a leading axis of 1, got shape {x.shape}")
-    data = np.broadcast_to(x.data, (repeats,) + x.data.shape[1:])
-    if no_tape_active():
-        return Tensor._wrap(np.ascontiguousarray(data))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad.sum(axis=0, keepdims=True))
-
-    return Tensor._make(np.ascontiguousarray(data), (x,), backward, x.requires_grad)
 
 
 def one_hot(indices, depth: int) -> np.ndarray:

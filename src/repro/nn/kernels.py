@@ -1,15 +1,18 @@
-"""Raw-ndarray inference kernels for the no-tape fast path.
+"""Raw-ndarray kernels: the ndarray half of the ``nn.functional`` op table.
 
-Every function here mirrors, float-op for float-op, what the tape path
-in :mod:`repro.nn.tensor` / :mod:`repro.nn.functional` computes — same
-numpy calls, same order, same intermediate layouts — so the fast path
-is bit-identical to the tape path by construction.  (For example,
+Every function here mirrors, float-op for float-op, what the Tensor
+half of the same op in :mod:`repro.nn.functional` /
+:mod:`repro.nn.tensor` computes — same numpy calls, same order, same
+intermediate layouts — so a layer body run on raw ndarrays is
+bit-identical to the same body run on the tape.  (For example,
 ``layer_norm`` divides via ``sum * (1.0 / dim)`` because that is what
 ``Tensor.mean`` does; a plain ``np.mean`` could differ in the last ulp.)
+``tests/test_op_table.py`` holds the two halves to that.
 
-Kernels are only legal to call when no tape is being recorded (see
-``nn.tensor.no_tape_active``); the static ``grad-mode`` checker enforces
-this for every ``kernels.*`` / ``infer_*`` call site in ``src/repro``.
+Kernels record no gradients, so nothing but the op table calls them:
+it dispatches on operand type, and only ever hands a kernel operands
+that are already raw ndarrays.  The static ``raw-kernel`` checker
+rejects any other ``kernels.*`` call site in ``src/repro``.
 
 Two cross-cutting facilities live here as well:
 
@@ -23,9 +26,10 @@ Two cross-cutting facilities live here as well:
   outputs must be consumed (or copied) before the next decode step —
   which the beam driver does by construction.
 
-- :func:`profiled` — per-op call/time/alloc counters for the
-  ``--profile`` flag of ``bench_batched_decode.py``.  Costs one module
-  global integer check per kernel call when inactive.
+- :func:`profiled` — per-op call/time/alloc counters (the kernel table
+  of the latency ledger, ``bench_batched_decode.py --profile``, the
+  pinned call-count test).  Costs one module global integer check per
+  kernel call when inactive.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ def _note(name: str, t0: float, nbytes: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kernels (all bit-identical mirrors of the tape ops)
+# Kernels (all bit-identical mirrors of the Tensor halves)
 #
 # Each kernel checks the module-global ``_PROFILE_DEPTH`` inline and only
 # touches the timing helpers when a profiled() block is active: decode
@@ -204,7 +208,7 @@ def linear(
     scratch: ScratchArena | None = None,
     tag: str = "",
 ) -> np.ndarray:
-    """Affine map mirroring ``Linear.forward``: ``x @ W`` then ``+ b``."""
+    """Affine map: ``x @ W`` then ``+ b``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     if scratch is not None:
         out = scratch.take(tag, x.shape[:-1] + weight.shape[-1:])
@@ -223,14 +227,14 @@ def linear(
 @shape_spec(inputs={"x": "(..., dim)", "gamma": "(dim,)", "beta": "(dim,)"},
             out="(..., dim)")
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, dim: int) -> np.ndarray:
-    """Mirror of ``LayerNorm.forward`` (note ``sum * (1/dim)``, as
+    """Mirror of ``functional.layer_norm`` (note ``sum * (1/dim)``, as
     ``Tensor.mean`` computes it, not ``np.mean``)."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     inv = 1.0 / dim
     mean = x.sum(axis=-1, keepdims=True) * inv
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv
-    # Same ufuncs as the tape path, applied in place on the fresh
+    # Same ufuncs as the Tensor half, applied in place on the fresh
     # intermediates (an out= ufunc call computes identical bits; it only
     # skips the output allocation).
     np.add(var, eps, out=var)

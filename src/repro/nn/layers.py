@@ -1,15 +1,21 @@
 """Neural-network layers built on the autograd :class:`Tensor`.
 
 Provides the ``Module`` base class (parameter registration, train/eval
-mode, state dicts) and the standard layers used by MTMLF-QO: ``Linear``,
-``LayerNorm``, ``Embedding``, ``Dropout``, ``Sequential`` and ``MLP``.
+mode, state dicts, and the tape/no-tape boundary in ``__call__``) and
+the standard layers used by MTMLF-QO: ``Linear``, ``LayerNorm``,
+``Embedding``, ``Dropout``, ``Sequential`` and ``MLP``.
+
+Every layer has exactly one ``forward`` body, written against the
+:mod:`repro.nn.functional` op table; it computes on whatever it is
+handed — ``Tensor``s (recording tape) or raw ndarrays (in-place
+kernels) — and the two runs are the same function bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
+from . import functional as F
 from .spec import shape_spec
 from .tensor import Tensor, is_grad_enabled, no_tape_active
 
@@ -21,6 +27,24 @@ class Parameter(Tensor):
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
+
+
+def _raw(value):
+    """A Tensor's ndarray (through tuples, e.g. an LSTM ``(h, c)`` state)."""
+    if isinstance(value, Tensor):
+        return value.data
+    if isinstance(value, tuple):
+        return tuple(_raw(item) for item in value)
+    return value
+
+
+def _wrapped(value):
+    """Inverse of :func:`_raw` for what a body returns (float64 arrays)."""
+    if isinstance(value, np.ndarray):
+        return Tensor._wrap(value)
+    if isinstance(value, tuple):
+        return tuple(_wrapped(item) for item in value)
+    return value
 
 
 class Module:
@@ -104,6 +128,15 @@ class Module:
             param.data = value.copy()
 
     def __call__(self, *args, **kwargs):
+        # The substrate's one mode-selection site.  With no tape to
+        # record, a body handed Tensors runs on their raw ndarrays instead
+        # (so every op-table call inside takes its kernel half, sub-module
+        # calls included) and the result is wrapped once on the way out.
+        # Bodies already running on ndarrays — nested calls, the beam
+        # driver — and every call with the tape on pass straight through.
+        if args and isinstance(args[0], Tensor) and no_tape_active():
+            kwargs = {key: _raw(value) for key, value in kwargs.items()}
+            return _wrapped(self.forward(*map(_raw, args), **kwargs))
         return self.forward(*args, **kwargs)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
@@ -151,21 +184,8 @@ class Linear(Module):
     @shape_spec(inputs={"x": "(..., in_features)"},
                 out="(..., out_features)",
                 params=("weight", "bias"))
-    def forward(self, x: Tensor) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
-        out = x.matmul(self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    @shape_spec(inputs={"x": "(..., in_features)"},
-                out="(..., out_features)",
-                params=("weight", "bias"))
-    def infer_forward(self, x: np.ndarray, scratch=None, tag: str = "") -> np.ndarray:
-        """No-tape kernel: bit-identical to the tape forward."""
-        bias = self.bias.data if self.bias is not None else None
-        return kernels.linear(x, self.weight.data, bias, scratch=scratch, tag=tag)
+    def forward(self, x, scratch=None, tag: str = ""):
+        return F.linear(x, self.weight, self.bias, scratch, tag)
 
 
 class LayerNorm(Module):
@@ -181,21 +201,8 @@ class LayerNorm(Module):
     @shape_spec(inputs={"x": "(..., dim)"},
                 out="(..., dim)",
                 params=("gamma", "beta"))
-    def forward(self, x: Tensor) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
-        return normed * self.gamma + self.beta
-
-    @shape_spec(inputs={"x": "(..., dim)"},
-                out="(..., dim)",
-                params=("gamma", "beta"))
-    def infer_forward(self, x: np.ndarray) -> np.ndarray:
-        """No-tape kernel: bit-identical to the tape forward."""
-        return kernels.layer_norm(x, self.gamma.data, self.beta.data, self.eps, self.dim)
+    def forward(self, x):
+        return F.layer_norm(x, self.gamma, self.beta, self.eps, self.dim)
 
 
 class Embedding(Module):
@@ -216,8 +223,6 @@ class Embedding(Module):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.min(initial=0) < 0 or (indices.size and indices.max() >= self.num_embeddings):
             raise IndexError("embedding index out of range")
-        if no_tape_active():
-            return Tensor._wrap(self.weight.data[indices])
         return self.weight[indices]
 
 
@@ -232,15 +237,19 @@ class Dropout(Module):
         self.rng = rng or np.random.default_rng(0)
 
     @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
-    def forward(self, x: Tensor) -> Tensor:
-        # Inference-mode dropout is a *true* no-op on both paths: the
-        # input object passes through untouched — no pass-through tensor
-        # on the tape, no copy on the fast path (tests assert identity).
+    def forward(self, x):
+        # Inference-mode dropout is a *true* no-op: the input object
+        # passes through untouched — no pass-through tensor on the tape,
+        # no copy among ndarrays (tests assert identity).
         if not self.training or self.p == 0.0 or not is_grad_enabled():
             return x
         keep = 1.0 - self.p
         mask = self.rng.random(x.shape) < keep
         return x * Tensor(mask.astype(np.float64) / keep)
+
+    # Mode-neutral, so it skips the ndarray boundary: a Tensor given to an
+    # inactive dropout comes back as that very Tensor, not a re-wrap.
+    __call__ = forward
 
 
 class Sequential(Module):
@@ -274,28 +283,11 @@ class MLP(Module):
     @shape_spec(inputs={"x": "(..., d_in)"},
                 out="(..., d_out)",
                 params=("layers",))
-    def forward(self, x: Tensor) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
+    def forward(self, x):
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1:
-                x = x.relu()
+                x = F.relu(x)
                 if self.dropout is not None:
                     x = self.dropout(x)
-        return x
-
-    @shape_spec(inputs={"x": "(..., d_in)"},
-                out="(..., d_out)",
-                params=("layers",))
-    def infer_forward(self, x: np.ndarray) -> np.ndarray:
-        """No-tape kernel: the whole MLP in raw ndarray ops.
-
-        Dropout is skipped outright — it is an identity in inference
-        mode on the tape path too.
-        """
-        for i, layer in enumerate(self.layers):
-            x = layer.infer_forward(x)
-            if i < len(self.layers) - 1:
-                x = kernels.relu(x)
         return x

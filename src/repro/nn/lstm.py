@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from . import kernels
 from .layers import Linear, Module
 from .spec import shape_spec
-from .tensor import Tensor, no_tape_active
+from .tensor import Tensor
 
 __all__ = ["LSTMCell", "LSTM", "ChildSumTreeLSTM"]
 
@@ -33,45 +32,19 @@ class LSTMCell(Module):
                         "state": ("(B, hidden_dim)", "(B, hidden_dim)")},
                 out=("(B, hidden_dim)", "(B, hidden_dim)"),
                 params=("ih", "hh"))
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor] | None = None) -> tuple[Tensor, Tensor]:
-        batch = x.shape[0]
+    def forward(self, x, state: tuple | None = None) -> tuple:
         if state is None:
-            h = Tensor(np.zeros((batch, self.hidden_dim)))
-            c = Tensor(np.zeros((batch, self.hidden_dim)))
+            h = c = F.zeros((x.shape[0], self.hidden_dim), like=x)
         else:
             h, c = state
         gates = self.ih(x) + self.hh(h)
         d = self.hidden_dim
-        i = gates[:, 0 * d: 1 * d].sigmoid()
-        f = gates[:, 1 * d: 2 * d].sigmoid()
-        g = gates[:, 2 * d: 3 * d].tanh()
-        o = gates[:, 3 * d: 4 * d].sigmoid()
+        i = F.sigmoid(gates[:, 0 * d: 1 * d])
+        f = F.sigmoid(gates[:, 1 * d: 2 * d])
+        g = F.tanh(gates[:, 2 * d: 3 * d])
+        o = F.sigmoid(gates[:, 3 * d: 4 * d])
         c_new = f * c + i * g
-        h_new = o * c_new.tanh()
-        return h_new, c_new
-
-    @shape_spec(inputs={"x": "(B, input_dim)",
-                        "state": ("(B, hidden_dim)", "(B, hidden_dim)")},
-                out=("(B, hidden_dim)", "(B, hidden_dim)"),
-                params=("ih", "hh"))
-    def infer_forward(
-        self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """No-tape mirror of :meth:`forward` on raw ndarrays."""
-        batch = x.shape[0]
-        if state is None:
-            h = np.zeros((batch, self.hidden_dim))
-            c = np.zeros((batch, self.hidden_dim))
-        else:
-            h, c = state
-        gates = self.ih.infer_forward(x) + self.hh.infer_forward(h)
-        d = self.hidden_dim
-        i = kernels.sigmoid(gates[:, 0 * d: 1 * d])
-        f = kernels.sigmoid(gates[:, 1 * d: 2 * d])
-        g = np.tanh(gates[:, 2 * d: 3 * d])
-        o = kernels.sigmoid(gates[:, 3 * d: 4 * d])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
+        h_new = o * F.tanh(c_new)
         return h_new, c_new
 
 
@@ -86,10 +59,8 @@ class LSTM(Module):
     @shape_spec(inputs={"x": "(B, L, input_dim)"},
                 out="(B, L, hidden_dim)",
                 params=("cell",))
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         """Return the stacked hidden states, shape (batch, seq, hidden)."""
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
         state = None
         outputs = []
         for t in range(x.shape[1]):
@@ -97,19 +68,6 @@ class LSTM(Module):
             state = (h, c)
             outputs.append(h)
         return F.stack(outputs, axis=1)
-
-    @shape_spec(inputs={"x": "(B, L, input_dim)"},
-                out="(B, L, hidden_dim)",
-                params=("cell",))
-    def infer_forward(self, x: np.ndarray) -> np.ndarray:
-        """No-tape mirror of :meth:`forward`."""
-        state = None
-        outputs = []
-        for t in range(x.shape[1]):
-            h, c = self.cell.infer_forward(x[:, t, :], state)
-            state = (h, c)
-            outputs.append(h)
-        return np.stack(outputs, axis=1)
 
 
 class ChildSumTreeLSTM(Module):
@@ -134,7 +92,7 @@ class ChildSumTreeLSTM(Module):
     @shape_spec(inputs={"x": "(B, input_dim)"},
                 out=("(B, hidden_dim)", "(B, hidden_dim)"),
                 params=("iou_x", "iou_h", "f_x", "f_h"))
-    def node_forward(self, x: Tensor, child_states: list[tuple[Tensor, Tensor]]) -> tuple[Tensor, Tensor]:
+    def node_forward(self, x, child_states: list[tuple]) -> tuple:
         """Compute the (h, c) state of one node given its children's states.
 
         ``x`` has shape (1, input_dim); children may be empty (leaves).
@@ -144,48 +102,20 @@ class ChildSumTreeLSTM(Module):
             for h, _ in child_states[1:]:
                 h_sum = h_sum + h
         else:
-            h_sum = Tensor(np.zeros((x.shape[0], self.hidden_dim)))
+            h_sum = F.zeros((x.shape[0], self.hidden_dim), like=x)
 
         iou = self.iou_x(x) + self.iou_h(h_sum)
         d = self.hidden_dim
-        i = iou[:, 0 * d: 1 * d].sigmoid()
-        o = iou[:, 1 * d: 2 * d].sigmoid()
-        u = iou[:, 2 * d: 3 * d].tanh()
+        i = F.sigmoid(iou[:, 0 * d: 1 * d])
+        o = F.sigmoid(iou[:, 1 * d: 2 * d])
+        u = F.tanh(iou[:, 2 * d: 3 * d])
 
         c = i * u
         fx = self.f_x(x)
         for h_child, c_child in child_states:
-            f = (fx + self.f_h(h_child)).sigmoid()
+            f = F.sigmoid(fx + self.f_h(h_child))
             c = c + f * c_child
-        h = o * c.tanh()
-        return h, c
-
-    @shape_spec(inputs={"x": "(B, input_dim)"},
-                out=("(B, hidden_dim)", "(B, hidden_dim)"),
-                params=("iou_x", "iou_h", "f_x", "f_h"))
-    def infer_node_forward(
-        self, x: np.ndarray, child_states: list[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """No-tape mirror of :meth:`node_forward` on raw ndarrays."""
-        if child_states:
-            h_sum = child_states[0][0]
-            for h, _ in child_states[1:]:
-                h_sum = h_sum + h
-        else:
-            h_sum = np.zeros((x.shape[0], self.hidden_dim))
-
-        iou = self.iou_x.infer_forward(x) + self.iou_h.infer_forward(h_sum)
-        d = self.hidden_dim
-        i = kernels.sigmoid(iou[:, 0 * d: 1 * d])
-        o = kernels.sigmoid(iou[:, 1 * d: 2 * d])
-        u = np.tanh(iou[:, 2 * d: 3 * d])
-
-        c = i * u
-        fx = self.f_x.infer_forward(x)
-        for h_child, c_child in child_states:
-            f = kernels.sigmoid(fx + self.f_h.infer_forward(h_child))
-            c = c + f * c_child
-        h = o * np.tanh(c)
+        h = o * F.tanh(c)
         return h, c
 
     def encode_tree(self, features: dict, children: dict, root) -> Tensor:
@@ -203,20 +133,6 @@ class ChildSumTreeLSTM(Module):
         Returns the root hidden state, shape (1, hidden_dim).
         """
         memo: dict = {}
-
-        if no_tape_active():
-            def visit_nd(node) -> tuple[np.ndarray, np.ndarray]:
-                if node in memo:
-                    return memo[node]
-                child_states = [visit_nd(c) for c in children.get(node, [])]
-                feat = features[node]
-                feat_nd = feat.data if isinstance(feat, Tensor) else np.asarray(feat, dtype=np.float64)
-                state = self.infer_node_forward(feat_nd.reshape(1, -1), child_states)
-                memo[node] = state
-                return state
-
-            h_nd, _ = visit_nd(root)
-            return Tensor._wrap(h_nd)
 
         def visit(node) -> tuple[Tensor, Tensor]:
             if node in memo:

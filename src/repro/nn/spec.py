@@ -18,9 +18,9 @@ The decorator is runtime-inert — it stashes the spec on the function as
 per-call overhead.  The real consumer is the static analyzer
 (:mod:`repro.analysis.shapes`), which reads the decorator from the AST
 (all arguments must therefore be literals) and abstractly interprets
-the method body against it.  Dual-mode pairs (``forward`` /
-``infer_forward`` and friends) must declare identical ``out`` and
-``params`` — the ``dual-mode-parity`` checker enforces it.
+the method body against it.  A layer's one ``forward`` runs both on the
+autograd tape and on raw ndarrays (see :mod:`repro.nn.functional`), so
+its one spec covers both.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def shape_spec(
         for tuple returns.
     params:
         Names of the parameter-bearing attributes this method reads
-        (directly or through sub-modules).  Dual-mode siblings must
-        declare the same set.
+        (directly or through sub-modules).  Documentation for readers;
+        the analyzer does not check it.
     dtypes:
         Mapping of argument name (or ``"out"``) to abstract dtype for
         anything that is not the canonical ``float64``.

@@ -24,9 +24,7 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "fastpath_enabled",
     "no_tape_active",
-    "force_tape",
 ]
 
 # Grad mode is per-thread (as in torch): a serving thread running under
@@ -34,13 +32,6 @@ __all__ = [
 # thread (tenant fine-tunes run on fleet-coordinator threads while drain
 # threads serve inference), and vice versa.
 _GRAD_STATE = threading.local()
-
-# The no-tape fast path is likewise per-thread.  It is on by default:
-# whenever grad is disabled, layer forwards dispatch to raw-ndarray
-# kernels (``infer_*`` methods) instead of building ``Tensor`` nodes.
-# ``force_tape`` turns the dispatch off so parity tests and benchmarks
-# can run the legacy tape path under ``no_grad`` and compare bits.
-_FASTPATH_STATE = threading.local()
 
 
 class no_grad:
@@ -65,38 +56,15 @@ def is_grad_enabled() -> bool:
     return getattr(_GRAD_STATE, "enabled", True)
 
 
-def fastpath_enabled() -> bool:
-    """True when the no-tape fast path may be taken on this thread."""
-    return getattr(_FASTPATH_STATE, "enabled", True)
-
-
 def no_tape_active() -> bool:
-    """True when forwards on this thread should use raw-ndarray kernels.
+    """True when nothing on this thread will ever call ``backward``.
 
-    This is the dispatch predicate of the dual-mode substrate: grad is
-    off (nothing will ever call ``backward`` on the results) *and* the
-    fast path has not been suppressed via :class:`force_tape`.
+    The selection predicate of the one-body substrate, read at exactly
+    one site: ``Module.__call__`` hands a layer body raw ndarrays (so the
+    ``nn.functional`` op table runs its in-place kernels) when this is
+    true, and ``Tensor``s (so the same body records tape) otherwise.
     """
-    return not is_grad_enabled() and fastpath_enabled()
-
-
-class force_tape:
-    """Context manager disabling the no-tape fast path (thread-local).
-
-    Inside the block, forwards under ``no_grad`` run the legacy
-    tape-building path.  Exists for the fast-vs-tape parity tests and
-    for ``bench_batched_decode.py`` to time the pre-fast-path decode —
-    production code should never need it.
-    """
-
-    def __enter__(self):
-        self._prev = fastpath_enabled()
-        _FASTPATH_STATE.enabled = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _FASTPATH_STATE.enabled = self._prev
-        return False
+    return not is_grad_enabled()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -189,9 +157,9 @@ class Tensor:
     def _wrap(data: np.ndarray) -> "Tensor":
         """Cheapest possible Tensor around an already-float64 ndarray.
 
-        The no-tape boundary constructor: raw-ndarray kernels compute a
-        whole layer (or decode step) and wrap the result exactly once —
-        no ``_as_array`` dtype probe, no parents, no backward closure.
+        The no-tape boundary constructor: a layer body run on raw
+        ndarrays is wrapped exactly once, by ``Module.__call__`` — no
+        ``_as_array`` dtype probe, no parents, no backward closure.
         Callers guarantee ``data`` is a float64 ``np.ndarray``.
         """
         out = Tensor.__new__(Tensor)
@@ -205,12 +173,10 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward, requires_grad: bool) -> "Tensor":
-        # No-tape dispatch: when nothing will ever backpropagate through
-        # this node, skip the full constructor and all bookkeeping.  The
-        # backward closure the caller built is simply dropped.  Gated on
-        # ``fastpath_enabled`` so ``force_tape`` really does reproduce
-        # the legacy per-op construction cost.
-        if (not requires_grad or not is_grad_enabled()) and fastpath_enabled():
+        # When nothing will ever backpropagate through this node, skip the
+        # full constructor and all bookkeeping.  The backward closure the
+        # caller built is simply dropped.
+        if not requires_grad or not is_grad_enabled():
             return Tensor._wrap(np.asarray(data, dtype=np.float64))
         out = Tensor(data, requires_grad=requires_grad)
         if out.requires_grad:

@@ -364,100 +364,60 @@ def train(model, batch):
 
 
 # ---------------------------------------------------------------------------
-# raw-kernel (dual-mode substrate invariant)
+# raw-kernel (the op table is the kernels' only caller)
 # ---------------------------------------------------------------------------
 class TestRawKernelChecker:
     def test_unguarded_kernel_and_infer_calls_fire(self):
+        # every kernel call outside the op table fires, however spelled
         source = """
+from repro import nn
 from repro.nn import kernels
 
 def forward(model, x):
     h = kernels.linear(x, model.w, model.b)
-    return model.infer_forward(h)
+    return nn.kernels.relu(h)
 """
         findings = run_checker(RawKernelChecker(), source)
         assert len(findings) == 2
         assert "kernels.linear" in findings[0].message
-        assert "infer_forward" in findings[1].message
+        assert "nn.kernels.relu" in findings[1].message
+        assert all(f.symbol == "forward" for f in findings)
 
-    def test_no_grad_block_guards(self):
+    def test_no_grad_block_does_not_exempt(self):
+        # Reachable with grad on or not, a direct kernel call is a second
+        # copy of an op-table entry; the rule has no guard forms.
         source = """
 from repro import nn
-from repro.nn import kernels
-
-def forward(model, x):
-    with nn.no_grad():
-        return kernels.linear(x, model.w, model.b)
-"""
-        assert run_checker(RawKernelChecker(), source) == []
-
-    def test_no_tape_active_branch_guards(self):
-        source = """
-from repro import nn
-from repro.nn import kernels
-
-def forward(model, x):
-    if nn.no_tape_active():
-        return kernels.relu(x)
-    return model.slow(x)
-"""
-        assert run_checker(RawKernelChecker(), source) == []
-
-    def test_not_grad_enabled_and_else_of_grad_enabled_guard(self):
-        source = """
-from repro import nn
-from repro.nn import kernels
-
-def a(x):
-    if not nn.is_grad_enabled():
-        return kernels.softmax(x)
-    return x
-
-def b(model, x):
-    if nn.is_grad_enabled():
-        return model.slow(x)
-    else:
-        return model.infer_forward(x)
-"""
-        assert run_checker(RawKernelChecker(), source) == []
-
-    def test_and_conjunction_guards(self):
-        source = """
-from repro import nn
-from repro.nn import kernels
-
-def forward(model, x, fast):
-    if fast and nn.no_tape_active():
-        return kernels.relu(x)
-    return model.slow(x)
-"""
-        assert run_checker(RawKernelChecker(), source) == []
-
-    def test_infer_function_is_itself_an_entry_point(self):
-        # An infer_* function may call raw kernels freely — its callers
-        # carry the guard obligation (checked at their call sites).
-        source = """
 from repro.nn import kernels
 
 class Layer:
-    def infer_forward(self, x):
-        def project(v):
-            return kernels.matmul(v, self.w)
-        return project(x)
+    def forward(self, x):
+        with nn.no_grad():
+            if nn.no_tape_active():
+                return kernels.linear(x, self.w, self.b)
 """
-        assert run_checker(RawKernelChecker(), source) == []
+        findings = run_checker(RawKernelChecker(), source)
+        assert len(findings) == 1 and findings[0].symbol == "Layer.forward"
 
-    def test_nested_helper_under_guard_inherits_it(self):
+    def test_op_table_module_is_exempt(self):
         source = """
-from repro import nn
+from . import kernels
+
+def relu(x):
+    return kernels.relu(x) if isinstance(x, np.ndarray) else x.relu()
+"""
+        assert run_checker(RawKernelChecker(), source, "repro/nn/functional.py") == []
+        assert len(run_checker(RawKernelChecker(), source, "repro/nn/layers.py")) == 1
+
+    def test_plumbing_is_not_a_kernel_op(self):
+        source = """
 from repro.nn import kernels
 
-def forward(model, x):
-    if nn.no_tape_active():
-        def step(v):
-            return kernels.layer_norm(v, model.g, model.b)
-        return step(x)
-    return model.slow(x)
+def profile(session):
+    arena = kernels.ScratchArena()
+    with kernels.profiled() as p:
+        session.run(arena)
+    return p
 """
         assert run_checker(RawKernelChecker(), source) == []
 

@@ -21,7 +21,6 @@ from repro.core import (
     MTMLFQO,
     TransJO,
     beam_search_join_order,
-    beam_search_join_order_sequential,
     connected_components,
     drive_beam_states,
     plan_signature,
@@ -32,6 +31,7 @@ from repro.engine.plan import scan_node
 from repro.sql import Query
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 from repro.workload.labeler import LabeledQuery
+from sequential_oracle import beam_search_join_order_sequential, beam_search_join_order_tape
 
 
 SMALL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -114,15 +114,23 @@ class TestBatchedBeamParity:
             assert_candidates_identical(fast, slow)
 
     def test_step_logits_batch_matches_step_logits_exactly(self, trans_jo):
-        """Uniform-length prefixes (the beam-search case) are bit-identical."""
+        """Uniform-length prefixes (the beam-search case) are bit-identical
+        to one-prefix-at-a-time stepping — on the tape, on ndarrays, and
+        across the two."""
         memory = random_memory(5, seed=9)
         prefixes = [[2, 1], [0, 3], [4, 2], [1, 0]]
         batch_memory = nn.Tensor(np.broadcast_to(memory.data, (len(prefixes),) + memory.shape[1:]).copy())
+        trans_jo.eval()
+        tape = trans_jo.step_logits_batch(batch_memory, prefixes)
+        assert tape.requires_grad
         with nn.no_grad():
-            batched = trans_jo.step_logits_batch(batch_memory, prefixes)
-            for row, prefix in enumerate(prefixes):
-                single = trans_jo.step_logits(memory, prefix)
-                np.testing.assert_array_equal(batched.data[row], single.data.reshape(-1))
+            batched = trans_jo.step_logits_batch(batch_memory.data, prefixes)
+            dense = trans_jo.step_logits_batch(batch_memory.data, np.asarray(prefixes))
+        np.testing.assert_array_equal(batched, tape.data)
+        np.testing.assert_array_equal(dense, tape.data)
+        for row, prefix in enumerate(prefixes):
+            single = trans_jo.step_logits_batch(memory, [prefix])
+            np.testing.assert_array_equal(batched[row], single.data.reshape(-1))
 
     def test_step_logits_batch_ragged_prefixes(self, trans_jo):
         """Ragged prefixes are padded; results match to float tolerance.
@@ -137,7 +145,7 @@ class TestBatchedBeamParity:
         with nn.no_grad():
             batched = trans_jo.step_logits_batch(batch_memory, prefixes)
             for row, prefix in enumerate(prefixes):
-                single = trans_jo.step_logits(memory, prefix)
+                single = trans_jo.step_logits_batch(memory, [prefix])
                 np.testing.assert_allclose(
                     batched.data[row], single.data.reshape(-1), rtol=1e-12, atol=1e-12
                 )
@@ -158,8 +166,8 @@ class TestBatchedBeamParity:
             logits = trans_jo.step_logits_batch(
                 nn.Tensor(batch), prefixes, memory_padding_mask=padding
             )
-            solo_small = trans_jo.step_logits(small, [1])
-            solo_large = trans_jo.step_logits(large, [4])
+            solo_small = trans_jo.step_logits_batch(small, [[1]])
+            solo_large = trans_jo.step_logits_batch(large, [[4]])
         assert (logits.data[0, 3:] == -1e9).all()
         np.testing.assert_allclose(logits.data[0, :3], solo_small.data.reshape(-1), rtol=1e-9)
         np.testing.assert_allclose(logits.data[1], solo_large.data.reshape(-1), rtol=1e-9)
@@ -179,25 +187,24 @@ class TestBatchedBeamParity:
 
 
 class TestFastVsTapeParity:
-    """The no-tape fast path must yield bit-identical decodes to the
-    tape path (``nn.force_tape()`` reproduces the pre-fast-path per-op
-    implementation exactly)."""
+    """The production decode (layer bodies on raw ndarrays, cached K/V,
+    scratch buffers) must yield bit-identical candidates to the same
+    bodies stepped on the autograd tape (grad enabled, ``eval()`` mode,
+    K/V projected inline every step)."""
 
     @pytest.mark.parametrize("beam_width", list(range(1, 9)))
     def test_e2e_beam_parity_across_widths(self, trans_jo, beam_width):
         for m, build in ((4, chain_adjacency), (5, star_adjacency), (8, chain_adjacency)):
             memory = random_memory(m, seed=100 + m + beam_width)
             adjacency = build(m)
-            with nn.force_tape():
-                tape = beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width)
+            tape = beam_search_join_order_tape(trans_jo, memory, adjacency, beam_width=beam_width)
             fast = beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width)
             assert_candidates_identical(fast, tape)
 
     def test_parity_with_session_scratch_arena(self, trans_jo):
         memory = random_memory(6, seed=77)
         adjacency = chain_adjacency(6)
-        with nn.force_tape():
-            tape = beam_search_join_order(trans_jo, memory, adjacency, beam_width=4)
+        tape = beam_search_join_order_tape(trans_jo, memory, adjacency, beam_width=4)
         scratch = nn.ScratchArena()
         for _ in range(3):  # reused buffers must not leak state across decodes
             fast = beam_search_join_order(
@@ -206,12 +213,66 @@ class TestFastVsTapeParity:
             assert_candidates_identical(fast, tape)
 
     def test_sequential_parity_fast_vs_tape(self, trans_jo):
+        """The oracle itself, stepped on the tape vs on raw ndarrays."""
         memory = random_memory(5, seed=78)
         adjacency = star_adjacency(5)
-        with nn.force_tape():
-            tape = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
-        fast = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
+        tape = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
+        with nn.no_grad():
+            fast = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
         assert_candidates_identical(fast, tape)
+
+
+class TestModelForwardParity:
+    def test_forward_batch_and_heads_tape_equals_no_grad(self, db, labeled, featurizer):
+        """Trans_Share, both heads and the Trans_JO teacher-forced forward:
+        grad-enabled ``eval()`` outputs == ``no_grad`` outputs, bitwise."""
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        model.eval()
+        items = labeled[:6]
+
+        def run():
+            cards, costs, _, encodings, shared = model.predict_log_nodes(db.name, items)
+            item = items[0]
+            memory = model.join_order_memory(shared[0], encodings[0], item.query.tables)
+            logits = model.trans_jo(memory, list(range(item.query.num_tables)))
+            return shared, cards, costs, memory, logits
+
+        tape = run()
+        assert all(t.requires_grad for t in tape)
+        with nn.no_grad():
+            fast = run()
+        for taped, raw in zip(tape, fast):
+            assert not raw.requires_grad
+            np.testing.assert_array_equal(raw.data, taped.data)
+
+
+class TestKVCacheStillPays:
+    def test_kernel_call_counts_and_scratch_buffers_are_pinned(self, db, labeled, featurizer):
+        """One fixed 8-query, width-4 decode makes exactly the kernel
+        calls it made before the layers were unified (values measured on
+        the parent commit).  A body that silently re-projects the encoder
+        memory's K/V per step, or allocates a fresh buffer per call,
+        moves these numbers."""
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        session = model.inference_session(db.name)
+        items = labeled[:8]
+        assert [item.query.num_tables for item in items] == [3, 2, 2, 2, 3, 3, 2, 4]
+        expected = {
+            # cold: (F) encoders + Trans_Share + beam steps + cost rerank
+            "cold": {"linear": 244, "matmul": 76, "layer_norm": 96, "softmax": 38,
+                     "masked_fill": 12, "relu": 33, "log_softmax": 9},
+            # warm feature caches: Trans_Share + beam steps + cost rerank
+            "warm": {"linear": 125, "matmul": 42, "layer_norm": 45, "softmax": 21,
+                     "masked_fill": 12, "relu": 16, "log_softmax": 9},
+        }
+        for phase in ("cold", "warm"):
+            with nn.kernels.profiled() as profile:
+                session.predict_join_orders(items, beam_width=4)
+            calls = {name: stats[0] for name, stats in profile.ops.items()}
+            assert calls == expected[phase], phase
+            assert len(session.scratch) == 63
 
 
 class TestKVCache:
@@ -219,14 +280,14 @@ class TestKVCache:
         memory = random_memory(5, seed=80)
         cache = nn.KVCache(memory)
         with nn.no_grad():
-            first = trans_jo.infer_memory_kv(memory, cache)
-            second = trans_jo.infer_memory_kv(memory, cache)
+            first = trans_jo.project_memory(memory, cache)
+            second = trans_jo.project_memory(memory, cache)
         assert len(cache) == 1
         assert first is second  # same projection object, not a recompute
         memory_kv, pointer_keys = first
         assert len(memory_kv) == len(trans_jo.decoder.layers)
         with nn.no_grad():
-            fresh_kv, fresh_keys = trans_jo.infer_memory_kv(memory)
+            fresh_kv, fresh_keys = trans_jo.project_memory(memory)
         np.testing.assert_array_equal(pointer_keys, fresh_keys)
         for (k, v), (fk, fv) in zip(memory_kv, fresh_kv):
             np.testing.assert_array_equal(k, fk)
@@ -237,7 +298,7 @@ class TestKVCache:
         other = random_memory(5, seed=82)
         stale = nn.KVCache(other)
         with nn.no_grad(), pytest.raises(ValueError, match="bound to a different encoder memory"):
-            trans_jo.infer_memory_kv(memory, stale)
+            trans_jo.project_memory(memory, stale)
 
     def test_equal_values_different_object_still_rejected(self, trans_jo):
         # Binding is by object identity, not value: a hot-swapped replica
@@ -248,16 +309,16 @@ class TestKVCache:
         cache = nn.KVCache(memory)
         assert cache.bound_to(memory) and not cache.bound_to(clone)
         with nn.no_grad(), pytest.raises(ValueError, match="bound to a different encoder memory"):
-            trans_jo.infer_memory_kv(clone, cache)
+            trans_jo.project_memory(clone, cache)
 
     def test_invalidate_forces_reprojection(self, trans_jo):
         memory = random_memory(4, seed=84)
         cache = nn.KVCache(memory)
         with nn.no_grad():
-            first = trans_jo.infer_memory_kv(memory, cache)
+            first = trans_jo.project_memory(memory, cache)
             cache.invalidate()
             assert len(cache) == 0
-            second = trans_jo.infer_memory_kv(memory, cache)
+            second = trans_jo.project_memory(memory, cache)
         assert first is not second  # recomputed after invalidation
         np.testing.assert_array_equal(first[1], second[1])
 

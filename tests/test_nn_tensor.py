@@ -226,13 +226,16 @@ class TestFunctionalCombinators:
 
 
 class TestFastPathBitIdentity:
-    """The no-tape fast path must be *bit-identical* to the tape path.
+    """Each layer's one body must compute the same bits on the tape as
+    on raw ndarrays.
 
-    Every dual-mode layer is run twice on the same inputs — once under
-    ``nn.force_tape()`` (the pre-fast-path per-op implementation) and
-    once on the default no-grad fast path — and the outputs compared
-    with exact equality, not allclose: beam search ranks candidates by
-    log-prob, and a last-ulp divergence can reorder a beam.
+    Every layer is run twice on the same inputs in ``eval()`` mode —
+    once with grad enabled (the body runs on Tensors and records tape)
+    and once under ``no_grad`` (``Module.__call__`` hands the same body
+    raw ndarrays, so the op table takes its kernel halves) — and the
+    outputs compared with exact equality, not allclose: beam search
+    ranks candidates by log-prob, and a last-ulp divergence can reorder
+    a beam.
     """
 
     @staticmethod
@@ -240,10 +243,11 @@ class TestFastPathBitIdentity:
         import repro.nn as nn
 
         module.eval()
-        with nn.force_tape(), nn.no_grad():
-            tape = module(*args, **kwargs)
+        tape = module(*args, **kwargs)
+        assert tape.requires_grad  # really ran on the tape
         with nn.no_grad():
             fast = module(*args, **kwargs)
+        assert not fast.requires_grad
         return tape, fast
 
     def test_linear_layernorm_mlp(self):
@@ -280,14 +284,20 @@ class TestFastPathBitIdentity:
         attn.eval()
         q = Tensor(rng.normal(size=(2, 3, 16)))
         memory = Tensor(rng.normal(size=(2, 7, 16)))
-        with nn.force_tape(), nn.no_grad():
-            tape = attn(q, memory, memory)
+        tape = attn(q, memory, memory)
+        tape_cached = attn(q, static_kv=attn.project_kv(memory))
+        assert tape.requires_grad and tape_cached.requires_grad
         with nn.no_grad():
-            inline = attn.infer_forward(q.data, memory.data, memory.data)
-            kv = attn.infer_project_kv(memory.data)
-            cached = attn.infer_forward(q.data, None, None, static_kv=kv)
+            inline = attn(q.data, memory.data, memory.data)
+            kv = attn.project_kv(memory.data)
+            cached = attn(q.data, static_kv=kv)
+            arena = nn.ScratchArena()
+            pooled = attn(q.data, static_kv=kv, scratch=arena, tag="x")
+        assert isinstance(inline, np.ndarray) and len(arena) == 3
+        np.testing.assert_array_equal(tape_cached.data, tape.data)
         np.testing.assert_array_equal(inline, tape.data)
         np.testing.assert_array_equal(cached, tape.data)
+        np.testing.assert_array_equal(pooled, tape.data)
 
     def test_transformer_encoder_and_decoder_blocks(self):
         from repro.nn import TransformerDecoder, TransformerEncoder
@@ -314,11 +324,11 @@ class TestFastPathBitIdentity:
         decoder.eval()
         x = Tensor(rng.normal(size=(2, 5, 16)))
         memory = Tensor(rng.normal(size=(2, 7, 16)))
-        with nn.force_tape(), nn.no_grad():
-            tape = decoder(x, memory)
+        tape = decoder(x, memory)
+        assert tape.requires_grad
         with nn.no_grad():
-            kv = decoder.infer_project_memory_kv(memory.data)
-            fast = decoder.infer_forward(x.data, None, memory_kv=kv)
+            kv = decoder.project_memory_kv(memory.data)
+            fast = decoder(x.data, None, memory_kv=kv)
         np.testing.assert_array_equal(fast, tape.data)
 
     def test_lstm(self):
@@ -337,14 +347,14 @@ class TestFastPathBitIdentity:
         rng = np.random.default_rng(9)
         for shape in ((7,), (3, 5), (2, 4, 8, 6)):
             x = rng.normal(size=shape) * 10.0
-            with nn.force_tape(), nn.no_grad():
-                tape_sm = F.softmax(Tensor(x), axis=-1).data
-                tape_lsm = F.log_softmax(Tensor(x), axis=-1).data
+            tape_sm = F.softmax(Tensor(x, requires_grad=True), axis=-1)
+            tape_lsm = F.log_softmax(Tensor(x, requires_grad=True), axis=-1)
+            assert tape_sm.requires_grad and tape_lsm.requires_grad
             with nn.no_grad():
-                np.testing.assert_array_equal(kernels.softmax(x, axis=-1), tape_sm)
-                np.testing.assert_array_equal(kernels.log_softmax(x, axis=-1), tape_lsm)
-                np.testing.assert_array_equal(F.softmax(Tensor(x), axis=-1).data, tape_sm)
-                np.testing.assert_array_equal(F.log_softmax(Tensor(x), axis=-1).data, tape_lsm)
+                np.testing.assert_array_equal(kernels.softmax(x, axis=-1), tape_sm.data)
+                np.testing.assert_array_equal(kernels.log_softmax(x, axis=-1), tape_lsm.data)
+                np.testing.assert_array_equal(F.softmax(x, axis=-1), tape_sm.data)
+                np.testing.assert_array_equal(F.log_softmax(Tensor(x), axis=-1).data, tape_lsm.data)
 
     def test_tree_path_encoding_cache_is_bitwise_stable(self):
         from repro.nn.positional import TreePosition, _TREE_PATH_CACHE, tree_path_encoding
@@ -366,7 +376,7 @@ class TestFastPathBitIdentity:
         drop = Dropout(0.5)
         drop.eval()
         x = Tensor(RNG.normal(size=(4, 4)))
-        with nn.force_tape(), nn.no_grad():
-            assert drop(x) is x
+        assert drop(x) is x  # grad enabled, eval mode
         with nn.no_grad():
             assert drop(x) is x
+            assert drop(x.data) is x.data  # inside an ndarray body

@@ -1,0 +1,183 @@
+"""The op table's two halves are the same function, bit for bit.
+
+Every layer has one body written against ``repro.nn.functional``; what
+makes the tape run and the raw-ndarray run of that body identical is
+that each op's ``Tensor`` half and ``ndarray`` half are.  This file is
+that argument's whole evidence: each op is evaluated on Tensors with
+grad enabled (so the tape half really runs) and on the same values as
+raw ndarrays (the kernel half), across operand layouts BLAS and the
+ufunc machinery treat differently — C-contiguous, transposed views,
+strided slices, stride-0 broadcasts — with and without a
+``ScratchArena``, and compared with exact equality.
+"""
+
+import numpy as np
+import pytest
+
+import repro.nn as nn
+from repro.nn import Parameter, Tensor
+from repro.nn import functional as F
+
+RNG = np.random.default_rng(11)
+
+
+def layouts(shape):
+    """The same random values under four memory layouts."""
+    base = RNG.normal(size=shape) * 3.0
+    yield "contiguous", base
+    yield "transposed", np.ascontiguousarray(np.swapaxes(base, -1, -2)).swapaxes(-1, -2)
+    wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+    wide[..., ::2] = base
+    yield "strided", wide[..., ::2]
+    yield "broadcast", np.broadcast_to(base[:1], shape)
+
+
+def both(op, array, *args, **kwargs):
+    """(tape result data, kernel result) of a unary-in-x op."""
+    x = Tensor(array, requires_grad=True)
+    tape = op(x, *args, **kwargs)
+    assert isinstance(tape, Tensor) and tape.requires_grad
+    raw = op(array.copy() if op is F.scale else array, *args, **kwargs)
+    assert isinstance(raw, np.ndarray)
+    return tape.data, raw
+
+
+ELEMENTWISE = [
+    (F.relu, ()),
+    (F.sigmoid, ()),
+    (F.tanh, ()),
+    (F.softmax, ()),
+    (F.log_softmax, ()),
+    (F.scale, (0.35355339059327373,)),
+]
+
+
+@pytest.mark.parametrize("op,args", ELEMENTWISE, ids=lambda v: getattr(v, "__name__", ""))
+def test_elementwise_and_normalising_ops(op, args):
+    for shape in ((6, 5), (2, 3, 4, 4)):
+        for name, array in layouts(shape):
+            tape, raw = both(op, array, *args)
+            np.testing.assert_array_equal(raw, tape, err_msg=f"{op.__name__} {name} {shape}")
+
+
+def test_softmax_axes():
+    for axis in (0, 1, -1):
+        for name, array in layouts((4, 5, 5)):
+            for op in (F.softmax, F.log_softmax):
+                tape, raw = both(op, array, axis=axis)
+                np.testing.assert_array_equal(raw, tape, err_msg=f"{op.__name__} {name} axis={axis}")
+
+
+def test_masked_fill():
+    for name, array in layouts((3, 2, 4, 4)):
+        mask = RNG.random(array.shape) < 0.4
+        tape, raw = both(F.masked_fill, array, mask, -1e9)
+        np.testing.assert_array_equal(raw, tape, err_msg=name)
+        # broadcast mask, as attention passes it
+        tape, raw = both(F.masked_fill, array, np.broadcast_to(mask[:1, :1], array.shape), -1e9)
+        np.testing.assert_array_equal(raw, tape, err_msg=name)
+
+
+@pytest.mark.parametrize("with_scratch", [False, True])
+def test_matmul(with_scratch):
+    arena = nn.ScratchArena() if with_scratch else None
+    for name_a, a in layouts((2, 3, 5, 4)):
+        for name_b, b in layouts((2, 3, 4, 6)):
+            tape = F.matmul(Tensor(a, requires_grad=True), Tensor(b))
+            assert tape.requires_grad
+            for _ in range(2):  # second pass reuses the arena's buffer
+                raw = F.matmul(a, b, scratch=arena, tag="t")
+                np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name_a} @ {name_b}")
+    # attention's scores operand: a swapped-axes view on the right
+    q, k = RNG.normal(size=(2, 3, 5, 4)), RNG.normal(size=(2, 3, 7, 4))
+    tape = F.matmul(Tensor(q, requires_grad=True), Tensor(k).swapaxes(-1, -2))
+    raw = F.matmul(q, k.swapaxes(-1, -2), scratch=arena, tag="s")
+    np.testing.assert_array_equal(raw, tape.data)
+    if with_scratch:
+        assert len(arena) == 2  # one buffer per (tag, shape), reused
+
+
+@pytest.mark.parametrize("with_scratch", [False, True])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_linear(with_scratch, with_bias):
+    arena = nn.ScratchArena() if with_scratch else None
+    weight = Parameter(RNG.normal(size=(6, 9)))
+    bias = Parameter(RNG.normal(size=9)) if with_bias else None
+    for shape in ((5, 6), (2, 4, 6)):
+        for name, x in layouts(shape):
+            tape = F.linear(Tensor(x), weight, bias)
+            assert tape.requires_grad
+            for _ in range(2):
+                raw = F.linear(x, weight, bias, scratch=arena, tag="lin")
+                np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name} {shape}")
+    # an LSTM feeds a time-slice view
+    seq = RNG.normal(size=(3, 5, 6))
+    tape = F.linear(Tensor(seq)[:, 2, :], weight, bias)
+    np.testing.assert_array_equal(F.linear(seq[:, 2, :], weight, bias), tape.data)
+
+
+def test_layer_norm():
+    gamma, beta = Parameter(RNG.normal(size=8)), Parameter(RNG.normal(size=8))
+    for shape in ((5, 8), (2, 8, 8)):
+        for name, x in layouts(shape):
+            tape = F.layer_norm(Tensor(x), gamma, beta, 1e-5, 8)
+            assert tape.requires_grad
+            raw = F.layer_norm(x, gamma, beta, 1e-5, 8)
+            np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name} {shape}")
+            assert raw is not x  # never in place on its input
+
+
+def test_concat_stack_repeat():
+    parts = [array for _, array in layouts((2, 3, 4))]
+    for axis in (0, 1, 2):
+        tape = F.concat([Tensor(p, requires_grad=True) for p in parts], axis=axis)
+        assert tape.requires_grad
+        np.testing.assert_array_equal(F.concat(parts, axis=axis), tape.data)
+        tape = F.stack([Tensor(p, requires_grad=True) for p in parts], axis=axis)
+        np.testing.assert_array_equal(F.stack(parts, axis=axis), tape.data)
+    # a list mixing Tensors and arrays stays on the tape
+    mixed = F.concat([Tensor(parts[0], requires_grad=True), parts[1]], axis=0)
+    assert isinstance(mixed, Tensor) and mixed.requires_grad
+    token = RNG.normal(size=(1, 1, 4))
+    tape = F.repeat_batch(Tensor(token, requires_grad=True), 5)
+    raw = F.repeat_batch(token, 5)
+    np.testing.assert_array_equal(raw, tape.data)
+    assert raw.flags.c_contiguous and tape.data.flags.c_contiguous
+
+
+def test_operand_and_zeros_follow_their_neighbour():
+    param = Parameter(RNG.normal(size=4))
+    array = RNG.normal(size=(2, 4))
+    assert F.operand(param, like=Tensor(array)) is param
+    assert F.operand(param, like=array) is param.data
+    assert isinstance(F.zeros((2, 3), like=Tensor(array)), Tensor)
+    raw = F.zeros((2, 3), like=array)
+    assert isinstance(raw, np.ndarray) and raw.dtype == np.float64 and not raw.any()
+
+
+def test_tape_half_ignores_scratch():
+    """The tape must keep its values: a scratch buffer is never used for
+    a Tensor result, however many times the call site runs."""
+    arena = nn.ScratchArena()
+    a, b = Tensor(RNG.normal(size=(3, 4)), requires_grad=True), Tensor(RNG.normal(size=(4, 5)))
+    first = F.matmul(a, b, scratch=arena, tag="t")
+    second = F.matmul(a * 2.0, b, scratch=arena, tag="t")
+    assert len(arena) == 0 and first.data is not second.data
+
+
+def test_module_call_is_the_boundary():
+    """Tensor in → Tensor out under ``no_grad`` (the body ran on raw
+    ndarrays); ndarray in → ndarray out; grad enabled → tape."""
+    layer = nn.Linear(4, 3)
+    x = Tensor(RNG.normal(size=(2, 4)))
+    taped = layer(x)
+    assert taped.requires_grad
+    with nn.no_grad():
+        wrapped = layer(x)
+        raw = layer(x.data)
+        h, c = nn.LSTMCell(4, 3)(x, (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))))
+    assert isinstance(wrapped, Tensor) and not wrapped.requires_grad
+    assert isinstance(raw, np.ndarray)
+    assert isinstance(h, Tensor) and isinstance(c, Tensor)  # tuples unwrap and re-wrap
+    np.testing.assert_array_equal(wrapped.data, taped.data)
+    np.testing.assert_array_equal(raw, taped.data)

@@ -5,18 +5,19 @@ Four layers of evidence:
 - **algebra** — the Dim polynomial normal form, shape-spec parsing, and
   the dtype lattice behave as documented;
 - **seeded violations** — for every failure class (shape mismatch,
-  implicit broadcast, dtype creep, desynced dual-mode pair) a fixture
-  snippet seeded with the violation fires its checker, and the
-  disciplined version of the same code stays silent;
+  implicit broadcast, dtype creep) a fixture snippet seeded with the
+  violation fires its checker, and the disciplined version of the same
+  code stays silent;
 - **real-source mutations** — a scratch copy of a *real* nn module with
-  one line deleted from an ``infer_forward`` body, or one output dim
+  one sub-layer call dropped from a ``forward`` body, or one output dim
   changed, produces a finding (the acceptance criterion for the
   interpreter's sensitivity);
 - **layer specs & enforcement** — every annotated ``repro.nn`` layer
-  interprets cleanly against its own declared spec, and the real
-  ``src/repro`` tree is clean under the three new checkers.
+  has exactly one body, which interprets cleanly against its declared
+  spec, and the real ``src/repro`` tree is clean under the checkers.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import pytest
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.checks import (
     DtypeChecker,
-    DualModeParityChecker,
+    RawKernelChecker,
     ShapeChecker,
     all_checkers,
 )
@@ -221,64 +222,53 @@ def ok(x, n):
         assert run_checker(DtypeChecker(), self.BAD, "src/repro/tools/fix.py") == []
 
 
-class TestSeededParity:
-    PAIRED = """
+class TestSeededOpTableBody:
+    """Bodies written against the ``nn.functional`` op table are
+    interpreted through the kernels' declared specs."""
+
+    GOOD = """
 import numpy as np
 from repro import nn
+from repro.nn import functional as F
 from repro.nn.spec import shape_spec
-from repro.nn import kernels
 
 class Layer(nn.Module):
-    def __init__(self, d):
+    def __init__(self, d, h):
         super().__init__()
         self.d = d
-        self.weight = nn.Parameter(np.zeros((d, d)))
+        self.h = h
+        self.weight = nn.Parameter(np.zeros((d, h)))
+        self.bias = nn.Parameter(np.zeros(h))
+        self.gamma = nn.Parameter(np.ones(h))
+        self.beta = nn.Parameter(np.zeros(h))
 
-    @shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))
-    def forward(self, x):
-        return kernels.relu(x.matmul(self.weight))
-
-    @shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))
-    def infer_forward(self, x):
-        return kernels.relu(x.matmul(self.weight))
+    @shape_spec(inputs={"x": "(B, L, d)"}, out="(B, L, h)",
+                params=("weight", "bias", "gamma", "beta"))
+    def forward(self, x, scratch=None, tag=""):
+        hidden = F.relu(F.linear(x, self.weight, self.bias, scratch=scratch, tag=tag))
+        scores = F.scale(F.matmul(hidden, hidden.swapaxes(-1, -2)), 0.5)
+        mixed = F.matmul(F.softmax(scores, axis=-1), hidden)
+        return F.layer_norm(mixed, self.gamma, self.beta, 1e-5, self.h)
 """
 
-    def test_synced_pair_is_silent(self):
-        assert run_checker(DualModeParityChecker(), self.PAIRED) == []
+    def test_op_table_body_is_silent(self):
+        assert run_checker(ShapeChecker(), self.GOOD, NN_LAYERS) == []
 
-    def test_out_spec_desync_fires(self):
-        bad = self.PAIRED.replace(
-            '@shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))\n    def infer_forward',
-            '@shape_spec(inputs={"x": "(B, d)"}, out="(B, 1)", params=("weight",))\n    def infer_forward',
-        )
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert any("output spec" in f.message for f in findings)
+    def test_wrong_declared_out_fires(self):
+        bad = self.GOOD.replace('out="(B, L, h)"', 'out="(B, L, d)"')
+        findings = run_checker(ShapeChecker(), bad, NN_LAYERS)
+        assert findings and all(f.symbol == "Layer.forward" for f in findings)
 
-    def test_param_set_desync_fires(self):
-        bad = self.PAIRED.replace(
-            'out="(B, d)", params=("weight",))\n    def infer_forward',
-            'out="(B, d)", params=())\n    def infer_forward',
-        )
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert any("param" in f.message for f in findings)
+    def test_matmul_inner_dim_mismatch_fires(self):
+        # forgot the swapaxes: (B, L, h) @ (B, L, h)
+        bad = self.GOOD.replace("hidden.swapaxes(-1, -2)", "hidden")
+        findings = run_checker(ShapeChecker(), bad, NN_LAYERS)
+        assert any("matmul input `b`" in f.message for f in findings)
 
-    def test_op_set_desync_fires(self):
-        bad = self.PAIRED.replace(
-            "return kernels.relu(x.matmul(self.weight))\n",
-            "return x.matmul(self.weight)\n", 1
-        )
-        # forward lost its relu; infer_forward still applies it.
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert any("op set" in f.message and "relu" in f.message for f in findings)
-
-    def test_half_decorated_pair_fires(self):
-        bad = self.PAIRED.replace(
-            '@shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))\n    def infer_forward',
-            "def infer_forward",
-        )
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert len(findings) >= 1
-        assert any("spec" in f.message for f in findings)
+    def test_linear_weight_mismatch_fires(self):
+        bad = self.GOOD.replace("np.zeros((d, h))", "np.zeros((h, d))")
+        findings = run_checker(ShapeChecker(), bad, NN_LAYERS)
+        assert findings and findings[0].symbol == "Layer.forward"
 
 
 # ---------------------------------------------------------------------------
@@ -298,36 +288,38 @@ class TestRealSourceMutations:
             NN_LAYERS, 'out="(..., out_features)"', 'out="(..., in_features)"'
         )
         findings = ShapeChecker().check(module)
-        symbols = {f.symbol for f in findings}
-        # Both modes interpret against the (now wrong) declared out.
-        assert {"Linear.forward", "Linear.infer_forward"} <= symbols
+        # The one body interprets against the (now wrong) declared out.
+        assert {f.symbol for f in findings} == {"Linear.forward"}
         assert all("out_features" in f.message for f in findings)
 
-    def test_deleting_infer_forward_line_fires(self):
+    def test_dropping_a_sublayer_call_fires(self):
+        # the FFN's down-projection vanishes: ff_dim flows into the residual
         module = self.mutate(
             "src/repro/nn/transformer.py",
-            'hidden = kernels.relu(self.ff1.infer_forward(normed, scratch=scratch, tag=tag + ".ff1"))',
-            'hidden = self.ff1.infer_forward(normed, scratch=scratch, tag=tag + ".ff1")',
+            "x = x + self.dropout(self.ff2(hidden))",
+            "x = x + self.dropout(hidden)",
         )
-        findings = DualModeParityChecker().check(module)
-        assert any(
-            "relu" in f.message and f.symbol.endswith("infer_forward")
-            for f in findings
-        )
+        findings = ShapeChecker().check(module)
+        assert {f.symbol for f in findings} == {
+            "TransformerEncoderLayer.forward",
+            "TransformerDecoderLayer.forward",
+        }
 
-    def test_desyncing_declared_params_fires(self):
+    def test_attention_without_the_head_merge_fires(self):
         module = self.mutate(
-            NN_LAYERS,
-            'out="(..., out_features)",\n                params=("weight", "bias"))\n    def infer_forward',
-            'out="(..., out_features)",\n                params=("weight",))\n    def infer_forward',
+            "src/repro/nn/attention.py",
+            "self.out_proj(self._merge_heads(attended))",
+            "self.out_proj(attended)",
         )
-        findings = DualModeParityChecker().check(module)
-        assert any("param" in f.message and "Linear" in f.symbol for f in findings)
+        findings = ShapeChecker().check(module)
+        assert [f.symbol for f in findings] == ["MultiHeadAttention.forward"]
+        assert "rank 4" in findings[0].message
 
     @pytest.mark.parametrize(
         "rel_path",
         [
             "src/repro/nn/layers.py",
+            "src/repro/nn/functional.py",
             "src/repro/nn/attention.py",
             "src/repro/nn/lstm.py",
             "src/repro/nn/transformer.py",
@@ -338,7 +330,7 @@ class TestRealSourceMutations:
     def test_pristine_module_is_silent(self, rel_path):
         text = (SRC_ROOT.parent.parent / rel_path).read_text()
         module = SourceModule(text, rel_path)
-        for checker in (ShapeChecker(), DtypeChecker(), DualModeParityChecker()):
+        for checker in (ShapeChecker(), DtypeChecker(), RawKernelChecker()):
             findings = checker.check(module)
             assert findings == [], "\n".join(f.format() for f in findings)
 
@@ -348,19 +340,19 @@ class TestRealSourceMutations:
 # ---------------------------------------------------------------------------
 # Every param-bearing layer of the substrate and its annotated methods.
 LAYER_METHODS = {
-    "Linear": {"forward", "infer_forward"},
-    "LayerNorm": {"forward", "infer_forward"},
-    "Embedding": {"forward"},  # lookup layers have no no-tape twin
-    "Dropout": {"forward"},  # identity when not training; no twin
-    "MLP": {"forward", "infer_forward"},
-    "LSTMCell": {"forward", "infer_forward"},
-    "LSTM": {"forward", "infer_forward"},
-    "ChildSumTreeLSTM": set(),  # tree recursion: node_forward is data-dependent
-    "MultiHeadAttention": {"forward", "infer_forward"},
-    "TransformerEncoderLayer": {"forward", "infer_forward"},
-    "TransformerEncoder": {"forward", "infer_forward"},
-    "TransformerDecoderLayer": {"forward", "infer_forward"},
-    "TransformerDecoder": {"forward", "infer_forward"},
+    "Linear": {"forward"},
+    "LayerNorm": {"forward"},
+    "Embedding": {"forward"},
+    "Dropout": {"forward"},
+    "MLP": {"forward"},
+    "LSTMCell": {"forward"},
+    "LSTM": {"forward"},
+    "ChildSumTreeLSTM": {"node_forward"},
+    "MultiHeadAttention": {"forward", "project_kv"},
+    "TransformerEncoderLayer": {"forward"},
+    "TransformerEncoder": {"forward"},
+    "TransformerDecoderLayer": {"forward"},
+    "TransformerDecoder": {"forward", "project_memory_kv"},
 }
 
 
@@ -380,17 +372,23 @@ class TestLayerSpecs:
         problems = interpret_class(registry, info)
         assert problems == [], "\n".join(p.message for p in problems)
 
+    # The layers that run both on the tape and on raw ndarrays.
     DUAL_MODE = sorted(
-        layer for layer, methods in LAYER_METHODS.items() if "infer_forward" in methods
+        layer for layer in LAYER_METHODS if layer not in ("Embedding", "Dropout", "ChildSumTreeLSTM")
     )
 
     @pytest.mark.parametrize("layer", DUAL_MODE)
     def test_dual_modes_declare_identical_specs(self, registry, layer):
+        """Both modes run one body under one declared spec: no layer
+        carries an ``infer_*`` twin (or any second ``forward``) whose
+        spec, parameter reads or op order could drift from the first."""
         info = registry.classes[layer]
+        assert not [name for name in info.func_nodes if name.startswith("infer_")]
         forward = info.methods["forward"]
-        infer = info.methods["infer_forward"]
-        assert forward.raw_out == infer.raw_out
-        assert forward.params == infer.params
+        assert forward.raw_out is not None and forward.params
+        source = ast.unparse(info.func_nodes["forward"])
+        assert "no_tape_active" not in source and "is_grad_enabled" not in source
+        assert "kernels." not in source and "_wrap" not in source
 
     def test_kernels_are_annotated(self, registry):
         for kernel in ("matmul", "linear", "layer_norm", "relu", "sigmoid",
@@ -409,11 +407,11 @@ class TestLayerSpecs:
 # ---------------------------------------------------------------------------
 class TestRepoIsClean:
     def test_src_repro_has_zero_shape_findings(self):
-        linter = Linter([ShapeChecker(), DtypeChecker(), DualModeParityChecker()])
+        linter = Linter([ShapeChecker(), DtypeChecker()])
         findings = linter.run_paths([SRC_ROOT], root=SRC_ROOT.parent.parent)
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
         # And the stats the CLI exposes account for every checker.
-        assert set(linter.stats) == {"shape-spec", "dtype-lattice", "dual-mode-parity"}
+        assert set(linter.stats) == {"shape-spec", "dtype-lattice"}
 
 
 # ---------------------------------------------------------------------------
