@@ -4,7 +4,7 @@ The observability contract (DESIGN.md "Observability"): a handle-present
 but *disabled* :class:`repro.obs.Telemetry` costs one int check per
 touchpoint — serving throughput must stay within 3% of the true
 no-telemetry baseline (``telemetry=None``).  This load generator drives
-the same 16-client request stream through a 2-replica service three
+the same 16-client request stream through a service three
 ways and compares min-of-repeats wall clock:
 
 1. **baseline** — ``telemetry=None``: no telemetry object anywhere;
@@ -14,8 +14,8 @@ ways and compares min-of-repeats wall clock:
 
 The enabled run also functions as the end-to-end observability check:
 its snapshot must contain at least one *complete* request trace
-(enqueue -> queue_wait -> batch -> decode -> cache event), per-replica
-busy-time histograms, and a per-tenant SLO burn rate.  Every run writes
+(enqueue -> queue_wait -> batch -> decode -> cache event), the drain
+worker's busy-time histogram, and a per-tenant SLO burn rate.  Every run writes
 ``BENCH_obs.json``; CI uploads it as an artifact.
 
 Run:
@@ -50,7 +50,6 @@ from repro.serve import OptimizerService, ServeConfig
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 CONCURRENCY = 16
-REPLICAS = 2
 OVERHEAD_BOUND = 1.03  # disabled path vs no-telemetry baseline
 REQUEST_SPANS = {"enqueue", "queue_wait", "batch", "decode"}
 SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
@@ -83,7 +82,6 @@ def run_served(model, db, requests, telemetry):
         model,
         db.name,
         ServeConfig(
-            num_replicas=REPLICAS,
             max_batch_size=CONCURRENCY,
             max_wait_ms=4.0,
             plan_cache_size=1024,
@@ -150,13 +148,9 @@ def check_enabled_snapshot(telemetry, db_name: str) -> list[str]:
             "no complete request trace (enqueue -> queue_wait -> batch -> "
             "decode -> cache event) in the enabled run"
         )
-    replica_busy = [
-        m for m in telemetry.registry.metrics() if m.name == "serve.replica.busy_s"
-    ]
-    if len(replica_busy) < REPLICAS:
-        failures.append(
-            f"expected {REPLICAS} per-replica busy histograms, found {len(replica_busy)}"
-        )
+    busy = [m for m in telemetry.registry.metrics() if m.name == "serve.busy_s"]
+    if len(busy) != 1 or busy[0].count == 0:
+        failures.append(f"expected one populated serve.busy_s histogram, found {len(busy)}")
     status = telemetry.slo.status(db_name)
     if status is None or status.total == 0:
         failures.append(f"no SLO state recorded for tenant {db_name!r}")
@@ -191,14 +185,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    num_queries, repeats = (16, 5) if args.smoke else (48, 5)
+    num_queries, repeats = (16, 5) if args.smoke else (256, 7)
     model, db, items = build_fixture(num_queries)
     requests = request_stream(items, occurrences=2)
     model.predict_join_orders(db.name, items[:4])  # warm BLAS + code paths
     run_served(model, db, requests, None)  # warm the serving stack; discarded
 
     print(
-        f"Telemetry overhead ({CONCURRENCY} clients, {REPLICAS} replicas, "
+        f"Telemetry overhead ({CONCURRENCY} clients, "
         f"{len(requests)} requests, min of {repeats} interleaved)"
     )
     print("-" * 64)
@@ -234,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "obs_overhead",
         "smoke": args.smoke,
         "client_concurrency": CONCURRENCY,
-        "num_replicas": REPLICAS,
         "requests": len(requests),
         "repeats": repeats,
         "seconds": {

@@ -13,7 +13,6 @@ from .checkpoint import (
     load_checkpoint,
     load_optimizer_state,
     read_checkpoint_meta,
-    replicate_model,
     save_checkpoint,
 )
 from .beam import (
@@ -70,7 +69,6 @@ __all__ = [
     "load_checkpoint",
     "load_optimizer_state",
     "read_checkpoint_meta",
-    "replicate_model",
     "PredicateFeaturizer",
     "TableEncoder",
     "DatabaseFeaturizer",

@@ -29,8 +29,7 @@ asserts this property), which is what lets
 :meth:`repro.serve.OptimizerService.swap_model` hot-swap checkpoints
 into a live service.  The in-memory fast path of the same guarantee is
 :meth:`MTMLFQO.clone_for_inference` — a state-dict round trip without
-the disk hop — which :func:`replicate_model` fans out into the
-read-only replica sets the serving layer's replica pool decodes on.
+the disk hop.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "load_checkpoint",
     "load_optimizer_state",
     "read_checkpoint_meta",
-    "replicate_model",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -133,21 +131,6 @@ def save_checkpoint(model: MTMLFQO, path: str, optimizer: Adam | None = None) ->
     meta["digest"] = _digest(arrays)
     arrays[_META_KEY] = _encode_meta(meta)
     return atomic_savez(path, arrays)
-
-
-def replicate_model(model: MTMLFQO, count: int) -> list[MTMLFQO]:
-    """``count`` independent read-only replicas of ``model``.
-
-    Each replica is a :meth:`MTMLFQO.clone_for_inference` — bit-identical
-    weights and ``version``, private inference lock and feature caches —
-    so a pool of them decodes concurrently with zero lock contention.
-    The state-dict clone is the cheap path; loading the same checkpoint
-    ``count`` times via :func:`load_checkpoint` produces the same
-    replica set at the cost of ``count`` disk reads.
-    """
-    if count < 0:
-        raise ValueError(f"replica count must be >= 0, got {count}")
-    return [model.clone_for_inference() for _ in range(count)]
 
 
 def _read_archive(

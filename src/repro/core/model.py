@@ -241,17 +241,15 @@ class MTMLFQO(nn.Module):
             return {name: featurizer.db for name, featurizer in self.featurizers.items()}
 
     def clone_for_inference(self) -> "MTMLFQO":
-        """A detached, read-only replica of this model.
+        """A detached copy of this model, ready to serve.
 
         The in-memory equivalent of a checkpoint round trip
         (``repro.core.checkpoint``): same config, bit-identical (S)/(T)
         and featurizer weights (state dicts copy on both save and load),
         and the same :attr:`version`, but its **own** inference lock and
         feature/node caches — so inference on the clone never contends
-        with (or pollutes the caches of) the original.  This is what the
-        serving layer's replica pool is built from: N clones decode in
-        parallel, each producing orders bit-identical to the source
-        model's.
+        with (or pollutes the caches of) the original, and produces
+        orders bit-identical to the source model's.
 
         The clone shares the source's :class:`Database` handles (table
         data and statistics are read-only at inference time) but no
@@ -274,7 +272,7 @@ class MTMLFQO(nn.Module):
         clone.eval()
         # Restore last: attach_featurizer bumps the counter during
         # reconstruction, and serving caches key on (version, epoch) —
-        # a replica must carry the source's version identity.
+        # the clone must carry the source's version identity.
         clone.restore_version(version)
         return clone
 

@@ -81,17 +81,7 @@ def format_serving_report(report: "ServingReport", title: str = "Optimizer servi
     )
     lines.append(f"{'coalesced requests':<22}{report.coalesced:>12,}")
     lines.append(f"{'model calls':<22}{report.model_calls:>12,}")
-    if report.num_replicas > 1:
-        utilization = "  ".join(
-            f"#{index} {100 * share:.0f}%"
-            for index, share in enumerate(report.replica_utilization)
-        )
-        lines.append(f"{'replica pool':<22}{report.num_replicas:>12,} replicas")
-        lines.append(f"{'replica utilization':<24}{'':>0}{utilization}")
-        lines.append(
-            f"{'replica batches':<24}"
-            + "  ".join(f"#{i} {n:,}" for i, n in enumerate(report.replica_batches))
-        )
+    lines.append(f"{'worker utilization':<22}{report.replica_utilization[0]:>12.1%}")
     if report.swaps:
         lines.append(f"{'model hot-swaps':<22}{report.swaps:>12,}")
     if report.timeout_near_misses:

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import threading
 
-from ..core.encoders import DatabaseFeaturizer
 from ..core.federated import shared_state_dict
 from ..core.model import MTMLFQO
 from ..core.serializer import query_signature
 from ..core.trainer import JointTrainer
 from ..optimizer.selectivity import HistogramEstimator
 from ..serve.adaptation import GateResult, evaluate_regret_gate, split_experience
-from ..serve.config import ServeConfig
 from ..serve.feedback import FeedbackCollector, FeedbackConfig
 from ..serve.service import OptimizerService
 from ..serve.stats import ServingReport
@@ -70,10 +68,6 @@ class TenantNode:
         self.name = name or db.name
         self.telemetry = telemetry
         model.featurizer_for(db.name)  # fail fast on a missing (F) module
-        if serve_config is None:
-            # Tenants serve through a replica pool sized by the fleet
-            # config; an explicit serve_config overrides it wholesale.
-            serve_config = ServeConfig(num_replicas=self.config.num_replicas)
         self.service = OptimizerService(model, db.name, serve_config, telemetry=telemetry)
         # SLO outcomes are tracked per *tenant*, not per database: two
         # tenants serving the same database name must burn their error
@@ -279,19 +273,18 @@ class TenantNode:
         """A disjoint model: broadcast (S)/(T) + cloned featurizer.
 
         Both the training model of :meth:`local_update` and the swap
-        candidate of :meth:`consider_global` are built here.  The
-        featurizer is cloned by state dict so no model instance ever
-        shares an (F) module with the live serving model — a trainer's
-        train-mode flip (dropout on) on a shared featurizer would leak
-        nondeterminism into concurrently served traffic.
+        candidate of :meth:`consider_global` are built here.
+        :meth:`MTMLFQO.clone_for_inference` copies the featurizer by
+        state dict, so no model instance ever shares an (F) module with
+        the live serving model — a trainer's train-mode flip (dropout
+        on) on a shared featurizer would leak nondeterminism into
+        concurrently served traffic.
         """
-        live = self.live_model
-        model = MTMLFQO(live.config)
+        model = self.live_model.clone_for_inference()
         model.load_state_dict(global_state)
-        featurizer = DatabaseFeaturizer(self.db, live.config)
-        featurizer.load_state_dict(live.featurizer_for(self.db.name).state_dict())
-        model.attach_featurizer(self.db.name, featurizer)
-        model.eval()
+        # The clone carries the live model's version; its weights no
+        # longer match, so it must not share that cache identity.
+        model.mark_updated()
         return model
 
     # -- reporting -----------------------------------------------------

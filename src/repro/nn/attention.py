@@ -67,7 +67,7 @@ class KVCache:
     per-step matmuls.  The cache is **bound to the memory object it was
     created for** and refuses to serve any other — so a cache can never
     outlive its decode and feed stale projections to a different model
-    or a hot-swapped replica.  Create one per decode, drop it with the
+    or a hot-swapped one.  Create one per decode, drop it with the
     decode; never store one on a module or at module scope (the
     ``scratch-privacy`` checker rejects that).
     """

@@ -320,10 +320,6 @@ class AdaptationWorker:
                 self._latest_checkpoint = latest
         return latest
 
-    def _split(self, experience: list[LabeledQuery]) -> tuple[list[LabeledQuery], list[LabeledQuery]]:
-        """Deterministic (train, validation) split; see :func:`split_experience`."""
-        return split_experience(experience, self.config.validation_fraction)
-
     def run_once(self) -> bool:
         """One collect → retrain → gate → swap cycle; True iff swapped.
 
@@ -337,7 +333,7 @@ class AdaptationWorker:
         telemetry = getattr(self.service, "telemetry", None)
         tracer = telemetry.tracer if telemetry is not None else None
         cycle_id = tracer.new_trace() if tracer is not None else 0
-        train_slice, val_slice = self._split(experience)
+        train_slice, val_slice = split_experience(experience, self.config.validation_fraction)
         live = self.service._serving_state()[0].model
 
         trainer = JointTrainer.warm_start(
@@ -360,7 +356,18 @@ class AdaptationWorker:
         candidate = trainer.model
 
         with maybe_span(telemetry, cycle_id, "adapt.gate") as span:
-            gate = self._evaluate_gate(live, candidate, val_slice)
+            # Gated under the *service's* decode policy: the gate must
+            # measure exactly what each model would serve.
+            gate = evaluate_regret_gate(
+                self.db,
+                live,
+                candidate,
+                val_slice,
+                decode=self.service.config.decode_kwargs(),
+                estimator=self._estimator,
+                tolerance_ms=self.config.regret_tolerance_ms,
+                max_intermediate_rows=self.config.max_intermediate_rows,
+            )
             span.set("validation", gate.validation_count)
         if tracer is not None:
             tracer.event(
@@ -398,26 +405,6 @@ class AdaptationWorker:
             self._consumed = max(self._consumed, added_at_snapshot)
             self.swaps_accepted += 1
         return True
-
-    # -- regression gate -----------------------------------------------
-    def _evaluate_gate(self, live, candidate, val_slice: list[LabeledQuery]) -> GateResult:
-        """Candidate-vs-live regret under the *service's* decode policy.
-
-        Delegates to :func:`evaluate_regret_gate` with the serving
-        config's beam width / legality / cost-rerank: the gate must
-        measure exactly what each model would serve, not its behavior at
-        some other beam width.
-        """
-        return evaluate_regret_gate(
-            self.db,
-            live,
-            candidate,
-            val_slice,
-            decode=self.service.config.decode_kwargs(),
-            estimator=self._estimator,
-            tolerance_ms=self.config.regret_tolerance_ms,
-            max_intermediate_rows=self.config.max_intermediate_rows,
-        )
 
     # -- reporting -----------------------------------------------------
     def counters(self) -> dict:

@@ -13,16 +13,6 @@ class ServeConfig:
 
     Attributes
     ----------
-    num_replicas:
-        Size of the in-process replica pool: the service holds this many
-        read-only model replicas (the given model plus
-        ``num_replicas - 1`` bit-identical
-        :meth:`MTMLFQO.clone_for_inference` clones, each with its own
-        inference lock and feature caches) and runs one drain worker per
-        replica, so up to ``num_replicas`` batches decode in parallel.
-        ``1`` (the default) is the original single-drainer service.
-        Throughput scales with replica count only up to the machine's
-        core count — see ``benchmarks/bench_serve_throughput.py``.
     max_batch_size:
         Largest number of queued requests drained into one batched
         ``predict_join_orders`` call.
@@ -49,7 +39,6 @@ class ServeConfig:
         waits forever.
     """
 
-    num_replicas: int = 1
     max_batch_size: int = 16
     max_wait_ms: float = 2.0
     max_queue_depth: int = 256
@@ -75,8 +64,6 @@ class ServeConfig:
         }
 
     def __post_init__(self):
-        if self.num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {self.num_replicas}")
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_wait_ms < 0:

@@ -301,7 +301,7 @@ class TestKVCache:
             trans_jo.project_memory(memory, stale)
 
     def test_equal_values_different_object_still_rejected(self, trans_jo):
-        # Binding is by object identity, not value: a hot-swapped replica
+        # Binding is by object identity, not value: a hot-swapped model
         # re-encodes and produces a new memory object, so its decode can
         # never be served projections computed under the old weights.
         memory = random_memory(5, seed=83)

@@ -86,8 +86,7 @@ class TestRoundTrip:
     def test_clone_for_inference_matches_disk_round_trip(self, db, labeled, trained, tmp_path):
         """``clone_for_inference`` is the in-memory fast path of the same
         guarantee: the state-dict clone, the disk round trip, and the
-        source model are all bit-identical (the property the serving
-        replica pool rests on)."""
+        source model are all bit-identical."""
         model, _ = trained
         clone = model.clone_for_inference()
         loaded = load_checkpoint(save_checkpoint(model, str(tmp_path / "clone")), databases=db)

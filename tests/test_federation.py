@@ -114,21 +114,37 @@ class TestTenantNode:
         assert tenant.inject_experience(pool[:4]) == 4
         assert tenant.inject_experience(pool[:4]) == 0
 
-    def test_fleet_num_replicas_reaches_tenant_service(self, fixture):
-        """Tenants onboarded without an explicit serve_config serve
-        through a replica pool sized by the fleet config."""
+    def test_private_model_is_broadcast_weights_on_a_disjoint_copy(self, fixture):
         tenants, global_state = fixture
         db, featurizer, pool = tenants[0]
-        config = tiny_fleet_config(num_replicas=2)
-        tenant = make_tenant(db, featurizer, global_state, config)
-        assert tenant.service.config.num_replicas == 2
-        direct = tenant.live_model.predict_join_orders(db.name, pool[:4])
-        with tenant:
-            served = [tenant.optimize(item) for item in pool[:4]]
-            report = tenant.report()
-        assert served == direct
-        assert report.num_replicas == 2
-        assert len(report.replica_batches) == 2
+        tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
+        live = tenant.live_model
+        broadcast = {name: value + 0.01 for name, value in global_state.items()}
+        private = tenant._private_model(broadcast)
+        for name, value in private.state_dict().items():
+            np.testing.assert_array_equal(value, broadcast[name])
+        live_arrays = {
+            id(param.data)
+            for module in (live, live.featurizer_for(db.name))
+            for _, param in module.named_parameters()
+        }
+        private_params = private.named_parameters() + private.featurizer_for(
+            db.name
+        ).named_parameters()
+        assert not any(id(param.data) in live_arrays for _, param in private_params)
+        assert private.version != live.version
+        assert not private.training
+        # Same decode as the hand-built equivalent: fresh model, broadcast
+        # (S)/(T), featurizer copied by state dict.
+        by_hand = MTMLFQO(TINY)
+        by_hand.load_state_dict(broadcast)
+        copied = DatabaseFeaturizer(db, TINY)
+        copied.load_state_dict(live.featurizer_for(db.name).state_dict())
+        by_hand.attach_featurizer(db.name, copied)
+        by_hand.eval()
+        assert private.predict_join_orders(db.name, pool[:6]) == by_hand.predict_join_orders(
+            db.name, pool[:6]
+        )
 
     def test_consider_global_without_experience_keeps_live_model(self, fixture):
         tenants, global_state = fixture

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.core import JointTrainer, ModelConfig, MTMLFQO, replicate_model
+from repro.core import JointTrainer, ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
 from repro.serve import (
@@ -253,6 +253,16 @@ class TestRequestLifecycle:
         with pytest.raises(ServiceStoppedError):
             service.optimize(labeled[0])
 
+    def test_one_drain_thread_started_and_joined(self, db, model):
+        def drain_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("optimizer-serve-")]
+
+        before = drain_threads()
+        service = OptimizerService(model, db.name).start()
+        (drainer,) = [t for t in drain_threads() if t not in before]
+        service.stop()
+        assert not drainer.is_alive()
+
     def test_stopped_raises_and_stop_is_idempotent(self, db, model, labeled):
         service = OptimizerService(model, db.name).start()
         assert service.optimize(labeled[0]) == model.predict_join_orders(db.name, [labeled[0]])[0]
@@ -427,6 +437,9 @@ class TestRequestLifecycle:
         assert report.queue_depth == 0
         assert report.latency is not None and report.latency.count == len(labeled)
         assert report.throughput_qps > 0
+        assert report.busy_s > 0
+        (utilization,) = report.replica_utilization
+        assert 0.0 <= utilization <= 1.0
 
     def test_format_serving_report_renders(self, db, model, labeled):
         from repro.eval import format_serving_report
@@ -435,46 +448,10 @@ class TestRequestLifecycle:
             service.optimize(labeled[0])
             text = format_serving_report(service.report())
         assert "completed" in text and "plan cache" in text and "latency" in text
+        assert "worker utilization" in text
 
 
-class TestReplicaPool:
-    @pytest.fixture()
-    def model_b(self, db, featurizer, labeled):
-        """A second model with visibly different weights (briefly trained)."""
-        other = MTMLFQO(SMALL)
-        other.attach_featurizer(db.name, featurizer)
-        JointTrainer(other).train(
-            [(db.name, item) for item in labeled], epochs=2, batch_size=4
-        )
-        return other
-
-    @pytest.mark.parametrize("beam_width", list(range(1, 9)))
-    def test_pool_parity_across_beam_widths(self, db, model, labeled, beam_width):
-        """N replicas, cache off (every request decodes on some replica):
-        orders are bit-identical to direct calls — and therefore to the
-        1-replica service, whose parity the suite asserts above."""
-        direct = model.predict_join_orders(db.name, labeled, beam_width=beam_width)
-        config = ServeConfig(
-            num_replicas=3,
-            max_batch_size=4,
-            max_wait_ms=2.0,
-            beam_width=beam_width,
-            plan_cache_size=0,
-        )
-        with OptimizerService(model, db.name, config) as service:
-            served = serve_all(service, labeled)
-        assert served == direct
-
-    def test_primary_replica_is_the_given_model(self, db, model):
-        service = OptimizerService(model, db.name, ServeConfig(num_replicas=3))
-        assert service.session.model is model  # live-model identity holds
-        assert service._replicas[0].model is model
-        assert service._replicas[0].session is service.session
-        clones = service._replicas[1:]
-        assert len(clones) == 2
-        assert all(replica.model is not model for replica in clones)
-        assert all(replica.model.version == model.version for replica in clones)
-
+class TestCloneForInference:
     def test_clone_for_inference_is_bit_identical_and_independent(self, db, model, labeled):
         clone = model.clone_for_inference()
         assert clone is not model
@@ -492,79 +469,6 @@ class TestReplicaPool:
         model.mark_updated()
         assert clone.version == version
         assert clone.predict_join_orders(db.name, labeled) == direct
-
-    def test_replicate_model_fans_out(self, model):
-        assert replicate_model(model, 0) == []
-        replicas = replicate_model(model, 2)
-        assert len(replicas) == 2
-        assert len({id(replica) for replica in replicas}) == 2
-        with pytest.raises(ValueError):
-            replicate_model(model, -1)
-
-    def test_swap_under_load_with_all_replicas_busy(self, db, model, model_b, labeled):
-        """Clients saturating a 4-replica pool across a swap each get
-        exactly one answer, bit-identical to one of the two models'
-        direct results; traffic after the swap is all new-model."""
-        direct_a = model.predict_join_orders(db.name, labeled)
-        direct_b = model_b.predict_join_orders(db.name, labeled)
-        config = ServeConfig(
-            num_replicas=4, max_batch_size=2, max_wait_ms=1.0, plan_cache_size=0
-        )
-        rounds = 6
-        responses: dict[tuple[int, int], tuple[int, list[str]]] = {}
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-
-        with OptimizerService(model, db.name, config) as service:
-            def client(slot):
-                try:
-                    for round_index in range(rounds):
-                        index = (slot + round_index) % len(labeled)
-                        order = service.optimize(labeled[index])
-                        with lock:
-                            responses[(slot, round_index)] = (index, order)
-                except BaseException as error:
-                    errors.append(error)
-
-            threads = [threading.Thread(target=client, args=(slot,)) for slot in range(16)]
-            for thread in threads:
-                thread.start()
-            service.swap_model(model_b)  # lands with every replica under fire
-            for thread in threads:
-                thread.join()
-            post = [service.optimize(item) for item in labeled]
-            report = service.report()
-
-        assert not errors, errors
-        assert len(responses) == 16 * rounds  # exactly one answer each
-        for index, order in responses.values():
-            assert order in (direct_a[index], direct_b[index])
-        assert post == direct_b  # after the swap: new replica set only
-        assert report.swaps == 1
-
-    def test_report_carries_per_replica_counters(self, db, model, labeled):
-        config = ServeConfig(
-            num_replicas=2, max_batch_size=2, max_wait_ms=1.0, plan_cache_size=0
-        )
-        with OptimizerService(model, db.name, config) as service:
-            serve_all(service, labeled)
-            report = service.report()
-        assert report.num_replicas == 2
-        assert len(report.replica_batches) == 2
-        assert len(report.replica_requests) == 2
-        assert len(report.replica_utilization) == 2
-        # Every drained batch is attributed to exactly one replica slot.
-        assert sum(report.replica_batches) == report.batches
-        assert sum(report.replica_requests) == report.batched_requests
-        assert all(share >= 0.0 for share in report.replica_utilization)
-
-    def test_pool_report_renders(self, db, model, labeled):
-        from repro.eval import format_serving_report
-
-        with OptimizerService(model, db.name, ServeConfig(num_replicas=2)) as service:
-            serve_all(service, labeled)
-            text = format_serving_report(service.report())
-        assert "replica pool" in text and "replica utilization" in text
 
 
 class TestPlanCacheStats:
