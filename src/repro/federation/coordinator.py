@@ -23,8 +23,8 @@ live :class:`~repro.federation.node.TenantNode` instances:
 5. **push** — every tenant (participant or not) evaluates the merged
    model through its own regret gate and hot-swaps only on acceptance.
    If every gated tenant rejects, the coordinator reverts the global
-   state to the pre-round weights (``revert_on_unanimous_rejection``),
-   so a poisoned round cannot linger in the lineage.
+   state to the pre-round weights, so a poisoned round cannot linger in
+   the lineage.
 
 :meth:`onboard` implements the paper's new-customer path: train only a
 database-specific featurizer (F) and deploy the current global (S)/(T)
@@ -34,8 +34,6 @@ zero-shot — no local (S)/(T) training, no data leaving the tenant.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,6 +44,7 @@ from ..core.encoders import DatabaseFeaturizer
 from ..core.federated import aggregate_shared_states
 from ..core.model import MTMLFQO
 from ..obs.trace import maybe_span
+from ..serve.adaptation import RoundScheduler
 from .config import FleetConfig
 from .node import TenantNode
 from .report import FleetReport
@@ -84,7 +83,7 @@ class FleetRound:
         return bool(self.participants)
 
 
-class FleetCoordinator:
+class FleetCoordinator(RoundScheduler):
     """Drives federated rounds over registered tenants.
 
     Use :meth:`run_round` for explicit, synchronous rounds (tests,
@@ -105,7 +104,7 @@ class FleetCoordinator:
         global_model: MTMLFQO | None = None,
         telemetry=None,
     ):
-        self.config = config or FleetConfig()
+        super().__init__(config or FleetConfig(), "fleet-coordinator")
         self.global_model = global_model or MTMLFQO(model_config)
         # Optional shared repro.obs.Telemetry: round spans and counters
         # land in it, onboarded tenants inherit it (tenant-keyed SLO
@@ -134,9 +133,6 @@ class FleetCoordinator:
         # unguarded onboard()/global_state() racing a round's publish
         # could copy a torn mix of old and new weights.
         self._global_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._own_checkpoint_dir: str | None = None
 
     # -- fleet membership ----------------------------------------------
     def register(self, tenant: TenantNode) -> TenantNode:
@@ -202,14 +198,6 @@ class FleetCoordinator:
         """A copy of the global (S)/(T) named-parameter state."""
         with self._global_lock:
             return self.global_model.state_dict()
-
-    def _checkpoint_dir(self) -> str:
-        if self.config.checkpoint_dir is not None:
-            os.makedirs(self.config.checkpoint_dir, exist_ok=True)
-            return self.config.checkpoint_dir
-        if self._own_checkpoint_dir is None:
-            self._own_checkpoint_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-        return self._own_checkpoint_dir
 
     # -- rounds ----------------------------------------------------------
     def run_round(self) -> FleetRound:
@@ -365,10 +353,7 @@ class FleetCoordinator:
             else:
                 round_.unvalidated.append(tenant_name)
 
-        gated = len(round_.accepted) + len(round_.rejected)
-        if gated == 0 or (
-            self.config.revert_on_unanimous_rejection and not round_.accepted
-        ):
+        if not round_.accepted:
             # The staged state is discarded — never published, its
             # checkpoint withdrawn — and the participants' harvest
             # credit returned (their experience was consumed by a round
@@ -378,8 +363,7 @@ class FleetCoordinator:
             # rejection rule), or *no* gate produced a verdict at all
             # (every push raised or was unvalidatable) — publishing a
             # merge nobody measured would silently bypass the gate
-            # safeguard, so a zero-verdict round never lands regardless
-            # of the revert setting.
+            # safeguard.
             self._abandon_round(round_, tenants)
             round_.reverted = True
             with self._stats_lock:
@@ -394,7 +378,7 @@ class FleetCoordinator:
         harvest credit and withdraw the round's checkpoint."""
         by_name = dict(tenants)
         for tenant_name, _ in round_.participants:
-            by_name[tenant_name].rollback_harvest()
+            by_name[tenant_name].round.rollback()
         if round_.checkpoint_path is not None:
             try:
                 os.remove(round_.checkpoint_path)
@@ -425,62 +409,18 @@ class FleetCoordinator:
             if tenant.pending_experience() >= self.config.min_new_experience
         ]
 
-    def start(self) -> "FleetCoordinator":
-        if self._thread is not None:
-            raise RuntimeError("fleet coordinator already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="fleet-coordinator", daemon=True
-        )
-        self._thread.start()
-        return self
+    def _poll(self) -> bool:
+        if len(self.ready_tenants()) < self.config.min_participants:
+            return True
+        # A reverted round returned its participants' harvest credit,
+        # and a crashed tenant's cursor never advanced — either way the
+        # same tenants are immediately "ready" again.
+        round_ = self.run_round()
+        return not (round_.reverted or round_.failed)
 
-    def _loop(self) -> None:
-        backoff_s = max(1.0, 20 * self.config.poll_interval_s)
-        while not self._stop.is_set():
-            if len(self.ready_tenants()) >= self.config.min_participants:
-                try:
-                    round_ = self.run_round()
-                except BaseException:
-                    # The loop must survive anything; back off so a
-                    # persistent failure (unwritable checkpoint dir)
-                    # cannot hot-spin training rounds.
-                    with self._stats_lock:
-                        self.round_failures += 1
-                    self._stop.wait(backoff_s)
-                else:
-                    # A reverted round returned its participants'
-                    # harvest credit, and a crashed tenant's cursor
-                    # never advanced — either way the same tenants are
-                    # immediately "ready" again, so a real pause is the
-                    # only thing between this loop and continuously
-                    # re-running a doomed round at full CPU.
-                    if round_.reverted or round_.failed:
-                        self._stop.wait(backoff_s)
-                    else:
-                        self._stop.wait(self.config.poll_interval_s)
-            else:
-                self._stop.wait(self.config.poll_interval_s)
-
-    def stop(self) -> None:
-        """Stop the background loop (a round in flight completes first)."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def shutdown(self) -> None:
-        """Stop the loop and remove a private checkpoint directory."""
-        self.stop()
-        if self._own_checkpoint_dir is not None:
-            shutil.rmtree(self._own_checkpoint_dir, ignore_errors=True)
-            self._own_checkpoint_dir = None
-
-    def __enter__(self) -> "FleetCoordinator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    def _note_failure(self) -> None:
+        with self._stats_lock:
+            self.round_failures += 1
 
     # -- reporting --------------------------------------------------------
     def report(self) -> FleetReport:

@@ -14,12 +14,16 @@ federation through exactly two narrow interfaces:
   the return value is filtered through
   :func:`repro.core.federated.shared_state_dict`.
 - :meth:`consider_global` — evaluate a merged global model against the
-  live one on a held-out slice of the tenant's own experience
-  (:func:`repro.serve.adaptation.evaluate_regret_gate`) and hot-swap it
-  in only if the tenant's simulated latency does not worsen.  A bad
-  federated round can therefore never degrade a healthy tenant; a
+  live one on a held-out slice of the tenant's own experience and
+  hot-swap it in only if the tenant's simulated latency does not worsen.
+  A bad federated round can therefore never degrade a healthy tenant; a
   tenant with *no* experience to validate against keeps its live model
   (counted as ``gate_unvalidated``) rather than accepting blind.
+
+Both are thin schedulers over the tenant's
+:class:`~repro.serve.adaptation.TrainRound` — the same fine-tune and
+gate-and-install phases an :class:`~repro.serve.AdaptationWorker` runs
+back to back, here separated by the coordinator's merge.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from ..core.federated import shared_state_dict
 from ..core.model import MTMLFQO
 from ..core.serializer import query_signature
 from ..core.trainer import JointTrainer
-from ..optimizer.selectivity import HistogramEstimator
-from ..serve.adaptation import GateResult, evaluate_regret_gate, split_experience
+from ..serve.adaptation import GateResult, TrainRound
 from ..serve.feedback import FeedbackCollector, FeedbackConfig
 from ..serve.service import OptimizerService
 from ..serve.stats import ServingReport
@@ -76,29 +79,14 @@ class TenantNode:
         self.collector = FeedbackCollector(db, feedback_config, telemetry=telemetry)
         self.service.attach_feedback(self.collector)
         self.buffer = self.collector.buffer
-        self._estimator = HistogramEstimator(db)
+        self.round = TrainRound(self.service, db, self.buffer, self.config)
         self._lock = threading.Lock()
-        # buffer.added observed at the last harvest: experience counts
-        # as "fresh" until it has been contributed to a round.
-        self._harvested = 0  # guarded-by: _lock
-        # Pre-harvest cursor of the latest local_update, for
-        # rollback_harvest() when the round is reverted.
-        self._harvest_rollback: int | None = None  # guarded-by: _lock
         # Name-keyed Adam moments carried across rounds (PR-3 state-dict
         # machinery): each round's private trainer resumes this tenant's
         # optimizer trajectory instead of re-warming from zero.
         self._optimizer_state: dict | None = None  # guarded-by: _lock
-        self._local_rounds = 0  # guarded-by: _lock
-        # Validation slice held out by the most recent local_update; the
-        # push phase of the same round gates on it so train/validation
-        # isolation holds within a round.
-        self._pending_validation: list[LabeledQuery] = []  # guarded-by: _lock
-        self.last_gate: GateResult | None = None  # guarded-by: _lock
         self.rounds_participated = 0  # guarded-by: _lock
         self.rounds_skipped = 0  # guarded-by: _lock
-        self.global_accepted = 0  # guarded-by: _lock
-        self.global_rejected = 0  # guarded-by: _lock
-        self.gate_unvalidated = 0  # guarded-by: _lock
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "TenantNode":
@@ -133,9 +121,7 @@ class TenantNode:
     # -- experience ----------------------------------------------------
     def pending_experience(self) -> int:
         """Unique experiences accumulated since the last harvest."""
-        with self._lock:
-            harvested = self._harvested
-        return self.buffer.added - harvested
+        return self.round.pending()
 
     def inject_experience(self, items: list[LabeledQuery]) -> int:
         """Add pre-labeled experience directly (benchmarks, tests, bulk
@@ -159,56 +145,25 @@ class TenantNode:
         shared (S)/(T) parameters with the example count FedAvg weights
         them by.
         """
-        experience, added = self.buffer.snapshot_with_added()
-        with self._lock:
-            harvested = self._harvested
-        if added - harvested < self.config.min_new_experience or not experience:
+        if self.pending_experience() < self.config.min_new_experience:
             with self._lock:
                 self.rounds_skipped += 1
             return None
-        train_slice, val_slice = split_experience(
-            experience, self.config.validation_fraction
-        )
         model = self._private_model(global_state)
         trainer = JointTrainer(model, learning_rate=self.config.learning_rate)
         with self._lock:
             optimizer_state = self._optimizer_state
-            self._local_rounds += 1
-            seed = self.config.seed + self._local_rounds - 1
         if optimizer_state is not None:
             trainer.optimizer.load_state_dict(optimizer_state)
-        trainer.train(
-            [(self.db.name, item) for item in train_slice],
-            epochs=self.config.fine_tune_epochs,
-            batch_size=self.config.batch_size,
-            seed=seed,
-        )
+        num_examples = self.round.fine_tune(trainer)
         optimizer_state = trainer.optimizer.state_dict()
+        # Harvested now; the coordinator rolls the round back (returning
+        # the credit) if the merge never lands.
+        self.round.commit()
         with self._lock:
             self._optimizer_state = optimizer_state
-            # Remember the pre-harvest cursor: if the coordinator
-            # reverts this round, rollback_harvest() returns the
-            # experience credit (the deduped buffer cannot re-admit the
-            # same signatures, so consumption must be undoable).
-            self._harvest_rollback = self._harvested
-            self._harvested = max(self._harvested, added)
-            self._pending_validation = val_slice
             self.rounds_participated += 1
-        return shared_state_dict(model), len(train_slice)
-
-    def rollback_harvest(self) -> None:
-        """Undo the most recent harvest's experience consumption.
-
-        Called by the coordinator when a round this tenant trained in is
-        reverted (every gate rejected the merge): the tenant's buffered
-        experience was consumed by a round that never landed, so the
-        fresh-experience cursor is restored and the same experience can
-        trigger — and train — a future round.  Idempotent per harvest.
-        """
-        with self._lock:
-            if self._harvest_rollback is not None:
-                self._harvested = self._harvest_rollback
-                self._harvest_rollback = None
+        return shared_state_dict(model), num_examples
 
     # -- federation: push phase ----------------------------------------
     def consider_global(self, global_state: dict) -> bool | None:
@@ -217,56 +172,12 @@ class TenantNode:
         Returns True (accepted + swapped), False (gate-rejected), or
         None when the tenant has no experience to validate against — in
         which case the live model keeps serving: a tenant that cannot
-        measure the merged model must not accept it blind.
+        measure the merged model must not accept it blind.  A tenant
+        that trained this round validates on the slice its fine-tune
+        held out, any other on its entire buffer.
         """
-        with self._lock:
-            # Taken (not just read): the slice belongs to exactly one
-            # round's push.  If the gate below raises, a later round
-            # must fall back to the full buffer rather than re-gate on
-            # this round's stale snapshot.
-            val_slice = self._pending_validation
-            self._pending_validation = []
-        if not val_slice:
-            # Didn't train this round: the merged model never trained on
-            # any of this tenant's data *this round*, so the entire
-            # buffer is used as the held-out set (sorted for
-            # determinism) — the wider coverage makes accept/reject a
-            # far better predictor of live-traffic behavior than the
-            # thin held-out slice a participant is restricted to.  The
-            # caveat: across rounds the global lineage may include
-            # earlier rounds this tenant trained in, so items it once
-            # trained on can leak a mild optimistic bias — the price of
-            # coverage; the bias is bounded by how much one tenant's
-            # slice moves the example-weighted merge.
-            val_slice = sorted(
-                self.buffer.snapshot(), key=lambda item: item.query.to_sql()
-            )
-        if not val_slice:
-            with self._lock:
-                self.gate_unvalidated += 1
-            return None
-        live = self.live_model
-        candidate = self._private_model(global_state)
-        gate = evaluate_regret_gate(
-            self.db,
-            live,
-            candidate,
-            val_slice,
-            decode=self.service.config.decode_kwargs(),
-            estimator=self._estimator,
-            tolerance_ms=self.config.regret_tolerance_ms,
-            max_intermediate_rows=self.config.max_intermediate_rows,
-        )
-        with self._lock:
-            self.last_gate = gate
-        if not gate.accepted:
-            with self._lock:
-                self.global_rejected += 1
-            return False
-        self.service.swap_model(candidate)
-        with self._lock:
-            self.global_accepted += 1
-        return True
+        gate = self.round.gate_and_install(self._private_model(global_state))
+        return None if gate is None else gate.accepted
 
     # -- internals -----------------------------------------------------
     def _private_model(self, global_state: dict) -> MTMLFQO:
@@ -288,13 +199,18 @@ class TenantNode:
         return model
 
     # -- reporting -----------------------------------------------------
+    @property
+    def last_gate(self) -> GateResult | None:
+        return self.round.last_gate
+
     def counters(self) -> dict:
         """Fleet-level counters this tenant contributes to FleetReport."""
+        counts = self.round.counters()
         with self._lock:
             return {
                 "rounds_participated": self.rounds_participated,
                 "rounds_skipped": self.rounds_skipped,
-                "global_accepted": self.global_accepted,
-                "global_rejected": self.global_rejected,
-                "gate_unvalidated": self.gate_unvalidated,
+                "global_accepted": counts["accepted"],
+                "global_rejected": counts["rejected"],
+                "gate_unvalidated": counts["unvalidated"],
             }

@@ -1,30 +1,28 @@
 """Guarded online adaptation: retrain on feedback, swap only if safe.
 
-:class:`AdaptationWorker` turns the experience gathered by
-:class:`repro.serve.feedback.FeedbackCollector` into live model updates
-without ever taking the service down — the paper's "keeps learning from
-the DBMS it serves" promise as a production loop:
+The paper's "keeps learning from the DBMS it serves" promise as a
+production loop, written once.  :class:`TrainRound` is one database's
+training round — the only place a candidate model is decided on and
+deployed:
 
-1. **collect** — wait until the buffer holds at least
-   ``min_new_experience`` experiences that were not seen at the last
-   retrain;
-2. **retrain** — warm-start a :class:`JointTrainer` from the latest
-   accepted checkpoint (model weights *and* Adam moments, so each cycle
-   continues the previous run) and fine-tune on the buffered
-   experience.  Training happens on a private model instance loaded
-   from disk: the serving model's weights are never touched;
-3. **gate** — decode join orders for a held-out validation slice with
-   both the live and the candidate model and execute them through
-   :mod:`repro.engine` (over-limit orders charged the shared timeout
-   penalty).  The candidate is accepted only if its join-order regret —
-   total simulated latency above the slice's best-known orders — does
-   not worsen the live model's;
-4. **swap** — on acceptance, persist a checkpoint (the next cycle's
-   warm-start point) and install the candidate via
-   :meth:`OptimizerService.swap_model`; the service's swap epoch retires
-   every cached pre-swap plan, so mid-adaptation traffic can never be
-   answered with a stale order.  On rejection the candidate (and its
-   checkpoint lineage) is discarded and the live model keeps serving.
+1. **fine-tune** — snapshot the experience buffer, split it
+   (:func:`split_experience`), and fine-tune the trainer the scheduler
+   hands in on the training slice.  Training happens on a private model
+   instance: the serving model's weights are never touched;
+2. **gate and install** — decode join orders for the held-out slice
+   with both the live and the candidate model and execute them through
+   :mod:`repro.engine` (:func:`evaluate_regret_gate`).  The candidate
+   is installed via :meth:`OptimizerService.swap_model` only if its
+   join-order regret does not worsen the live model's; the service's
+   swap epoch retires every cached pre-swap plan, so mid-adaptation
+   traffic can never be answered with a stale order.  On rejection the
+   candidate is discarded and the live model keeps serving.
+
+Two schedulers drive it.  :class:`AdaptationWorker` (here) runs the
+phases back to back on a trainer warm-started from its checkpoint
+lineage; :class:`repro.federation.TenantNode` runs them either side of
+a FedAvg merge.  Both loop through :class:`RoundScheduler` and are
+configured by one :class:`RoundConfig`.
 
 ``retrains`` / ``swaps_accepted`` / ``swaps_rejected`` surface through
 :meth:`OptimizerService.report` and
@@ -50,35 +48,44 @@ __all__ = [
     "AdaptationConfig",
     "AdaptationWorker",
     "GateResult",
+    "RoundConfig",
+    "RoundScheduler",
+    "TrainRound",
     "evaluate_regret_gate",
     "split_experience",
 ]
 
 
 @dataclass
-class AdaptationConfig:
-    """Knobs of :class:`AdaptationWorker`.
+class RoundConfig:
+    """Knobs of a :class:`TrainRound` and the scheduler driving it.
 
     Attributes
     ----------
     min_new_experience:
-        Unseen-experience threshold that triggers a retrain cycle.
+        Fresh-experience bar: an :class:`AdaptationWorker` retrains once
+        this many unseen experiences exist; a fleet tenant below it
+        skips a round's local phase (it still receives the merged model
+        through its gate) — the asynchronous-FedAvg rule that lets
+        rounds proceed with whichever tenants have traffic.
     fine_tune_epochs / batch_size / learning_rate / seed:
-        Passed to the warm-started :class:`JointTrainer` (``None``
-        learning rate keeps the checkpointed one).
+        Passed to the round's :class:`JointTrainer` (``None`` learning
+        rate keeps the checkpointed / model-config one).  Round ``n``
+        trains with ``seed + n - 1``.
     validation_fraction:
-        Share of the experience snapshot (most recent entries, at least
-        one) held out from fine-tuning and used by the regression gate.
+        Share of the experience snapshot held out from fine-tuning and
+        used by the regression gate (at least one entry).
     regret_tolerance_ms:
         Slack the gate allows the candidate over the live model.  0 is
         the strict "must not worsen" rule.
     max_intermediate_rows:
         Execution bound when the gate replays validation orders.
     poll_interval_s:
-        How often the background loop rechecks the buffer.
+        How often the scheduler's background loop rechecks readiness.
     checkpoint_dir:
-        Where warm-start checkpoints live; a private temp dir (removed
-        on ``stop``) when None.
+        Where the scheduler's checkpoints live (a worker's warm-start
+        lineage, a coordinator's ``round-NNNN.npz``); a private temp dir,
+        removed on shutdown, when None.
     """
 
     min_new_experience: int = 8
@@ -95,12 +102,21 @@ class AdaptationConfig:
     def __post_init__(self):
         if self.min_new_experience < 1:
             raise ValueError(f"min_new_experience must be >= 1, got {self.min_new_experience}")
+        if self.fine_tune_epochs < 1:
+            raise ValueError(f"fine_tune_epochs must be >= 1, got {self.fine_tune_epochs}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
         if self.regret_tolerance_ms < 0:
             raise ValueError(f"regret_tolerance_ms must be >= 0, got {self.regret_tolerance_ms}")
+        if self.poll_interval_s <= 0:
+            # wait(0) would turn the scheduler's poll loop into a hot spin.
+            raise ValueError(f"poll_interval_s must be > 0, got {self.poll_interval_s}")
+
+
+# An adaptation worker needs nothing beyond the round's own knobs.
+AdaptationConfig = RoundConfig
 
 
 @dataclass
@@ -112,6 +128,9 @@ class GateResult:
     live_ms: float
     candidate_ms: float
     best_ms: float
+    # Set by TrainRound when an accepted candidate was persisted before
+    # its install: with the regrets above, the round's lineage record.
+    checkpoint_path: str | None = None
 
     @property
     def live_regret_ms(self) -> float:
@@ -199,12 +218,267 @@ def evaluate_regret_gate(
     )
 
 
-class AdaptationWorker:
+class TrainRound:
+    """One database's fine-tune → gate → install round, and everything
+    that carries from one round to the next.
+
+    The single place a candidate model is decided on and deployed.  It
+    owns the fresh-experience cursor (:meth:`commit` / :meth:`rollback`),
+    the round index that seeds each fine-tune, the held-out slice, the
+    gate call under the service's decode policy, the verdict event and
+    counters, and ``swap_model`` on accept.  Left to its scheduler:
+    *which trainer* to fine-tune (a worker warm-starts one from its
+    checkpoint lineage, a fleet tenant builds one over the broadcast
+    state), what happens between the two phases (nothing; a FedAvg
+    merge), and *when* the snapshot counts as consumed (a worker commits
+    on any verdict; a fleet participant right after its fine-tune, and
+    is rolled back if the round never lands).
+
+    With telemetry on the service, a round is one trace:
+    ``adapt.retrain`` → ``adapt.gate`` → a ``gate.accept`` /
+    ``gate.reject`` verdict event → (on accept) ``adapt.swap``.
+    """
+
+    def __init__(self, service, db, buffer: ExperienceBuffer, config: RoundConfig):
+        self.service = service
+        self.db = db
+        self.buffer = buffer
+        self.config = config
+        self._estimator = HistogramEstimator(db)
+        self._lock = threading.Lock()
+        # buffer.added covered by committed rounds (experience is fresh
+        # until a round that trained on it commits), and the cursor
+        # before the latest commit.
+        self._consumed = 0  # guarded-by: _lock
+        self._rollback_to: int | None = None  # guarded-by: _lock
+        # Left by the latest fine-tune: buffer.added at its snapshot, and
+        # for the same round's gate the held-out slice (train/validation
+        # isolation holds within a round) and the trace id.
+        self._snapshot_added = 0  # guarded-by: _lock
+        self._for_gate: tuple[list[LabeledQuery], int] = ([], 0)  # guarded-by: _lock
+        self._counts = dict.fromkeys(  # guarded-by: _lock
+            ("rounds", "accepted", "rejected", "unvalidated"), 0
+        )
+        self._last_gate: GateResult | None = None  # guarded-by: _lock
+
+    # -- fresh-experience cursor ----------------------------------------
+    def pending(self) -> int:
+        """Unique experiences added since the last committed round."""
+        with self._lock:
+            consumed = self._consumed
+        return self.buffer.added - consumed
+
+    def commit(self) -> None:
+        """Mark the latest fine-tune's snapshot consumed.  Never called
+        for a round that crashed: its trigger credit stays intact and
+        the retry trains on the same data."""
+        with self._lock:
+            self._rollback_to = self._consumed
+            self._consumed = max(self._consumed, self._snapshot_added)
+
+    def rollback(self) -> None:
+        """Undo the latest :meth:`commit` (idempotent per commit), for a
+        round that trained but never landed: the signature-deduped
+        buffer cannot re-admit the same experience, so consumption must
+        be undoable for it to trigger — and train — a future round."""
+        with self._lock:
+            if self._rollback_to is not None:
+                self._consumed = self._rollback_to
+                self._rollback_to = None
+
+    # -- the two phases ---------------------------------------------------
+    def fine_tune(self, trainer: JointTrainer) -> int:
+        """Fine-tune ``trainer`` on the training slice of a buffer
+        snapshot (non-empty: the scheduler's readiness check); returns
+        the number of training examples."""
+        experience, added = self.buffer.snapshot_with_added()
+        train_slice, held_out = split_experience(experience, self.config.validation_fraction)
+        telemetry = self.service.telemetry
+        trace = telemetry.tracer.new_trace() if telemetry is not None else 0
+        with self._lock:
+            self._counts["rounds"] += 1
+            index = self._counts["rounds"]
+        with maybe_span(telemetry, trace, "adapt.retrain") as span:
+            span.set("experience", len(train_slice)).set("cycle", index)
+            # Seed varies per round: a retry after a rejection (with
+            # more experience) explores a different batch order instead
+            # of replaying the rejected run's schedule.
+            trainer.train(
+                [(self.db.name, item) for item in train_slice],
+                epochs=self.config.fine_tune_epochs,
+                batch_size=self.config.batch_size,
+                seed=self.config.seed + index - 1,
+            )
+        with self._lock:
+            self._snapshot_added = added
+            self._for_gate = (held_out, trace)
+        return len(train_slice)
+
+    def gate_and_install(self, candidate, save_checkpoint=None) -> GateResult | None:
+        """Gate ``candidate`` against the live model; install it iff safe.
+
+        Returns the verdict, or None when there is no experience to
+        validate against — the live model keeps serving: a candidate
+        nobody can measure is never accepted blind.  ``save_checkpoint``
+        (``() -> path``) runs between an accepting verdict and the swap.
+        """
+        with self._lock:
+            # Taken (not just read): the slice belongs to exactly one
+            # round's gate.  If the gate below raises, a later round
+            # must fall back to the full buffer rather than re-gate on
+            # this round's stale snapshot.
+            (held_out, trace), self._for_gate = self._for_gate, ([], 0)
+        telemetry = self.service.telemetry
+        if not trace and telemetry is not None:
+            trace = telemetry.tracer.new_trace()
+        if not held_out:
+            # No fine-tune this round: the candidate never trained on
+            # any of this database's data *this round*, so the entire
+            # buffer is the held-out set (sorted for determinism) — the
+            # wider coverage makes accept/reject a far better predictor
+            # of live-traffic behavior than a thin held-out slice.  The
+            # caveat: across rounds a fleet's global lineage may include
+            # earlier rounds this tenant trained in, so items it once
+            # trained on can leak a mild optimistic bias — the price of
+            # coverage; the bias is bounded by how much one tenant's
+            # slice moves the example-weighted merge.
+            held_out = sorted(self.buffer.snapshot(), key=lambda item: item.query.to_sql())
+        if not held_out:
+            with self._lock:
+                self._counts["unvalidated"] += 1
+            return None
+        live = self.service._serving_state()[0].model
+        with maybe_span(telemetry, trace, "adapt.gate") as span:
+            # Gated under the *service's* decode policy: the gate must
+            # measure exactly what each model would serve.
+            gate = evaluate_regret_gate(
+                self.db,
+                live,
+                candidate,
+                held_out,
+                decode=self.service.config.decode_kwargs(),
+                estimator=self._estimator,
+                tolerance_ms=self.config.regret_tolerance_ms,
+                max_intermediate_rows=self.config.max_intermediate_rows,
+            )
+            span.set("validation", gate.validation_count)
+        if gate.accepted and save_checkpoint is not None:
+            gate.checkpoint_path = save_checkpoint()
+        if telemetry is not None:
+            telemetry.tracer.event(
+                trace,
+                "gate.accept" if gate.accepted else "gate.reject",
+                {
+                    "name": self.service.slo_name,
+                    "validation_count": gate.validation_count,
+                    "live_regret_ms": round(gate.live_regret_ms, 3),
+                    "candidate_regret_ms": round(gate.candidate_regret_ms, 3),
+                    "checkpoint": gate.checkpoint_path,
+                },
+            )
+        if gate.accepted:
+            # swap_model validates the candidate's session before the
+            # atomic (session, epoch) switch (retiring every pre-swap
+            # cache entry); if that raises, no verdict is counted.
+            with maybe_span(telemetry, trace, "adapt.swap"):
+                self.service.swap_model(candidate)
+        with self._lock:
+            self._last_gate = gate
+            self._counts["accepted" if gate.accepted else "rejected"] += 1
+        return gate
+
+    # -- reporting -------------------------------------------------------
+    @property
+    def last_gate(self) -> GateResult | None:
+        with self._lock:
+            return self._last_gate
+
+    def counters(self) -> dict:
+        """``rounds`` fine-tuned; gates ``accepted`` / ``rejected`` / ``unvalidated``."""
+        with self._lock:
+            return dict(self._counts)
+
+
+class RoundScheduler:
+    """What scheduling rounds needs whatever a round is: the background
+    poll → fire → back-off thread and the configured-or-owned checkpoint
+    directory.  Subclasses (:class:`AdaptationWorker`,
+    :class:`repro.federation.FleetCoordinator`) provide ``_poll()`` (fire
+    a round if enough fresh experience exists; False when the round must
+    not be retried at once) and ``_note_failure()`` (count a poll that
+    raised).
+    """
+
+    def __init__(self, config: RoundConfig, name: str):
+        self.config = config
+        self._name = name
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+        self._own_checkpoint_dir: str | None = None
+
+    def start(self):
+        if self._thread is not None:
+            raise RuntimeError(f"{self._name} already running")
+        self._stop.clear()
+        self._thread = threading.Thread(target=self._loop, name=self._name, daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Signal the loop and join it (a round in flight completes first)."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def shutdown(self) -> None:
+        """Stop the loop and remove a private checkpoint directory."""
+        RoundScheduler.stop(self)  # not self.stop(): a subclass may alias the two
+        if self._own_checkpoint_dir is not None:
+            shutil.rmtree(self._own_checkpoint_dir, ignore_errors=True)
+            self._own_checkpoint_dir = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+    def _loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                settled = self._poll()
+            except Exception:
+                # The loop must survive anything (a failed load, a
+                # transient training error, an unwritable checkpoint
+                # dir); the failure is counted, not swallowed.
+                self._note_failure()
+                settled = False
+            # Unsettled, whatever made a round due is still there (a
+            # crashed round keeps its trigger credit, a reverted one got
+            # it back): a real pause is the only thing between this loop
+            # and re-running a doomed round at full CPU.
+            poll_s = self.config.poll_interval_s
+            self._stop.wait(poll_s if settled else max(1.0, 20 * poll_s))
+
+    def _checkpoint_dir(self) -> str:
+        if self.config.checkpoint_dir is not None:
+            os.makedirs(self.config.checkpoint_dir, exist_ok=True)
+            return self.config.checkpoint_dir
+        if self._own_checkpoint_dir is None:
+            self._own_checkpoint_dir = tempfile.mkdtemp(prefix=f"repro-{self._name}-")
+        return self._own_checkpoint_dir
+
+
+class AdaptationWorker(RoundScheduler):
     """Background collect → retrain → gate → swap loop over one service.
 
-    Use as a context manager (or :meth:`start` / :meth:`stop`) for the
-    autonomous loop, or call :meth:`run_once` directly for a
-    deterministic, synchronous cycle (tests, notebooks)::
+    Schedules a :class:`TrainRound` whose trainer is warm-started from
+    the latest accepted checkpoint (model weights *and* Adam moments, so
+    each cycle continues the previous run).  Use as a context manager
+    (or :meth:`start` / :meth:`stop`) for the autonomous loop, or call
+    :meth:`run_once` directly for a deterministic, synchronous cycle
+    (tests, notebooks)::
 
         worker = AdaptationWorker(service, db, collector.buffer, config)
         with collector, worker:
@@ -213,206 +487,109 @@ class AdaptationWorker:
 
     def __init__(self, service, db, buffer: ExperienceBuffer, config: AdaptationConfig | None = None,
                  databases: dict | None = None):
+        super().__init__(config or AdaptationConfig(), f"adaptation-{db.name}")
         self.service = service
         self.db = db
         self.buffer = buffer
-        self.config = config or AdaptationConfig()
         # Databases handed to checkpoint load: the serving model may hold
         # featurizers for more databases than the one being served.
         # Copied: the served database is added without mutating the
         # caller's mapping.
         self.databases = dict(databases) if databases else {}
         self.databases.setdefault(db.name, db)
-        self._estimator = HistogramEstimator(db)
+        self.round = TrainRound(service, db, buffer, self.config)
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._consumed = 0              # guarded-by: _lock — buffer.added seen at last retrain
+        # The warm-start lineage: a checkpoint and the live model whose
+        # weights it holds (the one it was saved from, or installed).
         self._latest_checkpoint: str | None = None  # guarded-by: _lock
-        self._own_checkpoint_dir: str | None = None
-        self.retrains = 0  # guarded-by: _lock
-        self.swaps_accepted = 0  # guarded-by: _lock
-        self.swaps_rejected = 0  # guarded-by: _lock
+        self._latest_model = None  # guarded-by: _lock
         # Cycles that died on infrastructure (load/training error), NOT
         # gate rejections — kept apart so `swaps_rejected` keeps meaning
         # "the regression gate blocked a candidate".
         self.cycles_failed = 0  # guarded-by: _lock
-        self.last_gate: GateResult | None = None  # guarded-by: _lock
         # Surface this worker's counters through service.report().
         service.adaptation = self
 
     # -- lifecycle -----------------------------------------------------
-    def start(self) -> "AdaptationWorker":
-        if self._thread is not None:
-            raise RuntimeError("adaptation worker already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name=f"adaptation-{self.db.name}", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Signal the loop, join the thread, drop a private temp dir."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if self._own_checkpoint_dir is not None:
-            shutil.rmtree(self._own_checkpoint_dir, ignore_errors=True)
-            self._own_checkpoint_dir = None
-            with self._lock:
-                self._latest_checkpoint = None
+    # A stopped worker keeps nothing: a private temp dir goes too (the
+    # lineage in it re-bootstraps from the live model).
+    stop = RoundScheduler.shutdown
 
     def __enter__(self) -> "AdaptationWorker":
         return self.start()
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- loop ----------------------------------------------------------
+    # -- scheduling ----------------------------------------------------
     def pending_experience(self) -> int:
-        """Unique experiences added since the last retrain cycle."""
+        """Unique experiences added since the last retrain verdict."""
+        return self.round.pending()
+
+    def _poll(self) -> bool:
+        if self.pending_experience() >= self.config.min_new_experience:
+            # Accepted or rejected, the verdict consumes the trigger credit.
+            self.run_once()
+        return True
+
+    def _note_failure(self) -> None:
         with self._lock:
-            consumed = self._consumed
-        return self.buffer.added - consumed
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            if self.pending_experience() >= self.config.min_new_experience:
-                try:
-                    self.run_once()
-                except BaseException:
-                    # The loop must survive anything (a failed load, a
-                    # transient training error).  run_once only marks
-                    # experience consumed on completion, so the trigger
-                    # credit is preserved and the retry trains on the
-                    # same data — with a backoff so a persistent failure
-                    # (unwritable checkpoint dir) cannot hot-spin
-                    # training cycles.
-                    with self._lock:
-                        self.cycles_failed += 1
-                    self._stop.wait(max(1.0, 20 * self.config.poll_interval_s))
-            else:
-                self._stop.wait(self.config.poll_interval_s)
-
-    # -- one adaptation cycle ------------------------------------------
-    def _checkpoint_dir(self) -> str:
-        if self.config.checkpoint_dir is not None:
-            os.makedirs(self.config.checkpoint_dir, exist_ok=True)
-            return self.config.checkpoint_dir
-        if self._own_checkpoint_dir is None:
-            self._own_checkpoint_dir = tempfile.mkdtemp(prefix="repro-adapt-")
-        return self._own_checkpoint_dir
+            self.cycles_failed += 1
 
     def _base_checkpoint(self) -> str:
-        """The warm-start point: latest accepted, else the live model."""
+        """The warm-start point: the latest accepted checkpoint while the
+        model it installed is still live, else the live model itself."""
+        live = self.service._serving_state()[0].model
         with self._lock:
-            latest = self._latest_checkpoint
-        if latest is None:
-            live = self.service._serving_state()[0].model
-            path = os.path.join(self._checkpoint_dir(), "base")
-            # JointTrainer(live) only builds an Adam over the live
-            # parameters (fresh moments); it never steps them here.
+            latest, latest_model = self._latest_checkpoint, self._latest_model
+        if latest_model is not live or not os.path.exists(latest):
+            # First cycle, the checkpoint went with a stopped worker's
+            # temp dir, or someone else swapped since ours — continuing
+            # the old lineage would replace their model with a descendant
+            # of ours.  JointTrainer(live) only builds an Adam over the
+            # live parameters (fresh moments); it never steps them here.
             # Saved outside _lock: checkpointing is disk I/O.
-            latest = JointTrainer(live).save_checkpoint(path)
+            latest = JointTrainer(live).save_checkpoint(
+                os.path.join(self._checkpoint_dir(), "base")
+            )
             with self._lock:
-                self._latest_checkpoint = latest
+                self._latest_checkpoint, self._latest_model = latest, live
         return latest
 
     def run_once(self) -> bool:
-        """One collect → retrain → gate → swap cycle; True iff swapped.
-
-        When the service carries telemetry, the cycle is one trace:
-        ``adapt.retrain`` → ``adapt.gate`` → a ``gate.accept`` /
-        ``gate.reject`` verdict event → (on accept) ``adapt.swap``.
-        """
-        experience, added_at_snapshot = self.buffer.snapshot_with_added()
-        if not experience:
+        """One collect → retrain → gate → swap cycle; True iff swapped."""
+        if not len(self.buffer):
             return False
-        telemetry = getattr(self.service, "telemetry", None)
-        tracer = telemetry.tracer if telemetry is not None else None
-        cycle_id = tracer.new_trace() if tracer is not None else 0
-        train_slice, val_slice = split_experience(experience, self.config.validation_fraction)
-        live = self.service._serving_state()[0].model
-
         trainer = JointTrainer.warm_start(
             self._base_checkpoint(), self.databases, learning_rate=self.config.learning_rate
         )
-        with self._lock:
-            self.retrains += 1
-            retrain_index = self.retrains
-        # Seed varies per cycle: a retry after a gate rejection (with
-        # more experience) explores a different batch order instead of
-        # replaying the rejected run's schedule.
-        with maybe_span(telemetry, cycle_id, "adapt.retrain") as span:
-            span.set("experience", len(train_slice)).set("cycle", retrain_index)
-            trainer.train(
-                [(self.db.name, item) for item in train_slice],
-                epochs=self.config.fine_tune_epochs,
-                batch_size=self.config.batch_size,
-                seed=self.config.seed + retrain_index - 1,
-            )
-        candidate = trainer.model
-
-        with maybe_span(telemetry, cycle_id, "adapt.gate") as span:
-            # Gated under the *service's* decode policy: the gate must
-            # measure exactly what each model would serve.
-            gate = evaluate_regret_gate(
-                self.db,
-                live,
-                candidate,
-                val_slice,
-                decode=self.service.config.decode_kwargs(),
-                estimator=self._estimator,
-                tolerance_ms=self.config.regret_tolerance_ms,
-                max_intermediate_rows=self.config.max_intermediate_rows,
-            )
-            span.set("validation", gate.validation_count)
-        if tracer is not None:
-            tracer.event(
-                cycle_id,
-                "gate.accept" if gate.accepted else "gate.reject",
-                {
-                    "live_regret_ms": round(gate.live_regret_ms, 3),
-                    "candidate_regret_ms": round(gate.candidate_regret_ms, 3),
-                },
-            )
-        if not gate.accepted:
-            # Experience is marked consumed only when a cycle completes
-            # (here, and after a successful install below): a crash at
-            # any earlier — or later — point leaves the trigger credit
-            # intact, so the retry trains on the same data.
-            with self._lock:
-                self.last_gate = gate
-                self._consumed = max(self._consumed, added_at_snapshot)
-                self.swaps_rejected += 1
-            return False
-        # Persist, install, and only then advance the warm-start lineage:
-        # swap_model validates the candidate's session before the atomic
-        # (session, epoch) switch (retiring every pre-swap cache entry),
-        # and if that validation raises, the saved checkpoint must not
-        # become the next cycle's base — only installed models join the
-        # lineage.
-        path = trainer.save_checkpoint(
-            os.path.join(self._checkpoint_dir(), f"adapt-{retrain_index:04d}")
+        self.round.fine_tune(trainer)
+        path = os.path.join(
+            self._checkpoint_dir(), f"adapt-{self.round.counters()['rounds']:04d}"
         )
-        with maybe_span(telemetry, cycle_id, "adapt.swap"):
-            self.service.swap_model(candidate)
-        with self._lock:
-            self.last_gate = gate
-            self._latest_checkpoint = path
-            self._consumed = max(self._consumed, added_at_snapshot)
-            self.swaps_accepted += 1
-        return True
+        gate = self.round.gate_and_install(
+            trainer.model, save_checkpoint=lambda: trainer.save_checkpoint(path)
+        )
+        # Experience is consumed only by a verdict: a crash at any
+        # earlier point leaves the trigger credit intact, so the retry
+        # trains on the same data.
+        self.round.commit()
+        if gate.accepted:
+            # Only installed models join the lineage: had the save or
+            # swap_model's validation raised, this is never reached.
+            with self._lock:
+                self._latest_checkpoint, self._latest_model = gate.checkpoint_path, trainer.model
+        return gate.accepted
 
     # -- reporting -----------------------------------------------------
+    @property
+    def last_gate(self) -> GateResult | None:
+        return self.round.last_gate
+
     def counters(self) -> dict:
         """The adaptation fields this worker contributes to reports."""
+        counts = self.round.counters()
         with self._lock:
             return {
-                "retrains": self.retrains,
-                "swaps_accepted": self.swaps_accepted,
-                "swaps_rejected": self.swaps_rejected,
+                "retrains": counts["rounds"],
+                "swaps_accepted": counts["accepted"],
+                "swaps_rejected": counts["rejected"],
                 "adaptation_failures": self.cycles_failed,
             }

@@ -240,6 +240,45 @@ class TestAdaptationWorker:
             served_version = service.session.model.version
             assert meta["model_version"] == served_version
 
+    def test_external_swap_restarts_the_warm_start_lineage(
+        self, db, featurizer, weak_model, phase2, tmp_path
+    ):
+        """After an operator's swap_model(C) the next cycle fine-tunes C
+        with fresh Adam moments — not the worker's previous checkpoint,
+        which would replace C with a descendant of the old model."""
+        import numpy as np
+
+        from repro.core.checkpoint import read_checkpoint_meta
+
+        # A step size too small to move weights: each cycle's candidate
+        # is, to 1e-6, the model it was warm-started from.
+        config = AdaptationConfig(
+            fine_tune_epochs=1, batch_size=8, learning_rate=1e-9,
+            regret_tolerance_ms=1e12, checkpoint_dir=str(tmp_path),
+        )
+        operator_model = MTMLFQO(dataclasses.replace(SMALL, seed=SMALL.seed + 1))
+        operator_model.attach_featurizer(db.name, featurizer)
+        operator_state = operator_model.state_dict()
+        with OptimizerService(weak_model, db.name) as service:
+            buffer = ExperienceBuffer(64)
+            fill_buffer(buffer, phase2[:8])
+            worker = AdaptationWorker(service, db, buffer, config)
+            assert worker.run_once()
+            service.swap_model(operator_model)
+            fill_buffer(buffer, phase2[8:])
+            assert worker.run_once()
+            live_state = service.session.model.state_dict()
+        assert service.session.model is not operator_model
+        for name, value in operator_state.items():
+            np.testing.assert_allclose(live_state[name], value, atol=1e-6, err_msg=name)
+        # 6 training examples, then 12, at batch 8: cycle 2 took its two
+        # steps from zeroed moments, not on top of cycle 1's one.
+        steps = [
+            read_checkpoint_meta(str(tmp_path / f"adapt-000{cycle}.npz"))["optimizer"]["t"]
+            for cycle in (1, 2)
+        ]
+        assert steps == [1, 2]
+
     def test_failed_cycle_preserves_trigger_credit_and_is_counted(
         self, db, weak_model, phase2
     ):

@@ -112,6 +112,55 @@ class TestFederatedTraining:
         for name, value in reference.state_dict().items():
             np.testing.assert_array_equal(server[name], value, err_msg=name)
 
+    def test_one_tenant_fleet_matches_adaptation_worker(self, clients, tmp_path):
+        """The two schedulers over the training round are one algorithm:
+        same experience, start weights and round config → a one-tenant
+        fleet after two rounds and a worker after two cycles (fresh
+        experience in between) hold byte-equal (S)/(T) weights."""
+        from repro.core import DatabaseFeaturizer, shared_state_dict
+        from repro.core.serializer import query_signature
+        from repro.federation import FleetConfig, FleetCoordinator, TenantNode
+        from repro.serve import AdaptationConfig, AdaptationWorker, ExperienceBuffer, OptimizerService
+
+        db, workload = clients[0].db, clients[0].workload
+        featurizer = DatabaseFeaturizer(db, TINY)
+        featurizer.train_encoders(queries_per_table=3, epochs=1)
+        start = MTMLFQO(TINY).state_dict()
+        round_config = dict(
+            min_new_experience=4, fine_tune_epochs=2, batch_size=4, seed=5,
+            validation_fraction=0.25, regret_tolerance_ms=1e12,
+        )
+
+        def serving_model():
+            model = MTMLFQO(TINY)
+            model.load_state_dict(start)
+            model.attach_featurizer(db.name, featurizer)
+            return model
+
+        service = OptimizerService(serving_model(), db.name)
+        buffer = ExperienceBuffer(64)
+        worker = AdaptationWorker(
+            service, db, buffer, AdaptationConfig(checkpoint_dir=str(tmp_path / "w"), **round_config)
+        )
+        fleet_config = FleetConfig(checkpoint_dir=str(tmp_path / "f"), **round_config)
+        fleet = FleetCoordinator(TINY, fleet_config)
+        fleet.global_model.load_state_dict(start)
+        tenant = fleet.register(TenantNode(db, serving_model(), config=fleet_config))
+
+        for fresh in (workload[:6], workload[6:]):
+            for item in fresh:
+                assert buffer.add(query_signature(item.query), item)
+            assert tenant.inject_experience(fresh) == len(fresh)
+            assert worker.run_once()
+            assert fleet.run_round().accepted == [tenant.name]
+
+        adapted = shared_state_dict(service.session.model)
+        federated = shared_state_dict(tenant.live_model)
+        assert any(not np.array_equal(adapted[name], start[name]) for name in adapted)
+        for name, value in adapted.items():
+            np.testing.assert_array_equal(federated[name], value, err_msg=name)
+            np.testing.assert_array_equal(fleet.global_state()[name], value, err_msg=name)
+
     def test_client_optimizer_state_persists_across_rounds(self, clients):
         """Round 2 resumes each client's Adam moments (name-keyed) rather
         than re-warming from zero: the step counter keeps counting."""

@@ -17,6 +17,8 @@ from repro.core import (
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report, join_order_execution_time, worst_legal_order
 from repro.federation import FleetConfig, FleetCoordinator, FleetReport, TenantNode
+from repro.obs import Telemetry
+from repro.serve import AdaptationConfig
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator, traffic_stream
 
 TINY = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -64,11 +66,28 @@ def fixture():
     return tenants, pretrain.state_dict()
 
 
-def make_tenant(db, featurizer, global_state, config, name=None) -> TenantNode:
+def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None) -> TenantNode:
     model = MTMLFQO(TINY)
     model.load_state_dict(global_state)
     model.attach_featurizer(db.name, featurizer)
-    return TenantNode(db, model, config=config, name=name)
+    return TenantNode(db, model, config=config, name=name, telemetry=telemetry)
+
+
+@pytest.mark.parametrize("config_class", [AdaptationConfig, FleetConfig])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"min_new_experience": 0},
+        {"fine_tune_epochs": 0},
+        {"validation_fraction": 1.0},
+        {"regret_tolerance_ms": -1.0},
+        {"poll_interval_s": 0.0},
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_round_knobs_are_validated_once_for_both_schedulers(config_class, bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        config_class(**bad)
 
 
 class TestTenantNode:
@@ -185,6 +204,37 @@ class TestFleetRounds:
             tenant = fleet.tenants[name]
             for key, value in fleet.global_state().items():
                 np.testing.assert_array_equal(tenant.live_model.state_dict()[key], value)
+
+    def test_every_gated_tenant_records_one_verdict_event(self, fixture):
+        """Fleet pushes leave the same lineage record a worker cycle
+        does: one gate.accept / gate.reject event per gated tenant."""
+        tenants, global_state = fixture
+        telemetry = Telemetry()
+        config = tiny_fleet_config()
+        with FleetCoordinator(TINY, config, telemetry=telemetry) as fleet:
+            fleet.global_model.load_state_dict(global_state)
+            for (db, featurizer, pool), fresh in zip(tenants, (6, 2, 0)):
+                tenant = fleet.register(
+                    make_tenant(db, featurizer, global_state, config, telemetry=telemetry)
+                )
+                tenant.inject_experience(pool[:fresh])
+            round_ = fleet.run_round()
+        assert len(round_.participants) == 1 and len(round_.unvalidated) == 1
+        events = [
+            span for span in telemetry.tracer.spans() if span.name in ("gate.accept", "gate.reject")
+        ]
+        # The tenant with nothing to validate on records no verdict.
+        assert sorted(span.attrs["name"] for span in events) == sorted(
+            round_.accepted + round_.rejected
+        )
+        assert len(events) == 2
+        for span in events:
+            name = span.attrs["name"]
+            assert (span.name == "gate.accept") == (name in round_.accepted)
+            gate = fleet.tenants[name].last_gate
+            assert span.attrs["validation_count"] == gate.validation_count
+            assert span.attrs["live_regret_ms"] == round(gate.live_regret_ms, 3)
+            assert span.attrs["candidate_regret_ms"] == round(gate.candidate_regret_ms, 3)
 
     def test_round_without_fresh_experience_is_a_noop(self, fixture):
         tenants, global_state = fixture
