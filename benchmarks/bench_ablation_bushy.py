@@ -25,9 +25,13 @@ def test_left_deep_vs_bushy(benchmark, study):
             oracle = TrueCardinalityOracle(db, max_intermediate_rows=5_000_000)
             try:
                 left_deep = optimal_plan(item.query, db, left_deep_only=True, oracle=oracle)
+                executed = oracle.executions
                 bushy = optimal_plan(item.query, db, left_deep_only=False, oracle=oracle)
             except Exception:
                 continue
+            # Both DPs ask about the same connected subsets: the second
+            # finds every intermediate on the oracle's view of the query.
+            assert oracle.executions == executed
             improvements.append(left_deep.cost / max(bushy.cost, 1e-12))
         return improvements
 

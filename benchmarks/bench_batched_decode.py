@@ -1,6 +1,6 @@
 """Benchmark: decode-path trajectory for Trans_JO beam search.
 
-Two phases over the same workload (beam width 8, 8-table queries):
+Two beam-search phases over the same workload (beam width 8, 8-table queries):
 
 - ``sequential``   — the test-side reference search
   (``tests/sequential_oracle.py``): one decoder forward per beam per
@@ -13,6 +13,12 @@ Candidates from both phases are verified bit-identical before any
 timing is trusted.  Timing is interleaved (one repeat of each phase per
 round, best-of-N) so CPU frequency drift hits both phases equally.
 
+A third pair of phases times what follows the beam: one warm 16-query
+batch of 6-8-table queries through ``MTMLFQO.predict_join_orders`` at
+the serving beam width (3) with and without the CostEst rerank.  Their
+ratio, ``rerank_overhead``, is what planning every candidate with the
+classical estimator and costing it with the model adds to a decode.
+
 Run:
     PYTHONPATH=src python benchmarks/bench_batched_decode.py                 # full: asserts gates
     PYTHONPATH=src python benchmarks/bench_batched_decode.py --smoke         # CI: parity + report
@@ -23,9 +29,11 @@ Run:
         --check-against BENCH_decode.json                                    # perf trajectory gate
 
 The ``--check-against`` mode fails when the fresh fast-vs-sequential
-speedup falls more than 15% below the committed snapshot's — the perf
+speedup falls more than 15% below the committed snapshot's, or the
+fresh rerank overhead rises more than 15% above it — the perf
 trajectory gate: the batched search may only get faster relative to the
-one-forward-per-beam reference.
+one-forward-per-beam reference, and the rerank only cheaper relative to
+the decode it follows.
 
 This file is a standalone script (not collected by the tier-1 pytest
 run) so the CI decode-speed job can run it directly.
@@ -43,15 +51,23 @@ from pathlib import Path
 import numpy as np
 
 import repro.nn as nn
-from repro.core import ModelConfig, TransJO, beam_search_join_order
+from repro.core import (
+    DatabaseFeaturizer,
+    ModelConfig,
+    MTMLFQO,
+    TransJO,
+    beam_search_join_order,
+)
+from repro.datagen import generate_database
+from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 # The reference search lives with the tests; it is not part of the package.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from sequential_oracle import beam_search_join_order_sequential  # noqa: E402
 
-# The batched search may regress to no less than this fraction of the
-# committed snapshot's fast-vs-sequential speedup (--check-against).
-REGRESSION_TOLERANCE = 0.85
+# A ratio may move against its direction by no more than this fraction
+# of the committed snapshot's value (--check-against).
+REGRESSION_TOLERANCE = 0.15
 # Absolute within-run floor asserted by the full run.  The hard floor
 # sits well below the measured ratio (recorded in BENCH_decode.json) so
 # shared-runner noise cannot flake the gate, while the trajectory check
@@ -83,6 +99,58 @@ def build_cases(num_queries: int, m: int, d_model: int, seed: int = 0):
 
 def _candidate_key(candidates):
     return [(c.positions, c.log_prob, c.legal) for c in candidates]
+
+
+def interleaved_best(phases: dict, repeats: int) -> dict[str, float]:
+    """Best-of-N seconds per phase.  Each round times every phase once,
+    so slow drift (thermal / frequency scaling) cannot bias one phase.
+    GC is paused inside the timed region (standard timeit hygiene —
+    otherwise collections land at random points on whichever phase is
+    running)."""
+    best = {name: float("inf") for name in phases}
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for name, fn in phases.items():
+                t0 = time.perf_counter()
+                fn()
+                best[name] = min(best[name], time.perf_counter() - t0)
+            gc.collect()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return best
+
+
+def run_rerank_phases(repeats: int, batch: int = 16, beam_width: int = 3, seed: int = 0):
+    """(best seconds per phase, mismatches) for one warm batch decoded
+    with and without the cost rerank, in this process."""
+    config = ModelConfig(d_model=48, num_heads=4, encoder_layers=1, shared_layers=2, decoder_layers=2)
+    db = generate_database(seed=5, num_tables=8, row_range=(80, 300), attr_range=(2, 3))
+    featurizer = DatabaseFeaturizer(db, config)
+    featurizer.train_encoders(queries_per_table=3, epochs=1)
+    model = MTMLFQO(config)
+    model.attach_featurizer(db.name, featurizer)
+    generator = WorkloadGenerator(db, WorkloadConfig(min_tables=6, max_tables=8, seed=seed))
+    items = QueryLabeler(db).label_many(generator.generate(2 * batch))[:batch]
+    if len(items) < batch:
+        raise RuntimeError(f"only {len(items)} of {batch} rerank-phase queries could be labeled")
+    session = model.inference_session(db.name)
+
+    def decode(rerank: bool):
+        return session.predict_join_orders(items, beam_width=beam_width, rerank_with_cost=rerank)
+
+    phases = {"rerank_off": lambda: decode(False), "rerank_on": lambda: decode(True)}
+    # Warm the feature caches, and check the batched rerank against the
+    # per-query one while at it.
+    warm = {name: fn() for name, fn in phases.items()}
+    single = [
+        model.predict_join_order(db.name, item, beam_width=beam_width, rerank_with_cost=True)
+        for item in items
+    ]
+    mismatches = sum(got != want for got, want in zip(warm["rerank_on"], single))
+    return interleaved_best(phases, repeats), mismatches
 
 
 def run_benchmark(
@@ -126,23 +194,8 @@ def run_benchmark(
         if got != want
     )
 
-    # Interleaved best-of-N: each round times every phase once, so slow
-    # drift (thermal / frequency scaling) cannot bias one phase.  GC is
-    # paused inside the timed region (standard timeit hygiene — otherwise
-    # collections land at random points on whichever phase is running).
-    best = {name: float("inf") for name in phases}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for name, fn in phases.items():
-                t0 = time.perf_counter()
-                fn()
-                best[name] = min(best[name], time.perf_counter() - t0)
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    best = interleaved_best(phases, repeats)
+    rerank_best, rerank_mismatches = run_rerank_phases(repeats, seed=seed)
 
     return {
         "meta": {
@@ -156,10 +209,13 @@ def run_benchmark(
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "mismatches": mismatches,
-        "phases_ms": {name: 1000.0 * seconds for name, seconds in best.items()},
+        "mismatches": mismatches + rerank_mismatches,
+        "phases_ms": {
+            name: 1000.0 * seconds for name, seconds in {**best, **rerank_best}.items()
+        },
         "qps": {name: num_queries / seconds for name, seconds in best.items()},
         "speedups": {"fast_vs_sequential": best["sequential"] / best["fast_batched"]},
+        "rerank_overhead": rerank_best["rerank_on"] / rerank_best["rerank_off"],
     }
 
 
@@ -169,26 +225,49 @@ def save_snapshot(result: dict, path: str) -> None:
         f.write("\n")
 
 
+def ratio_regression(name: str, fresh: float, committed: float, higher_is_better: bool) -> str | None:
+    """A failure message when ``fresh`` is more than
+    ``REGRESSION_TOLERANCE`` worse than ``committed``, else None."""
+    if higher_is_better:
+        limit = committed * (1.0 - REGRESSION_TOLERANCE)
+        worse = fresh < limit
+    else:
+        limit = committed * (1.0 + REGRESSION_TOLERANCE)
+        worse = fresh > limit
+    if not worse:
+        return None
+    side = "below" if higher_is_better else "above"
+    return (
+        f"{name} regressed: fresh {fresh:.2f}x is {side} {limit:.2f}x "
+        f"({REGRESSION_TOLERANCE:.0%} {side} committed {committed:.2f}x)"
+    )
+
+
 def check_against(result: dict, path: str) -> list[str]:
     """Perf-trajectory gate: compare a fresh run to the committed snapshot.
 
     Returns a list of failure messages (empty = pass).  Only ratios are
     compared — absolute times differ across machines, but the
-    fast/sequential ratio is a property of the code, measured within one
-    process.
+    fast/sequential and rerank-on/off ratios are properties of the
+    code, each measured within one process.
     """
     with open(path) as f:
         snapshot = json.load(f)
-    failures = []
-    committed = snapshot["speedups"]["fast_vs_sequential"]
-    fresh = result["speedups"]["fast_vs_sequential"]
-    floor = committed * REGRESSION_TOLERANCE
-    if fresh < floor:
-        failures.append(
-            f"fast_vs_sequential speedup regressed: fresh {fresh:.2f}x < "
-            f"{floor:.2f}x ({REGRESSION_TOLERANCE:.0%} of committed {committed:.2f}x)"
-        )
-    return failures
+    checks = [
+        ratio_regression(
+            "fast_vs_sequential speedup",
+            result["speedups"]["fast_vs_sequential"],
+            snapshot["speedups"]["fast_vs_sequential"],
+            higher_is_better=True,
+        ),
+        ratio_regression(
+            "rerank_overhead",
+            result["rerank_overhead"],
+            snapshot["rerank_overhead"],
+            higher_is_better=False,
+        ),
+    ]
+    return [failure for failure in checks if failure]
 
 
 def report(result: dict, required_seq: float | None) -> None:
@@ -200,10 +279,14 @@ def report(result: dict, required_seq: float | None) -> None:
         f"beam_width={meta['beam_width']}  d_model={meta['d_model']}  "
         f"layers={meta['decoder_layers']}"
     )
-    for name, ms in result["phases_ms"].items():
-        print(f"{name:<16}{ms:>10.1f} ms   {result['qps'][name]:>8.1f} qps")
+    for name, qps in result["qps"].items():
+        print(f"{name:<16}{result['phases_ms'][name]:>10.1f} ms   {qps:>8.1f} qps")
     seq_gate = f"(required >= {required_seq:.1f}x)" if required_seq else "(informational)"
     print(f"{'fast vs seq':<16}{result['speedups']['fast_vs_sequential']:>10.2f} x   {seq_gate}")
+    print("one warm 16-query batch, beam width 3, predict_join_orders:")
+    for name in ("rerank_off", "rerank_on"):
+        print(f"{name:<16}{result['phases_ms'][name]:>10.1f} ms")
+    print(f"{'rerank overhead':<16}{result['rerank_overhead']:>10.2f} x   (on / off)")
     parity = "bit-identical" if result["mismatches"] == 0 else "MISMATCH"
     print(f"{'parity':<16}{parity:>13}")
 
@@ -227,8 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-against",
         metavar="PATH",
-        help="fail if the fresh fast-vs-sequential speedup is more than 15%% below "
-        "the committed snapshot's (perf trajectory gate)",
+        help="fail if the fresh fast-vs-sequential speedup is more than 15%% below, "
+        "or the fresh rerank overhead more than 15%% above, the committed "
+        "snapshot's (perf trajectory gate)",
     )
     args = parser.parse_args(argv)
 

@@ -615,13 +615,18 @@ class MTMLFQO(nn.Module):
         estimator = HistogramEstimator(featurizer.db)
         prepared = []  # (index, orders, probes, favourite_planned)
         for index, labeled, candidates in entries:
+            query = labeled.query
+            # One cardinality view per query: its candidates differ only
+            # in order, so they share every scan and most prefixes.
+            view = estimator.for_query(query)
+            num_nodes = 2 * query.num_tables - 1
+            all_orders = [candidate.tables(query.tables) for candidate in candidates]
             orders: list[list[str]] = []
             probes: list[LabeledQuery] = []
             favourite_planned = False
-            for rank, candidate in enumerate(candidates):
-                order = candidate.tables(labeled.query.tables)
+            for rank, order in enumerate(all_orders):
                 try:
-                    plan = plan_with_order(labeled.query, order, estimator)
+                    plan = plan_with_order(query, order, view)
                 except ValueError:
                     continue
                 if rank == 0:
@@ -629,15 +634,15 @@ class MTMLFQO(nn.Module):
                 orders.append(order)
                 probes.append(
                     LabeledQuery(
-                        query=labeled.query,
+                        query=query,
                         plan=plan,
-                        node_cardinalities=[0] * len(plan.nodes_preorder()),
-                        node_costs=[0.0] * len(plan.nodes_preorder()),
+                        node_cardinalities=[0] * num_nodes,
+                        node_costs=[0.0] * num_nodes,
                         total_time_ms=0.0,
                     )
                 )
             if not probes:
-                results[index] = candidates[0].tables(labeled.query.tables)
+                results[index] = all_orders[0]
             else:
                 prepared.append((index, orders, probes, favourite_planned))
 

@@ -31,7 +31,7 @@ from ..engine.executor import ExecutionLimitError, execute_plan
 from ..engine.timing import over_limit_penalty_ms
 from ..optimizer.optimal import optimal_plan
 from ..optimizer.planner import PostgresStylePlanner, plan_with_order
-from ..optimizer.selectivity import HistogramEstimator, TrueCardinalityOracle
+from ..optimizer.selectivity import CardinalityEstimator, HistogramEstimator, TrueCardinalityOracle
 from ..storage.catalog import Database
 from ..workload.dataset import QueryDataset, split_dataset
 from ..workload.generator import WorkloadConfig, WorkloadGenerator
@@ -99,7 +99,7 @@ def join_order_execution_time(
     db: Database,
     item: LabeledQuery,
     order: list[str],
-    estimator: HistogramEstimator | None = None,
+    estimator: CardinalityEstimator | None = None,
     max_intermediate_rows: int = 20_000_000,
 ) -> float:
     """Simulated latency of executing ``item.query`` with a join order.
@@ -125,7 +125,7 @@ def worst_legal_order(
     item: LabeledQuery,
     samples: int = 12,
     seed: int = 0,
-    estimator: HistogramEstimator | None = None,
+    estimator: CardinalityEstimator | None = None,
 ) -> list[str] | None:
     """The worst of ``samples`` random *legal* join orders for a query.
 
@@ -137,6 +137,7 @@ def worst_legal_order(
     """
     rng = random.Random(seed)
     tables = list(item.query.tables)
+    estimator = (estimator or HistogramEstimator(db)).for_query(item.query)
     worst, worst_ms, tried = None, -1.0, 0
     for _ in range(200):
         if tried >= samples:

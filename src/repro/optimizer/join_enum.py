@@ -58,25 +58,21 @@ def dp_join_enumeration(
     if n == 0:
         raise ValueError("query touches no tables")
 
-    cards: dict[frozenset, float] = {}
-
-    def card(subset: frozenset) -> float:
-        if subset not in cards:
-            cards[subset] = max(float(estimator.estimate(query, subset)), 0.0)
-        return cards[subset]
+    view = estimator.for_query(query)
+    card = view.rows
 
     best: dict[frozenset, tuple[float, PlanNode]] = {}
     for table in tables:
         subset = frozenset([table])
         has_filter = len(query.filter_for(table)) > 0
-        scan_op, cost = cost_model.best_scan_op(estimator.base_rows(table), card(subset), has_filter)
+        scan_op, cost = cost_model.best_scan_op(view.base_rows(table), card(subset), has_filter)
         node = scan_node(table, query.filter_for(table), scan_op)
         node.estimated_cardinality = card(subset)
         best[subset] = (cost, node)
 
     if n == 1:
         cost, plan = best[frozenset(tables)]
-        return PlannedQuery(plan, cost, cards)
+        return PlannedQuery(plan, cost, view.cardinalities)
 
     all_tables = frozenset(tables)
     for size in range(2, n + 1):
@@ -106,7 +102,7 @@ def dp_join_enumeration(
     if all_tables not in best:
         raise DisconnectedQueryError("query join graph is disconnected: no complete plan exists")
     cost, plan = best[all_tables]
-    return PlannedQuery(plan, cost, cards)
+    return PlannedQuery(plan, cost, view.cardinalities)
 
 
 def _partitions(subset: frozenset, left_deep_only: bool):
@@ -141,17 +137,13 @@ def greedy_join_order(
     intermediate size.
     """
     remaining = set(query.tables)
-    cards: dict[frozenset, float] = {}
-
-    def card(subset: frozenset) -> float:
-        if subset not in cards:
-            cards[subset] = max(float(estimator.estimate(query, subset)), 0.0)
-        return cards[subset]
+    view = estimator.for_query(query)
+    card = view.rows
 
     start = min(remaining, key=lambda t: card(frozenset([t])))
     has_filter = len(query.filter_for(start)) > 0
     scan_op, total_cost = cost_model.best_scan_op(
-        estimator.base_rows(start), card(frozenset([start])), has_filter
+        view.base_rows(start), card(frozenset([start])), has_filter
     )
     plan = scan_node(start, query.filter_for(start), scan_op)
     joined = {start}
@@ -166,7 +158,7 @@ def greedy_join_order(
         predicates = query.joins_between(joined, {chosen})
         has_filter = len(query.filter_for(chosen)) > 0
         scan_op, scan_cost = cost_model.best_scan_op(
-            estimator.base_rows(chosen), card(frozenset([chosen])), has_filter
+            view.base_rows(chosen), card(frozenset([chosen])), has_filter
         )
         right = scan_node(chosen, query.filter_for(chosen), scan_op)
         join_op, op_cost = cost_model.best_join_op(
@@ -178,4 +170,4 @@ def greedy_join_order(
         joined.add(chosen)
         remaining.discard(chosen)
 
-    return PlannedQuery(plan, total_cost, cards)
+    return PlannedQuery(plan, total_cost, view.cardinalities)

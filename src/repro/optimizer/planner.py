@@ -66,12 +66,13 @@ def plan_with_order(
     Scan and join operators are chosen by ``cost_model`` using
     ``estimator``'s cardinalities; the join *order* is fixed.  This is
     how predicted join orders (from Trans_JO or any baseline) are turned
-    into executable plans.
+    into executable plans.  Pass ``estimator.for_query(query)`` when
+    planning several orders of one query: their shared prefixes (and
+    every table's filter selectivity) are then estimated once.
     """
+    view = estimator.for_query(query)
     plan = left_deep_plan(query, order)
-    cards = {}
     for node in plan.nodes_postorder():
-        cards[node.tables] = max(float(estimator.estimate(query, node.tables)), 0.0)
-    base = {t: estimator.base_rows(t) for t in query.tables}
-    cost_model.plan_cost(plan, cards, base)  # annotates ops in place
+        view.rows(node.tables)
+    cost_model.plan_cost(plan, view.cardinalities, view.base)  # annotates ops in place
     return plan

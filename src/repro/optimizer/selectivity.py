@@ -15,8 +15,6 @@ paper's Table 1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import DisconnectedQueryError
 
 from ..sql.predicates import (
@@ -30,7 +28,12 @@ from ..sql.predicates import (
 from ..sql.query import Query
 from ..storage.catalog import Database
 
-__all__ = ["CardinalityEstimator", "HistogramEstimator", "TrueCardinalityOracle"]
+__all__ = [
+    "CardinalityEstimator",
+    "QueryCardinalities",
+    "HistogramEstimator",
+    "TrueCardinalityOracle",
+]
 
 # PostgreSQL's default pattern selectivities (utils/adt/selfuncs.h).
 _DEFAULT_MATCH_SEL = 0.005
@@ -42,7 +45,9 @@ class CardinalityEstimator:
 
     Implementations must return the estimated number of output rows of
     joining (with all applicable join predicates) and filtering (with
-    all applicable filter predicates) the tables in ``subset``.
+    all applicable filter predicates) the tables in ``subset`` — a
+    function of the subset's *value*, not of the order its frozenset
+    happens to iterate in, because :meth:`for_query` memoises by value.
     """
 
     def estimate(self, query: Query, subset: frozenset) -> float:  # pragma: no cover - abstract
@@ -50,6 +55,56 @@ class CardinalityEstimator:
 
     def base_rows(self, table: str) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def for_query(self, query: Query) -> "QueryCardinalities":
+        """A view of this estimator bound to ``query`` that estimates
+        each subset once.  Whoever plans several orders of one query
+        binds once and passes the view where an estimator is expected."""
+        return QueryCardinalities(self, query)
+
+
+class QueryCardinalities(CardinalityEstimator):
+    """One query's cardinalities, each computed once.
+
+    Built and dropped inside one rerank / DP / gate call: it holds its
+    ``Query`` strongly and assumes neither the query nor the database's
+    statistics change while it lives.  Not thread-safe; the calls that
+    build one already run under their caller's lock.
+    """
+
+    def __init__(self, estimator: CardinalityEstimator, query: Query):
+        self.estimator = estimator
+        self.query = query
+        #: subset -> rows (floored at 0) for every subset asked so far;
+        #: this dict is what ``PlannedQuery.cardinalities`` exposes.
+        self.cardinalities: dict[frozenset, float] = {}
+        #: table -> unfiltered row count, for ``CostModel.plan_cost``.
+        self.base = {table: estimator.base_rows(table) for table in query.tables}
+
+    def for_query(self, query: Query) -> "QueryCardinalities":
+        if query is not self.query:
+            # Not a ValueError: callers of plan_with_order catch that to
+            # skip illegal join orders, and this is a wiring bug.
+            raise RuntimeError(
+                f"cardinality view is bound to the query over {self.query.tables}, "
+                f"not to the one over {query.tables}"
+            )
+        return self
+
+    def rows(self, subset: frozenset) -> float:
+        rows = self.cardinalities.get(subset)
+        if rows is None:
+            rows = self.cardinalities[subset] = max(float(self._estimate(subset)), 0.0)
+        return rows
+
+    def _estimate(self, subset: frozenset) -> float:
+        return self.estimator.estimate(self.query, subset)
+
+    def estimate(self, query: Query, subset: frozenset) -> float:
+        return self.for_query(query).rows(subset)
+
+    def base_rows(self, table: str) -> float:
+        return self.base[table]
 
 
 class HistogramEstimator(CardinalityEstimator):
@@ -93,7 +148,7 @@ class HistogramEstimator(CardinalityEstimator):
         sel = 1.0
         for predicate in conjunction.predicates:
             sel *= self.predicate_selectivity(predicate)
-        return float(np.clip(sel, 0.0, 1.0))
+        return float(min(max(sel, 0.0), 1.0))
 
     def scan_rows(self, query: Query, table: str) -> float:
         base = self.db.statistics(table).num_rows
@@ -105,17 +160,49 @@ class HistogramEstimator(CardinalityEstimator):
         ndv = max(left_stats.n_distinct, right_stats.n_distinct, 1)
         return 1.0 / ndv
 
+    def for_query(self, query: Query) -> "QueryCardinalities":
+        return _HistogramCardinalities(self, query)
+
     def estimate(self, query: Query, subset: frozenset) -> float:
-        rows = 1.0
-        for table in subset:
-            rows *= max(self.scan_rows(query, table), 0.0)
-        for join in query.joins:
-            if join.left in subset and join.right in subset:
-                rows *= self.join_selectivity(join)
-        return max(rows, 0.0)
+        """Un-memoised: a view that lives for this one answer (the
+        estimator itself keeps no state and may be shared by threads)."""
+        return self.for_query(query).rows(subset)
 
     def base_rows(self, table: str) -> float:
         return float(self.db.statistics(table).num_rows)
+
+
+class _HistogramCardinalities(QueryCardinalities):
+    """Also keeps each table's filtered scan rows and each join's
+    selectivity, so a further subset costs only its multiplications.
+
+    The product runs over ``query.tables`` then ``query.joins`` in their
+    listed order, so a subset's estimate has the same bits whichever
+    candidate order, DP partition or caller asked first — hence the same
+    operators, costs and plan signatures with or without sharing.
+    """
+
+    def __init__(self, estimator: HistogramEstimator, query: Query):
+        super().__init__(estimator, query)
+        self._scan_rows: dict[str, float] = {}
+        self._join_sel: list[float | None] = [None] * len(query.joins)
+
+    def _estimate(self, subset: frozenset) -> float:
+        estimator, query = self.estimator, self.query
+        rows = 1.0
+        for table in query.tables:
+            if table in subset:
+                scan = self._scan_rows.get(table)
+                if scan is None:
+                    scan = self._scan_rows[table] = max(estimator.scan_rows(query, table), 0.0)
+                rows *= scan
+        for i, join in enumerate(query.joins):
+            if join.left in subset and join.right in subset:
+                sel = self._join_sel[i]
+                if sel is None:
+                    sel = self._join_sel[i] = estimator.join_selectivity(join)
+                rows *= sel
+        return max(rows, 0.0)
 
 
 class TrueCardinalityOracle(CardinalityEstimator):
@@ -126,27 +213,58 @@ class TrueCardinalityOracle(CardinalityEstimator):
     sub-query, which we obtain from the execution engine with
     memoization.  Exponential in the number of tables — the paper
     likewise only ran ECQO for queries touching <= 8 tables.
+
+    The executed intermediates hang off the query's view.  The oracle
+    keeps the view of the query it was last asked about, so a second DP
+    over the same ``Query`` object (left-deep, then bushy) re-executes
+    nothing, and moving on to another query frees the previous one's
+    intermediates.
     """
 
     def __init__(self, db: Database, max_intermediate_rows: int | None = 20_000_000):
         self.db = db
         self.max_intermediate_rows = max_intermediate_rows
-        self._memo: dict[tuple, object] = {}
+        #: scans and joins executed so far, over all queries.
+        self.executions = 0
+        self._view: _ExecutedCardinalities | None = None
 
-    def _key(self, query: Query, subset: frozenset) -> tuple:
-        return (id(query), subset)
+    def for_query(self, query: Query) -> "QueryCardinalities":
+        if self._view is None or self._view.query is not query:
+            self._view = _ExecutedCardinalities(self, query)
+        return self._view
 
-    def _intermediate(self, query: Query, subset: frozenset):
-        from ..engine.operators import execute_join, execute_scan
+    def estimate(self, query: Query, subset: frozenset) -> float:
+        return self.for_query(query).rows(subset)
+
+    def base_rows(self, table: str) -> float:
+        return float(self.db.table(table).num_rows)
+
+    def clear_cache(self) -> None:
+        self._view = None
+
+
+class _ExecutedCardinalities(QueryCardinalities):
+    """A :class:`TrueCardinalityOracle`'s view: subset -> executed intermediate."""
+
+    def __init__(self, estimator: TrueCardinalityOracle, query: Query):
+        super().__init__(estimator, query)
+        self._intermediates: dict[frozenset, object] = {}
+
+    def _estimate(self, subset: frozenset) -> float:
+        return float(self._intermediate(subset).cardinality)
+
+    def _intermediate(self, subset: frozenset):
+        from ..engine.executor import ExecutionLimitError
+        from ..engine.operators import JoinExpansionError, execute_join, execute_scan
         from ..engine.plan import join_node, scan_node
 
-        key = self._key(query, subset)
-        if key in self._memo:
-            return self._memo[key]
+        if subset in self._intermediates:
+            return self._intermediates[subset]
+        oracle, query = self.estimator, self.query
         if len(subset) == 1:
             table = next(iter(subset))
             node = scan_node(table, query.filter_for(table))
-            intermediate, _ = execute_scan(node, self.db)
+            intermediate, _ = execute_scan(node, oracle.db)
         else:
             # Peel one table connected to the rest, join recursively.
             ordered = sorted(subset)
@@ -159,38 +277,28 @@ class TrueCardinalityOracle(CardinalityEstimator):
             if peel is None:
                 raise DisconnectedQueryError(f"subset {sorted(subset)} is not connected in query joins")
             rest = subset - {peel}
-            left = self._intermediate(query, rest)
-            right = self._intermediate(query, frozenset([peel]))
+            left = self._intermediate(rest)
+            right = self._intermediate(frozenset([peel]))
             predicates = query.joins_between(set(rest), {peel})
             node = join_node(
                 _dummy_plan(rest, query), _dummy_plan(frozenset([peel]), query), predicates
             )
-            from ..engine.executor import ExecutionLimitError
-            from ..engine.operators import JoinExpansionError
-
             try:
                 intermediate, _ = execute_join(
-                    node, left, right, self.db, max_rows=self.max_intermediate_rows
+                    node, left, right, oracle.db, max_rows=oracle.max_intermediate_rows
                 )
             except JoinExpansionError as exc:
                 raise ExecutionLimitError(str(exc)) from exc
-        if self.max_intermediate_rows is not None and intermediate.cardinality > self.max_intermediate_rows:
-            from ..engine.executor import ExecutionLimitError
-
+        oracle.executions += 1
+        if (
+            oracle.max_intermediate_rows is not None
+            and intermediate.cardinality > oracle.max_intermediate_rows
+        ):
             raise ExecutionLimitError(
                 f"true-cardinality oracle intermediate exceeds cap on subset {sorted(subset)}"
             )
-        self._memo[key] = intermediate
+        self._intermediates[subset] = intermediate
         return intermediate
-
-    def estimate(self, query: Query, subset: frozenset) -> float:
-        return float(self._intermediate(query, subset).cardinality)
-
-    def base_rows(self, table: str) -> float:
-        return float(self.db.table(table).num_rows)
-
-    def clear_cache(self) -> None:
-        self._memo.clear()
 
 
 def _subset_connected(query: Query, subset: frozenset) -> bool:

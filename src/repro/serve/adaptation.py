@@ -189,22 +189,25 @@ def evaluate_regret_gate(
         raise ValueError("cannot gate on an empty validation slice")
     estimator = estimator or HistogramEstimator(db)
     decode = dict(decode or {})
+    # Each item's live, candidate and optimal order are planned against
+    # one cardinality view, dropped when the gate returns.
+    views = [estimator.for_query(item.query) for item in val_slice]
 
     def total_ms(orders: list[list[str]]) -> float:
         total = 0.0
-        for item, order in zip(val_slice, orders):
+        for item, order, view in zip(val_slice, orders, views):
             total += join_order_execution_time(
-                db, item, order, estimator, max_intermediate_rows=max_intermediate_rows
+                db, item, order, view, max_intermediate_rows=max_intermediate_rows
             )
         return total
 
     live_ms = total_ms(live.predict_join_orders(db.name, val_slice, **decode))
     candidate_ms = total_ms(candidate.predict_join_orders(db.name, val_slice, **decode))
     best_ms = 0.0
-    for item in val_slice:
+    for item, view in zip(val_slice, views):
         if item.optimal_order is not None:
             best_ms += join_order_execution_time(
-                db, item, item.optimal_order, estimator,
+                db, item, item.optimal_order, view,
                 max_intermediate_rows=max_intermediate_rows,
             )
         else:
