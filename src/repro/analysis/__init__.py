@@ -3,12 +3,16 @@
 Two layers, one discipline (DESIGN.md "Static analysis & concurrency
 invariants"):
 
-- **static** (:mod:`.linter`, :mod:`.checks`) — an AST lint pass that
-  enforces the repo's hand-maintained concurrency conventions
+- **static** (:mod:`.linter`, :mod:`.checks`) — a stdlib-only AST lint
+  pass that enforces the repo's hand-maintained conventions
   mechanically: guarded-by annotations, inference-lock discipline,
   no-blocking-under-mutex, no-tape-in-serving, atomic writes, thread
-  daemonization, no silent excepts, monotonic latency clocks.  Run it
-  with ``python -m repro.analysis`` (CI runs ``--fail-on-findings``).
+  daemonization, no silent excepts, monotonic latency clocks, canonical
+  dtypes.  Each checker is kept because a mutation of the real tree
+  shows the test suite would miss, or cannot see, what it catches
+  (DESIGN.md section 10).  Run it with ``python -m repro.analysis`` (CI
+  runs ``--fail-on-findings``).  Shapes are not its business: every
+  ``@shape_spec`` is checked on real calls by ``tests/shape_contract.py``.
 - **runtime** (:mod:`.runtime`) — traced lock wrappers that record the
   global lock acquisition-order graph and fail on inversion cycles or
   over-threshold holds/waits; activated inside the serve/federation
@@ -16,7 +20,7 @@ invariants"):
 """
 
 from .findings import Finding
-from .linter import Baseline, Linter, SourceModule
+from .linter import Linter, SourceModule
 from .runtime import (
     LockMonitor,
     LockOrderError,
@@ -28,7 +32,6 @@ from .runtime import (
 
 __all__ = [
     "Finding",
-    "Baseline",
     "Linter",
     "SourceModule",
     "LockMonitor",

@@ -5,9 +5,10 @@ Runs every registered checker over the given paths (default:
 directory) and prints findings as text or JSON.  Exit status:
 
 - ``0`` — clean (or findings present but ``--fail-on-findings`` not set);
-- ``1`` — findings outside the baseline with ``--fail-on-findings``;
-- ``2`` — the baseline file contains stale (unmatched) entries, which
-  must be pruned so the allowlist never outlives its violations.
+- ``1`` — findings with ``--fail-on-findings``.
+
+The one escape hatch is the inline ``# analysis: ignore[checker]``
+comment (see :mod:`repro.analysis.linter`).
 """
 
 from __future__ import annotations
@@ -16,12 +17,9 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .checks import all_checkers
-from .linter import Baseline, Linter
-
-DEFAULT_BASELINE = "analysis-baseline.txt"
+from .linter import Linter
 
 
 def _default_paths() -> list[str]:
@@ -38,20 +36,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("paths", nargs="*", help="files or directories (default: src/repro)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file of accepted fingerprints (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument("--no-baseline", action="store_true", help="ignore any baseline file")
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit clean",
-    )
-    parser.add_argument(
         "--fail-on-findings",
         action="store_true",
-        help="exit 1 when any non-baselined finding remains (CI mode)",
+        help="exit 1 when any finding remains (CI mode)",
     )
     parser.add_argument(
         "--only",
@@ -86,25 +73,12 @@ def main(argv: list[str] | None = None) -> int:
     linter = Linter(checkers)
     findings = linter.run_paths(paths)
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.write_baseline:
-        Path(baseline_path).write_text(Baseline.render(findings))
-        print(f"wrote {len(findings)} fingerprint(s) to {baseline_path}")
-        return 0
-
-    baseline = Baseline()
-    if not args.no_baseline and os.path.exists(baseline_path):
-        baseline = Baseline.load(baseline_path)
-    new_findings = [f for f in findings if not baseline.contains(f)]
-
     if args.format == "json":
         print(
             json.dumps(
                 {
-                    "findings": [f.to_dict() for f in new_findings],
-                    "baselined": len(findings) - len(new_findings),
-                    "stale_baseline_entries": sorted(baseline.unused),
-                    "count": len(new_findings),
+                    "findings": [f.to_dict() for f in findings],
+                    "count": len(findings),
                     "checkers": {
                         name: {
                             "findings": int(stat["findings"]),
@@ -117,23 +91,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
     else:
-        for finding in new_findings:
+        for finding in findings:
             print(finding.format())
-        baselined = len(findings) - len(new_findings)
-        summary = f"{len(new_findings)} finding(s)"
-        if baselined:
-            summary += f", {baselined} baselined"
-        if baseline.unused:
-            summary += f", {len(baseline.unused)} stale baseline entr(y/ies)"
-        print(summary)
-
-    if baseline.unused:
-        for stale in sorted(baseline.unused):
-            print(f"stale baseline entry (no matching finding): {stale}", file=sys.stderr)
-        return 2
-    if new_findings and args.fail_on_findings:
-        return 1
-    return 0
+        print(f"{len(findings)} finding(s)")
+    return 1 if findings and args.fail_on_findings else 0
 
 
 if __name__ == "__main__":

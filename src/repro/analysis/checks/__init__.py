@@ -19,7 +19,7 @@ from .hygiene import (
 )
 from .lock_discipline import EntryLockRule, LockDisciplineChecker
 from .obs_discipline import ObsDisciplineChecker
-from .shapes import DtypeChecker, ShapeChecker
+from .shapes import DtypeChecker
 
 __all__ = [
     "Checker",
@@ -35,7 +35,6 @@ __all__ = [
     "WallClockChecker",
     "ScratchPrivacyChecker",
     "ObsDisciplineChecker",
-    "ShapeChecker",
     "DtypeChecker",
     "all_checkers",
 ]
@@ -53,6 +52,5 @@ def all_checkers() -> list[Checker]:
         WallClockChecker(),
         ScratchPrivacyChecker(),
         ObsDisciplineChecker(),
-        ShapeChecker(),
         DtypeChecker(),
     ]

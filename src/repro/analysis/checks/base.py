@@ -1,7 +1,7 @@
 """Checker interface and shared AST utilities.
 
 Every checker is a small object with a stable ``name`` (the id used by
-``# analysis: ignore[name]`` suppressions and baselines) and a
+``# analysis: ignore[name]`` suppressions) and a
 ``check(module) -> list[Finding]`` method.  Checkers are configured by
 constructor arguments so tests can point them at fixture conventions;
 module-level defaults encode this repo's actual invariants.

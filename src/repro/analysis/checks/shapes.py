@@ -1,25 +1,16 @@
-"""Symbolic shape / dtype checkers.
+"""``dtype-lattice`` — lexical dtype-creep scan over the numeric core.
 
-These wrap :mod:`repro.analysis.shapes` — the abstract interpreter over
-``@shape_spec``-annotated modules — in the standard :class:`Checker`
-interface, so its findings flow through the same suppression, baseline
-and fingerprint machinery as every AST lint.
+The substrate's canonical dtypes are {float64, int64, bool}
+(``nn.tensor`` coerces to float64, the kernels allocate it, bit-identity
+across tape and kernel runs depends on it).  A stray ``dtype=np.float32``
+or ``astype("float16")`` silently de-canonicalizes everything it touches
+through numpy promotion, and no test fails until a tolerance does — so
+any concrete narrow dtype in ``nn/`` or ``core/`` is a finding.  Tools
+and tests may use narrow dtypes freely.
 
-Two checkers, two failure classes:
-
-- ``shape-spec`` — interprets every annotated method/function body over
-  symbolic dims and reports shape mismatches, unintended implicit
-  broadcasts, and declared-dtype violations at call boundaries.
-- ``dtype-lattice`` — lexical dtype-creep scan: any concrete ``dtype=``
-  or ``astype(...)`` outside the canonical {float64, int64, bool} set.
-  Scoped to the numeric core (``nn/``, ``core/``) where the canonical-
-  dtype rule applies; tools and tests may use narrow dtypes freely.
-
-Cross-file resolution: when the checked file is a real file inside a
-``repro`` package checkout, the interpreter loads specs for the whole
-``nn``/``core`` library so e.g. ``core/trans_jo.py`` sees the decoder's
-specs.  Findings are still anchored to the checked module only — each
-file reports its own classes, so a repo sweep never duplicates them.
+Shapes themselves are not checked statically: every ``@shape_spec`` is
+compared with the real shapes of real calls by ``tests/shape_contract.py``
+(DESIGN.md section 12).
 """
 
 from __future__ import annotations
@@ -29,68 +20,22 @@ from fnmatch import fnmatch
 
 from ..findings import Finding
 from ..linter import SourceModule
-from ..shapes import (
-    Problem,
-    SpecRegistry,
-    collect_registry,
-    decorated_function_names,
-    dtype_problems,
-    interpret_class,
-    interpret_function,
-    library_registry,
-)
-from .base import Checker
+from .base import Checker, dotted_name
 
-__all__ = ["ShapeChecker", "DtypeChecker"]
+__all__ = ["DtypeChecker"]
 
-# Where the canonical-dtype rule (and the annotated substrate) lives.
+# Where the canonical-dtype rule lives.
 _NUMERIC_SCOPE = ("*nn/*.py", "*core/*.py")
+# Spellings of the concrete dtypes outside the canonical set.
+_NARROW = {"float32": "float32", "single": "float32", "float16": "float16", "int32": "int32"}
 
 
-def _registries(module: SourceModule) -> tuple[SpecRegistry, set, set]:
-    """``(registry, own class names, own function names)`` for a file.
-
-    The registry collects the module *with* the on-disk nn/core library
-    as context (own definitions win, so a scratch copy with seeded
-    violations is interpreted as written, not as checked in); synthetic
-    paths (fixtures) resolve against themselves only.  The name sets
-    anchor findings: a file only ever reports its own definitions, so a
-    repo sweep never duplicates them.
-    """
-    library = library_registry(module.rel_path)
-    registry = collect_registry([module], context=library)
-    own_classes = {
-        node.name for node in module.tree.body if isinstance(node, ast.ClassDef)
-    }
-    return registry, own_classes, decorated_function_names(module.tree)
-
-
-class ShapeChecker(Checker):
-    """Abstract interpretation of every ``@shape_spec`` body."""
-
-    name = "shape-spec"
-    description = (
-        "symbolic shape/dtype interpretation of @shape_spec-annotated "
-        "methods: mismatches, implicit broadcasts, declared-dtype breaks"
-    )
-
-    def check(self, module: SourceModule) -> list[Finding]:
-        registry, own_classes, own_functions = _registries(module)
-        problems: list[Problem] = []
-        for name in sorted(own_classes):
-            problems.extend(interpret_class(registry, registry.classes[name]))
-        for name in sorted(own_functions):
-            problems.extend(interpret_function(registry, registry.functions[name]))
-        return sorted(
-            Finding(
-                path=module.rel_path,
-                line=problem.lineno,
-                checker=self.name,
-                symbol=problem.symbol,
-                message=problem.message,
-            )
-            for problem in problems
-        )
+def _narrow_dtype(node: ast.AST) -> str | None:
+    """The narrow dtype ``node`` spells (``np.float32`` / ``"float32"``), else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _NARROW.get(node.value)
+    name = dotted_name(node)
+    return _NARROW.get(name.rsplit(".", 1)[-1]) if name else None
 
 
 class DtypeChecker(Checker):
@@ -108,13 +53,28 @@ class DtypeChecker(Checker):
     def check(self, module: SourceModule) -> list[Finding]:
         if not any(fnmatch(module.rel_path, pattern) for pattern in self.scope):
             return []
-        return sorted(
-            Finding(
-                path=module.rel_path,
-                line=problem.lineno,
-                checker=self.name,
-                symbol=problem.symbol,
-                message=problem.message,
-            )
-            for problem in dtype_problems(module.tree)
-        )
+        findings: list[Finding] = []
+
+        def visit(node: ast.AST, symbol: str) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                symbol = f"{symbol}.{node.name}" if symbol else node.name
+            elif isinstance(node, ast.Call):
+                for keyword in node.keywords:
+                    dtype = _narrow_dtype(keyword.value) if keyword.arg == "dtype" else None
+                    if dtype:
+                        findings.append(self.finding(
+                            module, keyword.value,
+                            f"dtype={dtype} is outside the canonical set {{float64, int64, "
+                            f"bool}} — numpy promotion will silently spread it", symbol))
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "astype" and node.args:
+                    dtype = _narrow_dtype(node.args[0])
+                    if dtype:
+                        findings.append(self.finding(
+                            module, node,
+                            f"astype({dtype}) leaves the canonical dtype set "
+                            f"{{float64, int64, bool}}", symbol))
+            for child in ast.iter_child_nodes(node):
+                visit(child, symbol)
+
+        visit(module.tree, "")
+        return sorted(findings)

@@ -1,14 +1,10 @@
 """Findings: the unit of output of every static checker.
 
-A :class:`Finding` is one violation at one source location.  Its
-:meth:`fingerprint` deliberately excludes the line number — baselines
-keyed on fingerprints survive unrelated edits that shift code up or
-down, and go stale only when the violating construct itself changes.
+A :class:`Finding` is one violation at one source location.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 
 __all__ = ["Finding"]
@@ -24,16 +20,8 @@ class Finding:
     symbol: str     # enclosing ClassName.method / function, or ""
     message: str    # human-readable description, names not line numbers
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining (line-number free)."""
-        digest = hashlib.sha1(self.message.encode()).hexdigest()[:12]
-        return f"{self.checker}:{self.path}:{self.symbol}:{digest}"
-
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["fingerprint"] = self.fingerprint
-        return out
+        return asdict(self)
 
     def format(self) -> str:
         where = f" ({self.symbol})" if self.symbol else ""

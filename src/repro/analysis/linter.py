@@ -1,21 +1,12 @@
-"""The AST lint framework: source model, suppressions, baseline, runner.
+"""The AST lint framework: source model, suppressions, runner.
 
 The linter walks Python sources, hands each parsed module to every
 registered checker (see :mod:`repro.analysis.checks`), and filters the
-resulting findings through two explicit escape hatches:
-
-- **inline suppression** — ``# analysis: ignore[checker-id]`` on the
-  violating line (or ``# analysis: ignore`` for every checker).  The
-  repo convention is to follow the tag with a justification in the same
-  comment;
-- **baseline file** — one fingerprint per line (see
-  :meth:`repro.analysis.findings.Finding.fingerprint`), ``#`` comments
-  required to justify each entry.  The baseline is for violations that
-  cannot be annotated inline (generated code, third-party idioms); a
-  healthy tree keeps it empty.
-
-Both are deliberate, reviewable artifacts: a finding never disappears
-silently.
+resulting findings through one explicit escape hatch: an inline
+``# analysis: ignore[checker-id]`` on the violating line (or
+``# analysis: ignore`` for every checker).  The repo convention is to
+follow the tag with a justification in the same comment, so a finding
+never disappears without a reviewable reason next to the code.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ from pathlib import Path
 
 from .findings import Finding
 
-__all__ = ["SourceModule", "Baseline", "Linter"]
+__all__ = ["SourceModule", "Linter"]
 
 # Inline suppression: "# analysis: ignore" or "# analysis: ignore[a, b]".
 _SUPPRESS_RE = re.compile(r"#\s*analysis:\s*ignore(?:\[([\w\-, ]+)\])?")
@@ -82,48 +73,6 @@ class SourceModule:
     def suppressed(self, finding: Finding) -> bool:
         names = self.suppressions.get(finding.line)
         return bool(names) and ("*" in names or finding.checker in names)
-
-
-class Baseline:
-    """Fingerprint allowlist loaded from (and written to) a text file.
-
-    Format: one fingerprint per line; blank lines and ``#`` comments
-    ignored.  Unmatched entries are reported via :attr:`unused` so a
-    stale baseline is visible, not silently carried forever.
-    """
-
-    def __init__(self, entries: set[str] | None = None):
-        self.entries = set(entries or ())
-        self.used: set[str] = set()
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        entries = set()
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                entries.add(line)
-        return cls(entries)
-
-    def contains(self, finding: Finding) -> bool:
-        if finding.fingerprint in self.entries:
-            self.used.add(finding.fingerprint)
-            return True
-        return False
-
-    @property
-    def unused(self) -> set[str]:
-        return self.entries - self.used
-
-    @staticmethod
-    def render(findings: list[Finding]) -> str:
-        lines = [
-            "# repro.analysis baseline — every entry needs a justification comment.",
-            "# Regenerate with: python -m repro.analysis --write-baseline",
-        ]
-        for finding in sorted(findings):
-            lines.append(f"{finding.fingerprint}  # {finding.format()}")
-        return "\n".join(lines) + "\n"
 
 
 class Linter:

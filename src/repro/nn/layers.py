@@ -215,8 +215,8 @@ class Embedding(Module):
         self.dim = dim
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(num_embeddings, dim)))
 
-    @shape_spec(inputs={"indices": "(B, L)"},
-                out="(B, L, dim)",
+    @shape_spec(inputs={"indices": "(...,)"},
+                out="(..., dim)",
                 params=("weight",),
                 dtypes={"indices": "int64"})
     def forward(self, indices) -> Tensor:

@@ -14,13 +14,15 @@ attributes (``in_features``, ``dim`` …) are fixed by the layer instance;
     def forward(self, x): ...
 
 The decorator is runtime-inert — it stashes the spec on the function as
-``__shape_spec__`` and returns the function unchanged, so it adds zero
-per-call overhead.  The real consumer is the static analyzer
-(:mod:`repro.analysis.shapes`), which reads the decorator from the AST
-(all arguments must therefore be literals) and abstractly interprets
-the method body against it.  A layer's one ``forward`` runs both on the
-autograd tape and on raw ndarrays (see :mod:`repro.nn.functional`), so
-its one spec covers both.
+``__shape_spec__`` and returns the function object itself, so no
+wrapper, gate or extra frame ever sits on a production call.  The
+consumer is the test suite: ``tests/shape_contract.py`` rebinds every
+``__shape_spec__`` bearer of ``repro.nn`` / ``repro.core`` to a checking
+wrapper for the duration of the substrate suites and compares each
+declaration with the shapes and dtypes of every real call (DESIGN.md
+section 12).  A layer's one ``forward`` runs both on the autograd tape
+and on raw ndarrays (see :mod:`repro.nn.functional`), so its one spec
+covers — and is checked in — both.
 """
 
 from __future__ import annotations
@@ -40,17 +42,18 @@ def shape_spec(
     ----------
     inputs:
         Mapping of argument name to shape string (or tuple of shape
-        strings for tuple-valued arguments).  Arguments left out are
-        treated as unconstrained by the analyzer.
+        strings for tuple-valued arguments).  Arguments left out, and
+        declared arguments passed as ``None``, are unconstrained.
     out:
         Shape string of the return value, or a tuple of shape strings
         for tuple returns.
     params:
         Names of the parameter-bearing attributes this method reads
-        (directly or through sub-modules).  Documentation for readers;
-        the analyzer does not check it.
+        (directly or through sub-modules).  The contract asserts each
+        is an attribute of the owner, so a renamed sub-layer cannot
+        leave a stale name behind.
     dtypes:
-        Mapping of argument name (or ``"out"``) to abstract dtype for
+        Mapping of argument name (or ``"out"``) to dtype name for
         anything that is not the canonical ``float64``.
     """
 

@@ -77,3 +77,15 @@ def _thread_watchdog(request):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(scope="module")
+def shape_contracts():
+    """Opt-in (``pytestmark = pytest.mark.usefixtures("shape_contracts")``):
+    every ``@shape_spec`` call the module's tests make is checked against
+    its declaration.  Module-scoped because enforcing session-wide costs
+    ~12 s of tier-1 and reaches no further declaration."""
+    from shape_contract import enforce  # imports repro.nn/core: only where opted in
+
+    with enforce() as calls:
+        yield calls

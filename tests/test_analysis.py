@@ -1,12 +1,16 @@
 """Tests for the concurrency & invariant analyzer (repro.analysis).
 
-Three layers of evidence:
+Four layers of evidence:
 
 - **meta-tests** — every checker fires on a fixture snippet seeded with
   its violation, and stays silent on the disciplined version of the
   same code (no false positives);
-- **escape hatches** — inline suppressions, ``# holds:`` / coarse-lock
-  annotations, and the fingerprint baseline behave as documented;
+- **real-source mutations** — a scratch copy of a *real* module with
+  the one edit each checker exists to catch fires exactly that checker,
+  and the pristine file is silent (DESIGN.md section 10 records which
+  of these edits tier-1 would miss without the analyzer);
+- **escape hatches** — inline suppressions and ``# holds:`` /
+  coarse-lock annotations behave as documented;
 - **runtime layer** — the lock monitor catches a deliberately inverted
   lock pair acquired by real threads (no deadlock required), flags
   over-threshold holds, and instruments the live serving objects.
@@ -22,10 +26,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, Linter, LockMonitor, LockOrderError
+from repro.analysis import Linter, LockMonitor, LockOrderError
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.checks import (
     AtomicWriteChecker,
+    DtypeChecker,
     GradModeChecker,
     GuardedByChecker,
     LockDisciplineChecker,
@@ -35,6 +40,7 @@ from repro.analysis.checks import (
     SilentExceptChecker,
     ThreadDisciplineChecker,
     WallClockChecker,
+    all_checkers,
 )
 from repro.analysis.checks.grad_mode import GradModeScope
 from repro.analysis.checks.lock_discipline import EntryLockRule
@@ -646,7 +652,103 @@ class Service:
 
 
 # ---------------------------------------------------------------------------
-# suppressions, fingerprints, baseline
+# dtype-lattice
+# ---------------------------------------------------------------------------
+class TestSeededDtypeCreep:
+    BAD = """
+import numpy as np
+
+def half(x):
+    return x.astype(np.float32)
+
+def mask(n):
+    return np.zeros(n, dtype="float16")
+"""
+
+    def test_non_canonical_dtypes_fire_in_numeric_scope(self):
+        findings = run_checker(DtypeChecker(), self.BAD, "src/repro/nn/fix.py")
+        assert len(findings) == 2
+        assert all(f.checker == "dtype-lattice" for f in findings)
+        joined = " | ".join(f.message for f in findings)
+        assert "float32" in joined and "float16" in joined
+
+    def test_canonical_dtypes_are_silent(self):
+        good = """
+import numpy as np
+
+def ok(x, n):
+    return x.astype(np.float64) + np.zeros(n, dtype=np.int64) + np.ones(n, dtype=bool)
+"""
+        assert run_checker(DtypeChecker(), good, "src/repro/core/fix.py") == []
+
+    def test_out_of_scope_file_is_ignored(self):
+        # Tools/tests may use narrow dtypes freely; the canonical-dtype
+        # rule binds only the numeric core.
+        assert run_checker(DtypeChecker(), self.BAD, "src/repro/tools/fix.py") == []
+
+
+# ---------------------------------------------------------------------------
+# Real-source mutations — every checker fires on the real tree
+# ---------------------------------------------------------------------------
+# (checker, file under src/repro, anchor, replacement): the one edit each
+# checker exists to catch, applied to a scratch copy of the real module.
+MUTATIONS = [
+    ("guarded-by", "serve/service.py",
+     "        with self._mutex:\n            self.session = new_session\n",
+     "        if True:\n            self.session = new_session\n"),
+    ("lock-discipline", "core/model.py",
+     '(linear scale), preorder."""\n        with self._infer_lock:\n            self.eval()\n'
+     "            with nn.no_grad():\n                _, log_costs,",
+     '(linear scale), preorder."""\n        if True:\n            self.eval()\n'
+     "            with nn.no_grad():\n                _, log_costs,"),
+    ("grad-mode", "core/model.py",
+     "            with nn.no_grad():\n                _, log_costs,",
+     "            if True:\n                _, log_costs,"),
+    ("raw-kernel", "nn/layers.py", "x = F.relu(x)", "x = F.kernels.relu(x)"),
+    ("atomic-write", "core/checkpoint.py",
+     "    return atomic_savez(path, arrays)\n",
+     "    path = resolve_npz_path(path)\n    np.savez(path, **arrays)\n    return path\n"),
+    ("thread-discipline", "serve/service.py",
+     '                name=f"optimizer-serve-{self.db_name}",\n                daemon=True,\n',
+     '                name=f"optimizer-serve-{self.db_name}",\n'),
+    ("silent-except", "serve/adaptation.py",
+     "                self._note_failure()\n                settled = False\n",
+     "                pass\n"),
+    ("wall-clock", "serve/stats.py", "time.perf_counter()", "time.time()"),
+    ("scratch-privacy", "core/model.py",
+     "class InferenceSession:", "_SESSION_SCRATCH = nn.ScratchArena()\n\n\nclass InferenceSession:"),
+    ("obs-discipline", "serve/stats.py",
+     "            self._last_done_at = now\n        self._completed.inc()\n"
+     "        self._latency.observe(latency)\n",
+     "            self._last_done_at = now\n            self._completed.inc()\n"
+     "            self._latency.observe(latency)\n"),
+    ("dtype-lattice", "nn/positional.py",
+     "out = np.zeros(dim, dtype=np.float64)", "out = np.zeros(dim, dtype=np.float32)"),
+]
+
+
+class TestRealSourceMutations:
+    def mutate(self, rel_path: str, old: str, new: str) -> SourceModule:
+        text = (SRC_ROOT.parent.parent / rel_path).read_text()
+        assert old in text, f"mutation anchor vanished from {rel_path}: {old!r}"
+        return SourceModule(text.replace(old, new), rel_path)
+
+    @pytest.mark.parametrize(
+        "checker, path, old, new", MUTATIONS, ids=[row[0] for row in MUTATIONS]
+    )
+    def test_mutated_real_module_fires_exactly_its_checker(self, checker, path, old, new):
+        rel_path = f"src/repro/{path}"
+        (own,) = [c for c in all_checkers() if c.name == checker]
+        assert own.check(self.mutate(rel_path, old, old)) == []  # the pristine twin
+        fired = {finding.checker for finding in Linter().run_module(self.mutate(rel_path, old, new))}
+        assert fired == {checker}
+
+    def test_every_registered_checker_has_a_mutation_row(self):
+        assert sorted(row[0] for row in MUTATIONS) == sorted(c.name for c in all_checkers())
+
+
+# ---------------------------------------------------------------------------
+# inline suppressions
 # ---------------------------------------------------------------------------
 class TestEscapeHatches:
     BAD_LINE = """
@@ -667,19 +769,6 @@ def span():
         source = self.BAD_LINE.replace("wall-clock", "guarded-by")
         assert len(run_checker(WallClockChecker(), source)) == 1
 
-    def test_fingerprint_is_stable_across_line_drift(self):
-        source = "import time\n\ndef span():\n    return time.time()\n"
-        shifted = "import time\n\n\n\n\ndef span():\n    return time.time()\n"
-        (a,) = run_checker(WallClockChecker(), source)
-        (b,) = run_checker(WallClockChecker(), shifted)
-        assert a.line != b.line and a.fingerprint == b.fingerprint
-
-    def test_baseline_matches_and_reports_stale_entries(self):
-        (finding,) = run_checker(WallClockChecker(), "import time\n\ndef f():\n    return time.time()\n")
-        baseline = Baseline({finding.fingerprint, "wall-clock:gone.py:f:deadbeef0000"})
-        assert baseline.contains(finding)
-        assert baseline.unused == {"wall-clock:gone.py:f:deadbeef0000"}
-
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -689,43 +778,69 @@ class TestCLI:
 
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("import time\n\ndef f():\n    return time.monotonic()\n")
-        assert analysis_main([str(tmp_path), "--no-baseline", "--fail-on-findings"]) == 0
+        assert analysis_main([str(tmp_path), "--fail-on-findings"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_findings_fail_only_with_flag(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(self.BAD_FILE)
-        assert analysis_main([str(tmp_path), "--no-baseline"]) == 0
-        assert analysis_main([str(tmp_path), "--no-baseline", "--fail-on-findings"]) == 1
+        assert analysis_main([str(tmp_path)]) == 0
+        assert analysis_main([str(tmp_path), "--fail-on-findings"]) == 1
         assert "[wall-clock]" in capsys.readouterr().out
-
-    def test_write_baseline_then_clean_then_stale(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(self.BAD_FILE)
-        baseline = tmp_path / "baseline.txt"
-        assert analysis_main(
-            [str(tmp_path), "--baseline", str(baseline), "--write-baseline"]
-        ) == 0
-        # Baselined: the finding no longer fails CI.
-        assert analysis_main(
-            [str(tmp_path), "--baseline", str(baseline), "--fail-on-findings"]
-        ) == 0
-        # Fixing the violation makes the baseline entry stale — exit 2.
-        (tmp_path / "bad.py").write_text("def f():\n    return 0\n")
-        assert analysis_main(
-            [str(tmp_path), "--baseline", str(baseline), "--fail-on-findings"]
-        ) == 2
-        assert "stale" in capsys.readouterr().err
 
     def test_json_output_is_machine_readable(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(self.BAD_FILE)
-        assert analysis_main([str(tmp_path), "--no-baseline", "--format", "json"]) == 0
+        assert analysis_main([str(tmp_path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
         (finding,) = payload["findings"]
-        assert finding["checker"] == "wall-clock" and finding["fingerprint"]
+        assert finding["checker"] == "wall-clock" and finding["line"] == 4
 
     def test_unparseable_file_is_a_finding_not_a_crash(self, tmp_path):
         (tmp_path / "broken.py").write_text("def f(:\n")
-        assert analysis_main([str(tmp_path), "--no-baseline", "--fail-on-findings"]) == 1
+        assert analysis_main([str(tmp_path), "--fail-on-findings"]) == 1
+
+    def test_list_checkers_names_every_registered_checker(self, capsys):
+        assert analysis_main(["--list-checkers"]) == 0
+        out = capsys.readouterr().out
+        for checker in all_checkers():
+            assert checker.name in out
+
+    def test_only_restricts_to_named_checkers(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(self.BAD_FILE)
+        # wall-clock violation is invisible to the dtype checker...
+        assert analysis_main(
+            [str(tmp_path), "--fail-on-findings", "--only", "dtype-lattice"]
+        ) == 0
+        # ...and caught when its own checker is selected.
+        assert analysis_main(
+            [str(tmp_path), "--fail-on-findings",
+             "--only", "wall-clock", "--only", "dtype-lattice"]
+        ) == 1
+        assert "[wall-clock]" in capsys.readouterr().out
+
+    def test_unknown_only_name_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main([str(tmp_path), "--only", "no-such-checker"])
+        assert excinfo.value.code == 2
+        assert "unknown checker" in capsys.readouterr().err
+
+    def test_json_reports_per_checker_counts_and_wall_time(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(self.BAD_FILE)
+        assert analysis_main([str(tmp_path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        stats = payload["checkers"]
+        assert stats["wall-clock"]["findings"] == 1
+        assert stats["dtype-lattice"]["findings"] == 0
+        assert all(
+            entry["seconds"] >= 0 and isinstance(entry["findings"], int)
+            for entry in stats.values()
+        )
+
+    def test_baseline_flags_are_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            analysis_main([str(tmp_path), "--no-baseline"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +850,14 @@ class TestRepoIsClean:
     def test_src_repro_has_zero_findings(self):
         findings = Linter().run_paths([SRC_ROOT], root=SRC_ROOT.parent.parent)
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
+
+    def test_registry_is_exactly_the_eleven_checkers(self):
+        # CI runs the registry once; a checker dropped from it fails here.
+        assert {checker.name for checker in all_checkers()} == {
+            "guarded-by", "lock-discipline", "grad-mode", "raw-kernel",
+            "atomic-write", "thread-discipline", "silent-except", "wall-clock",
+            "scratch-privacy", "obs-discipline", "dtype-lattice",
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from repro.eval import (
 from repro.eval.experiments import Table1Row, Table2Row, Table3Row
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
+pytestmark = pytest.mark.usefixtures("shape_contracts")  # tests/shape_contract.py
+
 
 @pytest.fixture(scope="module")
 def db():

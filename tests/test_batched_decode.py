@@ -33,6 +33,8 @@ from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 from repro.workload.labeler import LabeledQuery
 from sequential_oracle import beam_search_join_order_sequential, beam_search_join_order_tape
 
+pytestmark = pytest.mark.usefixtures("shape_contracts")  # tests/shape_contract.py
+
 
 SMALL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
 

@@ -23,6 +23,8 @@ from repro.datagen import generate_database, generate_databases
 from repro.sql import Comparison, CompareOp, Conjunction, LikePredicate, parse_query
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
+pytestmark = pytest.mark.usefixtures("shape_contracts")  # tests/shape_contract.py
+
 
 SMALL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=2, decoder_layers=1)
 

@@ -18,6 +18,8 @@ import repro.nn as nn
 from repro.nn import Parameter, Tensor
 from repro.nn import functional as F
 
+pytestmark = pytest.mark.usefixtures("shape_contracts")  # tests/shape_contract.py
+
 RNG = np.random.default_rng(11)
 
 
