@@ -205,7 +205,11 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     ``model_version``, and is bit-identical to the saved one: same join
     orders, same cardinality/cost predictions.
     """
-    meta, arrays = _read_archive(path, verify_digest=True)
+    return _build_model(*_read_archive(path, verify_digest=True), databases)
+
+
+def _build_model(meta: dict, arrays: dict[str, np.ndarray], databases) -> MTMLFQO:
+    """The model a verified ``(meta, arrays)`` archive holds."""
     by_name = _databases_by_name(databases)
     saved_dbs = sorted(meta["featurizers"])
     missing = [name for name in saved_dbs if name not in by_name]
@@ -259,6 +263,18 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     return model
 
 
+def _optimizer_state(meta: dict, arrays: dict[str, np.ndarray], path: str) -> dict:
+    """The name-keyed Adam ``state_dict`` a verified archive holds."""
+    saved = meta.get("optimizer")
+    if saved is None:
+        raise CheckpointError(f"checkpoint {path!r} carries no optimizer state")
+    return {
+        "t": saved["t"],
+        "m": {key: arrays[f"{_OPTIM_PREFIX}m/{key}"] for key in saved["keys"]},
+        "v": {key: arrays[f"{_OPTIM_PREFIX}v/{key}"] for key in saved["keys"]},
+    }
+
+
 def load_optimizer_state(path: str, optimizer: Adam) -> Adam:
     """Warm-start ``optimizer`` from a checkpoint saved with one.
 
@@ -268,16 +284,8 @@ def load_optimizer_state(path: str, optimizer: Adam) -> Adam:
     never misaligns.
     """
     meta, arrays = _read_archive(path, verify_digest=True)
-    saved = meta.get("optimizer")
-    if saved is None:
-        raise CheckpointError(f"checkpoint {path!r} carries no optimizer state")
-    state = {
-        "t": saved["t"],
-        "m": {key: arrays[f"{_OPTIM_PREFIX}m/{key}"] for key in saved["keys"]},
-        "v": {key: arrays[f"{_OPTIM_PREFIX}v/{key}"] for key in saved["keys"]},
-    }
     try:
-        optimizer.load_state_dict(state)
+        optimizer.load_state_dict(_optimizer_state(meta, arrays, path))
     except ValueError as error:
         raise CheckpointError(str(error)) from error
     return optimizer

@@ -186,10 +186,9 @@ class FederatedTrainer:
         local = MTMLFQO(self.model_config)
         local.attach_featurizer(client.db.name, client.featurizer)
         local.load_state_dict(self.server_model.state_dict())
-        trainer = JointTrainer(local)
-        saved_optimizer = self._client_optimizer_state.get(client.db.name)
-        if saved_optimizer is not None:
-            trainer.optimizer.load_state_dict(saved_optimizer)
+        trainer = JointTrainer(
+            local, optimizer_state=self._client_optimizer_state.get(client.db.name)
+        )
         result = trainer.train(
             [(client.db.name, item) for item in client.workload],
             epochs=self.fed_config.local_epochs,

@@ -71,7 +71,12 @@ def planner_order_positions(labeled: LabeledQuery) -> list[int] | None:
 class JointTrainer:
     """Trains (S)+(T) on labeled queries from one or many databases."""
 
-    def __init__(self, model: MTMLFQO, learning_rate: float | None = None):
+    def __init__(
+        self,
+        model: MTMLFQO,
+        learning_rate: float | None = None,
+        optimizer_state: dict | None = None,
+    ):
         self.model = model
         self.config: ModelConfig = model.config
         self.parameters = model.shared_task_parameters()
@@ -81,6 +86,12 @@ class JointTrainer:
         self.optimizer = nn.Adam(
             model.named_parameters(), lr=learning_rate or self.config.learning_rate
         )
+        # An ``optimizer.state_dict()`` carried over from an earlier
+        # trainer on the same parameter names (a checkpoint, the previous
+        # round): this trainer continues that trajectory instead of
+        # re-warming from zeroed moments.
+        if optimizer_state is not None:
+            self.optimizer.load_state_dict(optimizer_state)
         # Which join-order labels _batch_losses trains on: "optimal" uses
         # the (expensive) exact orders; "planner" uses the initial plan's
         # order as weak supervision (two-phase training, Section 3.2).
@@ -200,12 +211,18 @@ class JointTrainer:
         does continue the saved run; pass ``learning_rate`` to override
         the saved lr deliberately.
         """
-        from .checkpoint import load_checkpoint, load_optimizer_state, read_checkpoint_meta
+        from . import checkpoint
 
-        model = load_checkpoint(path, databases=databases)
-        trainer = cls(model, learning_rate=learning_rate)
-        load_optimizer_state(path, trainer.optimizer)
-        saved = read_checkpoint_meta(path)["optimizer"]
+        # One read (and one digest check) of the archive yields the model,
+        # the moments and the hyper-parameters.
+        meta, arrays = checkpoint._read_archive(path, verify_digest=True)
+        model = checkpoint._build_model(meta, arrays, databases)
+        moments = checkpoint._optimizer_state(meta, arrays, path)
+        try:
+            trainer = cls(model, learning_rate=learning_rate, optimizer_state=moments)
+        except ValueError as error:
+            raise checkpoint.CheckpointError(str(error)) from error
+        saved = meta["optimizer"]
         trainer.optimizer.beta1, trainer.optimizer.beta2 = saved["betas"]
         trainer.optimizer.eps = saved["eps"]
         trainer.optimizer.weight_decay = saved["weight_decay"]

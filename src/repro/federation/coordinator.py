@@ -43,7 +43,7 @@ from ..core.config import ModelConfig
 from ..core.encoders import DatabaseFeaturizer
 from ..core.federated import aggregate_shared_states
 from ..core.model import MTMLFQO
-from ..obs.trace import maybe_span
+from ..obs import Telemetry
 from ..serve.adaptation import RoundScheduler
 from .config import FleetConfig
 from .node import TenantNode
@@ -71,7 +71,7 @@ class FleetRound:
     checkpoint_path: str | None = None
     reverted: bool = False
     # Tenants whose SLO error budget was burning faster than allowed at
-    # the end of this round (empty without a telemetry bundle): the
+    # the end of this round (empty while telemetry is off): the
     # round-level signal the ROADMAP's fleet item asks for — a merge
     # that helps the median tenant but breaches one tenant's SLO is
     # flagged on the round itself.
@@ -106,10 +106,11 @@ class FleetCoordinator(RoundScheduler):
     ):
         super().__init__(config or FleetConfig(), "fleet-coordinator")
         self.global_model = global_model or MTMLFQO(model_config)
-        # Optional shared repro.obs.Telemetry: round spans and counters
-        # land in it, onboarded tenants inherit it (tenant-keyed SLO
-        # recording), and report() folds its per-tenant SLO state in.
-        self.telemetry = telemetry
+        # A shared repro.obs.Telemetry (a private disabled one when
+        # None): round spans and counters land in it, onboarded tenants
+        # inherit it (tenant-keyed SLO recording), and report() folds its
+        # per-tenant SLO state in.
+        self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.tenants: dict[str, TenantNode] = {}  # guarded-by: _tenants_lock
         self.rounds: list[FleetRound] = []  # guarded-by: _stats_lock
         self.reverted_rounds = 0  # guarded-by: _stats_lock
@@ -209,9 +210,8 @@ class FleetCoordinator(RoundScheduler):
     def _run_round_locked(self) -> FleetRound:
         with self._stats_lock:
             round_ = FleetRound(index=len(self.rounds))
-        telemetry = self.telemetry
-        tracer = telemetry.tracer if telemetry is not None else None
-        round_trace = tracer.new_trace() if tracer is not None else 0
+        tracer = self.telemetry.tracer
+        round_trace = tracer.new_trace()
         round_started = time.perf_counter()
         broadcast = self.global_state()
         tenants = self._tenant_snapshot()
@@ -230,7 +230,7 @@ class FleetCoordinator(RoundScheduler):
             except BaseException as error:
                 results[tenant_name] = error
 
-        with maybe_span(telemetry, round_trace, "fleet.harvest") as span:
+        with tracer.span(round_trace, "fleet.harvest") as span:
             span.set("round", round_.index).set("tenants", len(tenants))
             self._run_per_tenant(tenants, harvest, stage="harvest")
 
@@ -273,8 +273,6 @@ class FleetCoordinator(RoundScheduler):
         """Round-end telemetry (outside every coordinator lock): capture
         the fleet's SLO state on the round and count/trace the round."""
         telemetry = self.telemetry
-        if telemetry is None:
-            return
         round_.slo_breached = telemetry.slo.breached()
         registry = telemetry.registry
         registry.counter("fleet.rounds").inc()
@@ -305,7 +303,7 @@ class FleetCoordinator(RoundScheduler):
         observe a torn write or a merged state that every gate is about
         to reject.
         """
-        with maybe_span(self.telemetry, round_trace, "fleet.merge") as span:
+        with self.telemetry.tracer.span(round_trace, "fleet.merge") as span:
             span.set("participants", len(states))
             merged = aggregate_shared_states(
                 states, weights, reference=self.global_state()
@@ -337,7 +335,7 @@ class FleetCoordinator(RoundScheduler):
         # re-driving a broken tenant would only double-count it (or
         # list it as failed *and* accepted in the same round).
         push_tenants = [entry for entry in tenants if entry[0] not in round_.failed]
-        with maybe_span(self.telemetry, round_trace, "fleet.push") as span:
+        with self.telemetry.tracer.span(round_trace, "fleet.push") as span:
             span.set("tenants", len(push_tenants))
             self._run_per_tenant(push_tenants, push, stage="push")
         for tenant_name, _ in push_tenants:
@@ -430,7 +428,7 @@ class FleetCoordinator(RoundScheduler):
         # before entering the stats lock so it stays a leaf.
         tenant_reports = {name: tenant.report() for name, tenant in tenants}
         tenant_counters = {name: tenant.counters() for name, tenant in tenants}
-        slo = self.telemetry.slo.statuses() if self.telemetry is not None else {}
+        slo = self.telemetry.slo.statuses()
         with self._stats_lock:
             return FleetReport(
                 tenants=tenant_reports,

@@ -21,9 +21,10 @@ federation through exactly two narrow interfaces:
   (counted as ``gate_unvalidated``) rather than accepting blind.
 
 Both are thin schedulers over the tenant's
-:class:`~repro.serve.adaptation.TrainRound` — the same fine-tune and
-gate-and-install phases an :class:`~repro.serve.AdaptationWorker` runs
-back to back, here separated by the coordinator's merge.
+:class:`~repro.serve.adaptation.TrainRound` — the same private-copy
+builder, fine-tune and gate-and-install phases an
+:class:`~repro.serve.AdaptationWorker` runs back to back, here separated
+by the coordinator's merge and started from the broadcast state.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import threading
 from ..core.federated import shared_state_dict
 from ..core.model import MTMLFQO
 from ..core.serializer import query_signature
-from ..core.trainer import JointTrainer
 from ..serve.adaptation import GateResult, TrainRound
 from ..serve.feedback import FeedbackCollector, FeedbackConfig
 from ..serve.service import OptimizerService
@@ -69,14 +69,15 @@ class TenantNode:
         self.db = db
         self.config = config or FleetConfig()
         self.name = name or db.name
-        self.telemetry = telemetry
         model.featurizer_for(db.name)  # fail fast on a missing (F) module
         self.service = OptimizerService(model, db.name, serve_config, telemetry=telemetry)
+        # The service's handle: a private disabled one when None was given.
+        self.telemetry = self.service.telemetry
         # SLO outcomes are tracked per *tenant*, not per database: two
         # tenants serving the same database name must burn their error
         # budgets separately.
         self.service.slo_name = self.name
-        self.collector = FeedbackCollector(db, feedback_config, telemetry=telemetry)
+        self.collector = FeedbackCollector(db, feedback_config, telemetry=self.telemetry)
         self.service.attach_feedback(self.collector)
         self.buffer = self.collector.buffer
         self.round = TrainRound(self.service, db, self.buffer, self.config)
@@ -149,12 +150,9 @@ class TenantNode:
             with self._lock:
                 self.rounds_skipped += 1
             return None
-        model = self._private_model(global_state)
-        trainer = JointTrainer(model, learning_rate=self.config.learning_rate)
         with self._lock:
             optimizer_state = self._optimizer_state
-        if optimizer_state is not None:
-            trainer.optimizer.load_state_dict(optimizer_state)
+        trainer = self.round.private_trainer(self.live_model, global_state, optimizer_state)
         num_examples = self.round.fine_tune(trainer)
         optimizer_state = trainer.optimizer.state_dict()
         # Harvested now; the coordinator rolls the round back (returning
@@ -163,7 +161,7 @@ class TenantNode:
         with self._lock:
             self._optimizer_state = optimizer_state
             self.rounds_participated += 1
-        return shared_state_dict(model), num_examples
+        return shared_state_dict(trainer.model), num_examples
 
     # -- federation: push phase ----------------------------------------
     def consider_global(self, global_state: dict) -> bool | None:
@@ -176,27 +174,9 @@ class TenantNode:
         that trained this round validates on the slice its fine-tune
         held out, any other on its entire buffer.
         """
-        gate = self.round.gate_and_install(self._private_model(global_state))
+        candidate = self.round.private_model(self.live_model, global_state)
+        gate = self.round.gate_and_install(candidate)
         return None if gate is None else gate.accepted
-
-    # -- internals -----------------------------------------------------
-    def _private_model(self, global_state: dict) -> MTMLFQO:
-        """A disjoint model: broadcast (S)/(T) + cloned featurizer.
-
-        Both the training model of :meth:`local_update` and the swap
-        candidate of :meth:`consider_global` are built here.
-        :meth:`MTMLFQO.clone_for_inference` copies the featurizer by
-        state dict, so no model instance ever shares an (F) module with
-        the live serving model — a trainer's train-mode flip (dropout
-        on) on a shared featurizer would leak nondeterminism into
-        concurrently served traffic.
-        """
-        model = self.live_model.clone_for_inference()
-        model.load_state_dict(global_state)
-        # The clone carries the live model's version; its weights no
-        # longer match, so it must not share that cache identity.
-        model.mark_updated()
-        return model
 
     # -- reporting -----------------------------------------------------
     @property

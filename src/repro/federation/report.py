@@ -35,8 +35,8 @@ class FleetReport:
     round_failures: int = 0
     tenant_failures: int = 0
     last_round: "FleetRound | None" = None
-    # Per-tenant SLO state (empty unless the coordinator carries a
-    # telemetry bundle): rolling error-budget burn rates, so a round
+    # Per-tenant SLO state (empty unless the coordinator carries an
+    # enabled telemetry bundle): rolling error-budget burn rates, so a round
     # that helps the median tenant but breaches one tenant's SLO is
     # visible in the same report that shows the round's gate outcomes.
     slo: dict[str, SLOStatus] = field(default_factory=dict)

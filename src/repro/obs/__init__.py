@@ -13,11 +13,11 @@ layers:
 - ``telemetry.slo`` — :class:`~repro.obs.slo.SLOTracker` of per-tenant
   rolling error-budget burn rates, surfaced in ``FleetReport``.
 
-``telemetry=None`` everywhere means "no telemetry at all" and is the
-baseline the CI overhead smoke compares against;
-``Telemetry(TelemetryConfig(enabled=False))`` keeps the handle but
-takes the disabled fast path — within 3% of the None baseline by CI
-contract (see ``benchmarks/bench_obs_overhead.py``).
+There are two modes, on and off.  A service, tenant or coordinator
+built with ``telemetry=None`` makes itself a private
+:meth:`Telemetry.disabled` handle, so its code has no third "no handle"
+case: every touchpoint is the tracer's int gate.  What an *enabled*
+handle costs is the ledger's ``obs.trace_overhead_ratio``.
 """
 
 from __future__ import annotations
@@ -107,17 +107,9 @@ class Telemetry:
         self.tracer.disable()
 
     @classmethod
-    def disabled(cls, config: "TelemetryConfig | None" = None) -> "Telemetry":
-        base = config or TelemetryConfig()
-        if base.enabled:
-            base = TelemetryConfig(
-                enabled=False,
-                trace_capacity=base.trace_capacity,
-                slo_latency_s=base.slo_latency_s,
-                slo_target=base.slo_target,
-                slo_window=base.slo_window,
-            )
-        return cls(base)
+    def disabled(cls) -> "Telemetry":
+        """The off mode: what ``telemetry=None`` becomes at construction."""
+        return cls(TelemetryConfig(enabled=False))
 
     def snapshot(self, tick: bool = True) -> dict:
         return telemetry_snapshot(self, tick=tick)

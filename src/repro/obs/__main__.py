@@ -2,7 +2,7 @@
 
 Renders a telemetry snapshot file (written by
 :func:`repro.obs.write_snapshot`, e.g. by ``examples/serve_demo.py`` or
-``benchmarks/bench_obs_overhead.py``) as text: the metrics registry,
+a traced ``benchmarks/ledger/run.py`` run) as text: the metrics registry,
 per-tenant SLO state, and recent traces.  ``--format json`` re-emits
 the (validated) payload for piping into other tools.
 """

@@ -6,9 +6,10 @@ training round — the only place a candidate model is decided on and
 deployed:
 
 1. **fine-tune** — snapshot the experience buffer, split it
-   (:func:`split_experience`), and fine-tune the trainer the scheduler
-   hands in on the training slice.  Training happens on a private model
-   instance: the serving model's weights are never touched;
+   (:func:`split_experience`), and fine-tune a private trainer
+   (:meth:`TrainRound.private_trainer`: a clone of the live model, so
+   the serving weights are never touched, resuming the Adam moments the
+   scheduler carries) on the training slice;
 2. **gate and install** — decode join orders for the held-out slice
    with both the live and the candidate model and execute them through
    :mod:`repro.engine` (:func:`evaluate_regret_gate`).  The candidate
@@ -19,10 +20,11 @@ deployed:
    candidate is discarded and the live model keeps serving.
 
 Two schedulers drive it.  :class:`AdaptationWorker` (here) runs the
-phases back to back on a trainer warm-started from its checkpoint
-lineage; :class:`repro.federation.TenantNode` runs them either side of
-a FedAvg merge.  Both loop through :class:`RoundScheduler` and are
-configured by one :class:`RoundConfig`.
+phases back to back, continuing in memory the trajectory of the model it
+last installed; :class:`repro.federation.TenantNode` runs them either
+side of a FedAvg merge.  Both loop through :class:`RoundScheduler` and
+are configured by one :class:`RoundConfig`; both write checkpoints and
+neither reads one back.
 
 ``retrains`` / ``swaps_accepted`` / ``swaps_rejected`` surface through
 :meth:`OptimizerService.report` and
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 
 from ..core.trainer import JointTrainer
 from ..eval.experiments import join_order_execution_time
-from ..obs.trace import maybe_span
 from ..optimizer.selectivity import HistogramEstimator
 from ..workload.labeler import LabeledQuery
 from .feedback import ExperienceBuffer
@@ -83,9 +84,9 @@ class RoundConfig:
     poll_interval_s:
         How often the scheduler's background loop rechecks readiness.
     checkpoint_dir:
-        Where the scheduler's checkpoints live (a worker's warm-start
-        lineage, a coordinator's ``round-NNNN.npz``); a private temp dir,
-        removed on shutdown, when None.
+        Where the scheduler's checkpoints are written (a worker's
+        accepted ``adapt-NNNN.npz``, a coordinator's ``round-NNNN.npz``);
+        a private temp dir, removed on shutdown, when None.
     """
 
     min_new_experience: int = 8
@@ -229,13 +230,15 @@ class TrainRound:
     owns the fresh-experience cursor (:meth:`commit` / :meth:`rollback`),
     the round index that seeds each fine-tune, the held-out slice, the
     gate call under the service's decode policy, the verdict event and
-    counters, and ``swap_model`` on accept.  Left to its scheduler:
-    *which trainer* to fine-tune (a worker warm-starts one from its
-    checkpoint lineage, a fleet tenant builds one over the broadcast
-    state), what happens between the two phases (nothing; a FedAvg
-    merge), and *when* the snapshot counts as consumed (a worker commits
-    on any verdict; a fleet participant right after its fine-tune, and
-    is rolled back if the round never lands).
+    counters, ``swap_model`` on accept, and how a round's private model
+    and trainer are built (:meth:`private_model` /
+    :meth:`private_trainer`).  Left to its scheduler: *which* Adam
+    moments and broadcast state that trainer starts from (a worker
+    resumes its last installed model's, a fleet tenant its own over the
+    broadcast (S)/(T)), what happens between the two phases (nothing; a
+    FedAvg merge), and *when* the snapshot counts as consumed (a worker
+    commits on any verdict; a fleet participant right after its
+    fine-tune, and is rolled back if the round never lands).
 
     With telemetry on the service, a round is one trace:
     ``adapt.retrain`` → ``adapt.gate`` → a ``gate.accept`` /
@@ -289,6 +292,33 @@ class TrainRound:
                 self._consumed = self._rollback_to
                 self._rollback_to = None
 
+    # -- the round's private copy ------------------------------------------
+    def private_model(self, live, global_state: dict | None = None):
+        """A clone of ``live`` — under the broadcast (S)/(T)
+        ``global_state`` when one is given — sharing no module with it:
+        :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) and every
+        featurizer by state dict, so a trainer's train-mode flip
+        (dropout on) can never leak nondeterminism into served traffic."""
+        model = live.clone_for_inference()
+        if global_state is not None:
+            model.load_state_dict(global_state)
+            # The clone carries the live model's version; its weights no
+            # longer match, so it must not share that cache identity.
+            model.mark_updated()
+        return model
+
+    def private_trainer(
+        self, live, global_state: dict | None = None, optimizer_state: dict | None = None
+    ) -> JointTrainer:
+        """The trainer a round fine-tunes: :meth:`private_model` under an
+        Adam at ``config.learning_rate`` that resumes ``optimizer_state``
+        (the scheduler's name-keyed moments; fresh ones when None)."""
+        return JointTrainer(
+            self.private_model(live, global_state),
+            learning_rate=self.config.learning_rate,
+            optimizer_state=optimizer_state,
+        )
+
     # -- the two phases ---------------------------------------------------
     def fine_tune(self, trainer: JointTrainer) -> int:
         """Fine-tune ``trainer`` on the training slice of a buffer
@@ -296,12 +326,12 @@ class TrainRound:
         the number of training examples."""
         experience, added = self.buffer.snapshot_with_added()
         train_slice, held_out = split_experience(experience, self.config.validation_fraction)
-        telemetry = self.service.telemetry
-        trace = telemetry.tracer.new_trace() if telemetry is not None else 0
+        tracer = self.service.telemetry.tracer
+        trace = tracer.new_trace()
         with self._lock:
             self._counts["rounds"] += 1
             index = self._counts["rounds"]
-        with maybe_span(telemetry, trace, "adapt.retrain") as span:
+        with tracer.span(trace, "adapt.retrain") as span:
             span.set("experience", len(train_slice)).set("cycle", index)
             # Seed varies per round: a retry after a rejection (with
             # more experience) explores a different batch order instead
@@ -331,9 +361,8 @@ class TrainRound:
             # must fall back to the full buffer rather than re-gate on
             # this round's stale snapshot.
             (held_out, trace), self._for_gate = self._for_gate, ([], 0)
-        telemetry = self.service.telemetry
-        if not trace and telemetry is not None:
-            trace = telemetry.tracer.new_trace()
+        tracer = self.service.telemetry.tracer
+        trace = trace or tracer.new_trace()
         if not held_out:
             # No fine-tune this round: the candidate never trained on
             # any of this database's data *this round*, so the entire
@@ -351,7 +380,7 @@ class TrainRound:
                 self._counts["unvalidated"] += 1
             return None
         live = self.service._serving_state()[0].model
-        with maybe_span(telemetry, trace, "adapt.gate") as span:
+        with tracer.span(trace, "adapt.gate") as span:
             # Gated under the *service's* decode policy: the gate must
             # measure exactly what each model would serve.
             gate = evaluate_regret_gate(
@@ -367,23 +396,22 @@ class TrainRound:
             span.set("validation", gate.validation_count)
         if gate.accepted and save_checkpoint is not None:
             gate.checkpoint_path = save_checkpoint()
-        if telemetry is not None:
-            telemetry.tracer.event(
-                trace,
-                "gate.accept" if gate.accepted else "gate.reject",
-                {
-                    "name": self.service.slo_name,
-                    "validation_count": gate.validation_count,
-                    "live_regret_ms": round(gate.live_regret_ms, 3),
-                    "candidate_regret_ms": round(gate.candidate_regret_ms, 3),
-                    "checkpoint": gate.checkpoint_path,
-                },
-            )
+        tracer.event(
+            trace,
+            "gate.accept" if gate.accepted else "gate.reject",
+            {
+                "name": self.service.slo_name,
+                "validation_count": gate.validation_count,
+                "live_regret_ms": round(gate.live_regret_ms, 3),
+                "candidate_regret_ms": round(gate.candidate_regret_ms, 3),
+                "checkpoint": gate.checkpoint_path,
+            },
+        )
         if gate.accepted:
             # swap_model validates the candidate's session before the
             # atomic (session, epoch) switch (retiring every pre-swap
             # cache entry); if that raises, no verdict is counted.
-            with maybe_span(telemetry, trace, "adapt.swap"):
+            with tracer.span(trace, "adapt.swap"):
                 self.service.swap_model(candidate)
         with self._lock:
             self._last_gate = gate
@@ -476,9 +504,11 @@ class RoundScheduler:
 class AdaptationWorker(RoundScheduler):
     """Background collect → retrain → gate → swap loop over one service.
 
-    Schedules a :class:`TrainRound` whose trainer is warm-started from
-    the latest accepted checkpoint (model weights *and* Adam moments, so
-    each cycle continues the previous run).  Use as a context manager
+    Each cycle fine-tunes a clone of the live model; while the model
+    this worker last installed is still live, the clone's trainer resumes
+    that cycle's Adam moments, so accepted cycles form one training run.
+    Accepted candidates are checkpointed (``adapt-NNNN.npz``) before the
+    swap; no cycle reads a checkpoint back.  Use as a context manager
     (or :meth:`start` / :meth:`stop`) for the autonomous loop, or call
     :meth:`run_once` directly for a deterministic, synchronous cycle
     (tests, notebooks)::
@@ -488,25 +518,17 @@ class AdaptationWorker(RoundScheduler):
             ... serve traffic; the model adapts in the background ...
     """
 
-    def __init__(self, service, db, buffer: ExperienceBuffer, config: AdaptationConfig | None = None,
-                 databases: dict | None = None):
+    def __init__(self, service, db, buffer: ExperienceBuffer, config: AdaptationConfig | None = None):
         super().__init__(config or AdaptationConfig(), f"adaptation-{db.name}")
         self.service = service
         self.db = db
         self.buffer = buffer
-        # Databases handed to checkpoint load: the serving model may hold
-        # featurizers for more databases than the one being served.
-        # Copied: the served database is added without mutating the
-        # caller's mapping.
-        self.databases = dict(databases) if databases else {}
-        self.databases.setdefault(db.name, db)
         self.round = TrainRound(service, db, buffer, self.config)
         self._lock = threading.Lock()
-        # The warm-start lineage: a checkpoint and the live model whose
-        # weights it holds (the one it was saved from, or installed).
-        self._latest_checkpoint: str | None = None  # guarded-by: _lock
-        self._latest_model = None  # guarded-by: _lock
-        # Cycles that died on infrastructure (load/training error), NOT
+        # The trajectory being continued: the last *accepted* cycle's
+        # Adam moments and the model that cycle installed.
+        self._trajectory: tuple[dict | None, object] = (None, None)  # guarded-by: _lock
+        # Cycles that died on infrastructure (I/O or training error), NOT
         # gate rejections — kept apart so `swaps_rejected` keeps meaning
         # "the regression gate blocked a candidate".
         self.cycles_failed = 0  # guarded-by: _lock
@@ -514,8 +536,8 @@ class AdaptationWorker(RoundScheduler):
         service.adaptation = self
 
     # -- lifecycle -----------------------------------------------------
-    # A stopped worker keeps nothing: a private temp dir goes too (the
-    # lineage in it re-bootstraps from the live model).
+    # A stopped worker gives up a private temp dir (and the checkpoints
+    # in it); the in-memory trajectory survives a restart.
     stop = RoundScheduler.shutdown
 
     def __enter__(self) -> "AdaptationWorker":
@@ -536,37 +558,24 @@ class AdaptationWorker(RoundScheduler):
         with self._lock:
             self.cycles_failed += 1
 
-    def _base_checkpoint(self) -> str:
-        """The warm-start point: the latest accepted checkpoint while the
-        model it installed is still live, else the live model itself."""
-        live = self.service._serving_state()[0].model
-        with self._lock:
-            latest, latest_model = self._latest_checkpoint, self._latest_model
-        if latest_model is not live or not os.path.exists(latest):
-            # First cycle, the checkpoint went with a stopped worker's
-            # temp dir, or someone else swapped since ours — continuing
-            # the old lineage would replace their model with a descendant
-            # of ours.  JointTrainer(live) only builds an Adam over the
-            # live parameters (fresh moments); it never steps them here.
-            # Saved outside _lock: checkpointing is disk I/O.
-            latest = JointTrainer(live).save_checkpoint(
-                os.path.join(self._checkpoint_dir(), "base")
-            )
-            with self._lock:
-                self._latest_checkpoint, self._latest_model = latest, live
-        return latest
-
     def run_once(self) -> bool:
         """One collect → retrain → gate → swap cycle; True iff swapped."""
         if not len(self.buffer):
             return False
-        trainer = JointTrainer.warm_start(
-            self._base_checkpoint(), self.databases, learning_rate=self.config.learning_rate
+        # Resolved before any training: an unwritable directory fails the
+        # cycle here, trigger credit intact, not after a wasted fine-tune.
+        directory = self._checkpoint_dir()
+        live = self.service._serving_state()[0].model
+        with self._lock:
+            moments, installed = self._trajectory
+        # First cycle, or someone else swapped since ours: continuing our
+        # moments would push their model along our old trajectory, so
+        # the clone starts from fresh ones.
+        trainer = self.round.private_trainer(
+            live, optimizer_state=moments if installed is live else None
         )
         self.round.fine_tune(trainer)
-        path = os.path.join(
-            self._checkpoint_dir(), f"adapt-{self.round.counters()['rounds']:04d}"
-        )
+        path = os.path.join(directory, f"adapt-{self.round.counters()['rounds']:04d}")
         gate = self.round.gate_and_install(
             trainer.model, save_checkpoint=lambda: trainer.save_checkpoint(path)
         )
@@ -575,10 +584,10 @@ class AdaptationWorker(RoundScheduler):
         # trains on the same data.
         self.round.commit()
         if gate.accepted:
-            # Only installed models join the lineage: had the save or
+            # Only installed models are continued: had the save or
             # swap_model's validation raised, this is never reached.
             with self._lock:
-                self._latest_checkpoint, self._latest_model = gate.checkpoint_path, trainer.model
+                self._trajectory = (trainer.optimizer.state_dict(), trainer.model)
         return gate.accepted
 
     # -- reporting -----------------------------------------------------

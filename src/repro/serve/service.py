@@ -47,6 +47,7 @@ from collections import OrderedDict, deque
 
 from ..core.beam import require_connected
 from ..core.serializer import plan_signature, query_signature
+from ..obs import Telemetry
 from ..workload.labeler import LabeledQuery
 from .cache import PlanCache
 from .config import ServeConfig
@@ -132,11 +133,10 @@ class OptimizerService:
     def __init__(self, model, db_name: str, config: ServeConfig | None = None, telemetry=None):
         self.config = config or ServeConfig()
         self.db_name = db_name
-        # Optional shared repro.obs.Telemetry bundle.  None means no
-        # telemetry at all (the overhead-baseline configuration); a
-        # disabled bundle keeps the handle but takes the one-int-check
-        # fast path on every touchpoint.
-        self.telemetry = telemetry
+        # A shared repro.obs.Telemetry bundle, or (None) a private
+        # disabled one: every touchpoint below is the tracer's one-int
+        # gate, never a None check.
+        self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         # The name this service's request latencies are recorded under
         # in the SLO tracker; federation overrides it with the tenant
         # name (repro.federation.node.TenantNode).
@@ -144,8 +144,7 @@ class OptimizerService:
         self.session = model.inference_session(db_name)  # guarded-by: _mutex
         self.cache = PlanCache(self.config.plan_cache_size)
         self.stats = ServiceStats(
-            registry=telemetry.registry if telemetry is not None else None,
-            labels={"service": f"{db_name}/{next(_INSTANCE_IDS)}"},
+            self.telemetry.registry, {"service": f"{db_name}/{next(_INSTANCE_IDS)}"}
         )
         self._queue: "deque[_Request]" = deque()  # guarded-by: _mutex
         self._mutex = threading.Lock()
@@ -246,7 +245,7 @@ class OptimizerService:
         """Telemetry for one served request (outside every service lock):
         the request-level span plus the tenant's SLO outcome."""
         tel = self.telemetry
-        if tel is None or not tel.on:
+        if not tel.on:
             return
         tel.slo.record(self.slo_name, latency)
         tel.tracer.record(trace_id, "request", started_at, started_at + latency)
@@ -355,8 +354,8 @@ class OptimizerService:
             running = self._running
         if not running:
             raise ServiceStoppedError("optimizer service is not running")
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
-        trace_id = tracer.new_trace() if tracer is not None else 0
+        tracer = self.telemetry.tracer
+        trace_id = tracer.new_trace()
         started_at = self.stats.note_request()
         key = self.request_key(labeled)
         cached = self.cache.get(key)
@@ -450,8 +449,8 @@ class OptimizerService:
         # Span recording happens on this worker thread, outside every
         # service lock, onto the trace IDs the requests carried across
         # the queue.  One int check when telemetry is off.
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
-        tracing = tracer is not None and tracer.on
+        tracer = self.telemetry.tracer
+        tracing = tracer.on
         # 0. Drop requests whose waiter already timed out and left.
         batch = [request for request in batch if not request.abandoned]
         if not batch:

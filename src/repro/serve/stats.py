@@ -109,13 +109,9 @@ class ServiceStats:
     holding ``_lock`` (the analyzer's ``obs-discipline`` rule).
     """
 
-    def __init__(
-        self,
-        registry: "MetricsRegistry | None" = None,
-        labels: "dict[str, str] | None" = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.labels = dict(labels or {})
+    def __init__(self, registry: MetricsRegistry, labels: "dict[str, str]"):
+        self.registry = registry
+        self.labels = dict(labels)
         self._lock = threading.Lock()
         self._first_request_at: float | None = None  # guarded-by: _lock
         self._last_done_at: float | None = None  # guarded-by: _lock

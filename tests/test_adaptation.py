@@ -2,9 +2,10 @@
 
 Covers the closed loop the ISSUE's tentpole builds: served orders are
 executed into experience (``FeedbackCollector`` + ``ExperienceBuffer``),
-an ``AdaptationWorker`` warm-starts a trainer from the latest checkpoint,
-fine-tunes on the fresh experience, and hot-swaps the serving model only
-when the join-order-regret regression gate passes.  The drift scenario
+an ``AdaptationWorker`` fine-tunes a clone of the live model on the
+fresh experience (continuing its last accepted cycle's Adam moments),
+and hot-swaps the serving model only when the join-order-regret
+regression gate passes.  The drift scenario
 is fixed: the live model is trained on small (2-3 table) queries, then
 traffic shifts to 4-6 table queries over a skewed database — exactly
 the situation where frozen weights decay and feedback-driven adaptation
@@ -223,6 +224,8 @@ class TestAdaptationWorker:
     def test_accepted_cycle_persists_warm_start_checkpoint(self, db, weak_model, phase2, tmp_path):
         import os
 
+        import numpy as np
+
         from repro.core.checkpoint import read_checkpoint_meta
 
         config = dataclasses.replace(self.CONFIG, checkpoint_dir=str(tmp_path))
@@ -231,14 +234,73 @@ class TestAdaptationWorker:
             fill_buffer(buffer, phase2)
             worker = AdaptationWorker(service, db, buffer, config)
             assert worker.run_once()
-            path = worker._latest_checkpoint
+            path = worker.last_gate.checkpoint_path
             assert path is not None and os.path.exists(path)
             meta = read_checkpoint_meta(path)
             assert meta["optimizer"] is not None  # Adam moments for the next cycle
             assert db.name in meta["featurizers"]
             # The installed serving model is exactly the checkpointed one.
-            served_version = service.session.model.version
-            assert meta["model_version"] == served_version
+            live = service.session.model
+            assert meta["model_version"] == live.version
+            # Memory == disk: what the write-only checkpoint would
+            # restore is what the worker carries into its next cycle.
+            restored = JointTrainer.warm_start(path, db)
+            live_state = live.state_dict()
+            for name, value in restored.model.state_dict().items():
+                np.testing.assert_array_equal(value, live_state[name], err_msg=name)
+            carried, installed = worker._trajectory
+            assert installed is live
+            on_disk = restored.optimizer.state_dict()
+            assert on_disk["t"] == carried["t"] > 0
+            assert set(on_disk["m"]) == set(carried["m"])
+            for key in carried["m"]:
+                np.testing.assert_array_equal(on_disk["m"][key], carried["m"][key], err_msg=key)
+                np.testing.assert_array_equal(on_disk["v"][key], carried["v"][key], err_msg=key)
+
+    def test_cycles_read_no_checkpoint(self, db, weak_model, phase2, tmp_path, monkeypatch):
+        """The checkpoint lineage is write-only: two cycles with an
+        accept in between run with archive reads disabled."""
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("an adaptation cycle read a checkpoint")
+
+        monkeypatch.setattr("repro.core.checkpoint._read_archive", no_reads)
+        config = AdaptationConfig(
+            fine_tune_epochs=1, batch_size=8, regret_tolerance_ms=1e12,
+            checkpoint_dir=str(tmp_path),
+        )
+        with OptimizerService(weak_model, db.name) as service:
+            buffer = ExperienceBuffer(64)
+            fill_buffer(buffer, phase2[:8])
+            worker = AdaptationWorker(service, db, buffer, config)
+            assert worker.run_once()
+            fill_buffer(buffer, phase2[8:])
+            assert worker.run_once()
+        # Cycle 2 continued cycle 1's moments: 1 step, then 2 more.
+        assert worker._trajectory[0]["t"] == 3
+
+    def test_multi_database_model_adapts_without_database_handles(
+        self, db, weak_model, phase2, tmp_path
+    ):
+        """A serving model holding featurizers for two databases adapts
+        with a plain worker: nothing re-supplies Database handles."""
+        other = generate_database(seed=4, num_tables=3, row_range=(30, 60), attr_range=(2, 2))
+        assert other.name != db.name
+        weak_model.attach_featurizer(other.name, DatabaseFeaturizer(other, SMALL))
+        config = AdaptationConfig(
+            fine_tune_epochs=1, regret_tolerance_ms=1e12, checkpoint_dir=str(tmp_path)
+        )
+        with OptimizerService(weak_model, db.name) as service:
+            buffer = ExperienceBuffer(64)
+            fill_buffer(buffer, phase2[:8])
+            worker = AdaptationWorker(service, db, buffer, config)
+            assert worker.run_once()
+            assert set(service.session.model.databases()) == {db.name, other.name}
+
+    def test_worker_takes_no_databases_argument(self, db, weak_model):
+        service = OptimizerService(weak_model, db.name)
+        with pytest.raises(TypeError):
+            AdaptationWorker(service, db, ExperienceBuffer(8), AdaptationConfig(), databases={})
 
     def test_external_swap_restarts_the_warm_start_lineage(
         self, db, featurizer, weak_model, phase2, tmp_path

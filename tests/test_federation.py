@@ -139,7 +139,7 @@ class TestTenantNode:
         tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
         live = tenant.live_model
         broadcast = {name: value + 0.01 for name, value in global_state.items()}
-        private = tenant._private_model(broadcast)
+        private = tenant.round.private_model(live, broadcast)
         for name, value in private.state_dict().items():
             np.testing.assert_array_equal(value, broadcast[name])
         live_arrays = {

@@ -495,6 +495,13 @@ class TestServiceTelemetry:
             report = service.report()
         assert report.completed == len(labeled)
         assert report.latency is not None and report.latency.count == len(labeled)
+        # telemetry=None is a private disabled handle, not a third mode.
+        tel = service.telemetry
+        assert isinstance(tel, Telemetry) and not tel.on
+        assert tel.tracer.spans() == [] and tel.slo.statuses() == {}
+        assert service.stats.registry is tel.registry
+        other = OptimizerService(model, db.name)
+        assert other.telemetry is not tel
 
     def test_sequential_services_sharing_a_registry_do_not_collide(self, db, model, labeled):
         tel = Telemetry()
