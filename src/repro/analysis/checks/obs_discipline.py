@@ -1,18 +1,16 @@
 """Telemetry-usage discipline for the ``repro.obs`` substrate.
 
-Two rules keep instrumentation from degrading the code it observes:
+One rule keeps instrumentation from degrading the code it observes:
 
-- **balanced spans** — the imperative ``start_span``/``end_span`` pair
-  is an obs-internal implementation detail; outside the ``obs`` package
-  every span must use the context-manager form (``with tracer.span(...)``
-  / ``with maybe_span(...)``), which cannot leak an unclosed span past
-  an exception.
 - **no recording under a service mutex** — metric and SLO recording
   takes the metric's private lock; doing it while lexically holding one
   of the enclosing class's own locks both serializes unrelated request
   threads behind telemetry and threads the service lock into the
   metric-lock order.  Record after releasing, the way
   ``ServiceStats.note_completed`` does.
+
+(Balanced spans need no rule: ``TraceRecorder`` has only the
+context-manager form, so there is no open-span handle to leak.)
 """
 
 from __future__ import annotations
@@ -34,53 +32,15 @@ _RECORDING_LEAVES = frozenset({"inc", "observe", "update_max"})
 # TraceRecorder.record reached via *.slo / *.tracer.
 _RECORDING_SUFFIXES = ("slo.record", "tracer.record")
 
-_IMPERATIVE_SPAN_LEAVES = frozenset({"start_span", "end_span"})
-
 
 class ObsDisciplineChecker(Checker):
-    """Spans balanced by construction; no telemetry under a mutex."""
+    """No telemetry recording while holding a service mutex."""
 
     name = "obs-discipline"
-    description = (
-        "spans use the context-manager form outside obs/; "
-        "no metric recording while holding a service lock"
-    )
-
-    def __init__(self, internal_prefixes: "tuple[str, ...]" = ("repro/obs/",)):
-        # Modules whose rel_path contains one of these fragments may use
-        # the imperative span API (they implement it).
-        self.internal_prefixes = internal_prefixes
+    description = "no metric recording while holding a service lock"
 
     def check(self, module: SourceModule) -> list[Finding]:
         findings: list[Finding] = []
-        if not self._is_internal(module):
-            self._check_imperative_spans(module, findings)
-        self._check_recording_under_lock(module, findings)
-        return findings
-
-    def _is_internal(self, module: SourceModule) -> bool:
-        path = module.rel_path.replace("\\", "/")
-        return any(prefix in path for prefix in self.internal_prefixes)
-
-    # -- rule 1: context-manager spans only ----------------------------
-    def _check_imperative_spans(self, module: SourceModule, findings: list[Finding]) -> None:
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            leaf = node.func.attr
-            if leaf in _IMPERATIVE_SPAN_LEAVES:
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        f"imperative {leaf}() outside repro.obs — an exception "
-                        f"between start and end leaks an unclosed span; use "
-                        f"'with tracer.span(...)' / 'with maybe_span(...)'",
-                    )
-                )
-
-    # -- rule 2: no recording while holding an own lock ----------------
-    def _check_recording_under_lock(self, module: SourceModule, findings: list[Finding]) -> None:
         for qualname, cls, func in iter_functions(module.tree):
             if cls is None:
                 continue
@@ -106,7 +66,7 @@ class ObsDisciplineChecker(Checker):
                                 symbol=qualname,
                             )
                         )
-        return None
+        return findings
 
     @staticmethod
     def _held_lock(node: ast.With, aliases: "dict[str, str]") -> "str | None":

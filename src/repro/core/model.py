@@ -115,8 +115,9 @@ class MTMLFQO(nn.Module):
         # (table, filter) and a join node's only on its predicate
         # columns, so distinct plans over one query (rerank probes,
         # alternative orders) share almost every node.  Memoizing here
-        # skips the per-node encoder forwards (the (F) LSTM over filter
-        # predicates) that dominate encode_query on repeat traffic.
+        # skips the per-node encoder forwards (the (F) ``Enc_i``
+        # transformer over filter predicates) that dominate encode_query
+        # on repeat traffic.
         self._node_cache = FeatureCache(self.config.feature_cache_size)  # guarded-by: _infer_lock
         # Serializes concurrent *inference* through the model: the public
         # inference entry points (predict_*, beam_candidates_batch) and

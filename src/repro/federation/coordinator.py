@@ -113,16 +113,20 @@ class FleetCoordinator(RoundScheduler):
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.tenants: dict[str, TenantNode] = {}  # guarded-by: _tenants_lock
         self.rounds: list[FleetRound] = []  # guarded-by: _stats_lock
-        self.reverted_rounds = 0  # guarded-by: _stats_lock
-        self.round_failures = 0  # guarded-by: _stats_lock
-        self.tenant_failures = 0  # guarded-by: _stats_lock
+        # The fleet totals have one store, the registry: report() and
+        # every telemetry snapshot read the same counters.  Recorded
+        # outside every coordinator lock.
+        registry = self.telemetry.registry
+        self._rounds_total = registry.counter("fleet.rounds")
+        self._reverted_rounds = registry.counter("fleet.reverted_rounds")
+        self._round_failures = registry.counter("fleet.round_failures")
+        self._tenant_failures = registry.counter("fleet.tenant_failures")
         # Serializes rounds; held across an entire broadcast → push
         # cycle (including per-tenant harvest threads) by design.
         self._round_lock = threading.Lock()  # analysis: coarse-lock
-        # Leaf lock for the round/failure counters above: they are
-        # written from the loop thread mid-round and read by report()
-        # from any thread, and must not require the (long-held) round
-        # lock to observe.
+        # Leaf lock for the rounds list above: it is appended to from the
+        # loop thread and read by report() from any thread, and must not
+        # require the (long-held) round lock to observe.
         self._stats_lock = threading.Lock()
         # Guards the tenant registry: register()/onboard() may run on
         # the caller's thread while the background loop iterates the
@@ -240,8 +244,7 @@ class FleetCoordinator(RoundScheduler):
             update = results.get(tenant_name)
             if isinstance(update, BaseException):
                 round_.failed.append(tenant_name)
-                with self._stats_lock:
-                    self.tenant_failures += 1
+                self._tenant_failures.inc()
                 continue
             if update is None:
                 round_.skipped.append(tenant_name)
@@ -275,9 +278,9 @@ class FleetCoordinator(RoundScheduler):
         telemetry = self.telemetry
         round_.slo_breached = telemetry.slo.breached()
         registry = telemetry.registry
-        registry.counter("fleet.rounds").inc()
+        self._rounds_total.inc()
         if round_.reverted:
-            registry.counter("fleet.reverted_rounds").inc()
+            self._reverted_rounds.inc()
         if round_.slo_breached:
             registry.counter("fleet.slo_breached_rounds").inc()
         registry.histogram("fleet.round_s").observe(time.perf_counter() - round_started)
@@ -342,8 +345,7 @@ class FleetCoordinator(RoundScheduler):
             outcome = outcomes.get(tenant_name)
             if isinstance(outcome, BaseException):
                 round_.failed.append(tenant_name)
-                with self._stats_lock:
-                    self.tenant_failures += 1
+                self._tenant_failures.inc()
             elif outcome is True:
                 round_.accepted.append(tenant_name)
             elif outcome is False:
@@ -364,8 +366,6 @@ class FleetCoordinator(RoundScheduler):
             # safeguard.
             self._abandon_round(round_, tenants)
             round_.reverted = True
-            with self._stats_lock:
-                self.reverted_rounds += 1
             return
         with self._global_lock:
             self.global_model.load_state_dict(merged)
@@ -417,26 +417,23 @@ class FleetCoordinator(RoundScheduler):
         return not (round_.reverted or round_.failed)
 
     def _note_failure(self) -> None:
-        with self._stats_lock:
-            self.round_failures += 1
+        self._round_failures.inc()
 
     # -- reporting --------------------------------------------------------
     def report(self) -> FleetReport:
         """Merge every tenant's ServingReport into one fleet view."""
         tenants = self._tenant_snapshot()
-        # Tenant reports take the tenants' own locks — gather them
-        # before entering the stats lock so it stays a leaf.
         tenant_reports = {name: tenant.report() for name, tenant in tenants}
         tenant_counters = {name: tenant.counters() for name, tenant in tenants}
-        slo = self.telemetry.slo.statuses()
         with self._stats_lock:
-            return FleetReport(
-                tenants=tenant_reports,
-                tenant_counters=tenant_counters,
-                rounds=len(self.rounds),
-                reverted_rounds=self.reverted_rounds,
-                round_failures=self.round_failures,
-                tenant_failures=self.tenant_failures,
-                last_round=self.rounds[-1] if self.rounds else None,
-                slo=slo,
-            )
+            last_round = self.rounds[-1] if self.rounds else None
+        return FleetReport(
+            tenants=tenant_reports,
+            tenant_counters=tenant_counters,
+            rounds=int(self._rounds_total.value),
+            reverted_rounds=int(self._reverted_rounds.value),
+            round_failures=int(self._round_failures.value),
+            tenant_failures=int(self._tenant_failures.value),
+            last_round=last_round,
+            slo=self.telemetry.slo.statuses(),
+        )

@@ -2,8 +2,8 @@
 
 Substitutes for PyTorch in this reproduction (no deep-learning framework
 is available offline).  Provides reverse-mode autodiff tensors, standard
-layers, multi-head attention, transformer encoder/decoder stacks, LSTMs
-and the child-sum Tree-LSTM, optimizers and loss functions.
+layers, multi-head attention, transformer encoder/decoder stacks, the
+child-sum Tree-LSTM, optimizers and loss functions.
 """
 
 from . import functional, kernels
@@ -11,7 +11,7 @@ from .attention import KVCache, MultiHeadAttention, causal_mask
 from .kernels import ScratchArena
 from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter, Sequential
 from .losses import cross_entropy, kl_divergence, mse_loss, q_error, q_error_loss
-from .lstm import LSTM, ChildSumTreeLSTM, LSTMCell
+from .lstm import ChildSumTreeLSTM
 from .optim import SGD, Adam, clip_grad_norm
 from .positional import TreePosition, sinusoidal_encoding, tree_path_encoding
 from .serialize import load_module, save_module
@@ -43,8 +43,6 @@ __all__ = [
     "TransformerEncoderLayer",
     "TransformerDecoder",
     "TransformerDecoderLayer",
-    "LSTM",
-    "LSTMCell",
     "ChildSumTreeLSTM",
     "SGD",
     "Adam",

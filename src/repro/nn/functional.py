@@ -1,20 +1,22 @@
-"""The op table: every operation a layer body needs, written twice.
+"""The op table: every operation a layer body needs, each with one forward.
 
-Each function here has two implementations and picks one by the type of
-its operand: a :class:`Tensor` runs the autograd op (records tape, same
-float-op order as ever, so training is bit-identical), a raw
-``np.ndarray`` runs the matching :mod:`repro.nn.kernels` function
-(in place where it can, into a ``ScratchArena`` buffer when given one).
-Layer bodies are written once against this table plus the operators
-``Tensor`` and ``ndarray`` already share (``+``, ``*``, ``@``, slicing,
-``reshape``/``transpose``/``swapaxes``); which half runs is decided by
-what ``Module.__call__`` hands the body — never by the body.
+Each op computes its value once, through its :mod:`repro.nn.kernels`
+function (or the one numpy call, for the ops that are one), on the raw
+ndarrays of whatever it is handed.  Handed ndarrays it returns that
+array; handed :class:`Tensor`s it wraps the very same array in a single
+tape node whose hand-written backward rule is all the tape adds.  So
+the tape run and the raw run of a layer body compute the same values by
+construction, and a kernel that is fused or reordered changes training
+and serving together.  Layer bodies are written once against this table
+plus the operators ``Tensor`` and ``ndarray`` already share (``+``,
+``*``, ``@``, slicing, ``reshape``/``transpose``/``swapaxes``); which
+kind of operand they see is decided by ``Module.__call__`` — never by
+the body.
 
-The two halves of every op are bit-identical (``tests/test_op_table.py``
-compares them on contiguous, transposed and broadcast operands), which
-is the whole tape↔kernel parity argument: one body over equal ops is
-one function.  This is the only module allowed to call ``kernels.*``
-(the ``raw-kernel`` checker enforces it).
+Among Tensors a kernel never gets a ``ScratchArena``: a buffer reused by
+the next call would overwrite an activation a backward rule still
+needs.  This is the only module allowed to call ``kernels.*`` (the
+``raw-kernel`` checker enforces it).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor
+from .tensor import Tensor, matmul_backward, raw
 
 __all__ = [
     "matmul",
@@ -40,9 +42,6 @@ __all__ = [
     "repeat_batch",
     "operand",
     "zeros",
-    "gelu",
-    "where",
-    "pad_sequences",
     "pad_index_sequences",
     "one_hot",
 ]
@@ -60,136 +59,116 @@ def zeros(shape: tuple, like):
     return data if isinstance(like, np.ndarray) else Tensor(data)
 
 
+def _unary(x, out: np.ndarray, grad_fn):
+    """The result of a one-operand op whose forward value is ``out``:
+    ``out`` itself among ndarrays, one tape node around it sending
+    ``grad_fn(grad)`` back to ``x`` among Tensors."""
+    if not isinstance(x, Tensor):
+        return out
+    return Tensor._make(out, (x,), lambda grad: x._accumulate(grad_fn(grad)), x.requires_grad)
+
+
 def matmul(a, b, scratch=None, tag: str = ""):
-    """``a @ b``; the ndarray half can write into a ``scratch`` buffer."""
-    if isinstance(a, np.ndarray):
-        return kernels.matmul(a, b, scratch, tag)
-    return a.matmul(b)
+    """``a @ b``; among ndarrays it can write into a ``scratch`` buffer."""
+    taped = isinstance(a, Tensor)
+    out = kernels.matmul(raw(a), raw(b), None if taped else scratch, tag)
+    if not taped:
+        return out
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    return Tensor._make(
+        out, (a, b), lambda grad: matmul_backward(a, b, grad), a.requires_grad or b.requires_grad
+    )
 
 
 def linear(x, weight: Tensor, bias: Tensor | None = None, scratch=None, tag: str = ""):
     """Affine map ``x @ W`` then ``+ b`` over parameters ``weight``/``bias``."""
-    if isinstance(x, np.ndarray):
-        return kernels.linear(x, weight.data, None if bias is None else bias.data, scratch, tag)
-    out = x.matmul(weight)
-    if bias is not None:
-        out = out + bias
-    return out
+    taped = isinstance(x, Tensor)
+    out = kernels.linear(
+        raw(x), weight.data, None if bias is None else bias.data, None if taped else scratch, tag
+    )
+    if not taped:
+        return out
+
+    def backward(grad):
+        matmul_backward(x, weight, grad)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad)
+
+    requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
+    return Tensor._make(out, (x, weight, bias), backward, requires)
 
 
 def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float, dim: int):
-    """Normalise the last axis (mean as ``sum * (1/dim)`` in both halves)."""
-    if isinstance(x, np.ndarray):
-        return kernels.layer_norm(x, gamma.data, beta.data, eps, dim)
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * (var + eps) ** -0.5
-    return normed * gamma + beta
+    """Normalise the last axis, then ``* gamma + beta``."""
+    out = kernels.layer_norm(raw(x), gamma.data, beta.data, eps, dim)
+    if not isinstance(x, Tensor):
+        return out
+
+    def backward(grad):
+        # The kernel keeps no intermediates, so the rule rebuilds the two
+        # it needs (normalised input, reciprocal std) from ``x``.
+        inv = 1.0 / dim
+        centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv
+        rstd = ((centered * centered).sum(axis=-1, keepdims=True) * inv + eps) ** -0.5
+        normed = centered * rstd
+        if beta.requires_grad:
+            beta._accumulate(grad)
+        if gamma.requires_grad:
+            gamma._accumulate(grad * normed)
+        if x.requires_grad:
+            g = grad * gamma.data
+            g_mean = g.sum(axis=-1, keepdims=True) * inv
+            gn_mean = (g * normed).sum(axis=-1, keepdims=True) * inv
+            x._accumulate(rstd * (g - g_mean - normed * gn_mean))
+
+    requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    return Tensor._make(out, (x, gamma, beta), backward, requires)
 
 
 def scale(x, factor: float):
     """``x * factor``; in place on an ndarray (callers pass a fresh one)."""
+    # The one op whose two kinds of operand take different lines: among
+    # ndarrays the multiply overwrites its input (same ufunc, same bits,
+    # no allocation), which the tape must not do — whatever produced
+    # ``x`` may read x's value in its own backward rule.
     if isinstance(x, np.ndarray):
         return np.multiply(x, factor, out=x)
     return x * factor
 
 
 def relu(x):
-    return kernels.relu(x) if isinstance(x, np.ndarray) else x.relu()
+    out = kernels.relu(raw(x))
+    return _unary(x, out, lambda grad: grad * (out > 0))
 
 
 def sigmoid(x):
-    return kernels.sigmoid(x) if isinstance(x, np.ndarray) else x.sigmoid()
+    out = kernels.sigmoid(raw(x))
+    return _unary(x, out, lambda grad: grad * out * (1.0 - out))
 
 
 def tanh(x):
-    return np.tanh(x) if isinstance(x, np.ndarray) else x.tanh()
-
-
-def _all_raw(tensors) -> bool:
-    return not any(isinstance(t, Tensor) for t in tensors)
-
-
-def concat(tensors: list, axis: int = 0):
-    """Concatenate along ``axis`` (with gradient support among Tensors)."""
-    if _all_raw(tensors):
-        return np.concatenate(tensors, axis=axis)
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-
-    def backward(grad):
-        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-    return Tensor._make(data, tuple(tensors), backward, requires)
-
-
-def stack(tensors: list, axis: int = 0):
-    """Stack along a new ``axis`` (with gradient support among Tensors)."""
-    if _all_raw(tensors):
-        return np.stack(tensors, axis=axis)
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
-
-    def backward(grad):
-        slabs = np.split(grad, len(tensors), axis=axis)
-        for tensor, slab in zip(tensors, slabs):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(slab, axis=axis))
-
-    return Tensor._make(data, tuple(tensors), backward, requires)
+    out = np.tanh(raw(x))
+    return _unary(x, out, lambda grad: grad * (1.0 - out * out))
 
 
 def softmax(x, axis: int = -1):
     """Numerically stable softmax along ``axis``."""
-    if isinstance(x, np.ndarray):
-        return kernels.softmax(x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out = exps / exps.sum(axis=axis, keepdims=True)
-
-    def backward(grad):
-        if x.requires_grad:
-            dot = (grad * out).sum(axis=axis, keepdims=True)
-            x._accumulate(out * (grad - dot))
-
-    return Tensor._make(out, (x,), backward, x.requires_grad)
+    out = kernels.softmax(raw(x), axis)
+    return _unary(
+        x, out, lambda grad: out * (grad - (grad * out).sum(axis=axis, keepdims=True))
+    )
 
 
 def log_softmax(x, axis: int = -1):
     """Numerically stable log-softmax along ``axis``."""
-    if isinstance(x, np.ndarray):
-        return kernels.log_softmax(x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - logsumexp
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out, (x,), backward, x.requires_grad)
+    out = kernels.log_softmax(raw(x), axis)
+    return _unary(x, out, lambda grad: grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
 
 
 def masked_fill(x, mask: np.ndarray, value: float):
     """Replace entries where ``mask`` is True by ``value`` (no grad there)."""
-    if isinstance(x, np.ndarray):
-        return kernels.masked_fill(x, mask, value)
-    mask = np.asarray(mask, dtype=bool)
-    data = np.where(mask, value, x.data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * ~mask)
-
-    return Tensor._make(data, (x,), backward, x.requires_grad)
+    out = kernels.masked_fill(raw(x), mask, value)
+    return _unary(x, out, lambda grad: grad * np.logical_not(mask))
 
 
 def repeat_batch(x, repeats: int):
@@ -201,67 +180,41 @@ def repeat_batch(x, repeats: int):
     """
     if x.shape[0] != 1:
         raise ValueError(f"repeat_batch expects a leading axis of 1, got shape {x.shape}")
-    if isinstance(x, np.ndarray):
-        return np.ascontiguousarray(np.broadcast_to(x, (repeats,) + x.shape[1:]))
-    data = np.ascontiguousarray(np.broadcast_to(x.data, (repeats,) + x.data.shape[1:]))
+    out = np.ascontiguousarray(np.broadcast_to(raw(x), (repeats,) + x.shape[1:]))
+    return _unary(x, out, lambda grad: grad.sum(axis=0, keepdims=True))
+
+
+def _joined(tensors: list, out: np.ndarray, pieces):
+    """The result of ``concat`` / ``stack``: ``out`` itself unless a
+    Tensor is among ``tensors``, else one tape node whose rule hands
+    each Tensor its entry of ``pieces(grad)``."""
+    taped = [t for t in tensors if isinstance(t, Tensor)]
+    if not taped:
+        return out
 
     def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad.sum(axis=0, keepdims=True))
+        for tensor, piece in zip(tensors, pieces(grad)):
+            if isinstance(tensor, Tensor) and tensor.requires_grad:
+                tensor._accumulate(piece)
 
-    return Tensor._make(data, (x,), backward, x.requires_grad)
-
-
-# ---------------------------------------------------------------------------
-# Tensor-only ops (no layer body uses them, so they have no kernel half)
-# ---------------------------------------------------------------------------
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x.data + 0.044715 * x.data ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + t)
-
-    def backward(grad):
-        if x.requires_grad:
-            dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x.data ** 2)
-            x._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
-
-    return Tensor._make(out, (x,), backward, x.requires_grad)
+    return Tensor._make(out, tuple(taped), backward, any(t.requires_grad for t in taped))
 
 
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select: ``condition ? a : b`` (condition is constant)."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a.data, b.data)
+def concat(tensors: list, axis: int = 0):
+    """Concatenate along ``axis`` (with gradient support among Tensors)."""
+    out = np.concatenate([raw(t) for t in tensors], axis=axis)
 
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * condition)
-        if b.requires_grad:
-            b._accumulate(grad * ~condition)
+    def pieces(grad):
+        cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]], dtype=np.int64)
+        return np.split(grad, cuts, axis=axis)
 
-    return Tensor._make(data, (a, b), backward, a.requires_grad or b.requires_grad)
+    return _joined(tensors, out, pieces)
 
 
-def pad_sequences(arrays: list[np.ndarray], pad_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Pad a list of ``(length_i, dim)`` arrays to a dense batch.
-
-    Returns ``(batch, mask)`` where ``batch`` has shape
-    ``(n, max_len, dim)`` and ``mask`` is True at padded positions.
-    """
-    if not arrays:
-        raise ValueError("pad_sequences requires at least one sequence")
-    max_len = max(a.shape[0] for a in arrays)
-    dim = arrays[0].shape[1]
-    batch = np.full((len(arrays), max_len, dim), pad_value, dtype=np.float64)
-    mask = np.ones((len(arrays), max_len), dtype=bool)
-    for i, array in enumerate(arrays):
-        batch[i, : array.shape[0]] = array
-        mask[i, : array.shape[0]] = False
-    return batch, mask
+def stack(tensors: list, axis: int = 0):
+    """Stack along a new ``axis`` (with gradient support among Tensors)."""
+    out = np.stack([raw(t) for t in tensors], axis=axis)
+    return _joined(tensors, out, lambda grad: np.moveaxis(grad, axis, 0))
 
 
 def pad_index_sequences(

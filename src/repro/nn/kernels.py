@@ -1,18 +1,16 @@
-"""Raw-ndarray kernels: the ndarray half of the ``nn.functional`` op table.
+"""Raw-ndarray kernels: the forward of every op in the ``nn.functional`` table.
 
-Every function here mirrors, float-op for float-op, what the Tensor
-half of the same op in :mod:`repro.nn.functional` /
-:mod:`repro.nn.tensor` computes — same numpy calls, same order, same
-intermediate layouts — so a layer body run on raw ndarrays is
-bit-identical to the same body run on the tape.  (For example,
-``layer_norm`` divides via ``sum * (1.0 / dim)`` because that is what
-``Tensor.mean`` does; a plain ``np.mean`` could differ in the last ulp.)
-``tests/test_op_table.py`` holds the two halves to that.
+Each function here is *the* forward of its op: the op table calls it on
+raw ndarrays whether a layer body runs on ndarrays (serving, under
+``no_grad``) or on ``Tensor``s (training — the table wraps the kernel's
+result in one tape node and adds only a backward rule).  Nothing else
+computes these values, so a kernel may be fused or reordered freely:
+training and serving move together.
 
-Kernels record no gradients, so nothing but the op table calls them:
-it dispatches on operand type, and only ever hands a kernel operands
-that are already raw ndarrays.  The static ``raw-kernel`` checker
-rejects any other ``kernels.*`` call site in ``src/repro``.
+Kernels record no gradients, so nothing but the op table calls them, and
+it only ever hands a kernel operands that are already raw ndarrays.  The
+static ``raw-kernel`` checker rejects any other ``kernels.*`` call site
+in ``src/repro``.
 
 Two cross-cutting facilities live here as well:
 
@@ -178,7 +176,7 @@ def _note(name: str, t0: float, nbytes: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kernels (all bit-identical mirrors of the Tensor halves)
+# Kernels (the one forward of each op)
 #
 # Each kernel checks the module-global ``_PROFILE_DEPTH`` inline and only
 # touches the timing helpers when a profiled() block is active: decode
@@ -227,16 +225,15 @@ def linear(
 @shape_spec(inputs={"x": "(..., dim)", "gamma": "(dim,)", "beta": "(dim,)"},
             out="(..., dim)")
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, dim: int) -> np.ndarray:
-    """Mirror of ``functional.layer_norm`` (note ``sum * (1/dim)``, as
-    ``Tensor.mean`` computes it, not ``np.mean``)."""
+    """Forward of ``functional.layer_norm``: normalise the last axis
+    (mean as ``sum * (1/dim)``), then ``* gamma + beta``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     inv = 1.0 / dim
     mean = x.sum(axis=-1, keepdims=True) * inv
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv
-    # Same ufuncs as the Tensor half, applied in place on the fresh
-    # intermediates (an out= ufunc call computes identical bits; it only
-    # skips the output allocation).
+    # In place on the fresh intermediates (an out= ufunc call computes
+    # the same bits as the allocating form; it only skips the allocation).
     np.add(var, eps, out=var)
     np.power(var, -0.5, out=var)
     np.multiply(centered, var, out=centered)
@@ -249,7 +246,7 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, d
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def relu(x: np.ndarray) -> np.ndarray:
-    """Mirror of ``Tensor.relu``: ``x * (x > 0)``."""
+    """Forward of ``functional.relu``: ``x * (x > 0)``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     out = x * (x > 0)
     if _PROFILE_DEPTH:
@@ -259,7 +256,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Mirror of ``Tensor.sigmoid``: ``1 / (1 + exp(-x))``."""
+    """Forward of ``functional.sigmoid``: ``1 / (1 + exp(-x))``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     out = 1.0 / (1.0 + np.exp(-x))
     if _PROFILE_DEPTH:
@@ -269,7 +266,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mirror of ``functional.softmax`` (shift, exp, normalize)."""
+    """Forward of ``functional.softmax`` (shift, exp, normalize)."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     shifted = x - x.max(axis=axis, keepdims=True)
     exps = np.exp(shifted, out=shifted)  # in place on the fresh copy
@@ -281,7 +278,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mirror of ``functional.log_softmax`` (shift, log-sum-exp)."""
+    """Forward of ``functional.log_softmax`` (shift, log-sum-exp)."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     shifted = x - x.max(axis=axis, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -294,7 +291,7 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 @shape_spec(inputs={"x": "(...,)", "mask": "(...,)"}, out="(...,)",
             dtypes={"mask": "bool"})
 def masked_fill(x: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
-    """Mirror of ``functional.masked_fill``."""
+    """Forward of ``functional.masked_fill``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     out = np.where(mask, value, x)
     if _PROFILE_DEPTH:

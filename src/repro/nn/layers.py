@@ -17,7 +17,7 @@ import numpy as np
 
 from . import functional as F
 from .spec import shape_spec
-from .tensor import Tensor, is_grad_enabled, no_tape_active
+from .tensor import Tensor, is_grad_enabled, no_tape_active, raw
 
 __all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "Dropout", "Sequential", "MLP", "ModuleList"]
 
@@ -29,22 +29,9 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
-def _raw(value):
-    """A Tensor's ndarray (through tuples, e.g. an LSTM ``(h, c)`` state)."""
-    if isinstance(value, Tensor):
-        return value.data
-    if isinstance(value, tuple):
-        return tuple(_raw(item) for item in value)
-    return value
-
-
 def _wrapped(value):
-    """Inverse of :func:`_raw` for what a body returns (float64 arrays)."""
-    if isinstance(value, np.ndarray):
-        return Tensor._wrap(value)
-    if isinstance(value, tuple):
-        return tuple(_wrapped(item) for item in value)
-    return value
+    """Inverse of ``raw`` for what a body returns (a float64 array)."""
+    return Tensor._wrap(value) if isinstance(value, np.ndarray) else value
 
 
 class Module:
@@ -130,13 +117,13 @@ class Module:
     def __call__(self, *args, **kwargs):
         # The substrate's one mode-selection site.  With no tape to
         # record, a body handed Tensors runs on their raw ndarrays instead
-        # (so every op-table call inside takes its kernel half, sub-module
-        # calls included) and the result is wrapped once on the way out.
+        # (so every op-table call inside returns its kernel result as it
+        # is, sub-module calls included) and is wrapped once on the way out.
         # Bodies already running on ndarrays — nested calls, the beam
         # driver — and every call with the tape on pass straight through.
         if args and isinstance(args[0], Tensor) and no_tape_active():
-            kwargs = {key: _raw(value) for key, value in kwargs.items()}
-            return _wrapped(self.forward(*map(_raw, args), **kwargs))
+            kwargs = {key: raw(value) for key, value in kwargs.items()}
+            return _wrapped(self.forward(*map(raw, args), **kwargs))
         return self.forward(*args, **kwargs)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract

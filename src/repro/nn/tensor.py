@@ -8,7 +8,12 @@ available in the reproduction environment.
 The design follows the classic tape-based approach: every ``Tensor``
 records the operation that produced it and a closure that propagates
 gradients to its parents.  ``Tensor.backward()`` topologically sorts the
-graph and runs the closures in reverse order.
+graph and runs the closures in reverse order.  The methods here are the
+operators ``Tensor`` shares with ``ndarray`` (arithmetic, ``@``, shape
+ops, reductions); everything a layer body needs beyond them — ``linear``,
+``layer_norm``, the activations, ``softmax`` — is an op of
+:mod:`repro.nn.functional`, whose tape nodes are built with
+:meth:`Tensor._make` around values the kernels computed.
 
 Only float64 data is used; the models in this reproduction are small, so
 numerical robustness is preferred over memory savings.
@@ -61,8 +66,9 @@ def no_tape_active() -> bool:
 
     The selection predicate of the one-body substrate, read at exactly
     one site: ``Module.__call__`` hands a layer body raw ndarrays (so the
-    ``nn.functional`` op table runs its in-place kernels) when this is
-    true, and ``Tensor``s (so the same body records tape) otherwise.
+    ``nn.functional`` op table returns each kernel result as it is) when
+    this is true, and ``Tensor``s (so the table wraps the same result in
+    a tape node) otherwise.
     """
     return not is_grad_enabled()
 
@@ -88,6 +94,27 @@ def _as_array(value) -> np.ndarray:
             return value.astype(np.float64)
         return value
     return np.asarray(value, dtype=np.float64)
+
+
+def raw(value):
+    """A Tensor's ndarray; anything else as it is."""
+    return value.data if isinstance(value, Tensor) else value
+
+
+def matmul_backward(a: "Tensor", b: "Tensor", grad: np.ndarray) -> None:
+    """Send the gradient of ``a @ b`` to ``a`` and ``b`` (1-D operands
+    included).  The backward rule of the ``@`` operator and of the op
+    table's ``matmul`` / ``linear`` nodes alike."""
+    if a.requires_grad:
+        if b.data.ndim == 1:
+            a._accumulate(np.expand_dims(grad, -1) * b.data)
+        else:
+            a._accumulate(grad @ np.swapaxes(b.data, -1, -2))
+    if b.requires_grad:
+        if a.data.ndim == 1:
+            b._accumulate(np.outer(a.data, grad))
+        else:
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ grad)
 
 
 class Tensor:
@@ -288,21 +315,10 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data @ other.data
-
-        def backward(grad):
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(np.expand_dims(grad, -1) * other.data)
-                else:
-                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad))
-                else:
-                    g = np.swapaxes(self.data, -1, -2) @ grad
-                    other._accumulate(g)
-
-        return Tensor._make(data, (self, other), backward, self.requires_grad or other.requires_grad)
+        return Tensor._make(
+            data, (self, other), lambda grad: matmul_backward(self, other, grad),
+            self.requires_grad or other.requires_grad,
+        )
 
     __matmul__ = matmul
 
@@ -405,34 +421,6 @@ class Tensor:
         def backward(grad):
             if self.requires_grad:
                 self._accumulate(grad / self.data)
-
-        return Tensor._make(data, (self,), backward, self.requires_grad)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - data * data))
-
-        return Tensor._make(data, (self,), backward, self.requires_grad)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward, self.requires_grad)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = self.data * mask
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * mask)
 
         return Tensor._make(data, (self,), backward, self.requires_grad)
 

@@ -15,11 +15,11 @@ a single int attribute, ``TraceRecorder.on``.  When it is 0,
 :data:`NOOP_SPAN` singleton, and ``record``/``event`` return before
 touching the clock — no allocation, no lock, one int check.
 
-Span lifecycle outside this package must use the context-manager form
-(``with tracer.span(tid, name) as sp``), which cannot leak an open
-span; the imperative ``start_span``/``end_span`` pair exists for the
-recorder's own plumbing and is rejected elsewhere by the analyzer's
-``obs-discipline`` checker.
+A timed span has one form, the context manager (``with
+tracer.span(tid, name) as sp``), which cannot leak an open span past an
+exception; there is no imperative start/end pair to misuse.  A span
+whose endpoints were measured elsewhere goes through
+:meth:`TraceRecorder.record`.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _LiveSpan:
-    """Open span handle; records itself on ``__exit__``/``end_span``."""
+    """Open span handle; records itself on ``__exit__``."""
 
     __slots__ = ("_recorder", "trace_id", "name", "start_s", "attrs")
 
@@ -121,7 +121,9 @@ class _LiveSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
             self.set("error", exc_type.__name__)
-        self._recorder.end_span(self)
+        self._recorder.record(
+            self.trace_id, self.name, self.start_s, time.perf_counter(), self.attrs
+        )
         return False
 
 
@@ -160,28 +162,6 @@ class TraceRecorder:
         if not self.on or not trace_id:
             return NOOP_SPAN
         return _LiveSpan(self, trace_id, name)
-
-    def start_span(self, trace_id: int, name: str):
-        """Imperative form of :meth:`span` (obs-internal; callers
-        elsewhere must use the context-manager form — enforced by the
-        ``obs-discipline`` checker, because a returned handle can leak
-        without its ``end_span``)."""
-        handle = self.span(trace_id, name)
-        if handle is not NOOP_SPAN:
-            handle.start_s = time.perf_counter()
-        return handle
-
-    def end_span(self, handle) -> None:
-        """Close and record a handle from :meth:`start_span`."""
-        if handle is NOOP_SPAN:
-            return
-        self.record(
-            handle.trace_id,
-            handle.name,
-            handle.start_s,
-            time.perf_counter(),
-            handle.attrs,
-        )
 
     def record(
         self,

@@ -410,7 +410,8 @@ class Layer:
 from . import kernels
 
 def relu(x):
-    return kernels.relu(x) if isinstance(x, np.ndarray) else x.relu()
+    out = kernels.relu(raw(x))
+    return _unary(x, out, lambda grad: grad * (out > 0))
 """
         assert run_checker(RawKernelChecker(), source, "repro/nn/functional.py") == []
         assert len(run_checker(RawKernelChecker(), source, "repro/nn/layers.py")) == 1
@@ -547,29 +548,6 @@ def decode(memory):
 # obs-discipline
 # ---------------------------------------------------------------------------
 class TestObsDisciplineChecker:
-    def test_imperative_span_api_fires_outside_obs(self):
-        bad = """
-def serve(tracer, tid):
-    span = tracer.start_span(tid, "decode")
-    result = work()
-    tracer.end_span(span)
-    return result
-"""
-        findings = run_checker(ObsDisciplineChecker(), bad)
-        assert len(findings) == 2
-        assert "start_span" in findings[0].message
-        assert "with tracer.span" in findings[0].message
-
-    def test_imperative_span_api_allowed_inside_obs(self):
-        source = """
-def serve(tracer, tid):
-    span = tracer.start_span(tid, "decode")
-    tracer.end_span(span)
-"""
-        assert run_checker(
-            ObsDisciplineChecker(), source, rel_path="src/repro/obs/trace.py"
-        ) == []
-
     def test_context_manager_span_passes(self):
         good = """
 def serve(tracer, tid):

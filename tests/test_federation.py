@@ -350,7 +350,7 @@ class TestFleetRounds:
             round_ = fleet.run_round()
             assert round_.failed == [broken.name]
             assert [name for name, _ in round_.participants] == [healthy.name]
-            assert fleet.tenant_failures >= 1
+            assert fleet.report().tenant_failures >= 1
             assert round_.merged  # the healthy tenant's round still landed
 
     def test_reverted_round_returns_harvest_credit(self, fixture):
@@ -444,6 +444,34 @@ class TestFleetReport:
             assert report.completed == sum(r.completed for r in report.tenants.values())
             assert report.completed == 16
             assert report.rounds == 1
+
+    def test_report_and_snapshot_read_the_same_totals(self, fixture):
+        """One reverted round with one crashing tenant: ``report()`` and a
+        telemetry snapshot show the same four fleet totals (one store)."""
+        tenants, global_state = fixture
+        config = tiny_fleet_config()
+        telemetry = Telemetry()
+        with FleetCoordinator(TINY, config, telemetry=telemetry) as fleet:
+            fleet.global_model.load_state_dict(global_state)
+            db, featurizer, pool = tenants[0]
+            tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
+            tenant.inject_experience(pool[:6])
+            tenant.consider_global = lambda *_: (_ for _ in ()).throw(RuntimeError("gate down"))
+            assert fleet.run_round().reverted
+            report = fleet.report()
+        metrics = {
+            entry["name"]: entry["value"]
+            for entry in telemetry.snapshot()["metrics"]
+            if entry["kind"] == "counter" and not entry["labels"]
+        }
+        totals = {
+            "fleet.rounds": report.rounds,
+            "fleet.reverted_rounds": report.reverted_rounds,
+            "fleet.round_failures": report.round_failures,
+            "fleet.tenant_failures": report.tenant_failures,
+        }
+        assert totals == {name: metrics[name] for name in totals}
+        assert (report.rounds, report.reverted_rounds, report.tenant_failures) == (1, 1, 1)
 
     def test_format_fleet_report_renders(self, fixture):
         tenants, global_state = fixture

@@ -362,24 +362,24 @@ class TestTransformer:
 
 
 class TestLSTM:
-    def test_lstm_shapes(self):
-        lstm = nn.LSTM(4, 6, rng=np.random.default_rng(0))
-        out = lstm(nn.Tensor(RNG.normal(size=(2, 5, 4))))
-        assert out.shape == (2, 5, 6)
+    @staticmethod
+    def _root_hidden(tree, leaves, root):
+        """Root ``h`` of a two-leaf tree, encoded bottom-up by ``node_forward``."""
+        child_states = [tree.node_forward(nn.Tensor(leaf), []) for leaf in leaves]
+        h, _ = tree.node_forward(nn.Tensor(root), child_states)
+        return h
 
     def test_tree_lstm_leaf_and_internal(self):
         tree = nn.ChildSumTreeLSTM(4, 6, rng=np.random.default_rng(0))
-        features = {0: RNG.normal(size=(1, 4)), 1: RNG.normal(size=(1, 4)), 2: RNG.normal(size=(1, 4))}
-        children = {2: [0, 1]}
-        h = tree.encode_tree(features, children, root=2)
+        leaves = [RNG.normal(size=(1, 4)), RNG.normal(size=(1, 4))]
+        h = self._root_hidden(tree, leaves, RNG.normal(size=(1, 4)))
         assert h.shape == (1, 6)
 
     def test_tree_lstm_depends_on_children(self):
         tree = nn.ChildSumTreeLSTM(3, 5, rng=np.random.default_rng(0))
-        base = {0: np.ones((1, 3)), 1: np.ones((1, 3)), 2: np.ones((1, 3))}
-        other = {0: np.ones((1, 3)) * 2.0, 1: np.ones((1, 3)), 2: np.ones((1, 3))}
-        h1 = tree.encode_tree(base, {2: [0, 1]}, root=2)
-        h2 = tree.encode_tree(other, {2: [0, 1]}, root=2)
+        ones = np.ones((1, 3))
+        h1 = self._root_hidden(tree, [ones, ones], ones)
+        h2 = self._root_hidden(tree, [ones * 2.0, ones], ones)
         assert np.abs(h1.data - h2.data).max() > 1e-6
 
 

@@ -1,19 +1,27 @@
-"""The op table's two halves are the same function, bit for bit.
+"""Every op of the table has one forward and a backward rule that is right.
 
-Every layer has one body written against ``repro.nn.functional``; what
-makes the tape run and the raw-ndarray run of that body identical is
-that each op's ``Tensor`` half and ``ndarray`` half are.  This file is
-that argument's whole evidence: each op is evaluated on Tensors with
-grad enabled (so the tape half really runs) and on the same values as
-raw ndarrays (the kernel half), across operand layouts BLAS and the
-ufunc machinery treat differently — C-contiguous, transposed views,
-strided slices, stride-0 broadcasts — with and without a
-``ScratchArena``, and compared with exact equality.
+Every layer has one body written against ``repro.nn.functional``, and
+every op there computes its value once — the ``repro.nn.kernels``
+function — whatever it is handed.  The equalities below (Tensor operands
+with grad enabled against the same values as raw ndarrays, across the
+operand layouts BLAS and the ufunc machinery treat differently:
+C-contiguous, transposed views, strided slices, stride-0 broadcasts)
+therefore hold by construction; they stay because they are what fails
+the day an op grows a second forward, and because two of them compare
+code that does differ — a kernel writing into a ``ScratchArena`` against
+the same kernel allocating, and ``scale`` in place against ``scale`` out
+of place.  What the tape adds per op is a hand-written backward rule;
+the second half of the file holds each rule to central differences and
+the two fused ones (``linear``, ``layer_norm``) to the autograd-derived
+composites in ``tests/reference_ops.py``, and checks the "one forward"
+claim structurally: equal kernel call tables with and without the tape,
+one tape node per ``Linear`` / ``LayerNorm``.
 """
 
 import numpy as np
 import pytest
 
+import reference_ops
 import repro.nn as nn
 from repro.nn import Parameter, Tensor
 from repro.nn import functional as F
@@ -112,7 +120,7 @@ def test_linear(with_scratch, with_bias):
             for _ in range(2):
                 raw = F.linear(x, weight, bias, scratch=arena, tag="lin")
                 np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name} {shape}")
-    # an LSTM feeds a time-slice view
+    # a time-slice view of a sequence
     seq = RNG.normal(size=(3, 5, 6))
     tape = F.linear(Tensor(seq)[:, 2, :], weight, bias)
     np.testing.assert_array_equal(F.linear(seq[:, 2, :], weight, bias), tape.data)
@@ -177,9 +185,115 @@ def test_module_call_is_the_boundary():
     with nn.no_grad():
         wrapped = layer(x)
         raw = layer(x.data)
-        h, c = nn.LSTMCell(4, 3)(x, (Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))))
     assert isinstance(wrapped, Tensor) and not wrapped.requires_grad
     assert isinstance(raw, np.ndarray)
-    assert isinstance(h, Tensor) and isinstance(c, Tensor)  # tuples unwrap and re-wrap
     np.testing.assert_array_equal(wrapped.data, taped.data)
     np.testing.assert_array_equal(raw, taped.data)
+
+
+# ---------------------------------------------------------------------------
+# Backward rules
+# ---------------------------------------------------------------------------
+def grads(fn, *arrays):
+    """Gradients of ``(fn(*tensors) * w).sum()`` w.r.t. every operand, ``w``
+    a fixed random weighting so no rule is tested on an all-ones gradient."""
+    tensors = [Tensor(array, requires_grad=True) for array in arrays]
+    out = fn(*tensors)
+    weights = np.random.default_rng(5).normal(size=out.shape)
+    (out * weights).sum().backward()
+    return [t.grad for t in tensors]
+
+
+def numeric_grads(fn, *arrays):
+    """The same gradients by central differences (on contiguous copies)."""
+    arrays = [np.array(array, order="C") for array in arrays]
+    weights = np.random.default_rng(5).normal(size=fn(*arrays).shape)
+    return [
+        reference_ops.numeric_grad(lambda _: float((fn(*arrays) * weights).sum()), array)
+        for array in arrays
+    ]
+
+
+def test_layer_norm_rule_matches_the_composite_and_central_differences():
+    gamma, beta = RNG.normal(size=8), RNG.normal(size=8)
+    for shape in ((5, 8), (2, 3, 8)):
+        for name, x in layouts(shape):
+            fused = grads(lambda x, g, b: F.layer_norm(x, g, b, 1e-5, 8), x, gamma, beta)
+            composite = grads(lambda x, g, b: reference_ops.layer_norm(x, g, b, 1e-5), x, gamma, beta)
+            numeric = numeric_grads(
+                lambda x, g, b: F.layer_norm(x, Tensor(g), Tensor(b), 1e-5, 8), x, gamma, beta
+            )
+            for operand, got, want, approx in zip(("x", "gamma", "beta"), fused, composite, numeric):
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-12 * scale, err_msg=f"{operand} {name} {shape}"
+                )
+                np.testing.assert_allclose(
+                    got, approx, rtol=0, atol=1e-6 * scale, err_msg=f"{operand} {name} {shape}"
+                )
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_linear_rule_is_matmul_then_add(with_bias):
+    weight = RNG.normal(size=(6, 9))
+    operands = (weight, RNG.normal(size=9)) if with_bias else (weight,)
+    inputs = [RNG.normal(size=6)]
+    inputs += [x for shape in ((5, 6), (2, 4, 6)) for _, x in layouts(shape)]
+    for x in inputs:
+        fused = grads(F.linear, x, *operands)
+        composite = grads(reference_ops.linear, x, *operands)
+        for got, want in zip(fused, composite):
+            np.testing.assert_array_equal(got, want, err_msg=str(x.shape))
+
+
+UNARY_RULES = [
+    (F.relu, ()),
+    (F.sigmoid, ()),
+    (F.tanh, ()),
+    (F.masked_fill, (RNG.random((1, 3, 4)) < 0.4, -2.0)),  # a small fill: 1e9 would swamp the differences
+    (F.repeat_batch, (5,)),
+]
+
+
+@pytest.mark.parametrize("op,args", UNARY_RULES, ids=lambda v: getattr(v, "__name__", ""))
+def test_unary_rules_match_central_differences(op, args):
+    x = RNG.normal(size=(1, 3, 4))
+    x[np.abs(x) < 1e-3] = 0.5  # keep relu away from its kink
+    (got,) = grads(lambda t: op(t, *args), x)
+    (want,) = numeric_grads(lambda a: op(a, *args), x)
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# One forward, structurally
+# ---------------------------------------------------------------------------
+def test_tape_and_raw_runs_make_the_same_kernel_calls():
+    """A grad-enabled and a ``no_grad`` forward get their values from the
+    same kernel calls, op for op — the tape has no arithmetic of its own."""
+    rng = np.random.default_rng(3)
+    decoder = nn.TransformerDecoder(16, 4, num_layers=1, rng=rng).eval()
+    mlp = nn.MLP([16, 32, 4], rng=rng).eval()
+    x, memory = Tensor(rng.normal(size=(2, 5, 16))), Tensor(rng.normal(size=(2, 7, 16)))
+    padding = np.zeros((2, 7), dtype=bool)
+    padding[:, -2:] = True
+
+    def run():
+        with nn.kernels.profiled() as profile:
+            out = mlp(decoder(x, memory, memory_padding_mask=padding))
+        return out, {name: stats[0] for name, stats in profile.ops.items()}
+
+    taped, tape_calls = run()
+    assert taped.requires_grad
+    with nn.no_grad():
+        raw, raw_calls = run()
+    assert tape_calls == raw_calls
+    assert set(tape_calls) == {"linear", "layer_norm", "relu", "softmax", "masked_fill", "matmul"}
+    np.testing.assert_array_equal(raw.data, taped.data)
+
+
+@pytest.mark.parametrize("layer", [nn.Linear(4, 3), nn.LayerNorm(4)], ids=lambda m: type(m).__name__)
+def test_fused_layers_add_exactly_one_tape_node(layer):
+    x = Tensor(RNG.normal(size=(2, 4)), requires_grad=True)
+    out = layer(x)
+    assert out._backward is not None
+    assert {id(p) for p in out._prev} == {id(x)} | {id(p) for p in layer.parameters()}

@@ -40,8 +40,6 @@ LAYER_METHODS = {
     "Embedding": {"forward"},
     "Dropout": {"forward"},
     "MLP": {"forward"},
-    "LSTMCell": {"forward"},
-    "LSTM": {"forward"},
     "ChildSumTreeLSTM": {"node_forward"},
     "MultiHeadAttention": {"forward", "project_kv"},
     "TransformerEncoderLayer": {"forward"},
@@ -153,7 +151,7 @@ class TestEnforce:
         generator = WorkloadGenerator(db, WorkloadConfig(min_tables=2, max_tables=3, seed=0))
         labeled = QueryLabeler(db).label_many(generator.generate(6), with_optimal_order=True)
         declared = set(annotated_callables())
-        assert len(declared) >= 33, "discovery lost declarations"
+        assert len(declared) >= 31, "discovery lost declarations"
         with enforce() as calls:
             featurizer = DatabaseFeaturizer(db, TINY)
             featurizer.train_encoders(queries_per_table=2, epochs=1)
@@ -166,10 +164,6 @@ class TestEnforce:
             session.predict_join_orders(labeled)
             session.predict_cardinalities(labeled)
             session.predict_costs(labeled)
-            TreeLSTMEstimator(db, hidden_dim=8, seed=0).fit(labeled[:2], epochs=1)
-            lstm, sequence = nn.LSTM(3, 4), nn.Tensor(np.zeros((2, 3, 3)))
-            lstm(sequence)
-            with nn.no_grad():  # the only caller of the sigmoid kernel
-                lstm(sequence)
+            TreeLSTMEstimator(db, hidden_dim=8, seed=0).fit(labeled[:2], epochs=1)  # kernels.sigmoid
             nn.sinusoidal_encoding(4, 6)
         assert declared - set(calls) == set(), "annotated but never called"
