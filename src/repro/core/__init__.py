@@ -30,11 +30,10 @@ from .featurize import PredicateFeaturizer
 from .heads import EstimationHead
 from .joeu import joeu, shared_prefix_length
 from .losses import (
-    join_order_token_loss,
     joint_loss,
     node_qerror_loss,
     sequence_level_loss,
-    sequence_log_prob,
+    sequence_log_probs,
 )
 from .federated import (
     AggregationError,
@@ -89,10 +88,9 @@ __all__ = [
     "joeu",
     "shared_prefix_length",
     "node_qerror_loss",
-    "join_order_token_loss",
     "joint_loss",
     "sequence_level_loss",
-    "sequence_log_prob",
+    "sequence_log_probs",
     "JointTrainer",
     "TrainResult",
     "TrainingExample",

@@ -2,8 +2,9 @@
 
 - :func:`node_qerror_loss` — L.i/L.ii: smooth q-error surrogate over the
   per-node cardinality / cost predictions;
-- :func:`join_order_token_loss` — L.iii: token-level cross entropy over
-  Trans_JO's stepwise distributions;
+- :func:`sequence_log_probs` — ``log p(u | x)`` for a batch of orders
+  off one teacher-forced Trans_JO forward; weighted ``-1 / m`` per row
+  it is L.iii, the token-level cross entropy (see ``JointTrainer``);
 - :func:`joint_loss` — Equation 1: ``w_card*L_card + w_cost*L_cost +
   w_jo*L_jo``;
 - :func:`sequence_level_loss` — Equation 3: the JOEU-weighted
@@ -21,10 +22,9 @@ from .joeu import joeu
 
 __all__ = [
     "node_qerror_loss",
-    "join_order_token_loss",
     "joint_loss",
     "sequence_level_loss",
-    "sequence_log_prob",
+    "sequence_log_probs",
 ]
 
 
@@ -43,11 +43,6 @@ def node_qerror_loss(
         count = max(float(weights.sum()), 1.0)
         return (diff * nn.Tensor(weights)).sum() * (1.0 / count)
     return diff.mean()
-
-
-def join_order_token_loss(logits: nn.Tensor, target_positions: list[int]) -> nn.Tensor:
-    """Token-level CE averaged over the m timestamps (L.iii)."""
-    return nn.cross_entropy(logits, np.asarray(target_positions, dtype=np.int64))
 
 
 def joint_loss(
@@ -74,12 +69,22 @@ def joint_loss(
     return total
 
 
-def sequence_log_prob(trans_jo, memory: nn.Tensor, positions: list[int]) -> nn.Tensor:
-    """Differentiable log p(u | x): sum of stepwise log-probabilities."""
-    logits = trans_jo(memory, positions)  # (m, m) teacher-forced on u itself
-    log_probs = F.log_softmax(logits, axis=-1)
-    onehot = F.one_hot(np.asarray(positions, dtype=np.int64), logits.shape[-1])
-    return (log_probs * nn.Tensor(onehot)).sum()
+def sequence_log_probs(
+    trans_jo, memory: nn.Tensor, targets: np.ndarray, lengths: np.ndarray | None = None
+) -> nn.Tensor:
+    """Differentiable ``log p(u_b | x_b)`` for every row b, shape (B,).
+
+    One teacher-forced decoder forward over the whole (B, m) ``targets``
+    matrix; each row's log-probability is the sum of its stepwise ones.
+    ``lengths[b]`` (default m) is row b's table count: its memory slots
+    and timestamps past it are padding and are not read.
+    """
+    real = None if lengths is None else np.arange(targets.shape[1]) < lengths[:, None]
+    logits = trans_jo(memory, targets, None if real is None else ~real)
+    picked = F.one_hot(targets, targets.shape[1])
+    if real is not None:
+        picked *= real[:, :, None]
+    return (F.log_softmax(logits, axis=-1) * nn.Tensor(picked)).sum(axis=(-1, -2))
 
 
 def sequence_level_loss(
@@ -97,26 +102,27 @@ def sequence_level_loss(
     where U(x) are the *legal* beam candidates, U̅(x) the illegal ones
     and u* the optimal order.  The second term suppresses legal but
     suboptimal orders in proportion to how early they diverge; the third
-    suppresses illegal orders with weight ``penalty``.
+    suppresses illegal orders with weight ``penalty``.  All orders share
+    the query's (1, m, d) ``memory``, so u* and every candidate are
+    scored by one decoder forward.
     """
-    loss = -sequence_log_prob(trans_jo, memory, optimal_positions)
-
-    illegal_log_probs: list[nn.Tensor] = []
+    orders, weights, illegal = [optimal_positions], [-1.0], []
     for candidate in candidates:
         if candidate.positions == optimal_positions:
             continue
-        log_p = sequence_log_prob(trans_jo, memory, candidate.positions)
         if candidate.legal:
-            weight = 1.0 - joeu(candidate.positions, optimal_positions)
-            if weight > 0.0:
-                loss = loss + log_p * weight
+            weights.append(1.0 - joeu(candidate.positions, optimal_positions))
         else:
-            illegal_log_probs.append(log_p)
-
-    if illegal_log_probs:
+            illegal.append(len(orders))
+            weights.append(0.0)
+        orders.append(candidate.positions)
+    log_probs = sequence_log_probs(
+        trans_jo, F.repeat_batch(memory, len(orders)), np.asarray(orders, dtype=np.int64)
+    )
+    loss = (log_probs * nn.Tensor(np.asarray(weights))).sum()
+    if illegal:
         # log sum_u p(u) computed stably as logsumexp of sequence log-probs.
-        stacked = F.concat([lp.reshape(1) for lp in illegal_log_probs], axis=0)
+        stacked = log_probs[illegal]
         max_val = float(stacked.data.max())
-        shifted = (stacked - max_val).exp().sum().log() + max_val
-        loss = loss + shifted * penalty
+        loss = loss + ((stacked - max_val).exp().sum().log() + max_val) * penalty
     return loss

@@ -415,12 +415,24 @@ class MTMLFQO(nn.Module):
         ``table_order`` fixes the position -> table correspondence
         (queries list tables in generation order).
         """
-        rows = [
-            shared_row[encoding.leaf_positions[table]: encoding.leaf_positions[table] + 1, :]
-            for table in table_order
-        ]
-        memory = nn.functional.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-        return memory.reshape(1, len(rows), self.config.d_model)
+        leaves = [encoding.leaf_positions[table] for table in table_order]
+        return shared_row[leaves].reshape(1, len(leaves), self.config.d_model)
+
+    def join_order_memory_batch(
+        self, shared: nn.Tensor, encodings: list[EncodedQuery], table_orders: dict[int, list[str]]
+    ) -> nn.Tensor:
+        """:meth:`join_order_memory` for many rows of ``shared`` in one
+        indexed read: ``table_orders`` maps a row of the (B, Lmax, d)
+        shared output to its table order.  Returns the (R, m_max, d)
+        memories in the mapping's order; slots past a row's table count
+        repeat its node 0 and are padding the caller must mask.
+        """
+        leaves, _ = nn.functional.pad_index_sequences(
+            [[encodings[row].leaf_positions[table] for table in tables]
+             for row, tables in table_orders.items()]
+        )
+        rows = np.fromiter(table_orders, dtype=np.int64, count=len(table_orders))
+        return shared[rows[:, None], leaves]
 
     # ------------------------------------------------------------------
     # Inference

@@ -20,10 +20,10 @@ from .. import nn
 from ..workload.labeler import LabeledQuery
 from .config import ModelConfig
 from .losses import (
-    join_order_token_loss,
     joint_loss,
     node_qerror_loss,
     sequence_level_loss,
+    sequence_log_probs,
 )
 from .model import MTMLFQO
 
@@ -33,13 +33,21 @@ __all__ = ["TrainingExample", "JointTrainer", "TrainResult"]
 TrainingExample = tuple[str, LabeledQuery]
 
 _COST_FLOOR = 1e-6
+_TASKS = ("card", "cost", "jo")
 
 
 @dataclass
 class TrainResult:
-    """Per-epoch loss history."""
+    """Per-epoch loss history, whole and per task.
+
+    ``task_losses`` holds each task's unweighted epoch means: ``card`` /
+    ``cost`` / ``jo`` from ``train`` (under the Equation 1 weights they
+    sum to ``epoch_losses``; a task with no term in a batch reads 0
+    there), ``sequence`` from ``refine_sequence_level``.
+    """
 
     epoch_losses: list[float] = field(default_factory=list)
+    task_losses: dict[str, list[float]] = field(default_factory=dict)
 
     @property
     def final_loss(self) -> float:
@@ -98,7 +106,19 @@ class JointTrainer:
         self.jo_label_source = "optimal"
 
     # ------------------------------------------------------------------
-    def _batch_losses(self, db_name: str, batch: list[LabeledQuery]) -> nn.Tensor:
+    def _jo_positions(self, item: LabeledQuery) -> list[int] | None:
+        """The join-order label ``item`` trains on (None: it has none)."""
+        if item.query.num_tables < 2:
+            return None
+        if self.jo_label_source == "planner":
+            return planner_order_positions(item)
+        if item.optimal_order is not None:
+            return order_positions(item)
+        return None
+
+    def _batch_losses(self, db_name: str, batch: list[LabeledQuery]) -> tuple[nn.Tensor, tuple]:
+        """Equation 1 on one batch: ``(joint loss, (card, cost, jo))``,
+        the unweighted terms being None where a task contributes nothing."""
         log_cards, log_costs, pad_mask, encodings, shared = self.model.predict_log_nodes(db_name, batch)
         max_len = log_cards.shape[1]
 
@@ -118,28 +138,23 @@ class JointTrainer:
 
         jo_loss = None
         if self.config.w_jo:
-            jo_terms = []
-            for i, item in enumerate(batch):
-                if item.query.num_tables < 2:
-                    continue
-                if self.jo_label_source == "planner":
-                    positions = planner_order_positions(item)
-                elif item.optimal_order is not None:
-                    positions = order_positions(item)
-                else:
-                    positions = None
-                if positions is None:
-                    continue
-                memory = self.model.join_order_memory(shared[i], encodings[i], item.query.tables)
-                logits = self.model.trans_jo(memory, positions)
-                jo_terms.append(join_order_token_loss(logits, positions))
-            if jo_terms:
-                jo_loss = jo_terms[0]
-                for term in jo_terms[1:]:
-                    jo_loss = jo_loss + term
-                jo_loss = jo_loss * (1.0 / len(jo_terms))
+            labels = {
+                i: positions
+                for i, item in enumerate(batch)
+                if (positions := self._jo_positions(item)) is not None
+            }
+            if labels:
+                # L.iii for every labeled query off one padded decoder
+                # forward: the mean over queries of each query's
+                # per-timestamp mean cross entropy, -log p(u_i) / m_i.
+                memory = self.model.join_order_memory_batch(
+                    shared, encodings, {i: batch[i].query.tables for i in labels}
+                )
+                targets, lengths = nn.functional.pad_index_sequences(list(labels.values()))
+                log_probs = sequence_log_probs(self.model.trans_jo, memory, targets, lengths)
+                jo_loss = (log_probs * nn.Tensor(-1.0 / (lengths * len(labels)))).sum()
 
-        return joint_loss(
+        loss = joint_loss(
             card_loss,
             cost_loss,
             jo_loss,
@@ -147,6 +162,7 @@ class JointTrainer:
             w_cost=self.config.w_cost,
             w_jo=self.config.w_jo,
         )
+        return loss, (card_loss, cost_loss, jo_loss)
 
     def train(
         self,
@@ -167,22 +183,24 @@ class JointTrainer:
             # Database-boundary splits produce ragged batches; weight
             # each batch by its example count so the epoch loss is the
             # per-example mean rather than biased toward tiny batches.
-            total, count = 0.0, 0
+            sums, count = np.zeros(1 + len(_TASKS)), 0
             batch: list[LabeledQuery] = []
             batch_db: str | None = None
             for idx in order:
                 db_name, item = examples[idx]
                 if batch and (db_name != batch_db or len(batch) >= batch_size):
-                    total += self._step(batch_db, batch) * len(batch)
+                    sums += np.multiply(self._step(batch_db, batch), len(batch))
                     count += len(batch)
                     batch = []
                 batch_db = db_name
                 batch.append(item)
             if batch:
-                total += self._step(batch_db, batch) * len(batch)
+                sums += np.multiply(self._step(batch_db, batch), len(batch))
                 count += len(batch)
-            epoch_loss = total / max(count, 1)
+            epoch_loss, *task_means = (sums / max(count, 1)).tolist()
             result.epoch_losses.append(epoch_loss)
+            for task, mean in zip(_TASKS, task_means):
+                result.task_losses.setdefault(task, []).append(mean)
             if verbose:
                 print(f"  epoch {epoch + 1}/{epochs}: loss {epoch_loss:.4f}")
         self.model.mark_updated()
@@ -230,13 +248,15 @@ class JointTrainer:
             trainer.optimizer.lr = saved["lr"]
         return trainer
 
-    def _step(self, db_name: str, batch: list[LabeledQuery]) -> float:
+    def _step(self, db_name: str, batch: list[LabeledQuery]) -> tuple[float, ...]:
+        """One optimizer step; returns ``(joint loss, card, cost, jo)``,
+        a task with no term in this batch reading 0."""
         self.optimizer.zero_grad()
-        loss = self._batch_losses(db_name, batch)
+        loss, terms = self._batch_losses(db_name, batch)
         loss.backward()
         nn.clip_grad_norm(self.parameters, self.config.grad_clip)
         self.optimizer.step()
-        return loss.item()
+        return (loss.item(), *(0.0 if term is None else term.item() for term in terms))
 
     # ------------------------------------------------------------------
     def refine_sequence_level(
@@ -312,6 +332,7 @@ class JointTrainer:
                     total += loss.item()
             epoch_loss = total / len(eligible)
             result.epoch_losses.append(epoch_loss)
+            result.task_losses.setdefault("sequence", []).append(epoch_loss)
             if verbose:
                 print(f"  seq epoch {epoch + 1}/{epochs}: loss {epoch_loss:.4f}")
         self.model.mark_updated()

@@ -15,12 +15,20 @@ representations themselves (a pointer network): position i's logit is
 how to use the shared representation" demands.  Recorded as a
 documented design choice in DESIGN.md (section 1).
 
-Decoding is batched: :meth:`TransJO.step_logits_batch` expands many
-beam prefixes — potentially spanning several queries — in one decoder
-forward (DESIGN.md section 2).  Like every layer it has one body: handed
-Tensors it records tape, handed raw ndarrays (the beam driver, with the
-per-decode projections of :meth:`TransJO.project_memory`) it runs the
-in-place kernels — the same function either way.
+There is one decoder read, :meth:`TransJO._slot_logits`: a ``(B, T)``
+prefix matrix becomes the decoder input (start token, then the memory
+rows it names) and the hidden states become pointer logits, padded table
+slots masked.  Its two callers differ only in which positions they read.
+Training is teacher forced and batched — :meth:`TransJO.forward` reads
+every position of a padded ``(B, m)`` target matrix, so one forward
+serves a whole step's labeled queries (L.iii) or every candidate order of
+one query (Equation 3).  Decoding reads each row's last position —
+:meth:`TransJO.step_logits_batch` expands many beam prefixes, potentially
+spanning several queries, per call (DESIGN.md section 2).  Like every
+layer it has one body: handed Tensors it records tape, handed raw
+ndarrays (the beam driver, with the per-decode projections of
+:meth:`TransJO.project_memory`) it runs the in-place kernels — the same
+function either way.
 """
 
 from __future__ import annotations
@@ -56,6 +64,72 @@ class TransJO(nn.Module):
         self.logit_scale = 1.0 / np.sqrt(config.d_model)
 
     # ------------------------------------------------------------------
+    def _slot_logits(
+        self,
+        memory,
+        indices: np.ndarray,
+        lengths: np.ndarray | None,
+        memory_padding_mask: np.ndarray | None,
+        memory_kv: list | None = None,
+        pointer_keys=None,
+        scratch=None,
+        start_block=None,
+    ):
+        """The one decoder read: a ``(B, T)`` prefix matrix in, pointer
+        logits out, slot-major ``(B, m, R)``.
+
+        Row b's decoder input is the start token followed by the memory
+        rows ``indices[b]`` names.  ``lengths`` None reads every position
+        (R = T + 1, teacher forcing); otherwise row b is read at its own
+        last real step ``lengths[b]`` (R = 1, a beam step).  Table slots
+        where ``memory_padding_mask`` is True are excluded from
+        cross-attention and their logits forced to -1e9.
+        """
+        batch = memory.shape[0]
+        rows = np.arange(batch)
+        x = start_block
+        if x is None:
+            x = F.repeat_batch(F.operand(self.start_token, like=memory).reshape(1, 1, -1), batch)
+        if indices.shape[1]:
+            gathered = memory[rows[:, None], indices]  # (B, T, d)
+            x = F.concat([x, gathered], axis=1)
+        hidden = self.decoder(
+            x,
+            memory,
+            memory_padding_mask=memory_padding_mask,
+            memory_kv=memory_kv,
+            scratch=scratch,
+            tag="jo",
+        )
+        if lengths is None:
+            read = hidden.swapaxes(-1, -2)                      # (B, d, T + 1)
+        else:
+            read = hidden[rows, lengths].reshape(batch, -1, 1)  # (B, d, 1)
+        keys = pointer_keys if pointer_keys is not None else self.pointer_proj(memory)
+        logits = (keys @ read) * self.logit_scale
+        if memory_padding_mask is not None:
+            logits = F.masked_fill(logits, memory_padding_mask[:, :, None], -1e9)
+        return logits
+
+    @shape_spec(inputs={"memory": "(B, m, d_model)", "targets": "(B, m)"},
+                out="(B, m, m)",
+                params=("start_token", "decoder", "pointer_proj"),
+                dtypes={"targets": "int64"})
+    def forward(self, memory, targets: np.ndarray, memory_padding_mask: np.ndarray | None = None):
+        """Teacher-forced logits for a batch of whole orders, (B, m, m).
+
+        ``[b, t]`` holds the logits for timestamp t of row b given its
+        *true* prefix ``targets[b, :t]`` (teacher forcing, Section 4.2).
+        Rows are queries, or candidate orders over one query's repeated
+        memory.  A row with fewer than m tables marks its padded slots in
+        ``memory_padding_mask`` (B, m) and pads its targets with any
+        in-range index; the causal mask keeps those pad timestamps — which
+        the caller's loss must not read — from reaching the real ones, so
+        no gradient arrives at a pad slot.
+        """
+        logits = self._slot_logits(memory, targets[:, :-1], None, memory_padding_mask)
+        return logits.swapaxes(-1, -2)
+
     @shape_spec(inputs={"memory": "(B, m, d_model)"},
                 out="(B, m)",
                 params=("start_token", "decoder", "pointer_proj"))
@@ -80,10 +154,7 @@ class TransJO(nn.Module):
         where every row has the same length, the dense ``(B, t)`` int64
         matrix ``pad_index_sequences`` would build.
         ``memory_padding_mask`` is (B, m) boolean, True at padded table
-        slots when queries of different table counts share the batch;
-        those slots are excluded from cross-attention and their pointer
-        logits forced to -1e9.
-
+        slots when queries of different table counts share the batch.
         The remaining arguments carry what one decode can reuse across
         its steps: ``memory_kv``/``pointer_keys`` are the batched
         projections of ``memory`` (see :meth:`project_memory` and
@@ -101,27 +172,11 @@ class TransJO(nn.Module):
             if len(prefixes) != batch:
                 raise ValueError(f"{len(prefixes)} prefixes for a memory batch of {batch}")
             indices, lengths = F.pad_index_sequences(prefixes)
-        rows = np.arange(batch)
-        x = start_block
-        if x is None:
-            x = F.repeat_batch(F.operand(self.start_token, like=memory).reshape(1, 1, -1), batch)
-        if indices.shape[1]:
-            gathered = memory[rows[:, None], indices]  # (B, Tmax, d)
-            x = F.concat([x, gathered], axis=1)
-        hidden = self.decoder(
-            x,
-            memory,
-            memory_padding_mask=memory_padding_mask,
-            memory_kv=memory_kv,
-            scratch=scratch,
-            tag="jo",
+        logits = self._slot_logits(
+            memory, indices, lengths, memory_padding_mask,
+            memory_kv, pointer_keys, scratch, start_block,
         )
-        last = hidden[rows, lengths]              # (B, d): each row's last real step
-        keys = pointer_keys if pointer_keys is not None else self.pointer_proj(memory)
-        logits = (keys @ last.reshape(batch, -1, 1)).reshape(batch, m) * self.logit_scale
-        if memory_padding_mask is not None:
-            logits = F.masked_fill(logits, memory_padding_mask, -1e9)
-        return logits
+        return logits.reshape(batch, m)
 
     def project_memory(self, memory: nn.Tensor, kv_cache: "nn.KVCache | None" = None):
         """Per-decode projections of one (1, m, d) encoder memory.
@@ -176,22 +231,3 @@ class TransJO(nn.Module):
         ]
         pointer_keys = broadcast_concat([keys for _, keys in per_query])
         return memory_kv, pointer_keys
-
-    @shape_spec(inputs={"memory": "(1, m, d_model)"},
-                out="(m, m)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def forward(self, memory, target_positions: list[int]):
-        """Teacher-forced logits for a whole order, shape (m, m).
-
-        Row t holds the logits for timestamp t given the *true* prefix
-        (teacher forcing, Section 4.2).
-        """
-        m = memory.shape[1]
-        inputs = [F.operand(self.start_token, like=memory).reshape(1, 1, -1)]
-        for position in target_positions[:-1]:
-            inputs.append(memory[:, position: position + 1, :])
-        x = F.concat(inputs, axis=1) if len(inputs) > 1 else inputs[0]
-        hidden = self.decoder(x, memory)          # (1, m, d) causal
-        keys = self.pointer_proj(memory)          # (1, m, d)
-        logits = (hidden @ keys.swapaxes(-1, -2)) * self.logit_scale  # (1, m, m)
-        return logits.reshape(len(target_positions), m)

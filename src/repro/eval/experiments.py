@@ -192,7 +192,7 @@ class SingleDBStudy:
         self.train: QueryDataset | None = None
         self.test: QueryDataset | None = None
         self.featurizer: DatabaseFeaturizer | None = None
-        self.models: dict[str, MTMLFQO] = {}
+        self.models: dict[tuple, MTMLFQO] = {}
         self.treelstm: TreeLSTMEstimator | None = None
         self.postgres: PostgresBaseline | None = None
 
@@ -241,10 +241,13 @@ class SingleDBStudy:
         self, name: str, w_card: float = 1.0, w_cost: float = 1.0, w_jo: float = 1.0,
         sequence_refine: bool = False,
     ) -> MTMLFQO:
-        """Train one MTMLF variant (weights select the ablation)."""
+        """Train one MTMLF variant (weights select the ablation); memoised
+        on the whole request, so a refined and an unrefined "MTMLF-QO"
+        never alias."""
         self._require_prepared()
-        if name in self.models:
-            return self.models[name]
+        key = (name, w_card, w_cost, w_jo, sequence_refine)
+        if key in self.models:
+            return self.models[key]
         cfg = self.config
         model_config = ModelConfig(**{**cfg.model.__dict__, "w_card": w_card, "w_cost": w_cost, "w_jo": w_jo})
         model = MTMLFQO(model_config)
@@ -260,7 +263,7 @@ class SingleDBStudy:
         )
         if sequence_refine and w_jo:
             trainer.refine_sequence_level(examples, epochs=2, seed=cfg.seed, verbose=cfg.verbose)
-        self.models[name] = model
+        self.models[key] = model
         return model
 
     def train_treelstm(self) -> TreeLSTMEstimator:

@@ -226,8 +226,9 @@ class TestFastVsTapeParity:
 
 class TestModelForwardParity:
     def test_forward_batch_and_heads_tape_equals_no_grad(self, db, labeled, featurizer):
-        """Trans_Share, both heads and the Trans_JO teacher-forced forward:
-        grad-enabled ``eval()`` outputs == ``no_grad`` outputs, bitwise."""
+        """Trans_Share, both heads, the batched memory gather and the
+        padded Trans_JO teacher-forced forward: grad-enabled ``eval()``
+        outputs == ``no_grad`` outputs, bitwise."""
         model = MTMLFQO(SMALL)
         model.attach_featurizer(db.name, featurizer)
         model.eval()
@@ -235,9 +236,12 @@ class TestModelForwardParity:
 
         def run():
             cards, costs, _, encodings, shared = model.predict_log_nodes(db.name, items)
-            item = items[0]
-            memory = model.join_order_memory(shared[0], encodings[0], item.query.tables)
-            logits = model.trans_jo(memory, list(range(item.query.num_tables)))
+            # a ragged 2-/3-table pair: the padded teacher-forced batch
+            tables = {i: items[i].query.tables for i in (0, 1)}
+            memory = model.join_order_memory_batch(shared, encodings, tables)
+            targets = np.asarray([[0, 1, 2], [1, 0, 0]])
+            padding = np.asarray([[False, False, False], [False, False, True]])
+            logits = model.trans_jo(memory, targets, padding)
             return shared, cards, costs, memory, logits
 
         tape = run()
@@ -539,7 +543,7 @@ class TestWeightedEpochLoss:
 
         def fake_step(db_name, batch):
             seen.append((db_name, len(batch)))
-            return float(len(batch))  # loss == batch size, easy to audit
+            return float(len(batch)), 0.0, 0.0, 0.0  # loss == batch size, easy to audit
 
         trainer._step = fake_step
         # 5 "a" + 1 "b" examples with batch_size 4 produce ragged batches.

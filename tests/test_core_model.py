@@ -16,7 +16,7 @@ from repro.core import (
     node_qerror_loss,
     order_positions,
     sequence_level_loss,
-    sequence_log_prob,
+    sequence_log_probs,
 )
 from repro.core.beam import BeamCandidate
 from repro.datagen import generate_database, generate_databases
@@ -252,6 +252,25 @@ class TestTraining:
             trainer = JointTrainer(model)
             result = trainer.train([(db.name, item) for item in labeled[:8]], epochs=2, batch_size=4)
             assert np.isfinite(result.final_loss)
+            # the one enabled task's curve is the loss curve; the others read 0
+            curves = [result.task_losses[task] for task in ("card", "cost", "jo")]
+            for weight, curve in zip(weights, curves):
+                assert curve == (result.epoch_losses if weight else [0.0, 0.0])
+
+    def test_task_curves_sum_to_the_epoch_loss(self, trained):
+        """Per-task means are the three terms of Equation 1: under the
+        task weights they add up to each epoch's loss."""
+        model, _, result = trained
+        config = model.config
+        assert set(result.task_losses) == {"card", "cost", "jo"}
+        weighted = (
+            config.w_card * np.asarray(result.task_losses["card"])
+            + config.w_cost * np.asarray(result.task_losses["cost"])
+            + config.w_jo * np.asarray(result.task_losses["jo"])
+        )
+        assert len(weighted) == len(result.epoch_losses) == 8
+        np.testing.assert_allclose(weighted, result.epoch_losses, rtol=1e-12)
+        assert all(min(curve) > 0.0 for curve in result.task_losses.values())
 
     def test_all_tasks_disabled_raises(self):
         with pytest.raises(ValueError):
@@ -275,12 +294,17 @@ class TestTraining:
 
 class TestSequenceLoss:
     def test_sequence_log_prob_negative(self, db, labeled, trained):
+        """One forward scores several orders of one query: a (C,) vector
+        of log-probabilities, each below 0."""
         model, _, _ = trained
         item = next(i for i in labeled if i.optimal_order and i.query.num_tables >= 2)
         shared, _, encodings = model.forward_batch(db.name, [item])
         memory = model.join_order_memory(shared[0], encodings[0], item.query.tables)
-        log_p = sequence_log_prob(model.trans_jo, memory, order_positions(item))
-        assert log_p.item() < 0.0
+        positions = order_positions(item)
+        orders = np.asarray([positions, positions[::-1]], dtype=np.int64)
+        log_p = sequence_log_probs(model.trans_jo, nn.functional.repeat_batch(memory, 2), orders)
+        assert log_p.shape == (2,)
+        assert (log_p.data < 0.0).all()
 
     def test_sequence_loss_penalizes_illegal(self, db, labeled, trained):
         model, _, _ = trained

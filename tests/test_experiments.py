@@ -74,6 +74,18 @@ class TestSingleDBStudy:
         model_b = study.train_mtmlf("MTMLF-QO")
         assert model_a is model_b
 
+    def test_memo_keys_on_the_whole_request(self, study):
+        """A refined and an unrefined "MTMLF-QO" never alias, whichever
+        script asked first (the memo used to key on the name alone)."""
+        refined = study.train_mtmlf("MTMLF-QO", sequence_refine=True)
+        plain = study.train_mtmlf("MTMLF-QO")
+        assert plain is not refined
+        assert study.train_mtmlf("MTMLF-QO", sequence_refine=True) is refined
+        states = refined.state_dict(), plain.state_dict()
+        assert any(not np.array_equal(states[0][name], states[1][name]) for name in states[0])
+        jo_only = study.train_mtmlf("MTMLF-QO", w_card=0.0, w_cost=0.0)
+        assert jo_only is not plain and jo_only.config.w_card == 0.0
+
     def test_unprepared_study_raises(self):
         db = imdb_like(seed=1, scale=0.05)
         fresh = SingleDBStudy(db, StudyConfig(model=MICRO_MODEL))

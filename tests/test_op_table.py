@@ -15,7 +15,8 @@ the second half of the file holds each rule to central differences and
 the two fused ones (``linear``, ``layer_norm``) to the autograd-derived
 composites in ``tests/reference_ops.py``, and checks the "one forward"
 claim structurally: equal kernel call tables with and without the tape,
-one tape node per ``Linear`` / ``LayerNorm``.
+one tape node per ``Linear`` / ``LayerNorm``, and a pinned tape size for
+one whole training step.
 """
 
 import numpy as np
@@ -297,3 +298,38 @@ def test_fused_layers_add_exactly_one_tape_node(layer):
     out = layer(x)
     assert out._backward is not None
     assert {id(p) for p in out._prev} == {id(x)} | {id(p) for p in layer.parameters()}
+
+
+def test_one_training_step_tape_size_is_pinned(monkeypatch):
+    """One fixed 8-query ``JointTrainer._batch_losses`` (all three tasks,
+    3-6-table queries) records exactly this many tape nodes.  The
+    join-order loss is one padded decoder forward, so the count does not
+    depend on the batch's queries; a change that re-introduces a
+    per-query (or per-layer-op) sub-graph moves it — the per-query loop
+    of ``tests/per_query_reference.py`` records 984 on this batch."""
+    from repro.core import MTMLFQO, JointTrainer, ModelConfig
+    from repro.core.encoders import DatabaseFeaturizer
+    from repro.datagen import generate_database
+    from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
+
+    config = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=2, decoder_layers=2)
+    db = generate_database(seed=3, num_tables=7, row_range=(40, 80), attr_range=(2, 2))
+    generator = WorkloadGenerator(db, WorkloadConfig(min_tables=3, max_tables=6, seed=1))
+    batch = QueryLabeler(db).label_many(generator.generate(8), with_optimal_order=True)
+    assert len(batch) == 8 and len({item.query.num_tables for item in batch}) > 1
+    model = MTMLFQO(config)
+    model.attach_featurizer(db.name, DatabaseFeaturizer(db, config))
+    trainer = JointTrainer(model.train())
+
+    nodes = []
+    make = Tensor._make
+
+    def counting_make(*args):
+        out = make(*args)
+        nodes.append(out._backward is not None)  # False: made under no_grad by the (F) encoders
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+    loss, _ = trainer._batch_losses(db.name, batch)
+    assert loss.requires_grad
+    assert sum(nodes) == 183
