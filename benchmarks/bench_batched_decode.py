@@ -164,7 +164,6 @@ def run_benchmark(
 ) -> dict:
     config = ModelConfig(d_model=d_model, num_heads=4, decoder_layers=decoder_layers)
     trans_jo = TransJO(config, np.random.default_rng(seed))
-    trans_jo.eval()
     cases = build_cases(num_queries, m, d_model, seed=seed + 1)
     scratch = nn.ScratchArena()  # stands in for InferenceSession.scratch
 
@@ -328,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile:
         config = ModelConfig(d_model=48, num_heads=4, decoder_layers=2)
         trans_jo = TransJO(config, np.random.default_rng(0))
-        trans_jo.eval()
         cases = build_cases(result["meta"]["num_queries"], 8, 48, seed=1)
         scratch = nn.ScratchArena()
         with nn.kernels.profiled() as profile:

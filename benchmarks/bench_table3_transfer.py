@@ -45,6 +45,6 @@ def test_table3_cross_db_transfer(benchmark):
     print(format_table3(rows, title="Table 3 (reproduced): execution time on the unseen DB"))
 
     by_name = {row.method: row for row in rows}
-    assert set(by_name) == {"PostgreSQL", "MTMLF-QO (MLA)", "MTMLF-QO (single)"}
+    assert set(by_name) == {"PostgreSQL", "Optimal", "MTMLF-QO (MLA)", "MTMLF-QO (single)"}
     for row in rows:
         assert row.total_time_ms > 0

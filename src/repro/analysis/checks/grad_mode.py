@@ -63,7 +63,7 @@ DEFAULT_SCOPES = (
     GradModeScope("*core/model.py", "MTMLFQO.predict_join_order"),
     GradModeScope("*core/model.py", "MTMLFQO.predict_join_orders"),
     GradModeScope("*core/model.py", "MTMLFQO._decode_candidate_chunks"),
-    GradModeScope("*core/model.py", "MTMLFQO._rerank_by_cost*"),
+    GradModeScope("*core/model.py", "MTMLFQO._rerank_by_cost_batch"),
     GradModeScope("*core/model.py", "MTMLFQO._node_content"),
     GradModeScope("*core/beam.py", "drive_beam_states"),
     GradModeScope("*/serve/*.py", "*"),

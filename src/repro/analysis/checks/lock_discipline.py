@@ -48,7 +48,6 @@ BLOCKING_CALLS = frozenset(
         "predict_cardinalities",
         "predict_costs",
         "beam_candidates_batch",
-        "beam_candidates",
         "label_with_order",
         "label_many",
         "join_order_execution_time",
@@ -82,7 +81,6 @@ DEFAULT_ENTRY_RULES = (
             "predict_costs",
             "predict_join_order",
             "predict_join_orders",
-            "beam_candidates",
             "beam_candidates_batch",
         ),
     ),

@@ -100,7 +100,6 @@ class TreeLSTMEstimator(nn.Module):
         optimizer = nn.Adam(params, lr=learning_rate)
         rng = np.random.default_rng(seed)
         history = []
-        self.train()
         for epoch in range(epochs):
             order = rng.permutation(len(workload))
             total = 0.0
@@ -119,7 +118,6 @@ class TreeLSTMEstimator(nn.Module):
             history.append(total / max(len(workload), 1))
             if verbose:
                 print(f"  tree-lstm epoch {epoch + 1}/{epochs}: {history[-1]:.4f}")
-        self.eval()
         return history
 
     def predict(self, item: LabeledQuery) -> tuple[np.ndarray, np.ndarray]:

@@ -201,9 +201,9 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     not model weights, so the caller provides them and the checkpoint
     verifies the schema signature matches before loading weights.
 
-    The returned model is in eval mode, carries the saved
-    ``model_version``, and is bit-identical to the saved one: same join
-    orders, same cardinality/cost predictions.
+    The returned model carries the saved ``model_version`` and is
+    bit-identical to the saved one: same join orders, same
+    cardinality/cost predictions.
     """
     return _build_model(*_read_archive(path, verify_digest=True), databases)
 
@@ -219,7 +219,16 @@ def _build_model(meta: dict, arrays: dict[str, np.ndarray], databases) -> MTMLFQ
             f"Database was provided for {missing}; pass them via `databases`"
         )
 
-    config = ModelConfig(**meta["config"])
+    saved_config = dict(meta["config"])
+    # Archives written while ModelConfig still had a ``dropout`` field
+    # carry it; 0.0 is what the model computes, anything else is not.
+    dropout = saved_config.pop("dropout", 0.0)
+    if dropout != 0.0:
+        raise CheckpointError(
+            f"checkpoint config has dropout={dropout!r}; this build has no "
+            f"dropout layers and can only load archives saved with dropout 0.0"
+        )
+    config = ModelConfig(**saved_config)
     model = MTMLFQO(config)
     model_state = {
         name[len(_MODEL_PREFIX):]: value
@@ -256,7 +265,6 @@ def _build_model(meta: dict, arrays: dict[str, np.ndarray], databases) -> MTMLFQ
             ) from error
         model.attach_featurizer(db_name, featurizer)
 
-    model.eval()
     # Restore last: attach_featurizer bumps the counter during rebuild,
     # and serving caches key on it — the saved identity must win.
     model.restore_version(meta["model_version"])

@@ -23,7 +23,6 @@ class ModelConfig:
     shared_layers: int = 3      # Trans_Share blocks (paper: 3)
     decoder_layers: int = 2     # Trans_JO blocks (paper: 3)
     ff_multiplier: int = 2
-    dropout: float = 0.0
 
     # Featurization
     predicate_feature_dim: int = 20   # raw, DB-agnostic predicate features

@@ -45,7 +45,6 @@ class TableEncoder(nn.Module):
             config.num_heads,
             config.encoder_layers,
             ff_dim=config.ff_dim,
-            dropout=config.dropout,
             rng=rng,
         )
         # Selectivity head used only for Enc_i's own single-table training.
@@ -96,9 +95,9 @@ class DatabaseFeaturizer(nn.Module):
             table: TableEncoder(self.config, rng) for table in db.table_names
         }
 
-    # Parameter traversal and train/eval switching of the ``encoders``
-    # dict are handled by the ``Module`` base class, which walks
-    # dict-valued attributes in sorted-key order.
+    # Parameter traversal of the ``encoders`` dict is handled by the
+    # ``Module`` base class, which walks dict-valued attributes in
+    # sorted-key order.
 
     def schema_signature(self) -> tuple:
         """Structural identity of the (F) module's learnable layout.

@@ -120,9 +120,9 @@ class MTMLFQO(nn.Module):
         # on repeat traffic.
         self._node_cache = FeatureCache(self.config.feature_cache_size)  # guarded-by: _infer_lock
         # Serializes concurrent *inference* through the model: the public
-        # inference entry points (predict_*, beam_candidates_batch) and
-        # mode flips all acquire it, so direct calls are safe alongside a
-        # running serving session.  It does NOT make training concurrent
+        # inference entry points (predict_*, beam_candidates_batch) all
+        # acquire it, so direct calls are safe alongside a running
+        # serving session.  It does NOT make training concurrent
         # with serving safe — trainer steps mutate weights and caches
         # outside this lock; retrain offline, then mark_updated().
         self._infer_lock = threading.RLock()  # analysis: coarse-lock
@@ -145,22 +145,6 @@ class MTMLFQO(nn.Module):
         """Parameters of the (S) and (T) modules (the trainable set)."""
         return [p for _, p in self.named_parameters()]
 
-    def _set_mode(self, training: bool) -> None:
-        # Short-circuit: an always-on serving loop calls eval() on every
-        # request; walking every submodule each time is pure overhead
-        # once the mode is already applied.  attach_featurizer keeps the
-        # invariant that all submodules share self.training.  The lock
-        # keeps a flip from landing in the middle of a served batch.
-        with self._infer_lock:
-            if getattr(self, "_mode_applied", None) == training:
-                return
-            self.training = training
-            self._mode_applied = training
-            for module in (self.shared, self.card_head, self.cost_head, self.trans_jo):
-                module._set_mode(training)
-            for featurizer in self.featurizers.values():
-                featurizer._set_mode(training)
-
     # ------------------------------------------------------------------
     def attach_featurizer(self, db_name: str, featurizer: DatabaseFeaturizer) -> None:
         """Register the (F) module of a database.
@@ -172,7 +156,6 @@ class MTMLFQO(nn.Module):
         caches carry no version in their keys to catch that.
         """
         with self._infer_lock:
-            featurizer._set_mode(self.training)
             self.featurizers[db_name] = featurizer
             self.mark_updated()
 
@@ -223,10 +206,9 @@ class MTMLFQO(nn.Module):
 
         The serving layer (``repro.serve``) holds one session per
         database instead of calling the model directly: the session
-        validates the featurizer once, pins eval mode up front, and
-        serializes calls through the model's inference lock so that
-        concurrent sessions (or a trainer on another thread) can't
-        interleave mode flips or feature-cache bookkeeping.
+        validates the featurizer once and serializes calls through the
+        model's inference lock so that concurrent sessions can't
+        interleave feature-cache bookkeeping.
         """
         return InferenceSession(self, db_name)
 
@@ -270,7 +252,6 @@ class MTMLFQO(nn.Module):
             featurizer = DatabaseFeaturizer(db, self.config)
             featurizer.load_state_dict(featurizer_state)
             clone.attach_featurizer(name, featurizer)
-        clone.eval()
         # Restore last: attach_featurizer bumps the counter during
         # reconstruction, and serving caches key on (version, epoch) —
         # the clone must carry the source's version identity.
@@ -440,7 +421,6 @@ class MTMLFQO(nn.Module):
     def predict_cardinalities(self, db_name: str, items: list[LabeledQuery]) -> list[np.ndarray]:
         """Per-node cardinality predictions (linear scale), preorder."""
         with self._infer_lock:
-            self.eval()
             with nn.no_grad():
                 log_cards, _, _, encodings, _ = self.predict_log_nodes(db_name, items)
         out = []
@@ -451,7 +431,6 @@ class MTMLFQO(nn.Module):
     def predict_costs(self, db_name: str, items: list[LabeledQuery]) -> list[np.ndarray]:
         """Per-node cost predictions (linear scale), preorder."""
         with self._infer_lock:
-            self.eval()
             with nn.no_grad():
                 _, log_costs, _, encodings, _ = self.predict_log_nodes(db_name, items)
         out = []
@@ -563,10 +542,9 @@ class MTMLFQO(nn.Module):
         if enforce_legality:
             adjacencies = [self._require_connected(item.query) for item in items]
         # The lock makes direct calls safe alongside a running serving
-        # session: forwards are pure but the feature/node LRU caches and
-        # mode flips are not thread-safe.
+        # session: forwards are pure but the feature/node LRU caches
+        # are not thread-safe.
         with self._infer_lock:
-            self.eval()
             per_query = self._decode_candidate_chunks(
                 db_name, items, beam_width, enforce_legality, adjacencies, scratch=scratch
             )
@@ -584,12 +562,6 @@ class MTMLFQO(nn.Module):
             for i, order in self._rerank_by_cost_batch(db_name, rerank_entries).items():
                 orders[i] = order
             return orders
-
-    def _rerank_by_cost(
-        self, db_name: str, labeled: LabeledQuery, candidates, margin: float = 0.7
-    ) -> list[str]:
-        """Cost-rerank one query's candidates; see :meth:`_rerank_by_cost_batch`."""
-        return self._rerank_by_cost_batch(db_name, [(0, labeled, candidates)], margin)[0]
 
     def _rerank_by_cost_batch(
         self,
@@ -689,18 +661,6 @@ class MTMLFQO(nn.Module):
                     results[index] = scored[0][0]
         return results
 
-    def beam_candidates(
-        self,
-        db_name: str,
-        labeled: LabeledQuery,
-        beam_width: int | None = None,
-        enforce_legality: bool = False,
-    ) -> list[BeamCandidate]:
-        """Raw beam candidates (used by the sequence-level loss)."""
-        return self.beam_candidates_batch(
-            db_name, [labeled], beam_width=beam_width, enforce_legality=enforce_legality
-        )[0]
-
     def beam_candidates_batch(
         self,
         db_name: str,
@@ -728,15 +688,15 @@ class MTMLFQO(nn.Module):
 
 
 class InferenceSession:
-    """Reusable eval-mode handle over one ``(model, database)`` pair.
+    """Reusable handle over one ``(model, database)`` pair.
 
     Created via :meth:`MTMLFQO.inference_session`.  Every call runs
     under the model's inference lock (acquired by the model's own
     inference entry points), so concurrent sessions — and direct model
-    calls — serialize against each other and against mode flips, and
-    results are identical to calling the model directly.  The lock does
-    *not* cover trainer steps: training concurrently with serving is
-    unsupported — retrain offline, then :meth:`MTMLFQO.mark_updated`.
+    calls — serialize against each other, and results are identical to
+    calling the model directly.  The lock does *not* cover trainer
+    steps: training concurrently with serving is unsupported — retrain
+    offline, then :meth:`MTMLFQO.mark_updated`.
     """
 
     def __init__(self, model: MTMLFQO, db_name: str):
@@ -749,8 +709,6 @@ class InferenceSession:
         # never written concurrently.
         self.scratch = nn.ScratchArena()
         model.featurizer_for(db_name)  # fail fast on a missing (F) module
-        with model._infer_lock:
-            model.eval()
 
     def predict_join_orders(self, items: list[LabeledQuery], **kwargs) -> list[list[str]]:
         """Batched join-order inference; see :meth:`MTMLFQO.predict_join_orders`."""

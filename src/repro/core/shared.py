@@ -32,7 +32,6 @@ class SharedRepresentation(nn.Module):
             config.num_heads,
             config.shared_layers,
             ff_dim=config.ff_dim,
-            dropout=config.dropout,
             rng=rng,
         )
 

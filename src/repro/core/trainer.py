@@ -177,7 +177,6 @@ class JointTrainer:
             raise ValueError("no training examples")
         rng = np.random.default_rng(seed)
         result = TrainResult()
-        self.model.train()
         for epoch in range(epochs):
             order = rng.permutation(len(examples))
             # Database-boundary splits produce ragged batches; weight
@@ -204,7 +203,6 @@ class JointTrainer:
             if verbose:
                 print(f"  epoch {epoch + 1}/{epochs}: loss {epoch_loss:.4f}")
         self.model.mark_updated()
-        self.model.eval()
         return result
 
     # ------------------------------------------------------------------
@@ -293,7 +291,6 @@ class JointTrainer:
         collect_batch = max(collect_batch, 1)
         rng = np.random.default_rng(seed)
         result = TrainResult()
-        self.model.train()
         for epoch in range(epochs):
             order = rng.permutation(len(eligible))
             total = 0.0
@@ -336,5 +333,4 @@ class JointTrainer:
             if verbose:
                 print(f"  seq epoch {epoch + 1}/{epochs}: loss {epoch_loss:.4f}")
         self.model.mark_updated()
-        self.model.eval()
         return result

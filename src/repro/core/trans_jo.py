@@ -56,7 +56,6 @@ class TransJO(nn.Module):
             config.num_heads,
             config.decoder_layers,
             ff_dim=config.ff_dim,
-            dropout=config.dropout,
             rng=rng,
         )
         self.pointer_proj = nn.Linear(config.d_model, config.d_model, bias=False, rng=rng)

@@ -469,11 +469,13 @@ def run_table3(
         return total
 
     pg_time = total_time([planner.plan(item.query).join_order for item in holdout])
+    optimal_time = total_time([item.optimal_order for item in holdout])
     mla_time = total_time(mla_model.predict_join_orders(test_db.name, holdout))
     single_time = total_time(single_model.predict_join_orders(test_db.name, holdout))
 
     return [
         Table3Row("PostgreSQL", pg_time),
+        Table3Row("Optimal", optimal_time, improvement_ratio(pg_time, optimal_time)),
         Table3Row("MTMLF-QO (MLA)", mla_time, improvement_ratio(pg_time, mla_time)),
         Table3Row("MTMLF-QO (single)", single_time, improvement_ratio(pg_time, single_time)),
     ]

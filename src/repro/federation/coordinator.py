@@ -186,7 +186,6 @@ class FleetCoordinator(RoundScheduler):
         model = MTMLFQO(model_config)
         model.load_state_dict(self.global_state())
         model.attach_featurizer(db.name, featurizer)
-        model.eval()
         tenant = TenantNode(
             db,
             model,

@@ -141,7 +141,7 @@ class TenantNode:
         fresh experiences accumulated since the last harvest — the
         asynchronous-participation rule.  Otherwise fine-tunes a private
         model (broadcast (S)/(T) + a *clone* of the live featurizer, so
-        training-mode flips can never touch the serving path) on the
+        training can never touch the serving path) on the
         training slice of the experience snapshot and returns only the
         shared (S)/(T) parameters with the example count FedAvg weights
         them by.

@@ -3,18 +3,17 @@
 Substitutes for PyTorch in this reproduction (no deep-learning framework
 is available offline).  Provides reverse-mode autodiff tensors, standard
 layers, multi-head attention, transformer encoder/decoder stacks, the
-child-sum Tree-LSTM, optimizers and loss functions.
+child-sum Tree-LSTM, the Adam optimizer and the q-error metric.
 """
 
 from . import functional, kernels
 from .attention import KVCache, MultiHeadAttention, causal_mask
 from .kernels import ScratchArena
-from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter, Sequential
-from .losses import cross_entropy, kl_divergence, mse_loss, q_error, q_error_loss
+from .layers import MLP, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter
+from .losses import cross_entropy, q_error
 from .lstm import ChildSumTreeLSTM
-from .optim import SGD, Adam, clip_grad_norm
-from .positional import TreePosition, sinusoidal_encoding, tree_path_encoding
-from .serialize import load_module, save_module
+from .optim import Adam, clip_grad_norm
+from .positional import TreePosition, tree_path_encoding
 from .spec import shape_spec
 from .tensor import Tensor, is_grad_enabled, no_grad, no_tape_active
 from .transformer import TransformerDecoder, TransformerDecoderLayer, TransformerEncoder, TransformerEncoderLayer
@@ -34,8 +33,6 @@ __all__ = [
     "Linear",
     "LayerNorm",
     "Embedding",
-    "Dropout",
-    "Sequential",
     "MLP",
     "MultiHeadAttention",
     "causal_mask",
@@ -44,18 +41,11 @@ __all__ = [
     "TransformerDecoder",
     "TransformerDecoderLayer",
     "ChildSumTreeLSTM",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "q_error",
-    "q_error_loss",
     "cross_entropy",
-    "kl_divergence",
-    "mse_loss",
-    "sinusoidal_encoding",
     "tree_path_encoding",
     "TreePosition",
-    "save_module",
-    "load_module",
     "shape_spec",
 ]

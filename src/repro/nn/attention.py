@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from .layers import Dropout, Linear, Module
+from .layers import Linear, Module
 from .spec import shape_spec
 
 __all__ = ["MultiHeadAttention", "causal_mask", "KVCache"]
@@ -108,7 +108,7 @@ class MultiHeadAttention(Module):
         Number of attention heads (the paper uses 4).
     """
 
-    def __init__(self, dim: int, num_heads: int, dropout: float = 0.0, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, num_heads: int, rng: np.random.Generator | None = None):
         super().__init__()
         if dim % num_heads != 0:
             raise ValueError(f"dim {dim} not divisible by num_heads {num_heads}")
@@ -123,7 +123,6 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(dim, dim, rng=rng)
         self.v_proj = Linear(dim, dim, rng=rng)
         self.out_proj = Linear(dim, dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
 
     @shape_spec(inputs={"x": "(B, L, dim)"},
                 out="(B, num_heads, L, head_dim)")
@@ -240,6 +239,6 @@ class MultiHeadAttention(Module):
         if mask is not None:
             scores = F.masked_fill(scores, mask, -1e9)
 
-        weights = self.dropout(F.softmax(scores, axis=-1))
+        weights = F.softmax(scores, axis=-1)
         attended = F.matmul(weights, v, scratch, tag + ".attended")
         return self.out_proj(self._merge_heads(attended))

@@ -38,7 +38,6 @@ __all__ = [
     "log_softmax",
     "masked_fill",
     "concat",
-    "stack",
     "repeat_batch",
     "operand",
     "zeros",
@@ -184,37 +183,22 @@ def repeat_batch(x, repeats: int):
     return _unary(x, out, lambda grad: grad.sum(axis=0, keepdims=True))
 
 
-def _joined(tensors: list, out: np.ndarray, pieces):
-    """The result of ``concat`` / ``stack``: ``out`` itself unless a
-    Tensor is among ``tensors``, else one tape node whose rule hands
-    each Tensor its entry of ``pieces(grad)``."""
+def concat(tensors: list, axis: int = 0):
+    """Concatenate along ``axis``: the joined array itself unless a Tensor
+    is among ``tensors``, else one tape node whose rule hands each
+    Tensor its slice of the gradient."""
+    out = np.concatenate([raw(t) for t in tensors], axis=axis)
     taped = [t for t in tensors if isinstance(t, Tensor)]
     if not taped:
         return out
 
     def backward(grad):
-        for tensor, piece in zip(tensors, pieces(grad)):
+        cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]], dtype=np.int64)
+        for tensor, piece in zip(tensors, np.split(grad, cuts, axis=axis)):
             if isinstance(tensor, Tensor) and tensor.requires_grad:
                 tensor._accumulate(piece)
 
     return Tensor._make(out, tuple(taped), backward, any(t.requires_grad for t in taped))
-
-
-def concat(tensors: list, axis: int = 0):
-    """Concatenate along ``axis`` (with gradient support among Tensors)."""
-    out = np.concatenate([raw(t) for t in tensors], axis=axis)
-
-    def pieces(grad):
-        cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]], dtype=np.int64)
-        return np.split(grad, cuts, axis=axis)
-
-    return _joined(tensors, out, pieces)
-
-
-def stack(tensors: list, axis: int = 0):
-    """Stack along a new ``axis`` (with gradient support among Tensors)."""
-    out = np.stack([raw(t) for t in tensors], axis=axis)
-    return _joined(tensors, out, lambda grad: np.moveaxis(grad, axis, 0))
 
 
 def pad_index_sequences(

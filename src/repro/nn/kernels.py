@@ -138,21 +138,6 @@ class KernelProfile:
             )
         return "\n".join(lines)
 
-    def record_into(self, registry, labels=None) -> None:
-        """Export accumulated counters into a metrics registry.
-
-        One ``kernel.calls`` / ``kernel.seconds`` / ``kernel.bytes``
-        counter per op, labeled ``{"op": name}`` (plus any caller
-        labels), so profiles from repeated ``profiled()`` blocks
-        accumulate instead of overwriting each other.
-        """
-        base = dict(labels or {})
-        for name, (calls, seconds, nbytes) in self.ops.items():
-            op_labels = {**base, "op": name}
-            registry.counter("kernel.calls", op_labels).inc(calls)
-            registry.counter("kernel.seconds", op_labels).inc(seconds)
-            registry.counter("kernel.bytes", op_labels).inc(nbytes)
-
 
 @contextmanager
 def profiled():

@@ -1,9 +1,10 @@
 """Neural-network layers built on the autograd :class:`Tensor`.
 
-Provides the ``Module`` base class (parameter registration, train/eval
-mode, state dicts, and the tape/no-tape boundary in ``__call__``) and
-the standard layers used by MTMLF-QO: ``Linear``, ``LayerNorm``,
-``Embedding``, ``Dropout``, ``Sequential`` and ``MLP``.
+Provides the ``Module`` base class (parameter registration, state
+dicts, and the tape/no-tape boundary in ``__call__``) and the standard
+layers used by MTMLF-QO: ``Linear``, ``LayerNorm``, ``Embedding`` and
+``MLP``.  A module has weights and no mode: its ``forward`` is one
+function of its inputs and parameters.
 
 Every layer has exactly one ``forward`` body, written against the
 :mod:`repro.nn.functional` op table; it computes on whatever it is
@@ -17,9 +18,9 @@ import numpy as np
 
 from . import functional as F
 from .spec import shape_spec
-from .tensor import Tensor, is_grad_enabled, no_tape_active, raw
+from .tensor import Tensor, no_tape_active, raw
 
-__all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "Dropout", "Sequential", "MLP", "ModuleList"]
+__all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "MLP", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -36,9 +37,6 @@ def _wrapped(value):
 
 class Module:
     """Base class with recursive parameter discovery and (de)serialization."""
-
-    def __init__(self):
-        self.training = True
 
     # -- parameter traversal -------------------------------------------------
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
@@ -74,29 +72,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
-
-    # -- train / eval mode ----------------------------------------------------
-    def train(self) -> "Module":
-        self._set_mode(True)
-        return self
-
-    def eval(self) -> "Module":
-        self._set_mode(False)
-        return self
-
-    def _set_mode(self, training: bool) -> None:
-        self.training = training
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value._set_mode(training)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    if isinstance(item, Module):
-                        item._set_mode(training)
 
     # -- serialization ----------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -213,45 +188,6 @@ class Embedding(Module):
         return self.weight[indices]
 
 
-class Dropout(Module):
-    """Inverted dropout; identity when the module is in eval mode."""
-
-    def __init__(self, p: float = 0.1, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError("dropout probability must be in [0, 1)")
-        self.p = p
-        self.rng = rng or np.random.default_rng(0)
-
-    @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
-    def forward(self, x):
-        # Inference-mode dropout is a *true* no-op: the input object
-        # passes through untouched — no pass-through tensor on the tape,
-        # no copy among ndarrays (tests assert identity).
-        if not self.training or self.p == 0.0 or not is_grad_enabled():
-            return x
-        keep = 1.0 - self.p
-        mask = self.rng.random(x.shape) < keep
-        return x * Tensor(mask.astype(np.float64) / keep)
-
-    # Mode-neutral, so it skips the ndarray boundary: a Tensor given to an
-    # inactive dropout comes back as that very Tensor, not a re-wrap.
-    __call__ = forward
-
-
-class Sequential(Module):
-    """Apply sub-modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.steps = ModuleList(list(modules))
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.steps:
-            x = module(x)
-        return x
-
-
 class MLP(Module):
     """Multi-layer perceptron with ReLU activations between layers.
 
@@ -259,13 +195,12 @@ class MLP(Module):
     (two-layer MLPs in the case study).
     """
 
-    def __init__(self, dims: list[int], rng: np.random.Generator | None = None, dropout: float = 0.0):
+    def __init__(self, dims: list[int], rng: np.random.Generator | None = None):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
         rng = rng or np.random.default_rng(0)
         self.layers = ModuleList([Linear(a, b, rng=rng) for a, b in zip(dims[:-1], dims[1:])])
-        self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
 
     @shape_spec(inputs={"x": "(..., d_in)"},
                 out="(..., d_out)",
@@ -275,6 +210,4 @@ class MLP(Module):
             x = layer(x)
             if i < len(self.layers) - 1:
                 x = F.relu(x)
-                if self.dropout is not None:
-                    x = self.dropout(x)
         return x

@@ -1,12 +1,11 @@
-"""Loss functions used by MTMLF-QO training.
+"""The q-error metric and the token-level cross-entropy reference.
 
-Implements the paper's loss criteria:
+- ``q_error``: the paper's CardEst/CostEst criterion (Section 3.2,
+  L.i/L.ii), ``max(pred/true, true/pred)``, as the evaluation metric;
+- ``cross_entropy``: token-level cross-entropy for join-order
+  prediction (L.iii), one sequence at a time.
 
-- the Q-error loss for CardEst/CostEst (Section 3.2, L.i/L.ii):
-  ``L = max(pred/true, true/pred)``, computed in log space for a
-  smooth, symmetric surrogate;
-- token-level cross-entropy for join-order prediction (L.iii);
-- KL divergence against the tree "decoding embeddings" of Section 4.1.
+The batched training losses live in :mod:`repro.core.losses`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from . import functional as F
 from .tensor import Tensor
 
-__all__ = ["q_error_loss", "q_error", "cross_entropy", "kl_divergence", "mse_loss"]
+__all__ = ["q_error", "cross_entropy"]
 
 
 def q_error(pred: np.ndarray, true: np.ndarray, floor: float = 1.0) -> np.ndarray:
@@ -28,20 +27,6 @@ def q_error(pred: np.ndarray, true: np.ndarray, floor: float = 1.0) -> np.ndarra
     pred = np.maximum(np.asarray(pred, dtype=np.float64), floor)
     true = np.maximum(np.asarray(true, dtype=np.float64), floor)
     return np.maximum(pred / true, true / pred)
-
-
-def q_error_loss(log_pred: Tensor, true_values: np.ndarray, floor: float = 1.0) -> Tensor:
-    """Differentiable q-error surrogate.
-
-    The model predicts ``log_pred = log(card)``; since
-    ``log qerr = |log_pred - log_true|``, minimising the mean absolute
-    log difference minimises the geometric-mean q-error.  This is the
-    standard smooth implementation of the paper's L.i/L.ii criteria.
-    """
-    true = np.maximum(np.asarray(true_values, dtype=np.float64), floor)
-    target = Tensor(np.log(true))
-    diff = log_pred - target
-    return diff.abs().mean()
 
 
 def cross_entropy(logits: Tensor, target_index: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -62,31 +47,3 @@ def cross_entropy(logits: Tensor, target_index: np.ndarray, mask: np.ndarray | N
             raise ValueError("cross_entropy mask selects no positions")
         return -(picked * Tensor(mask)).sum() * (1.0 / count)
     return -picked.mean()
-
-
-def kl_divergence(logits: Tensor, target_dist: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Mean KL(target || softmax(logits)) over sequence positions.
-
-    Used by the tree-codec training objective of Section 4.1, where the
-    target is a (possibly multi-hot, normalised) decoding embedding.
-    """
-    target = np.asarray(target_dist, dtype=np.float64)
-    sums = target.sum(axis=-1, keepdims=True)
-    target = target / np.maximum(sums, 1e-12)
-    log_probs = F.log_softmax(logits, axis=-1)
-    # Constant entropy term of the target is irrelevant to gradients but
-    # kept so the loss value is a true KL divergence.
-    entropy = -np.sum(np.where(target > 0, target * np.log(np.maximum(target, 1e-12)), 0.0), axis=-1)
-    ce = -(log_probs * Tensor(target)).sum(axis=-1)
-    kl = ce - Tensor(entropy)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        count = max(float(mask.sum()), 1.0)
-        return (kl * Tensor(mask)).sum() * (1.0 / count)
-    return kl.mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()

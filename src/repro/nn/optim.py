@@ -1,4 +1,4 @@
-"""Optimizers (SGD, Adam) and gradient utilities.
+"""The Adam optimizer and gradient clipping.
 
 The paper trains MTMLF-QO with Adam at learning rate 1e-4; the same
 optimizer (with the standard bias-corrected moments of Kingma & Ba) is
@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
@@ -74,27 +74,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
 
 
 class Adam(Optimizer):

@@ -1,4 +1,4 @@
-"""Positional encodings: sinusoidal sequence positions and tree positions.
+"""Tree positional encodings.
 
 The paper serializes tree-structured query plans into sequences using
 "the transformers' tree positional embedding techniques" (Shiv & Quirk,
@@ -14,7 +14,7 @@ import numpy as np
 
 from .spec import shape_spec
 
-__all__ = ["sinusoidal_encoding", "tree_path_encoding", "TreePosition"]
+__all__ = ["tree_path_encoding", "TreePosition"]
 
 # Decode workloads re-encode the same shallow tree paths for every
 # candidate and every beam step; the vectors are tiny, pure functions of
@@ -22,19 +22,6 @@ __all__ = ["sinusoidal_encoding", "tree_path_encoding", "TreePosition"]
 # Entries are marked non-writable so no consumer can corrupt the cache.
 _TREE_PATH_CACHE: dict[tuple, np.ndarray] = {}
 _TREE_PATH_CACHE_MAX = 4096
-
-
-@shape_spec(out="(length, dim)")
-def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
-    """Classic transformer sin/cos positional encoding of shape (length, dim)."""
-    if dim % 2 != 0:
-        raise ValueError("sinusoidal encoding dim must be even")
-    positions = np.arange(length)[:, None]
-    freqs = np.exp(-np.log(10000.0) * np.arange(0, dim, 2) / dim)[None, :]
-    enc = np.zeros((length, dim), dtype=np.float64)
-    enc[:, 0::2] = np.sin(positions * freqs)
-    enc[:, 1::2] = np.cos(positions * freqs)
-    return enc
 
 
 class TreePosition:

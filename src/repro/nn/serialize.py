@@ -1,9 +1,8 @@
-"""Model checkpointing: save/load ``Module`` state dicts as ``.npz``.
+"""Atomic ``.npz`` archive writes.
 
 MLA (Algorithm 1) ships the pre-trained (S)+(T) modules from the cloud
-provider to users; this module provides that transport format.  Full
-MTMLF-QO checkpoints (config + featurizers + optimizer state) live in
-:mod:`repro.core.checkpoint` and build on the same primitives.
+provider to users; :mod:`repro.core.checkpoint` writes that format
+through these two primitives.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .layers import Module
-
-__all__ = ["save_module", "load_module", "resolve_npz_path", "atomic_savez"]
+__all__ = ["resolve_npz_path", "atomic_savez"]
 
 
 def resolve_npz_path(path: str) -> str:
@@ -54,16 +51,3 @@ def atomic_savez(path: str, arrays: dict[str, np.ndarray]) -> str:
             os.unlink(tmp_path)
         raise
     return path
-
-
-def save_module(module: Module, path: str) -> str:
-    """Persist a module's parameters; returns the resolved ``.npz`` path."""
-    return atomic_savez(path, module.state_dict())
-
-
-def load_module(module: Module, path: str) -> Module:
-    """Load parameters saved by :func:`save_module` into ``module``."""
-    with np.load(resolve_npz_path(path)) as archive:
-        state = {key: archive[key] for key in archive.files}
-    module.load_state_dict(state)
-    return module

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import functional as F
 from .attention import MultiHeadAttention, causal_mask
-from .layers import Dropout, LayerNorm, Linear, Module, ModuleList
+from .layers import LayerNorm, Linear, Module, ModuleList
 from .spec import shape_spec
 
 __all__ = ["TransformerEncoderLayer", "TransformerEncoder", "TransformerDecoderLayer", "TransformerDecoder"]
@@ -21,39 +21,36 @@ __all__ = ["TransformerEncoderLayer", "TransformerEncoder", "TransformerDecoderL
 class TransformerEncoderLayer(Module):
     """Pre-norm transformer encoder block (self-attention + FFN)."""
 
-    def __init__(self, dim: int, num_heads: int, ff_dim: int | None = None, dropout: float = 0.0, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, num_heads: int, ff_dim: int | None = None, rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         ff_dim = ff_dim or 4 * dim
-        self.attn = MultiHeadAttention(dim, num_heads, dropout=dropout, rng=rng)
+        self.attn = MultiHeadAttention(dim, num_heads, rng=rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.ff1 = Linear(dim, ff_dim, rng=rng)
         self.ff2 = Linear(ff_dim, dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
 
     @shape_spec(inputs={"x": "(B, L, dim)"},
                 out="(B, L, dim)",
                 params=("attn", "norm1", "norm2", "ff1", "ff2"))
     def forward(self, x, key_padding_mask: np.ndarray | None = None, scratch=None, tag: str = ""):
         normed = self.norm1(x)
-        x = x + self.dropout(
-            self.attn(normed, key_padding_mask=key_padding_mask, scratch=scratch, tag=tag + ".attn")
-        )
+        x = x + self.attn(normed, key_padding_mask=key_padding_mask, scratch=scratch, tag=tag + ".attn")
         normed = self.norm2(x)
         hidden = F.relu(self.ff1(normed, scratch, tag + ".ff1"))
-        x = x + self.dropout(self.ff2(hidden))
+        x = x + self.ff2(hidden)
         return x
 
 
 class TransformerEncoder(Module):
     """Stack of encoder layers with a final LayerNorm."""
 
-    def __init__(self, dim: int, num_heads: int, num_layers: int, ff_dim: int | None = None, dropout: float = 0.0, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, num_heads: int, num_layers: int, ff_dim: int | None = None, rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.layers = ModuleList(
-            [TransformerEncoderLayer(dim, num_heads, ff_dim=ff_dim, dropout=dropout, rng=rng) for _ in range(num_layers)]
+            [TransformerEncoderLayer(dim, num_heads, ff_dim=ff_dim, rng=rng) for _ in range(num_layers)]
         )
         self.final_norm = LayerNorm(dim)
 
@@ -69,18 +66,17 @@ class TransformerEncoder(Module):
 class TransformerDecoderLayer(Module):
     """Pre-norm decoder block: causal self-attention, cross-attention, FFN."""
 
-    def __init__(self, dim: int, num_heads: int, ff_dim: int | None = None, dropout: float = 0.0, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, num_heads: int, ff_dim: int | None = None, rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         ff_dim = ff_dim or 4 * dim
-        self.self_attn = MultiHeadAttention(dim, num_heads, dropout=dropout, rng=rng)
-        self.cross_attn = MultiHeadAttention(dim, num_heads, dropout=dropout, rng=rng)
+        self.self_attn = MultiHeadAttention(dim, num_heads, rng=rng)
+        self.cross_attn = MultiHeadAttention(dim, num_heads, rng=rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.norm3 = LayerNorm(dim)
         self.ff1 = Linear(dim, ff_dim, rng=rng)
         self.ff2 = Linear(ff_dim, dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
 
     @shape_spec(inputs={"x": "(B, L, dim)", "memory": "(B, L_m, dim)"},
                 out="(B, L, dim)",
@@ -100,35 +96,31 @@ class TransformerDecoderLayer(Module):
         """
         length = x.shape[1]
         normed = self.norm1(x)
-        x = x + self.dropout(
-            self.self_attn(normed, attn_mask=causal_mask(length), scratch=scratch, tag=tag + ".self")
-        )
+        x = x + self.self_attn(normed, attn_mask=causal_mask(length), scratch=scratch, tag=tag + ".self")
         normed = self.norm2(x)
-        x = x + self.dropout(
-            self.cross_attn(
-                normed,
-                memory,
-                memory,
-                key_padding_mask=memory_padding_mask,
-                static_kv=memory_kv,
-                scratch=scratch,
-                tag=tag + ".cross",
-            )
+        x = x + self.cross_attn(
+            normed,
+            memory,
+            memory,
+            key_padding_mask=memory_padding_mask,
+            static_kv=memory_kv,
+            scratch=scratch,
+            tag=tag + ".cross",
         )
         normed = self.norm3(x)
         hidden = F.relu(self.ff1(normed, scratch, tag + ".ff1"))
-        x = x + self.dropout(self.ff2(hidden))
+        x = x + self.ff2(hidden)
         return x
 
 
 class TransformerDecoder(Module):
     """Stack of decoder layers with a final LayerNorm."""
 
-    def __init__(self, dim: int, num_heads: int, num_layers: int, ff_dim: int | None = None, dropout: float = 0.0, rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, num_heads: int, num_layers: int, ff_dim: int | None = None, rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.layers = ModuleList(
-            [TransformerDecoderLayer(dim, num_heads, ff_dim=ff_dim, dropout=dropout, rng=rng) for _ in range(num_layers)]
+            [TransformerDecoderLayer(dim, num_heads, ff_dim=ff_dim, rng=rng) for _ in range(num_layers)]
         )
         self.final_norm = LayerNorm(dim)
 

@@ -111,5 +111,5 @@ class Telemetry:
         """The off mode: what ``telemetry=None`` becomes at construction."""
         return cls(TelemetryConfig(enabled=False))
 
-    def snapshot(self, tick: bool = True) -> dict:
-        return telemetry_snapshot(self, tick=tick)
+    def snapshot(self) -> dict:
+        return telemetry_snapshot(self)

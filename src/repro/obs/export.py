@@ -28,15 +28,8 @@ __all__ = [
 SNAPSHOT_VERSION = 1
 
 
-def telemetry_snapshot(telemetry, tick: bool = True) -> dict:
-    """JSON-able dump of a :class:`repro.obs.Telemetry` bundle.
-
-    ``tick=True`` (default) appends one time-series point to every
-    metric first, so even a single end-of-run snapshot carries a
-    non-empty series.
-    """
-    if tick:
-        telemetry.registry.tick()
+def telemetry_snapshot(telemetry) -> dict:
+    """JSON-able dump of a :class:`repro.obs.Telemetry` bundle."""
     return {
         "version": SNAPSHOT_VERSION,
         "enabled": bool(telemetry.on),

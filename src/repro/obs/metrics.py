@@ -15,9 +15,7 @@ This module is the shared substrate they migrate onto:
   the same bucket as the true nearest-rank sample, and never below it;
 
 - :class:`MetricsRegistry` — the named, labeled factory-and-directory
-  for all of the above, plus windowed time series: every metric owns a
-  bounded :class:`TimeSeriesRing` that :meth:`MetricsRegistry.tick`
-  appends to, giving rate-over-time without unbounded growth.
+  for all of the above.
 
 Locking: each metric guards its own state with a private lock; the
 registry lock covers only the name→metric directory.  No metric method
@@ -29,14 +27,11 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
-    "TimeSeriesRing",
     "Counter",
     "Gauge",
     "Histogram",
@@ -53,30 +48,6 @@ DEFAULT_LATENCY_BOUNDS: "tuple[float, ...]" = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-# Points kept per metric time series (one per registry tick).
-_SERIES_CAPACITY = 240
-
-
-class TimeSeriesRing:
-    """Bounded ``(timestamp, value...)`` ring; oldest points evicted.
-
-    Not locked itself — the owning metric appends under its own lock and
-    hands out copies, so readers never see a half-written point.
-    """
-
-    def __init__(self, capacity: int = _SERIES_CAPACITY):
-        self._points: "deque[tuple]" = deque(maxlen=max(1, capacity))
-
-    def append(self, point: tuple) -> None:
-        self._points.append(point)
-
-    def points(self) -> "list[tuple]":
-        return list(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-
 class Counter:
     """Monotone accumulator.  ``inc`` rejects negative amounts."""
 
@@ -87,7 +58,6 @@ class Counter:
         self.labels = dict(labels)
         self._lock = threading.Lock()
         self._value = 0.0  # guarded-by: _lock
-        self.series = TimeSeriesRing()  # guarded-by: _lock
 
     def inc(self, amount: "float | int" = 1) -> None:
         if amount < 0:
@@ -105,10 +75,6 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def tick(self, now: float) -> None:
-        with self._lock:
-            self.series.append((now, self._value))
-
     def to_dict(self) -> dict:
         with self._lock:
             return {
@@ -116,7 +82,6 @@ class Counter:
                 "name": self.name,
                 "labels": dict(self.labels),
                 "value": self._value,
-                "series": self.series.points(),
             }
 
 
@@ -130,7 +95,6 @@ class Gauge:
         self.labels = dict(labels)
         self._lock = threading.Lock()
         self._value = 0.0  # guarded-by: _lock
-        self.series = TimeSeriesRing()  # guarded-by: _lock
 
     def set(self, value: "float | int") -> None:
         with self._lock:
@@ -151,10 +115,6 @@ class Gauge:
         # that is order-independent for the high-water-mark use case.
         self.update_max(other.value)
 
-    def tick(self, now: float) -> None:
-        with self._lock:
-            self.series.append((now, self._value))
-
     def to_dict(self) -> dict:
         with self._lock:
             return {
@@ -162,7 +122,6 @@ class Gauge:
                 "name": self.name,
                 "labels": dict(self.labels),
                 "value": self._value,
-                "series": self.series.points(),
             }
 
 
@@ -221,7 +180,6 @@ class Histogram:
         self._sum = 0.0  # guarded-by: _lock
         self._min = math.inf  # guarded-by: _lock
         self._max = -math.inf  # guarded-by: _lock
-        self.series = TimeSeriesRing()  # guarded-by: _lock
 
     def observe(self, value: "float | int") -> None:
         value = float(value)
@@ -306,10 +264,6 @@ class Histogram:
                 p99=self._percentile_locked(99.0),
             )
 
-    def tick(self, now: float) -> None:
-        with self._lock:
-            self.series.append((now, self._count, self._sum))
-
     def to_dict(self) -> dict:
         with self._lock:
             empty = self._count == 0
@@ -326,7 +280,6 @@ class Histogram:
                 "p99": self._percentile_locked(99.0),
                 "bounds": list(self.bounds),
                 "bucket_counts": list(self._counts),
-                "series": self.series.points(),
             }
 
 
@@ -388,13 +341,6 @@ class MetricsRegistry:
         """Existing metric for ``(name, labels)``, or None (no creation)."""
         with self._lock:
             return self._metrics.get((name, _label_key(labels)))
-
-    def tick(self, now: "float | None" = None) -> None:
-        """Append one time-series point to every metric's ring."""
-        if now is None:
-            now = time.monotonic()
-        for metric in self.metrics():  # snapshot outside each metric's lock
-            metric.tick(now)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry (e.g. a per-shard one) into this one.

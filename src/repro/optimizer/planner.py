@@ -50,10 +50,6 @@ class PostgresStylePlanner:
         """Estimated output cardinality of the full query."""
         return self.estimator.estimate(query, frozenset(query.tables))
 
-    def estimate_cost(self, query: Query) -> float:
-        """Estimated total plan cost for the chosen plan."""
-        return self.plan(query).cost
-
 
 def plan_with_order(
     query: Query,

@@ -297,8 +297,8 @@ class TrainRound:
         """A clone of ``live`` — under the broadcast (S)/(T)
         ``global_state`` when one is given — sharing no module with it:
         :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) and every
-        featurizer by state dict, so a trainer's train-mode flip
-        (dropout on) can never leak nondeterminism into served traffic."""
+        featurizer by state dict, so the round's training steps never
+        touch a weight array that serves traffic."""
         model = live.clone_for_inference()
         if global_state is not None:
             model.load_state_dict(global_state)

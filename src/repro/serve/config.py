@@ -27,8 +27,7 @@ class ServeConfig:
     plan_cache_size:
         Bound of the LRU plan cache keyed by structural query/plan
         signature.  ``0`` disables caching entirely (every request runs
-        the model) — used by the throughput benchmark to measure the
-        batching win in isolation.
+        the model).
     beam_width / enforce_legality / rerank_with_cost:
         Passed through to :meth:`MTMLFQO.predict_join_orders` (``None``
         defers to the model config, exactly like a direct call).  They

@@ -287,7 +287,7 @@ class OptimizerService:
             new_model = load_checkpoint(model_or_path, databases=databases)
         else:
             new_model = model_or_path
-        # Validates the featurizer and pins eval mode before the switch;
+        # Validates the featurizer before the switch;
         # a bad replacement raises here and the old model keeps serving.
         new_session = new_model.inference_session(self.db_name)
         with self._mutex:

@@ -36,7 +36,6 @@ def beam_search_join_order_sequential(
     """Reference beam search: one decoder forward per beam per timestep."""
     if enforce_legality:
         require_connected(adjacency)
-    trans_jo.eval()
     m = memory.shape[1]
     beams: list[tuple[list[int], float]] = [([], 0.0)]
     for _ in range(m):
@@ -92,7 +91,6 @@ def beam_search_join_order_tape(
 ) -> list[BeamCandidate]:
     """Batched search stepped on Tensors: all beams in one forward per
     timestep, memory K/V re-projected inline at every step."""
-    trans_jo.eval()
     state = BeamSearchState(
         adjacency,
         beam_width=beam_width,

@@ -46,8 +46,8 @@ def _namespaces():
 
 def _bindings() -> list:
     """``(namespace, name, function)`` for every place a ``__shape_spec__``
-    bearer is bound — ``Dropout.__call__ = forward`` and by-name imports
-    (``from ..nn.positional import tree_path_encoding``) included."""
+    bearer is bound — by-name imports (``from ..nn.positional import
+    tree_path_encoding``) included."""
     return [
         (namespace, name, value)
         for namespace in _namespaces()

@@ -675,9 +675,9 @@ MUTATIONS = [
      "        with self._mutex:\n            self.session = new_session\n",
      "        if True:\n            self.session = new_session\n"),
     ("lock-discipline", "core/model.py",
-     '(linear scale), preorder."""\n        with self._infer_lock:\n            self.eval()\n'
+     '(linear scale), preorder."""\n        with self._infer_lock:\n'
      "            with nn.no_grad():\n                _, log_costs,",
-     '(linear scale), preorder."""\n        if True:\n            self.eval()\n'
+     '(linear scale), preorder."""\n        if True:\n'
      "            with nn.no_grad():\n                _, log_costs,"),
     ("grad-mode", "core/model.py",
      "            with nn.no_grad():\n                _, log_costs,",

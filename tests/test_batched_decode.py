@@ -122,7 +122,6 @@ class TestBatchedBeamParity:
         memory = random_memory(5, seed=9)
         prefixes = [[2, 1], [0, 3], [4, 2], [1, 0]]
         batch_memory = nn.Tensor(np.broadcast_to(memory.data, (len(prefixes),) + memory.shape[1:]).copy())
-        trans_jo.eval()
         tape = trans_jo.step_logits_batch(batch_memory, prefixes)
         assert tape.requires_grad
         with nn.no_grad():
@@ -191,8 +190,8 @@ class TestBatchedBeamParity:
 class TestFastVsTapeParity:
     """The production decode (layer bodies on raw ndarrays, cached K/V,
     scratch buffers) must yield bit-identical candidates to the same
-    bodies stepped on the autograd tape (grad enabled, ``eval()`` mode,
-    K/V projected inline every step)."""
+    bodies stepped on the autograd tape (grad enabled, K/V projected
+    inline every step)."""
 
     @pytest.mark.parametrize("beam_width", list(range(1, 9)))
     def test_e2e_beam_parity_across_widths(self, trans_jo, beam_width):
@@ -227,11 +226,10 @@ class TestFastVsTapeParity:
 class TestModelForwardParity:
     def test_forward_batch_and_heads_tape_equals_no_grad(self, db, labeled, featurizer):
         """Trans_Share, both heads, the batched memory gather and the
-        padded Trans_JO teacher-forced forward: grad-enabled ``eval()``
-        outputs == ``no_grad`` outputs, bitwise."""
+        padded Trans_JO teacher-forced forward: grad-enabled outputs ==
+        ``no_grad`` outputs, bitwise."""
         model = MTMLFQO(SMALL)
         model.attach_featurizer(db.name, featurizer)
-        model.eval()
         items = labeled[:6]
 
         def run():
@@ -382,7 +380,7 @@ class TestDisconnectedDetection:
             total_time_ms=0.0,
         )
         with pytest.raises(ValueError, match="disconnected"):
-            model.beam_candidates("anydb", labeled, enforce_legality=True)
+            model.beam_candidates_batch("anydb", [labeled], enforce_legality=True)
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +515,7 @@ class TestRerankFavouriteTracking:
         if bad is None:
             pytest.skip("query graph is complete; every order is plannable")
         rigged = [BeamCandidate(positions=bad, log_prob=0.0, legal=False)] + candidates
-        result = model._rerank_by_cost(db.name, item, rigged)
+        result = model._rerank_by_cost_batch(db.name, [(0, item, rigged)])[0]
         # The result must be one of the plannable candidates, specifically
         # the one the cost head scores lowest (no margin shield applies).
         orders = [c.tables(item.query.tables) for c in candidates]
@@ -529,7 +527,7 @@ class TestRerankFavouriteTracking:
         item = next(i for i in labeled if i.query.num_tables >= 3)
         candidates = [c for c in self._candidates(model, db, item) if c.legal]
         assert candidates
-        result = model._rerank_by_cost(db.name, item, candidates, margin=1e9)
+        result = model._rerank_by_cost_batch(db.name, [(0, item, candidates)], margin=1e9)[0]
         # With an enormous margin no challenger can win: favourite stays.
         assert result == candidates[0].tables(item.query.tables)
 

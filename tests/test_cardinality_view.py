@@ -164,12 +164,12 @@ class TestWorkIsDoneOnce:
         )
         candidates = [
             c
-            for c in model.beam_candidates(db.name, item, beam_width=3, enforce_legality=True)
+            for c in model.beam_candidates_batch(db.name, [item], beam_width=3, enforce_legality=True)[0]
             if c.legal
         ]
         assert len(candidates) == 3
         counting.clear()
-        model._rerank_by_cost(db.name, item, candidates)
+        model._rerank_by_cost_batch(db.name, [(0, item, candidates)])
         assert counting == {"scan": item.query.num_tables, "join": len(item.query.joins)}
 
     @pytest.mark.parametrize("left_deep_only", [True, False])

@@ -7,6 +7,7 @@ corrupted/truncated files and mismatched databases, and optionally
 restores Adam moments keyed by parameter name for warm-start training.
 """
 
+import json
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.core import (
     read_checkpoint_meta,
     save_checkpoint,
 )
+from repro.core.checkpoint import _META_KEY, _encode_meta
 from repro.datagen import generate_database
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
@@ -91,7 +93,6 @@ class TestRoundTrip:
         clone = model.clone_for_inference()
         loaded = load_checkpoint(save_checkpoint(model, str(tmp_path / "clone")), databases=db)
         assert clone.version == loaded.version == model.version
-        assert not clone.training  # ready to serve, like a loaded model
         direct = model.predict_join_orders(db.name, labeled)
         assert clone.predict_join_orders(db.name, labeled) == direct
         assert loaded.predict_join_orders(db.name, labeled) == direct
@@ -113,14 +114,16 @@ class TestRoundTrip:
         assert loaded.version == model.version
         assert loaded.config == model.config
         assert sorted(loaded.featurizers) == sorted(model.featurizers)
-        assert not loaded.training  # ready to serve
 
     def test_save_path_normalized_and_atomic(self, db, trained, tmp_path):
         model, _ = trained
         path = save_checkpoint(model, str(tmp_path / "ckpt"))
         assert path == str(tmp_path / "ckpt.npz")
-        save_checkpoint(model, path)  # overwrite in place
+        save_checkpoint(model, path)  # overwrite in place: no ckpt.npz.npz, no tmp file
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        # Loading resolves the suffix the same way from either spelling.
+        for spec in ("ckpt", "ckpt.npz"):
+            assert load_checkpoint(str(tmp_path / spec), databases=db).version == model.version
 
     def test_meta_readable_without_loading(self, db, trained, tmp_path):
         model, _ = trained
@@ -180,6 +183,41 @@ class TestErrorPaths:
             load_checkpoint(path, databases={saved_name: other})
 
 
+class TestArchivesFromOlderBuilds:
+    """Builds before the model lost its train/eval mode saved a
+    ``dropout`` rate in the config; no caller ever set it off 0.0."""
+
+    @staticmethod
+    def _save_with_dropout(model, path, rate) -> str:
+        path = save_checkpoint(model, path)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays[_META_KEY]).decode())
+        meta["config"]["dropout"] = rate
+        arrays[_META_KEY] = _encode_meta(meta)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        return path
+
+    def test_zero_dropout_archive_loads_and_serves_identical_orders(
+        self, db, labeled, trained, tmp_path
+    ):
+        model, _ = trained
+        path = self._save_with_dropout(model, str(tmp_path / "old"), 0.0)
+        assert read_checkpoint_meta(path)["config"]["dropout"] == 0.0
+        loaded = load_checkpoint(path, databases=db)
+        assert loaded.config == model.config
+        assert loaded.predict_join_orders(db.name, labeled) == model.predict_join_orders(
+            db.name, labeled
+        )
+
+    def test_nonzero_dropout_archive_is_refused_naming_the_field(self, db, trained, tmp_path):
+        model, _ = trained
+        path = self._save_with_dropout(model, str(tmp_path / "old"), 0.1)
+        with pytest.raises(CheckpointError, match="dropout=0.1"):
+            load_checkpoint(path, databases=db)
+
+
 class TestWarmStart:
     def test_optimizer_state_round_trips(self, db, labeled, trained, tmp_path):
         model, trainer = trained
@@ -201,8 +239,6 @@ class TestWarmStart:
         path = trainer.save_checkpoint(str(tmp_path / "step"))
         restored = JointTrainer.warm_start(path, databases=db)
         batch = labeled[:4]
-        trainer.model.train()
-        restored.model.train()
         loss_a = trainer._step(db.name, batch)
         loss_b = restored._step(db.name, batch)
         assert loss_a == loss_b

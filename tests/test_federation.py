@@ -152,7 +152,6 @@ class TestTenantNode:
         ).named_parameters()
         assert not any(id(param.data) in live_arrays for _, param in private_params)
         assert private.version != live.version
-        assert not private.training
         # Same decode as the hand-built equivalent: fresh model, broadcast
         # (S)/(T), featurizer copied by state dict.
         by_hand = MTMLFQO(TINY)
@@ -160,7 +159,6 @@ class TestTenantNode:
         copied = DatabaseFeaturizer(db, TINY)
         copied.load_state_dict(live.featurizer_for(db.name).state_dict())
         by_hand.attach_featurizer(db.name, copied)
-        by_hand.eval()
         assert private.predict_join_orders(db.name, pool[:6]) == by_hand.predict_join_orders(
             db.name, pool[:6]
         )

@@ -38,7 +38,8 @@ class TestLinearAndMLP:
         for _ in range(400):
             opt.zero_grad()
             pred = mlp(nn.Tensor(x)).reshape(4)
-            loss = nn.mse_loss(pred, y)
+            diff = pred - nn.Tensor(y)
+            loss = (diff * diff).mean()
             loss.backward()
             opt.step()
         final = mlp(nn.Tensor(x)).reshape(4).data
@@ -65,7 +66,7 @@ class TestLayerNorm:
         assert ln.beta.grad is not None
 
 
-class TestEmbeddingDropout:
+class TestEmbedding:
     def test_embedding_lookup(self):
         emb = nn.Embedding(10, 4)
         out = emb(np.array([1, 3, 1]))
@@ -83,31 +84,13 @@ class TestEmbeddingDropout:
         out.sum().backward()
         np.testing.assert_allclose(emb.weight.grad[2], 2 * np.ones(3))
 
-    def test_dropout_eval_is_identity(self):
-        drop = nn.Dropout(0.5)
-        drop.eval()
-        x = nn.Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(drop(x).data, x.data)
-
-    def test_dropout_train_scales(self):
-        drop = nn.Dropout(0.5, rng=np.random.default_rng(0))
-        drop.train()
-        x = nn.Tensor(np.ones((100, 100)), requires_grad=True)
-        out = drop(x)
-        kept = out.data[out.data > 0]
-        np.testing.assert_allclose(kept, 2.0 * np.ones_like(kept))
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
 
 class TestModuleMechanics:
     def test_named_parameters_nested(self):
-        model = nn.Sequential(nn.Linear(3, 4), nn.LayerNorm(4), nn.Linear(4, 2))
+        model = nn.TransformerEncoder(8, 2, 2, rng=np.random.default_rng(0))
         names = [n for n, _ in model.named_parameters()]
-        assert "steps.items.0.weight" in names
-        assert "steps.items.1.gamma" in names
+        assert "layers.items.0.ff1.weight" in names
+        assert "layers.items.1.norm1.gamma" in names
 
     def test_state_dict_roundtrip(self):
         a = nn.MLP([3, 5, 2], rng=np.random.default_rng(1))
@@ -122,44 +105,27 @@ class TestModuleMechanics:
         with pytest.raises((KeyError, ValueError)):
             b.load_state_dict(a.state_dict())
 
-    def test_save_load_module(self, tmp_path):
-        a = nn.MLP([3, 4, 2], rng=np.random.default_rng(1))
-        path = str(tmp_path / "ckpt")
-        nn.save_module(a, path)
-        b = nn.MLP([3, 4, 2], rng=np.random.default_rng(9))
-        nn.load_module(b, path)
-        x = nn.Tensor(RNG.normal(size=(2, 3)))
-        np.testing.assert_allclose(a(x).data, b(x).data)
-
-    def test_train_eval_recursive(self):
-        model = nn.Sequential(nn.Dropout(0.3), nn.Linear(2, 2))
-        model.eval()
-        assert not model.steps[0].training
-        model.train()
-        assert model.steps[0].training
-
     def test_save_load_path_symmetric_and_returned(self, tmp_path):
         """np.savez appends .npz; save and load must resolve identically."""
+        from repro.nn.serialize import atomic_savez, resolve_npz_path
+
         a = nn.MLP([3, 4, 2], rng=np.random.default_rng(1))
-        written = nn.save_module(a, str(tmp_path / "ckpt"))
+        written = atomic_savez(str(tmp_path / "ckpt"), a.state_dict())
         assert written == str(tmp_path / "ckpt.npz")
         assert (tmp_path / "ckpt.npz").exists()
-        # Saving to an explicit .npz path must not produce ckpt.npz.npz.
-        explicit = nn.save_module(a, str(tmp_path / "other.npz"))
+        # Saving to an explicit .npz path must not produce ckpt.npz.npz,
+        # and overwriting in place leaves no temporary file behind.
+        explicit = atomic_savez(str(tmp_path / "other.npz"), a.state_dict())
         assert explicit == str(tmp_path / "other.npz")
+        atomic_savez(explicit, a.state_dict())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz", "other.npz"]
         # Loading resolves the same way from either spelling.
         for spec in ("ckpt", "ckpt.npz"):
             b = nn.MLP([3, 4, 2], rng=np.random.default_rng(9))
-            nn.load_module(b, str(tmp_path / spec))
+            with np.load(resolve_npz_path(str(tmp_path / spec))) as archive:
+                b.load_state_dict({key: archive[key] for key in archive.files})
             x = nn.Tensor(RNG.normal(size=(2, 3)))
             np.testing.assert_array_equal(a(x).data, b(x).data)
-
-    def test_save_module_atomic_no_tmp_leftovers(self, tmp_path):
-        a = nn.Linear(3, 3, rng=np.random.default_rng(0))
-        nn.save_module(a, str(tmp_path / "m"))
-        nn.save_module(a, str(tmp_path / "m"))  # overwrite in place
-        assert [p.name for p in tmp_path.iterdir()] == ["m.npz"]
 
 
 class _DictHolder(nn.Module):
@@ -169,7 +135,7 @@ class _DictHolder(nn.Module):
         super().__init__()
         self.blocks = {
             "beta": nn.Linear(2, 2, rng=np.random.default_rng(1)),
-            "alpha": nn.Dropout(0.5),
+            "alpha": nn.ModuleList(),  # parameter-less
         }
         self.extras = {"scale": nn.Parameter(np.ones(3))}
 
@@ -177,7 +143,7 @@ class _DictHolder(nn.Module):
 class TestDictSubmodules:
     """Modules stored in dict attributes must be traversed like lists
     (they were silently skipped before, so dict-held weights were never
-    saved and never switched between train/eval)."""
+    saved)."""
 
     def test_named_parameters_traverses_dicts(self):
         holder = _DictHolder()
@@ -200,13 +166,6 @@ class TestDictSubmodules:
         np.testing.assert_array_equal(b.blocks["beta"].weight.data, a.blocks["beta"].weight.data)
         np.testing.assert_array_equal(b.extras["scale"].data, a.extras["scale"].data)
 
-    def test_set_mode_reaches_dict_submodules(self):
-        holder = _DictHolder()
-        holder.eval()
-        assert not holder.blocks["alpha"].training
-        holder.train()
-        assert holder.blocks["alpha"].training
-
     def test_database_featurizer_uses_base_traversal(self):
         """The (F) module's encoders dict is covered by the base class."""
         from repro.core import DatabaseFeaturizer, ModelConfig
@@ -218,8 +177,6 @@ class TestDictSubmodules:
         assert any(n.startswith("column_embedding.") for n in names)
         for table in db.table_names:
             assert any(n.startswith(f"encoders.{table}.") for n in names)
-        feat.eval()
-        assert all(not enc.training for enc in feat.encoders.values())
 
 
 class TestOptimizerStateDict:
@@ -294,7 +251,6 @@ class TestAttention:
     def test_padding_mask_ignores_padded_keys(self):
         """Changing a padded position must not change unpadded outputs."""
         attn = nn.MultiHeadAttention(8, 2, rng=np.random.default_rng(0))
-        attn.eval()
         x1 = RNG.normal(size=(1, 4, 8))
         x2 = x1.copy()
         x2[0, 3] = RNG.normal(size=8)  # perturb the padded slot
@@ -331,7 +287,6 @@ class TestTransformer:
     def test_decoder_causality(self):
         """Perturbing future target positions must not change earlier outputs."""
         dec = nn.TransformerDecoder(8, 2, 2, rng=np.random.default_rng(0))
-        dec.eval()
         mem = nn.Tensor(RNG.normal(size=(1, 5, 8)))
         tgt1 = RNG.normal(size=(1, 4, 8))
         tgt2 = tgt1.copy()
@@ -354,7 +309,8 @@ class TestTransformer:
             opt.zero_grad()
             hidden = enc(nn.Tensor(x))
             pred = head(hidden.mean(axis=1)).reshape(16)
-            loss = nn.mse_loss(pred, y)
+            diff = pred - nn.Tensor(y)
+            loss = (diff * diff).mean()
             loss.backward()
             opt.step()
             losses.append(loss.item())
@@ -394,12 +350,6 @@ class TestOptimizers:
             opt.step()
         return float(np.abs(w.data).max())
 
-    def test_sgd_converges(self):
-        assert self._quadratic_descent(lambda p: nn.SGD(p, lr=0.1)) < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        assert self._quadratic_descent(lambda p: nn.SGD(p, lr=0.05, momentum=0.9)) < 1e-3
-
     def test_adam_converges(self):
         assert self._quadratic_descent(lambda p: nn.Adam(p, lr=0.2)) < 1e-2
 
@@ -433,16 +383,6 @@ class TestLosses:
         a, b = np.array([20.0]), np.array([4.0])
         np.testing.assert_allclose(nn.q_error(a, b), nn.q_error(b, a))
 
-    def test_q_error_loss_zero_at_truth(self):
-        true = np.array([10.0, 100.0])
-        loss = nn.q_error_loss(nn.Tensor(np.log(true), requires_grad=True), true)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
-
-    def test_q_error_loss_grad(self):
-        log_pred = nn.Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        nn.q_error_loss(log_pred, np.array([np.e ** 4, np.e ** 1])).backward()
-        np.testing.assert_allclose(log_pred.grad, [-0.5, 0.5])
-
     def test_cross_entropy_perfect_prediction(self):
         logits = nn.Tensor(np.array([[100.0, 0.0, 0.0]]), requires_grad=True)
         loss = nn.cross_entropy(logits, np.array([0]))
@@ -463,28 +403,8 @@ class TestLosses:
         with pytest.raises(ValueError):
             nn.cross_entropy(logits, np.array([1, 2]), mask=np.zeros(2))
 
-    def test_kl_divergence_zero_when_matched(self):
-        target = np.array([[0.5, 0.5, 0.0]])
-        logits = nn.Tensor(np.log(np.array([[0.5, 0.5, 1e-12]])), requires_grad=True)
-        loss = nn.kl_divergence(logits, target)
-        assert loss.item() == pytest.approx(0.0, abs=1e-6)
-
-    def test_kl_divergence_positive(self):
-        target = np.array([[1.0, 0.0]])
-        logits = nn.Tensor(np.zeros((1, 2)), requires_grad=True)
-        assert nn.kl_divergence(logits, target).item() > 0.1
-
 
 class TestPositional:
-    def test_sinusoidal_shape_and_bounds(self):
-        enc = nn.sinusoidal_encoding(10, 8)
-        assert enc.shape == (10, 8)
-        assert np.abs(enc).max() <= 1.0
-
-    def test_sinusoidal_odd_dim_raises(self):
-        with pytest.raises(ValueError):
-            nn.sinusoidal_encoding(4, 7)
-
     def test_tree_position_navigation(self):
         root = nn.TreePosition()
         assert root.left().path == (0,)

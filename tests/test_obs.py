@@ -29,7 +29,6 @@ from repro.analysis import LockMonitor
 from repro.core import ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
-from repro.nn import kernels
 from repro.obs import (
     DEFAULT_LATENCY_BOUNDS,
     NOOP_SPAN,
@@ -179,14 +178,6 @@ class TestRegistry:
         assert a.counter("c").value == 5
         assert a.gauge("g").value == 7
         assert a.histogram("h", bounds=BOUNDS).count == 1
-
-    def test_tick_appends_series_points(self):
-        registry = MetricsRegistry()
-        c = registry.counter("c")
-        c.inc()
-        registry.tick(now=1.0)
-        registry.tick(now=2.0)
-        assert [p[0] for p in c.series.points()] == [1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +358,9 @@ class TestExport:
 
 
 # ---------------------------------------------------------------------------
-# profiler + lock-monitor bridges
+# lock-monitor bridge
 # ---------------------------------------------------------------------------
 class TestInstrumentationBridges:
-    def test_kernel_profile_record_into_accumulates(self):
-        import numpy as np
-
-        registry = MetricsRegistry()
-        a = np.ones((4, 4), dtype=np.float64)
-        with kernels.profiled() as profile:
-            kernels.matmul(a, a)
-        profile.record_into(registry)
-        with kernels.profiled() as profile:
-            kernels.matmul(a, a)
-        profile.record_into(registry)
-        calls = registry.find("kernel.calls", {"op": "matmul"})
-        seconds = registry.find("kernel.seconds", {"op": "matmul"})
-        assert calls.value == 2
-        assert seconds.value > 0
-
     @pytest.mark.threaded
     def test_lock_monitor_records_hold_and_wait_histograms(self):
         registry = MetricsRegistry()

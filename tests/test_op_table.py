@@ -138,14 +138,12 @@ def test_layer_norm():
             assert raw is not x  # never in place on its input
 
 
-def test_concat_stack_repeat():
+def test_concat_repeat():
     parts = [array for _, array in layouts((2, 3, 4))]
     for axis in (0, 1, 2):
         tape = F.concat([Tensor(p, requires_grad=True) for p in parts], axis=axis)
         assert tape.requires_grad
         np.testing.assert_array_equal(F.concat(parts, axis=axis), tape.data)
-        tape = F.stack([Tensor(p, requires_grad=True) for p in parts], axis=axis)
-        np.testing.assert_array_equal(F.stack(parts, axis=axis), tape.data)
     # a list mixing Tensors and arrays stays on the tape
     mixed = F.concat([Tensor(parts[0], requires_grad=True), parts[1]], axis=0)
     assert isinstance(mixed, Tensor) and mixed.requires_grad
@@ -272,8 +270,8 @@ def test_tape_and_raw_runs_make_the_same_kernel_calls():
     """A grad-enabled and a ``no_grad`` forward get their values from the
     same kernel calls, op for op — the tape has no arithmetic of its own."""
     rng = np.random.default_rng(3)
-    decoder = nn.TransformerDecoder(16, 4, num_layers=1, rng=rng).eval()
-    mlp = nn.MLP([16, 32, 4], rng=rng).eval()
+    decoder = nn.TransformerDecoder(16, 4, num_layers=1, rng=rng)
+    mlp = nn.MLP([16, 32, 4], rng=rng)
     x, memory = Tensor(rng.normal(size=(2, 5, 16))), Tensor(rng.normal(size=(2, 7, 16)))
     padding = np.zeros((2, 7), dtype=bool)
     padding[:, -2:] = True
@@ -319,7 +317,7 @@ def test_one_training_step_tape_size_is_pinned(monkeypatch):
     assert len(batch) == 8 and len({item.query.num_tables for item in batch}) > 1
     model = MTMLFQO(config)
     model.attach_featurizer(db.name, DatabaseFeaturizer(db, config))
-    trainer = JointTrainer(model.train())
+    trainer = JointTrainer(model)
 
     nodes = []
     make = Tensor._make

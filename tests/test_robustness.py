@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.core import DatabaseFeaturizer, JointTrainer, ModelConfig, MTMLFQO
+from repro.core import (
+    DatabaseFeaturizer,
+    JointTrainer,
+    ModelConfig,
+    MTMLFQO,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.datagen import generate_database
 from repro.engine import ExecutionLimitError, execute_plan, left_deep_plan, scan_node
 from repro.engine.operators import JoinExpansionError, equi_join_positions
@@ -133,22 +140,18 @@ class TestModelPersistence:
     def test_full_model_state_roundtrip(self, db, featurizer, tmp_path):
         model = MTMLFQO(TINY)
         model.attach_featurizer(db.name, featurizer)
-        path = str(tmp_path / "mtmlf")
-        nn.save_module(model, path)
-        clone = MTMLFQO(TINY)
-        clone.attach_featurizer(db.name, featurizer)
-        # Perturb, then restore.
-        for p in clone.shared_task_parameters():
+        for p in model.shared_task_parameters():  # off the seed-0 initialisation
             p.data += 1.0
-        nn.load_module(clone, path)
+        clone = load_checkpoint(save_checkpoint(model, str(tmp_path / "mtmlf")), databases=db)
         for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_featurizer_state_roundtrip(self, db, featurizer, tmp_path):
-        path = str(tmp_path / "feat")
-        nn.save_module(featurizer, path)
-        clone = DatabaseFeaturizer(db, TINY, seed=99)
-        nn.load_module(clone, path)
+        model = MTMLFQO(TINY)
+        model.attach_featurizer(db.name, featurizer)
+        loaded = load_checkpoint(save_checkpoint(model, str(tmp_path / "feat")), databases=db)
+        clone = loaded.featurizer_for(db.name)
+        assert clone is not featurizer
         table = db.table_names[0]
         conj = Conjunction(table=table, predicates=())
         with nn.no_grad():

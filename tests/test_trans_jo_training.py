@@ -94,7 +94,7 @@ def assert_same_gradients(batched: dict, looped: dict):
 class TestTokenLoss:
     @pytest.mark.parametrize("label_source", ["optimal", "planner"])
     def test_loss_and_gradients_match_the_per_query_loop(self, db, featurizer, workload, label_source):
-        model = fresh_model(db, featurizer).train()
+        model = fresh_model(db, featurizer)
         batch = workload[:5] + workload[-3:]  # ragged 3-6 tables + every dropped kind
         assert sorted({item.query.num_tables for item in batch}) == [1, 3, 4, 5, 6]
         results = []
@@ -108,7 +108,7 @@ class TestTokenLoss:
         assert any(name.startswith("trans_jo.") and grad is not None for name, grad in grads.items())
 
     def test_a_batch_without_labels_has_no_join_order_term(self, db, featurizer, workload):
-        model = fresh_model(db, featurizer).train()
+        model = fresh_model(db, featurizer)
         _, (card, cost, jo_loss) = JointTrainer(model)._batch_losses(db.name, [workload[-3], workload[-1]])
         assert jo_loss is None and card is not None and cost is not None
 
@@ -149,7 +149,7 @@ class TestSequenceLevelLoss:
     def query(self, db, featurizer, workload):
         """A 5-table query with its memory and a candidate set holding
         legal, illegal and u*-duplicate orders."""
-        model = fresh_model(db, featurizer).train()
+        model = fresh_model(db, featurizer)
         item = next(i for i in workload if i.query.num_tables == 5)
         optimal = order_positions(item)
         collected = model.beam_candidates_batch(db.name, [item], beam_width=4, enforce_legality=False)[0]
