@@ -39,7 +39,7 @@ def test_sequence_level_loss_ablation(benchmark, study):
         examples = [(db_name, item) for item in train]
         trainer.train(examples, epochs=15, batch_size=16, seed=0)
         token_quality = _jo_quality(model, db_name, test)
-        trainer.refine_sequence_level(examples[:40], epochs=2, seed=0)
+        trainer.train(examples[:40], epochs=2, batch_size=16, seed=0, jo_criterion="sequence")
         seq_quality = _jo_quality(model, db_name, test)
         return token_quality, seq_quality
 

@@ -51,15 +51,12 @@ def test_two_phase_training(benchmark, study):
         # planner-only (abundant weak labels)
         model = make_model()
         trainer = JointTrainer(model)
-        trainer.jo_label_source = "planner"
-        trainer.train([(db_name, i) for i in train], epochs=12, batch_size=16, seed=0)
+        trainer.train([(db_name, i) for i in train], epochs=12, batch_size=16, seed=0, jo_criterion="planner")
         results["planner-only (weak)"] = _quality(model, db_name, test)
         # two-phase
         model = make_model()
         trainer = JointTrainer(model)
-        trainer.jo_label_source = "planner"
-        trainer.train([(db_name, i) for i in train], epochs=8, batch_size=16, seed=0)
-        trainer.jo_label_source = "optimal"
+        trainer.train([(db_name, i) for i in train], epochs=8, batch_size=16, seed=0, jo_criterion="planner")
         trainer.train([(db_name, i) for i in scarce], epochs=6, batch_size=16, seed=1)
         results["two-phase"] = _quality(model, db_name, test)
         return results

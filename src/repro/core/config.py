@@ -33,7 +33,7 @@ class ModelConfig:
     w_cost: float = 1.0
     w_jo: float = 1.0
 
-    # Sequence-level loss (Equation 3)
+    # Sequence-level loss (Equation 3): the risk of an illegal order
     sequence_loss_lambda: float = 4.0
     beam_width: int = 3
 

@@ -8,7 +8,8 @@
 - :func:`joint_loss` — Equation 1: ``w_card*L_card + w_cost*L_cost +
   w_jo*L_jo``;
 - :func:`sequence_level_loss` — Equation 3: the JOEU-weighted
-  sequence-level criterion over beam-search candidates (Section 5).
+  sequence-level criterion over the beam-search candidates of a whole
+  step's queries (Section 5), with bounded penalties.
 """
 
 from __future__ import annotations
@@ -69,60 +70,57 @@ def joint_loss(
     return total
 
 
-def sequence_log_probs(
-    trans_jo, memory: nn.Tensor, targets: np.ndarray, lengths: np.ndarray | None = None
-) -> nn.Tensor:
+def sequence_log_probs(trans_jo, memory: nn.Tensor, targets: np.ndarray, lengths: np.ndarray) -> nn.Tensor:
     """Differentiable ``log p(u_b | x_b)`` for every row b, shape (B,).
 
     One teacher-forced decoder forward over the whole (B, m) ``targets``
     matrix; each row's log-probability is the sum of its stepwise ones.
-    ``lengths[b]`` (default m) is row b's table count: its memory slots
-    and timestamps past it are padding and are not read.
+    ``lengths[b]`` is row b's table count: its memory slots and
+    timestamps past it are padding and are not read.
     """
-    real = None if lengths is None else np.arange(targets.shape[1]) < lengths[:, None]
-    logits = trans_jo(memory, targets, None if real is None else ~real)
-    picked = F.one_hot(targets, targets.shape[1])
-    if real is not None:
-        picked *= real[:, :, None]
+    real = np.arange(targets.shape[1]) < lengths[:, None]
+    logits = trans_jo(memory, targets, ~real)
+    picked = F.one_hot(targets, targets.shape[1]) * real[:, :, None]
     return (F.log_softmax(logits, axis=-1) * nn.Tensor(picked)).sum(axis=(-1, -2))
 
 
 def sequence_level_loss(
     trans_jo,
     memory: nn.Tensor,
-    optimal_positions: list[int],
-    candidates: list[BeamCandidate],
+    optimal_positions: list[list[int]],
+    candidates: list[list[BeamCandidate]],
     penalty: float = 4.0,
 ) -> nn.Tensor:
-    """Equation 3: the sequence-level join-order criterion.
+    """Equation 3, the sequence-level join-order criterion, in its
+    bounded (expected-risk) form, averaged over the queries of a step:
 
-    ``L = -log p(u*|x) + sum_{u in U(x)} (1 - JOEU(u, u*)) log p(u|x)
-    + lambda * log sum_{u in U̅(x)} p(u|x)``
+    ``L = -log p(u*|x) + sum_{u in U(x)} (1 - JOEU(u, u*)) q(u|x)
+    + lambda * sum_{u in U̅(x)} q(u|x)``
 
-    where U(x) are the *legal* beam candidates, U̅(x) the illegal ones
-    and u* the optimal order.  The second term suppresses legal but
-    suboptimal orders in proportion to how early they diverge; the third
-    suppresses illegal orders with weight ``penalty``.  All orders share
-    the query's (1, m, d) ``memory``, so u* and every candidate are
-    scored by one decoder forward.
+    where U(x) are the *legal* beam candidates, U̅(x) the illegal ones,
+    u* the optimal order and ``q`` is ``p`` renormalised over
+    U(x) ∪ U̅(x) ∪ {u*}.  The second term suppresses legal but suboptimal
+    orders in proportion to how early they diverge; the third suppresses
+    illegal orders with weight ``penalty``.  The paper prints both with
+    ``log p``, which is unbounded below (any candidate driven to
+    probability 0 sends the loss to -inf) and swamps ``-log p(u*|x)``.
+    ``memory`` is the padded (Q, m_max, d) batch, row q serving
+    ``optimal_positions[q]`` and ``candidates[q]``; every u* and every
+    candidate of the step are scored by one decoder forward.
     """
-    orders, weights, illegal = [optimal_positions], [-1.0], []
-    for candidate in candidates:
-        if candidate.positions == optimal_positions:
-            continue
-        if candidate.legal:
-            weights.append(1.0 - joeu(candidate.positions, optimal_positions))
-        else:
-            illegal.append(len(orders))
-            weights.append(0.0)
-        orders.append(candidate.positions)
-    log_probs = sequence_log_probs(
-        trans_jo, F.repeat_batch(memory, len(orders)), np.asarray(orders, dtype=np.int64)
-    )
-    loss = (log_probs * nn.Tensor(np.asarray(weights))).sum()
-    if illegal:
-        # log sum_u p(u) computed stably as logsumexp of sequence log-probs.
-        stacked = log_probs[illegal]
-        max_val = float(stacked.data.max())
-        loss = loss + ((stacked - max_val).exp().sum().log() + max_val) * penalty
-    return loss
+    orders, rows, risks, stars = [], [], [], []
+    for row, (optimal, beam) in enumerate(zip(optimal_positions, candidates)):
+        scored = [c for c in beam if c.positions != optimal]
+        stars.append(len(orders))
+        orders += [optimal] + [c.positions for c in scored]
+        risks += [0.0] + [1.0 - joeu(c.positions, optimal) if c.legal else penalty for c in scored]
+        rows += [row] * (1 + len(scored))
+    rows = np.asarray(rows)
+    targets, lengths = F.pad_index_sequences(orders)
+    log_probs = sequence_log_probs(trans_jo, memory[rows], targets, lengths)
+    # Column q of ``own`` marks query q's orders; the softmax down it is q(.|x).
+    own = rows[:, None] == np.arange(len(stars))
+    spread = log_probs.reshape(-1, 1) * nn.Tensor(own.astype(np.float64))
+    shares = F.softmax(F.masked_fill(spread, ~own, -1e9), axis=0)
+    expected_risk = (shares * nn.Tensor(np.asarray(risks)[:, None])).sum()
+    return (expected_risk - log_probs[stars].sum()) * (1.0 / len(stars))

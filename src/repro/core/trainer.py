@@ -3,8 +3,9 @@
 Implements the paper's training procedure: all three QO tasks trained
 jointly under the Equation 1 criterion, gradients updating the (S) and
 (T) modules only (featurizers are pre-trained separately per Algorithm 1
-line 4 and frozen here).  Optionally refines Trans_JO with the
-sequence-level criterion of Equation 3 (Section 5).
+line 4 and frozen here).  What the join-order term of that one
+criterion is — token-level L.iii, or the sequence-level Equation 3 of
+Section 5 — is ``JointTrainer.train``'s ``jo_criterion``.
 
 Single-task ablations (MTMLF-CardEst / -CostEst / -JoinSel of Tables
 1-2) are obtained by zeroing the other tasks' loss weights.
@@ -34,16 +35,17 @@ TrainingExample = tuple[str, LabeledQuery]
 
 _COST_FLOOR = 1e-6
 _TASKS = ("card", "cost", "jo")
+_JO_CRITERIA = ("optimal", "planner", "sequence")
 
 
 @dataclass
 class TrainResult:
     """Per-epoch loss history, whole and per task.
 
-    ``task_losses`` holds each task's unweighted epoch means: ``card`` /
-    ``cost`` / ``jo`` from ``train`` (under the Equation 1 weights they
-    sum to ``epoch_losses``; a task with no term in a batch reads 0
-    there), ``sequence`` from ``refine_sequence_level``.
+    ``task_losses`` holds each task's unweighted epoch means, ``card`` /
+    ``cost`` / ``jo`` (``jo`` is whichever join-order criterion the call
+    trained under): under the Equation 1 weights they sum to
+    ``epoch_losses``; a task with no term in a batch reads 0 there.
     """
 
     epoch_losses: list[float] = field(default_factory=list)
@@ -76,6 +78,15 @@ def planner_order_positions(labeled: LabeledQuery) -> list[int] | None:
     return [index[table] for table in labeled.plan.leaf_tables_in_order()]
 
 
+def _jo_label(item: LabeledQuery, jo_criterion: str) -> list[int] | None:
+    """The join-order label ``item`` trains on (None: it has none)."""
+    if item.query.num_tables < 2:
+        return None
+    if jo_criterion == "planner":
+        return planner_order_positions(item)
+    return order_positions(item) if item.optimal_order is not None else None
+
+
 class JointTrainer:
     """Trains (S)+(T) on labeled queries from one or many databases."""
 
@@ -100,25 +111,14 @@ class JointTrainer:
         # re-warming from zeroed moments.
         if optimizer_state is not None:
             self.optimizer.load_state_dict(optimizer_state)
-        # Which join-order labels _batch_losses trains on: "optimal" uses
-        # the (expensive) exact orders; "planner" uses the initial plan's
-        # order as weak supervision (two-phase training, Section 3.2).
-        self.jo_label_source = "optimal"
 
     # ------------------------------------------------------------------
-    def _jo_positions(self, item: LabeledQuery) -> list[int] | None:
-        """The join-order label ``item`` trains on (None: it has none)."""
-        if item.query.num_tables < 2:
-            return None
-        if self.jo_label_source == "planner":
-            return planner_order_positions(item)
-        if item.optimal_order is not None:
-            return order_positions(item)
-        return None
-
-    def _batch_losses(self, db_name: str, batch: list[LabeledQuery]) -> tuple[nn.Tensor, tuple]:
+    def _batch_losses(
+        self, db_name: str, batch: list[LabeledQuery], jo_criterion: str = "optimal"
+    ) -> tuple[nn.Tensor, tuple]:
         """Equation 1 on one batch: ``(joint loss, (card, cost, jo))``,
-        the unweighted terms being None where a task contributes nothing."""
+        the unweighted terms being None where a task contributes nothing.
+        ``jo_criterion`` (see :meth:`train`) only changes the ``jo`` term."""
         log_cards, log_costs, pad_mask, encodings, shared = self.model.predict_log_nodes(db_name, batch)
         max_len = log_cards.shape[1]
 
@@ -141,18 +141,30 @@ class JointTrainer:
             labels = {
                 i: positions
                 for i, item in enumerate(batch)
-                if (positions := self._jo_positions(item)) is not None
+                if (positions := _jo_label(item, jo_criterion)) is not None
             }
             if labels:
-                # L.iii for every labeled query off one padded decoder
-                # forward: the mean over queries of each query's
-                # per-timestamp mean cross entropy, -log p(u_i) / m_i.
                 memory = self.model.join_order_memory_batch(
                     shared, encodings, {i: batch[i].query.tables for i in labels}
                 )
-                targets, lengths = nn.functional.pad_index_sequences(list(labels.values()))
-                log_probs = sequence_log_probs(self.model.trans_jo, memory, targets, lengths)
-                jo_loss = (log_probs * nn.Tensor(-1.0 / (lengths * len(labels)))).sum()
+                if jo_criterion == "sequence":
+                    # Equation 3 against beam candidates (legality not
+                    # enforced, so illegal orders can be penalized) decoded
+                    # from the parameters this very step differentiates.
+                    candidates = self.model.beam_candidates_batch(
+                        db_name, [batch[i] for i in labels], enforce_legality=False
+                    )
+                    jo_loss = sequence_level_loss(
+                        self.model.trans_jo, memory, list(labels.values()), candidates,
+                        penalty=self.config.sequence_loss_lambda,
+                    )
+                else:
+                    # L.iii for every labeled query off one padded decoder
+                    # forward: the mean over queries of each query's
+                    # per-timestamp mean cross entropy, -log p(u_i) / m_i.
+                    targets, lengths = nn.functional.pad_index_sequences(list(labels.values()))
+                    log_probs = sequence_log_probs(self.model.trans_jo, memory, targets, lengths)
+                    jo_loss = (log_probs * nn.Tensor(-1.0 / (lengths * len(labels)))).sum()
 
         loss = joint_loss(
             card_loss,
@@ -171,10 +183,22 @@ class JointTrainer:
         batch_size: int = 16,
         seed: int = 0,
         verbose: bool = False,
+        jo_criterion: str = "optimal",
     ) -> TrainResult:
-        """Run joint training; examples may mix databases (MLA shuffles)."""
+        """Run joint training; examples may mix databases (MLA shuffles).
+
+        ``jo_criterion`` is Equation 1's join-order term: ``"optimal"`` —
+        token-level L.iii on the optimal orders; ``"planner"`` — L.iii on
+        the initial plan's order (weak labels, Section 3.2); ``"sequence"``
+        — Equation 3 on the optimal orders and each step's own beam
+        candidates.  The card and cost terms are the same under all three.
+        """
+        if jo_criterion not in _JO_CRITERIA:
+            raise ValueError(f"jo_criterion must be one of {_JO_CRITERIA}, got {jo_criterion!r}")
         if not examples:
             raise ValueError("no training examples")
+        if jo_criterion == "sequence" and not any(_jo_label(item, jo_criterion) for _, item in examples):
+            raise ValueError("no examples with optimal-order labels")
         rng = np.random.default_rng(seed)
         result = TrainResult()
         for epoch in range(epochs):
@@ -188,13 +212,13 @@ class JointTrainer:
             for idx in order:
                 db_name, item = examples[idx]
                 if batch and (db_name != batch_db or len(batch) >= batch_size):
-                    sums += np.multiply(self._step(batch_db, batch), len(batch))
+                    sums += np.multiply(self._step(batch_db, batch, jo_criterion), len(batch))
                     count += len(batch)
                     batch = []
                 batch_db = db_name
                 batch.append(item)
             if batch:
-                sums += np.multiply(self._step(batch_db, batch), len(batch))
+                sums += np.multiply(self._step(batch_db, batch, jo_criterion), len(batch))
                 count += len(batch)
             epoch_loss, *task_means = (sums / max(count, 1)).tolist()
             result.epoch_losses.append(epoch_loss)
@@ -246,91 +270,14 @@ class JointTrainer:
             trainer.optimizer.lr = saved["lr"]
         return trainer
 
-    def _step(self, db_name: str, batch: list[LabeledQuery]) -> tuple[float, ...]:
+    def _step(
+        self, db_name: str, batch: list[LabeledQuery], jo_criterion: str = "optimal"
+    ) -> tuple[float, ...]:
         """One optimizer step; returns ``(joint loss, card, cost, jo)``,
         a task with no term in this batch reading 0."""
         self.optimizer.zero_grad()
-        loss, terms = self._batch_losses(db_name, batch)
+        loss, terms = self._batch_losses(db_name, batch, jo_criterion)
         loss.backward()
         nn.clip_grad_norm(self.parameters, self.config.grad_clip)
         self.optimizer.step()
         return (loss.item(), *(0.0 if term is None else term.item() for term in terms))
-
-    # ------------------------------------------------------------------
-    def refine_sequence_level(
-        self,
-        examples: list[TrainingExample],
-        epochs: int = 3,
-        seed: int = 0,
-        verbose: bool = False,
-        collect_batch: int = 8,
-    ) -> TrainResult:
-        """Section 5: refine Trans_JO with the Equation 3 criterion.
-
-        Beam candidates (legality *not* enforced, so illegal orders can
-        be penalized) are re-scored differentiably and the JOEU-weighted
-        sequence loss is applied.
-
-        Candidate collection goes through the batched decoding subsystem
-        (``MTMLFQO.beam_candidates_batch``): per database, groups of
-        ``collect_batch`` queries share one Trans_Share forward and one
-        lockstep beam decode, instead of a full per-beam decoder call
-        per query.  Candidates within a group are sampled from the
-        parameters at the group boundary (at most ``collect_batch - 1``
-        gradient steps stale) — U(x) in Equation 3 is just a sampled
-        candidate set, so this does not change the criterion, only the
-        sampling schedule.
-        """
-        eligible = [
-            (db, item)
-            for db, item in examples
-            if item.optimal_order is not None and item.query.num_tables >= 2
-        ]
-        if not eligible:
-            raise ValueError("no examples with optimal-order labels")
-        collect_batch = max(collect_batch, 1)
-        rng = np.random.default_rng(seed)
-        result = TrainResult()
-        for epoch in range(epochs):
-            order = rng.permutation(len(eligible))
-            total = 0.0
-            for group_start in range(0, len(order), collect_batch):
-                group = [eligible[idx] for idx in order[group_start: group_start + collect_batch]]
-                # Collection is batched per database run within the group.
-                group_candidates: list = []
-                run_start = 0
-                while run_start < len(group):
-                    run_db = group[run_start][0]
-                    run_end = run_start
-                    while run_end < len(group) and group[run_end][0] == run_db:
-                        run_end += 1
-                    group_candidates.extend(
-                        self.model.beam_candidates_batch(
-                            run_db,
-                            [item for _, item in group[run_start:run_end]],
-                            enforce_legality=False,
-                        )
-                    )
-                    run_start = run_end
-                for (db_name, item), candidates in zip(group, group_candidates):
-                    self.optimizer.zero_grad()
-                    shared, _, encodings = self.model.forward_batch(db_name, [item])
-                    memory = self.model.join_order_memory(shared[0], encodings[0], item.query.tables)
-                    loss = sequence_level_loss(
-                        self.model.trans_jo,
-                        memory,
-                        order_positions(item),
-                        candidates,
-                        penalty=self.config.sequence_loss_lambda,
-                    )
-                    loss.backward()
-                    nn.clip_grad_norm(self.parameters, self.config.grad_clip)
-                    self.optimizer.step()
-                    total += loss.item()
-            epoch_loss = total / len(eligible)
-            result.epoch_losses.append(epoch_loss)
-            result.task_losses.setdefault("sequence", []).append(epoch_loss)
-            if verbose:
-                print(f"  seq epoch {epoch + 1}/{epochs}: loss {epoch_loss:.4f}")
-        self.model.mark_updated()
-        return result

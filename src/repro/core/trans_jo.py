@@ -21,8 +21,8 @@ rows it names) and the hidden states become pointer logits, padded table
 slots masked.  Its two callers differ only in which positions they read.
 Training is teacher forced and batched — :meth:`TransJO.forward` reads
 every position of a padded ``(B, m)`` target matrix, so one forward
-serves a whole step's labeled queries (L.iii) or every candidate order of
-one query (Equation 3).  Decoding reads each row's last position —
+serves a whole step's labeled queries: their label orders (L.iii) or
+those plus every beam candidate of each (Equation 3).  Decoding reads each row's last position —
 :meth:`TransJO.step_logits_batch` expands many beam prefixes, potentially
 spanning several queries, per call (DESIGN.md section 2).  Like every
 layer it has one body: handed Tensors it records tape, handed raw

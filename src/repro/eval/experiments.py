@@ -262,7 +262,10 @@ class SingleDBStudy:
             verbose=cfg.verbose,
         )
         if sequence_refine and w_jo:
-            trainer.refine_sequence_level(examples, epochs=2, seed=cfg.seed, verbose=cfg.verbose)
+            trainer.train(
+                examples, epochs=2, batch_size=cfg.batch_size, seed=cfg.seed, verbose=cfg.verbose,
+                jo_criterion="sequence",
+            )
         self.models[key] = model
         return model
 

@@ -12,7 +12,7 @@ independent to be compared against:
   with one such forward per candidate;
 - :class:`PerQueryTrainer` — a ``JointTrainer`` whose ``_batch_losses``
   runs that forward once per labeled query and averages the per-query
-  token cross entropies.
+  token cross entropies (the two token-level criteria only).
 
 Padding changes gemm shapes, so the two agree to the padded-batch
 contract of DESIGN.md section 2 (loss 1e-12, gradients
@@ -49,30 +49,31 @@ def sequence_log_prob(trans_jo, memory: nn.Tensor, positions: list[int]) -> nn.T
 
 
 def sequence_level_loss(trans_jo, memory, optimal_positions, candidates, penalty=4.0) -> nn.Tensor:
-    """Equation 3, one teacher-forced forward per candidate."""
-    loss = -sequence_log_prob(trans_jo, memory, optimal_positions)
-    illegal_log_probs = []
+    """Equation 3 (bounded form) for one query, one teacher-forced
+    forward per candidate: ``-log p(u*)`` plus the candidate set's
+    expected risk under ``p`` renormalised over the set and ``u*`` —
+    risk ``1 - JOEU`` for a legal order, ``penalty`` for an illegal one."""
+    log_ps = [sequence_log_prob(trans_jo, memory, optimal_positions)]
+    risks = [0.0]
     for candidate in candidates:
         if candidate.positions == optimal_positions:
             continue
-        log_p = sequence_log_prob(trans_jo, memory, candidate.positions)
-        if candidate.legal:
-            weight = 1.0 - joeu(candidate.positions, optimal_positions)
-            if weight > 0.0:
-                loss = loss + log_p * weight
-        else:
-            illegal_log_probs.append(log_p)
-    if illegal_log_probs:
-        stacked = F.concat([lp.reshape(1) for lp in illegal_log_probs], axis=0)
-        max_val = float(stacked.data.max())
-        loss = loss + ((stacked - max_val).exp().sum().log() + max_val) * penalty
+        log_ps.append(sequence_log_prob(trans_jo, memory, candidate.positions))
+        risks.append(1.0 - joeu(candidate.positions, optimal_positions) if candidate.legal else penalty)
+    stacked = F.concat([log_p.reshape(1) for log_p in log_ps], axis=0)
+    max_val = float(stacked.data.max())
+    log_total = (stacked - max_val).exp().sum().log() + max_val
+    loss = -log_ps[0]
+    for log_p, risk in zip(log_ps, risks):
+        if risk > 0.0:
+            loss = loss + (log_p - log_total).exp() * risk
     return loss
 
 
 class PerQueryTrainer(JointTrainer):
     """``JointTrainer`` with the per-query join-order loss loop."""
 
-    def _batch_losses(self, db_name, batch):
+    def _batch_losses(self, db_name, batch, jo_criterion="optimal"):
         log_cards, log_costs, pad_mask, encodings, shared = self.model.predict_log_nodes(db_name, batch)
         max_len = log_cards.shape[1]
         card_targets = np.ones((len(batch), max_len), dtype=np.float64)
@@ -91,7 +92,7 @@ class PerQueryTrainer(JointTrainer):
             for i, item in enumerate(batch):
                 if item.query.num_tables < 2:
                     continue
-                if self.jo_label_source == "planner":
+                if jo_criterion == "planner":
                     positions = planner_order_positions(item)
                 elif item.optimal_order is not None:
                     positions = order_positions(item)

@@ -539,7 +539,7 @@ class TestWeightedEpochLoss:
         trainer = JointTrainer(model)
         seen: list[tuple[str, int]] = []
 
-        def fake_step(db_name, batch):
+        def fake_step(db_name, batch, jo_criterion):
             seen.append((db_name, len(batch)))
             return float(len(batch)), 0.0, 0.0, 0.0  # loss == batch size, easy to audit
 

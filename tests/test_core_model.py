@@ -288,7 +288,7 @@ class TestTraining:
         trainer = JointTrainer(model)
         examples = [(db.name, item) for item in labeled[:6]]
         trainer.train(examples, epochs=1, batch_size=4)
-        result = trainer.refine_sequence_level(examples, epochs=1)
+        result = trainer.train(examples, epochs=1, batch_size=4, jo_criterion="sequence")
         assert np.isfinite(result.final_loss)
 
 
@@ -302,7 +302,9 @@ class TestSequenceLoss:
         memory = model.join_order_memory(shared[0], encodings[0], item.query.tables)
         positions = order_positions(item)
         orders = np.asarray([positions, positions[::-1]], dtype=np.int64)
-        log_p = sequence_log_probs(model.trans_jo, nn.functional.repeat_batch(memory, 2), orders)
+        log_p = sequence_log_probs(
+            model.trans_jo, nn.functional.repeat_batch(memory, 2), orders, np.full(2, len(positions))
+        )
         assert log_p.shape == (2,)
         assert (log_p.data < 0.0).all()
 
@@ -314,8 +316,8 @@ class TestSequenceLoss:
         positions = order_positions(item)
         other = list(reversed(positions))
         candidates = [BeamCandidate(positions=other, log_prob=-1.0, legal=False)]
-        with_penalty = sequence_level_loss(model.trans_jo, memory, positions, candidates, penalty=10.0)
-        without = sequence_level_loss(model.trans_jo, memory, positions, [], penalty=10.0)
+        with_penalty = sequence_level_loss(model.trans_jo, memory, [positions], [candidates], penalty=10.0)
+        without = sequence_level_loss(model.trans_jo, memory, [positions], [[]], penalty=10.0)
         assert np.isfinite(with_penalty.item()) and np.isfinite(without.item())
         assert with_penalty.item() != without.item()
 

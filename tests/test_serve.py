@@ -125,7 +125,7 @@ class TestServeParity:
     def test_trainer_marks_model_updated(self):
         model = MTMLFQO(SMALL)
         trainer = JointTrainer(model)
-        trainer._step = lambda db_name, batch: (0.0, 0.0, 0.0, 0.0)
+        trainer._step = lambda db_name, batch, jo_criterion: (0.0, 0.0, 0.0, 0.0)
         version = model.version
         trainer.train([("a", object())], epochs=1, batch_size=1, seed=0)
         assert model.version == version + 1

@@ -92,15 +92,14 @@ def assert_same_gradients(batched: dict, looped: dict):
 
 
 class TestTokenLoss:
-    @pytest.mark.parametrize("label_source", ["optimal", "planner"])
-    def test_loss_and_gradients_match_the_per_query_loop(self, db, featurizer, workload, label_source):
+    @pytest.mark.parametrize("jo_criterion", ["optimal", "planner"])
+    def test_loss_and_gradients_match_the_per_query_loop(self, db, featurizer, workload, jo_criterion):
         model = fresh_model(db, featurizer)
         batch = workload[:5] + workload[-3:]  # ragged 3-6 tables + every dropped kind
         assert sorted({item.query.num_tables for item in batch}) == [1, 3, 4, 5, 6]
         results = []
         for trainer in (JointTrainer(model), reference.PerQueryTrainer(model)):
-            trainer.jo_label_source = label_source
-            loss, (_, _, jo_loss) = trainer._batch_losses(db.name, batch)
+            loss, (_, _, jo_loss) = trainer._batch_losses(db.name, batch, jo_criterion)
             results.append((loss.item(), jo_loss.item(), gradients(model, loss)))
         (loss, jo_loss, grads), (ref_loss, ref_jo_loss, ref_grads) = results
         assert abs(loss - ref_loss) <= 1e-12 and abs(jo_loss - ref_jo_loss) <= 1e-12
@@ -146,60 +145,146 @@ class TestTokenLoss:
 
 class TestSequenceLevelLoss:
     @pytest.fixture()
-    def query(self, db, featurizer, workload):
-        """A 5-table query with its memory and a candidate set holding
-        legal, illegal and u*-duplicate orders."""
+    def step(self, db, featurizer, workload):
+        """Three labeled queries of 5, 3 and 4 tables — one padded memory
+        batch — each with u* and a candidate set that, over the step,
+        holds legal, illegal and u*-duplicate orders."""
         model = fresh_model(db, featurizer)
-        item = next(i for i in workload if i.query.num_tables == 5)
-        optimal = order_positions(item)
-        collected = model.beam_candidates_batch(db.name, [item], beam_width=4, enforce_legality=False)[0]
-        candidates = collected + [BeamCandidate(positions=list(optimal), log_prob=-1.0, legal=True)]
-        kinds = {(c.legal, c.positions == optimal) for c in candidates}
+        items = [next(i for i in workload if i.query.num_tables == m) for m in (5, 3, 4)]
+        optimal = [order_positions(item) for item in items]
+        collected = model.beam_candidates_batch(db.name, items, beam_width=4, enforce_legality=False)
+        candidates = [
+            beam + [BeamCandidate(positions=list(u_star), log_prob=-1.0, legal=True)]
+            for beam, u_star in zip(collected, optimal)
+        ]
+        kinds = {(c.legal, c.positions == u_star) for beam, u_star in zip(candidates, optimal) for c in beam}
         assert {(True, False), (False, False), (True, True)} <= kinds
-        return model, item, optimal, candidates
+        assert sum(any(not c.legal for c in beam) for beam in candidates) >= 2  # renormalised per query
+        return model, items, optimal, candidates
 
-    def test_loss_and_gradients_match_the_per_candidate_loop(self, db, query):
-        model, item, optimal, candidates = query
-        results = []
-        for criterion in (sequence_level_loss, reference.sequence_level_loss):
-            shared, _, encodings = model.forward_batch(db.name, [item])
-            memory = model.join_order_memory(shared[0], encodings[0], item.query.tables)
-            loss = criterion(model.trans_jo, memory, optimal, candidates, penalty=4.0)
-            results.append((loss.item(), gradients(model, loss)))
-        (loss, grads), (ref_loss, ref_grads) = results
-        assert abs(loss - ref_loss) <= 1e-12
-        assert_same_gradients(grads, ref_grads)
+    @staticmethod
+    def memories(model, db, items):
+        shared, _, encodings = model.forward_batch(db.name, items)
+        return shared, encodings, model.join_order_memory_batch(
+            shared, encodings, {i: item.query.tables for i, item in enumerate(items)}
+        )
 
-    def test_log_probs_match_one_forward_per_order(self, db, query):
-        model, item, optimal, candidates = query
+    def test_loss_and_gradients_match_the_per_candidate_loop(self, db, step):
+        """The batched criterion is the mean of the per-query reference."""
+        model, items, optimal, candidates = step
+        _, _, memory = self.memories(model, db, items)
+        loss = sequence_level_loss(model.trans_jo, memory, optimal, candidates, penalty=4.0)
+        grads = gradients(model, loss)
+        shared, encodings, _ = self.memories(model, db, items)
+        ref_loss = None
+        for row, item in enumerate(items):
+            memory = model.join_order_memory(shared[row], encodings[row], item.query.tables)
+            term = reference.sequence_level_loss(model.trans_jo, memory, optimal[row], candidates[row], penalty=4.0)
+            ref_loss = term if ref_loss is None else ref_loss + term
+        ref_loss = ref_loss * (1.0 / len(items))
+        assert abs(loss.item() - ref_loss.item()) <= 1e-12
+        assert_same_gradients(grads, gradients(model, ref_loss))
+
+    def test_no_gradient_reaches_a_padded_memory_slot(self, db, step):
+        model, items, optimal, candidates = step
+        _, _, gathered = self.memories(model, db, items)
+        memory = nn.Tensor(gathered.data.copy(), requires_grad=True)
+        sequence_level_loss(model.trans_jo, memory, optimal, candidates).backward()
+        padding = np.arange(5) >= np.asarray([5, 3, 4])[:, None]
+        assert (memory.grad[padding] == 0.0).all()
+        assert (np.abs(memory.grad[~padding]).sum(axis=-1) > 0.0).all()
+
+    def test_log_probs_match_one_forward_per_order(self, db, step):
+        model, items, _, candidates = step
+        item, candidates = items[0], candidates[0]
         with nn.no_grad():
             shared, _, encodings = model.forward_batch(db.name, [item])
             memory = model.join_order_memory(shared[0], encodings[0], item.query.tables)
             orders = np.asarray([c.positions for c in candidates], dtype=np.int64)
             batched = sequence_log_probs(
-                model.trans_jo, nn.functional.repeat_batch(memory, len(orders)), orders
+                model.trans_jo, nn.functional.repeat_batch(memory, len(orders)), orders,
+                np.full(len(orders), orders.shape[1]),
             )
             looped = [reference.sequence_log_prob(model.trans_jo, memory, c.positions).item() for c in candidates]
         np.testing.assert_allclose(batched.data, looped, rtol=0, atol=1e-12)
 
-    def test_one_refine_step_is_one_decoder_call(self, db, featurizer, workload, monkeypatch):
-        """u* and every candidate share one teacher-forced forward, and
-        refinement still takes one optimizer step per query."""
+    @pytest.fixture()
+    def counted(self, db, featurizer, monkeypatch):
+        """A trainer whose taped decoder calls, beam collections and
+        optimizer steps are recorded."""
         model = fresh_model(db, featurizer)
+        model.attach_featurizer("alias", featurizer)  # a second database name over the same tables
         trainer = JointTrainer(model)
-        examples = [(db.name, item) for item in workload[:4]]
-        taped_decoder_calls, optimizer_steps = [], []
+        calls = {"decoder": [], "collected": [], "steps": 0}
         decoder_forward = model.trans_jo.decoder.forward
+        collect = model.beam_candidates_batch
         optimizer_step = trainer.optimizer.step
 
         def counting_forward(x, *args, **kwargs):
             if nn.is_grad_enabled():  # beam collection steps the decoder under no_grad
-                taped_decoder_calls.append(x.shape)
+                calls["decoder"].append(x.shape)
             return decoder_forward(x, *args, **kwargs)
 
+        def counting_collect(db_name, items, **kwargs):
+            assert kwargs == {"enforce_legality": False}
+            beams = collect(db_name, items, **kwargs)
+            calls["collected"].append((db_name, items, beams))
+            return beams
+
+        def counting_step():
+            calls["steps"] += 1
+            optimizer_step()
+
         monkeypatch.setattr(model.trans_jo.decoder, "forward", counting_forward)
-        monkeypatch.setattr(trainer.optimizer, "step", lambda: optimizer_steps.append(1) or optimizer_step())
-        result = trainer.refine_sequence_level(examples, epochs=1)
-        assert len(taped_decoder_calls) == len(optimizer_steps) == len(examples)
-        assert all(shape[0] > 1 for shape in taped_decoder_calls)  # (C + 1, m, d): u* and candidates
-        assert result.task_losses == {"sequence": result.epoch_losses}
+        monkeypatch.setattr(model, "beam_candidates_batch", counting_collect)
+        monkeypatch.setattr(trainer.optimizer, "step", counting_step)
+        return trainer, calls
+
+    def test_one_refine_step_is_one_decoder_call(self, db, workload, counted):
+        """One sequence-criterion batch is one optimizer step: u* and
+        every candidate of every labeled query of the batch share one
+        taped decoder forward of sum(C_q) + Q rows; the unlabeled and
+        single-table items ride along for card/cost only."""
+        trainer, calls = counted
+        batch = workload[:4] + workload[-3:]
+        labeled = [item for item in batch if item.optimal_order is not None and item.query.num_tables >= 2]
+        assert len(labeled) == 5
+        result = trainer.train(
+            [(db.name, item) for item in batch], epochs=1, batch_size=len(batch), jo_criterion="sequence"
+        )
+        assert calls["steps"] == len(calls["decoder"]) == len(calls["collected"]) == 1
+        (_, items, beams), = calls["collected"]
+        assert sorted(map(id, items)) == sorted(map(id, labeled))  # train() shuffles
+        rows = sum(
+            1 + sum(c.positions != order_positions(item) for c in beam) for item, beam in zip(items, beams)
+        )
+        assert calls["decoder"][0][0] == rows > len(labeled)
+        assert set(result.task_losses) == {"card", "cost", "jo"}
+        assert all(len(curve) == 1 and np.isfinite(curve[0]) for curve in result.task_losses.values())
+        assert result.task_losses["card"][0] > 0.0 and result.task_losses["cost"][0] > 0.0
+
+    def test_sequence_batches_split_at_database_boundaries(self, db, workload, counted):
+        """A mixed-database list batches under Eq. 3 like any other
+        ``train()`` call: one step, one collection per same-database run."""
+        trainer, calls = counted
+        examples = [(name, item) for item in workload[:6] for name in (db.name, "alias")]
+        trainer.train(examples, epochs=1, batch_size=4, seed=0, jo_criterion="sequence")
+        order = np.random.default_rng(0).permutation(len(examples))
+        runs = []  # the batches train() must have formed
+        for idx in order:
+            name = examples[idx][0]
+            if runs and runs[-1][0] == name and runs[-1][1] < 4:
+                runs[-1][1] += 1
+            else:
+                runs.append([name, 1])
+        assert len(runs) > 3 and {name for name, _ in runs} == {db.name, "alias"}
+        assert [(name, len(items)) for name, items, _ in calls["collected"]] == [tuple(run) for run in runs]
+        assert calls["steps"] == len(calls["decoder"]) == len(runs)
+
+    def test_the_criterion_is_validated(self, db, featurizer, workload):
+        trainer = JointTrainer(fresh_model(db, featurizer))
+        examples = [(db.name, item) for item in workload[:2]]
+        with pytest.raises(ValueError, match="optimal.*planner.*sequence"):
+            trainer.train(examples, epochs=1, jo_criterion="sequence-level")
+        with pytest.raises(ValueError, match="optimal-order labels"):
+            trainer.train([(db.name, workload[-3]), (db.name, workload[-1])], epochs=1, jo_criterion="sequence")

@@ -55,8 +55,9 @@ class TestTwoPhaseTraining:
         model = MTMLFQO(TINY)
         model.attach_featurizer(db.name, featurizer)
         trainer = JointTrainer(model)
-        trainer.jo_label_source = "planner"
-        result = trainer.train([(db.name, item) for item in labeled], epochs=3, batch_size=8)
+        result = trainer.train(
+            [(db.name, item) for item in labeled], epochs=3, batch_size=8, jo_criterion="planner"
+        )
         assert np.isfinite(result.final_loss)
         assert result.epoch_losses[-1] <= result.epoch_losses[0]
 
@@ -69,9 +70,7 @@ class TestTwoPhaseTraining:
         trainer = JointTrainer(model)
         examples = [(db.name, item) for item in labeled]
 
-        trainer.jo_label_source = "planner"
-        trainer.train(examples, epochs=3, batch_size=8, seed=0)
-        trainer.jo_label_source = "optimal"
+        trainer.train(examples, epochs=3, batch_size=8, seed=0, jo_criterion="planner")
         result = trainer.train(examples, epochs=3, batch_size=8, seed=1)
         assert np.isfinite(result.final_loss)
 
