@@ -286,7 +286,7 @@ def main() -> None:
     print(f"snapshot written: {snapshot_path}")
     print(f"  render it with: PYTHONPATH=src python -m repro.obs {snapshot_path}")
 
-    print("\ndone — see examples/single_db_study.py for the full Table 1/2 reproduction,"
+    print("\ndone — see benchmarks/paper/run.py for the paper's Tables 1-3 and ablations,"
           "\n       examples/serve_demo.py for serving + live model hot-swap,"
           "\n       examples/fleet_demo.py for the federated fleet, and"
           "\n       benchmarks/bench_federated_fleet.py for the fleet benchmark")

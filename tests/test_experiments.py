@@ -1,8 +1,13 @@
 """Micro-scale integration tests for the Table 1/2/3 harnesses.
 
-These run the *same code paths* as the benchmarks, at the smallest
-scale that still exercises every row of every table.
+These run the *same code paths* as the paper harness
+(``benchmarks/paper/run.py``) — each of its sections is called here — at
+the smallest scale that still exercises every row of every table.
 """
+
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +20,20 @@ from repro.eval import (
     collect_node_qerrors,
     format_table1,
     format_table2,
-    format_table3,
     run_table3,
 )
 
 MICRO_MODEL = ModelConfig(d_model=24, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
+PAPER_HARNESS = Path(__file__).resolve().parent.parent / "benchmarks" / "paper" / "run.py"
+
+
+@pytest.fixture(scope="module")
+def paper():
+    """``benchmarks/paper/run.py``, imported by path (it is a script)."""
+    spec = importlib.util.spec_from_file_location("paper_run", PAPER_HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +122,37 @@ class TestSingleDBStudy:
             fresh.table1()
 
 
+class TestPaperHarness:
+    """Each harness section on the micro study, so a renamed API fails
+    tier-1 rather than the next paper run (Table 3's section runs in
+    ``TestTable3``)."""
+
+    @pytest.mark.parametrize("name", ["T1", "T2", "A1", "A2", "A3", "A4"])
+    def test_study_section(self, paper, study, name):
+        rows, claims = paper.ON_STUDY[name](study)
+        assert rows and all(item["claim"].startswith(f"{name}: ") for item in claims)
+        assert {item["claim"] for item in claims} >= (paper.GATED if name == "T1" else set())
+        if name == "A1":
+            assert 0 < rows[0]["evaluated"] <= rows[0]["of"] <= 15
+
+    def test_fig4_through_the_cli(self, paper, capsys):
+        """The CLI's contract: tables, then one JSON line; exit 0."""
+        assert paper.main(["--seed", "3", "Fig4"]) == 0
+        result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert result["seed"] == 3 and result["failed"] == []
+        assert set(result["seconds"]) == set(result["rows"]) == {"Fig4"}
+        assert result["rows"]["Fig4"][-1] == {"plan": "random", "round_trips": 64, "of": 64}
+
+    def test_unknown_section_is_a_usage_error(self, paper):
+        with pytest.raises(SystemExit) as exit_info:
+            paper.main(["T9"])
+        assert exit_info.value.code == 2
+
+
 class TestTable3:
-    def test_run_table3_micro(self):
+    def test_run_table3_micro(self, paper, capsys):
         databases = generate_databases(3, base_seed=50, row_range=(60, 250), attr_range=(2, 3))
-        rows = run_table3(
+        rows, claims = paper.table3(
             databases,
             num_queries=25,
             max_tables=3,
@@ -129,7 +170,10 @@ class TestTable3:
         # about the same (seeds 0 and 1 read Optimal == PostgreSQL).
         postgres, optimal = rows[0], rows[1]
         assert optimal.improvement == pytest.approx(1.0 - optimal.total_time_ms / postgres.total_time_ms)
-        assert "MLA" in format_table3(rows)
+        assert "MTMLF-QO (MLA)" in capsys.readouterr().out
+        assert [item["claim"] for item in claims] == [
+            "T3: MTMLF-QO (MLA) < PostgreSQL", "T3: MTMLF-QO (single) < PostgreSQL",
+        ]
 
     def test_too_few_databases_rejected(self):
         databases = generate_databases(2, base_seed=60, row_range=(50, 100))
