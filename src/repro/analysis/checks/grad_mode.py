@@ -41,7 +41,7 @@ FORWARD_CALLS = frozenset(
         "predict_log_nodes",
         "encode_filter",
         "column_embedding",
-        "step_logits_batch",
+        "decode_step",
     }
 )
 

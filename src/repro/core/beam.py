@@ -12,19 +12,22 @@ end (a connected graph always has a spanning order from any start).
 the adjacency restriction) to feed the illegal-order penalty term of the
 sequence-level loss (Equation 3).
 
-Decoding is **batched** (DESIGN.md section 2): per timestep all active
-beams are expanded with a single ``TransJO.step_logits_batch`` forward,
-and the legality masks are vectorized numpy operations over the
-adjacency matrix.  :class:`BeamSearchState` holds one query's beam
-frontier so that many searches can be driven in lockstep off one shared
-decoder call (see :func:`drive_beam_states` and
-``MTMLFQO.predict_join_orders``).  There is one decode path: the driver
-projects each query's encoder memory once (a per-decode ``nn.KVCache``)
-and steps the decoder on raw ndarrays.  A one-forward-per-beam reference
-search lives with the tests (``tests/sequential_oracle.py``); the batched
-search is bit-identical to it because every row of a batched forward
-performs the same float operations as the corresponding single-row
-forward.
+Decoding is **batched and incremental** (DESIGN.md section 2).
+:class:`BeamSearchState` holds one query's beam frontier, and
+:func:`drive_beam_states` advances every query of a batch in lockstep off
+one shared ``TransJO.decode_step`` call per timestep: the queries' encoder
+memories are padded to the largest table count, each beam feeds one new
+token row, and the self-attention K/V of its earlier rows come from a
+per-decode cache that follows the beam's parent on every prune
+(``advance`` returns the parents).  Legality masks are vectorized numpy
+operations over the adjacency matrix.  There is one decode path: the
+driver projects each query's encoder memory once (a per-decode
+``nn.KVCache``) and steps the decoder on raw ndarrays.  A one-beam-at-a-
+time reference search lives with the tests (``tests/sequential_oracle.py``);
+it steps the same ``decode_step`` at B = 1, and the batched search
+matches it at decode level — identical positions, legal flags and
+candidate order, log-probabilities within 1e-9 (padding and batching
+change gemm shapes, so the last ulp may differ).
 
 A disconnected join graph has no legal complete order; with legality
 enforced the search detects this up front and raises ``ValueError``
@@ -125,7 +128,7 @@ class BeamSearchState:
     scores and used-table masks, and advances all beams at once from a
     ``(B, m)`` block of next-step log-probabilities.  The expansion and
     pruning rules replicate the sequential reference exactly (including
-    stable tie-breaking), so candidates are bit-identical to it.
+    stable tie-breaking).
     """
 
     def __init__(
@@ -160,8 +163,12 @@ class BeamSearchState:
             allowed &= connected
         return allowed
 
-    def advance(self, log_probs: np.ndarray) -> None:
-        """Expand every active beam from its ``(B, m)`` log-probabilities."""
+    def advance(self, log_probs: np.ndarray) -> np.ndarray:
+        """Expand every active beam from its ``(B, m)`` log-probabilities.
+
+        Returns the parent of each kept beam: row ``j`` of the new
+        frontier extends row ``parents[j]`` of the old one.
+        """
         if self.done:
             raise RuntimeError("advance() on a finished beam search")
         t = self.prefixes.shape[1]
@@ -174,7 +181,7 @@ class BeamSearchState:
             self.prefixes = np.zeros((0, t), dtype=np.int64)
             self.scores = np.zeros(0, dtype=np.float64)
             self.done = True
-            return
+            return np.zeros(0, dtype=np.int64)
         # Per-beam top-k: stable argsort on -log_prob with disallowed
         # positions pushed past the end, matching the reference's stable
         # ``sorted(allowed, key=lambda p: -log_probs[p])[:beam_width]``.
@@ -197,6 +204,7 @@ class BeamSearchState:
         self.used = self.used[beam_index].copy()
         self.used[np.arange(len(positions)), positions] = True
         self.done = self.prefixes.shape[1] == self.m
+        return beam_index
 
     def candidates(self) -> list[BeamCandidate]:
         """Completed candidates, sorted by descending log-probability."""
@@ -219,83 +227,77 @@ def drive_beam_states(
     states: list[BeamSearchState],
     scratch: "nn.ScratchArena | None" = None,
 ) -> None:
-    """Advance many beam searches in lockstep off shared decoder calls.
+    """Advance many beam searches in lockstep off shared decoder steps.
 
     ``memories[i]`` is the (1, m_i, d) encoder memory of ``states[i]``.
-    Each global timestep gathers every active beam of every unfinished
-    state — grouped by table count, so all rows of a call share one
-    ``(B_group, m, d)`` shape — and performs one ``step_logits_batch``
-    forward per group.  Grouping by size (rather than zero-padding to
-    the largest query) keeps every gemm the same shape as a solo
-    decode's, which is what makes the batched path bit-identical to the
-    sequential reference: numpy's batched matmul runs one identically-
-    shaped 2D product per row, while padded shapes may pick different
-    BLAS kernels and differ in the last ulp.  Workloads have few
-    distinct table counts, so the fan-in per call stays high.
+    Each timestep makes one incremental ``decode_step`` call over every
+    active beam of every unfinished state, so a batch takes as many
+    steps as its largest query has tables.  A beam feeds one new token
+    row (the start token, then the memory row of the table it chose
+    last); the self-attention K/V of its earlier rows sit in a per-layer
+    cache whose rows are re-gathered by parent after every prune, and
+    finished queries' rows are dropped from it.
 
     Each query's encoder memory is projected (cross-attention K/V per
     decoder layer, pointer keys) exactly once into a per-query
     :class:`nn.KVCache` created here — and therefore dropped here, so
-    projections can never leak across decodes or model hot-swaps — then
-    broadcast to the active beams and concatenated per step.  ``scratch``
-    is the caller's session-private arena for kernel output buffers.
+    projections can never leak across decodes or model hot-swaps.  The
+    padded batch of them depends only on which states are alive and how
+    many beams each has, so it is assembled once per such key; queries
+    of fewer tables are masked at the padded slots, and each state reads
+    only its own ``m_i`` log-probabilities.  ``scratch`` is the caller's
+    session-private arena for kernel output buffers.
     """
     if len(memories) != len(states):
         raise ValueError("one memory per beam state required")
+    alive = [i for i, state in enumerate(states) if not state.done]
+    if not alive:
+        return
     # One cache per query, living exactly as long as this drive call.
     caches = [nn.KVCache(memory) for memory in memories]
-    # Assembled batched inputs depend only on (group, beam counts) —
-    # which stabilize after the first step — so they too are memoized
-    # for the duration of this drive.
+    # Padded projections per (live queries, beam counts) key.
     assembled: dict[tuple, tuple] = {}
+    # Every query's table rows, stacked: a beam that chose table p of
+    # query i feeds row ``first_row[i] + p`` next.
+    table = np.concatenate([memory.data[0] for memory in memories], axis=0)
+    first_row = np.cumsum([0] + [memory.shape[1] for memory in memories[:-1]])
     with nn.no_grad():
+        past_kv = trans_jo.decoder.empty_past_kv()
+        tokens = F.repeat_batch(trans_jo.start_token.data.reshape(1, 1, -1), len(alive))
         while True:
-            by_size: dict[int, list[int]] = {}
-            for i, state in enumerate(states):
-                if not state.done:
-                    by_size.setdefault(state.m, []).append(i)
-            if not by_size:
-                return
-            for group in by_size.values():
-                counts = [states[i].num_active for i in group]
-                # All states of a group advanced in lockstep from step 0,
-                # so their prefix matrices share one length — the
-                # concatenated dense matrix is exactly the padded batch
-                # pad_index_sequences would build from lists.
-                if len(group) == 1:
-                    prefixes = states[group[0]].prefixes
-                else:
-                    prefixes = np.concatenate([states[i].prefixes for i in group], axis=0)
-                key = (tuple(group), tuple(counts))
-                cached = assembled.get(key)
-                if cached is None:
-                    blocks = [
-                        np.broadcast_to(memories[i].data, (n,) + memories[i].shape[1:])
-                        for i, n in zip(group, counts)
-                    ]
-                    per_query = [trans_jo.project_memory(memories[i], caches[i]) for i in group]
-                    memory = np.concatenate(blocks, axis=0)
-                    start_block = F.repeat_batch(
-                        trans_jo.start_token.data.reshape(1, 1, -1), memory.shape[0]
-                    )
-                    cached = (memory, *trans_jo.concat_memory_kv(per_query, counts), start_block)
-                    assembled[key] = cached
-                memory, memory_kv, pointer_keys, start_block = cached
-                log_probs = F.log_softmax(
-                    trans_jo.step_logits_batch(
-                        memory,
-                        prefixes,
-                        memory_kv=memory_kv,
-                        pointer_keys=pointer_keys,
-                        scratch=scratch,
-                        start_block=start_block,
-                    )
+            counts = [states[i].num_active for i in alive]
+            key = (tuple(alive), tuple(counts))
+            projections = assembled.get(key)
+            if projections is None:
+                per_query = [trans_jo.project_memory(memories[i], caches[i]) for i in alive]
+                projections = assembled[key] = trans_jo.concat_memory_kv(per_query, counts)
+            memory_kv, pointer_keys, padding = projections
+            log_probs = F.log_softmax(
+                trans_jo.decode_step(
+                    tokens, None, past_kv,
+                    memory_padding_mask=padding,
+                    memory_kv=memory_kv,
+                    pointer_keys=pointer_keys,
+                    scratch=scratch,
                 )
-                offset = 0
-                for i in group:
-                    n_beams = states[i].num_active
-                    states[i].advance(log_probs[offset: offset + n_beams])
-                    offset += n_beams
+            )
+            survivors, keep, next_rows = [], [], []
+            offset = 0
+            for i, n_beams in zip(alive, counts):
+                state = states[i]
+                parents = state.advance(log_probs[offset: offset + n_beams, : state.m])
+                if not state.done:
+                    survivors.append(i)
+                    keep.append(offset + parents)
+                    next_rows.append(first_row[i] + state.prefixes[:, -1])
+                offset += n_beams
+            if not survivors:
+                return
+            alive = survivors
+            keep = np.concatenate(keep)
+            for layer_kv in past_kv:
+                layer_kv[0], layer_kv[1] = layer_kv[0][keep], layer_kv[1][keep]
+            tokens = table[np.concatenate(next_rows)][:, None, :]
 
 
 def beam_search_join_order(

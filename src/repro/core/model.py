@@ -527,8 +527,8 @@ class MTMLFQO(nn.Module):
 
         Queries are processed in bounded chunks: one Trans_Share forward
         encodes each chunk, then every query's beam search advances in
-        lockstep — each timestep expands all active beams of all queries
-        sharing a table count with a single Trans_JO forward (see
+        lockstep — each timestep expands all active beams of all the
+        chunk's queries with one incremental Trans_JO step (see
         :func:`repro.core.beam.drive_beam_states`).  Emitted orders are
         identical to per-query :meth:`predict_join_order` calls, and
         peak memory is capped by the chunk size.
@@ -585,7 +585,7 @@ class MTMLFQO(nn.Module):
 
         Probes of *all* queries are costed in shared CostEst forwards,
         grouped by probe node count so each forward pads exactly like a
-        solo call would — the bit-exactness rule of DESIGN.md section 2.
+        solo call would, and costs are bit-identical to per-query ones.
         A complete order over ``m`` tables always plans to ``2m - 1``
         nodes, so a group mixes queries only when their table counts
         match.  Returns ``{entry index -> chosen order}``.

@@ -15,20 +15,20 @@ representations themselves (a pointer network): position i's logit is
 how to use the shared representation" demands.  Recorded as a
 documented design choice in DESIGN.md (section 1).
 
-There is one decoder read, :meth:`TransJO._slot_logits`: a ``(B, T)``
-prefix matrix becomes the decoder input (start token, then the memory
-rows it names) and the hidden states become pointer logits, padded table
-slots masked.  Its two callers differ only in which positions they read.
-Training is teacher forced and batched — :meth:`TransJO.forward` reads
-every position of a padded ``(B, m)`` target matrix, so one forward
-serves a whole step's labeled queries: their label orders (L.iii) or
-those plus every beam candidate of each (Equation 3).  Decoding reads each row's last position —
-:meth:`TransJO.step_logits_batch` expands many beam prefixes, potentially
-spanning several queries, per call (DESIGN.md section 2).  Like every
-layer it has one body: handed Tensors it records tape, handed raw
-ndarrays (the beam driver, with the per-decode projections of
-:meth:`TransJO.project_memory`) it runs the in-place kernels — the same
-function either way.
+The decoder is read two ways, one layer body under both.  Training is
+teacher forced and batched — :meth:`TransJO.forward` reads every
+position of a padded ``(B, m)`` target matrix, so one forward serves a
+whole step's labeled queries: their label orders (L.iii) or those plus
+every beam candidate of each (Equation 3).  Decoding is incremental —
+:meth:`TransJO.decode_step` feeds one new token row per beam and keeps
+each beam's self-attention K/V per decoder layer in a cache the beam
+driver reorders on every prune, so a step costs one row, not the whole
+prefix (DESIGN.md section 2).  Both end in :meth:`TransJO._pointer_logits`,
+and the step's logits equal the teacher-forced ones for the same prefix
+to rounding.  Like every layer they have one body: handed Tensors they
+record tape, handed raw ndarrays (the beam driver, with the per-decode
+projections of :meth:`TransJO.project_memory`) they run the in-place
+kernels — the same function either way.
 """
 
 from __future__ import annotations
@@ -63,47 +63,10 @@ class TransJO(nn.Module):
         self.logit_scale = 1.0 / np.sqrt(config.d_model)
 
     # ------------------------------------------------------------------
-    def _slot_logits(
-        self,
-        memory,
-        indices: np.ndarray,
-        lengths: np.ndarray | None,
-        memory_padding_mask: np.ndarray | None,
-        memory_kv: list | None = None,
-        pointer_keys=None,
-        scratch=None,
-        start_block=None,
-    ):
-        """The one decoder read: a ``(B, T)`` prefix matrix in, pointer
-        logits out, slot-major ``(B, m, R)``.
-
-        Row b's decoder input is the start token followed by the memory
-        rows ``indices[b]`` names.  ``lengths`` None reads every position
-        (R = T + 1, teacher forcing); otherwise row b is read at its own
-        last real step ``lengths[b]`` (R = 1, a beam step).  Table slots
-        where ``memory_padding_mask`` is True are excluded from
-        cross-attention and their logits forced to -1e9.
-        """
-        batch = memory.shape[0]
-        rows = np.arange(batch)
-        x = start_block
-        if x is None:
-            x = F.repeat_batch(F.operand(self.start_token, like=memory).reshape(1, 1, -1), batch)
-        if indices.shape[1]:
-            gathered = memory[rows[:, None], indices]  # (B, T, d)
-            x = F.concat([x, gathered], axis=1)
-        hidden = self.decoder(
-            x,
-            memory,
-            memory_padding_mask=memory_padding_mask,
-            memory_kv=memory_kv,
-            scratch=scratch,
-            tag="jo",
-        )
-        if lengths is None:
-            read = hidden.swapaxes(-1, -2)                      # (B, d, T + 1)
-        else:
-            read = hidden[rows, lengths].reshape(batch, -1, 1)  # (B, d, 1)
+    def _pointer_logits(self, hidden, memory, pointer_keys, memory_padding_mask):
+        """Pointer logits ``h · W S_i``, slot-major ``(B, m, R)``, of the
+        ``R`` hidden rows of each sequence; padded table slots -1e9."""
+        read = hidden.swapaxes(-1, -2)  # (B, d, R)
         keys = pointer_keys if pointer_keys is not None else self.pointer_proj(memory)
         logits = (keys @ read) * self.logit_scale
         if memory_padding_mask is not None:
@@ -118,64 +81,73 @@ class TransJO(nn.Module):
         """Teacher-forced logits for a batch of whole orders, (B, m, m).
 
         ``[b, t]`` holds the logits for timestamp t of row b given its
-        *true* prefix ``targets[b, :t]`` (teacher forcing, Section 4.2).
-        Rows are queries, or candidate orders over one query's repeated
-        memory.  A row with fewer than m tables marks its padded slots in
-        ``memory_padding_mask`` (B, m) and pads its targets with any
-        in-range index; the causal mask keeps those pad timestamps — which
-        the caller's loss must not read — from reaching the real ones, so
-        no gradient arrives at a pad slot.
+        *true* prefix ``targets[b, :t]`` (teacher forcing, Section 4.2):
+        row b's decoder input is the start token followed by the memory
+        rows ``targets[b, :-1]`` names.  Rows are queries, or candidate
+        orders over one query's repeated memory.  A row with fewer than m
+        tables marks its padded slots in ``memory_padding_mask`` (B, m)
+        and pads its targets with any in-range index; padded slots are
+        excluded from cross-attention and their logits forced to -1e9,
+        and the causal mask keeps those pad timestamps — which the
+        caller's loss must not read — from reaching the real ones, so no
+        gradient arrives at a pad slot.
         """
-        logits = self._slot_logits(memory, targets[:, :-1], None, memory_padding_mask)
+        batch = memory.shape[0]
+        rows = np.arange(batch)
+        x = F.repeat_batch(F.operand(self.start_token, like=memory).reshape(1, 1, -1), batch)
+        indices = targets[:, :-1]
+        if indices.shape[1]:
+            gathered = memory[rows[:, None], indices]  # (B, m - 1, d)
+            x = F.concat([x, gathered], axis=1)
+        hidden = self.decoder(x, memory, memory_padding_mask=memory_padding_mask, tag="jo")
+        logits = self._pointer_logits(hidden, memory, None, memory_padding_mask)
         return logits.swapaxes(-1, -2)
 
-    @shape_spec(inputs={"memory": "(B, m, d_model)"},
+    @shape_spec(inputs={"tokens": "(B, 1, d_model)",
+                        "memory": "(B, m, d_model)",
+                        "pointer_keys": "(B, m, d_model)",
+                        "memory_padding_mask": "(B, m)"},
                 out="(B, m)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def step_logits_batch(
+                params=("decoder", "pointer_proj"),
+                dtypes={"memory_padding_mask": "bool"})
+    def decode_step(
         self,
+        tokens,
         memory,
-        prefixes,
+        past_kv: list,
         memory_padding_mask: np.ndarray | None = None,
         memory_kv: list | None = None,
         pointer_keys=None,
         scratch=None,
-        start_block=None,
     ):
-        """Next-timestamp logits for a whole batch of prefixes at once.
+        """One incremental decoder step: next-timestamp pointer logits,
+        ``(B, m)``, for B sequences at once.
 
-        ``memory`` is (B, m, d): one row of single-table representations
-        per prefix (rows may repeat when several beams share one query).
-        ``prefixes`` may be a ragged list of lists — shorter rows are
-        padded (the causal self-attention mask keeps pad slots from
-        influencing the read position) and each row's logits are taken at
-        its own last real timestamp — or, from the lockstep beam driver
-        where every row has the same length, the dense ``(B, t)`` int64
-        matrix ``pad_index_sequences`` would build.
-        ``memory_padding_mask`` is (B, m) boolean, True at padded table
-        slots when queries of different table counts share the batch.
-        The remaining arguments carry what one decode can reuse across
-        its steps: ``memory_kv``/``pointer_keys`` are the batched
-        projections of ``memory`` (see :meth:`project_memory` and
-        :meth:`concat_memory_kv`; projected here when omitted),
-        ``start_block`` the broadcast start token (a function of the
-        batch size only), ``scratch`` the session's kernel buffer arena.
-
-        Returns (B, m) pointer logits.
+        ``tokens`` is each sequence's newest decoder input, ``(B, 1, d)``:
+        the start token at the first step, then the memory row of the
+        table it chose last.  ``past_kv`` (from
+        ``decoder.empty_past_kv()``) holds the self-attention K/V of the
+        earlier inputs per layer and grows by this step's in place; a
+        beam driver reorders its rows when beams are pruned.  ``memory``
+        is ``(B, m, d)``, one row per sequence, with
+        ``memory_padding_mask`` (B, m) True at padded table slots when
+        sequences of different table counts share the batch.
+        ``memory_kv``/``pointer_keys`` are the batched projections of
+        ``memory`` (:meth:`project_memory`, :meth:`concat_memory_kv`);
+        given both, ``memory`` may be None.  ``scratch`` is the session's
+        kernel buffer arena.
         """
-        batch, m, _ = memory.shape
-        if isinstance(prefixes, np.ndarray):
-            indices = prefixes
-            lengths = np.full(batch, indices.shape[1], dtype=np.int64)
-        else:
-            if len(prefixes) != batch:
-                raise ValueError(f"{len(prefixes)} prefixes for a memory batch of {batch}")
-            indices, lengths = F.pad_index_sequences(prefixes)
-        logits = self._slot_logits(
-            memory, indices, lengths, memory_padding_mask,
-            memory_kv, pointer_keys, scratch, start_block,
+        hidden = self.decoder(
+            tokens,
+            memory,
+            memory_padding_mask=memory_padding_mask,
+            memory_kv=memory_kv,
+            past_kv=past_kv,
+            scratch=scratch,
+            tag="jo",
         )
-        return logits.reshape(batch, m)
+        logits = self._pointer_logits(hidden, memory, pointer_keys, memory_padding_mask)
+        return logits.reshape(logits.shape[0], -1)
 
     def project_memory(self, memory: nn.Tensor, kv_cache: "nn.KVCache | None" = None):
         """Per-decode projections of one (1, m, d) encoder memory.
@@ -199,34 +171,35 @@ class TransJO(nn.Module):
 
     @staticmethod
     def concat_memory_kv(per_query, counts: list[int]):
-        """Assemble batched projections from per-query cached ones.
+        """Assemble one padded batch of projections from per-query ones.
 
         ``per_query[i]`` is :meth:`project_memory` output for query i,
-        ``counts[i]`` its number of active beams.  Each query's (1, ...)
-        projections are broadcast to its beam count and concatenated —
-        bit-identical to projecting the batched memory directly, because
-        numpy's batched matmul computes each row as the same 2D product
-        the single-row projection performs.
+        ``counts[i]`` its number of active beams.  Each query's (1, m_i,
+        ...) projections are repeated for its beams and zero-padded to
+        the largest ``m`` among them.  Returns ``(memory_kv,
+        pointer_keys, memory_padding_mask)`` for :meth:`decode_step`; the
+        mask is None when every query has the same table count.
         """
-        # ``concatenate`` over stride-0 broadcast views can emit a
-        # non-C-contiguous result; force C order so the assembled arrays
-        # have exactly the strides of directly-projected ones (BLAS
-        # rounding depends on operand layout, and parity is bitwise).
-        def broadcast_concat(arrays):
-            return np.ascontiguousarray(
-                np.concatenate(
-                    [np.broadcast_to(a, (n,) + a.shape[1:]) for a, n in zip(arrays, counts)],
-                    axis=0,
-                )
-            )
+        sizes = [keys.shape[1] for _, keys in per_query]
+        m_max = max(sizes)
+        starts = np.cumsum([0, *counts])
+
+        def padded(arrays):
+            out = np.zeros((int(starts[-1]), m_max) + arrays[0].shape[2:])
+            for array, m, lo, hi in zip(arrays, sizes, starts[:-1], starts[1:]):
+                out[lo:hi, :m] = array
+            return out
 
         num_layers = len(per_query[0][0])
         memory_kv = [
             (
-                broadcast_concat([kv[layer][0] for kv, _ in per_query]),
-                broadcast_concat([kv[layer][1] for kv, _ in per_query]),
+                padded([kv[layer][0] for kv, _ in per_query]),
+                padded([kv[layer][1] for kv, _ in per_query]),
             )
             for layer in range(num_layers)
         ]
-        pointer_keys = broadcast_concat([keys for _, keys in per_query])
-        return memory_kv, pointer_keys
+        pointer_keys = padded([keys for _, keys in per_query])
+        padding = None
+        if min(sizes) < m_max:
+            padding = np.repeat(np.arange(m_max)[None, :] >= np.asarray(sizes)[:, None], counts, axis=0)
+        return memory_kv, pointer_keys, padding

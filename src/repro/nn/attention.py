@@ -7,7 +7,10 @@ the causal mask inside the ``Trans_JO`` decoder.
 Cross-attention over a *static* key/value source (the decoder reading
 a fixed encoder memory) can skip its K/V projections entirely by passing
 precomputed ``static_kv`` — see :class:`KVCache`, which owns those
-projections for one decode.
+projections for one decode.  Self-attention during incremental decoding
+passes ``past_kv`` instead: the K/V of every earlier row, which the call
+extends by the rows it is handed, so each decoder step projects only its
+one new token.
 """
 
 from __future__ import annotations
@@ -20,42 +23,11 @@ from .spec import shape_spec
 
 __all__ = ["MultiHeadAttention", "causal_mask", "KVCache"]
 
-# Causal masks depend only on the length; they are tiny, read-only and
-# requested once per decoder layer per step, so memoize them.  Entries
-# are marked non-writable — every consumer only reads.
-_CAUSAL_MASK_CACHE: dict[int, np.ndarray] = {}
-_CAUSAL_MASK_CACHE_MAX = 512
-
 
 @shape_spec(out="(L, L)", dtypes={"out": "bool"})
 def causal_mask(length: int) -> np.ndarray:
     """Boolean (length, length) mask forbidding attention to the future."""
-    mask = _CAUSAL_MASK_CACHE.get(length)
-    if mask is None:
-        mask = np.triu(np.ones((length, length), dtype=bool), k=1)
-        mask.setflags(write=False)
-        if len(_CAUSAL_MASK_CACHE) >= _CAUSAL_MASK_CACHE_MAX:
-            _CAUSAL_MASK_CACHE.clear()
-        _CAUSAL_MASK_CACHE[length] = mask
-    return mask
-
-
-# The broadcast + fully-masked-row guard of a pure causal mask is itself
-# a pure function of (length, scores shape), recomputed by every decoder
-# self-attention call; memoize it (read-only) alongside the raw masks.
-_GUARDED_CAUSAL_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _guarded_causal_mask(length: int, scores_shape: tuple) -> np.ndarray:
-    key = (length, scores_shape)
-    mask = _GUARDED_CAUSAL_CACHE.get(key)
-    if mask is None:
-        mask = MultiHeadAttention._combined_mask(causal_mask(length), None, scores_shape)
-        mask.setflags(write=False)
-        if len(_GUARDED_CAUSAL_CACHE) >= _CAUSAL_MASK_CACHE_MAX:
-            _GUARDED_CAUSAL_CACHE.clear()
-        _GUARDED_CAUSAL_CACHE[key] = mask
-    return mask
+    return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
 class KVCache:
@@ -165,7 +137,8 @@ class MultiHeadAttention(Module):
 
         This is the entry :class:`KVCache` memoizes: for cross-attention
         over an unchanging encoder memory, the returned pair is valid
-        for every decoder step of the decode.
+        for every decoder step of the decode.  It also projects each new
+        row appended to a ``past_kv`` self-attention cache.
 
         Layout: ``(batch, Lk, heads, head_dim)`` — the *pre-transpose*
         head split, not the ``(batch, heads, Lk, head_dim)`` the scores
@@ -186,7 +159,9 @@ class MultiHeadAttention(Module):
                         "key": "(B, L_k, dim)",
                         "value": "(B, L_k, dim)",
                         "static_kv": ("(B, L_k, num_heads, head_dim)",
-                                      "(B, L_k, num_heads, head_dim)")},
+                                      "(B, L_k, num_heads, head_dim)"),
+                        "past_kv": ("(B, L_p, num_heads, head_dim)",
+                                    "(B, L_p, num_heads, head_dim)")},
                 out="(B, L_q, dim)",
                 params=("q_proj", "k_proj", "v_proj", "out_proj"))
     def forward(
@@ -197,6 +172,7 @@ class MultiHeadAttention(Module):
         attn_mask: np.ndarray | None = None,
         key_padding_mask: np.ndarray | None = None,
         static_kv: tuple | None = None,
+        past_kv: list | None = None,
         scratch=None,
         tag: str = "",
     ):
@@ -208,34 +184,36 @@ class MultiHeadAttention(Module):
         :meth:`project_kv`, usually via a :class:`KVCache`), skipping
         the K/V projections; callers must pass projections of the same
         key/value source they would otherwise pass as arrays.
+        ``past_kv`` is a self-attention cache, a ``[k, v]`` list in the
+        :meth:`project_kv` layout holding the K/V of the rows before
+        ``query`` (``[None, None]`` before the first): ``query``'s own
+        K/V are appended to it in place and it attends over all of them,
+        so a one-row ``query`` needs no causal mask.
         ``scratch``/``tag`` name reusable output buffers for the ndarray
         kernels (ignored on the tape, which must keep its values).
         """
-        if static_kv is not None:
-            k_raw, v_raw = static_kv  # (B, Lk, H, hd): see project_kv
-            k = k_raw.transpose((0, 2, 1, 3))
-            v = v_raw.transpose((0, 2, 1, 3))
-        else:
+        if static_kv is None and past_kv is None:
             key = query if key is None else key
             value = key if value is None else value
             k = self._split_heads(self.k_proj(key))
             v = self._split_heads(self.v_proj(value))
+        else:
+            if static_kv is not None:
+                k_raw, v_raw = static_kv  # (B, Lk, H, hd): see project_kv
+            else:
+                k_raw, v_raw = self.project_kv(query)
+                if past_kv[0] is not None:
+                    k_raw = F.concat([past_kv[0], k_raw], axis=1)
+                    v_raw = F.concat([past_kv[1], v_raw], axis=1)
+                past_kv[0], past_kv[1] = k_raw, v_raw
+            k = k_raw.transpose((0, 2, 1, 3))
+            v = v_raw.transpose((0, 2, 1, 3))
         q = self._split_heads(self.q_proj(query, scratch, tag + ".q"))
 
         scores = F.matmul(q, k.swapaxes(-1, -2), scratch, tag + ".scores")
         scores = F.scale(scores, self.scale)  # (B, H, Lq, Lk)
 
-        if (
-            key_padding_mask is None
-            and attn_mask is not None
-            and attn_mask is _CAUSAL_MASK_CACHE.get(attn_mask.shape[0])
-        ):
-            # Decoder self-attention hot path: the guarded broadcast of a
-            # memoized causal mask is itself memoized (same bits, built
-            # by the same _combined_mask).
-            mask = _guarded_causal_mask(attn_mask.shape[0], scores.shape)
-        else:
-            mask = self._combined_mask(attn_mask, key_padding_mask, scores.shape)
+        mask = self._combined_mask(attn_mask, key_padding_mask, scores.shape)
         if mask is not None:
             scores = F.masked_fill(scores, mask, -1e9)
 

@@ -87,16 +87,23 @@ class TransformerDecoderLayer(Module):
         memory,
         memory_padding_mask: np.ndarray | None = None,
         memory_kv: tuple | None = None,
+        past_kv: list | None = None,
         scratch=None,
         tag: str = "",
     ):
         """``memory_kv`` supplies this layer's precomputed cross-attention
         K/V (from ``cross_attn.project_kv(memory)``); when given,
         ``memory`` itself may be None — the projections stand in for it.
+        ``past_kv`` is this layer's self-attention cache (see
+        :meth:`MultiHeadAttention.forward`): ``x`` is then the one new
+        row of each sequence, which attends to every earlier row and
+        itself, so no causal mask applies.
         """
-        length = x.shape[1]
+        mask = causal_mask(x.shape[1]) if past_kv is None else None
         normed = self.norm1(x)
-        x = x + self.self_attn(normed, attn_mask=causal_mask(length), scratch=scratch, tag=tag + ".self")
+        x = x + self.self_attn(
+            normed, attn_mask=mask, past_kv=past_kv, scratch=scratch, tag=tag + ".self"
+        )
         normed = self.norm2(x)
         x = x + self.cross_attn(
             normed,
@@ -133,12 +140,15 @@ class TransformerDecoder(Module):
         memory,
         memory_padding_mask: np.ndarray | None = None,
         memory_kv: list | None = None,
+        past_kv: list | None = None,
         scratch=None,
         tag: str = "",
     ):
         """``memory_kv`` is one ``(k, v)`` pair per layer (see
         :meth:`project_memory_kv`); with it the encoder memory's K/V are
-        never re-projected inside the step.
+        never re-projected inside the step.  ``past_kv`` is one
+        self-attention cache per layer (see :meth:`empty_past_kv`); with
+        it ``x`` holds one new row per sequence (incremental decoding).
         """
         for i, layer in enumerate(self.layers):
             x = layer(
@@ -146,6 +156,7 @@ class TransformerDecoder(Module):
                 memory,
                 memory_padding_mask=memory_padding_mask,
                 memory_kv=memory_kv[i] if memory_kv is not None else None,
+                past_kv=past_kv[i] if past_kv is not None else None,
                 scratch=scratch,
                 tag=f"{tag}.l{i}",
             )
@@ -156,3 +167,8 @@ class TransformerDecoder(Module):
         """Cross-attention K/V of ``memory`` for every layer — the
         per-decode work a :class:`repro.nn.KVCache` amortizes."""
         return [layer.cross_attn.project_kv(memory) for layer in self.layers]
+
+    def empty_past_kv(self) -> list:
+        """A fresh per-layer self-attention cache for incremental
+        decoding: ``[k, v]`` per layer, empty until the first step."""
+        return [[None, None] for _ in self.layers]

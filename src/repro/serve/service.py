@@ -22,8 +22,8 @@ serializes on that model's ``_infer_lock``, and at this model size
 decode time is Python dispatch under the GIL, so more drain threads
 only split batches (DESIGN.md section 5 has the measurement).
 
-Because the batched decode path is bit-identical to per-query calls
-(DESIGN.md section 2) and the cache key is the full structural
+Because the batched decode path emits the same candidates as
+per-query calls (DESIGN.md section 2) and the cache key is the full structural
 query/plan signature, orders returned through the service are identical
 to direct ``predict_join_orders`` calls — the parity suite
 (``tests/test_serve.py``) asserts this at every beam width 1-8.
