@@ -289,7 +289,7 @@ def main() -> None:
     print("\ndone — see benchmarks/paper/run.py for the paper's Tables 1-3 and ablations,"
           "\n       examples/serve_demo.py for serving + live model hot-swap,"
           "\n       examples/fleet_demo.py for the federated fleet, and"
-          "\n       benchmarks/bench_federated_fleet.py for the fleet benchmark")
+          "\n       benchmarks/paper/run.py Fleet for the fleet benchmark")
 
 
 if __name__ == "__main__":

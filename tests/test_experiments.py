@@ -1,8 +1,9 @@
 """Micro-scale integration tests for the Table 1/2/3 harnesses.
 
 These run the *same code paths* as the paper harness
-(``benchmarks/paper/run.py``) — each of its sections is called here — at
-the smallest scale that still exercises every row of every table.
+(``benchmarks/paper/run.py``) — each of its sections but Fleet is called
+here — at the smallest scale that still exercises every row of every
+table (Adapt at its own scale).
 """
 
 import importlib.util
@@ -131,7 +132,7 @@ class TestPaperHarness:
     def test_study_section(self, paper, study, name):
         rows, claims = paper.ON_STUDY[name](study)
         assert rows and all(item["claim"].startswith(f"{name}: ") for item in claims)
-        assert {item["claim"] for item in claims} >= (paper.GATED if name == "T1" else set())
+        assert {item["claim"] for item in claims} >= {text for text in paper.GATED if text.startswith(f"{name}: ")}
         if name == "A1":
             assert 0 < rows[0]["evaluated"] <= rows[0]["of"] <= 15
 
@@ -142,6 +143,30 @@ class TestPaperHarness:
         assert result["seed"] == 3 and result["failed"] == []
         assert set(result["seconds"]) == set(result["rows"]) == {"Fig4"}
         assert result["rows"]["Fig4"][-1] == {"plan": "random", "round_trips": 64, "of": 64}
+
+    def test_adapt_through_the_cli(self, paper, capsys):
+        """Adapt at the harness's own scale (~2 s): every claim holds.
+        Fleet (~5 s) runs in the CI paper job only."""
+        assert paper.main(["Adapt"]) == 0
+        result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert result["failed"] == [] and [row["arm"] for row in result["rows"]["Adapt"]] == [
+            "frozen", "adaptive", "poisoned retrain"]
+        assert result["claims"] and all(
+            item["claim"].startswith("Adapt: ") and item["holds"] for item in result["claims"])
+        assert {item["claim"] for item in result["claims"]} == {
+            text for text in paper.GATED if text.startswith("Adapt: ")}
+
+    def test_lifecycle_claims_are_gated(self, paper):
+        """Every property the adaptation and fleet sections score fails the run when it does not hold."""
+        assert paper.GATED >= {
+            "Adapt: adaptive < frozen on drifted sim ms",
+            "Adapt: the gate rejects the poisoned retrain",
+            "Adapt: the poisoned retrain leaves the live model and its orders unchanged",
+            "Fleet: federated < isolated on drifted sim ms",
+            "Fleet: zero-shot onboarded < scratch on sim ms",
+            "Fleet: no gate accepts the poisoned round",
+            "Fleet: the poisoned round leaves live models, orders and global state unchanged",
+        }
 
     def test_unknown_section_is_a_usage_error(self, paper):
         with pytest.raises(SystemExit) as exit_info:

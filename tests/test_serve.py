@@ -208,10 +208,15 @@ class TestHotSwap:
             assert service.report().swaps == 0
             assert [service.optimize(item) for item in labeled] == direct_a
 
-    def test_swap_during_concurrent_traffic_loses_nothing(self, db, model, model_b, labeled):
+    @pytest.mark.parametrize("replacement", ["object", "path"])
+    def test_swap_during_concurrent_traffic_loses_nothing(self, db, model, model_b, labeled, tmp_path, replacement):
         """Clients hammering optimize() across a swap all get exactly one
         answer, each bit-identical to one of the two models' direct
-        results; traffic after the swap is all new-model."""
+        results; traffic after the swap is all new-model — whether the
+        swap installs the model object or loads its checkpoint."""
+        from repro.core import save_checkpoint
+
+        new = model_b if replacement == "object" else save_checkpoint(model_b, str(tmp_path / "replacement"))
         direct_a = model.predict_join_orders(db.name, labeled)
         direct_b = model_b.predict_join_orders(db.name, labeled)
         config = ServeConfig(max_batch_size=4, max_wait_ms=2.0)
@@ -235,12 +240,14 @@ class TestHotSwap:
             threads = [threading.Thread(target=client, args=(slot,)) for slot in range(16)]
             for thread in threads:
                 thread.start()
-            service.swap_model(model_b)  # lands mid-traffic
+            service.swap_model(new)  # lands mid-traffic
             for thread in threads:
                 thread.join()
             post = [service.optimize(item) for item in labeled]
+            report = service.report()
 
         assert not errors, errors
+        assert report.swaps == 1 and report.failed == 0
         assert len(responses) == 16 * rounds  # exactly one answer each
         for index, order in responses.values():
             assert order in (direct_a[index], direct_b[index])
