@@ -13,15 +13,20 @@ the adjacency restriction) to feed the illegal-order penalty term of the
 sequence-level loss (Equation 3).
 
 Decoding is **batched and incremental** (DESIGN.md section 2).
-:class:`BeamSearchState` holds one query's beam frontier, and
-:func:`drive_beam_states` advances every query of a batch in lockstep off
-one shared ``TransJO.decode_step`` call per timestep: the queries' encoder
-memories are padded to the largest table count, each beam feeds one new
-token row, and the self-attention K/V of its earlier rows come from a
-per-decode cache that follows the beam's parent on every prune
-(``advance`` returns the parents).  Legality masks are vectorized numpy
-operations over the adjacency matrix.  There is one decode path: the
-driver projects each query's encoder memory once (a per-decode
+:class:`BeamSearchState` is one query's handle: its limits, and its beams
+once finished.  :func:`drive_beam_states` advances every query of a batch
+in lockstep off one shared ``TransJO.decode_step`` call per timestep:
+the queries' encoder memories are padded to the largest table count,
+each beam feeds one new token row, and the self-attention K/V of its
+earlier rows come from a per-decode cache that follows the beam's parent
+on every prune.  All alive beams of all queries form one padded row
+block, the frontier, and one vectorized call per step expands and
+prunes it — a masked stable top-k per row, one ``lexsort`` by (query,
+−score) for every query's prune — so the bookkeeping of a step costs
+the same few numpy calls at any batch size.  ``BeamSearchState.advance``
+is the one-query case of that call.  Legality is an incrementally
+OR-ed adjacency row per beam.  There is one decode path: the driver
+projects each query's encoder memory once (a per-decode
 ``nn.KVCache``) and steps the decoder on raw ndarrays.  A one-beam-at-a-
 time reference search lives with the tests (``tests/sequential_oracle.py``);
 it steps the same ``decode_step`` at B = 1, and the batched search
@@ -122,13 +127,13 @@ def require_connected(adjacency: np.ndarray, tables: list[str] | None = None) ->
 
 
 class BeamSearchState:
-    """The beam frontier of one query's join-order decode.
+    """One query's join-order decode: its limits and, once finished, its beams.
 
-    Holds the active prefixes as a dense ``(B, t)`` matrix plus their
-    scores and used-table masks, and advances all beams at once from a
-    ``(B, m)`` block of next-step log-probabilities.  The expansion and
-    pruning rules replicate the sequential reference exactly (including
-    stable tie-breaking).
+    ``prefixes`` (a dense ``(B, t)`` matrix) and ``scores`` hold the
+    beams.  :meth:`advance` steps this query alone; it is the one-query
+    case of the frontier :func:`drive_beam_states` steps a whole padded
+    group with, so expansion and pruning are written once.  A driven
+    state hears of its beams when its query finishes.
     """
 
     def __init__(
@@ -143,25 +148,14 @@ class BeamSearchState:
         self.beam_width = beam_width
         self.enforce_legality = enforce_legality
         self.max_candidates = max_candidates
-        self._adjacency_float = self.adjacency.astype(np.float64)
         self.prefixes = np.zeros((1, 0), dtype=np.int64)
         self.scores = np.zeros(1, dtype=np.float64)
-        self.used = np.zeros((1, self.m), dtype=bool)
         self.done = self.m == 0
+        self._frontier: _Frontier | None = None
 
     @property
     def num_active(self) -> int:
         return 0 if self.done else self.prefixes.shape[0]
-
-    def _allowed_mask(self) -> np.ndarray:
-        """(B, m) mask of positions each beam may expand to."""
-        allowed = ~self.used
-        if self.enforce_legality and self.prefixes.shape[1] > 0:
-            # A position is reachable iff adjacent to any prefix member;
-            # membership == used (prefixes never repeat positions).
-            connected = (self.used.astype(np.float64) @ self._adjacency_float) > 0.0
-            allowed &= connected
-        return allowed
 
     def advance(self, log_probs: np.ndarray) -> np.ndarray:
         """Expand every active beam from its ``(B, m)`` log-probabilities.
@@ -171,40 +165,14 @@ class BeamSearchState:
         """
         if self.done:
             raise RuntimeError("advance() on a finished beam search")
-        t = self.prefixes.shape[1]
-        num_beams = self.prefixes.shape[0]
-        allowed = self._allowed_mask()
-        counts = allowed.sum(axis=1)
-        if not counts.any():
-            # Dead end (disconnected graph with legality enforced was
-            # rejected up front; this guards duck-typed callers).
-            self.prefixes = np.zeros((0, t), dtype=np.int64)
-            self.scores = np.zeros(0, dtype=np.float64)
-            self.done = True
-            return np.zeros(0, dtype=np.int64)
-        # Per-beam top-k: stable argsort on -log_prob with disallowed
-        # positions pushed past the end, matching the reference's stable
-        # ``sorted(allowed, key=lambda p: -log_probs[p])[:beam_width]``.
-        k = min(max(self.beam_width, 1), self.m)
-        ranked = np.argsort(np.where(allowed, -log_probs, np.inf), axis=1, kind="stable")[:, :k]
-        take = np.minimum(counts, k)
-        valid = np.arange(k)[None, :] < take[:, None]
-        beam_index = np.repeat(np.arange(num_beams), take)
-        positions = ranked[valid]
-        new_scores = self.scores[beam_index] + log_probs[beam_index, positions]
-        # Global prune: stable sort by descending score (ties keep the
-        # (beam, rank) emission order, as the reference's list.sort does).
-        keep = max(self.beam_width, 1) if t + 1 < self.m else self.max_candidates
-        order = np.argsort(-new_scores, kind="stable")[:keep]
-        beam_index, positions, new_scores = beam_index[order], positions[order], new_scores[order]
-        self.prefixes = np.concatenate(
-            [self.prefixes[beam_index], positions[:, None]], axis=1
-        )
-        self.scores = new_scores
-        self.used = self.used[beam_index].copy()
-        self.used[np.arange(len(positions)), positions] = True
-        self.done = self.prefixes.shape[1] == self.m
-        return beam_index
+        if self._frontier is None:
+            self._frontier = _Frontier([self])
+        frontier = self._frontier
+        parents = frontier.advance(log_probs)
+        frontier.settle()
+        if not self.done:
+            self.prefixes, self.scores = frontier.prefixes, frontier.scores
+        return parents
 
     def candidates(self) -> list[BeamCandidate]:
         """Completed candidates, sorted by descending log-probability."""
@@ -221,6 +189,113 @@ class BeamSearchState:
         return out[: self.max_candidates]
 
 
+class _Frontier:
+    """The alive beams of a group of queries' decodes as one row block.
+
+    Row ``r`` extends a prefix of query ``query[r]`` (an index into
+    ``states``).  Rows are query-major, and within a query they keep the
+    order of its last prune, so the block is exactly the per-query
+    frontiers stacked.  Every array is padded to the group's largest
+    table count ``M``: a pad slot counts as used, so it is never
+    expanded.  ``reach`` marks the slots adjacent to a row's prefix (all
+    of them before the first step, and always for a query decoded without
+    legality).  ``beams[q]`` is query ``q``'s row count, 0 once it
+    finished, and ``live`` the number of queries with rows.
+    """
+
+    def __init__(self, states: list[BeamSearchState]):
+        if any(state.done or state.prefixes.shape[1] for state in states):
+            raise ValueError("a frontier starts from fresh, unfinished beam searches")
+        self.states = states
+        self.m = np.array([state.m for state in states])
+        width = np.array([max(state.beam_width, 1) for state in states])
+        slots = np.arange(self.m.max())
+        # Per-query limits: expansions per beam, and beams kept after
+        # step t (``keep[t]``: the width, max_candidates after the last).
+        self.k = np.minimum(width, self.m)
+        self.columns = np.arange(self.k.max())
+        self.keep = np.where(
+            slots[:, None] + 1 < self.m, width, [state.max_candidates for state in states]
+        )
+        self.ends = set(self.m.tolist())  # steps after which some query is complete
+        self.links = np.ones((len(states), len(slots), len(slots)), dtype=bool)
+        for q, state in enumerate(states):
+            if state.enforce_legality:
+                self.links[q] = False
+                self.links[q, : state.m, : state.m] = state.adjacency
+        self.query = np.arange(len(states))
+        self.prefixes = np.zeros((len(states), 0), dtype=np.int64)
+        self.scores = np.zeros(len(states), dtype=np.float64)
+        self.used = slots[None, :] >= self.m[:, None]
+        self.reach = np.ones_like(self.used)
+        self.beams = np.ones(len(states), dtype=np.int64)
+        self.live = len(states)
+
+    def advance(self, log_probs: np.ndarray) -> np.ndarray:
+        """Expand every row from its ``(R, M')`` log-probabilities and
+        prune each query to its limit; returns each new row's parent.
+
+        ``M'`` may be below ``M`` once the group's largest query is gone;
+        every alive query fits in it.
+        """
+        t = self.prefixes.shape[1]
+        width = log_probs.shape[1]
+        allowed = ~self.used[:, :width] & self.reach[:, :width]
+        # Per-row top-k: stable argsort on -log_prob with disallowed
+        # positions pushed past the end, matching the reference's stable
+        # ``sorted(allowed, key=lambda p: -log_probs[p])[:beam_width]``.
+        ranked = np.argsort(np.where(allowed, -log_probs, np.inf), axis=1, kind="stable")
+        ranked = ranked[:, : len(self.columns)]
+        take = np.minimum(allowed.sum(axis=1), self.k[self.query])
+        valid = self.columns[: ranked.shape[1]] < take[:, None]
+        parents = np.repeat(np.arange(len(take)), take)
+        positions = ranked[valid]
+        scores = self.scores[parents] + log_probs[parents, positions]
+        # Per-query prune: stable sort by (query, descending score), so
+        # ties keep the (beam, rank) emission order as the reference's
+        # list.sort does.  ``owner`` is already sorted, so it is also the
+        # sorted owner column, and a row's rank is its offset in its run.
+        owner = self.query[parents]
+        order = np.lexsort((-scores, owner))
+        sizes = np.bincount(owner, minlength=len(self.states))
+        rank = np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+        kept = order[rank < self.keep[t][owner]]
+        parents, positions = parents[kept], positions[kept]
+        self.query = owner[kept]
+        self.prefixes = np.concatenate([self.prefixes[parents], positions[:, None]], axis=1)
+        self.scores = scores[kept]
+        self.used = self.used[parents]
+        self.used[np.arange(len(positions)), positions] = True
+        links = self.links[self.query, positions]
+        self.reach = links if t == 0 else self.reach[parents] | links
+        return parents
+
+    def settle(self) -> np.ndarray | None:
+        """Hand each query that just finished — complete, or dead-ended
+        with no row left — its beams, and drop its rows.
+
+        Returns the indices of the rows kept, or None when all are.
+        """
+        t = self.prefixes.shape[1]
+        beams = np.bincount(self.query, minlength=len(self.states))
+        # Nothing finished unless a live query lost its last row or some
+        # query's last step was this one.
+        if t not in self.ends and np.count_nonzero(beams) == self.live:
+            self.beams = beams
+            return None
+        finished = (self.beams > 0) & ((beams == 0) | (self.m == t))
+        ends = np.cumsum(beams)
+        for q in np.flatnonzero(finished):
+            state, rows = self.states[q], slice(ends[q] - beams[q], ends[q])
+            state.prefixes, state.scores, state.done = self.prefixes[rows], self.scores[rows], True
+        kept = np.flatnonzero(~finished[self.query])
+        self.query, self.prefixes, self.scores = self.query[kept], self.prefixes[kept], self.scores[kept]
+        self.used, self.reach = self.used[kept], self.reach[kept]
+        beams[finished] = 0
+        self.beams, self.live = beams, np.count_nonzero(beams)
+        return kept
+
+
 def drive_beam_states(
     trans_jo,
     memories: list[nn.Tensor],
@@ -230,47 +305,52 @@ def drive_beam_states(
     """Advance many beam searches in lockstep off shared decoder steps.
 
     ``memories[i]`` is the (1, m_i, d) encoder memory of ``states[i]``.
-    Each timestep makes one incremental ``decode_step`` call over every
-    active beam of every unfinished state, so a batch takes as many
-    steps as its largest query has tables.  A beam feeds one new token
-    row (the start token, then the memory row of the table it chose
-    last); the self-attention K/V of its earlier rows sit in a per-layer
-    cache whose rows are re-gathered by parent after every prune, and
-    finished queries' rows are dropped from it.
+    The unfinished states' beams form one padded row block (one
+    frontier), and each timestep makes one incremental ``decode_step``
+    call and one vectorized expand-and-prune over it, so a batch takes
+    as many steps as its largest query has tables.  A beam feeds one new
+    token row (the start token, then the memory row of the table it
+    chose last); the self-attention K/V of its earlier rows sit in a
+    per-layer cache whose rows are re-gathered by parent after every
+    prune, and finished queries' rows are dropped from it.  A state
+    receives its beams when its query finishes.
 
     Each query's encoder memory is projected (cross-attention K/V per
     decoder layer, pointer keys) exactly once into a per-query
     :class:`nn.KVCache` created here — and therefore dropped here, so
     projections can never leak across decodes or model hot-swaps.  The
-    padded batch of them depends only on which states are alive and how
-    many beams each has, so it is assembled once per such key; queries
-    of fewer tables are masked at the padded slots, and each state reads
-    only its own ``m_i`` log-probabilities.  ``scratch`` is the caller's
-    session-private arena for kernel output buffers.
+    padded batch of them depends only on how many beams each query has
+    (0 once finished), so it is assembled once per such key; queries of
+    fewer tables are masked at the padded slots.  ``scratch`` is the
+    caller's session-private arena for kernel output buffers.
     """
     if len(memories) != len(states):
         raise ValueError("one memory per beam state required")
     alive = [i for i, state in enumerate(states) if not state.done]
     if not alive:
         return
+    memories = [memories[i] for i in alive]
+    frontier = _Frontier([states[i] for i in alive])
     # One cache per query, living exactly as long as this drive call.
     caches = [nn.KVCache(memory) for memory in memories]
-    # Padded projections per (live queries, beam counts) key.
-    assembled: dict[tuple, tuple] = {}
+    # Padded projections, keyed by the per-query beam counts.
+    assembled: dict[bytes, tuple] = {}
     # Every query's table rows, stacked: a beam that chose table p of
-    # query i feeds row ``first_row[i] + p`` next.
+    # query q feeds row ``first_row[q] + p`` next.
     table = np.concatenate([memory.data[0] for memory in memories], axis=0)
     first_row = np.cumsum([0] + [memory.shape[1] for memory in memories[:-1]])
     with nn.no_grad():
         past_kv = trans_jo.decoder.empty_past_kv()
         tokens = F.repeat_batch(trans_jo.start_token.data.reshape(1, 1, -1), len(alive))
         while True:
-            counts = [states[i].num_active for i in alive]
-            key = (tuple(alive), tuple(counts))
+            key = frontier.beams.tobytes()
             projections = assembled.get(key)
             if projections is None:
-                per_query = [trans_jo.project_memory(memories[i], caches[i]) for i in alive]
-                projections = assembled[key] = trans_jo.concat_memory_kv(per_query, counts)
+                live = np.flatnonzero(frontier.beams)
+                per_query = [trans_jo.project_memory(memories[q], caches[q]) for q in live]
+                projections = assembled[key] = trans_jo.concat_memory_kv(
+                    per_query, frontier.beams[live]
+                )
             memory_kv, pointer_keys, padding = projections
             log_probs = F.log_softmax(
                 trans_jo.decode_step(
@@ -281,23 +361,15 @@ def drive_beam_states(
                     scratch=scratch,
                 )
             )
-            survivors, keep, next_rows = [], [], []
-            offset = 0
-            for i, n_beams in zip(alive, counts):
-                state = states[i]
-                parents = state.advance(log_probs[offset: offset + n_beams, : state.m])
-                if not state.done:
-                    survivors.append(i)
-                    keep.append(offset + parents)
-                    next_rows.append(first_row[i] + state.prefixes[:, -1])
-                offset += n_beams
-            if not survivors:
+            parents = frontier.advance(log_probs)
+            kept = frontier.settle()
+            if not frontier.live:
                 return
-            alive = survivors
-            keep = np.concatenate(keep)
+            if kept is not None:
+                parents = parents[kept]
             for layer_kv in past_kv:
-                layer_kv[0], layer_kv[1] = layer_kv[0][keep], layer_kv[1][keep]
-            tokens = table[np.concatenate(next_rows)][:, None, :]
+                layer_kv[0], layer_kv[1] = layer_kv[0][parents], layer_kv[1][parents]
+            tokens = table[first_row[frontier.query] + frontier.prefixes[:, -1]][:, None, :]
 
 
 def beam_search_join_order(

@@ -328,13 +328,17 @@ class MTMLFQO(nn.Module):
         self._node_cache.put(key, content)
         return content
 
-    def encode_query(self, db_name: str, labeled: LabeledQuery) -> EncodedQuery:  # holds: _infer_lock
+    def encode_query(  # holds: _infer_lock
+        self, db_name: str, labeled: LabeledQuery, signatures: dict[int, tuple] | None = None
+    ) -> EncodedQuery:
         """Run the (F) module on one query's plan.
 
         Cached in a bounded LRU keyed by the plan's structural signature,
         so structurally equivalent plans share one entry (DESIGN.md §3).
+        ``signatures`` is a caller-scoped :func:`plan_signature` memo for
+        plans that share nodes (the rerank's probes).
         """
-        key = (db_name, plan_signature(labeled.plan))
+        key = (db_name, plan_signature(labeled.plan, signatures))
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -357,14 +361,15 @@ class MTMLFQO(nn.Module):
     # Forward passes
     # ------------------------------------------------------------------
     def forward_batch(
-        self, db_name: str, items: list[LabeledQuery]
+        self, db_name: str, items: list[LabeledQuery], signatures: dict[int, tuple] | None = None
     ) -> tuple[nn.Tensor, np.ndarray, list[EncodedQuery]]:
         """Shared representations for a batch of queries.
 
         Returns ``(S, pad_mask, encodings)`` where S is
         (B, Lmax, d_model) and pad_mask is True at padded node slots.
+        ``signatures`` is passed on to :meth:`encode_query`.
         """
-        encodings = [self.encode_query(db_name, item) for item in items]
+        encodings = [self.encode_query(db_name, item, signatures) for item in items]
         max_len = max(e.num_nodes for e in encodings)
         batch = np.zeros((len(items), max_len, self.config.node_feature_dim), dtype=np.float64)
         trees = np.zeros((len(items), max_len, self.config.d_model), dtype=np.float64)
@@ -588,9 +593,14 @@ class MTMLFQO(nn.Module):
         solo call would, and costs are bit-identical to per-query ones.
         A complete order over ``m`` tables always plans to ``2m - 1``
         nodes, so a group mixes queries only when their table counts
-        match.  Returns ``{entry index -> chosen order}``.
+        match.  A query's candidates share their scans and most
+        prefixes, so each distinct prefix is planned once
+        (``plan_with_orders``, against one cardinality view per query)
+        and signed once (a ``plan_signature`` memo that lives only in
+        this call, while its probes keep every signed node alive).  Only
+        the CostEst head runs.  Returns ``{entry index -> chosen order}``.
         """
-        from ..optimizer.planner import plan_with_order
+        from ..optimizer.planner import plan_with_orders
         from ..optimizer.selectivity import HistogramEstimator
 
         results: dict[int, list[str]] = {}
@@ -598,24 +608,18 @@ class MTMLFQO(nn.Module):
             return results
         featurizer = self.featurizer_for(db_name)
         estimator = HistogramEstimator(featurizer.db)
+        signatures: dict[int, tuple] = {}
         prepared = []  # (index, orders, probes, favourite_planned)
         for index, labeled, candidates in entries:
             query = labeled.query
-            # One cardinality view per query: its candidates differ only
-            # in order, so they share every scan and most prefixes.
-            view = estimator.for_query(query)
             num_nodes = 2 * query.num_tables - 1
             all_orders = [candidate.tables(query.tables) for candidate in candidates]
+            plans = plan_with_orders(query, all_orders, estimator.for_query(query))
             orders: list[list[str]] = []
             probes: list[LabeledQuery] = []
-            favourite_planned = False
-            for rank, order in enumerate(all_orders):
-                try:
-                    plan = plan_with_order(query, order, view)
-                except ValueError:
+            for order, plan in zip(all_orders, plans):
+                if plan is None:
                     continue
-                if rank == 0:
-                    favourite_planned = True
                 orders.append(order)
                 probes.append(
                     LabeledQuery(
@@ -629,7 +633,7 @@ class MTMLFQO(nn.Module):
             if not probes:
                 results[index] = all_orders[0]
             else:
-                prepared.append((index, orders, probes, favourite_planned))
+                prepared.append((index, orders, probes, plans[0] is not None))
 
         groups: dict[int, list] = {}
         for entry in prepared:
@@ -641,10 +645,10 @@ class MTMLFQO(nn.Module):
             root_costs: list[float] = []
             with nn.no_grad():
                 for start in range(0, len(flat), _INFERENCE_CHUNK):
-                    _, log_costs, _, _, _ = self.predict_log_nodes(
-                        db_name, flat[start: start + _INFERENCE_CHUNK]
+                    shared, _, _ = self.forward_batch(
+                        db_name, flat[start: start + _INFERENCE_CHUNK], signatures
                     )
-                    root_costs.extend(log_costs.data[:, 0].tolist())
+                    root_costs.extend(self.cost_head(shared).data[:, 0].tolist())
             cursor = 0
             for index, orders, probes, favourite_planned in group:
                 scored = list(zip(orders, root_costs[cursor: cursor + len(probes)]))

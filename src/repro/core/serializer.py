@@ -126,7 +126,7 @@ def serialize_plan(plan: PlanNode) -> tuple[list[PlanNode], list[TreePosition]]:
     return nodes, positions
 
 
-def plan_signature(plan: PlanNode) -> tuple:
+def plan_signature(plan: PlanNode, memo: dict[int, tuple] | None = None) -> tuple:
     """Structural signature of a plan tree (hashable, order-sensitive).
 
     Two plans share a signature iff they are node-for-node identical in
@@ -135,24 +135,37 @@ def plan_signature(plan: PlanNode) -> tuple:
     as the model's feature-cache key (DESIGN.md section 3) so that
     structurally equivalent plans (e.g. the cost-rerank's probe plans)
     share one cached encoding, regardless of object identity.
+
+    ``memo`` maps ``id(node)`` to its signature, so plans that share
+    sub-trees (:func:`repro.optimizer.plan_with_orders`) sign each shared
+    node once.  It is keyed by identity: keep it only as long as every
+    node it saw is alive and unchanged, as inside one rerank call.
     """
+    if memo is not None:
+        signature = memo.get(id(plan))
+        if signature is not None:
+            return signature
     if plan.is_scan:
         filter_sig = None
         if plan.filter is not None:
             filter_sig = (plan.filter.table, tuple(str(p) for p in plan.filter.predicates))
-        return (
+        signature = (
             "scan",
             plan.table,
             plan.scan_op.value if plan.scan_op else None,
             filter_sig,
         )
-    return (
-        "join",
-        plan.join_op.value if plan.join_op else None,
-        tuple(str(p) for p in plan.join_predicates),
-        plan_signature(plan.left),
-        plan_signature(plan.right),
-    )
+    else:
+        signature = (
+            "join",
+            plan.join_op.value if plan.join_op else None,
+            tuple(str(p) for p in plan.join_predicates),
+            plan_signature(plan.left, memo),
+            plan_signature(plan.right, memo),
+        )
+    if memo is not None:
+        memo[id(plan)] = signature
+    return signature
 
 
 def query_signature(query) -> tuple:

@@ -78,35 +78,44 @@ class CostModel:
         return (ScanOp.INDEX, index) if index < seq else (ScanOp.SEQ, seq)
 
     # ------------------------------------------------------------------
+    def node_cost(self, node: PlanNode, cardinalities: dict[frozenset, float], base_rows: dict[str, float]) -> float:
+        """Cost of one plan node, its operator chosen here if unset.
+
+        An unset scan / join operator becomes the cheapest one for the
+        node's cardinalities and is written into the node, as is the
+        cost (``estimated_cost``).  Children are read, never changed.
+        """
+        out_rows = cardinalities[node.tables]
+        if node.is_scan:
+            has_filter = node.filter is not None and len(node.filter) > 0
+            op = node.scan_op
+            if op is None:
+                op, cost = self.best_scan_op(base_rows[node.table], out_rows, has_filter)
+                node.scan_op = op
+            else:
+                cost = self.scan_cost(base_rows[node.table], out_rows, op)
+        else:
+            left_rows = cardinalities[node.left.tables]
+            right_rows = cardinalities[node.right.tables]
+            op = node.join_op
+            if op is None:
+                op, cost = self.best_join_op(left_rows, right_rows, out_rows)
+                node.join_op = op
+            else:
+                cost = self.join_cost(left_rows, right_rows, out_rows, op)
+        node.estimated_cost = cost
+        return cost
+
     def plan_cost(self, plan: PlanNode, cardinalities: dict[frozenset, float], base_rows: dict[str, float]) -> float:
         """Total cost of a physical plan given per-subtree cardinalities.
 
         ``cardinalities`` maps each node's table set to its (estimated or
         true) output cardinality; ``base_rows`` maps table name to its
-        unfiltered row count.
+        unfiltered row count.  Every node goes through :meth:`node_cost`.
         """
         total = 0.0
         for node in plan.nodes_postorder():
-            out_rows = cardinalities[node.tables]
-            if node.is_scan:
-                has_filter = node.filter is not None and len(node.filter) > 0
-                op = node.scan_op
-                if op is None:
-                    op, cost = self.best_scan_op(base_rows[node.table], out_rows, has_filter)
-                    node.scan_op = op
-                else:
-                    cost = self.scan_cost(base_rows[node.table], out_rows, op)
-            else:
-                left_rows = cardinalities[node.left.tables]
-                right_rows = cardinalities[node.right.tables]
-                op = node.join_op
-                if op is None:
-                    op, cost = self.best_join_op(left_rows, right_rows, out_rows)
-                    node.join_op = op
-                else:
-                    cost = self.join_cost(left_rows, right_rows, out_rows, op)
-            node.estimated_cost = cost
-            total += cost
+            total += self.node_cost(node, cardinalities, base_rows)
         return total
 
 

@@ -7,7 +7,7 @@ optimal-order oracle standing in for the paper's ECQO program.
 
 from .join_enum import PlannedQuery, dp_join_enumeration, greedy_join_order
 from .optimal import optimal_join_order, optimal_plan
-from .planner import PostgresStylePlanner, plan_with_order
+from .planner import PostgresStylePlanner, plan_with_order, plan_with_orders
 from .selectivity import (
     CardinalityEstimator,
     HistogramEstimator,
@@ -25,6 +25,7 @@ __all__ = [
     "PlannedQuery",
     "PostgresStylePlanner",
     "plan_with_order",
+    "plan_with_orders",
     "optimal_plan",
     "optimal_join_order",
 ]

@@ -13,6 +13,7 @@ import copy
 import numpy as np
 import pytest
 
+import repro.core.beam as beam_module
 import repro.nn as nn
 from repro.core import (
     BeamSearchState,
@@ -228,6 +229,93 @@ class TestBatchedBeamParity:
             assert_candidates_match(state.candidates(), solo)
 
 
+@pytest.fixture
+def frontier_steps(monkeypatch):
+    """Every multi-query ``_Frontier.advance`` call of the test, as
+    ``(row -> query, log_probs)``, plus a count of one-query advances."""
+    steps, solo = [], []
+    advance = beam_module._Frontier.advance
+
+    def recording(self, log_probs):
+        if self.states[0]._frontier is self:
+            solo.append(len(log_probs))
+        else:
+            steps.append((self.query.copy(), log_probs.copy()))
+        return advance(self, log_probs)
+
+    monkeypatch.setattr(beam_module._Frontier, "advance", recording)
+    return steps, solo
+
+
+class TestFrontier:
+    """One vectorized expand-and-prune per step over every query of the
+    group; ``BeamSearchState.advance`` is its one-query case."""
+
+    SIZES = [3, 8, 5, 6, 4, 7, 8, 3]
+
+    @pytest.mark.parametrize("enforce_legality", [True, False])
+    @pytest.mark.parametrize("beam_width", list(range(1, 9)))
+    def test_group_equals_one_state_advances(self, trans_jo, frontier_steps, beam_width, enforce_legality):
+        """Replaying each query's rows of the group's log-probabilities
+        through its own ``BeamSearchState.advance`` gives the group's
+        candidates bit for bit: the bookkeeping, not the decoder, is
+        compared, so ``log_prob`` is held to ``==``."""
+        steps, solo = frontier_steps
+        rng = np.random.default_rng(beam_width)
+        adjacencies = [random_connected_adjacency(m, rng) for m in self.SIZES]
+        memories = [random_memory(m, seed=500 + i) for i, m in enumerate(self.SIZES)]
+
+        def state(adjacency):
+            return BeamSearchState(
+                adjacency, beam_width=beam_width, enforce_legality=enforce_legality
+            )
+
+        group = [state(adjacency) for adjacency in adjacencies]
+        drive_beam_states(trans_jo, memories, group)
+        assert len(steps) == max(self.SIZES) and not solo
+        for q, (adjacency, driven) in enumerate(zip(adjacencies, group)):
+            alone = state(adjacency)
+            for query_of_row, log_probs in steps:
+                if alone.done:
+                    break
+                alone.advance(log_probs[query_of_row == q, : alone.m])
+            assert alone.done
+            assert [(c.positions, c.legal, c.log_prob) for c in driven.candidates()] == [
+                (c.positions, c.legal, c.log_prob) for c in alone.candidates()
+            ]
+        assert len(solo) == sum(self.SIZES)  # the replays ran the same advance
+
+    def test_a_6_7_8_table_group_advances_8_times(self, trans_jo, frontier_steps):
+        steps, solo = frontier_steps
+        specs = [(6, chain_adjacency), (7, star_adjacency), (8, chain_adjacency)]
+        memories = [random_memory(m, seed=700 + m) for m, _ in specs]
+        states = [BeamSearchState(build(m), beam_width=3) for m, build in specs]
+        drive_beam_states(trans_jo, memories, states)
+        assert len(steps) == 8 and not solo
+        assert [len(rows) for rows, _ in steps[:2]] == [3, 9]  # one start row each, then 3 beams each
+        assert all(state.done and len(state.candidates()) == 3 for state in states)
+
+    def test_dead_end_ends_a_query_with_no_candidates(self, trans_jo):
+        """A duck-typed caller driving a disconnected graph with legality
+        on (the public entry points reject it up front): that query ends
+        with no candidates, and its group-mate decodes as if alone."""
+        disconnected = np.zeros((4, 4), dtype=bool)
+        disconnected[0, 1] = disconnected[1, 0] = True
+        disconnected[2, 3] = disconnected[3, 2] = True
+        memories = [random_memory(4, seed=90), random_memory(5, seed=91)]
+        states = [BeamSearchState(disconnected), BeamSearchState(chain_adjacency(5))]
+        drive_beam_states(trans_jo, memories, states)
+        assert states[0].done and states[0].candidates() == []
+        solo = beam_search_join_order_sequential(trans_jo, memories[1], chain_adjacency(5))
+        assert_candidates_match(states[1].candidates(), solo)
+        alone = BeamSearchState(disconnected, beam_width=1)
+        for _ in range(3):
+            alone.advance(np.log(np.full((alone.num_active, 4), 0.25)))
+        assert alone.done and alone.candidates() == []
+        with pytest.raises(RuntimeError, match="finished"):
+            alone.advance(np.zeros((1, 4)))
+
+
 class TestFastVsTapeParity:
     """The production decode (layer bodies on raw ndarrays, cached K/V,
     scratch buffers) must yield bit-identical candidates to the same
@@ -306,11 +394,12 @@ class TestKVCacheStillPays:
         assert [item.query.num_tables for item in items] == [3, 2, 2, 2, 3, 3, 2, 4]
         expected = {
             # cold: (F) encoders + Trans_Share + beam steps + cost rerank
-            "cold": {"linear": 204, "matmul": 56, "layer_norm": 76, "softmax": 28,
-                     "masked_fill": 9, "relu": 28, "log_softmax": 4},
+            # (the rerank's probe forwards run the CostEst head only)
+            "cold": {"linear": 200, "matmul": 56, "layer_norm": 76, "softmax": 28,
+                     "masked_fill": 9, "relu": 26, "log_softmax": 4},
             # warm feature caches: Trans_Share + beam steps + cost rerank
-            "warm": {"linear": 85, "matmul": 22, "layer_norm": 25, "softmax": 11,
-                     "masked_fill": 9, "relu": 11, "log_softmax": 4},
+            "warm": {"linear": 81, "matmul": 22, "layer_norm": 25, "softmax": 11,
+                     "masked_fill": 9, "relu": 9, "log_softmax": 4},
         }
         for phase in ("cold", "warm"):
             with nn.kernels.profiled() as profile:

@@ -10,7 +10,7 @@ import pytest
 
 import repro.optimizer.selectivity as selectivity
 from naive_estimator import NaiveHistogramEstimator
-from repro.core import DatabaseFeaturizer, ModelConfig, MTMLFQO
+from repro.core import DatabaseFeaturizer, ModelConfig, MTMLFQO, is_legal_order
 from repro.core.serializer import plan_signature
 from repro.datagen import generate_database
 from repro.engine.plan import left_deep_plan
@@ -21,6 +21,7 @@ from repro.optimizer import (
     greedy_join_order,
     optimal_plan,
     plan_with_order,
+    plan_with_orders,
 )
 from repro.sql import Query, parse_query
 from repro.storage import Database, JoinRelation, Table
@@ -149,6 +150,56 @@ class TestSameBitsAsRecomputing:
             model.predict_join_order(db.name, item, rerank_with_cost=True) for item in items
         ]
         assert batched == single
+
+
+class TestPrefixPlanner:
+    """``plan_with_orders`` plans each distinct prefix once; per order it
+    is ``plan_with_order``, its one-order case."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_order_plans_like_plan_with_order(self, db, seed):
+        estimator = HistogramEstimator(db)
+        rng = random.Random(seed)
+        for query in queries(db, seed):
+            orders = legal_orders(query, rng, cap=40)
+            shared = plan_with_orders(query, orders, estimator.for_query(query))
+            for order, plan in zip(orders, shared, strict=True):
+                alone = plan_with_order(query, order, estimator)
+                assert plan.leaf_tables_in_order() == order
+                assert plan_signature(plan) == plan_signature(alone)
+                assert annotations(plan) == annotations(alone)
+
+    def test_shared_prefixes_are_one_node(self, db):
+        query = next(q for q in queries(db, 2, count=20) if q.num_tables >= 5)
+        orders = legal_orders(query, random.Random(0), cap=60)
+        plans = plan_with_orders(query, orders, HistogramEstimator(db))
+        nodes = {}  # ordered prefix -> the node planned for it
+        for order, plan in zip(orders, plans):
+            node = plan
+            for length in range(len(order), 1, -1):
+                assert nodes.setdefault(tuple(order[:length]), node) is node
+                assert nodes.setdefault(("scan", order[length - 1]), node.right) is node.right
+                node = node.left
+            assert nodes.setdefault(("scan", order[0]), node) is node
+        distinct = {tuple(order[:length]) for order in orders for length in range(2, len(order) + 1)}
+        assert len({id(node) for node in nodes.values()}) == len(distinct) + query.num_tables
+
+    def test_an_illegal_order_is_none_here_and_raises_alone(self, db):
+        estimator = HistogramEstimator(db)
+        query = next(q for q in queries(db, 1, count=20) if q.num_tables >= 3)
+        adjacency = query.adjacency_matrix()
+        illegal = next(
+            [query.tables[p] for p in perm]
+            for perm in itertools.permutations(range(query.num_tables))
+            if not is_legal_order(list(perm), adjacency)
+        )
+        legal = legal_orders(query, random.Random(1))[0]
+        view = estimator.for_query(query)
+        assert plan_with_orders(query, [illegal, legal, illegal], view)[::2] == [None, None]
+        with pytest.raises(ValueError, match="illegal join order"):
+            plan_with_order(query, illegal, estimator)
+        with pytest.raises(ValueError, match="does not cover"):
+            plan_with_orders(query, [legal[:-1]], view)
 
 
 class TestWorkIsDoneOnce:
