@@ -175,7 +175,7 @@ def main() -> None:
         print(f"collected {len(collector.buffer)} experiences from served orders")
         if gate is None:
             print("no gateable experience collected (all executions rejected): "
-                  f"{collector.rejection_reasons()}")
+                  f"{service.report().feedback_rejections}")
         else:
             print(f"regression gate: candidate {gate.candidate_ms:.2f} ms vs live "
                   f"{gate.live_ms:.2f} ms on {gate.validation_count} held-out queries "

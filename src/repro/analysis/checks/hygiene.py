@@ -15,13 +15,10 @@
 - **wall-clock** — ``time.time()`` is wall clock and jumps under NTP;
   all latency/interval math uses ``time.monotonic()`` or
   ``time.perf_counter()``.
-- **scratch-privacy** — ``ScratchArena`` / ``KVCache`` instances must
-  never live at module scope or on a class body.  Arenas hand out
-  reusable buffers and caches hold projections of one specific memory;
-  shared across sessions (or decodes) they are write-after-free and
-  stale-read bugs waiting for a second thread.  Both belong to exactly
-  one owner: an arena to one ``InferenceSession``, a cache to one
-  decode.
+- **scratch-privacy** — ``ScratchArena`` instances must never live at
+  module scope or on a class body.  Arenas hand out reusable buffers;
+  shared across sessions they are write-after-free bugs waiting for a
+  second thread.  An arena belongs to exactly one ``InferenceSession``.
 """
 
 from __future__ import annotations
@@ -169,19 +166,18 @@ class WallClockChecker(_CallChecker):
 
 
 class ScratchPrivacyChecker(Checker):
-    """No module-level or class-body ``ScratchArena`` / ``KVCache``.
+    """No module-level or class-body ``ScratchArena``.
 
-    Both types are deliberately unsynchronized and owner-scoped (see
-    ``repro.nn.kernels.ScratchArena`` / ``repro.nn.attention.KVCache``).
-    An instance created at import time is process-global by construction
-    — shared buffers across sessions, or projections outliving the
-    decode (and model hot-swaps) they were computed for.
+    The type is deliberately unsynchronized and owner-scoped (see
+    ``repro.nn.kernels.ScratchArena``).  An instance created at import
+    time is process-global by construction — buffers shared across
+    sessions.
     """
 
     name = "scratch-privacy"
-    description = "ScratchArena/KVCache instances are owner-scoped, never global"
+    description = "ScratchArena instances are owner-scoped, never global"
 
-    _OWNER_SCOPED = frozenset({"ScratchArena", "KVCache"})
+    _OWNER_SCOPED = frozenset({"ScratchArena"})
 
     def check(self, module: SourceModule) -> list[Finding]:
         findings: list[Finding] = []
@@ -209,9 +205,9 @@ class ScratchPrivacyChecker(Checker):
                                 module,
                                 node,
                                 f"{leaf}() instantiated at {where} scope — scratch "
-                                f"buffers and KV projections must be private to one "
-                                f"session/decode, not process-global; create them in "
-                                f"the owner's __init__ (or per decode) instead",
+                                f"buffers must be private to one session, not "
+                                f"process-global; create them in the owner's "
+                                f"__init__ instead",
                                 symbol=where,
                             )
                         )

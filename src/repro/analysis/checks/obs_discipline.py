@@ -7,7 +7,9 @@ One rule keeps instrumentation from degrading the code it observes:
   of the enclosing class's own locks both serializes unrelated request
   threads behind telemetry and threads the service lock into the
   metric-lock order.  Record after releasing, the way
-  ``ServiceStats.note_completed`` does.
+  ``ServiceStats.note_completed`` does.  A ``*.stats.note_*`` call
+  records too: it is a ``ServiceStats`` writer wrapping ``inc()`` /
+  ``observe()``.
 
 (Balanced spans need no rule: ``TraceRecorder`` has only the
 context-manager form, so there is no open-span handle to leak.)
@@ -91,10 +93,12 @@ class ObsDisciplineChecker(Checker):
         leaf = call.func.attr
         if leaf in _RECORDING_LEAVES:
             return f"{leaf}()"
-        if leaf == "record":
-            dotted = dotted_name(call.func)
-            if dotted is not None and any(
-                dotted.endswith(suffix) for suffix in _RECORDING_SUFFIXES
-            ):
-                return f"{dotted}()"
+        dotted = dotted_name(call.func)
+        if dotted is None:
+            return None
+        if leaf == "record" and any(dotted.endswith(suffix) for suffix in _RECORDING_SUFFIXES):
+            return f"{dotted}()"
+        # ServiceStats writers, reached as <owner>.stats.note_*().
+        if leaf.startswith("note_") and dotted.rsplit(".", 2)[-2:-1] == ["stats"]:
+            return f"{dotted}()"
         return None

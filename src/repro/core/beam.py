@@ -26,8 +26,8 @@ prunes it — a masked stable top-k per row, one ``lexsort`` by (query,
 the same few numpy calls at any batch size.  ``BeamSearchState.advance``
 is the one-query case of that call.  Legality is an incrementally
 OR-ed adjacency row per beam.  There is one decode path: the driver
-projects each query's encoder memory once (a per-decode
-``nn.KVCache``) and steps the decoder on raw ndarrays.  A one-beam-at-a-
+projects each query's encoder memory once, before its first step, and
+steps the decoder on raw ndarrays.  A one-beam-at-a-
 time reference search lives with the tests (``tests/sequential_oracle.py``);
 it steps the same ``decode_step`` at B = 1, and the batched search
 matches it at decode level — identical positions, legal flags and
@@ -316,10 +316,9 @@ def drive_beam_states(
     receives its beams when its query finishes.
 
     Each query's encoder memory is projected (cross-attention K/V per
-    decoder layer, pointer keys) exactly once into a per-query
-    :class:`nn.KVCache` created here — and therefore dropped here, so
-    projections can never leak across decodes or model hot-swaps.  The
-    padded batch of them depends only on how many beams each query has
+    decoder layer, pointer keys) exactly once, before the step loop,
+    into locals of this call — so projections can never leak across
+    decodes or model hot-swaps.  The padded batch of them depends only on how many beams each query has
     (0 once finished), so it is assembled once per such key; queries of
     fewer tables are masked at the padded slots.  ``scratch`` is the
     caller's session-private arena for kernel output buffers.
@@ -331,8 +330,6 @@ def drive_beam_states(
         return
     memories = [memories[i] for i in alive]
     frontier = _Frontier([states[i] for i in alive])
-    # One cache per query, living exactly as long as this drive call.
-    caches = [nn.KVCache(memory) for memory in memories]
     # Padded projections, keyed by the per-query beam counts.
     assembled: dict[bytes, tuple] = {}
     # Every query's table rows, stacked: a beam that chose table p of
@@ -340,6 +337,7 @@ def drive_beam_states(
     table = np.concatenate([memory.data[0] for memory in memories], axis=0)
     first_row = np.cumsum([0] + [memory.shape[1] for memory in memories[:-1]])
     with nn.no_grad():
+        projected = [trans_jo.project_memory(memory) for memory in memories]
         past_kv = trans_jo.decoder.empty_past_kv()
         tokens = F.repeat_batch(trans_jo.start_token.data.reshape(1, 1, -1), len(alive))
         while True:
@@ -347,9 +345,8 @@ def drive_beam_states(
             projections = assembled.get(key)
             if projections is None:
                 live = np.flatnonzero(frontier.beams)
-                per_query = [trans_jo.project_memory(memories[q], caches[q]) for q in live]
                 projections = assembled[key] = trans_jo.concat_memory_kv(
-                    per_query, frontier.beams[live]
+                    [projected[q] for q in live], frontier.beams[live]
                 )
             memory_kv, pointer_keys, padding = projections
             log_probs = F.log_softmax(

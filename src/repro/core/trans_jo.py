@@ -149,25 +149,16 @@ class TransJO(nn.Module):
         logits = self._pointer_logits(hidden, memory, pointer_keys, memory_padding_mask)
         return logits.reshape(logits.shape[0], -1)
 
-    def project_memory(self, memory: nn.Tensor, kv_cache: "nn.KVCache | None" = None):
+    def project_memory(self, memory: nn.Tensor):
         """Per-decode projections of one (1, m, d) encoder memory.
 
         Returns ``(memory_kv, pointer_keys)`` as raw ndarrays: the
         per-layer cross-attention K/V pairs plus the pointer keys
         ``W S_i`` — all the projections of the memory that every decoder
-        step would otherwise recompute.  With ``kv_cache`` (a
-        :class:`nn.KVCache` bound to exactly this memory) the projection
-        runs once per decode; a cache bound to a different memory is a
-        bug upstream and is rejected loudly.
+        step would otherwise recompute.  The beam driver calls it once
+        per query per decode.
         """
-        def project():
-            return self.decoder.project_memory_kv(memory.data), self.pointer_proj(memory.data)
-
-        if kv_cache is None:
-            return project()
-        if not kv_cache.bound_to(memory):
-            raise ValueError("KV cache is bound to a different encoder memory than the one being decoded")
-        return kv_cache.get_or_project("transjo.memory_kv", project)
+        return self.decoder.project_memory_kv(memory.data), self.pointer_proj(memory.data)
 
     @staticmethod
     def concat_memory_kv(per_query, counts: list[int]):

@@ -11,7 +11,7 @@ from .experiments import (
     run_table3,
     worst_legal_order,
 )
-from .metrics import LatencyStats, QErrorStats, improvement_ratio, latency_stats, qerror_stats
+from .metrics import QErrorStats, improvement_ratio, qerror_stats
 from .reporting import (
     format_fleet_report,
     format_serving_report,
@@ -24,8 +24,6 @@ __all__ = [
     "QErrorStats",
     "qerror_stats",
     "improvement_ratio",
-    "LatencyStats",
-    "latency_stats",
     "SingleDBStudy",
     "StudyConfig",
     "Table1Row",

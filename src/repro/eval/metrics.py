@@ -8,7 +8,7 @@ import numpy as np
 
 from ..nn.losses import q_error
 
-__all__ = ["QErrorStats", "qerror_stats", "improvement_ratio", "LatencyStats", "latency_stats"]
+__all__ = ["QErrorStats", "qerror_stats", "improvement_ratio"]
 
 
 @dataclass
@@ -49,47 +49,3 @@ def improvement_ratio(baseline_time: float, time: float) -> float:
     if baseline_time <= 0:
         raise ValueError("baseline time must be positive")
     return (baseline_time - time) / baseline_time
-
-
-@dataclass
-class LatencyStats:
-    """Summary of a latency sample (seconds): the serving-layer columns."""
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    p99: float
-    max: float
-
-    def __str__(self) -> str:
-        return (
-            f"mean {1000 * self.mean:.1f} ms  p50 {1000 * self.p50:.1f} ms  "
-            f"p95 {1000 * self.p95:.1f} ms  p99 {1000 * self.p99:.1f} ms  "
-            f"max {1000 * self.max:.1f} ms"
-        )
-
-
-def latency_stats(samples) -> "LatencyStats | None":
-    """Aggregate a latency sample; ``None`` for an empty one.
-
-    Percentiles use the nearest-rank ("lower") method so every reported
-    figure is an actually observed latency, not an interpolation.  NaN
-    samples are rejected (``ValueError``): a NaN would silently poison
-    the mean and make ``np.percentile`` order-dependent, so a recorder
-    that produced one has a bug worth surfacing.
-    """
-    values = np.asarray(list(samples), dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        return None
-    if np.isnan(values).any():
-        raise ValueError(f"latency samples contain {int(np.isnan(values).sum())} NaN value(s)")
-    p50, p95, p99 = np.percentile(values, [50, 95, 99], method="lower")
-    return LatencyStats(
-        count=int(values.size),
-        mean=float(values.mean()),
-        p50=float(p50),
-        p95=float(p95),
-        p99=float(p99),
-        max=float(values.max()),
-    )

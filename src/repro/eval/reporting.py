@@ -87,14 +87,20 @@ def format_serving_report(report: "ServingReport", title: str = "Optimizer servi
     if report.timeout_near_misses:
         lines.append(f"{'timeout near-misses':<22}{report.timeout_near_misses:>12,}")
     if report.feedback_collected or report.feedback_deduped or report.feedback_rejected:
+        reasons = ", ".join(
+            f"{reason} {count:,}" for reason, count in sorted(report.feedback_rejections.items())
+        )
         lines.append(
             f"{'feedback experience':<22}{report.feedback_collected:>12,} collected"
             f"  {report.feedback_deduped:,} deduped  {report.feedback_rejected:,} rejected"
+            + (f" ({reasons})" if reasons else "")
         )
-    if report.retrains or report.adaptation_failures:
+    gates = report.swaps_accepted + report.swaps_rejected + report.gates_unvalidated
+    if report.retrains or gates:
         lines.append(
             f"{'online adaptation':<22}{report.retrains:>12,} retrains"
             f"  {report.swaps_accepted:,} accepted  {report.swaps_rejected:,} gate-rejected"
+            f"  {report.gates_unvalidated:,} unvalidated"
         )
     if report.adaptation_failures:
         lines.append(f"{'adaptation failures':<22}{report.adaptation_failures:>12,}")
@@ -108,8 +114,13 @@ def format_serving_report(report: "ServingReport", title: str = "Optimizer servi
             f"{'cache (pre-swap epochs)':<24}{report.retired_cache_hits:>10,} hits"
             f"  {report.retired_cache_misses:,} misses"
         )
-    if report.latency is not None:
-        lines.append(f"{'latency':<22}{'':>2}{report.latency}")
+    latency = report.latency
+    if latency is not None:
+        lines.append(
+            f"{'latency':<22}{'':>2}mean {1000 * latency.mean:.1f} ms"
+            f"  p50 {1000 * latency.p50:.1f} ms  p95 {1000 * latency.p95:.1f} ms"
+            f"  p99 {1000 * latency.p99:.1f} ms  max {1000 * latency.max:.1f} ms"
+        )
     return "\n".join(lines)
 
 
@@ -120,10 +131,10 @@ def format_fleet_report(report: "FleetReport", title: str = "Federated fleet rep
     lines.append(f"{'tenants':<22}{report.num_tenants:>12,}")
     reverted = f"  ({report.reverted_rounds:,} reverted)" if report.reverted_rounds else ""
     lines.append(f"{'federated rounds':<22}{report.rounds:>12,}{reverted}")
-    lines.append(f"{'round participations':<22}{report.rounds_participated:>12,}")
+    lines.append(f"{'tenant retrains':<22}{report.retrains:>12,}")
     lines.append(
-        f"{'global-model gates':<22}{report.global_accepted:>12,} accepted"
-        f"  {report.global_rejected:,} rejected  {report.gate_unvalidated:,} unvalidated"
+        f"{'global-model gates':<22}{report.swaps_accepted:>12,} accepted"
+        f"  {report.swaps_rejected:,} rejected  {report.gates_unvalidated:,} unvalidated"
     )
     if report.round_failures or report.tenant_failures:
         lines.append(
@@ -143,14 +154,6 @@ def format_fleet_report(report: "FleetReport", title: str = "Federated fleet rep
     for name in sorted(report.tenants):
         lines.append("")
         lines.append(format_serving_report(report.tenants[name], title=f"tenant {name!r}"))
-        counters = report.tenant_counters.get(name)
-        if counters:
-            lines.append(
-                f"{'federation':<22}{counters.get('rounds_participated', 0):>12,} rounds"
-                f"  {counters.get('global_accepted', 0):,} accepted"
-                f"  {counters.get('global_rejected', 0):,} rejected"
-                f"  {counters.get('gate_unvalidated', 0):,} unvalidated"
-            )
         status = report.slo.get(name)
         if status is not None:
             flag = "  BREACHED" if status.breached else ""

@@ -112,7 +112,8 @@ class FleetCoordinator(RoundScheduler):
         # per-tenant SLO state in.
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.tenants: dict[str, TenantNode] = {}  # guarded-by: _tenants_lock
-        self.rounds: list[FleetRound] = []  # guarded-by: _stats_lock
+        # The latest completed round; its index + 1 numbers the next.
+        self._last_round: FleetRound | None = None  # guarded-by: _stats_lock
         # The fleet totals have one store, the registry: report() and
         # every telemetry snapshot read the same counters.  Recorded
         # outside every coordinator lock.
@@ -124,7 +125,7 @@ class FleetCoordinator(RoundScheduler):
         # Serializes rounds; held across an entire broadcast → push
         # cycle (including per-tenant harvest threads) by design.
         self._round_lock = threading.Lock()  # analysis: coarse-lock
-        # Leaf lock for the rounds list above: it is appended to from the
+        # Leaf lock for the latest round above: it is written from the
         # loop thread and read by report() from any thread, and must not
         # require the (long-held) round lock to observe.
         self._stats_lock = threading.Lock()
@@ -212,7 +213,8 @@ class FleetCoordinator(RoundScheduler):
 
     def _run_round_locked(self) -> FleetRound:
         with self._stats_lock:
-            round_ = FleetRound(index=len(self.rounds))
+            last = self._last_round
+        round_ = FleetRound(index=0 if last is None else last.index + 1)
         tracer = self.telemetry.tracer
         round_trace = tracer.new_trace()
         round_started = time.perf_counter()
@@ -268,7 +270,7 @@ class FleetCoordinator(RoundScheduler):
 
         self._note_round(round_, round_trace, round_started)
         with self._stats_lock:
-            self.rounds.append(round_)
+            self._last_round = round_
         return round_
 
     def _note_round(self, round_: FleetRound, round_trace: int, round_started: float) -> None:
@@ -423,12 +425,10 @@ class FleetCoordinator(RoundScheduler):
         """Merge every tenant's ServingReport into one fleet view."""
         tenants = self._tenant_snapshot()
         tenant_reports = {name: tenant.report() for name, tenant in tenants}
-        tenant_counters = {name: tenant.counters() for name, tenant in tenants}
         with self._stats_lock:
-            last_round = self.rounds[-1] if self.rounds else None
+            last_round = self._last_round
         return FleetReport(
             tenants=tenant_reports,
-            tenant_counters=tenant_counters,
             rounds=int(self._rounds_total.value),
             reverted_rounds=int(self._reverted_rounds.value),
             round_failures=int(self._round_failures.value),

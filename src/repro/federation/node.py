@@ -18,13 +18,17 @@ federation through exactly two narrow interfaces:
   hot-swap it in only if the tenant's simulated latency does not worsen.
   A bad federated round can therefore never degrade a healthy tenant; a
   tenant with *no* experience to validate against keeps its live model
-  (counted as ``gate_unvalidated``) rather than accepting blind.
+  (counted as ``gates_unvalidated``) rather than accepting blind.
 
 Both are thin schedulers over the tenant's
 :class:`~repro.serve.adaptation.TrainRound` — the same private-copy
 builder, fine-tune and gate-and-install phases an
 :class:`~repro.serve.AdaptationWorker` runs back to back, here separated
-by the coordinator's merge and started from the broadcast state.
+by the coordinator's merge and started from the broadcast state.  The
+round counts in the tenant service's registry, so the tenant's
+:class:`~repro.serve.ServingReport` reads its participations as
+``retrains`` and its gate outcomes as ``swaps_accepted`` /
+``swaps_rejected`` / ``gates_unvalidated``.
 """
 
 from __future__ import annotations
@@ -86,8 +90,6 @@ class TenantNode:
         # machinery): each round's private trainer resumes this tenant's
         # optimizer trajectory instead of re-warming from zero.
         self._optimizer_state: dict | None = None  # guarded-by: _lock
-        self.rounds_participated = 0  # guarded-by: _lock
-        self.rounds_skipped = 0  # guarded-by: _lock
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "TenantNode":
@@ -147,8 +149,6 @@ class TenantNode:
         them by.
         """
         if self.pending_experience() < self.config.min_new_experience:
-            with self._lock:
-                self.rounds_skipped += 1
             return None
         with self._lock:
             optimizer_state = self._optimizer_state
@@ -160,7 +160,6 @@ class TenantNode:
         self.round.commit()
         with self._lock:
             self._optimizer_state = optimizer_state
-            self.rounds_participated += 1
         return shared_state_dict(trainer.model), num_examples
 
     # -- federation: push phase ----------------------------------------
@@ -182,15 +181,3 @@ class TenantNode:
     @property
     def last_gate(self) -> GateResult | None:
         return self.round.last_gate
-
-    def counters(self) -> dict:
-        """Fleet-level counters this tenant contributes to FleetReport."""
-        counts = self.round.counters()
-        with self._lock:
-            return {
-                "rounds_participated": self.rounds_participated,
-                "rounds_skipped": self.rounds_skipped,
-                "global_accepted": counts["accepted"],
-                "global_rejected": counts["rejected"],
-                "gate_unvalidated": counts["unvalidated"],
-            }

@@ -18,15 +18,15 @@ __all__ = ["FleetReport"]
 class FleetReport:
     """Frozen view of the whole fleet at one instant.
 
-    Per-tenant :class:`~repro.serve.stats.ServingReport` snapshots plus
-    the federation counters each :class:`TenantNode` keeps (rounds
-    participated/skipped, gate outcomes), and the coordinator's round
-    history.  Rendered by
+    Per-tenant :class:`~repro.serve.stats.ServingReport` snapshots (a
+    tenant's round participations are its ``retrains``, its gate
+    outcomes its ``swaps_accepted`` / ``swaps_rejected`` /
+    ``gates_unvalidated``), the coordinator's round totals and its
+    latest round.  Rendered by
     :func:`repro.eval.reporting.format_fleet_report`.
     """
 
     tenants: dict[str, ServingReport] = field(default_factory=dict)
-    tenant_counters: dict[str, dict] = field(default_factory=dict)
     rounds: int = 0
     reverted_rounds: int = 0
     # Rounds that raised in the background loop / tenants that raised
@@ -70,26 +70,23 @@ class FleetReport:
         """Sum of per-tenant throughputs (tenants serve concurrently)."""
         return sum(report.throughput_qps for report in self.tenants.values())
 
-    def _counter_sum(self, key: str) -> int:
-        return sum(counters.get(key, 0) for counters in self.tenant_counters.values())
-
     @property
-    def rounds_participated(self) -> int:
+    def retrains(self) -> int:
         """Tenant-round participations across the fleet (one round can
         count several tenants)."""
-        return self._counter_sum("rounds_participated")
+        return self._sum("retrains")
 
     @property
-    def global_accepted(self) -> int:
-        return self._counter_sum("global_accepted")
+    def swaps_accepted(self) -> int:
+        return self._sum("swaps_accepted")
 
     @property
-    def global_rejected(self) -> int:
-        return self._counter_sum("global_rejected")
+    def swaps_rejected(self) -> int:
+        return self._sum("swaps_rejected")
 
     @property
-    def gate_unvalidated(self) -> int:
-        return self._counter_sum("gate_unvalidated")
+    def gates_unvalidated(self) -> int:
+        return self._sum("gates_unvalidated")
 
     @property
     def slo_breached(self) -> "tuple[str, ...]":

@@ -7,7 +7,7 @@ child-sum Tree-LSTM, the Adam optimizer and the q-error metric.
 """
 
 from . import functional, kernels
-from .attention import KVCache, MultiHeadAttention, causal_mask
+from .attention import MultiHeadAttention, causal_mask
 from .kernels import ScratchArena
 from .layers import MLP, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter
 from .losses import cross_entropy, q_error
@@ -25,7 +25,6 @@ __all__ = [
     "no_tape_active",
     "functional",
     "kernels",
-    "KVCache",
     "ScratchArena",
     "Module",
     "ModuleList",

@@ -6,8 +6,8 @@ the causal mask inside the ``Trans_JO`` decoder.
 
 Cross-attention over a *static* key/value source (the decoder reading
 a fixed encoder memory) can skip its K/V projections entirely by passing
-precomputed ``static_kv`` — see :class:`KVCache`, which owns those
-projections for one decode.  Self-attention during incremental decoding
+precomputed ``static_kv``, which the beam driver projects once per
+decode.  Self-attention during incremental decoding
 passes ``past_kv`` instead: the K/V of every earlier row, which the call
 extends by the rows it is handed, so each decoder step projects only its
 one new token.
@@ -21,52 +21,13 @@ from . import functional as F
 from .layers import Linear, Module
 from .spec import shape_spec
 
-__all__ = ["MultiHeadAttention", "causal_mask", "KVCache"]
+__all__ = ["MultiHeadAttention", "causal_mask"]
 
 
 @shape_spec(out="(L, L)", dtypes={"out": "bool"})
 def causal_mask(length: int) -> np.ndarray:
     """Boolean (length, length) mask forbidding attention to the future."""
     return np.triu(np.ones((length, length), dtype=bool), k=1)
-
-
-class KVCache:
-    """Projected-K/V cache for one decode over one encoder memory.
-
-    A decode (one beam search, or one lockstep batch of searches) reads
-    the same encoder memory at every decoder step; projecting its K/V
-    once and reusing the result across steps removes the dominant
-    per-step matmuls.  The cache is **bound to the memory object it was
-    created for** and refuses to serve any other — so a cache can never
-    outlive its decode and feed stale projections to a different model
-    or a hot-swapped one.  Create one per decode, drop it with the
-    decode; never store one on a module or at module scope (the
-    ``scratch-privacy`` checker rejects that).
-    """
-
-    __slots__ = ("_memory", "_entries")
-
-    def __init__(self, memory):
-        self._memory = memory
-        self._entries: dict = {}
-
-    def bound_to(self, memory) -> bool:
-        """True iff this cache was created for exactly ``memory``."""
-        return memory is self._memory
-
-    def get_or_project(self, tag, project):
-        """Return the cached entry for ``tag``, computing it on a miss."""
-        entry = self._entries.get(tag)
-        if entry is None:
-            entry = project()
-            self._entries[tag] = entry
-        return entry
-
-    def invalidate(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 class MultiHeadAttention(Module):
@@ -135,9 +96,8 @@ class MultiHeadAttention(Module):
     def project_kv(self, key):
         """Split-head K/V projections of a static key/value source.
 
-        This is the entry :class:`KVCache` memoizes: for cross-attention
-        over an unchanging encoder memory, the returned pair is valid
-        for every decoder step of the decode.  It also projects each new
+        For cross-attention over an unchanging encoder memory, the
+        returned pair is valid for every decoder step of the decode.  It also projects each new
         row appended to a ``past_kv`` self-attention cache.
 
         Layout: ``(batch, Lk, heads, head_dim)`` — the *pre-transpose*
@@ -181,7 +141,7 @@ class MultiHeadAttention(Module):
         ``attn_mask`` is (Lq, Lk) boolean; ``key_padding_mask`` is
         (batch, Lk) boolean.  True entries are excluded from attention.
         ``static_kv`` supplies precomputed split-head K/V (from
-        :meth:`project_kv`, usually via a :class:`KVCache`), skipping
+        :meth:`project_kv`, projected once per decode), skipping
         the K/V projections; callers must pass projections of the same
         key/value source they would otherwise pass as arrays.
         ``past_kv`` is a self-attention cache, a ``[k, v]`` list in the

@@ -164,8 +164,8 @@ class TransformerDecoder(Module):
 
     @shape_spec(inputs={"memory": "(B, L_m, dim)"}, params=("layers",))
     def project_memory_kv(self, memory) -> list:
-        """Cross-attention K/V of ``memory`` for every layer — the
-        per-decode work a :class:`repro.nn.KVCache` amortizes."""
+        """Cross-attention K/V of ``memory`` for every layer, projected
+        once per decode and read at every decoder step."""
         return [layer.cross_attn.project_kv(memory) for layer in self.layers]
 
     def empty_past_kv(self) -> list:

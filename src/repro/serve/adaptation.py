@@ -26,9 +26,12 @@ side of a FedAvg merge.  Both loop through :class:`RoundScheduler` and
 are configured by one :class:`RoundConfig`; both write checkpoints and
 neither reads one back.
 
+A round counts its fine-tunes and gate verdicts in the service's
+registry (``adapt.retrains``, ``adapt.gate{verdict=…}``), so
 ``retrains`` / ``swaps_accepted`` / ``swaps_rejected`` surface through
-:meth:`OptimizerService.report` and
-:func:`repro.eval.reporting.format_serving_report`.
+:meth:`OptimizerService.report`,
+:func:`repro.eval.reporting.format_serving_report` and every telemetry
+snapshot.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ class TrainRound:
     owns the fresh-experience cursor (:meth:`commit` / :meth:`rollback`),
     the round index that seeds each fine-tune, the held-out slice, the
     gate call under the service's decode policy, the verdict event and
-    counters, ``swap_model`` on accept, and how a round's private model
+    count, ``swap_model`` on accept, and how a round's private model
     and trainer are built (:meth:`private_model` /
     :meth:`private_trainer`).  Left to its scheduler: *which* Adam
     moments and broadcast state that trainer starts from (a worker
@@ -262,9 +265,9 @@ class TrainRound:
         # isolation holds within a round) and the trace id.
         self._snapshot_added = 0  # guarded-by: _lock
         self._for_gate: tuple[list[LabeledQuery], int] = ([], 0)  # guarded-by: _lock
-        self._counts = dict.fromkeys(  # guarded-by: _lock
-            ("rounds", "accepted", "rejected", "unvalidated"), 0
-        )
+        # Rounds fine-tuned so far: round n trains with seed + n - 1 and
+        # a worker names its checkpoint adapt-000n.
+        self._index = 0  # guarded-by: _lock
         self._last_gate: GateResult | None = None  # guarded-by: _lock
 
     # -- fresh-experience cursor ----------------------------------------
@@ -329,8 +332,9 @@ class TrainRound:
         tracer = self.service.telemetry.tracer
         trace = tracer.new_trace()
         with self._lock:
-            self._counts["rounds"] += 1
-            index = self._counts["rounds"]
+            self._index += 1
+            index = self._index
+        self.service.stats.note_retrain()
         with tracer.span(trace, "adapt.retrain") as span:
             span.set("experience", len(train_slice)).set("cycle", index)
             # Seed varies per round: a retry after a rejection (with
@@ -376,8 +380,7 @@ class TrainRound:
             # slice moves the example-weighted merge.
             held_out = sorted(self.buffer.snapshot(), key=lambda item: item.query.to_sql())
         if not held_out:
-            with self._lock:
-                self._counts["unvalidated"] += 1
+            self.service.stats.note_gate("unvalidated")
             return None
         live = self.service._serving_state()[0].model
         with tracer.span(trace, "adapt.gate") as span:
@@ -415,19 +418,20 @@ class TrainRound:
                 self.service.swap_model(candidate)
         with self._lock:
             self._last_gate = gate
-            self._counts["accepted" if gate.accepted else "rejected"] += 1
+        self.service.stats.note_gate("accept" if gate.accepted else "reject")
         return gate
 
     # -- reporting -------------------------------------------------------
     @property
+    def index(self) -> int:
+        """Rounds fine-tuned so far (the latest round's number)."""
+        with self._lock:
+            return self._index
+
+    @property
     def last_gate(self) -> GateResult | None:
         with self._lock:
             return self._last_gate
-
-    def counters(self) -> dict:
-        """``rounds`` fine-tuned; gates ``accepted`` / ``rejected`` / ``unvalidated``."""
-        with self._lock:
-            return dict(self._counts)
 
 
 class RoundScheduler:
@@ -528,12 +532,6 @@ class AdaptationWorker(RoundScheduler):
         # The trajectory being continued: the last *accepted* cycle's
         # Adam moments and the model that cycle installed.
         self._trajectory: tuple[dict | None, object] = (None, None)  # guarded-by: _lock
-        # Cycles that died on infrastructure (I/O or training error), NOT
-        # gate rejections — kept apart so `swaps_rejected` keeps meaning
-        # "the regression gate blocked a candidate".
-        self.cycles_failed = 0  # guarded-by: _lock
-        # Surface this worker's counters through service.report().
-        service.adaptation = self
 
     # -- lifecycle -----------------------------------------------------
     # A stopped worker gives up a private temp dir (and the checkpoints
@@ -555,8 +553,10 @@ class AdaptationWorker(RoundScheduler):
         return True
 
     def _note_failure(self) -> None:
-        with self._lock:
-            self.cycles_failed += 1
+        # A cycle that died on infrastructure (I/O or training error),
+        # NOT a gate rejection: `swaps_rejected` keeps meaning "the
+        # regression gate blocked a candidate".
+        self.service.stats.note_adaptation_failure()
 
     def run_once(self) -> bool:
         """One collect → retrain → gate → swap cycle; True iff swapped."""
@@ -575,7 +575,7 @@ class AdaptationWorker(RoundScheduler):
             live, optimizer_state=moments if installed is live else None
         )
         self.round.fine_tune(trainer)
-        path = os.path.join(directory, f"adapt-{self.round.counters()['rounds']:04d}")
+        path = os.path.join(directory, f"adapt-{self.round.index:04d}")
         gate = self.round.gate_and_install(
             trainer.model, save_checkpoint=lambda: trainer.save_checkpoint(path)
         )
@@ -596,12 +596,11 @@ class AdaptationWorker(RoundScheduler):
         return self.round.last_gate
 
     def counters(self) -> dict:
-        """The adaptation fields this worker contributes to reports."""
-        counts = self.round.counters()
-        with self._lock:
-            return {
-                "retrains": counts["rounds"],
-                "swaps_accepted": counts["accepted"],
-                "swaps_rejected": counts["rejected"],
-                "adaptation_failures": self.cycles_failed,
-            }
+        """The adaptation fields of the service's report."""
+        report = self.service.report()
+        return {
+            "retrains": report.retrains,
+            "swaps_accepted": report.swaps_accepted,
+            "swaps_rejected": report.swaps_rejected,
+            "adaptation_failures": report.adaptation_failures,
+        }

@@ -19,9 +19,11 @@ all day.  This module closes that loop:
 Submission is cheap and non-blocking by design: a signature already in
 the buffer (or already queued) is deduped without touching the engine,
 and a full work queue sheds load instead of stalling a client thread.
-Skipped executions are *counted by reason* (over limit, disconnected —
-see the labeler's skip accounting) rather than silently dropped, and the
-counters surface in :class:`repro.serve.ServingReport`.
+Dedups are counted (``feedback.deduped``) and skipped executions are
+counted *by reason* (``feedback.rejected{reason=…}``: over limit,
+disconnected — see the labeler's skip accounting — error, queue_full)
+in the service's registry, so they surface in
+:class:`repro.serve.ServingReport` and every telemetry snapshot.
 
 The :class:`repro.serve.adaptation.AdaptationWorker` consumes the buffer
 to fine-tune and hot-swap the serving model.
@@ -35,10 +37,24 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 from ..core.serializer import query_signature
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import maybe_span
 from ..workload.labeler import LabeledQuery, QueryLabeler
+from .stats import ServiceStats
 
 __all__ = ["ExperienceBuffer", "FeedbackConfig", "FeedbackCollector"]
+
+# Bound of the collector's pending-work queue: submissions beyond it are
+# shed (counted as ``queue_full``) instead of blocking the request path.
+_QUEUE_DEPTH = 256
+# Skip the ECQO optimal-order label (which JoinSel fine-tunes on) above
+# this table count; CardEst/CostEst train without it.
+_MAX_OPTIMAL_TABLES = 8
+# How long a rejected signature is remembered before its query may be
+# executed again: a hot pathological query must not saturate the worker,
+# while a later regime change (a hot-swap now serving an executable
+# order) is retried after the window.
+_REJECTED_RETRY_S = 60.0
 
 
 class ExperienceBuffer:
@@ -56,29 +72,20 @@ class ExperienceBuffer:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, LabeledQuery]" = OrderedDict()  # guarded-by: _lock
         self.added = 0      # guarded-by: _lock — unique experiences accepted (monotonic)
-        self.deduped = 0    # guarded-by: _lock — adds dropped: signature present
-        self.evicted = 0    # guarded-by: _lock — oldest entries pushed out by the bound
 
     def seen(self, signature: tuple) -> bool:
         with self._lock:
             return signature in self._entries
 
-    def note_dedup(self) -> None:
-        """Count a dedup that happened before :meth:`add` (fast path)."""
-        with self._lock:
-            self.deduped += 1
-
     def add(self, signature: tuple, labeled: LabeledQuery) -> bool:
         """Insert unless the signature is already buffered; FIFO-evict."""
         with self._lock:
             if signature in self._entries:
-                self.deduped += 1
                 return False
             self._entries[signature] = labeled
             self.added += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self.evicted += 1
             return True
 
     def snapshot(self) -> list[LabeledQuery]:
@@ -114,39 +121,18 @@ class FeedbackConfig:
     ----------
     buffer_capacity:
         Bound of the experience buffer (FIFO eviction beyond it).
-    queue_depth:
-        Bound of the collector's pending-work queue; submissions beyond
-        it are dropped (counted) instead of blocking the request path.
     max_intermediate_rows:
         Execution bound for served orders *and* the optimal-order
         oracle — a runaway order is rejected (reason-counted), never
         executed to completion.
-    with_optimal_order:
-        Derive the ECQO optimal-order label for collected experience
-        (needed to fine-tune JoinSel; CardEst/CostEst train without it).
-    max_optimal_tables:
-        Skip the optimal-order derivation above this table count.
-    rejected_retry_s:
-        How long a rejected signature is remembered before its query may
-        be executed again.  Keeps a hot pathological query from
-        saturating the worker, while a later regime change (a hot-swap
-        now serving an executable order) gets retried after the window.
     """
 
     buffer_capacity: int = 256
-    queue_depth: int = 256
     max_intermediate_rows: int | None = 2_000_000
-    with_optimal_order: bool = True
-    max_optimal_tables: int = 8
-    rejected_retry_s: float = 60.0
 
     def __post_init__(self):
         if self.buffer_capacity < 1:
             raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity}")
-        if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.rejected_retry_s < 0:
-            raise ValueError(f"rejected_retry_s must be >= 0, got {self.rejected_retry_s}")
 
 
 class FeedbackCollector:
@@ -169,9 +155,13 @@ class FeedbackCollector:
         # attach_feedback when not set here.  Labeling spans land on the
         # trace of the request that produced the experience.
         self.telemetry = telemetry
+        # Where dedups and rejections are counted: a private registry
+        # until OptimizerService.attach_feedback hands over the
+        # service's own ServiceStats.
+        self.stats = ServiceStats(MetricsRegistry(), {"service": db.name})
         self.labeler = QueryLabeler(
             db,
-            max_optimal_tables=self.config.max_optimal_tables,
+            max_optimal_tables=_MAX_OPTIMAL_TABLES,
             max_intermediate_rows=self.config.max_intermediate_rows,
         )
         self.buffer = ExperienceBuffer(self.config.buffer_capacity)
@@ -181,9 +171,8 @@ class FeedbackCollector:
         # disconnected, error) mapped to the rejection time: a hot
         # pathological query must not make the worker re-execute a
         # doomed order on every request.  Entries expire after
-        # ``rejected_retry_s`` (a later swap may serve an executable
-        # order for the same query) and the map is FIFO-bounded so it
-        # can never grow past the recent-rejection working set.
+        # ``_REJECTED_RETRY_S`` and the map is FIFO-bounded so it can
+        # never grow past the recent-rejection working set.
         self._recent_rejected: "OrderedDict[tuple, float]" = OrderedDict()  # guarded-by: _mutex
         self._recent_rejected_bound = max(self.config.buffer_capacity, 64)
         self._mutex = threading.Lock()
@@ -192,10 +181,6 @@ class FeedbackCollector:
         self._busy = False  # guarded-by: _mutex
         self._running = False  # guarded-by: _mutex
         self._worker: threading.Thread | None = None  # guarded-by: _mutex
-        # Counters (all under _mutex except buffer's own).
-        self.submitted = 0  # guarded-by: _mutex
-        self.dropped_full = 0  # guarded-by: _mutex
-        self.rejected_by_reason: dict[str, int] = {}  # guarded-by: _mutex
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "FeedbackCollector":
@@ -239,23 +224,22 @@ class FeedbackCollector:
         """
         signature = query_signature(labeled.query)
         if self.buffer.seen(signature):
-            self.buffer.note_dedup()
+            self.stats.note_feedback_dedup()
             return False
         with self._wakeup:
-            self.submitted += 1
             if not self._running:
                 return False
-            if signature in self._pending or self._rejected_recently_locked(signature):
-                # buffer._lock is a leaf lock: safe to take under _mutex.
-                self.buffer.note_dedup()
-                return False
-            if len(self._queue) >= self.config.queue_depth:
-                self.dropped_full += 1
-                return False
-            self._pending.add(signature)
-            self._queue.append((signature, labeled, order, trace_id))
-            self._wakeup.notify_all()
-        return True
+            duplicate = signature in self._pending or self._rejected_recently_locked(signature)
+            if not duplicate and len(self._queue) < _QUEUE_DEPTH:
+                self._pending.add(signature)
+                self._queue.append((signature, labeled, order, trace_id))
+                self._wakeup.notify_all()
+                return True
+        if duplicate:
+            self.stats.note_feedback_dedup()
+        else:
+            self.stats.note_feedback_rejected("queue_full")
+        return False
 
     # -- worker --------------------------------------------------------
     def _run(self) -> None:
@@ -272,27 +256,26 @@ class FeedbackCollector:
             except BaseException:
                 # Never die: a dead collector would silently stop all
                 # experience flow.  The failed pair is dropped (counted).
-                with self._mutex:
-                    reason = "error"
-                    self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
-                    self._note_rejected_locked(signature)
+                self._reject(signature, "error")
             finally:
                 with self._idle:
                     self._pending.discard(signature)
                     self._busy = False
                     self._idle.notify_all()
 
-    def _note_rejected_locked(self, signature: tuple) -> None:
-        self._recent_rejected[signature] = time.monotonic()
-        self._recent_rejected.move_to_end(signature)
-        while len(self._recent_rejected) > self._recent_rejected_bound:
-            self._recent_rejected.popitem(last=False)
+    def _reject(self, signature: tuple, reason: str) -> None:
+        with self._mutex:
+            self._recent_rejected[signature] = time.monotonic()
+            self._recent_rejected.move_to_end(signature)
+            while len(self._recent_rejected) > self._recent_rejected_bound:
+                self._recent_rejected.popitem(last=False)
+        self.stats.note_feedback_rejected(reason)
 
     def _rejected_recently_locked(self, signature: tuple) -> bool:
         rejected_at = self._recent_rejected.get(signature)
         if rejected_at is None:
             return False
-        if time.monotonic() - rejected_at >= self.config.rejected_retry_s:
+        if time.monotonic() - rejected_at >= _REJECTED_RETRY_S:
             del self._recent_rejected[signature]  # window over: retry
             return False
         return True
@@ -301,19 +284,15 @@ class FeedbackCollector:
         self, signature: tuple, labeled: LabeledQuery, order: list[str], trace_id: int = 0
     ) -> None:
         with maybe_span(self.telemetry, trace_id, "feedback.label") as span:
-            item = self.labeler.label_with_order(
-                labeled.query, order, with_optimal_order=self.config.with_optimal_order
-            )
+            item = self.labeler.label_with_order(labeled.query, order, with_optimal_order=True)
             span.set("collected", item is not None)
         if item is None:
-            reason = self.labeler.last_skip_reason or "unknown"
-            with self._mutex:
-                self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
-                self._note_rejected_locked(signature)
+            self._reject(signature, self.labeler.last_skip_reason or "unknown")
             return
         item.extras["source"] = "feedback"
         item.extras["initial_plan_ms"] = labeled.total_time_ms
-        self.buffer.add(signature, item)
+        if not self.buffer.add(signature, item):
+            self.stats.note_feedback_dedup()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until the work queue is empty and the worker idle."""
@@ -325,21 +304,3 @@ class FeedbackCollector:
                     return False
                 self._idle.wait(remaining)
             return True
-
-    # -- reporting -----------------------------------------------------
-    def counters(self) -> dict:
-        """The adaptation fields this collector contributes to reports."""
-        with self._mutex:
-            rejected = sum(self.rejected_by_reason.values()) + self.dropped_full
-            return {
-                "feedback_collected": self.buffer.added,
-                "feedback_deduped": self.buffer.deduped,
-                "feedback_rejected": rejected,
-            }
-
-    def rejection_reasons(self) -> dict[str, int]:
-        with self._mutex:
-            reasons = dict(self.rejected_by_reason)
-            if self.dropped_full:
-                reasons["queue_full"] = self.dropped_full
-        return reasons

@@ -38,7 +38,6 @@ autograd ops, so none of the parity guarantees above are weakened.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import threading
@@ -157,12 +156,9 @@ class OptimizerService:
         # post-swap request can never be answered from the pre-swap
         # model's cache entries even then.
         self._epoch = 0  # guarded-by: _mutex
-        # Optional online-adaptation hooks: a FeedbackCollector served
-        # orders are forwarded to (attach_feedback) and an
-        # AdaptationWorker (registers itself) whose counters report()
-        # folds into the ServingReport.
+        # Optional FeedbackCollector served orders are forwarded to
+        # (attach_feedback); report() reads its buffer's cursor.
         self.feedback = None
-        self.adaptation = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "OptimizerService":
@@ -205,16 +201,15 @@ class OptimizerService:
     def report(self) -> ServingReport:
         """Freeze the live counters into a :class:`ServingReport`.
 
-        When a feedback collector / adaptation worker is attached, their
-        counters are folded into the report's adaptation fields.
+        Every count is read from the registry, where the feedback
+        collector and training rounds of this service record too; only
+        the queue depth, the cache stats and the feedback buffer's
+        ``added`` cursor are read from their owners.
         """
-        report = self.stats.snapshot(queue_depth=self.queue_depth, cache=self.cache)
-        extra: dict = {}
-        if self.feedback is not None:
-            extra.update(self.feedback.counters())
-        if self.adaptation is not None:
-            extra.update(self.adaptation.counters())
-        return dataclasses.replace(report, **extra) if extra else report
+        collected = self.feedback.buffer.added if self.feedback is not None else 0
+        return self.stats.snapshot(
+            queue_depth=self.queue_depth, cache=self.cache, collected=collected
+        )
 
     # -- online adaptation ----------------------------------------------
     def attach_feedback(self, collector):
@@ -230,10 +225,12 @@ class OptimizerService:
 
         The collector inherits this service's telemetry handle (unless
         it already has one), so feedback-labeling spans land on the
-        originating request's trace.
+        originating request's trace, and records its dedups and
+        rejections through this service's stats.
         """
         if getattr(collector, "telemetry", None) is None:
             collector.telemetry = self.telemetry
+        collector.stats = self.stats
         self.feedback = collector
         return collector
 
@@ -372,13 +369,15 @@ class OptimizerService:
         with self._nonempty:
             if not self._running:
                 raise ServiceStoppedError("optimizer service is not running")
-            if len(self._queue) >= self.config.max_queue_depth:
-                self.stats.note_rejected()
-                raise ServiceOverloadedError(
-                    f"request queue full ({self.config.max_queue_depth} pending)"
-                )
-            self._queue.append(request)
-            self._nonempty.notify_all()
+            full = len(self._queue) >= self.config.max_queue_depth
+            if not full:
+                self._queue.append(request)
+                self._nonempty.notify_all()
+        if full:
+            self.stats.note_rejected()
+            raise ServiceOverloadedError(
+                f"request queue full ({self.config.max_queue_depth} pending)"
+            )
         if timeout is _DEFAULT_TIMEOUT:
             timeout = self.config.request_timeout_s
         if not request.done.wait(timeout):

@@ -1,35 +1,36 @@
 """Per-request instrumentation of the optimizer service.
 
-:class:`ServiceStats` is the live, thread-safe accumulator the service
-writes to; :meth:`ServiceStats.snapshot` freezes it into a
-:class:`ServingReport`, which ``repro.eval.reporting.format_serving_report``
-renders in the repo's table style.
+:class:`ServiceStats` is the live, thread-safe recorder of one service;
+:meth:`ServiceStats.snapshot` freezes it into a :class:`ServingReport`,
+which ``repro.eval.reporting.format_serving_report`` renders in the
+repo's table style.
 
-Since the telemetry PR this is a thin facade over a
-:class:`repro.obs.MetricsRegistry`: every counter is a named registry
-metric (labeled with the owning service instance), and latency lives in
-a **fixed-bucket histogram** instead of the former bounded sample deque
-— memory is O(buckets) regardless of traffic, and per-shard histograms
-merge exactly.  Percentiles in the resulting
-:class:`~repro.eval.metrics.LatencyStats` are therefore exact within
-buckets (count/mean/max stay exact); see
-:class:`repro.obs.metrics.Histogram` for the guarantee.  Passing a
-shared registry (via ``OptimizerService(..., telemetry=...)``) makes
-the same numbers visible to the fleet-wide snapshot with no second
-accounting path.
+It is a thin facade over a :class:`repro.obs.MetricsRegistry`, the one
+store of every serving, feedback and adaptation count: each is a named
+registry metric labeled with the owning service instance, and the
+feedback collector and training rounds of a service record through its
+``note_*`` methods.  Latency lives in a **fixed-bucket histogram**
+(memory O(buckets) regardless of traffic; per-shard histograms merge
+exactly), so ``ServingReport.latency`` percentiles are exact within
+buckets — see :class:`repro.obs.metrics.Histogram`.  Passing a shared
+registry (via ``OptimizerService(..., telemetry=...)``) makes the same
+numbers visible to the fleet-wide snapshot with no second accounting
+path.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..eval.metrics import LatencyStats
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import HistogramSummary, MetricsRegistry
 from .cache import CacheStats
 
 __all__ = ["ServiceStats", "ServingReport"]
+
+# TrainRound gate outcomes, the ``verdict`` label of ``adapt.gate``.
+_VERDICTS = ("accept", "reject", "unvalidated")
 
 
 @dataclass
@@ -50,20 +51,22 @@ class ServingReport:
     queue_depth: int
     cache_entries: int
     elapsed_s: float
-    latency: "LatencyStats | None"
+    latency: "HistogramSummary | None"
     # A timed-out waiter found its response already computed when it
     # marked itself abandoned; the response was returned, not discarded.
     timeout_near_misses: int = 0
-    # Online-adaptation counters (0 unless a feedback path / adaptation
-    # worker is attached to the service; see repro.serve.feedback and
-    # repro.serve.adaptation).
+    # Online-adaptation counters (0 unless a feedback collector or a
+    # training round records for this service; see repro.serve.feedback
+    # and repro.serve.adaptation).
     feedback_collected: int = 0   # experiences added to the buffer
     feedback_deduped: int = 0     # submissions dropped as already-seen
-    feedback_rejected: int = 0    # executions skipped (over limit, ...)
-    retrains: int = 0             # adaptation cycles that fine-tuned
-    swaps_accepted: int = 0       # retrains that passed the gate + swapped
-    swaps_rejected: int = 0       # retrains blocked by the regression gate
-    adaptation_failures: int = 0  # cycles that crashed before a verdict
+    # Executions skipped or shed, by reason (over_limit, queue_full, ...).
+    feedback_rejections: "dict[str, int]" = field(default_factory=dict)
+    retrains: int = 0             # training rounds that fine-tuned
+    swaps_accepted: int = 0       # candidates that passed the gate + swapped
+    swaps_rejected: int = 0       # candidates blocked by the regression gate
+    gates_unvalidated: int = 0    # candidates kept out: nothing to validate on
+    adaptation_failures: int = 0  # worker cycles that crashed before a verdict
     busy_s: float = 0.0           # wall-clock the drain worker spent on batches
     # cache_hits/cache_misses above cover the *current* cache epoch only;
     # swap_model resets the cache counters and retires the old epoch's
@@ -92,8 +95,13 @@ class ServingReport:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
+    @property
+    def feedback_rejected(self) -> int:
+        """Feedback executions skipped or shed, all reasons."""
+        return sum(self.feedback_rejections.values())
+
     # A 1-tuple under this name because benchmarks/ledger reads
-    # ``replica_utilization[0]`` and may not change in this PR.
+    # ``replica_utilization[0]``.
     @property
     def replica_utilization(self) -> "tuple[float]":
         """Fraction of serving wall-clock the drain worker spent on batches."""
@@ -106,7 +114,9 @@ class ServiceStats:
     Each metric is its own registry entry with its own lock, so writers
     on different counters never contend; ``_lock`` here guards only the
     first/last-activity timestamps.  No metric is ever recorded while
-    holding ``_lock`` (the analyzer's ``obs-discipline`` rule).
+    holding ``_lock`` — nor may a caller record through a ``note_*``
+    method while holding a lock of its own (the analyzer's
+    ``obs-discipline`` rule).
     """
 
     def __init__(self, registry: MetricsRegistry, labels: "dict[str, str]"):
@@ -130,6 +140,13 @@ class ServiceStats:
         self._max_batch = self.registry.gauge("serve.max_batch", labels=self.labels)
         self._latency = self.registry.histogram("serve.latency_s", labels=self.labels)
         self._busy = self.registry.histogram("serve.busy_s", labels=self.labels)
+        self._deduped = counter("feedback.deduped", labels=self.labels)
+        self._retrains = counter("adapt.retrains", labels=self.labels)
+        self._gates = {
+            verdict: counter("adapt.gate", labels={**self.labels, "verdict": verdict})
+            for verdict in _VERDICTS
+        }
+        self._adaptation_failures = counter("adapt.failures", labels=self.labels)
 
     # -- writers (service-internal) ------------------------------------
     def note_request(self) -> float:
@@ -182,22 +199,42 @@ class ServiceStats:
         utilization numerator; recorded even when the batch failed)."""
         self._busy.observe(busy_s)
 
-    # ------------------------------------------------------------------
-    def _latency_stats(self) -> "LatencyStats | None":
-        summary = self._latency.summary()
-        if summary is None:
-            return None
-        return LatencyStats(
-            count=summary.count,
-            mean=summary.mean,
-            p50=summary.p50,
-            p95=summary.p95,
-            p99=summary.p99,
-            max=summary.max,
-        )
+    # -- writers (feedback collector, training rounds) -------------------
+    def note_feedback_dedup(self) -> None:
+        """A feedback submission dropped: its signature is already
+        buffered, queued, or recently rejected."""
+        self._deduped.inc()
 
-    def snapshot(self, queue_depth: int = 0, cache: "object | None" = None) -> ServingReport:
-        """Freeze the counters (plus the cache's, if one is passed)."""
+    def note_feedback_rejected(self, reason: str) -> None:
+        """A feedback execution skipped (over limit, disconnected, error)
+        or a submission shed (``queue_full``)."""
+        self.registry.counter("feedback.rejected", labels={**self.labels, "reason": reason}).inc()
+
+    def note_retrain(self) -> None:
+        self._retrains.inc()
+
+    def note_gate(self, verdict: str) -> None:
+        """One regression-gate outcome: ``accept``, ``reject`` or ``unvalidated``."""
+        self._gates[verdict].inc()
+
+    def note_adaptation_failure(self) -> None:
+        self._adaptation_failures.inc()
+
+    # ------------------------------------------------------------------
+    def _feedback_rejections(self) -> "dict[str, int]":
+        rejections = {}
+        for metric in self.registry.metrics():
+            labels = dict(metric.labels)
+            reason = labels.pop("reason", None)
+            if metric.name == "feedback.rejected" and labels == self.labels:
+                rejections[reason] = int(metric.value)
+        return rejections
+
+    def snapshot(
+        self, queue_depth: int = 0, cache: "object | None" = None, collected: int = 0
+    ) -> ServingReport:
+        """Freeze the counters (plus the cache's, if one is passed, and
+        ``collected``, the feedback buffer's ``added`` cursor)."""
         # Snapshot the cache *before* taking our own lock: CacheStats is
         # captured atomically under the cache's lock, and never nesting
         # the two locks keeps the ordering trivially cycle-free.
@@ -208,6 +245,7 @@ class ServiceStats:
             else:
                 end = self._last_done_at or time.perf_counter()
                 elapsed = max(end - self._first_request_at, 0.0)
+        gates = {verdict: int(counter.value) for verdict, counter in self._gates.items()}
         return ServingReport(
             completed=int(self._completed.value),
             rejected=int(self._rejected.value),
@@ -224,7 +262,15 @@ class ServiceStats:
             queue_depth=queue_depth,
             cache_entries=cache_stats.size,
             elapsed_s=elapsed,
-            latency=self._latency_stats(),
+            latency=self._latency.summary(),
+            feedback_collected=collected,
+            feedback_deduped=int(self._deduped.value),
+            feedback_rejections=self._feedback_rejections(),
+            retrains=int(self._retrains.value),
+            swaps_accepted=gates["accept"],
+            swaps_rejected=gates["reject"],
+            gates_unvalidated=gates["unvalidated"],
+            adaptation_failures=int(self._adaptation_failures.value),
             busy_s=self._busy.sum,
             retired_cache_hits=int(self._retired_hits.value),
             retired_cache_misses=int(self._retired_misses.value),

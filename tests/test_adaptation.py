@@ -23,6 +23,7 @@ from repro.core.encoders import DatabaseFeaturizer
 from repro.core.serializer import query_signature
 from repro.datagen import generate_database
 from repro.eval import join_order_execution_time, worst_legal_order
+from repro.obs import Telemetry, render_snapshot
 from repro.serve import (
     AdaptationConfig,
     AdaptationWorker,
@@ -32,6 +33,7 @@ from repro.serve import (
     OptimizerService,
     ServeConfig,
 )
+from repro.serve.adaptation import TrainRound
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 SMALL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -107,7 +109,7 @@ class TestExperienceBuffer:
         assert buffer.add(sig, item)
         assert not buffer.add(sig, item)
         assert len(buffer) == 1
-        assert buffer.added == 1 and buffer.deduped == 1
+        assert buffer.added == 1
         assert sig in buffer
 
     def test_bound_evicts_oldest(self, phase2):
@@ -115,8 +117,7 @@ class TestExperienceBuffer:
         for index in range(5):
             item = self._item(phase2, index)
             buffer.add(query_signature(item.query), item)
-        assert len(buffer) == 3
-        assert buffer.evicted == 2
+        assert len(buffer) == 3  # two evicted
         assert buffer.added == 5  # monotonic: eviction does not un-count
         snapshot = buffer.snapshot()
         assert [i.query.to_sql() for i in snapshot] == [
@@ -144,9 +145,8 @@ class TestFeedbackCollector:
             assert experience.plan.leaf_tables_in_order() == experience.extras["served_order"]
             assert experience.optimal_order is not None  # small queries: ECQO ran
             assert experience.num_nodes == 2 * experience.query.num_tables - 1
-        counters = collector.counters()
-        assert counters["feedback_collected"] == 4
-        assert counters["feedback_rejected"] == 0
+        assert collector.buffer.added == 4
+        assert collector.stats.snapshot().feedback_rejected == 0
 
     def test_duplicate_submissions_dedup_without_execution(self, db, phase2):
         item = phase2[0]
@@ -156,7 +156,7 @@ class TestFeedbackCollector:
             assert collector.submit(item, order)
             assert collector.drain(timeout=60)
             assert not collector.submit(item, order)  # signature already buffered
-        assert collector.counters()["feedback_deduped"] >= 1
+        assert collector.stats.snapshot().feedback_deduped >= 1
         assert len(collector.buffer) == 1
 
     def test_over_limit_execution_rejected_with_reason(self, db, phase2):
@@ -171,9 +171,10 @@ class TestFeedbackCollector:
             assert not collector.submit(item, order)
             assert collector.drain(timeout=60)
         assert len(collector.buffer) == 0
-        assert collector.rejection_reasons() == {"over_limit": 1}  # executed once
-        assert collector.counters()["feedback_rejected"] == 1
-        assert collector.counters()["feedback_deduped"] >= 1
+        report = collector.stats.snapshot()
+        assert report.feedback_rejections == {"over_limit": 1}  # executed once
+        assert report.feedback_rejected == 1
+        assert report.feedback_deduped >= 1
 
     def test_stopped_collector_refuses_submissions(self, db, phase2):
         collector = FeedbackCollector(db)
@@ -192,6 +193,68 @@ class TestFeedbackCollector:
             report = service.report()
         assert report.feedback_collected == 1
         assert report.feedback_deduped >= 1
+
+
+def spanning_order(db, item):
+    return db.join_schema.spanning_join_order(item.query.tables, start=item.query.tables[0])
+
+
+class TestOneStore:
+    """Feedback, gate and adaptation counts live in the telemetry
+    registry under the service's label; ``report()`` only reads them."""
+
+    def test_snapshot_holds_feedback_and_adapt_counters(self, db, weak_model, phase2, tmp_path):
+        telemetry = Telemetry()
+        collector = FeedbackCollector(db, FeedbackConfig(max_intermediate_rows=1))
+        with OptimizerService(weak_model, db.name, telemetry=telemetry) as service, collector:
+            service.attach_feedback(collector)
+            fill_buffer(collector.buffer, phase2[1:9])
+            assert not collector.submit(phase2[1], spanning_order(db, phase2[1]))  # dedup
+            assert collector.submit(phase2[0], spanning_order(db, phase2[0]))  # over limit
+            assert collector.drain(timeout=60)
+            config = AdaptationConfig(fine_tune_epochs=1, checkpoint_dir=str(tmp_path))
+            AdaptationWorker(service, db, collector.buffer, config).run_once()
+            report = service.report()
+        label = service.stats.labels["service"]
+        payload = telemetry.snapshot()
+        counts = {
+            (entry["name"], entry["labels"].get("reason") or entry["labels"].get("verdict")):
+                entry["value"]
+            for entry in payload["metrics"]
+            if entry["kind"] == "counter" and entry["labels"].get("service") == label
+        }
+        verdict = "accept" if report.swaps_accepted else "reject"
+        assert counts[("feedback.deduped", None)] == report.feedback_deduped == 1
+        assert counts[("feedback.rejected", "over_limit")] == 1
+        assert report.feedback_rejections == {"over_limit": 1}
+        assert counts[("adapt.retrains", None)] == report.retrains == 1
+        assert counts[("adapt.gate", verdict)] == 1
+        assert counts[("adapt.gate", "unvalidated")] == report.gates_unvalidated == 0
+        assert counts[("adapt.failures", None)] == report.adaptation_failures == 0
+        text = render_snapshot(payload)
+        for line in (
+            f"feedback.deduped{{service={label}}}",
+            f"feedback.rejected{{reason=over_limit,service={label}}}",
+            f"adapt.retrains{{service={label}}}",
+            f"adapt.gate{{service={label},verdict={verdict}}}",
+        ):
+            assert line in text
+
+    def test_services_sharing_a_registry_keep_separate_counts(self, db, featurizer, phase2):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        telemetry = Telemetry()
+        first, second = (OptimizerService(model, db.name, telemetry=telemetry) for _ in range(2))
+        collector = first.attach_feedback(FeedbackCollector(db))
+        fill_buffer(collector.buffer, phase2[:1])
+        assert not collector.submit(phase2[0], spanning_order(db, phase2[0]))  # dedup
+        # Nothing to validate on: the second service counts one unvalidated gate.
+        assert TrainRound(second, db, ExperienceBuffer(4), AdaptationConfig()).gate_and_install(
+            model
+        ) is None
+        a, b = first.report(), second.report()
+        assert (a.feedback_collected, a.feedback_deduped, a.gates_unvalidated) == (1, 1, 0)
+        assert (b.feedback_collected, b.feedback_deduped, b.gates_unvalidated) == (0, 0, 1)
 
 
 class TestAdaptationWorker:

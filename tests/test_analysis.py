@@ -522,12 +522,12 @@ from repro import nn
 ARENA = nn.ScratchArena()
 
 class Decoder:
-    cache = nn.KVCache(None)
+    scratch = nn.ScratchArena()
 """
         findings = run_checker(ScratchPrivacyChecker(), bad)
         assert len(findings) == 2
         assert "<module>" in findings[0].message and "ScratchArena" in findings[0].message
-        assert "class Decoder" in findings[1].message and "KVCache" in findings[1].message
+        assert "class Decoder" in findings[1].message and "ScratchArena" in findings[1].message
 
     def test_owner_scoped_scratch_passes(self):
         good = """
@@ -538,8 +538,8 @@ class Session:
         self.scratch = nn.ScratchArena()
 
 def decode(memory):
-    cache = nn.KVCache(memory)
-    return cache
+    scratch = nn.ScratchArena()
+    return scratch
 """
         assert run_checker(ScratchPrivacyChecker(), good) == []
 
@@ -596,6 +596,30 @@ class Service:
         self.latency.observe(latency)
 """
         assert run_checker(ObsDisciplineChecker(), good) == []
+
+    def test_stats_note_under_own_lock_fires(self):
+        # ServiceStats writers wrap inc()/observe(): a note_* reached
+        # through a .stats handle records, however deep the owner chain.
+        source = """
+import threading
+
+class Round:
+    def __init__(self, service):
+        self._lock = threading.Lock()
+        self.service = service
+        self.index = 0  # guarded-by: _lock
+
+    def verdict(self, accepted):
+        with self._lock:
+            self.index += 1
+            self.service.stats.note_gate("accept")
+            self.notes.note_gate("accept")
+        self.service.stats.note_gate("reject")
+"""
+        findings = run_checker(ObsDisciplineChecker(), source)
+        assert len(findings) == 1
+        assert "self.service.stats.note_gate()" in findings[0].message
+        assert findings[0].symbol == "Round.verdict"
 
     def test_generic_record_and_set_do_not_fire(self):
         # .record on a non-telemetry receiver and .set on anything are

@@ -409,54 +409,6 @@ class TestKVCacheStillPays:
             assert len(session.scratch) == 28
 
 
-class TestKVCache:
-    def test_cache_projects_once_and_reuses(self, trans_jo):
-        memory = random_memory(5, seed=80)
-        cache = nn.KVCache(memory)
-        with nn.no_grad():
-            first = trans_jo.project_memory(memory, cache)
-            second = trans_jo.project_memory(memory, cache)
-        assert len(cache) == 1
-        assert first is second  # same projection object, not a recompute
-        memory_kv, pointer_keys = first
-        assert len(memory_kv) == len(trans_jo.decoder.layers)
-        with nn.no_grad():
-            fresh_kv, fresh_keys = trans_jo.project_memory(memory)
-        np.testing.assert_array_equal(pointer_keys, fresh_keys)
-        for (k, v), (fk, fv) in zip(memory_kv, fresh_kv):
-            np.testing.assert_array_equal(k, fk)
-            np.testing.assert_array_equal(v, fv)
-
-    def test_cache_bound_to_other_memory_is_rejected(self, trans_jo):
-        memory = random_memory(5, seed=81)
-        other = random_memory(5, seed=82)
-        stale = nn.KVCache(other)
-        with nn.no_grad(), pytest.raises(ValueError, match="bound to a different encoder memory"):
-            trans_jo.project_memory(memory, stale)
-
-    def test_equal_values_different_object_still_rejected(self, trans_jo):
-        # Binding is by object identity, not value: a hot-swapped model
-        # re-encodes and produces a new memory object, so its decode can
-        # never be served projections computed under the old weights.
-        memory = random_memory(5, seed=83)
-        clone = nn.Tensor(memory.data.copy())
-        cache = nn.KVCache(memory)
-        assert cache.bound_to(memory) and not cache.bound_to(clone)
-        with nn.no_grad(), pytest.raises(ValueError, match="bound to a different encoder memory"):
-            trans_jo.project_memory(clone, cache)
-
-    def test_invalidate_forces_reprojection(self, trans_jo):
-        memory = random_memory(4, seed=84)
-        cache = nn.KVCache(memory)
-        with nn.no_grad():
-            first = trans_jo.project_memory(memory, cache)
-            cache.invalidate()
-            assert len(cache) == 0
-            second = trans_jo.project_memory(memory, cache)
-        assert first is not second  # recomputed after invalidation
-        np.testing.assert_array_equal(first[1], second[1])
-
-
 class TestDisconnectedDetection:
     def test_beam_search_raises_with_components(self, trans_jo):
         adjacency = np.zeros((4, 4), dtype=bool)

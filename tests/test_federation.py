@@ -97,7 +97,7 @@ class TestTenantNode:
         tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config(min_new_experience=6))
         assert tenant.inject_experience(pool[:3]) == 3
         assert tenant.local_update(global_state) is None
-        assert tenant.counters()["rounds_skipped"] == 1
+        assert tenant.report().retrains == 0  # skipped: no fine-tune
         assert tenant.pending_experience() == 3  # nothing consumed
 
     def test_local_update_ships_shared_state_only(self, fixture):
@@ -113,7 +113,7 @@ class TestTenantNode:
         assert not any(name.startswith("featurizers.") for name in state)
         assert 0 < num_examples < 6  # validation slice held out
         assert tenant.pending_experience() == 0
-        assert tenant.counters()["rounds_participated"] == 1
+        assert tenant.report().retrains == 1  # one participation
 
     def test_optimizer_state_carries_across_local_rounds(self, fixture):
         tenants, global_state = fixture
@@ -170,7 +170,7 @@ class TestTenantNode:
         live = tenant.live_model
         assert tenant.consider_global(global_state) is None
         assert tenant.live_model is live
-        assert tenant.counters()["gate_unvalidated"] == 1
+        assert tenant.report().gates_unvalidated == 1
 
 
 class TestFleetRounds:
@@ -411,13 +411,32 @@ class TestFleetRounds:
             try:
                 deadline = threading.Event()
                 for _ in range(600):  # up to 30 s
-                    if fleet.rounds:
+                    if fleet.report().rounds:
                         break
                     deadline.wait(0.05)
             finally:
                 fleet.stop()
-            assert fleet.rounds, "background loop never fired a round"
-            assert fleet.rounds[0].merged
+            report = fleet.report()
+            assert report.rounds, "background loop never fired a round"
+            assert report.last_round.index == 0 and report.last_round.merged
+
+    def test_three_rounds_keep_one_fleet_round(self, fixture):
+        """Only the latest round is retained: a background loop can run
+        forever without the coordinator's memory growing per round."""
+        import gc
+        import weakref
+
+        tenants, global_state = fixture
+        config = tiny_fleet_config()
+        with FleetCoordinator(TINY, config) as fleet:
+            db, featurizer, _ = tenants[0]
+            fleet.register(make_tenant(db, featurizer, global_state, config))
+            refs = [weakref.ref(fleet.run_round()) for _ in range(3)]
+            gc.collect()
+            assert [ref() is not None for ref in refs] == [False, False, True]
+            report = fleet.report()
+            assert report.rounds == 3
+            assert report.last_round is refs[-1]() and report.last_round.index == 2
 
 
 class TestFleetReport:
@@ -442,6 +461,17 @@ class TestFleetReport:
             assert report.completed == sum(r.completed for r in report.tenants.values())
             assert report.completed == 16
             assert report.rounds == 1
+        # Fleet totals are sums of the tenants' ServingReports, which read
+        # the registry the tenants' rounds recorded into.
+        for name in ("retrains", "swaps_accepted", "swaps_rejected", "gates_unvalidated", "swaps"):
+            assert getattr(report, name) == sum(
+                getattr(tenant_report, name) for tenant_report in report.tenants.values()
+            ), name
+        round_ = report.last_round
+        assert report.retrains == len(round_.participants) == 2
+        assert (report.swaps_accepted, report.swaps_rejected, report.gates_unvalidated) == (
+            len(round_.accepted), len(round_.rejected), len(round_.unvalidated)
+        )
 
     def test_report_and_snapshot_read_the_same_totals(self, fixture):
         """One reverted round with one crashing tenant: ``report()`` and a

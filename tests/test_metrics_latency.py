@@ -1,52 +1,50 @@
-"""Edge cases of ``eval.metrics.latency_stats``.
+"""Edge cases of the serving latency histogram.
 
-The serving layer's latency percentiles feed the benchmark gates, so
-their contract is pinned down here: nearest-rank percentiles (every
-reported figure is an observed sample), degenerate single-sample
-behavior, and loud rejection of NaN samples.
+``ServingReport.latency`` is the summary of the registry histogram
+``serve.latency_s`` (default latency bounds), and its percentiles feed
+the benchmark gates, so their contract is pinned down here: an empty
+histogram reports nothing, NaN samples are rejected loudly without
+being recorded, and every reported figure is an observed sample or a
+bucket bound no lower than the true nearest-rank sample.
 """
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval import latency_stats
+from repro.obs import DEFAULT_LATENCY_BOUNDS
+from repro.obs.metrics import Histogram
+
+
+def latency_histogram(values=()):
+    h = Histogram("serve.latency_s", {}, bounds=DEFAULT_LATENCY_BOUNDS)
+    for v in values:
+        h.observe(v)
+    return h
 
 
 class TestLatencyStatsEdges:
     def test_empty_sample_is_none(self):
-        assert latency_stats([]) is None
-        assert latency_stats(iter(())) is None
-
-    def test_single_sample_percentiles_collapse(self):
-        stats = latency_stats([0.125])
-        assert stats.count == 1
-        assert stats.mean == 0.125
-        assert stats.p50 == stats.p95 == stats.p99 == stats.max == 0.125
-
-    def test_two_samples_lower_rank(self):
-        """Nearest-rank 'lower': p50 of [a, b] is a, never (a+b)/2."""
-        stats = latency_stats([0.1, 0.3])
-        assert stats.p50 == 0.1
-        assert stats.max == 0.3
+        h = latency_histogram()
+        assert h.summary() is None
+        assert h.percentile(50.0) is None
 
     def test_nan_rejected(self):
+        h = latency_histogram([0.1])
         with pytest.raises(ValueError, match="NaN"):
-            latency_stats([0.1, float("nan"), 0.2])
+            h.observe(float("nan"))
+        h.observe(0.2)
+        stats = h.summary()
+        assert stats.count == 2 and stats.max == 0.2
 
     def test_all_nan_rejected(self):
-        with pytest.raises(ValueError, match="2 NaN"):
-            latency_stats([float("nan"), float("nan")])
-
-    def test_accepts_any_iterable(self):
-        from collections import deque
-
-        stats = latency_stats(deque([0.2, 0.1, 0.4]))
-        assert stats.count == 3
-        assert stats.max == 0.4
+        h = latency_histogram()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NaN"):
+                h.observe(float("nan"))
+        assert h.summary() is None
 
 
 class TestNearestRankProperty:
@@ -64,21 +62,13 @@ class TestNearestRankProperty:
     )
     @settings(max_examples=200, deadline=None)
     def test_every_percentile_is_an_observed_sample(self, samples):
-        stats = latency_stats(samples)
-        observed = set(np.asarray(samples, dtype=np.float64).tolist())
-        for figure in (stats.p50, stats.p95, stats.p99, stats.max):
-            assert figure in observed
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_percentiles_ordered_and_bounded(self, samples):
-        stats = latency_stats(samples)
-        assert min(samples) <= stats.p50 <= stats.p95 <= stats.p99 <= stats.max
-        assert stats.max == max(samples)
-        assert math.isclose(stats.mean, float(np.mean(samples)), rel_tol=1e-12, abs_tol=1e-12)
+        """Each figure is an observed sample or a bucket bound, never
+        below the true nearest-rank sample nor above the maximum."""
+        stats = latency_histogram(samples).summary()
+        observed = set(samples)
+        ordered = sorted(samples)
+        assert stats.max in observed and stats.min in observed
+        for q, figure in ((50.0, stats.p50), (95.0, stats.p95), (99.0, stats.p99)):
+            assert figure in observed or figure in DEFAULT_LATENCY_BOUNDS
+            true = ordered[max(1, math.ceil(q / 100.0 * len(samples))) - 1]
+            assert true <= figure <= stats.max

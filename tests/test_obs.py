@@ -113,6 +113,38 @@ class TestHistogramProperties:
             a.merge(b)
 
 
+class TestHistogramSummary:
+    """``HistogramSummary`` is ``ServingReport.latency``: its edge cases
+    on the default latency bounds."""
+
+    def summarize(self, values):
+        return record_all(values, bounds=DEFAULT_LATENCY_BOUNDS).summary()
+
+    def test_single_sample_percentiles_collapse(self):
+        stats = self.summarize([0.125])
+        assert stats.count == 1 and stats.mean == 0.125
+        assert stats.p50 == stats.p95 == stats.p99 == stats.max == 0.125
+
+    def test_two_samples_lower_rank(self):
+        """Nearest rank: p50 of [a, b] is a's bucket, never (a+b)/2."""
+        stats = self.summarize([0.1, 0.3])
+        assert stats.p50 == 0.1 and stats.max == 0.3
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_percentiles_ordered_and_bounded(self, values):
+        stats = self.summarize(values)
+        assert min(values) <= stats.p50 <= stats.p95 <= stats.p99 <= stats.max
+        assert stats.max == max(values) and stats.min == min(values)
+        assert math.isclose(stats.mean, math.fsum(values) / len(values), rel_tol=1e-12, abs_tol=1e-12)
+
+
 class TestConcurrentRecording:
     @pytest.mark.threaded
     def test_16_threads_lose_nothing(self):
