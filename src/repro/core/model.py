@@ -295,14 +295,13 @@ class MTMLFQO(nn.Module):
         on ``(table, filter)``, join content only on the predicate
         column sequence, so every plan over the same query (rerank
         probes, alternate orders) reuses the encoder outputs instead of
-        re-running the (F) forwards node by node.
+        re-running the (F) forwards node by node.  A scan is keyed by
+        the filter part of its kept :func:`plan_signature`, so a filter
+        is stringified once per node object.
         """
         d = self.config.d_model
         if node.is_scan:
-            filter_sig = None
-            if node.filter is not None:
-                filter_sig = (node.filter.table, tuple(str(p) for p in node.filter.predicates))
-            key = (db_name, "scan", node.table, filter_sig)
+            key = (db_name, "scan", node.table, plan_signature(node)[3])
             cached = self._node_cache.get(key)
             if cached is not None:
                 return cached
@@ -328,17 +327,17 @@ class MTMLFQO(nn.Module):
         self._node_cache.put(key, content)
         return content
 
-    def encode_query(  # holds: _infer_lock
-        self, db_name: str, labeled: LabeledQuery, signatures: dict[int, tuple] | None = None
-    ) -> EncodedQuery:
+    def encode_query(self, db_name: str, labeled: LabeledQuery) -> EncodedQuery:  # holds: _infer_lock
         """Run the (F) module on one query's plan.
 
         Cached in a bounded LRU keyed by the plan's structural signature,
         so structurally equivalent plans share one entry (DESIGN.md §3).
-        ``signatures`` is a caller-scoped :func:`plan_signature` memo for
-        plans that share nodes (the rerank's probes).
+        The signature is computed once per plan object and kept on it
+        (copies do not carry it), so a resubmitted plan, and every node
+        the rerank's probes share, is signed once.  Plans are treated as
+        immutable once signed.
         """
-        key = (db_name, plan_signature(labeled.plan, signatures))
+        key = (db_name, plan_signature(labeled.plan))
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -361,15 +360,16 @@ class MTMLFQO(nn.Module):
     # Forward passes
     # ------------------------------------------------------------------
     def forward_batch(
-        self, db_name: str, items: list[LabeledQuery], signatures: dict[int, tuple] | None = None
+        self, db_name: str, items: list[LabeledQuery]
     ) -> tuple[nn.Tensor, np.ndarray, list[EncodedQuery]]:
         """Shared representations for a batch of queries.
 
         Returns ``(S, pad_mask, encodings)`` where S is
         (B, Lmax, d_model) and pad_mask is True at padded node slots.
-        ``signatures`` is passed on to :meth:`encode_query`.
+        Each item's plan is signed once per object and the signature
+        kept on it (:meth:`encode_query`); copies sign themselves afresh.
         """
-        encodings = [self.encode_query(db_name, item, signatures) for item in items]
+        encodings = [self.encode_query(db_name, item) for item in items]
         max_len = max(e.num_nodes for e in encodings)
         batch = np.zeros((len(items), max_len, self.config.node_feature_dim), dtype=np.float64)
         trees = np.zeros((len(items), max_len, self.config.d_model), dtype=np.float64)
@@ -596,9 +596,10 @@ class MTMLFQO(nn.Module):
         match.  A query's candidates share their scans and most
         prefixes, so each distinct prefix is planned once
         (``plan_with_orders``, against one cardinality view per query)
-        and signed once (a ``plan_signature`` memo that lives only in
-        this call, while its probes keep every signed node alive).  Only
-        the CostEst head runs.  Returns ``{entry index -> chosen order}``.
+        and signed once: a probe node keeps its ``plan_signature``, and
+        probes share nodes.  Probes are fresh objects, fully costed
+        before they are signed and never written after.  Only the
+        CostEst head runs.  Returns ``{entry index -> chosen order}``.
         """
         from ..optimizer.planner import plan_with_orders
         from ..optimizer.selectivity import HistogramEstimator
@@ -608,7 +609,6 @@ class MTMLFQO(nn.Module):
             return results
         featurizer = self.featurizer_for(db_name)
         estimator = HistogramEstimator(featurizer.db)
-        signatures: dict[int, tuple] = {}
         prepared = []  # (index, orders, probes, favourite_planned)
         for index, labeled, candidates in entries:
             query = labeled.query
@@ -645,9 +645,7 @@ class MTMLFQO(nn.Module):
             root_costs: list[float] = []
             with nn.no_grad():
                 for start in range(0, len(flat), _INFERENCE_CHUNK):
-                    shared, _, _ = self.forward_batch(
-                        db_name, flat[start: start + _INFERENCE_CHUNK], signatures
-                    )
+                    shared, _, _ = self.forward_batch(db_name, flat[start: start + _INFERENCE_CHUNK])
                     root_costs.extend(self.cost_head(shared).data[:, 0].tolist())
             cursor = 0
             for index, orders, probes, favourite_planned in group:

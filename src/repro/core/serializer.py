@@ -37,6 +37,10 @@ __all__ = [
     "join_tree_from_plan",
 ]
 
+# The attribute a signed Query / PlanNode keeps its signature under;
+# ``__getstate__`` of both classes drops it.
+_MEMO = "_signature"
+
 
 class JoinTree:
     """A bare join-structure tree: leaves are table names.
@@ -126,7 +130,7 @@ def serialize_plan(plan: PlanNode) -> tuple[list[PlanNode], list[TreePosition]]:
     return nodes, positions
 
 
-def plan_signature(plan: PlanNode, memo: dict[int, tuple] | None = None) -> tuple:
+def plan_signature(plan: PlanNode) -> tuple:
     """Structural signature of a plan tree (hashable, order-sensitive).
 
     Two plans share a signature iff they are node-for-node identical in
@@ -136,15 +140,22 @@ def plan_signature(plan: PlanNode, memo: dict[int, tuple] | None = None) -> tupl
     structurally equivalent plans (e.g. the cost-rerank's probe plans)
     share one cached encoding, regardless of object identity.
 
-    ``memo`` maps ``id(node)`` to its signature, so plans that share
-    sub-trees (:func:`repro.optimizer.plan_with_orders`) sign each shared
-    node once.  It is keyed by identity: keep it only as long as every
-    node it saw is alive and unchanged, as inside one rerank call.
+    Computed once per node object and kept on it, so a resubmitted plan
+    and every node that plans share (:func:`repro.optimizer.plan_with_orders`)
+    are signed once.  A copy, deep copy or unpickled plan does not carry
+    it and signs itself afresh.  Once signed, a node is treated as
+    immutable.  The one in-place writer in ``src/``,
+    ``CostModel.node_cost``, only fills *unset* operators, and a
+    subtree with an unset operator is never kept, so costing a node
+    never leaves a stale signature on it or on an ancestor;
+    ``tests/test_serializer_properties.py`` checks that no other code
+    under ``src/`` writes a signed field.
     """
-    if memo is not None:
-        signature = memo.get(id(plan))
-        if signature is not None:
-            return signature
+    signature = plan.__dict__.get(_MEMO)
+    return signature if signature is not None else _build_plan_signature(plan)
+
+
+def _build_plan_signature(plan: PlanNode) -> tuple:
     if plan.is_scan:
         filter_sig = None
         if plan.filter is not None:
@@ -155,16 +166,20 @@ def plan_signature(plan: PlanNode, memo: dict[int, tuple] | None = None) -> tupl
             plan.scan_op.value if plan.scan_op else None,
             filter_sig,
         )
+        keep = plan.scan_op is not None
     else:
         signature = (
             "join",
             plan.join_op.value if plan.join_op else None,
             tuple(str(p) for p in plan.join_predicates),
-            plan_signature(plan.left, memo),
-            plan_signature(plan.right, memo),
+            plan_signature(plan.left),
+            plan_signature(plan.right),
         )
-    if memo is not None:
-        memo[id(plan)] = signature
+        # Kept only once every operator below is set: the children were
+        # kept under the same rule.
+        keep = plan.join_op is not None and _MEMO in plan.left.__dict__ and _MEMO in plan.right.__dict__
+    if keep:
+        _remember(plan, signature)
     return signature
 
 
@@ -179,8 +194,15 @@ def query_signature(query) -> tuple:
 
     This is the query half of the serving layer's plan-cache key
     (DESIGN.md "Serving architecture"): requests for structurally
-    identical queries coalesce onto one cached join order.
+    identical queries coalesce onto one cached join order.  Like
+    :func:`plan_signature` it is computed once per ``Query`` object and
+    not carried by copies; nothing in ``src/`` mutates a query.
     """
+    signature = query.__dict__.get(_MEMO)
+    return signature if signature is not None else _remember(query, _build_query_signature(query))
+
+
+def _build_query_signature(query) -> tuple:
     filters = []
     for table, conjunction in query.filters.items():
         if len(conjunction):
@@ -191,6 +213,19 @@ def query_signature(query) -> tuple:
         tuple(sorted(str(j) for j in query.joins)),
         tuple(sorted(filters)),
     )
+
+
+def _remember(obj, signature: tuple) -> tuple:
+    """Keep ``signature`` on ``obj`` (a ``Query`` or ``PlanNode``).
+
+    The request thread (``OptimizerService.request_key``) and the drain
+    worker (``MTMLFQO.encode_query``) may both sign one object at once.
+    That race is harmless without a lock: both compute an equal value,
+    and one dict store is atomic under the GIL.  ``__getstate__`` of
+    both classes drops the key, so copies and pickles never carry it.
+    """
+    obj.__dict__[_MEMO] = signature
+    return signature
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,13 @@ class PlanNode:
     true_cardinality: int | None = None
     estimated_cost: float | None = None
 
+    def __getstate__(self) -> dict:
+        # A copy or unpickled node signs itself afresh: the signature
+        # ``repro.core.plan_signature`` keeps on a node is not carried.
+        state = self.__dict__.copy()
+        state.pop("_signature", None)
+        return state
+
     # ------------------------------------------------------------------
     @property
     def is_scan(self) -> bool:

@@ -319,6 +319,13 @@ class OptimizerService:
         trainers), and the service's swap epoch, so orders decoded with
         superseded weights can never be served after the model changes
         or is hot-swapped.
+
+        Both signatures are computed once per object and kept on it, so
+        a resubmitted request is keyed without re-signing; a copy does
+        not carry them and signs itself afresh.  A signed ``Query`` /
+        ``PlanNode`` is treated as immutable: a tier-1 test fails any
+        writer under ``src/`` but ``CostModel.node_cost``'s fills of
+        unset operators, which are never part of a kept signature.
         """
         session, epoch = self._serving_state()
         return (

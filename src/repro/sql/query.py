@@ -50,6 +50,13 @@ class Query:
             if conj.table != table:
                 raise ValueError(f"filter conjunction table mismatch: {conj.table!r} != {table!r}")
 
+    def __getstate__(self) -> dict:
+        # A copy or unpickled query signs itself afresh: the signature
+        # ``repro.core.query_signature`` keeps on a query is not carried.
+        state = self.__dict__.copy()
+        state.pop("_signature", None)
+        return state
+
     # ------------------------------------------------------------------
     @property
     def num_tables(self) -> int:

@@ -14,14 +14,21 @@ The serving layer's plan cache keys on ``plan_signature`` and
 Randomized over generated workloads rather than hand-picked examples.
 """
 
+import ast
 import copy
+import pickle
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import plan_signature, query_signature
 from repro.datagen import generate_database
-from repro.engine.plan import JoinOp, PlanNode, ScanOp
+from repro.engine.cost_model import DEFAULT_COST_MODEL
+from repro.engine.plan import JoinOp, PlanNode, ScanOp, left_deep_plan
 from repro.sql import Query
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
@@ -194,3 +201,158 @@ class TestQuerySignature:
             filters={**query.filters, table: Conjunction(table=table, predicates=())},
         )
         assert query_signature(padded) == query_signature(query)
+
+
+def reference_plan_signature(node: PlanNode) -> tuple:
+    """``plan_signature``'s definition, recomputed with no kept value."""
+    if node.is_scan:
+        filter_sig = None
+        if node.filter is not None:
+            filter_sig = (node.filter.table, tuple(str(p) for p in node.filter.predicates))
+        return ("scan", node.table, node.scan_op.value if node.scan_op else None, filter_sig)
+    return (
+        "join",
+        node.join_op.value if node.join_op else None,
+        tuple(str(p) for p in node.join_predicates),
+        reference_plan_signature(node.left),
+        reference_plan_signature(node.right),
+    )
+
+
+def change_join_operator(plan: PlanNode) -> None:
+    node = join_nodes(plan)[-1]
+    node.join_op = next(op for op in JoinOp if op is not node.join_op)
+
+
+def swap_children(plan: PlanNode) -> None:
+    node = join_nodes(plan)[0]
+    node.left, node.right = node.right, node.left
+
+
+def rename_table(plan: PlanNode) -> None:
+    scan_nodes(plan)[-1].table = "no_such_table"
+
+
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+COPIES = pytest.mark.parametrize("duplicate", [copy.deepcopy, pickle_round_trip], ids=["deepcopy", "pickle"])
+
+
+class TestKeptSignature:
+    """A signature is kept on its object; copies and costing never see a stale one."""
+
+    @COPIES
+    def test_mutated_copy_of_signed_plan_signs_afresh(self, labeled, duplicate):
+        for item in labeled:
+            original = plan_signature(item.plan)
+            for mutate in (change_join_operator, swap_children, rename_table):
+                twin = duplicate(item.plan)
+                mutate(twin)
+                assert plan_signature(twin) != original
+                assert plan_signature(twin) == reference_plan_signature(twin)
+            assert plan_signature(item.plan) == original == reference_plan_signature(item.plan)
+
+    def test_mutated_shallow_copy_of_signed_node_signs_afresh(self, labeled):
+        for item in labeled:
+            original = plan_signature(item.plan)
+            twin = copy.copy(item.plan)
+            twin.join_op = next(op for op in JoinOp if op is not twin.join_op)
+            assert plan_signature(twin) != original
+            assert plan_signature(twin) == reference_plan_signature(twin)
+
+    @COPIES
+    def test_mutated_copy_of_signed_query_signs_afresh(self, labeled, duplicate):
+        item = next(i for i in labeled if len(i.query.joins) >= 2)
+        original = query_signature(item.query)
+        twin = duplicate(item.query)
+        twin.joins.pop()
+        twin.tables.reverse()
+        assert query_signature(twin) != original
+        assert query_signature(twin) == query_signature(duplicate(twin))
+
+    def test_costing_an_unannotated_signed_plan_updates_its_signature(self, labeled):
+        """``CostModel.node_cost`` writes unset operators in place: the
+        signature read after costing must carry them, on every node."""
+        item = next(i for i in labeled if i.query.num_tables >= 3)
+        plan = left_deep_plan(item.query, item.plan.leaf_tables_in_order())
+        unannotated = plan_signature(plan)
+        assert unannotated == reference_plan_signature(plan)
+        assert all(node.scan_op is None and node.join_op is None for node in plan.nodes_preorder())
+        cardinalities = {node.tables: 10.0 * len(node.tables) for node in plan.nodes_preorder()}
+        DEFAULT_COST_MODEL.plan_cost(plan, cardinalities, {table: 100.0 for table in plan.tables})
+        for node in plan.nodes_preorder():
+            signature = plan_signature(node)
+            assert signature == reference_plan_signature(node)
+            assert signature[2 if node.is_scan else 1] is not None  # the written operator
+        assert plan_signature(plan) != unannotated
+
+    @pytest.mark.threaded
+    def test_concurrent_signing_keeps_one_correct_value(self, labeled):
+        """The request thread and the drain worker may sign one object at
+        once, without a lock: every caller must still read the right value."""
+        plans = [copy.deepcopy(item.plan) for item in labeled]
+        queries = [copy.deepcopy(item.query) for item in labeled]
+        expected = [reference_plan_signature(plan) for plan in plans]
+        expected_queries = [query_signature(copy.deepcopy(query)) for query in queries]
+        wrong: list[int] = []
+        start = threading.Barrier(6)
+
+        def sign():
+            start.wait(timeout=10)
+            for index, (plan, query) in enumerate(zip(plans, queries)):
+                if plan_signature(plan) != expected[index] or query_signature(query) != expected_queries[index]:
+                    wrong.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sign) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert [plan_signature(plan) for plan in plans] == expected
+
+
+# Attributes ``plan_signature`` / ``query_signature`` read.
+SIGNED_FIELDS = {"table", "filter", "scan_op", "join_op", "left", "right", "join_predicates", "tables", "joins", "filters"}
+IN_PLACE = {"append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear", "update", "setdefault"}
+
+
+def test_only_node_cost_writes_a_signed_field_under_src():
+    """What keeps a kept signature true: no code under ``src/`` writes a
+    field a signature reads, outside constructors, except the unset-
+    operator fills of ``CostModel.node_cost`` (which the signature never
+    keeps — see the test above)."""
+    root = Path(repro.__file__).parent
+    writes = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                targets = []
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                        targets.extend(target.elts if isinstance(target, ast.Tuple) else [target])
+                    targets = [t.value if isinstance(t, ast.Subscript) else t for t in targets]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in IN_PLACE:
+                    targets = [node.func.value]
+                for target in targets:
+                    if not (isinstance(target, ast.Attribute) and target.attr in SIGNED_FIELDS):
+                        continue
+                    on_self = isinstance(target.value, ast.Name) and target.value.id == "self"
+                    if on_self and function.name == "__init__":
+                        continue
+                    writes.add((path.relative_to(root).as_posix(), function.name, target.attr))
+    assert writes == {
+        ("engine/cost_model.py", "node_cost", "scan_op"),
+        ("engine/cost_model.py", "node_cost", "join_op"),
+    }

@@ -8,11 +8,12 @@ from the plan cache.  Plus request-lifecycle behavior: backpressure,
 per-request error isolation, timeouts, and lifecycle errors.
 """
 
+import copy
 import threading
 
 import pytest
 
-from repro.core import JointTrainer, ModelConfig, MTMLFQO
+from repro.core import JointTrainer, ModelConfig, MTMLFQO, serializer
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
 from repro.serve import (
@@ -96,6 +97,28 @@ class TestServeParity:
         assert first == direct
         assert second == direct
         assert report.cache_hits >= len(labeled)  # the whole second pass hit
+
+    def test_resubmitted_object_hits_without_signing(self, db, model, labeled, monkeypatch):
+        """A served object keeps its signatures, so resubmitting it hits
+        the plan cache without re-entering either signature builder; a
+        fresh deep copy signs itself afresh and hits the same entry."""
+        item = labeled[0]
+        builds: list[str] = []
+        for name in ("_build_query_signature", "_build_plan_signature"):
+            build = getattr(serializer, name)
+            monkeypatch.setattr(
+                serializer, name, lambda obj, build=build, name=name: builds.append(name) or build(obj)
+            )
+        with OptimizerService(model, db.name) as service:
+            first = service.optimize(item)
+            hits = service.report().cache_hits
+            builds.clear()
+            assert service.optimize(item) == first
+            assert builds == []
+            assert service.report().cache_hits == hits + 1
+            assert service.optimize(copy.deepcopy(item)) == first
+            assert set(builds) == {"_build_query_signature", "_build_plan_signature"}
+            assert service.report().cache_hits == hits + 2
 
     def test_coalesced_duplicates_get_one_model_call(self, db, model, labeled):
         item = labeled[0]

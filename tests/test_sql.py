@@ -1,10 +1,14 @@
 """Tests for predicates, the query model and the SQL parser."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import query_signature
+from repro.datagen import generate_database
 from repro.sql import (
     BetweenPredicate,
     Comparison,
@@ -18,6 +22,12 @@ from repro.sql import (
     parse_query,
 )
 from repro.storage import JoinRelation, Table
+from repro.workload import WorkloadConfig, WorkloadGenerator
+
+
+@functools.lru_cache(maxsize=None)
+def workload_db():
+    return generate_database(seed=3, num_tables=6, row_range=(40, 120), attr_range=(2, 4))
 
 
 @pytest.fixture
@@ -165,12 +175,24 @@ class TestQueryModel:
         reversed_between = q.joins_between({"b"}, {"a"})
         assert reversed_between[0].left == "b"
 
-    def test_to_sql_roundtrip(self):
-        q = self._query()
+    @given(seed=st.none() | st.integers(0, 2**16))
+    @example(seed=None)
+    @settings(max_examples=40, deadline=None)
+    def test_to_sql_roundtrip(self, seed):
+        """``None`` is the hand-written query; a seed draws one from
+        ``WorkloadGenerator`` (joins plus comparison / BETWEEN / IN /
+        LIKE filters), so parse -> ``to_sql`` -> parse must keep its
+        structural signature."""
+        if seed is None:
+            q = self._query()
+        else:
+            config = WorkloadConfig(min_tables=1, max_tables=6, seed=seed)
+            q = WorkloadGenerator(workload_db(), config).generate(1)[0]
         reparsed = parse_query(q.to_sql())
         assert reparsed.tables == q.tables
         assert reparsed.joins == q.joins
         assert set(reparsed.filters) == set(q.filters)
+        assert query_signature(reparsed) == query_signature(q)
 
 
 class TestParser:
