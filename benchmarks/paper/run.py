@@ -12,10 +12,11 @@ result, not a failure; the claims in ``GATED`` (Table 1's headline and
 every Adapt / Fleet property) fail the run. Exit status 1 means a
 section's assertion failed (an impossible table, or a broken
 precondition) or a gated claim did not hold. ``--seed`` sets
-``StudyConfig.seed`` and ``run_table3(seed=)``, and offsets the training
-seeds of Adapt and Fleet (their initial ``JointTrainer.train`` and
-``RoundConfig.seed``); the databases and workloads are fixed, and every
-number but the timings is deterministic per seed.
+``StudyConfig.seed`` and ``run_table3(seed=)`` (the Table 3 workloads
+and both arms' training), and offsets the training seeds of Adapt and
+Fleet (their initial ``JointTrainer.train`` and ``RoundConfig.seed``);
+their databases and workloads are fixed, and every number but the
+timings is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from repro.core import DatabaseFeaturizer, JoinTree, JointTrainer, MLAConfig, MTMLFQO, ModelConfig, joeu
-from repro.core import decoding_embeddings, join_tree_from_order, shared_state_dict, tree_from_embeddings
+from repro.core import EncoderBudget, JoinTree, JointTrainer, MLAConfig, MTMLFQO, ModelConfig, joeu
+from repro.core import decoding_embeddings, join_tree_from_order, shared_state_dict, transfer, tree_from_embeddings
 from repro.core.serializer import query_signature
 from repro.datagen import generate_database, generate_databases, imdb_like
 from repro.engine import ExecutionLimitError
@@ -48,13 +49,13 @@ from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator, traf
 
 MODEL = ModelConfig(d_model=48, num_heads=4, encoder_layers=1, shared_layers=2, decoder_layers=2)
 STUDY = StudyConfig(
-    num_queries=260, min_tables=3, max_tables=6, model=MODEL, encoder_queries_per_table=15, encoder_epochs=6,
+    num_queries=260, min_tables=3, max_tables=6, model=MODEL, encoder=EncoderBudget(15, 6),
     joint_epochs=25, treelstm_epochs=12, filter_probability=0.7, like_probability=0.6, max_filters_per_table=1,
 )
 TABLE3_DATABASES = dict(base_seed=100, row_range=(200, 900), attr_range=(2, 4), fk_skew=1.3, fk_correlation=0.8)
 TABLE3 = dict(
     num_queries=120, max_tables=4, model_config=MODEL,
-    mla_config=MLAConfig(encoder_queries_per_table=12, encoder_epochs=6, joint_epochs=22, fine_tune_epochs=8),
+    mla_config=MLAConfig(encoder=EncoderBudget(12, 6), joint_epochs=22, fine_tune_epochs=8),
 )
 # Adapt and Fleet each run one fixed operating point, verified to show
 # their claims; there is no scale knob.
@@ -65,7 +66,7 @@ FLEET_TENANTS = 3
 # adaptation transfer to (at least) one low-traffic tenant while the
 # tenants it would hurt reject it at their gates.
 FLEET = dict(fine_tune_epochs=24, batch_size=8, min_new_experience=8, validation_fraction=0.4,
-             encoder_queries_per_table=4, encoder_epochs=2)
+             encoder=EncoderBudget(4, 2))
 # These claims fail the run when they do not hold. The paper's headline
 # is gated here, not asserted in table1(), because tier-1's micro study
 # is too small to show it; the Adapt / Fleet claims are the properties
@@ -391,8 +392,7 @@ def online_adaptation(seed: int):
     """Frozen vs adapt-while-serving under workload drift, then a poisoned retrain vs the gate."""
     db = generate_database(seed=9, num_tables=6, row_range=(150, 600), attr_range=(2, 3),
                            fk_skew=1.3, fk_correlation=0.8)
-    featurizer = DatabaseFeaturizer(db, LIFECYCLE_MODEL)
-    featurizer.train_encoders(queries_per_table=4, epochs=2)
+    featurizer = EncoderBudget(4, 2).train(db, LIFECYCLE_MODEL)
     # The templates drift from 2-3 table queries to 4-6 table, LIKE-heavy ones.
     pre_pool = labeled_pool(db, 10, 24, min_tables=2, max_tables=3, seed=7)
     post_pool = labeled_pool(db, 16, 30, min_tables=4, max_tables=6, seed=21,
@@ -430,10 +430,10 @@ def online_adaptation(seed: int):
 def fleet_fixture() -> list[tuple]:
     """(db, featurizer, pre-drift pool, drifted pool) per tenant, plus one to onboard."""
     tenants = []
+    encoder = FleetConfig(**FLEET).encoder
     for i, db in enumerate(generate_databases(FLEET_TENANTS + 1, base_seed=31, row_range=(150, 500),
                                               attr_range=(2, 3), fk_skew=1.3, fk_correlation=0.8)):
-        featurizer = DatabaseFeaturizer(db, LIFECYCLE_MODEL)
-        featurizer.train_encoders(queries_per_table=4, epochs=2, seed=i)
+        featurizer = encoder.train(db, LIFECYCLE_MODEL, seed=i)
         pre_pool = labeled_pool(db, 10, 18, min_tables=2, max_tables=3, seed=40 + i)
         drift_pool = labeled_pool(db, 10, 28, min_tables=4, max_tables=5, seed=60 + i,
                                   like_probability=0.6, filter_probability=0.8)
@@ -445,8 +445,7 @@ def fleet_fixture() -> list[tuple]:
 def tenant_model(global_state: dict, db, featurizer) -> MTMLFQO:
     model = MTMLFQO(LIFECYCLE_MODEL)
     model.load_state_dict(global_state)
-    model.attach_featurizer(db.name, featurizer)
-    return model
+    return transfer(model, db, featurizer)
 
 
 def fleet_arm(tenants: list, global_state: dict, seed: int, federated: bool) -> tuple:
@@ -499,9 +498,7 @@ def onboarding(tenants: list, global_state: dict, seed: int) -> tuple[float, flo
         fleet.global_model.load_state_dict(global_state)
         with fleet.onboard(db, featurizer=featurizer) as onboarded:
             onboarded_ms = sum(serve(onboarded.optimize, db, traffic_stream(pool, seed=7)))
-    scratch = MTMLFQO(LIFECYCLE_MODEL)
-    scratch.attach_featurizer(db.name, featurizer)
-    orders = scratch.predict_join_orders(db.name, pool)
+    orders = transfer(MTMLFQO(LIFECYCLE_MODEL), db, featurizer).predict_join_orders(db.name, pool)
     return onboarded_ms, sum(join_order_execution_time(db, item, order) for item, order in zip(pool, orders))
 
 

@@ -13,11 +13,13 @@ Run:  python examples/federated_pretraining.py
 import numpy as np
 
 from repro.core import (
+    EncoderBudget,
     FederatedClient,
     FederatedConfig,
     FederatedTrainer,
     ModelConfig,
     joeu,
+    transfer,
 )
 from repro.datagen import generate_databases
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
@@ -40,17 +42,16 @@ def main() -> None:
         print(f"  client {client.db.name}: {client.num_examples} private labeled queries")
 
     print("\nrunning FedAvg over the shared (S)/(T) modules...")
+    fed_config = FederatedConfig(rounds=4, local_epochs=3, encoder=EncoderBudget(10, 5), verbose=True)
     trainer = FederatedTrainer(
-        ModelConfig(d_model=32, num_heads=4, encoder_layers=1, shared_layers=2, decoder_layers=2),
-        FederatedConfig(rounds=4, local_epochs=3, encoder_queries_per_table=10, encoder_epochs=5,
-                        verbose=True),
+        ModelConfig(d_model=32, num_heads=4, encoder_layers=1, shared_layers=2, decoder_layers=2), fed_config
     )
     trainer.train(clients)
     print(f"round losses: {[round(l, 3) for l in trainer.round_losses]}")
 
     print("\ntransferring to the unseen database (only its featurizer is trained)...")
     test_client = build_client(dbs[3], seed=9)
-    trainer.transfer(test_client.db)
+    transfer(trainer.server_model, test_client.db, fed_config.encoder, seed=fed_config.seed)
 
     jo_items = [i for i in test_client.workload if i.optimal_order and i.query.num_tables >= 2]
     orders = trainer.server_model.predict_join_orders(test_client.db.name, jo_items)

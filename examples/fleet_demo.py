@@ -19,7 +19,7 @@ runs FedAvg rounds over them:
 Run:  python examples/fleet_demo.py
 """
 
-from repro.core import JointTrainer, MTMLFQO, ModelConfig, shared_state_dict
+from repro.core import EncoderBudget, JointTrainer, MTMLFQO, ModelConfig, shared_state_dict
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report
 from repro.federation import FleetConfig, FleetCoordinator
@@ -39,7 +39,7 @@ def main() -> None:
     dbs = generate_databases(4, base_seed=640, row_range=(120, 450), attr_range=(2, 3))
     config = FleetConfig(
         fine_tune_epochs=6, min_new_experience=6, validation_fraction=0.3,
-        encoder_queries_per_table=6, encoder_epochs=3,
+        encoder=EncoderBudget(6, 3),
     )
 
     with FleetCoordinator(MODEL, config) as fleet:

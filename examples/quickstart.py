@@ -197,7 +197,7 @@ def main() -> None:
     # and pushes the merged model back through each tenant's regression
     # gate.  A new tenant onboards by training only its featurizer (F):
     # the global (S)/(T) is deployed zero-shot.
-    from repro.core import shared_state_dict
+    from repro.core import EncoderBudget, shared_state_dict
     from repro.datagen import generate_databases
     from repro.eval import format_fleet_report
     from repro.federation import FleetConfig, FleetCoordinator, TenantNode
@@ -205,7 +205,7 @@ def main() -> None:
     fleet_dbs = generate_databases(3, base_seed=500, row_range=(100, 400), attr_range=(2, 3))
     fleet_config = FleetConfig(
         fine_tune_epochs=4, min_new_experience=6,
-        encoder_queries_per_table=6, encoder_epochs=2,
+        encoder=EncoderBudget(6, 2),
     )
     with FleetCoordinator(config, fleet_config) as fleet:
         # Seed the global (S)/(T) with the model trained above — the

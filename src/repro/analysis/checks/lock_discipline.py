@@ -56,6 +56,7 @@ BLOCKING_CALLS = frozenset(
         "load_checkpoint",
         "run_round",
         "train_encoders",
+        "transfer",
     }
 )
 

@@ -25,7 +25,7 @@ from .beam import (
     require_connected,
 )
 from .config import ModelConfig
-from .encoders import DatabaseFeaturizer, TableEncoder
+from .encoders import DatabaseFeaturizer, EncoderBudget, TableEncoder
 from .featurize import PredicateFeaturizer
 from .heads import EstimationHead
 from .joeu import joeu, shared_prefix_length
@@ -44,7 +44,7 @@ from .federated import (
     aggregate_shared_states,
     shared_state_dict,
 )
-from .meta import MetaLearner, MLAConfig
+from .meta import MetaLearner, MLAConfig, transfer
 from .model import EncodedQuery, FeatureCache, InferenceSession, MTMLFQO
 from .serializer import (
     JoinTree,
@@ -71,6 +71,7 @@ __all__ = [
     "PredicateFeaturizer",
     "TableEncoder",
     "DatabaseFeaturizer",
+    "EncoderBudget",
     "SharedRepresentation",
     "EstimationHead",
     "TransJO",
@@ -97,6 +98,7 @@ __all__ = [
     "order_positions",
     "MetaLearner",
     "MLAConfig",
+    "transfer",
     "FederatedTrainer",
     "FederatedClient",
     "FederatedConfig",

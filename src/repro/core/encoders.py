@@ -20,6 +20,8 @@ nothing here needs to know which it is.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import nn
@@ -30,7 +32,7 @@ from ..workload.generator import generate_single_table_queries
 from .config import ModelConfig
 from .featurize import PredicateFeaturizer
 
-__all__ = ["TableEncoder", "DatabaseFeaturizer"]
+__all__ = ["TableEncoder", "DatabaseFeaturizer", "EncoderBudget"]
 
 
 class TableEncoder(nn.Module):
@@ -170,3 +172,19 @@ class DatabaseFeaturizer(nn.Module):
             if verbose:
                 print(f"  Enc[{table}]: final |log sel| error {final:.3f}")
         return losses
+
+
+@dataclass(frozen=True)
+class EncoderBudget:
+    """How much single-table CardEst training a fresh (F) module gets
+    (Algorithm 1 line 4): ``queries_per_table`` filter-only queries per
+    table, ``epochs`` passes over them."""
+
+    queries_per_table: int
+    epochs: int
+
+    def train(self, db: Database, config: ModelConfig, seed: int = 0, verbose: bool = False) -> DatabaseFeaturizer:
+        """A new :class:`DatabaseFeaturizer` over ``db``, its encoders trained."""
+        featurizer = DatabaseFeaturizer(db, config)
+        featurizer.train_encoders(self.queries_per_table, self.epochs, seed=seed, verbose=verbose)
+        return featurizer

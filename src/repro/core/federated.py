@@ -28,7 +28,8 @@ import numpy as np
 from ..storage.catalog import Database
 from ..workload.labeler import LabeledQuery
 from .config import ModelConfig
-from .encoders import DatabaseFeaturizer
+from .encoders import DatabaseFeaturizer, EncoderBudget
+from .meta import transfer
 from .model import MTMLFQO
 from .trainer import JointTrainer
 
@@ -132,8 +133,7 @@ class FederatedConfig:
     rounds: int = 5
     local_epochs: int = 2
     batch_size: int = 16
-    encoder_queries_per_table: int = 15
-    encoder_epochs: int = 6
+    encoder: EncoderBudget = EncoderBudget(15, 6)
     seed: int = 0
     verbose: bool = False
 
@@ -167,19 +167,15 @@ class FederatedTrainer:
 
     # ------------------------------------------------------------------
     def prepare_client(self, client: FederatedClient) -> None:
-        """Client-side: train the private featurization module (F)."""
-        if client.featurizer is None:
-            client.featurizer = DatabaseFeaturizer(client.db, self.model_config)
-            client.featurizer.train_encoders(
-                queries_per_table=self.fed_config.encoder_queries_per_table,
-                epochs=self.fed_config.encoder_epochs,
-                seed=self.fed_config.seed,
-                verbose=self.fed_config.verbose,
-            )
+        """Client-side: train the private featurization module (F) unless
+        the client brings one, and attach it to the server model."""
+        cfg = self.fed_config
+        encoder = cfg.encoder if client.featurizer is None else client.featurizer
         # The server model needs the featurizer handle to *evaluate* on
         # this client; in a real deployment evaluation also happens
         # client-side and only metrics travel.
-        self.server_model.attach_featurizer(client.db.name, client.featurizer)
+        transfer(self.server_model, client.db, encoder, seed=cfg.seed, verbose=cfg.verbose)
+        client.featurizer = self.server_model.featurizer_for(client.db.name)
 
     def _client_update(self, client: FederatedClient, seed: int) -> tuple[dict, float]:
         """One client's local training pass; returns (weights, mean loss)."""
@@ -240,15 +236,3 @@ class FederatedTrainer:
         )
         self.server_model.load_state_dict(merged)
         self.server_model.mark_updated()
-
-    # ------------------------------------------------------------------
-    def transfer(self, new_db: Database, featurizer: DatabaseFeaturizer | None = None) -> None:
-        """Deploy the federated model on a new database (train (F) only)."""
-        if featurizer is None:
-            featurizer = DatabaseFeaturizer(new_db, self.model_config)
-            featurizer.train_encoders(
-                queries_per_table=self.fed_config.encoder_queries_per_table,
-                epochs=self.fed_config.encoder_epochs,
-                seed=self.fed_config.seed,
-            )
-        self.server_model.attach_featurizer(new_db.name, featurizer)

@@ -10,31 +10,61 @@ MLA trains one MTMLF-QO over N databases:
    because one set of weights must fit all DBs simultaneously;
 4. jointly train the (S) and (T) modules on the pooled data (line 8).
 
-Transfer to a new DB then needs only: train the new DB's featurizer
-(cheap single-table queries) and optionally fine-tune (S)/(T) on a
-small number of labeled queries.
+Transfer to a new DB (:func:`transfer`) then needs only: train the
+new DB's featurizer (cheap single-table queries) and optionally
+fine-tune (S)/(T) on a small number of labeled queries.  It is the one
+cross-database path: MLA transfer, federated deployment, fleet
+onboarding and the from-scratch control all run it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..storage.catalog import Database
 from ..workload.labeler import LabeledQuery
 from .config import ModelConfig
-from .encoders import DatabaseFeaturizer
+from .encoders import DatabaseFeaturizer, EncoderBudget
 from .model import MTMLFQO
 from .trainer import JointTrainer, TrainingExample
 
-__all__ = ["MetaLearner", "MLAConfig"]
+__all__ = ["MetaLearner", "MLAConfig", "transfer"]
+
+
+def transfer(
+    model: MTMLFQO,
+    db: Database,
+    encoder: EncoderBudget | DatabaseFeaturizer,
+    *,
+    seed: int = 0,
+    fine_tune: Sequence[LabeledQuery] = (),
+    epochs: int = 0,
+    batch_size: int = 16,
+    verbose: bool = False,
+) -> MTMLFQO:
+    """Put ``model``'s (S)/(T) to work on ``db``; returns ``model``.
+
+    ``encoder`` is the database's (F): an already-trained featurizer,
+    attached as is, or an :class:`EncoderBudget` to train one with under
+    ``seed``.  With no ``fine_tune`` queries (k = 0) this is zero-shot
+    and the (S)/(T) weights are untouched; otherwise one
+    :class:`JointTrainer` runs ``epochs`` over the k labeled queries.
+    """
+    if not isinstance(encoder, DatabaseFeaturizer):
+        encoder = encoder.train(db, model.config, seed=seed, verbose=verbose)
+    model.attach_featurizer(db.name, encoder)
+    if fine_tune:
+        examples = [(db.name, item) for item in fine_tune]
+        JointTrainer(model).train(examples, epochs=epochs, batch_size=batch_size, seed=seed, verbose=verbose)
+    return model
 
 
 @dataclass
 class MLAConfig:
     """Knobs for the meta-learning procedure."""
 
-    encoder_queries_per_table: int = 25
-    encoder_epochs: int = 12
+    encoder: EncoderBudget = EncoderBudget(25, 12)
     joint_epochs: int = 20
     batch_size: int = 16
     fine_tune_epochs: int = 5
@@ -43,25 +73,12 @@ class MLAConfig:
 
 
 class MetaLearner:
-    """Runs MLA over multiple databases and transfers to new ones."""
+    """Runs MLA (Algorithm 1) over multiple databases."""
 
     def __init__(self, model_config: ModelConfig | None = None, mla_config: MLAConfig | None = None):
         self.model_config = model_config or ModelConfig()
         self.mla_config = mla_config or MLAConfig()
         self.model = MTMLFQO(self.model_config)
-
-    # ------------------------------------------------------------------
-    def prepare_featurizer(self, db: Database) -> DatabaseFeaturizer:
-        """Train a database's (F) module (Algorithm 1, line 4)."""
-        featurizer = DatabaseFeaturizer(db, self.model_config)
-        featurizer.train_encoders(
-            queries_per_table=self.mla_config.encoder_queries_per_table,
-            epochs=self.mla_config.encoder_epochs,
-            seed=self.mla_config.seed,
-            verbose=self.mla_config.verbose,
-        )
-        self.model.attach_featurizer(db.name, featurizer)
-        return featurizer
 
     def pretrain(
         self,
@@ -71,42 +88,21 @@ class MetaLearner:
         """Algorithm 1: train (S)+(T) on the shuffled multi-DB pool."""
         if len(databases) != len(workloads):
             raise ValueError("databases and workloads must align")
+        cfg = self.mla_config
         train_data: list[TrainingExample] = []
         for db, workload in zip(databases, workloads):
             if db.name not in self.model.featurizers:
-                self.prepare_featurizer(db)
+                # Line 4: train the database's (F) module.
+                transfer(self.model, db, cfg.encoder, seed=cfg.seed, verbose=cfg.verbose)
             train_data.extend((db.name, item) for item in workload)
         trainer = JointTrainer(self.model)
         # Line 7's shuffle happens inside JointTrainer.train (per epoch),
         # interleaving examples from all databases.
         trainer.train(
             train_data,
-            epochs=self.mla_config.joint_epochs,
-            batch_size=self.mla_config.batch_size,
-            seed=self.mla_config.seed,
-            verbose=self.mla_config.verbose,
+            epochs=cfg.joint_epochs,
+            batch_size=cfg.batch_size,
+            seed=cfg.seed,
+            verbose=cfg.verbose,
         )
         return trainer
-
-    # ------------------------------------------------------------------
-    def transfer(
-        self,
-        new_db: Database,
-        fine_tune_workload: list[LabeledQuery] | None = None,
-    ) -> None:
-        """Deploy the pre-trained model on an unseen database.
-
-        Only the new DB's featurizer is trained from scratch (cheap
-        single-table queries); the pre-trained (S)/(T) modules transfer
-        as-is, optionally fine-tuned on a *small* labeled workload.
-        """
-        self.prepare_featurizer(new_db)
-        if fine_tune_workload:
-            trainer = JointTrainer(self.model)
-            trainer.train(
-                [(new_db.name, item) for item in fine_tune_workload],
-                epochs=self.mla_config.fine_tune_epochs,
-                batch_size=self.mla_config.batch_size,
-                seed=self.mla_config.seed,
-                verbose=self.mla_config.verbose,
-            )

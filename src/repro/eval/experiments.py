@@ -16,15 +16,15 @@ baselines and metrics match the paper exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..baselines.postgres import PostgresBaseline
 from ..baselines.treelstm import TreeLSTMEstimator
 from ..core.config import ModelConfig
-from ..core.encoders import DatabaseFeaturizer
-from ..core.meta import MetaLearner, MLAConfig
+from ..core.encoders import DatabaseFeaturizer, EncoderBudget
+from ..core.meta import MetaLearner, MLAConfig, transfer
 from ..core.model import MTMLFQO
 from ..core.trainer import JointTrainer
 from ..engine.executor import ExecutionLimitError, execute_plan
@@ -167,8 +167,7 @@ class StudyConfig:
     min_tables: int = 3
     max_tables: int = 6
     model: ModelConfig = field(default_factory=ModelConfig)
-    encoder_queries_per_table: int = 25
-    encoder_epochs: int = 10
+    encoder: EncoderBudget = EncoderBudget(25, 10)
     joint_epochs: int = 30
     treelstm_epochs: int = 15
     batch_size: int = 16
@@ -228,13 +227,7 @@ class SingleDBStudy:
         """Train the (F) module once; shared by all MTMLF variants."""
         if self.featurizer is None:
             cfg = self.config
-            self.featurizer = DatabaseFeaturizer(self.db, cfg.model)
-            self.featurizer.train_encoders(
-                queries_per_table=cfg.encoder_queries_per_table,
-                epochs=cfg.encoder_epochs,
-                seed=cfg.seed,
-                verbose=cfg.verbose,
-            )
+            self.featurizer = cfg.encoder.train(self.db, cfg.model, seed=cfg.seed, verbose=cfg.verbose)
         return self.featurizer
 
     def train_mtmlf(
@@ -423,14 +416,17 @@ def run_table3(
     """The Table 3 experiment: transfer MTMLF-QO to an unseen database.
 
     The last database is held out; (S)/(T) are pre-trained via MLA on
-    the others and applied to the held-out DB with only its featurizer
-    trained locally.  The controlled comparison trains a fresh MTMLF-QO
-    directly on the held-out DB.
+    the others and transferred to the held-out DB: its featurizer is
+    trained locally and (S)/(T) fine-tuned on a slice of its workload.
+    The controlled comparison trains a fresh MTMLF-QO on the same slice.
+    ``seed`` seeds the workloads and both arms' training; it overrides
+    ``mla_config.seed``.
     """
     if len(databases) < 3:
         raise ValueError("need at least 3 databases (2 train + 1 test)")
     train_dbs, test_db = databases[:-1], databases[-1]
-    mla_config = mla_config or MLAConfig()
+    # One seed for both arms: encoders, pre-training and fine-tuning.
+    mla_config = replace(mla_config or MLAConfig(), seed=seed)
     model_config = model_config or ModelConfig()
 
     workloads = [
@@ -444,23 +440,18 @@ def run_table3(
     holdout = test_items[: max(len(test_items) // 3, 5)]   # evaluation slice
     finetune = test_items[len(holdout):]
 
-    # --- MLA-pretrained model, transferred with fine-tuning --------------
+    def onto_test_db(model: MTMLFQO, epochs: int) -> MTMLFQO:
+        return transfer(
+            model, test_db, mla_config.encoder, seed=seed, fine_tune=finetune, epochs=epochs,
+            batch_size=mla_config.batch_size, verbose=mla_config.verbose,
+        )
+
+    # MLA-pretrained (S)/(T) against the controlled study, random (S)/(T):
+    # both fine-tune on the same queries over an identically trained (F).
     meta = MetaLearner(model_config, mla_config)
     meta.pretrain(train_dbs, workloads)
-    meta.transfer(test_db, fine_tune_workload=finetune)
-    mla_model = meta.model
-
-    # --- Controlled study: train from scratch on the test DB -------------
-    single = MetaLearner(model_config, mla_config)
-    single.prepare_featurizer(test_db)
-    trainer = JointTrainer(single.model)
-    trainer.train(
-        [(test_db.name, item) for item in finetune],
-        epochs=mla_config.joint_epochs,
-        batch_size=mla_config.batch_size,
-        seed=seed,
-    )
-    single_model = single.model
+    mla_model = onto_test_db(meta.model, mla_config.fine_tune_epochs)
+    single_model = onto_test_db(MTMLFQO(model_config), mla_config.joint_epochs)
 
     estimator = HistogramEstimator(test_db)
     planner = PostgresStylePlanner(test_db)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.encoders import EncoderBudget
 from ..serve.adaptation import RoundConfig
 
 __all__ = ["FleetConfig"]
@@ -21,13 +22,12 @@ class FleetConfig(RoundConfig):
     min_participants:
         How many tenants must clear the ``min_new_experience`` bar
         before the coordinator's background loop fires a round.
-    encoder_queries_per_table / encoder_epochs:
+    encoder:
         Featurizer (F) training budget for :meth:`FleetCoordinator.onboard`.
     """
 
     min_participants: int = 1
-    encoder_queries_per_table: int = 15
-    encoder_epochs: int = 6
+    encoder: EncoderBudget = EncoderBudget(15, 6)
 
     def __post_init__(self):
         super().__post_init__()

@@ -26,9 +26,10 @@ live :class:`~repro.federation.node.TenantNode` instances:
    state to the pre-round weights, so a poisoned round cannot linger in
    the lineage.
 
-:meth:`onboard` implements the paper's new-customer path: train only a
-database-specific featurizer (F) and deploy the current global (S)/(T)
-zero-shot — no local (S)/(T) training, no data leaving the tenant.
+:meth:`onboard` implements the paper's new-customer path: the current
+global (S)/(T) plus :func:`~repro.core.meta.transfer` at k = 0 (train
+only a database-specific featurizer (F), deploy zero-shot — no local
+(S)/(T) training, no data leaving the tenant), then registration.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from ..core.checkpoint import save_checkpoint
 from ..core.config import ModelConfig
 from ..core.encoders import DatabaseFeaturizer
 from ..core.federated import aggregate_shared_states
+from ..core.meta import transfer
 from ..core.model import MTMLFQO
 from ..obs import Telemetry
 from ..serve.adaptation import RoundScheduler
@@ -161,14 +163,13 @@ class FleetCoordinator(RoundScheduler):
         feedback_config=None,
         featurizer: DatabaseFeaturizer | None = None,
     ) -> TenantNode:
-        """Bring a new tenant online: train (F) only, deploy (S)/(T) zero-shot.
-
-        The new tenant's model is the current global (S)/(T) — no local
-        (S)/(T) training, no tenant data used beyond the featurizer's
-        own single-table encoder fitting — composed with a freshly
-        trained database-specific featurizer.  The tenant is registered
-        (it will receive future rounds through its gate, and contribute
-        once it accumulates experience) and returned un-started; call
+        """Bring a new tenant online: the current global (S)/(T), zero-shot
+        (:func:`~repro.core.meta.transfer` with k = 0) over the tenant's
+        own (F) — ``featurizer`` when given, else one trained on ``db``
+        under ``config.encoder``.  No tenant data is used beyond that
+        single-table encoder fitting.  The tenant is registered (it will
+        receive future rounds through its gate, and contribute once it
+        accumulates experience) and returned un-started; call
         ``start()`` (or use it as a context manager) to begin serving.
         """
         with self._tenants_lock:
@@ -176,17 +177,9 @@ class FleetCoordinator(RoundScheduler):
             # name is re-checked under the lock at register() time.
             if (name or db.name) in self.tenants:
                 raise ValueError(f"tenant {(name or db.name)!r} is already registered")
-        model_config = self.global_model.config
-        if featurizer is None:
-            featurizer = DatabaseFeaturizer(db, model_config)
-            featurizer.train_encoders(
-                queries_per_table=self.config.encoder_queries_per_table,
-                epochs=self.config.encoder_epochs,
-                seed=self.config.seed,
-            )
-        model = MTMLFQO(model_config)
+        model = MTMLFQO(self.global_model.config)
         model.load_state_dict(self.global_state())
-        model.attach_featurizer(db.name, featurizer)
+        transfer(model, db, self.config.encoder if featurizer is None else featurizer, seed=self.config.seed)
         tenant = TenantNode(
             db,
             model,

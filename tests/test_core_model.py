@@ -6,6 +6,7 @@ import pytest
 import repro.nn as nn
 from repro.core import (
     DatabaseFeaturizer,
+    EncoderBudget,
     JointTrainer,
     MetaLearner,
     MLAConfig,
@@ -17,6 +18,8 @@ from repro.core import (
     order_positions,
     sequence_level_loss,
     sequence_log_probs,
+    shared_state_dict,
+    transfer,
 )
 from repro.core.beam import BeamCandidate
 from repro.datagen import generate_database, generate_databases
@@ -338,30 +341,84 @@ class TestMetaLearning:
 
     def test_mla_pretrain_and_transfer(self, fleet):
         dbs, workloads = fleet
-        mla = MLAConfig(
-            encoder_queries_per_table=4, encoder_epochs=2, joint_epochs=3, fine_tune_epochs=1
-        )
+        mla = MLAConfig(encoder=EncoderBudget(4, 2), joint_epochs=3, fine_tune_epochs=1)
         meta = MetaLearner(SMALL, mla)
         meta.pretrain(dbs[:-1], workloads[:-1])
         # After pretraining, both training DBs have featurizers attached.
         assert dbs[0].name in meta.model.featurizers
         assert dbs[1].name in meta.model.featurizers
-        meta.transfer(dbs[-1], fine_tune_workload=workloads[-1][:6])
+        model = transfer(
+            meta.model, dbs[-1], mla.encoder, seed=mla.seed, fine_tune=workloads[-1][:6],
+            epochs=mla.fine_tune_epochs, batch_size=mla.batch_size,
+        )
+        assert model is meta.model
         assert dbs[-1].name in meta.model.featurizers
         item = workloads[-1][-1]
         order = meta.model.predict_join_order(dbs[-1].name, item)
         assert sorted(order) == sorted(item.query.tables)
 
     def test_shared_modules_are_shared_across_dbs(self, fleet):
-        """One (S)/(T) set serves all DBs: predictions differ only via (F)."""
+        """One (S)/(T) set serves all DBs: a zero-shot (k = 0) transfer
+        trains only the new DB's (F) and leaves every (S)/(T) parameter
+        bit for bit as it was."""
         dbs, workloads = fleet
-        mla = MLAConfig(encoder_queries_per_table=3, encoder_epochs=1, joint_epochs=2)
+        mla = MLAConfig(encoder=EncoderBudget(3, 1), joint_epochs=2)
         meta = MetaLearner(SMALL, mla)
         meta.pretrain(dbs[:2], workloads[:2])
-        shared_params_before = [p.data.copy() for p in meta.model.shared.parameters()]
-        meta.transfer(dbs[2])  # no fine-tune: (S) must be untouched
-        for before, param in zip(shared_params_before, meta.model.shared.parameters()):
-            np.testing.assert_array_equal(before, param.data)
+        before = shared_state_dict(meta.model)
+        transfer(meta.model, dbs[2], mla.encoder, epochs=3)
+        assert dbs[2].name in meta.model.featurizers
+        after = shared_state_dict(meta.model)
+        assert set(after) == set(before)
+        for name, value in before.items():
+            np.testing.assert_array_equal(after[name], value, err_msg=name)
+
+    def test_fine_tune_matches_joint_trainer(self, fleet):
+        """k > 0 is one JointTrainer run from the same weights and seed."""
+        dbs, workloads = fleet
+        db, queries = dbs[2], workloads[2][:6]
+        featurizer = EncoderBudget(3, 1).train(db, SMALL)
+        start = {name: value.copy() for name, value in MTMLFQO(SMALL).state_dict().items()}
+        reference = MTMLFQO(SMALL)
+        reference.load_state_dict(start)
+        reference.attach_featurizer(db.name, featurizer)
+        JointTrainer(reference).train([(db.name, item) for item in queries], epochs=2, batch_size=4, seed=3)
+
+        model = MTMLFQO(SMALL)
+        model.load_state_dict(start)
+        transfer(model, db, featurizer, seed=3, fine_tune=queries, epochs=2, batch_size=4)
+        expected = reference.state_dict()
+        assert any(not np.array_equal(expected[name], value) for name, value in start.items())
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
+
+    def test_given_featurizer_is_attached_untrained(self, fleet, monkeypatch):
+        dbs, _ = fleet
+        featurizer = DatabaseFeaturizer(dbs[2], SMALL)
+        before = featurizer.state_dict()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a passed featurizer must not be retrained")
+
+        monkeypatch.setattr(DatabaseFeaturizer, "train_encoders", no_training)
+        model = transfer(MTMLFQO(SMALL), dbs[2], featurizer, seed=5)
+        assert model.featurizer_for(dbs[2].name) is featurizer
+        for name, value in featurizer.state_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+    def test_encoder_budget_trains_like_train_encoders(self, fleet):
+        dbs, _ = fleet
+        reference = DatabaseFeaturizer(dbs[1], SMALL)
+        reference.train_encoders(queries_per_table=3, epochs=2, seed=7)
+        trained = EncoderBudget(3, 2).train(dbs[1], SMALL, seed=7)
+        # A budget handed to transfer() trains under transfer's seed.
+        attached = transfer(MTMLFQO(SMALL), dbs[1], EncoderBudget(3, 2), seed=7).featurizer_for(dbs[1].name)
+        expected = reference.state_dict()
+        for featurizer in (trained, attached):
+            state = featurizer.state_dict()
+            assert set(state) == set(expected)
+            for name, value in expected.items():
+                np.testing.assert_array_equal(state[name], value, err_msg=name)
 
     def test_mismatched_inputs_raise(self, fleet):
         dbs, workloads = fleet

@@ -2,8 +2,10 @@
 deleted or renamed export fails here instead of in front of the next
 reader.  Every script is imported; only ``sql_playground.py``'s
 ``main()`` runs (under a second: parse → ``PostgresStylePlanner`` →
-optimal plan → execute).  The others train for tens of seconds and are
-import-checked only.  The paper's tables are ``benchmarks/paper/run.py``
+optimal plan → execute).  The others train models for a few seconds
+each and are import-checked only here; the CI ``paper`` job runs
+``federated_pretraining.py``, ``fleet_demo.py`` and ``quickstart.py``
+end to end.  The paper's tables are ``benchmarks/paper/run.py``
 (smoke-tested in ``test_experiments.py``), not an example."""
 
 import importlib.util

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import MLAConfig, ModelConfig
+from repro.core import EncoderBudget, MLAConfig, ModelConfig
 from repro.datagen import generate_databases, imdb_like
 from repro.eval import (
     SingleDBStudy,
@@ -44,8 +44,7 @@ def study():
         num_queries=90,
         max_tables=4,
         model=MICRO_MODEL,
-        encoder_queries_per_table=5,
-        encoder_epochs=2,
+        encoder=EncoderBudget(5, 2),
         joint_epochs=4,
         treelstm_epochs=2,
         batch_size=8,
@@ -181,9 +180,7 @@ class TestTable3:
             databases,
             num_queries=25,
             max_tables=3,
-            mla_config=MLAConfig(
-                encoder_queries_per_table=4, encoder_epochs=2, joint_epochs=3, fine_tune_epochs=1
-            ),
+            mla_config=MLAConfig(encoder=EncoderBudget(4, 2), joint_epochs=3, fine_tune_epochs=1),
             model_config=MICRO_MODEL,
         )
         names = [r.method for r in rows]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     AggregationError,
+    EncoderBudget,
     FederatedClient,
     FederatedConfig,
     FederatedTrainer,
@@ -13,12 +14,13 @@ from repro.core import (
     MTMLFQO,
     SHARED_MODULE_PREFIXES,
     aggregate_shared_states,
+    transfer,
 )
 from repro.datagen import generate_databases
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 TINY = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
-FED = FederatedConfig(rounds=2, local_epochs=1, encoder_queries_per_table=3, encoder_epochs=1)
+FED = FederatedConfig(rounds=2, local_epochs=1, encoder=EncoderBudget(3, 1))
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,7 @@ class TestFederatedTraining:
         trainer = FederatedTrainer(TINY, FED)
         trainer.train(clients[:2])
         new_client = clients[2]
-        trainer.transfer(new_client.db)
+        transfer(trainer.server_model, new_client.db, FED.encoder, seed=FED.seed)
         item = new_client.workload[0]
         order = trainer.server_model.predict_join_order(new_client.db.name, item)
         assert sorted(order) == sorted(item.query.tables)
@@ -93,7 +95,7 @@ class TestFederatedTraining:
         """One client, one round: FedAvg degenerates to plain local
         training — bit-identical to a JointTrainer run from the same
         starting weights with the same seed."""
-        fed = FederatedConfig(rounds=1, local_epochs=1, encoder_queries_per_table=3, encoder_epochs=1)
+        fed = FederatedConfig(rounds=1, local_epochs=1, encoder=EncoderBudget(3, 1))
         trainer = FederatedTrainer(TINY, fed)
         client = clients[0]
         initial = {k: v.copy() for k, v in trainer.server_model.state_dict().items()}
@@ -164,7 +166,7 @@ class TestFederatedTraining:
     def test_client_optimizer_state_persists_across_rounds(self, clients):
         """Round 2 resumes each client's Adam moments (name-keyed) rather
         than re-warming from zero: the step counter keeps counting."""
-        fed = FederatedConfig(rounds=2, local_epochs=1, encoder_queries_per_table=3, encoder_epochs=1)
+        fed = FederatedConfig(rounds=2, local_epochs=1, encoder=EncoderBudget(3, 1))
         trainer = FederatedTrainer(TINY, fed)
         trainer.train(clients[:1])
         saved = trainer._client_optimizer_state[clients[0].db.name]

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import LockMonitor, instrument_collector, instrument_model, instrument_service
 from repro.core import (
     DatabaseFeaturizer,
+    EncoderBudget,
     JointTrainer,
     ModelConfig,
     MTMLFQO,
@@ -30,8 +31,7 @@ def tiny_fleet_config(**overrides) -> FleetConfig:
         batch_size=8,
         min_new_experience=4,
         validation_fraction=0.25,
-        encoder_queries_per_table=3,
-        encoder_epochs=1,
+        encoder=EncoderBudget(3, 1),
         poll_interval_s=0.05,
     )
     defaults.update(overrides)
