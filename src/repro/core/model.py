@@ -56,6 +56,11 @@ class FeatureCache:
     object address can never alias a stale encoding the way the previous
     ``id()``-keyed dict could.  The size bound keeps inference-time probe
     plans from growing the cache without limit.
+
+    Entries are (F) outputs, so they live as long as the attached
+    featurizer (DESIGN.md §3): only :meth:`MTMLFQO.attach_featurizer`
+    invalidates them, and :meth:`copy` hands a clone the same entries.
+    Their arrays are read-only, because a model and its clones share them.
     """
 
     def __init__(self, maxsize: int):
@@ -78,6 +83,13 @@ class FeatureCache:
 
     def clear(self) -> None:
         self._entries.clear()
+
+    def copy(self) -> "FeatureCache":
+        """A new cache holding the same (shared, read-only) entries in the
+        same LRU order."""
+        twin = FeatureCache(self.maxsize)
+        twin._entries = self._entries.copy()
+        return twin
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -149,14 +161,17 @@ class MTMLFQO(nn.Module):
     def attach_featurizer(self, db_name: str, featurizer: DatabaseFeaturizer) -> None:
         """Register the (F) module of a database.
 
-        Cached encodings are featurizer outputs, so (re)attaching one
-        invalidates the cache.  Holds the inference lock: otherwise an
-        in-flight inference on another thread could re-insert an
-        old-featurizer encoding *after* the clear, and the feature
-        caches carry no version in their keys to catch that.
+        The one invalidation of the feature/node caches: their entries
+        are featurizer outputs and (F) is frozen while attached, so this
+        is the only way they can go stale.  To retrain or reload a
+        featurizer, do it detached and re-attach it.  Holds the inference
+        lock: otherwise an in-flight inference on another thread could
+        re-insert an old-featurizer encoding *after* the clear, and the
+        feature caches carry no version in their keys to catch that.
         """
         with self._infer_lock:
             self.featurizers[db_name] = featurizer
+            self.clear_cache()
             self.mark_updated()
 
     def featurizer_for(self, db_name: str) -> DatabaseFeaturizer:
@@ -174,31 +189,27 @@ class MTMLFQO(nn.Module):
     def restore_version(self, version: int) -> None:
         """Set :attr:`version` to a checkpointed value.
 
-        Used by :func:`repro.core.checkpoint.load_checkpoint` after
-        rebuilding a model, so the loaded instance keeps the saved
-        version identity instead of the bumps its own reconstruction
-        (``attach_featurizer``) produced.  Clears the feature caches like
-        any other version change would.
+        Used by :func:`repro.core.checkpoint.load_checkpoint` and
+        :meth:`clone_for_inference` after rebuilding a model, so the
+        instance keeps the saved version identity instead of the bumps
+        its own reconstruction (``attach_featurizer``) produced.  The
+        feature caches are left alone: they depend on (F) only.
         """
         with self._infer_lock:
-            self._cache.clear()
-            self._node_cache.clear()
             self.version = int(version)
 
     def mark_updated(self) -> None:
-        """Record that the model's outputs may have changed.
+        """Record that the model's (S)/(T) outputs may have changed.
 
         Called automatically by :meth:`attach_featurizer` and the
-        trainers; call it yourself after mutating weights by hand
-        (including retraining an attached featurizer in place).  Clears
-        the internal feature/node caches — their keys carry no version,
-        so stale encodings must go — and bumps :attr:`version`, which
-        serving-layer plan caches embed in their keys, retiring every
-        previously cached result.
+        trainers; call it yourself after mutating (S)/(T) weights by
+        hand.  Bumps :attr:`version`, which serving-layer plan caches
+        embed in their keys, retiring every previously cached result.
+        The feature/node caches stay: (F) is frozen while (S)/(T) train,
+        so its outputs are unchanged (to change a featurizer, re-attach
+        it).
         """
         with self._infer_lock:
-            self._cache.clear()
-            self._node_cache.clear()
             self.version += 1
 
     def inference_session(self, db_name: str) -> "InferenceSession":
@@ -232,7 +243,10 @@ class MTMLFQO(nn.Module):
         and the same :attr:`version`, but its **own** inference lock and
         feature/node caches — so inference on the clone never contends
         with (or pollutes the caches of) the original, and produces
-        orders bit-identical to the source model's.
+        orders bit-identical to the source model's.  The clone's caches
+        start with the source's entries, in LRU order: they are (F)
+        outputs, its (F) weights are bitwise the source's, and the
+        entries are read-only, so the copy is shallow.
 
         The clone shares the source's :class:`Database` handles (table
         data and statistics are read-only at inference time) but no
@@ -246,16 +260,19 @@ class MTMLFQO(nn.Module):
                 for name, featurizer in self.featurizers.items()
             }
             version = self.version
+            caches = (self._cache.copy(), self._node_cache.copy())
         clone = MTMLFQO(self.config)
         clone.load_state_dict(state)
         for name, (db, featurizer_state) in sorted(featurizer_states.items()):
             featurizer = DatabaseFeaturizer(db, self.config)
             featurizer.load_state_dict(featurizer_state)
             clone.attach_featurizer(name, featurizer)
-        # Restore last: attach_featurizer bumps the counter during
-        # reconstruction, and serving caches key on (version, epoch) —
-        # the clone must carry the source's version identity.
+        # Restore last: attach_featurizer bumps the counter and clears
+        # the caches during reconstruction, and serving caches key on
+        # (version, epoch) — the clone must carry the source's version
+        # identity.  It is not yet shared, so no lock is needed.
         clone.restore_version(version)
+        clone._cache, clone._node_cache = caches
         return clone
 
     # ------------------------------------------------------------------
@@ -308,6 +325,7 @@ class MTMLFQO(nn.Module):
             with nn.no_grad():
                 encoded = featurizer.encode_filter(node.filter)
             content = encoded.data.reshape(d)
+            content.setflags(write=False)
             self._node_cache.put(key, content)
             return content
         # Joins: mean embedding of the join-key columns (per-DB knowledge).
@@ -324,6 +342,7 @@ class MTMLFQO(nn.Module):
             vectors = featurizer.column_embedding(np.asarray(ids, dtype=np.int64))
         content = np.zeros(d, dtype=np.float64)
         content[:half] = vectors.data.mean(axis=0)
+        content.setflags(write=False)
         self._node_cache.put(key, content)
         return content
 
@@ -352,6 +371,8 @@ class MTMLFQO(nn.Module):
             tree_enc[index] = tree_path_encoding(position, self.config.d_model)
             if node.is_scan:
                 leaf_positions[node.table] = index
+        features.setflags(write=False)
+        tree_enc.setflags(write=False)
         encoded = EncodedQuery(features, tree_enc, leaf_positions)
         self._cache.put(key, encoded)
         return encoded

@@ -301,7 +301,9 @@ class TrainRound:
         ``global_state`` when one is given — sharing no module with it:
         :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) and every
         featurizer by state dict, so the round's training steps never
-        touch a weight array that serves traffic."""
+        touch a weight array that serves traffic.  The clone starts with
+        ``live``'s (F) feature caches, which stay valid under training
+        and ``global_state``: both change (S)/(T) only."""
         model = live.clone_for_inference()
         if global_state is not None:
             model.load_state_dict(global_state)

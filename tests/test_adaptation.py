@@ -12,6 +12,7 @@ the situation where frozen weights decay and feedback-driven adaptation
 pays off.
 """
 
+import collections
 import dataclasses
 import random
 import threading
@@ -33,7 +34,7 @@ from repro.serve import (
     OptimizerService,
     ServeConfig,
 )
-from repro.serve.adaptation import TrainRound
+from repro.serve.adaptation import TrainRound, split_experience
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 SMALL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -464,6 +465,55 @@ class TestAdaptationWorker:
         assert post == pre  # bit-identical serving throughout
         assert not worker.last_gate.accepted
         assert worker.last_gate.candidate_ms > worker.last_gate.live_ms
+
+
+def scan_filters(items):
+    """The distinct ``(table, predicates)`` scans of ``items``' queries:
+    the inputs (F)'s ``encode_filter`` is memoized on."""
+    return {
+        (table, tuple(str(p) for p in item.query.filter_for(table).predicates))
+        for item in items
+        for table in item.query.tables
+    }
+
+
+class TestFeaturesStayEncoded:
+    """A cycle's clone inherits the (F) outputs its lineage encoded, so a
+    retrain re-runs no ``Enc_i`` on experience it has already seen."""
+
+    def test_cycles_encode_only_fresh_scan_filters(
+        self, db, weak_model, phase2, tmp_path, monkeypatch
+    ):
+        calls = collections.Counter()  # per featurizer object
+        encode_filter = DatabaseFeaturizer.encode_filter
+
+        def counted(featurizer, conjunction):
+            calls[id(featurizer)] += 1
+            return encode_filter(featurizer, conjunction)
+
+        monkeypatch.setattr(DatabaseFeaturizer, "encode_filter", counted)
+        config = AdaptationConfig(
+            fine_tune_epochs=1, batch_size=8, regret_tolerance_ms=1e12,
+            checkpoint_dir=str(tmp_path),
+        )
+        with OptimizerService(weak_model, db.name) as service:
+            buffer = ExperienceBuffer(64)
+            fill_buffer(buffer, phase2[:8])
+            worker = AdaptationWorker(service, db, buffer, config)
+            assert worker.run_once()
+            calls.clear()
+            assert worker.run_once()  # no new experience
+            assert sum(calls.values()) == 0
+            fresh = phase2[8:12]
+            fill_buffer(buffer, fresh)
+            filters = scan_filters(fresh)
+            held_out = split_experience(buffer.snapshot(), config.validation_fraction)[1]
+            assert worker.run_once()
+        # Each model of the cycle (live, candidate) encodes a fresh filter
+        # at most once; only the held-out slice is decoded by both.
+        assert calls and max(calls.values()) <= len(filters)
+        fresh_held_out = [item for item in held_out if any(item is f for f in fresh)]
+        assert sum(calls.values()) <= len(filters) + len(scan_filters(fresh_held_out))
 
 
 class TestFullLoopUnderStress:

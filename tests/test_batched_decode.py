@@ -567,6 +567,61 @@ class TestStructuralFeatureCache:
         assert len(model._cache) == 0
 
 
+class TestFeatureCacheLifetime:
+    """(F) is frozen while (S)/(T) train, so its cached outputs live as
+    long as the attached featurizer: a retrain or a clone keeps them."""
+
+    def _predict(self, model, db, items):
+        return (
+            model.predict_join_orders(db.name, items),
+            model.predict_costs(db.name, items),
+            model.predict_cardinalities(db.name, items),
+        )
+
+    def test_kept_caches_after_training_match_cold(self, db, labeled, featurizer):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        items = labeled[:12]
+        for item in items:
+            model.encode_query(db.name, item)
+        JointTrainer(model).train([(db.name, item) for item in items], epochs=2, batch_size=4, seed=3)
+        assert len(model._cache) >= len(items) and len(model._node_cache) > 0
+        kept = self._predict(model, db, items)
+        model.clear_cache()
+        cold = self._predict(model, db, items)
+        assert kept[0] == cold[0]
+        for kept_arrays, cold_arrays in zip(kept[1:], cold[1:]):
+            for a, b in zip(kept_arrays, cold_arrays):
+                np.testing.assert_array_equal(a, b)
+
+    def test_clone_returns_the_source_encoding(self, db, labeled, featurizer):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        items = labeled[:6]
+        encoded = [model.encode_query(db.name, item) for item in items]
+        clone = model.clone_for_inference()
+        assert all(clone.encode_query(db.name, item) is kept for item, kept in zip(items, encoded))
+        clone.clear_cache()
+        for item, kept in zip(items, encoded):
+            cold = clone.encode_query(db.name, item)
+            assert cold is not kept
+            np.testing.assert_array_equal(cold.features, kept.features)
+            np.testing.assert_array_equal(cold.tree_encodings, kept.tree_encodings)
+            assert cold.leaf_positions == kept.leaf_positions
+
+    def test_cached_arrays_are_read_only(self, db, labeled, featurizer):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        encoded = model.encode_query(db.name, labeled[0])
+        with pytest.raises(ValueError):
+            encoded.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            encoded.tree_encodings[0, 0] = 1.0
+        for content in model._node_cache._entries.values():
+            with pytest.raises(ValueError):
+                content[0] = 1.0
+
+
 class TestRerankFavouriteTracking:
     def _candidates(self, model, db, item):
         return model.beam_candidates_batch(

@@ -153,13 +153,18 @@ class TestServeParity:
         trainer.train([("a", object())], epochs=1, batch_size=1, seed=0)
         assert model.version == version + 1
 
-    def test_mark_updated_clears_feature_caches(self, db, model, labeled):
-        """Stale encodings must go with the version: a featurizer
-        retrained in place would otherwise keep serving old features."""
-        model.encode_query(db.name, labeled[0])
-        assert len(model._cache) == 1 and len(model._node_cache) > 0
+    def test_mark_updated_keeps_feature_caches(self, db, model, labeled):
+        """A version bump retires plan-cache results, not (F) outputs:
+        the featurizer is frozen while (S)/(T) change, so its encodings
+        stay valid until a featurizer is (re-)attached."""
+        encoded = model.encode_query(db.name, labeled[0])
+        entries = (len(model._cache), len(model._node_cache))
+        assert entries[0] == 1 and entries[1] > 0
+        version = model.version
         model.mark_updated()
-        assert len(model._cache) == 0 and len(model._node_cache) == 0
+        assert model.version == version + 1
+        assert (len(model._cache), len(model._node_cache)) == entries
+        assert model.encode_query(db.name, labeled[0]) is encoded
 
     def test_single_caller_needs_no_concurrency(self, db, model, labeled):
         """max_wait only delays; a lone blocking caller still gets served."""
@@ -499,6 +504,13 @@ class TestCloneForInference:
         model.mark_updated()
         assert clone.version == version
         assert clone.predict_join_orders(db.name, labeled) == direct
+        # The clone's caches are its own objects: clearing the source's
+        # leaves the clone's entries in place.
+        entries = (len(clone._cache), len(clone._node_cache))
+        assert entries[0] > 0 and entries[1] > 0
+        model.clear_cache()
+        assert len(model._cache) == 0
+        assert (len(clone._cache), len(clone._node_cache)) == entries
 
 
 class TestPlanCacheStats:
