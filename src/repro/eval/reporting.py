@@ -79,6 +79,13 @@ def format_serving_report(report: "ServingReport", title: str = "Optimizer servi
         f"{'batch size':<22}{report.mean_batch_size:>12.2f} mean"
         f"  (max {report.max_batch})"
     )
+    if report.batch_closes:
+        closes = ", ".join(
+            f"{reason} {count:,}" for reason, count in sorted(report.batch_closes.items())
+        )
+        lines.append(
+            f"{'batch windows closed':<22}{sum(report.batch_closes.values()):>12,}  ({closes})"
+        )
     lines.append(f"{'coalesced requests':<22}{report.coalesced:>12,}")
     lines.append(f"{'model calls':<22}{report.model_calls:>12,}")
     lines.append(f"{'worker utilization':<22}{report.replica_utilization[0]:>12.1%}")

@@ -17,9 +17,14 @@ class ServeConfig:
         Largest number of queued requests drained into one batched
         ``predict_join_orders`` call.
     max_wait_ms:
-        How long the drain loop holds an incomplete batch open waiting
-        for more arrivals.  The batching latency/throughput trade-off
-        knob: 0 degenerates to "take whatever is queued right now".
+        Upper bound on how long the drain loop holds an incomplete
+        batch open waiting for more arrivals.  The window closes early
+        once every caller (thread) the previous batch released has
+        queued its next request.  A request from any other thread does
+        not count, so when a released caller never returns, or returns
+        only after the bound, the window runs the full bound.  The
+        batching latency/throughput trade-off knob: 0 degenerates to
+        "take whatever is queued right now".
     max_queue_depth:
         Backpressure bound: requests arriving while this many are
         already queued are rejected with

@@ -13,9 +13,12 @@ Request lifecycle::
         ▼
     bounded queue ── full ──► ServiceOverloadedError (backpressure)
         │
-        ▼  (drain worker: wait up to max_wait_ms for max_batch_size)
-    coalesce by structural key ► plan cache recheck ► one batched
-    predict_join_orders ► fill cache ► wake every waiter
+        ▼  (drain worker: hold the batch open until max_batch_size are
+        │   queued, every caller the last batch released has queued its
+        │   next request, or max_wait_ms has passed — whichever first)
+    note the batch's callers ► coalesce by structural key ► plan cache
+    recheck ► one batched predict_join_orders ► fill cache ► wake every
+    waiter
 
 One model, one worker: every inference entry point of a model
 serializes on that model's ``_infer_lock``, and at this model size
@@ -88,7 +91,7 @@ class _Request:
 
     __slots__ = (
         "labeled", "key", "done", "result", "error", "abandoned",
-        "trace_id", "enqueued_at",
+        "trace_id", "enqueued_at", "caller",
     )
 
     def __init__(self, labeled: LabeledQuery, key: tuple, trace_id: int = 0, enqueued_at: float = 0.0):
@@ -106,6 +109,10 @@ class _Request:
         # worker can reconstruct the queue-wait span on the right trace.
         self.trace_id = trace_id
         self.enqueued_at = enqueued_at
+        # The thread that called optimize(): it blocks until answered,
+        # so it has at most one request in flight.  A Thread object, not
+        # an ident: the OS reuses the idents of finished threads.
+        self.caller = threading.current_thread()
 
     def fulfill(self, order: list[str]) -> None:
         self.result = list(order)
@@ -156,6 +163,13 @@ class OptimizerService:
         # post-swap request can never be answered from the pre-swap
         # model's cache entries even then.
         self._epoch = 0  # guarded-by: _mutex
+        # Early close of the batching window: the callers the last
+        # batch held and has released or will release.  Each one's next
+        # enqueue removes it; once the set is empty, waiting longer could
+        # only coalesce requests from other callers.  None (no batch
+        # since start(), or none of its callers still waiting): wait
+        # out max_wait_ms.
+        self._awaited: "set[threading.Thread] | None" = None  # guarded-by: _mutex
         # Optional FeedbackCollector served orders are forwarded to
         # (attach_feedback); report() reads its buffer's cursor.
         self.feedback = None
@@ -166,6 +180,7 @@ class OptimizerService:
             if self._running:
                 raise RuntimeError("service already running")
             self._running = True
+            self._awaited = None
             # Publish the (started) worker before releasing the lock so
             # a concurrent stop() always finds a joinable thread.
             self._drainer = threading.Thread(
@@ -379,6 +394,8 @@ class OptimizerService:
             full = len(self._queue) >= self.config.max_queue_depth
             if not full:
                 self._queue.append(request)
+                if self._awaited:
+                    self._awaited.discard(request.caller)
                 self._nonempty.notify_all()
         if full:
             self.stats.note_rejected()
@@ -421,19 +438,36 @@ class OptimizerService:
                 if not self._queue:
                     return  # stopped and fully drained
                 # Hold the batch open briefly: concurrent arrivals
-                # coalesce into one model call instead of many.
+                # coalesce into one model call instead of many.  The
+                # window ends when the batch is full, when every caller
+                # the last batch released is back, or at max_wait_ms (or
+                # a stop(), counted as "window").
                 deadline = time.perf_counter() + max_wait_s
-                while len(self._queue) < self.config.max_batch_size and self._running:
+                reason = "window"
+                while self._running:
+                    if len(self._queue) >= self.config.max_batch_size:
+                        reason = "full"
+                        break
+                    if self._awaited is not None and not self._awaited:
+                        reason = "callers"
+                        break
                     remaining = deadline - time.perf_counter()
                     if remaining <= 0:
                         break
                     self._nonempty.wait(remaining)
                 take = min(self.config.max_batch_size, len(self._queue))
                 batch = [self._queue.popleft() for _ in range(take)]
+                # Each of these callers waits until this batch releases
+                # it, so none can have queued its next request yet; a
+                # request queued meanwhile by anyone else is backlog.
+                self._awaited = {
+                    request.caller for request in batch if not request.abandoned
+                } or None
                 # Pin the session at batch formation: a swap_model
                 # landing while the batch decodes must not move it to
                 # the new model mid-flight.
                 session = self.session
+            self.stats.note_batch_close(reason)
             decode_started = time.perf_counter()
             try:
                 self._process_batch(batch, session, formed_at=decode_started)

@@ -31,6 +31,10 @@ __all__ = ["ServiceStats", "ServingReport"]
 
 # TrainRound gate outcomes, the ``verdict`` label of ``adapt.gate``.
 _VERDICTS = ("accept", "reject", "unvalidated")
+# Why the drain worker closed a batching window, the ``reason`` label of
+# ``serve.batch_close``: ``max_batch_size`` queued, every caller the last
+# batch released came back, or ``max_wait_ms`` passed (or a stop()).
+_CLOSE_REASONS = ("full", "callers", "window")
 
 
 @dataclass
@@ -62,6 +66,8 @@ class ServingReport:
     feedback_deduped: int = 0     # submissions dropped as already-seen
     # Executions skipped or shed, by reason (over_limit, queue_full, ...).
     feedback_rejections: "dict[str, int]" = field(default_factory=dict)
+    # Batching windows closed, by reason (full, callers, window).
+    batch_closes: "dict[str, int]" = field(default_factory=dict)
     retrains: int = 0             # training rounds that fine-tuned
     swaps_accepted: int = 0       # candidates that passed the gate + swapped
     swaps_rejected: int = 0       # candidates blocked by the regression gate
@@ -140,6 +146,10 @@ class ServiceStats:
         self._max_batch = self.registry.gauge("serve.max_batch", labels=self.labels)
         self._latency = self.registry.histogram("serve.latency_s", labels=self.labels)
         self._busy = self.registry.histogram("serve.busy_s", labels=self.labels)
+        self._closes = {
+            reason: counter("serve.batch_close", labels={**self.labels, "reason": reason})
+            for reason in _CLOSE_REASONS
+        }
         self._deduped = counter("feedback.deduped", labels=self.labels)
         self._retrains = counter("adapt.retrains", labels=self.labels)
         self._gates = {
@@ -193,6 +203,10 @@ class ServiceStats:
         self._model_calls.inc(num_model_queries)
         self._coalesced.inc(num_coalesced)
         self._max_batch.update_max(num_requests)
+
+    def note_batch_close(self, reason: str) -> None:
+        """Why a batching window closed: ``full``, ``callers`` or ``window``."""
+        self._closes[reason].inc()
 
     def note_busy(self, busy_s: float) -> None:
         """Wall-clock the drain worker spent processing a batch (the
@@ -266,6 +280,11 @@ class ServiceStats:
             feedback_collected=collected,
             feedback_deduped=int(self._deduped.value),
             feedback_rejections=self._feedback_rejections(),
+            batch_closes={
+                reason: int(counter.value)
+                for reason, counter in self._closes.items()
+                if counter.value
+            },
             retrains=int(self._retrains.value),
             swaps_accepted=gates["accept"],
             swaps_rejected=gates["reject"],

@@ -10,6 +10,7 @@ per-request error isolation, timeouts, and lifecycle errors.
 
 import copy
 import threading
+import time
 
 import pytest
 
@@ -167,12 +168,166 @@ class TestServeParity:
         assert model.encode_query(db.name, labeled[0]) is encoded
 
     def test_single_caller_needs_no_concurrency(self, db, model, labeled):
-        """max_wait only delays; a lone blocking caller still gets served."""
+        """max_wait only delays; a lone blocking caller still gets served.
+
+        Only its first request waits out the window: each later one is
+        the one caller the previous batch released coming back, which
+        closes the window at once."""
         direct = model.predict_join_orders(db.name, labeled[:3])
-        config = ServeConfig(max_batch_size=16, max_wait_ms=5.0, plan_cache_size=0)
+        config = ServeConfig(max_batch_size=16, max_wait_ms=1000.0, plan_cache_size=0)
         with OptimizerService(model, db.name, config) as service:
             served = [service.optimize(item) for item in labeled[:3]]
+            report = service.report()
         assert served == direct
+        assert report.batch_closes == {"window": 1, "callers": 2}
+
+
+class TestBatchingWindow:
+    """The drain worker closes a window at the first of: a full batch,
+    every caller the previous batch released back, ``max_wait_ms``.  A
+    caller is the thread that called ``optimize``."""
+
+    def test_closed_loop_callers_close_the_window_on_return(self, db, model, labeled):
+        half = len(labeled) // 2
+        slices = [labeled[:half], labeled[half:]]
+        direct = model.predict_join_orders(db.name, labeled)
+        config = ServeConfig(max_batch_size=16, max_wait_ms=1000.0, plan_cache_size=0)
+        served: dict[int, list[list[str]]] = {}
+        with OptimizerService(model, db.name, config) as service:
+            def caller(slot):
+                served[slot] = [service.optimize(item) for item in slices[slot]]
+
+            threads = [threading.Thread(target=caller, args=(slot,)) for slot in (0, 1)]
+            started = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            elapsed = time.perf_counter() - started
+            report = service.report()
+        assert served[0] + served[1] == direct
+        # Only the first window (no batch has released anyone yet) runs
+        # to max_wait_ms; every later one closes when both are back.
+        assert report.batch_closes == {"window": 1, "callers": half - 1}
+        assert report.mean_batch_size == 2.0
+        assert elapsed < half * config.max_wait_ms / 1000.0
+
+    def test_callers_that_never_return_fall_back_to_the_window(self, db, model, labeled):
+        """One-shot callers are released and never come back.  A
+        newcomer does not stand in for them, so its lone request waits
+        out max_wait_ms as it always did: after a burst of four, and
+        after a batch of one (where a count of arrivals would take the
+        newcomer for the released caller)."""
+        burst = labeled[:4]
+        config = ServeConfig(max_batch_size=len(burst), max_wait_ms=1000.0, plan_cache_size=0)
+        with OptimizerService(model, db.name, config) as service:
+            assert serve_all(service, burst) == model.predict_join_orders(db.name, burst)
+            assert service.report().batch_closes == {"full": 1}
+            for item in labeled[4:6]:
+                assert serve_all(service, [item]) == model.predict_join_orders(db.name, [item])
+            report = service.report()
+        assert report.batch_closes == {"full": 1, "window": 2}
+        assert report.batches == 3
+
+    def test_arrivals_during_a_decode_are_backlog_not_returns(self, db, model, labeled):
+        """A newcomer that queued while the batch decoded does not stand
+        in for a caller still waiting on that batch: the next window
+        holds the newcomer plus both returning callers."""
+        config = ServeConfig(max_batch_size=16, max_wait_ms=1000.0, plan_cache_size=0)
+        service = OptimizerService(model, db.name, config)
+        newcomer = threading.Thread(target=service.optimize, args=(labeled[4],))
+
+        class StallFirstDecode:
+            """Holds the first decode until the newcomer has queued."""
+
+            def __init__(self, session):
+                self.session = session
+                self.model = session.model
+                self.stalled = False
+
+            def predict_join_orders(self, items, **kwargs):
+                if not self.stalled:
+                    self.stalled = True
+                    newcomer.start()
+                    while service.queue_depth == 0:
+                        time.sleep(0.001)
+                return self.session.predict_join_orders(items, **kwargs)
+
+        service.session = StallFirstDecode(service.session)
+        with service:
+            callers = [
+                threading.Thread(target=lambda pair=pair: [service.optimize(item) for item in pair])
+                for pair in (labeled[0:2], labeled[2:4])
+            ]
+            for thread in callers:
+                thread.start()
+            for thread in callers + [newcomer]:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            report = service.report()
+        assert report.completed == 5
+        assert report.batch_closes == {"window": 1, "callers": 1}
+        assert report.max_batch == 3
+
+    def test_a_restart_forgets_the_last_batch(self, db, model, labeled):
+        """The first window after start() has no previous batch, even when
+        the caller the last batch before stop() released comes back."""
+        config = ServeConfig(max_batch_size=16, max_wait_ms=50.0, plan_cache_size=0)
+        service = OptimizerService(model, db.name, config)
+        for item in labeled[:2]:
+            with service:
+                service.optimize(item)
+        assert service.report().batch_closes == {"window": 2}
+
+    def test_a_caller_answered_by_the_recheck_is_back_early(self, db, model, labeled):
+        """A request the plan-cache recheck answers is released before its
+        batch decodes, and its caller may queue its next request
+        mid-decode.  That caller is back all the same: the next window
+        closes on ``callers`` once the decoded request's caller returns."""
+        config = ServeConfig(max_batch_size=16, max_wait_ms=1000.0, plan_cache_size=64)
+        service = OptimizerService(model, db.name, config)
+        served: dict[str, list[list[str]]] = {}
+
+        def caller(name, items):
+            served[name] = [service.optimize(item) for item in items]
+
+        # Queues labeled[0] during the first decode (a miss, answered by
+        # the second batch's recheck), then labeled[3].
+        rechecked = threading.Thread(target=caller, args=("rechecked", [labeled[0], labeled[3]]))
+        decodes: list[int] = []
+
+        class HoldDecodes:
+            """Holds each of the first two decodes until ``rechecked`` has
+            a request queued: labeled[0], then labeled[3]."""
+
+            def __init__(self, session):
+                self.session = session
+                self.model = session.model
+
+            def predict_join_orders(self, items, **kwargs):
+                decodes.append(len(items))
+                if len(decodes) == 1:
+                    rechecked.start()
+                if len(decodes) <= 2:
+                    while service.queue_depth == 0:
+                        time.sleep(0.001)
+                return self.session.predict_join_orders(items, **kwargs)
+
+        service.session = HoldDecodes(service.session)
+        with service:
+            decoded = threading.Thread(target=caller, args=("decoded", labeled[0:3]))
+            decoded.start()
+            for thread in (decoded, rechecked):
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            report = service.report()
+        assert served["decoded"] == model.predict_join_orders(db.name, labeled[0:3])
+        assert served["rechecked"] == model.predict_join_orders(db.name, [labeled[0], labeled[3]])
+        # Batches {decoded: 0}, {rechecked: 0 (recheck hit), decoded: 1},
+        # {rechecked: 3, decoded: 2}.
+        assert decodes == [1, 1, 2]
+        assert report.batch_closes == {"window": 1, "callers": 2}
 
 
 class TestHotSwap:

@@ -165,6 +165,8 @@ class TestServiceUnderStress:
         assert report.completed == total
         assert report.rejected == 0 and report.failed == 0
         assert report.cache_hits > 0  # duplicates did hit
+        # Every batch closed exactly one window.
+        assert sum(report.batch_closes.values()) == report.batches
         assert len(service.cache) <= cache_size
         lock_monitor.assert_clean()  # no lock-order inversion under fire
         # The drain loop demonstrably ran under tracing.
