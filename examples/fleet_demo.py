@@ -22,7 +22,8 @@ Run:  python examples/fleet_demo.py
 from repro.core import EncoderBudget, JointTrainer, MTMLFQO, ModelConfig, shared_state_dict
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report
-from repro.federation import FleetConfig, FleetCoordinator
+from repro.federation import FleetCoordinator
+from repro.serve import RoundConfig
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator, traffic_stream
 
 MODEL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -37,14 +38,13 @@ def tenant_pool(db, seed: int, count: int = 14):
 def main() -> None:
     print("generating 4 tenant databases (3 founding + 1 onboarding)...")
     dbs = generate_databases(4, base_seed=640, row_range=(120, 450), attr_range=(2, 3))
-    config = FleetConfig(
-        fine_tune_epochs=6, min_new_experience=6, validation_fraction=0.3,
-        encoder=EncoderBudget(6, 3),
-    )
+    config = RoundConfig(fine_tune_epochs=6, min_new_experience=6, validation_fraction=0.3)
+    # Each tenant's (F) training budget, passed to onboard().
+    encoder = EncoderBudget(6, 3)
 
     with FleetCoordinator(MODEL, config) as fleet:
         print("\nonboarding the founding tenants (each trains only its (F) module)...")
-        tenants = [fleet.onboard(db) for db in dbs[:3]]
+        tenants = [fleet.onboard(db, encoder) for db in dbs[:3]]
         pools = [tenant_pool(db, seed=11 + i) for i, db in enumerate(dbs[:3])]
 
         # Give the pristine global (S)/(T) a head start on tenant 0's
@@ -75,7 +75,7 @@ def main() -> None:
                   f"skipped {round_.skipped}")
 
         print("\nonboarding a new tenant zero-shot (global (S)/(T), fresh (F))...")
-        newcomer = fleet.onboard(dbs[3])
+        newcomer = fleet.onboard(dbs[3], encoder)
         probe = tenant_pool(dbs[3], seed=77, count=6)[:4]
         with newcomer:
             orders = [newcomer.optimize(item) for item in probe]

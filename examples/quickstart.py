@@ -200,20 +200,19 @@ def main() -> None:
     from repro.core import EncoderBudget, shared_state_dict
     from repro.datagen import generate_databases
     from repro.eval import format_fleet_report
-    from repro.federation import FleetConfig, FleetCoordinator, TenantNode
+    from repro.federation import FleetCoordinator
+    from repro.serve import RoundConfig
 
     fleet_dbs = generate_databases(3, base_seed=500, row_range=(100, 400), attr_range=(2, 3))
-    fleet_config = FleetConfig(
-        fine_tune_epochs=4, min_new_experience=6,
-        encoder=EncoderBudget(6, 2),
-    )
+    fleet_config = RoundConfig(fine_tune_epochs=4, min_new_experience=6)
+    encoder = EncoderBudget(6, 2)   # each tenant's (F) training budget
     with FleetCoordinator(config, fleet_config) as fleet:
         # Seed the global (S)/(T) with the model trained above — the
         # provider's pre-trained weights (only shared parameters move).
         fleet.global_model.load_state_dict(shared_state_dict(model))
         nodes = []
         for tenant_db in fleet_dbs[:2]:
-            tenant = fleet.onboard(tenant_db)   # trains (F) only
+            tenant = fleet.onboard(tenant_db, encoder)   # trains (F) only
             tenant.start()
             nodes.append(tenant)
             generator = WorkloadGenerator(
@@ -233,7 +232,7 @@ def main() -> None:
 
         # Zero-shot onboarding: the third tenant gets the current
         # global (S)/(T) untouched; only its featurizer is trained.
-        newcomer = fleet.onboard(fleet_dbs[2])
+        newcomer = fleet.onboard(fleet_dbs[2], encoder)
         with newcomer:
             probe_gen = WorkloadGenerator(
                 fleet_dbs[2], WorkloadConfig(min_tables=2, max_tables=3, seed=9)

@@ -1,7 +1,8 @@
 """Concurrency & invariant analysis for the repro codebase.
 
-Two layers, one discipline (DESIGN.md "Static analysis & concurrency
-invariants"):
+A stdlib-only static layer (DESIGN.md "Static analysis & concurrency
+invariants"); its runtime twin, the lock monitor, lives with the tests
+that use it (``tests/lock_monitor.py``):
 
 - **static** (:mod:`.linter`, :mod:`.checks`) — a stdlib-only AST lint
   pass that enforces the repo's hand-maintained conventions
@@ -13,31 +14,17 @@ invariants"):
   (DESIGN.md section 10).  Run it with ``python -m repro.analysis`` (CI
   runs ``--fail-on-findings``).  Shapes are not its business: every
   ``@shape_spec`` is checked on real calls by ``tests/shape_contract.py``.
-- **runtime** (:mod:`.runtime`) — traced lock wrappers that record the
-  global lock acquisition-order graph and fail on inversion cycles or
-  over-threshold holds/waits; activated inside the serve/federation
-  stress suites.
+- **runtime** (``tests/lock_monitor.py``) — traced lock wrappers that
+  record the global lock acquisition-order graph and fail on inversion
+  cycles or over-threshold holds/waits; activated inside the
+  serve/federation stress suites.
 """
 
 from .findings import Finding
 from .linter import Linter, SourceModule
-from .runtime import (
-    LockMonitor,
-    LockOrderError,
-    TracedLock,
-    instrument_collector,
-    instrument_model,
-    instrument_service,
-)
 
 __all__ = [
     "Finding",
     "Linter",
     "SourceModule",
-    "LockMonitor",
-    "LockOrderError",
-    "TracedLock",
-    "instrument_collector",
-    "instrument_model",
-    "instrument_service",
 ]

@@ -143,10 +143,9 @@ def format_fleet_report(report: "FleetReport", title: str = "Federated fleet rep
         f"{'global-model gates':<22}{report.swaps_accepted:>12,} accepted"
         f"  {report.swaps_rejected:,} rejected  {report.gates_unvalidated:,} unvalidated"
     )
-    if report.round_failures or report.tenant_failures:
+    if report.tenant_failures:
         lines.append(
-            f"{'federation failures':<22}{report.round_failures:>12,} rounds"
-            f"  {report.tenant_failures:,} tenant harvests/pushes"
+            f"{'federation failures':<22}{report.tenant_failures:>12,} tenant harvests/pushes"
         )
     lines.append(f"{'completed (fleet)':<22}{report.completed:>12,}")
     lines.append(f"{'failed (fleet)':<22}{report.failed:>12,}")

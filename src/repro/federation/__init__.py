@@ -15,13 +15,11 @@ deploying the global (S)/(T) zero-shot.  See DESIGN.md
 "Federation fleet".
 """
 
-from .config import FleetConfig
 from .coordinator import FleetCoordinator, FleetRound
 from .node import TenantNode
 from .report import FleetReport
 
 __all__ = [
-    "FleetConfig",
     "FleetCoordinator",
     "FleetReport",
     "FleetRound",

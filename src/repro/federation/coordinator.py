@@ -2,8 +2,10 @@
 
 The paper's Section 7 deployment is a cloud provider whose customers
 each serve queries locally while contributing only model updates to a
-shared (S)/(T) model.  :class:`FleetCoordinator` runs that loop against
-live :class:`~repro.federation.node.TenantNode` instances:
+shared (S)/(T) model.  :class:`FleetCoordinator` runs that cycle against
+live :class:`~repro.federation.node.TenantNode` instances, one round per
+:meth:`FleetCoordinator.run_round` call (the coordinator starts no
+thread of its own):
 
 1. **broadcast** — the current global (S)/(T) state is handed to every
    registered tenant;
@@ -27,9 +29,10 @@ live :class:`~repro.federation.node.TenantNode` instances:
    the lineage.
 
 :meth:`onboard` implements the paper's new-customer path: the current
-global (S)/(T) plus :func:`~repro.core.meta.transfer` at k = 0 (train
-only a database-specific featurizer (F), deploy zero-shot — no local
-(S)/(T) training, no data leaving the tenant), then registration.
+global (S)/(T) plus :func:`~repro.core.meta.transfer` at k = 0 over the
+given (F) encoder (a trained featurizer, or a budget to train a
+database-specific one; deploy zero-shot — no local (S)/(T) training, no
+data leaving the tenant), then registration.
 """
 
 from __future__ import annotations
@@ -41,13 +44,12 @@ from dataclasses import dataclass, field
 
 from ..core.checkpoint import save_checkpoint
 from ..core.config import ModelConfig
-from ..core.encoders import DatabaseFeaturizer
+from ..core.encoders import DatabaseFeaturizer, EncoderBudget
 from ..core.federated import aggregate_shared_states
 from ..core.meta import transfer
 from ..core.model import MTMLFQO
 from ..obs import Telemetry
-from ..serve.adaptation import RoundScheduler
-from .config import FleetConfig
+from ..serve.adaptation import CheckpointDir, RoundConfig
 from .node import TenantNode
 from .report import FleetReport
 
@@ -85,13 +87,11 @@ class FleetRound:
         return bool(self.participants)
 
 
-class FleetCoordinator(RoundScheduler):
+class FleetCoordinator:
     """Drives federated rounds over registered tenants.
 
-    Use :meth:`run_round` for explicit, synchronous rounds (tests,
-    benchmarks) or :meth:`start`/:meth:`stop` for the background loop
-    that fires a round whenever ``min_participants`` tenants have fresh
-    experience.  Use as a context manager to clean up a private
+    A round runs when :meth:`run_round` is called: the coordinator has
+    no loop of its own.  Use as a context manager to clean up a private
     checkpoint directory on exit::
 
         with FleetCoordinator(model_config, config) as fleet:
@@ -102,11 +102,14 @@ class FleetCoordinator(RoundScheduler):
     def __init__(
         self,
         model_config: ModelConfig | None = None,
-        config: FleetConfig | None = None,
+        config: RoundConfig | None = None,
         global_model: MTMLFQO | None = None,
         telemetry=None,
     ):
-        super().__init__(config or FleetConfig(), "fleet-coordinator")
+        # The round knobs onboarded tenants get; the coordinator itself
+        # reads only checkpoint_dir and, for onboarding's (F), seed.
+        self.config = config or RoundConfig()
+        self._checkpoints = CheckpointDir(self.config, "fleet-coordinator")
         self.global_model = global_model or MTMLFQO(model_config)
         # A shared repro.obs.Telemetry (a private disabled one when
         # None): round spans and counters land in it, onboarded tenants
@@ -122,18 +125,17 @@ class FleetCoordinator(RoundScheduler):
         registry = self.telemetry.registry
         self._rounds_total = registry.counter("fleet.rounds")
         self._reverted_rounds = registry.counter("fleet.reverted_rounds")
-        self._round_failures = registry.counter("fleet.round_failures")
         self._tenant_failures = registry.counter("fleet.tenant_failures")
         # Serializes rounds; held across an entire broadcast → push
         # cycle (including per-tenant harvest threads) by design.
         self._round_lock = threading.Lock()  # analysis: coarse-lock
-        # Leaf lock for the latest round above: it is written from the
-        # loop thread and read by report() from any thread, and must not
-        # require the (long-held) round lock to observe.
+        # Leaf lock for the latest round above: it is written by the
+        # thread running a round and read by report() from any thread,
+        # and must not require the (long-held) round lock to observe.
         self._stats_lock = threading.Lock()
         # Guards the tenant registry: register()/onboard() may run on
-        # the caller's thread while the background loop iterates the
-        # fleet — unguarded, that iteration would die mid-round with
+        # one thread while a round on another iterates the fleet —
+        # unguarded, that iteration would die mid-round with
         # "dictionary changed size during iteration".
         self._tenants_lock = threading.Lock()
         # Guards reads/writes of the global model's parameters:
@@ -141,6 +143,12 @@ class FleetCoordinator(RoundScheduler):
         # unguarded onboard()/global_state() racing a round's publish
         # could copy a torn mix of old and new weights.
         self._global_lock = threading.Lock()
+
+    def __enter__(self) -> "FleetCoordinator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._checkpoints.release()
 
     # -- fleet membership ----------------------------------------------
     def register(self, tenant: TenantNode) -> TenantNode:
@@ -158,15 +166,17 @@ class FleetCoordinator(RoundScheduler):
     def onboard(
         self,
         db,
+        encoder: EncoderBudget | DatabaseFeaturizer,
         name: str | None = None,
         serve_config=None,
         feedback_config=None,
-        featurizer: DatabaseFeaturizer | None = None,
     ) -> TenantNode:
         """Bring a new tenant online: the current global (S)/(T), zero-shot
         (:func:`~repro.core.meta.transfer` with k = 0) over the tenant's
-        own (F) — ``featurizer`` when given, else one trained on ``db``
-        under ``config.encoder``.  No tenant data is used beyond that
+        own (F) — ``encoder`` is passed to ``transfer`` as is: a trained
+        :class:`DatabaseFeaturizer` is attached, an
+        :class:`EncoderBudget` trains one on ``db`` under
+        ``config.seed``.  No tenant data is used beyond that
         single-table encoder fitting.  The tenant is registered (it will
         receive future rounds through its gate, and contribute once it
         accumulates experience) and returned un-started; call
@@ -179,7 +189,7 @@ class FleetCoordinator(RoundScheduler):
                 raise ValueError(f"tenant {(name or db.name)!r} is already registered")
         model = MTMLFQO(self.global_model.config)
         model.load_state_dict(self.global_state())
-        transfer(model, db, self.config.encoder if featurizer is None else featurizer, seed=self.config.seed)
+        transfer(model, db, encoder, seed=self.config.seed)
         tenant = TenantNode(
             db,
             model,
@@ -200,7 +210,7 @@ class FleetCoordinator(RoundScheduler):
     # -- rounds ----------------------------------------------------------
     def run_round(self) -> FleetRound:
         """One synchronous broadcast → local → merge → checkpoint → push
-        round; safe to call while the background loop runs."""
+        round; concurrent calls run one after the other."""
         with self._round_lock:
             return self._run_round_locked()
 
@@ -309,7 +319,7 @@ class FleetCoordinator(RoundScheduler):
             staging.load_state_dict(merged)
             round_.checkpoint_path = save_checkpoint(
                 staging,
-                os.path.join(self._checkpoint_dir(), f"round-{round_.index:04d}"),
+                os.path.join(self._checkpoints.path(), f"round-{round_.index:04d}"),
             )
 
         # Push phase: every tenant gates the merged model, whether or
@@ -392,27 +402,6 @@ class FleetCoordinator(RoundScheduler):
         for thread in threads:
             thread.join()
 
-    # -- background loop -------------------------------------------------
-    def ready_tenants(self) -> list[str]:
-        """Tenants currently holding enough fresh experience to train."""
-        return [
-            name
-            for name, tenant in self._tenant_snapshot()
-            if tenant.pending_experience() >= self.config.min_new_experience
-        ]
-
-    def _poll(self) -> bool:
-        if len(self.ready_tenants()) < self.config.min_participants:
-            return True
-        # A reverted round returned its participants' harvest credit,
-        # and a crashed tenant's cursor never advanced — either way the
-        # same tenants are immediately "ready" again.
-        round_ = self.run_round()
-        return not (round_.reverted or round_.failed)
-
-    def _note_failure(self) -> None:
-        self._round_failures.inc()
-
     # -- reporting --------------------------------------------------------
     def report(self) -> FleetReport:
         """Merge every tenant's ServingReport into one fleet view."""
@@ -424,7 +413,6 @@ class FleetCoordinator(RoundScheduler):
             tenants=tenant_reports,
             rounds=int(self._rounds_total.value),
             reverted_rounds=int(self._reverted_rounds.value),
-            round_failures=int(self._round_failures.value),
             tenant_failures=int(self._tenant_failures.value),
             last_round=last_round,
             slo=self.telemetry.slo.statuses(),

@@ -38,12 +38,11 @@ import threading
 from ..core.federated import shared_state_dict
 from ..core.model import MTMLFQO
 from ..core.serializer import query_signature
-from ..serve.adaptation import GateResult, TrainRound
+from ..serve.adaptation import GateResult, RoundConfig, TrainRound
 from ..serve.feedback import FeedbackCollector, FeedbackConfig
 from ..serve.service import OptimizerService
 from ..serve.stats import ServingReport
 from ..workload.labeler import LabeledQuery
-from .config import FleetConfig
 
 __all__ = ["TenantNode"]
 
@@ -64,14 +63,14 @@ class TenantNode:
         self,
         db,
         model: MTMLFQO,
-        config: FleetConfig | None = None,
+        config: RoundConfig | None = None,
         serve_config=None,
         feedback_config: FeedbackConfig | None = None,
         name: str | None = None,
         telemetry=None,
     ):
         self.db = db
-        self.config = config or FleetConfig()
+        self.config = config or RoundConfig()
         self.name = name or db.name
         model.featurizer_for(db.name)  # fail fast on a missing (F) module
         self.service = OptimizerService(model, db.name, serve_config, telemetry=telemetry)

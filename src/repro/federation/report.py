@@ -29,10 +29,9 @@ class FleetReport:
     tenants: dict[str, ServingReport] = field(default_factory=dict)
     rounds: int = 0
     reverted_rounds: int = 0
-    # Rounds that raised in the background loop / tenants that raised
-    # during a round's harvest or push — federation-infrastructure
-    # failures, kept apart from per-request serving failures.
-    round_failures: int = 0
+    # Tenants that raised during a round's harvest or push —
+    # federation-infrastructure failures, kept apart from per-request
+    # serving failures.
     tenant_failures: int = 0
     last_round: "FleetRound | None" = None
     # Per-tenant SLO state (empty unless the coordinator carries an

@@ -337,11 +337,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.values())
 
-    def find(self, name: str, labels: "dict[str, str] | None" = None):
-        """Existing metric for ``(name, labels)``, or None (no creation)."""
-        with self._lock:
-            return self._metrics.get((name, _label_key(labels)))
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry (e.g. a per-shard one) into this one.
 

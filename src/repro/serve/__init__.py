@@ -20,6 +20,7 @@ from .adaptation import (
     AdaptationConfig,
     AdaptationWorker,
     GateResult,
+    RoundConfig,
     evaluate_regret_gate,
     split_experience,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "GateResult",
     "OptimizerService",
     "PlanCache",
+    "RoundConfig",
     "ServeConfig",
     "ServiceOverloadedError",
     "ServiceStoppedError",

@@ -19,12 +19,15 @@ deployed:
    traffic can never be answered with a stale order.  On rejection the
    candidate is discarded and the live model keeps serving.
 
-Two schedulers drive it.  :class:`AdaptationWorker` (here) runs the
-phases back to back, continuing in memory the trajectory of the model it
-last installed; :class:`repro.federation.TenantNode` runs them either
-side of a FedAvg merge.  Both loop through :class:`RoundScheduler` and
-are configured by one :class:`RoundConfig`; both write checkpoints and
-neither reads one back.
+Two schedulers drive it, both configured by one :class:`RoundConfig`.
+:class:`AdaptationWorker` (here) runs the phases back to back,
+continuing in memory the trajectory of the model it last installed; it
+is the one always-on loop (monitor → decide → act): its background
+thread polls for fresh experience and fires a cycle.
+:class:`repro.federation.TenantNode` runs the phases either side of a
+FedAvg merge, when its coordinator's ``run_round()`` is called.  The
+worker and the coordinator write checkpoints under one
+:class:`CheckpointDir` rule, and neither reads one back.
 
 A round counts its fine-tunes and gate verdicts in the service's
 registry (``adapt.retrains``, ``adapt.gate{verdict=…}``), so
@@ -51,9 +54,9 @@ from .feedback import ExperienceBuffer
 __all__ = [
     "AdaptationConfig",
     "AdaptationWorker",
+    "CheckpointDir",
     "GateResult",
     "RoundConfig",
-    "RoundScheduler",
     "TrainRound",
     "evaluate_regret_gate",
     "split_experience",
@@ -85,11 +88,14 @@ class RoundConfig:
     max_intermediate_rows:
         Execution bound when the gate replays validation orders.
     poll_interval_s:
-        How often the scheduler's background loop rechecks readiness.
+        How often an :class:`AdaptationWorker`'s background loop
+        rechecks for fresh experience.
     checkpoint_dir:
-        Where the scheduler's checkpoints are written (a worker's
-        accepted ``adapt-NNNN.npz``, a coordinator's ``round-NNNN.npz``);
-        a private temp dir, removed on shutdown, when None.
+        Where checkpoints are written (a worker's accepted
+        ``adapt-NNNN.npz``, a coordinator's ``round-NNNN.npz``); a
+        private temp dir, removed by ``AdaptationWorker.stop()`` / on
+        leaving the coordinator's ``with`` block, when None
+        (:class:`CheckpointDir`).
     """
 
     min_new_experience: int = 8
@@ -115,7 +121,7 @@ class RoundConfig:
         if self.regret_tolerance_ms < 0:
             raise ValueError(f"regret_tolerance_ms must be >= 0, got {self.regret_tolerance_ms}")
         if self.poll_interval_s <= 0:
-            # wait(0) would turn the scheduler's poll loop into a hot spin.
+            # wait(0) would turn the worker's poll loop into a hot spin.
             raise ValueError(f"poll_interval_s must be > 0, got {self.poll_interval_s}")
 
 
@@ -436,78 +442,37 @@ class TrainRound:
             return self._last_gate
 
 
-class RoundScheduler:
-    """What scheduling rounds needs whatever a round is: the background
-    poll → fire → back-off thread and the configured-or-owned checkpoint
-    directory.  Subclasses (:class:`AdaptationWorker`,
-    :class:`repro.federation.FleetCoordinator`) provide ``_poll()`` (fire
-    a round if enough fresh experience exists; False when the round must
-    not be retried at once) and ``_note_failure()`` (count a poll that
-    raised).
+class CheckpointDir:
+    """Where a round owner writes its checkpoints, one rule for the
+    :class:`AdaptationWorker` (``adapt-NNNN.npz``) and the
+    :class:`repro.federation.FleetCoordinator` (``round-NNNN.npz``):
+    ``config.checkpoint_dir`` when set (created on demand, never
+    removed), else a private temp dir made on first use and removed by
+    :meth:`release`.
     """
 
     def __init__(self, config: RoundConfig, name: str):
-        self.config = config
+        self._config = config
         self._name = name
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._own_checkpoint_dir: str | None = None
+        self._private: str | None = None
 
-    def start(self):
-        if self._thread is not None:
-            raise RuntimeError(f"{self._name} already running")
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._loop, name=self._name, daemon=True)
-        self._thread.start()
-        return self
+    def path(self) -> str:
+        if self._config.checkpoint_dir is not None:
+            os.makedirs(self._config.checkpoint_dir, exist_ok=True)
+            return self._config.checkpoint_dir
+        if self._private is None:
+            self._private = tempfile.mkdtemp(prefix=f"repro-{self._name}-")
+        return self._private
 
-    def stop(self) -> None:
-        """Signal the loop and join it (a round in flight completes first)."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def shutdown(self) -> None:
-        """Stop the loop and remove a private checkpoint directory."""
-        RoundScheduler.stop(self)  # not self.stop(): a subclass may alias the two
-        if self._own_checkpoint_dir is not None:
-            shutil.rmtree(self._own_checkpoint_dir, ignore_errors=True)
-            self._own_checkpoint_dir = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                settled = self._poll()
-            except Exception:
-                # The loop must survive anything (a failed load, a
-                # transient training error, an unwritable checkpoint
-                # dir); the failure is counted, not swallowed.
-                self._note_failure()
-                settled = False
-            # Unsettled, whatever made a round due is still there (a
-            # crashed round keeps its trigger credit, a reverted one got
-            # it back): a real pause is the only thing between this loop
-            # and re-running a doomed round at full CPU.
-            poll_s = self.config.poll_interval_s
-            self._stop.wait(poll_s if settled else max(1.0, 20 * poll_s))
-
-    def _checkpoint_dir(self) -> str:
-        if self.config.checkpoint_dir is not None:
-            os.makedirs(self.config.checkpoint_dir, exist_ok=True)
-            return self.config.checkpoint_dir
-        if self._own_checkpoint_dir is None:
-            self._own_checkpoint_dir = tempfile.mkdtemp(prefix=f"repro-{self._name}-")
-        return self._own_checkpoint_dir
+    def release(self) -> None:
+        """Remove the private temp dir (and its checkpoints), if one was
+        made; a later :meth:`path` makes a fresh one."""
+        if self._private is not None:
+            shutil.rmtree(self._private, ignore_errors=True)
+            self._private = None
 
 
-class AdaptationWorker(RoundScheduler):
+class AdaptationWorker:
     """Background collect → retrain → gate → swap loop over one service.
 
     Each cycle fine-tunes a clone of the live model; while the model
@@ -525,40 +490,72 @@ class AdaptationWorker(RoundScheduler):
     """
 
     def __init__(self, service, db, buffer: ExperienceBuffer, config: AdaptationConfig | None = None):
-        super().__init__(config or AdaptationConfig(), f"adaptation-{db.name}")
+        self.config = config or AdaptationConfig()
         self.service = service
         self.db = db
         self.buffer = buffer
         self.round = TrainRound(service, db, buffer, self.config)
+        self._name = f"adaptation-{db.name}"
+        self._checkpoints = CheckpointDir(self.config, self._name)
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         # The trajectory being continued: the last *accepted* cycle's
         # Adam moments and the model that cycle installed.
         self._trajectory: tuple[dict | None, object] = (None, None)  # guarded-by: _lock
 
     # -- lifecycle -----------------------------------------------------
-    # A stopped worker gives up a private temp dir (and the checkpoints
-    # in it); the in-memory trajectory survives a restart.
-    stop = RoundScheduler.shutdown
+    def start(self) -> "AdaptationWorker":
+        if self._thread is not None:
+            raise RuntimeError(f"{self._name} already running")
+        self._stop.clear()
+        self._thread = threading.Thread(target=self._loop, name=self._name, daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Signal the loop and join it (a cycle in flight completes
+        first), then remove a private checkpoint directory and the
+        checkpoints in it.  The in-memory trajectory survives: a
+        restarted worker continues it."""
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        self._checkpoints.release()
 
     def __enter__(self) -> "AdaptationWorker":
         return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     # -- scheduling ----------------------------------------------------
     def pending_experience(self) -> int:
         """Unique experiences added since the last retrain verdict."""
         return self.round.pending()
 
-    def _poll(self) -> bool:
-        if self.pending_experience() >= self.config.min_new_experience:
-            # Accepted or rejected, the verdict consumes the trigger credit.
-            self.run_once()
-        return True
-
-    def _note_failure(self) -> None:
-        # A cycle that died on infrastructure (I/O or training error),
-        # NOT a gate rejection: `swaps_rejected` keeps meaning "the
-        # regression gate blocked a candidate".
-        self.service.stats.note_adaptation_failure()
+    def _loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                if self.pending_experience() >= self.config.min_new_experience:
+                    # Accepted or rejected, the verdict consumes the
+                    # trigger credit.
+                    self.run_once()
+                settled = True
+            except Exception:
+                # The loop must survive anything (a transient training
+                # error, an unwritable checkpoint dir).  A cycle that
+                # died on infrastructure is counted, not swallowed, and
+                # NOT as a gate rejection: `swaps_rejected` keeps meaning
+                # "the regression gate blocked a candidate".
+                self.service.stats.note_adaptation_failure()
+                settled = False
+            # A crashed cycle keeps its trigger credit: a real pause is
+            # the only thing between this loop and re-running a doomed
+            # cycle at full CPU.
+            poll_s = self.config.poll_interval_s
+            self._stop.wait(poll_s if settled else max(1.0, 20 * poll_s))
 
     def run_once(self) -> bool:
         """One collect → retrain → gate → swap cycle; True iff swapped."""
@@ -566,7 +563,7 @@ class AdaptationWorker(RoundScheduler):
             return False
         # Resolved before any training: an unwritable directory fails the
         # cycle here, trigger credit intact, not after a wasted fine-tune.
-        directory = self._checkpoint_dir()
+        directory = self._checkpoints.path()
         live = self.service._serving_state()[0].model
         with self._lock:
             moments, installed = self._trajectory

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from ..errors import DisconnectedQueryError
-
 __all__ = ["JoinRelation", "JoinSchema"]
 
 
@@ -99,22 +97,6 @@ class JoinSchema:
                 if i != j and self._graph.has_edge(a, b):
                     adj[i, j] = True
         return adj
-
-    def spanning_join_order(self, tables: list[str], start: str | None = None) -> list[str]:
-        """A legal left-deep join order covering ``tables`` (BFS order)."""
-        if not self.is_connected(tables):
-            raise DisconnectedQueryError(f"tables {tables} are not connected in the join graph")
-        sub = self._graph.subgraph(tables)
-        start = start or tables[0]
-        order = [start]
-        seen = {start}
-        frontier = set(sub.neighbors(start))
-        while len(order) < len(tables):
-            chosen = sorted(frontier - seen)[0]
-            order.append(chosen)
-            seen.add(chosen)
-            frontier |= set(sub.neighbors(chosen))
-        return order
 
     def __repr__(self) -> str:
         return f"JoinSchema(tables={len(self._graph)}, relations={len(self.relations)})"

@@ -25,7 +25,9 @@ Usage inside a stress test::
     monitor.assert_clean()                    # raises LockOrderError on a cycle
 
 Tracing is cooperative (only wrapped locks are observed) and cheap
-enough for test traffic; it is not enabled in production paths.
+enough for test traffic.  It is test-side code: nothing under
+``src/repro`` imports it, and CI lints it with the same
+``--fail-on-findings`` sweep as ``src/repro``.
 """
 
 from __future__ import annotations

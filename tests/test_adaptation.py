@@ -19,6 +19,7 @@ import threading
 
 import pytest
 
+from helpers import spanning_join_order
 from repro.core import JointTrainer, ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.core.serializer import query_signature
@@ -135,8 +136,8 @@ class TestFeedbackCollector:
         collector = FeedbackCollector(db, FeedbackConfig(max_intermediate_rows=2_000_000))
         with collector:
             for item in phase2[:4]:
-                order = db.join_schema.spanning_join_order(
-                    item.query.tables, start=item.query.tables[0]
+                order = spanning_join_order(
+                    db.join_schema, item.query.tables, start=item.query.tables[0]
                 )
                 assert collector.submit(item, order)
             assert collector.drain(timeout=60)
@@ -151,7 +152,7 @@ class TestFeedbackCollector:
 
     def test_duplicate_submissions_dedup_without_execution(self, db, phase2):
         item = phase2[0]
-        order = db.join_schema.spanning_join_order(item.query.tables, start=item.query.tables[0])
+        order = spanning_join_order(db.join_schema, item.query.tables, start=item.query.tables[0])
         collector = FeedbackCollector(db)
         with collector:
             assert collector.submit(item, order)
@@ -163,7 +164,7 @@ class TestFeedbackCollector:
     def test_over_limit_execution_rejected_with_reason(self, db, phase2):
         collector = FeedbackCollector(db, FeedbackConfig(max_intermediate_rows=1))
         item = phase2[0]
-        order = db.join_schema.spanning_join_order(item.query.tables, start=item.query.tables[0])
+        order = spanning_join_order(db.join_schema, item.query.tables, start=item.query.tables[0])
         with collector:
             assert collector.submit(item, order)
             assert collector.drain(timeout=60)
@@ -197,7 +198,7 @@ class TestFeedbackCollector:
 
 
 def spanning_order(db, item):
-    return db.join_schema.spanning_join_order(item.query.tables, start=item.query.tables[0])
+    return spanning_join_order(db.join_schema, item.query.tables, start=item.query.tables[0])
 
 
 class TestOneStore:

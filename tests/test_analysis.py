@@ -26,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Linter, LockMonitor, LockOrderError
+from lock_monitor import LockMonitor, LockOrderError
+from repro.analysis import Linter
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.checks import (
     AtomicWriteChecker,
@@ -714,7 +715,7 @@ MUTATIONS = [
      '                name=f"optimizer-serve-{self.db_name}",\n                daemon=True,\n',
      '                name=f"optimizer-serve-{self.db_name}",\n'),
     ("silent-except", "serve/adaptation.py",
-     "                self._note_failure()\n                settled = False\n",
+     "                self.service.stats.note_adaptation_failure()\n                settled = False\n",
      "                pass\n"),
     ("wall-clock", "serve/stats.py", "time.perf_counter()", "time.time()"),
     ("scratch-privacy", "core/model.py",

@@ -121,8 +121,8 @@ class TestFederatedTraining:
         experience in between) hold byte-equal (S)/(T) weights."""
         from repro.core import DatabaseFeaturizer, shared_state_dict
         from repro.core.serializer import query_signature
-        from repro.federation import FleetConfig, FleetCoordinator, TenantNode
-        from repro.serve import AdaptationConfig, AdaptationWorker, ExperienceBuffer, OptimizerService
+        from repro.federation import FleetCoordinator, TenantNode
+        from repro.serve import AdaptationConfig, AdaptationWorker, ExperienceBuffer, OptimizerService, RoundConfig
 
         db, workload = clients[0].db, clients[0].workload
         featurizer = DatabaseFeaturizer(db, TINY)
@@ -144,7 +144,7 @@ class TestFederatedTraining:
         worker = AdaptationWorker(
             service, db, buffer, AdaptationConfig(checkpoint_dir=str(tmp_path / "w"), **round_config)
         )
-        fleet_config = FleetConfig(checkpoint_dir=str(tmp_path / "f"), **round_config)
+        fleet_config = RoundConfig(checkpoint_dir=str(tmp_path / "f"), **round_config)
         fleet = FleetCoordinator(TINY, fleet_config)
         fleet.global_model.load_state_dict(start)
         tenant = fleet.register(TenantNode(db, serving_model(), config=fleet_config))

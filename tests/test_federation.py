@@ -1,12 +1,14 @@
 """Tests for the federated multi-tenant serving fleet (repro.federation)."""
 
 import dataclasses
+import os
+import tempfile
 import threading
 
 import numpy as np
 import pytest
 
-from repro.analysis import LockMonitor, instrument_collector, instrument_model, instrument_service
+from lock_monitor import LockMonitor, instrument_collector, instrument_model, instrument_service
 from repro.core import (
     DatabaseFeaturizer,
     EncoderBudget,
@@ -14,28 +16,28 @@ from repro.core import (
     ModelConfig,
     MTMLFQO,
     SHARED_MODULE_PREFIXES,
+    query_signature,
 )
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report, join_order_execution_time, worst_legal_order
-from repro.federation import FleetConfig, FleetCoordinator, FleetReport, TenantNode
+from repro.federation import FleetCoordinator, FleetReport, TenantNode
 from repro.obs import Telemetry
-from repro.serve import AdaptationConfig
+from repro.serve import AdaptationWorker, ExperienceBuffer, OptimizerService, RoundConfig
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator, traffic_stream
 
 TINY = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
 
 
-def tiny_fleet_config(**overrides) -> FleetConfig:
+def tiny_fleet_config(**overrides) -> RoundConfig:
     defaults = dict(
         fine_tune_epochs=2,
         batch_size=8,
         min_new_experience=4,
         validation_fraction=0.25,
-        encoder=EncoderBudget(3, 1),
         poll_interval_s=0.05,
     )
     defaults.update(overrides)
-    return FleetConfig(**defaults)
+    return RoundConfig(**defaults)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,9 @@ def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None)
     return TenantNode(db, model, config=config, name=name, telemetry=telemetry)
 
 
-@pytest.mark.parametrize("config_class", [AdaptationConfig, FleetConfig])
+# One config class serves both schedulers: the adaptation worker and
+# every fleet tenant (and its coordinator) take a RoundConfig.
+@pytest.mark.parametrize("config_class", [RoundConfig])
 @pytest.mark.parametrize(
     "bad",
     [
@@ -256,7 +260,7 @@ class TestFleetRounds:
         with FleetCoordinator(TINY, config) as fleet:
             fleet.global_model.load_state_dict(global_state)
             db, featurizer, pool = tenants[2]
-            tenant = fleet.onboard(db, featurizer=featurizer)
+            tenant = fleet.onboard(db, featurizer)
             assert tenant.name in fleet.tenants
             # Zero-shot: the tenant's (S)/(T) is exactly the global state.
             live_state = tenant.live_model.state_dict()
@@ -265,6 +269,22 @@ class TestFleetRounds:
             with tenant:
                 order = tenant.optimize(pool[0])
             assert sorted(order) == sorted(pool[0].query.tables)
+
+    def test_onboard_trains_f_from_a_budget(self, fixture):
+        """``onboard(db, encoder)`` hands ``encoder`` to ``transfer`` as
+        is: a budget trains the tenant's (F) under the round seed."""
+        tenants, global_state = fixture
+        config = tiny_fleet_config(seed=3)
+        db, _, _ = tenants[2]
+        budget = EncoderBudget(3, 1)
+        with FleetCoordinator(TINY, config) as fleet:
+            fleet.global_model.load_state_dict(global_state)
+            tenant = fleet.onboard(db, budget)
+        expected = budget.train(db, TINY, seed=3).state_dict()
+        trained = tenant.live_model.featurizer_for(db.name).state_dict()
+        assert trained.keys() == expected.keys()
+        for name, value in expected.items():
+            np.testing.assert_array_equal(trained[name], value, err_msg=name)
 
     def test_duplicate_registration_rejected(self, fixture):
         tenants, global_state = fixture
@@ -399,29 +419,8 @@ class TestFleetRounds:
             for key in before:
                 np.testing.assert_array_equal(before[key], after[key])
 
-    def test_background_loop_fires_rounds(self, fixture):
-        tenants, global_state = fixture
-        config = tiny_fleet_config(min_participants=1)
-        with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
-            db, featurizer, pool = tenants[0]
-            tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
-            tenant.inject_experience(pool[:6])
-            fleet.start()
-            try:
-                deadline = threading.Event()
-                for _ in range(600):  # up to 30 s
-                    if fleet.report().rounds:
-                        break
-                    deadline.wait(0.05)
-            finally:
-                fleet.stop()
-            report = fleet.report()
-            assert report.rounds, "background loop never fired a round"
-            assert report.last_round.index == 0 and report.last_round.merged
-
     def test_three_rounds_keep_one_fleet_round(self, fixture):
-        """Only the latest round is retained: a background loop can run
+        """Only the latest round is retained: a caller can run rounds
         forever without the coordinator's memory growing per round."""
         import gc
         import weakref
@@ -437,6 +436,72 @@ class TestFleetRounds:
             report = fleet.report()
             assert report.rounds == 3
             assert report.last_round is refs[-1]() and report.last_round.index == 2
+
+
+class TestCheckpointDir:
+    """The two checkpoint owners, an AdaptationWorker and a
+    FleetCoordinator, share one directory rule: a private temp dir they
+    made is removed when they finish, a configured one never is."""
+
+    @pytest.mark.threaded
+    @pytest.mark.parametrize("configured", [False, True], ids=["private", "configured"])
+    def test_owners_remove_only_a_private_dir(self, fixture, tmp_path, configured):
+        tenants, global_state = fixture
+        db, featurizer, pool = tenants[0]
+        config = tiny_fleet_config(
+            regret_tolerance_ms=1e12,
+            checkpoint_dir=str(tmp_path / "kept") if configured else None,
+        )
+
+        def checkpoint_dir(path: str) -> str:
+            assert os.path.exists(path)
+            directory = os.path.dirname(path)
+            if configured:
+                assert directory == config.checkpoint_dir
+            else:
+                assert directory.startswith(tempfile.gettempdir())
+            return directory
+
+        model = MTMLFQO(TINY)
+        model.load_state_dict(global_state)
+        model.attach_featurizer(db.name, featurizer)
+        buffer = ExperienceBuffer(64)
+        with OptimizerService(model, db.name) as service:
+            worker = AdaptationWorker(service, db, buffer, config)
+            for item in pool[:4]:
+                buffer.add(query_signature(item.query), item)
+            assert worker.run_once()
+            first_gate = worker.last_gate
+            first_dir = checkpoint_dir(first_gate.checkpoint_path)
+            steps = worker._trajectory[0]["t"]
+            worker.stop()
+            assert os.path.isdir(first_dir) == configured
+
+            # Restarted, the background loop fires the next cycle, which
+            # continues the first cycle's Adam moments.
+            for item in pool[4:8]:
+                buffer.add(query_signature(item.query), item)
+            with worker:
+                for _ in range(600):  # up to 30 s
+                    if worker.last_gate is not first_gate:
+                        break
+                    threading.Event().wait(0.05)
+                assert worker.last_gate is not first_gate, "the restarted loop fired no cycle"
+                assert worker.last_gate.accepted
+                second_dir = checkpoint_dir(worker.last_gate.checkpoint_path)
+            assert os.path.isdir(second_dir) == configured
+        # 3 then 6 training examples at batch 8, two epochs each: two
+        # steps per cycle, so a resumed trajectory doubles the count.
+        assert worker._trajectory[0]["t"] == 2 * steps
+
+        with FleetCoordinator(TINY, config) as fleet:
+            fleet.global_model.load_state_dict(global_state)
+            tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
+            tenant.inject_experience(pool[:6])
+            round_ = fleet.run_round()
+            assert round_.accepted == [tenant.name]
+            fleet_dir = checkpoint_dir(round_.checkpoint_path)
+        assert os.path.isdir(fleet_dir) == configured
 
 
 class TestFleetReport:
@@ -495,7 +560,6 @@ class TestFleetReport:
         totals = {
             "fleet.rounds": report.rounds,
             "fleet.reverted_rounds": report.reverted_rounds,
-            "fleet.round_failures": report.round_failures,
             "fleet.tenant_failures": report.tenant_failures,
         }
         assert totals == {name: metrics[name] for name in totals}

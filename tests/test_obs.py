@@ -25,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import LockMonitor
+from helpers import find_metric
+from lock_monitor import LockMonitor
 from repro.core import ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
@@ -179,8 +180,8 @@ class TestRegistry:
         a = registry.counter("x", {"k": "1"})
         assert registry.counter("x", {"k": "1"}) is a
         assert registry.counter("x", {"k": "2"}) is not a
-        assert registry.find("x", {"k": "1"}) is a
-        assert registry.find("missing") is None
+        assert find_metric(registry, "x", {"k": "1"}) is a
+        assert find_metric(registry, "missing") is None
 
     def test_kind_and_bounds_mismatch_raise(self):
         registry = MetricsRegistry()
@@ -402,8 +403,8 @@ class TestInstrumentationBridges:
             pass
         with lock:
             pass
-        hold = registry.find("lock.hold_s", {"lock": "svc._mutex"})
-        wait = registry.find("lock.wait_s", {"lock": "svc._mutex"})
+        hold = find_metric(registry, "lock.hold_s", {"lock": "svc._mutex"})
+        wait = find_metric(registry, "lock.wait_s", {"lock": "svc._mutex"})
         assert hold.count == 2
         assert wait.count == 2
 

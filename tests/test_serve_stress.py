@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.analysis import LockMonitor, LockOrderError, instrument_model, instrument_service
+from lock_monitor import LockMonitor, LockOrderError, instrument_model, instrument_service
 from repro.core import ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database

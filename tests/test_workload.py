@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import spanning_join_order
 from repro.datagen import generate_database
 from repro.engine import execute_plan
 from repro.sql import LikePredicate, Query
@@ -51,7 +52,7 @@ class TestGenerator:
     def test_queries_executable(self, db, generator):
         from repro.engine import left_deep_plan
         for query in generator.generate(10):
-            order = db.join_schema.spanning_join_order(query.tables, start=query.tables[0])
+            order = spanning_join_order(db.join_schema, query.tables, start=query.tables[0])
             plan = left_deep_plan(query, order)
             result = execute_plan(plan, db)
             assert result.cardinality >= 0
@@ -196,7 +197,7 @@ class TestLabelerSkipReasons:
             base = labeler.label(query, with_optimal_order=False)
             if base is None:
                 continue
-            order = db.join_schema.spanning_join_order(query.tables, start=query.tables[0])
+            order = spanning_join_order(db.join_schema, query.tables, start=query.tables[0])
             item = labeler.label_with_order(query, order, with_optimal_order=False)
             assert item is not None
             assert item.plan.leaf_tables_in_order() == order
@@ -218,7 +219,7 @@ class TestLabelerSkipReasons:
         for query in generator.generate(10):
             if query.num_tables < 3:
                 continue
-            order = db.join_schema.spanning_join_order(query.tables, start=query.tables[0])
+            order = spanning_join_order(db.join_schema, query.tables, start=query.tables[0])
             illegal = list(reversed(order))
             if query.joins_between({illegal[0]}, {illegal[1]}):
                 continue  # reversal happens to stay legal; try another
