@@ -26,8 +26,8 @@ from .base import Checker, dotted_name, iter_functions, lock_attrs_of_class, sel
 __all__ = ["ObsDisciplineChecker"]
 
 # Attribute leaves that record into a metric: Counter.inc,
-# Histogram.observe, Gauge.update_max.  (Gauge.set is excluded — "set"
-# is far too generic a method name to match on its leaf alone.)
+# Histogram.observe, Gauge.update_max — every recording method a metric
+# has.
 _RECORDING_LEAVES = frozenset({"inc", "observe", "update_max"})
 # Dotted-name suffixes that record through a telemetry handle even
 # though their leaf ("record") is generic: SLOTracker.record and

@@ -37,9 +37,6 @@ from .losses import (
 )
 from .federated import (
     AggregationError,
-    FederatedClient,
-    FederatedConfig,
-    FederatedTrainer,
     SHARED_MODULE_PREFIXES,
     aggregate_shared_states,
     shared_state_dict,
@@ -99,9 +96,6 @@ __all__ = [
     "MetaLearner",
     "MLAConfig",
     "transfer",
-    "FederatedTrainer",
-    "FederatedClient",
-    "FederatedConfig",
     "AggregationError",
     "SHARED_MODULE_PREFIXES",
     "aggregate_shared_states",

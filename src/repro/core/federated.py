@@ -1,43 +1,30 @@
-"""Federated MLA — the paper's Section 7 research opportunity.
+"""The fleet's FedAvg merge and privacy filter (the paper's Section 7).
 
-The paper's cloud workflow trains MTMLF on many users' databases, and
-explicitly proposes federated learning so the provider never sees raw
-data: users compute gradients locally and share only model updates
-("anonymous training data or gradients of model parameters").
+The paper's cloud workflow trains MTMLF on many users' databases and
+proposes federated learning so the provider never sees raw data: users
+train locally and share only model updates.  The live FedAvg loop is
+:class:`repro.federation.FleetCoordinator`; this module holds the two
+pieces of it that touch parameters:
 
-``FederatedTrainer`` implements FedAvg (McMahan et al.) over the shared
-(S) and task (T) modules:
+- :func:`shared_state_dict` is the privacy filter.  It selects a
+  model's shared (S)/(T) parameters by name
+  (:data:`SHARED_MODULE_PREFIXES`), the only state a tenant ships;
+- :func:`aggregate_shared_states` is the merge: an example-weighted
+  mean over those parameters, raising :class:`AggregationError` on a
+  missing or mismatched one.
 
-1. the server broadcasts the current (S)/(T) weights to every client;
-2. each client runs local epochs of the Equation 1 criterion on its own
-   labeled workload — raw tuples and queries never leave the client;
-3. the server averages the returned weights, weighted by client example
-   counts.
-
-Per-database featurizers (F) are trained entirely client-side and are
-never shared — consistent with the MLA design (all database-specific
-knowledge stays in (F)).
+Per-database featurizers (F) never pass either function: all
+database-specific knowledge stays with its tenant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..storage.catalog import Database
-from ..workload.labeler import LabeledQuery
-from .config import ModelConfig
-from .encoders import DatabaseFeaturizer, EncoderBudget
-from .meta import transfer
 from .model import MTMLFQO
-from .trainer import JointTrainer
 
 __all__ = [
     "AggregationError",
-    "FederatedClient",
-    "FederatedTrainer",
-    "FederatedConfig",
     "SHARED_MODULE_PREFIXES",
     "aggregate_shared_states",
     "shared_state_dict",
@@ -124,115 +111,3 @@ def aggregate_shared_states(
             accumulator = contribution if accumulator is None else accumulator + contribution
         merged[name] = accumulator
     return merged
-
-
-@dataclass
-class FederatedConfig:
-    """Knobs for federated pre-training."""
-
-    rounds: int = 5
-    local_epochs: int = 2
-    batch_size: int = 16
-    encoder: EncoderBudget = EncoderBudget(15, 6)
-    seed: int = 0
-    verbose: bool = False
-
-
-@dataclass
-class FederatedClient:
-    """One participating database and its private labeled workload."""
-
-    db: Database
-    workload: list[LabeledQuery]
-    featurizer: DatabaseFeaturizer | None = None
-
-    @property
-    def num_examples(self) -> int:
-        return len(self.workload)
-
-
-class FederatedTrainer:
-    """FedAvg over the (S)/(T) modules of MTMLF-QO."""
-
-    def __init__(self, model_config: ModelConfig | None = None, fed_config: FederatedConfig | None = None):
-        self.model_config = model_config or ModelConfig()
-        self.fed_config = fed_config or FederatedConfig()
-        self.server_model = MTMLFQO(self.model_config)
-        self.round_losses: list[float] = []
-        # Per-client Adam moments (name-keyed state dicts), carried
-        # across rounds: each round's local pass resumes the client's
-        # own optimizer trajectory instead of re-warming from zeroed
-        # moments on a freshly built trainer.
-        self._client_optimizer_state: dict[str, dict] = {}
-
-    # ------------------------------------------------------------------
-    def prepare_client(self, client: FederatedClient) -> None:
-        """Client-side: train the private featurization module (F) unless
-        the client brings one, and attach it to the server model."""
-        cfg = self.fed_config
-        encoder = cfg.encoder if client.featurizer is None else client.featurizer
-        # The server model needs the featurizer handle to *evaluate* on
-        # this client; in a real deployment evaluation also happens
-        # client-side and only metrics travel.
-        transfer(self.server_model, client.db, encoder, seed=cfg.seed, verbose=cfg.verbose)
-        client.featurizer = self.server_model.featurizer_for(client.db.name)
-
-    def _client_update(self, client: FederatedClient, seed: int) -> tuple[dict, float]:
-        """One client's local training pass; returns (weights, mean loss)."""
-        local = MTMLFQO(self.model_config)
-        local.attach_featurizer(client.db.name, client.featurizer)
-        local.load_state_dict(self.server_model.state_dict())
-        trainer = JointTrainer(
-            local, optimizer_state=self._client_optimizer_state.get(client.db.name)
-        )
-        result = trainer.train(
-            [(client.db.name, item) for item in client.workload],
-            epochs=self.fed_config.local_epochs,
-            batch_size=self.fed_config.batch_size,
-            seed=seed,
-            verbose=False,
-        )
-        self._client_optimizer_state[client.db.name] = trainer.optimizer.state_dict()
-        return shared_state_dict(local), result.final_loss
-
-    def train(self, clients: list[FederatedClient]) -> list[float]:
-        """Run federated rounds; returns the per-round mean client loss."""
-        if not clients:
-            raise ValueError("no federated clients")
-        for client in clients:
-            if not client.workload:
-                raise ValueError(f"client {client.db.name!r} has an empty workload")
-            self.prepare_client(client)
-
-        for round_index in range(self.fed_config.rounds):
-            states: list[dict] = []
-            weights: list[float] = []
-            losses: list[float] = []
-            for i, client in enumerate(clients):
-                state, loss = self._client_update(
-                    client, seed=self.fed_config.seed + round_index * 97 + i
-                )
-                states.append(state)
-                weights.append(float(client.num_examples))
-                losses.append(loss)
-            self._aggregate(states, weights)
-            round_loss = float(np.average(losses, weights=weights))
-            self.round_losses.append(round_loss)
-            if self.fed_config.verbose:
-                print(f"  federated round {round_index + 1}/{self.fed_config.rounds}: loss {round_loss:.4f}")
-        return self.round_losses
-
-    def _aggregate(self, states: list[dict], weights: list[float]) -> None:
-        """Server-side FedAvg over shared (S)/(T) parameters only.
-
-        Keys are selected *by name* against the server model's shared
-        parameter set (:func:`aggregate_shared_states`): per-client
-        featurizer parameters can never be averaged across clients with
-        different schemas, and a missing or shape-mismatched shared key
-        raises :class:`AggregationError` instead of corrupting the merge.
-        """
-        merged = aggregate_shared_states(
-            states, weights, reference=self.server_model.state_dict()
-        )
-        self.server_model.load_state_dict(merged)
-        self.server_model.mark_updated()

@@ -13,8 +13,8 @@ MLA trains one MTMLF-QO over N databases:
 Transfer to a new DB (:func:`transfer`) then needs only: train the
 new DB's featurizer (cheap single-table queries) and optionally
 fine-tune (S)/(T) on a small number of labeled queries.  It is the one
-cross-database path: MLA transfer, federated deployment, fleet
-onboarding and the from-scratch control all run it.
+cross-database path: MLA transfer, fleet onboarding and the
+from-scratch control all run it.
 """
 
 from __future__ import annotations

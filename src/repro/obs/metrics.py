@@ -1,4 +1,4 @@
-"""Thread-safe metrics substrate: counters, gauges, mergeable histograms.
+"""Thread-safe metrics substrate: counters, gauges, fixed-bucket histograms.
 
 Every layer of the system (serving, adaptation, federation, the kernel
 profiler, the lock monitor) previously kept its own ad-hoc counters.
@@ -6,13 +6,12 @@ This module is the shared substrate they migrate onto:
 
 - :class:`Counter` — monotone accumulator (float increments allowed, so
   second-totals from the kernel profiler fit);
-- :class:`Gauge` — last-written value with a ``update_max`` convenience;
-- :class:`Histogram` — **fixed-bucket** distribution.  Two histograms
-  with identical bounds merge exactly (bucket-wise addition), which is
-  what makes per-shard recording equivalent to centralized recording —
-  the property the hypothesis tests in ``tests/test_obs.py`` pin down.
-  Percentiles are *exact within buckets*: the reported quantile lies in
-  the same bucket as the true nearest-rank sample, and never below it;
+- :class:`Gauge` — a high-water mark, raised by ``update_max``;
+- :class:`Histogram` — **fixed-bucket** distribution, O(buckets)
+  memory however much traffic it records.  Percentiles are *exact
+  within buckets*: the reported quantile lies in the same bucket as the
+  true nearest-rank sample, and never below it — the property the
+  hypothesis tests in ``tests/test_obs.py`` pin down;
 
 - :class:`MetricsRegistry` — the named, labeled factory-and-directory
   for all of the above.
@@ -41,7 +40,7 @@ __all__ = [
 
 # Default histogram bounds for latencies in seconds: roughly exponential
 # from 100 µs to one minute, with an overflow bucket above.  18 buckets
-# keeps merge payloads small while the <2.5x bucket ratio bounds the
+# keeps snapshots small while the <2.5x bucket ratio bounds the
 # percentile quantization error.
 DEFAULT_LATENCY_BOUNDS: "tuple[float, ...]" = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
@@ -70,11 +69,6 @@ class Counter:
         with self._lock:
             return self._value
 
-    def merge(self, other: "Counter") -> None:
-        amount = other.value  # taken under other's lock, outside ours
-        with self._lock:
-            self._value += amount
-
     def to_dict(self) -> dict:
         with self._lock:
             return {
@@ -86,7 +80,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value; ``update_max`` keeps a running high-water mark."""
+    """A running high-water mark, raised by ``update_max``."""
 
     kind = "gauge"
 
@@ -95,10 +89,6 @@ class Gauge:
         self.labels = dict(labels)
         self._lock = threading.Lock()
         self._value = 0.0  # guarded-by: _lock
-
-    def set(self, value: "float | int") -> None:
-        with self._lock:
-            self._value = float(value)
 
     def update_max(self, value: "float | int") -> None:
         with self._lock:
@@ -109,11 +99,6 @@ class Gauge:
     def value(self) -> float:
         with self._lock:
             return self._value
-
-    def merge(self, other: "Gauge") -> None:
-        # Merging shard gauges keeps the maximum — the only aggregation
-        # that is order-independent for the high-water-mark use case.
-        self.update_max(other.value)
 
     def to_dict(self) -> dict:
         with self._lock:
@@ -154,8 +139,7 @@ class Histogram:
     **Percentile guarantee** (exact within buckets): ``percentile(q)``
     returns a value in the same bucket as the true nearest-rank sample,
     and never smaller than it — the bucket's upper bound, clipped to the
-    observed maximum.  Merging histograms with identical bounds is exact:
-    bucket-wise addition loses nothing the buckets hadn't already lost.
+    observed maximum.
     """
 
     kind = "histogram"
@@ -208,27 +192,6 @@ class Histogram:
     def bucket_counts(self) -> "list[int]":
         with self._lock:
             return list(self._counts)
-
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge mismatched bounds "
-                f"({len(self.bounds)} vs {len(other.bounds)} buckets)"
-            )
-        # Freeze the other side first; never hold both locks at once.
-        with other._lock:
-            counts = list(other._counts)
-            count, total = other._count, other._sum
-            low, high = other._min, other._max
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._count += count
-            self._sum += total
-            if low < self._min:
-                self._min = low
-            if high > self._max:
-                self._max = high
 
     def percentile(self, q: float) -> "float | None":
         """Nearest-rank percentile, exact within buckets (None if empty)."""
@@ -336,17 +299,6 @@ class MetricsRegistry:
     def metrics(self) -> "list[object]":
         with self._lock:
             return list(self._metrics.values())
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry (e.g. a per-shard one) into this one.
-
-        Counters and histograms add; gauges keep the maximum.  Metrics
-        absent here are created with the other side's kind and bounds.
-        """
-        for metric in other.metrics():
-            kwargs = {"bounds": metric.bounds} if isinstance(metric, Histogram) else {}
-            mine = self._get_or_create(type(metric), metric.name, metric.labels, **kwargs)
-            mine.merge(metric)
 
     def snapshot(self) -> "list[dict]":
         """JSON-able dump of every metric, sorted by (name, labels)."""

@@ -86,7 +86,7 @@ class RoundConfig:
         Slack the gate allows the candidate over the live model.  0 is
         the strict "must not worsen" rule.
     max_intermediate_rows:
-        Execution bound when the gate replays validation orders.
+        Execution bound (>= 1) when the gate replays validation orders.
     poll_interval_s:
         How often an :class:`AdaptationWorker`'s background loop
         rechecks for fresh experience.
@@ -114,15 +114,25 @@ class RoundConfig:
             raise ValueError(f"min_new_experience must be >= 1, got {self.min_new_experience}")
         if self.fine_tune_epochs < 1:
             raise ValueError(f"fine_tune_epochs must be >= 1, got {self.fine_tune_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
         if self.regret_tolerance_ms < 0:
             raise ValueError(f"regret_tolerance_ms must be >= 0, got {self.regret_tolerance_ms}")
+        _check_execution_cap(self.max_intermediate_rows)
         if self.poll_interval_s <= 0:
             # wait(0) would turn the worker's poll loop into a hot spin.
             raise ValueError(f"poll_interval_s must be > 0, got {self.poll_interval_s}")
+
+
+def _check_execution_cap(max_intermediate_rows: int) -> None:
+    # Below 1 every order runs over the cap, so live and candidate are
+    # charged the same penalty and the gate accepts anything.
+    if max_intermediate_rows < 1:
+        raise ValueError(f"max_intermediate_rows must be >= 1, got {max_intermediate_rows}")
 
 
 # An adaptation worker needs nothing beyond the round's own knobs.
@@ -197,6 +207,7 @@ def evaluate_regret_gate(
     """
     if not val_slice:
         raise ValueError("cannot gate on an empty validation slice")
+    _check_execution_cap(max_intermediate_rows)
     estimator = estimator or HistogramEstimator(db)
     decode = dict(decode or {})
     # Each item's live, candidate and optimal order are planned against

@@ -39,8 +39,8 @@ class ServeConfig:
         are service-level — part of the cache key — so every request of
         one service decodes under the same policy.
     request_timeout_s:
-        Default per-request wait bound in :meth:`optimize`; ``None``
-        waits forever.
+        Default per-request wait bound in :meth:`optimize`, > 0;
+        ``None`` waits forever.
     """
 
     max_batch_size: int = 16
@@ -78,3 +78,6 @@ class ServeConfig:
             raise ValueError(f"plan_cache_size must be >= 0, got {self.plan_cache_size}")
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
+            # 0 would time out every request the plan cache does not answer.
+            raise ValueError(f"request_timeout_s must be > 0 or None, got {self.request_timeout_s}")

@@ -10,9 +10,9 @@ store of every serving, feedback and adaptation count: each is a named
 registry metric labeled with the owning service instance, and the
 feedback collector and training rounds of a service record through its
 ``note_*`` methods.  Latency lives in a **fixed-bucket histogram**
-(memory O(buckets) regardless of traffic; per-shard histograms merge
-exactly), so ``ServingReport.latency`` percentiles are exact within
-buckets — see :class:`repro.obs.metrics.Histogram`.  Passing a shared
+(memory O(buckets) regardless of traffic), so ``ServingReport.latency``
+percentiles are exact within buckets — see
+:class:`repro.obs.metrics.Histogram`.  Passing a shared
 registry (via ``OptimizerService(..., telemetry=...)``) makes the same
 numbers visible to the fleet-wide snapshot with no second accounting
 path.

@@ -35,7 +35,7 @@ from repro.serve import (
     OptimizerService,
     ServeConfig,
 )
-from repro.serve.adaptation import TrainRound, split_experience
+from repro.serve.adaptation import TrainRound, evaluate_regret_gate, split_experience
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 SMALL = ModelConfig(d_model=32, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -466,6 +466,14 @@ class TestAdaptationWorker:
         assert post == pre  # bit-identical serving throughout
         assert not worker.last_gate.accepted
         assert worker.last_gate.candidate_ms > worker.last_gate.live_ms
+
+    def test_gate_refuses_an_execution_cap_below_one(self, db, weak_model, phase2):
+        """Under a cap below 1 every order runs over it, so live and
+        candidate pay the same penalty and the gate would accept any
+        candidate: the gate raises instead."""
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="max_intermediate_rows"):
+                evaluate_regret_gate(db, weak_model, weak_model, phase2[:4], max_intermediate_rows=cap)
 
 
 def scan_filters(items):

@@ -4,8 +4,7 @@ reader.  Every script is imported; only ``sql_playground.py``'s
 ``main()`` runs (under a second: parse → ``PostgresStylePlanner`` →
 optimal plan → execute).  The others train models for a few seconds
 each and are import-checked only here; the CI ``paper`` job runs
-``federated_pretraining.py``, ``fleet_demo.py``, ``quickstart.py`` and
-``serve_demo.py`` end to end.  The paper's tables are ``benchmarks/paper/run.py``
+``fleet_demo.py``, ``quickstart.py`` and ``serve_demo.py`` end to end.  The paper's tables are ``benchmarks/paper/run.py``
 (smoke-tested in ``test_experiments.py``), not an example."""
 
 import importlib.util
@@ -23,7 +22,6 @@ def load(path: Path):
 
 def test_every_example_imports():
     assert [path.name for path in EXAMPLES] == [
-        "federated_pretraining.py",
         "fleet_demo.py",
         "quickstart.py",
         "serve_demo.py",

@@ -17,6 +17,7 @@ from repro.core import (
     MTMLFQO,
     SHARED_MODULE_PREFIXES,
     query_signature,
+    shared_state_dict,
 )
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report, join_order_execution_time, worst_legal_order
@@ -68,6 +69,14 @@ def fixture():
     return tenants, pretrain.state_dict()
 
 
+@pytest.fixture(scope="module")
+def db_workload():
+    """One small database and ten labeled queries over it."""
+    (db,) = generate_databases(1, base_seed=70, row_range=(60, 200), attr_range=(2, 3))
+    generator = WorkloadGenerator(db, WorkloadConfig(min_tables=2, max_tables=3, seed=0))
+    return db, QueryLabeler(db).label_many(generator.generate(10), with_optimal_order=True)
+
+
 def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None) -> TenantNode:
     model = MTMLFQO(TINY)
     model.load_state_dict(global_state)
@@ -77,21 +86,23 @@ def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None)
 
 # One config class serves both schedulers: the adaptation worker and
 # every fleet tenant (and its coordinator) take a RoundConfig.
-@pytest.mark.parametrize("config_class", [RoundConfig])
 @pytest.mark.parametrize(
     "bad",
     [
         {"min_new_experience": 0},
         {"fine_tune_epochs": 0},
+        {"batch_size": 0},
         {"validation_fraction": 1.0},
         {"regret_tolerance_ms": -1.0},
+        {"max_intermediate_rows": 0},
+        {"max_intermediate_rows": -5},
         {"poll_interval_s": 0.0},
     ],
-    ids=lambda bad: next(iter(bad)),
+    ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
 )
-def test_round_knobs_are_validated_once_for_both_schedulers(config_class, bad):
+def test_round_knobs_are_validated(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
-        config_class(**bad)
+        RoundConfig(**bad)
 
 
 class TestTenantNode:
@@ -436,6 +447,50 @@ class TestFleetRounds:
             report = fleet.report()
             assert report.rounds == 3
             assert report.last_round is refs[-1]() and report.last_round.index == 2
+
+    def test_one_tenant_fleet_matches_adaptation_worker(self, db_workload, tmp_path):
+        """The two schedulers over the training round are one algorithm:
+        same experience, start weights and round config → a one-tenant
+        fleet after two rounds and a worker after two cycles (fresh
+        experience in between) hold byte-equal (S)/(T) weights."""
+        db, workload = db_workload
+        featurizer = DatabaseFeaturizer(db, TINY)
+        featurizer.train_encoders(queries_per_table=3, epochs=1)
+        start = MTMLFQO(TINY).state_dict()
+        round_config = dict(
+            min_new_experience=4, fine_tune_epochs=2, batch_size=4, seed=5,
+            validation_fraction=0.25, regret_tolerance_ms=1e12,
+        )
+
+        def serving_model():
+            model = MTMLFQO(TINY)
+            model.load_state_dict(start)
+            model.attach_featurizer(db.name, featurizer)
+            return model
+
+        service = OptimizerService(serving_model(), db.name)
+        buffer = ExperienceBuffer(64)
+        worker = AdaptationWorker(
+            service, db, buffer, RoundConfig(checkpoint_dir=str(tmp_path / "w"), **round_config)
+        )
+        fleet_config = RoundConfig(checkpoint_dir=str(tmp_path / "f"), **round_config)
+        fleet = FleetCoordinator(TINY, fleet_config)
+        fleet.global_model.load_state_dict(start)
+        tenant = fleet.register(TenantNode(db, serving_model(), config=fleet_config))
+
+        for fresh in (workload[:6], workload[6:]):
+            for item in fresh:
+                assert buffer.add(query_signature(item.query), item)
+            assert tenant.inject_experience(fresh) == len(fresh)
+            assert worker.run_once()
+            assert fleet.run_round().accepted == [tenant.name]
+
+        adapted = shared_state_dict(service.session.model)
+        federated = shared_state_dict(tenant.live_model)
+        assert any(not np.array_equal(adapted[name], start[name]) for name in adapted)
+        for name, value in adapted.items():
+            np.testing.assert_array_equal(federated[name], value, err_msg=name)
+            np.testing.assert_array_equal(fleet.global_state()[name], value, err_msg=name)
 
 
 class TestCheckpointDir:

@@ -80,6 +80,24 @@ def serve_all(service, items):
     return [results[i] for i in range(len(items))]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_batch_size": 0},
+        {"max_wait_ms": -1.0},
+        {"max_queue_depth": 0},
+        {"plan_cache_size": -1},
+        {"beam_width": 0},
+        {"request_timeout_s": 0.0},
+        {"request_timeout_s": -1.0},
+    ],
+    ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+)
+def test_serve_knobs_are_validated(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ServeConfig(**bad)
+
+
 class TestServeParity:
     @pytest.mark.parametrize("beam_width", list(range(1, 9)))
     def test_parity_across_beam_widths(self, db, model, labeled, beam_width):
