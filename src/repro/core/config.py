@@ -45,6 +45,12 @@ class ModelConfig:
     grad_clip: float = 5.0
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
+
     @property
     def ff_dim(self) -> int:
         return self.ff_multiplier * self.d_model

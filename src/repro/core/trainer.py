@@ -103,7 +103,8 @@ class JointTrainer:
         # parameter name, so warm-start state saved in a checkpoint can
         # only ever restore onto the parameters it was computed for.
         self.optimizer = nn.Adam(
-            model.named_parameters(), lr=learning_rate or self.config.learning_rate
+            model.named_parameters(),
+            lr=self.config.learning_rate if learning_rate is None else learning_rate,
         )
         # An ``optimizer.state_dict()`` carried over from an earlier
         # trainer on the same parameter names (a checkpoint, the previous
@@ -258,8 +259,9 @@ class JointTrainer:
         meta, arrays = checkpoint._read_archive(path, verify_digest=True)
         model = checkpoint._build_model(meta, arrays, databases)
         moments = checkpoint._optimizer_state(meta, arrays, path)
+        trainer = cls(model, learning_rate=learning_rate)
         try:
-            trainer = cls(model, learning_rate=learning_rate, optimizer_state=moments)
+            trainer.optimizer.load_state_dict(moments)
         except ValueError as error:
             raise checkpoint.CheckpointError(str(error)) from error
         saved = meta["optimizer"]

@@ -18,16 +18,30 @@ import numpy as np
 
 from . import functional as F
 from .spec import shape_spec
-from .tensor import Tensor, no_tape_active, raw
+from .tensor import Tensor, _unbroadcast, no_tape_active, raw
 
 __all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "MLP", "ModuleList"]
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is registered as a trainable parameter."""
+    """A :class:`Tensor` that is registered as a trainable parameter.
+
+    ``grad_view`` is the parameter's segment of its optimizer's gradient
+    vector (None until an optimizer packs it): the first gradient of a
+    backward pass is copied there, so ``grad`` is that view.
+    """
+
+    grad_view: np.ndarray | None = None
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is None and self.grad_view is not None:
+            np.copyto(self.grad_view, _unbroadcast(grad, self.data.shape))
+            self.grad = self.grad_view
+        else:
+            super()._accumulate(grad)
 
 
 def _wrapped(value):
@@ -78,6 +92,12 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the existing parameter arrays.
+
+        In place, never by rebinding ``param.data``: a packed parameter's
+        array is a view into its optimizer's vector, and a load must not
+        detach it from there.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -87,7 +107,7 @@ class Module:
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {param.data.shape}")
-            param.data = value.copy()
+            param.data[...] = value
 
     def __call__(self, *args, **kwargs):
         # The substrate's one mode-selection site.  With no tape to

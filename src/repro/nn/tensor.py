@@ -250,6 +250,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # Its parents have their share: an intermediate's gradient
+                # is dead weight from here on.
+                node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

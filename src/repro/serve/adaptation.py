@@ -116,6 +116,9 @@ class RoundConfig:
             raise ValueError(f"fine_tune_epochs must be >= 1, got {self.fine_tune_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.learning_rate is not None and not self.learning_rate > 0:
+            # A non-positive rate would be gradient ascent every round.
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"

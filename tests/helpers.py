@@ -1,5 +1,9 @@
 """Small helpers shared by several test suites; the system never calls them."""
 
+import numpy as np
+
+import repro.nn as nn
+from repro.core import JointTrainer
 from repro.errors import DisconnectedQueryError
 
 
@@ -34,3 +38,19 @@ def find_metric(registry, name: str, labels: "dict[str, str] | None" = None):
         if metric.name == name and key(metric.labels) == key(labels):
             return metric
     return None
+
+
+# A Trans_JO weight of every model config (the decoder has >= 1 layer).
+POISONED = "trans_jo.decoder.layers.items.0.ff2.weight"
+
+
+def poison_batch_losses(monkeypatch) -> None:
+    """Make one parameter's gradient NaN in every training step."""
+    original = JointTrainer._batch_losses
+
+    def poisoned(self, *args, **kwargs):
+        loss, terms = original(self, *args, **kwargs)
+        param = dict(self.model.named_parameters())[POISONED]
+        return loss + (param * nn.Tensor(np.full(param.shape, np.nan))).sum(), terms
+
+    monkeypatch.setattr(JointTrainer, "_batch_losses", poisoned)

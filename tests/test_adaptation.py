@@ -17,9 +17,10 @@ import dataclasses
 import random
 import threading
 
+import numpy as np
 import pytest
 
-from helpers import spanning_join_order
+from helpers import poison_batch_losses, spanning_join_order
 from repro.core import JointTrainer, ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.core.serializer import query_signature
@@ -434,6 +435,38 @@ class TestAdaptationWorker:
             assert counters["swaps_accepted"] == 0
             report = service.report()
             assert report.adaptation_failures >= 1
+
+    def test_non_finite_gradient_fails_the_cycle_and_keeps_the_live_model(
+        self, db, weak_model, phase2, monkeypatch
+    ):
+        """A NaN gradient in the retrain raises before any weight or
+        moment changes; the cycle counts as a failure, not a verdict, and
+        the live model keeps serving bit-identical orders."""
+        poison_batch_losses(monkeypatch)
+        with OptimizerService(weak_model, db.name) as service:
+            live_model = service.session.model
+            live_state = {name: p.data.copy() for name, p in live_model.named_parameters()}
+            pre = [service.optimize(item) for item in phase2]
+            buffer = ExperienceBuffer(64)
+            fill_buffer(buffer, phase2[:8])
+            config = AdaptationConfig(min_new_experience=4, fine_tune_epochs=1, poll_interval_s=0.01)
+            worker = AdaptationWorker(service, db, buffer, config)
+            with pytest.raises(FloatingPointError):
+                worker.run_once()
+            assert worker.pending_experience() == 8  # credit intact
+            with worker:  # the loop counts the same crash
+                deadline, waited = 10.0, 0.0
+                while worker.counters()["adaptation_failures"] < 1 and waited < deadline:
+                    threading.Event().wait(0.02)
+                    waited += 0.02
+            counters = worker.counters()
+            assert counters["adaptation_failures"] >= 1
+            assert counters["swaps_accepted"] == counters["swaps_rejected"] == 0
+            assert service.session.model is live_model
+            for name, p in live_model.named_parameters():
+                np.testing.assert_array_equal(p.data, live_state[name], err_msg=name)
+            post = [service.optimize(item) for item in phase2]
+        assert post == pre
 
     def test_poisoned_retrain_is_rejected_and_live_model_unchanged(
         self, db, featurizer, phase2, tmp_path

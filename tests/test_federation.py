@@ -97,6 +97,8 @@ def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None)
         {"max_intermediate_rows": 0},
         {"max_intermediate_rows": -5},
         {"poll_interval_s": 0.0},
+        {"learning_rate": 0.0},
+        {"learning_rate": -1e-3},
     ],
     ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
 )
