@@ -19,7 +19,6 @@ from .beam import (
     BeamCandidate,
     BeamSearchState,
     beam_search_join_order,
-    connected_components,
     drive_beam_states,
     is_legal_order,
     require_connected,
@@ -79,7 +78,6 @@ __all__ = [
     "BeamCandidate",
     "BeamSearchState",
     "beam_search_join_order",
-    "connected_components",
     "require_connected",
     "drive_beam_states",
     "is_legal_order",

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DisconnectedQueryError
+from ..storage.schema import connected_components
 
 from .. import nn
 from ..nn import functional as F
@@ -54,7 +55,6 @@ __all__ = [
     "BeamCandidate",
     "BeamSearchState",
     "beam_search_join_order",
-    "connected_components",
     "require_connected",
     "drive_beam_states",
     "is_legal_order",
@@ -85,29 +85,6 @@ def is_legal_order(positions: list[int], adjacency: np.ndarray) -> bool:
     return True
 
 
-def connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Connected components of the join graph, as sorted position lists."""
-    adjacency = np.asarray(adjacency, dtype=bool)
-    m = adjacency.shape[0]
-    seen: set[int] = set()
-    components: list[list[int]] = []
-    for root in range(m):
-        if root in seen:
-            continue
-        frontier = [root]
-        component = {root}
-        while frontier:
-            node = frontier.pop()
-            for other in np.flatnonzero(adjacency[node]):
-                other = int(other)
-                if other not in component:
-                    component.add(other)
-                    frontier.append(other)
-        seen |= component
-        components.append(sorted(component))
-    return components
-
-
 def require_connected(adjacency: np.ndarray, tables: list[str] | None = None) -> None:
     """Raise ``ValueError`` naming the components if the graph is disconnected.
 
@@ -116,10 +93,13 @@ def require_connected(adjacency: np.ndarray, tables: list[str] | None = None) ->
     legality-enforcing decode checks this up front rather than silently
     dead-ending.
     """
-    components = connected_components(adjacency)
+    adjacency = np.asarray(adjacency, dtype=bool)
+    components = connected_components(range(len(adjacency)), np.argwhere(adjacency).tolist())
     if len(components) > 1:
         render = (lambda p: tables[p]) if tables is not None else str
-        rendered = "; ".join("{" + ", ".join(render(p) for p in c) + "}" for c in components)
+        rendered = "; ".join(
+            "{" + ", ".join(render(p) for p in sorted(c)) + "}" for c in components
+        )
         raise DisconnectedQueryError(
             f"query join graph is disconnected — components: {rendered}; "
             "no legal join order exists (cross products are not supported)"

@@ -127,8 +127,12 @@ class TimingAlignedCostModel(CostModel):
 
     Used by the optimal-order oracle: the paper's "Optimal" row is the
     plan that truly minimises (measured) execution time, so the DP must
-    optimise the same objective the evaluation measures.  Formulas
-    mirror :class:`repro.engine.timing.TimingModel` exactly.
+    optimise the same objective the evaluation measures.  The formulas
+    follow :class:`repro.engine.timing.TimingModel` with one known
+    difference: an index scan is charged one ``index_lookup_ms`` here,
+    while the executor charges one per filter predicate
+    (``execute_scan``'s ``index_lookups``), so a plan's DP cost can
+    differ from its executed simulated time.
     """
 
     def __init__(self, timing=None):

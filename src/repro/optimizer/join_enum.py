@@ -16,7 +16,7 @@ from ..engine.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..errors import DisconnectedQueryError
 from ..engine.plan import PlanNode, join_node, scan_node
 from ..sql.query import Query
-from .selectivity import CardinalityEstimator, _subset_connected
+from .selectivity import CardinalityEstimator
 
 __all__ = ["dp_join_enumeration", "greedy_join_order", "PlannedQuery"]
 
@@ -78,7 +78,7 @@ def dp_join_enumeration(
     for size in range(2, n + 1):
         for combo in combinations(tables, size):
             subset = frozenset(combo)
-            if not _subset_connected(query, subset):
+            if not query.is_connected(subset):
                 continue
             out_rows = card(subset)
             candidate: tuple[float, PlanNode] | None = None

@@ -271,7 +271,7 @@ class _ExecutedCardinalities(QueryCardinalities):
             peel = None
             for candidate in ordered:
                 rest = subset - {candidate}
-                if query.joins_between(set(rest), {candidate}) and _subset_connected(query, rest):
+                if query.joins_between(set(rest), {candidate}) and query.is_connected(rest):
                     peel = candidate
                     break
             if peel is None:
@@ -299,27 +299,6 @@ class _ExecutedCardinalities(QueryCardinalities):
             )
         self._intermediates[subset] = intermediate
         return intermediate
-
-
-def _subset_connected(query: Query, subset: frozenset) -> bool:
-    if len(subset) <= 1:
-        return True
-    tables = sorted(subset)
-    index = {t: i for i, t in enumerate(tables)}
-    adjacency = [[] for _ in tables]
-    for join in query.joins:
-        if join.left in subset and join.right in subset:
-            adjacency[index[join.left]].append(index[join.right])
-            adjacency[index[join.right]].append(index[join.left])
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for other in adjacency[node]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == len(tables)
 
 
 def _dummy_plan(subset: frozenset, query: Query):

@@ -9,11 +9,12 @@ scan/join planning).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..storage.schema import JoinRelation
+from ..storage.schema import JoinRelation, connected_components
 from .predicates import Conjunction, Predicate
 
 __all__ = ["Query"]
@@ -90,20 +91,11 @@ class Query:
             adj[i, j] = adj[j, i] = True
         return adj
 
-    def is_connected(self) -> bool:
-        """True if the join predicates connect all touched tables."""
-        if self.num_tables == 1:
-            return True
-        adj = self.adjacency_matrix()
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for other in np.flatnonzero(adj[node]):
-                if other not in seen:
-                    seen.add(int(other))
-                    frontier.append(int(other))
-        return len(seen) == self.num_tables
+    def is_connected(self, tables: Iterable[str] | None = None) -> bool:
+        """True if the join predicates connect ``tables`` (default: all touched)."""
+        nodes = self.tables if tables is None else tables
+        edges = ((join.left, join.right) for join in self.joins)
+        return len(connected_components(nodes, edges)) == 1
 
     def to_sql(self) -> str:
         """Render as SQL text (the paper's Figure 2 input format)."""

@@ -6,7 +6,7 @@ statistics (equi-depth histograms, MCV lists, distinct counts).
 
 from .catalog import Database
 from .column import Column, ColumnType
-from .schema import JoinRelation, JoinSchema
+from .schema import JoinRelation, JoinSchema, connected_components
 from .statistics import (
     ColumnStatistics,
     EquiDepthHistogram,
@@ -22,6 +22,7 @@ __all__ = [
     "Table",
     "JoinRelation",
     "JoinSchema",
+    "connected_components",
     "Database",
     "EquiDepthHistogram",
     "ColumnStatistics",

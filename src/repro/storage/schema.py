@@ -2,19 +2,21 @@
 
 The paper's knowledge taxonomy places the *join schema* (fact/dimension
 tables and their PK-FK relationships) in the database-specific bucket.
-``JoinSchema`` models it as an undirected multigraph on table names,
-with edges labelled by the join key columns; ``networkx`` supplies
-connectivity queries used by the workload generator and the optimizer's
-join enumeration.
+``JoinSchema`` models it as an undirected graph on table names, a plain
+dict adjacency ``table -> {neighbour -> JoinRelation}`` with each edge
+labelled by its join key columns.  :func:`connected_components` is the
+one connectivity traversal: the schema, ``Query.is_connected`` (the
+workload generator, the optimizer's join enumeration) and the beam
+search's ``require_connected`` all answer "are these tables
+join-connected?" through it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
-import networkx as nx
-
-__all__ = ["JoinRelation", "JoinSchema"]
+__all__ = ["JoinRelation", "JoinSchema", "connected_components"]
 
 
 @dataclass(frozen=True)
@@ -36,67 +38,76 @@ class JoinRelation:
         return f"{self.left}.{self.left_column} = {self.right}.{self.right_column}"
 
 
+def connected_components(
+    nodes: Iterable[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
+) -> list[list]:
+    """The connected components of the graph ``nodes`` induce over ``edges``.
+
+    Edges with an endpoint outside ``nodes`` are ignored, so a caller
+    asks about a subset by passing it with the full edge list.  The
+    components come in the order of their first node in ``nodes``, and
+    each starts with that node.
+    """
+    neighbours: dict = {node: [] for node in nodes}
+    for a, b in edges:
+        if a in neighbours and b in neighbours:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    seen = set()
+    components: list[list] = []
+    for root in neighbours:
+        if root in seen:
+            continue
+        seen.add(root)
+        component = [root]
+        stack = [root]
+        while stack:
+            for other in neighbours[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+                    stack.append(other)
+        components.append(component)
+    return components
+
+
 class JoinSchema:
     """The join graph of a database."""
 
     def __init__(self, relations: list[JoinRelation] | None = None):
-        self._graph = nx.Graph()
+        self._adjacency: dict[str, dict[str, JoinRelation]] = {}
         self.relations: list[JoinRelation] = []
         for relation in relations or []:
             self.add(relation)
 
     def add(self, relation: JoinRelation) -> None:
+        """Add a join edge; a repeated table pair keeps the last relation."""
         self.relations.append(relation)
-        self._graph.add_edge(relation.left, relation.right, relation=relation)
+        # Reversed first, so a self-join keeps its own orientation.
+        self._adjacency.setdefault(relation.right, {})[relation.left] = relation.reversed()
+        self._adjacency.setdefault(relation.left, {})[relation.right] = relation
 
     def add_table(self, name: str) -> None:
         """Register a table even if it participates in no joins."""
-        self._graph.add_node(name)
+        self._adjacency.setdefault(name, {})
 
     @property
     def tables(self) -> list[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._adjacency)
 
     def neighbors(self, table: str) -> list[str]:
-        if table not in self._graph:
-            return []
-        return sorted(self._graph.neighbors(table))
+        return sorted(self._adjacency.get(table, ()))
 
     def relation_between(self, a: str, b: str) -> JoinRelation | None:
-        """The join relation between tables ``a`` and ``b``, if any."""
-        if self._graph.has_edge(a, b):
-            relation = self._graph.edges[a, b]["relation"]
-            return relation if relation.left == a else relation.reversed()
-        return None
-
-    def are_joinable(self, a: str, b: str) -> bool:
-        return self._graph.has_edge(a, b)
+        """The join relation between tables ``a`` and ``b``, oriented from ``a``."""
+        return self._adjacency.get(a, {}).get(b)
 
     def is_connected(self, tables: list[str]) -> bool:
         """True if ``tables`` induce a connected subgraph of the join graph."""
-        if not tables:
+        if not all(t in self._adjacency for t in tables):
             return False
-        missing = [t for t in tables if t not in self._graph]
-        if missing:
-            return False
-        sub = self._graph.subgraph(tables)
-        return nx.is_connected(sub)
-
-    def adjacency_matrix(self, tables: list[str]):
-        """Boolean adjacency among ``tables`` (order preserved).
-
-        This is the matrix the paper's legality-aware beam search
-        (Section 4.3) builds from the query's join conditions.
-        """
-        import numpy as np
-
-        n = len(tables)
-        adj = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(tables):
-            for j, b in enumerate(tables):
-                if i != j and self._graph.has_edge(a, b):
-                    adj[i, j] = True
-        return adj
+        edges = ((r.left, r.right) for r in self.relations)
+        return len(connected_components(tables, edges)) == 1
 
     def __repr__(self) -> str:
-        return f"JoinSchema(tables={len(self._graph)}, relations={len(self.relations)})"
+        return f"JoinSchema(tables={len(self._adjacency)}, relations={len(self.relations)})"

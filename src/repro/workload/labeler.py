@@ -23,6 +23,7 @@ query is still labeled and the reason lands in ``extras``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..engine.executor import ExecutionLimitError, execute_plan
@@ -133,6 +134,41 @@ class QueryLabeler:
             extras["optimal_order_skip_detail"] = str(error)
         return None
 
+    def _label_plan(
+        self,
+        query: Query,
+        make_plan: Callable[[], PlanNode],
+        extras: dict,
+        with_optimal_order: bool,
+    ) -> LabeledQuery | None:
+        """Build the plan with ``make_plan()``, execute it and label the query.
+
+        The shared tail of :meth:`label` and :meth:`label_with_order`:
+        over-limit and disconnected skips are recorded and return None;
+        an optimal-order skip reason is added to ``extras``.
+        """
+        self.last_skip_reason = self.last_skip_detail = None
+        try:
+            plan = make_plan()
+            result = execute_plan(plan, self.db, max_intermediate_rows=self.max_intermediate_rows)
+        except ExecutionLimitError as error:
+            self._record_skip(SKIP_OVER_LIMIT, error)
+            return None
+        except DisconnectedQueryError as error:
+            self._record_skip(SKIP_DISCONNECTED, error)
+            return None
+
+        optimal = self._derive_optimal(query, extras) if with_optimal_order else None
+        return LabeledQuery(
+            query=query,
+            plan=plan,
+            node_cardinalities=result.node_cardinalities,
+            node_costs=_subtree_costs(plan, result.node_times),
+            total_time_ms=result.simulated_ms,
+            optimal_order=optimal,
+            extras=extras,
+        )
+
     def label(self, query: Query, with_optimal_order: bool = False) -> LabeledQuery | None:
         """Label one query; returns None when execution exceeds limits.
 
@@ -142,32 +178,8 @@ class QueryLabeler:
         recorded on the labeler); other errors propagate — they are bugs,
         not over-limit queries.
         """
-        self.last_skip_reason = self.last_skip_detail = None
-        try:
-            planned = self.planner.plan(query)
-            result = execute_plan(
-                planned.plan, self.db, max_intermediate_rows=self.max_intermediate_rows
-            )
-        except ExecutionLimitError as error:
-            self._record_skip(SKIP_OVER_LIMIT, error)
-            return None
-        except DisconnectedQueryError as error:
-            self._record_skip(SKIP_DISCONNECTED, error)
-            return None
-
-        extras: dict = {}
-        optimal = None
-        if with_optimal_order:
-            optimal = self._derive_optimal(query, extras)
-
-        return LabeledQuery(
-            query=query,
-            plan=planned.plan,
-            node_cardinalities=result.node_cardinalities,
-            node_costs=_subtree_costs(planned.plan, result.node_times),
-            total_time_ms=result.simulated_ms,
-            optimal_order=optimal,
-            extras=extras,
+        return self._label_plan(
+            query, lambda: self.planner.plan(query).plan, {}, with_optimal_order
         )
 
     def label_with_order(
@@ -185,7 +197,6 @@ class QueryLabeler:
         an *illegal* order over a connected graph raises ``ValueError`` —
         a serving layer that emitted one has a bug worth surfacing.
         """
-        self.last_skip_reason = self.last_skip_detail = None
         if not query.is_connected():
             # left_deep_plan would report this as an "illegal join
             # order" ValueError; classify it as what it is — no order
@@ -197,31 +208,11 @@ class QueryLabeler:
             return None
         if self._order_estimator is None:
             self._order_estimator = HistogramEstimator(self.db)
-        try:
-            plan = plan_with_order(query, order, self._order_estimator)
-            result = execute_plan(
-                plan, self.db, max_intermediate_rows=self.max_intermediate_rows
-            )
-        except ExecutionLimitError as error:
-            self._record_skip(SKIP_OVER_LIMIT, error)
-            return None
-        except DisconnectedQueryError as error:
-            self._record_skip(SKIP_DISCONNECTED, error)
-            return None
-
-        extras: dict = {"served_order": list(order)}
-        optimal = None
-        if with_optimal_order:
-            optimal = self._derive_optimal(query, extras)
-
-        return LabeledQuery(
-            query=query,
-            plan=plan,
-            node_cardinalities=result.node_cardinalities,
-            node_costs=_subtree_costs(plan, result.node_times),
-            total_time_ms=result.simulated_ms,
-            optimal_order=optimal,
-            extras=extras,
+        return self._label_plan(
+            query,
+            lambda: plan_with_order(query, order, self._order_estimator),
+            {"served_order": list(order)},
+            with_optimal_order,
         )
 
     def label_many(

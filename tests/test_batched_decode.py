@@ -22,7 +22,6 @@ from repro.core import (
     MTMLFQO,
     TransJO,
     beam_search_join_order,
-    connected_components,
     drive_beam_states,
     plan_signature,
 )
@@ -30,6 +29,7 @@ from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
 from repro.engine.plan import scan_node
 from repro.sql import Query
+from repro.storage import connected_components
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 from repro.workload.labeler import LabeledQuery
 from sequential_oracle import (
@@ -429,10 +429,7 @@ class TestDisconnectedDetection:
         assert all(not c.legal for c in candidates)
 
     def test_connected_components(self):
-        adjacency = np.zeros((5, 5), dtype=bool)
-        adjacency[0, 1] = adjacency[1, 0] = True
-        adjacency[3, 4] = adjacency[4, 3] = True
-        assert connected_components(adjacency) == [[0, 1], [2], [3, 4]]
+        assert connected_components(range(5), [(0, 1), (4, 3)]) == [[0, 1], [2], [3, 4]]
 
     def test_model_names_components(self):
         """predict_join_order on a disconnected query names the tables."""

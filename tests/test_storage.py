@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import spanning_join_order
+from repro.sql import Query
 from repro.storage import (
     Column,
     ColumnType,
@@ -127,7 +128,9 @@ class TestJoinSchema:
 
     def test_adjacency_matrix(self):
         s = self._schema()
-        adj = s.adjacency_matrix(["fact", "dim2", "dim3"])
+        tables = ["fact", "dim2", "dim3"]
+        joins = [s.relation_between("fact", "dim2"), s.relation_between("dim2", "dim3")]
+        adj = Query(tables=tables, joins=joins).adjacency_matrix()
         assert adj[0, 1] and adj[1, 2]
         assert not adj[0, 2]
         assert not adj.diagonal().any()
@@ -138,12 +141,46 @@ class TestJoinSchema:
         assert order[0] == "fact"
         joined = {order[0]}
         for table in order[1:]:
-            assert any(s.are_joinable(table, j) for j in joined)
+            assert any(s.relation_between(table, j) is not None for j in joined)
             joined.add(table)
 
     def test_spanning_join_order_disconnected_raises(self):
         with pytest.raises(ValueError):
             spanning_join_order(self._schema(), ["dim1", "dim3"])
+
+    @pytest.mark.parametrize(
+        "call, args, expected",
+        [
+            # A repeated table pair keeps the last relation, in both orientations.
+            ("relation_between", ("a", "b"), JoinRelation("a", "z", "b", "a_id")),
+            ("relation_between", ("b", "a"), JoinRelation("b", "a_id", "a", "z")),
+            ("neighbors", ("a",), ["b"]),
+            # An add_table-only table is a table with no neighbours.
+            ("tables", None, ["a", "b", "c", "lonely"]),
+            ("neighbors", ("lonely",), []),
+            ("neighbors", ("ghost",), []),
+            ("relation_between", ("a", "c"), None),
+            ("relation_between", ("a", "ghost"), None),
+            ("relation_between", ("ghost", "a"), None),
+            ("is_connected", ([],), False),
+            ("is_connected", (["ghost"],), False),
+            ("is_connected", (["a", "b", "ghost"],), False),
+            ("is_connected", (["lonely"],), True),
+            ("is_connected", (["a"],), True),
+            ("is_connected", (["a", "lonely"],), False),
+            ("is_connected", (["c", "a", "b"],), True),
+        ],
+    )
+    def test_graph_semantics(self, call, args, expected):
+        s = JoinSchema([
+            JoinRelation("a", "b_id", "b", "id"),
+            JoinRelation("b", "c_id", "c", "id"),
+            JoinRelation("b", "a_id", "a", "z"),
+        ])
+        s.add_table("lonely")
+        s.add_table("a")  # re-registering a joined table keeps its edges
+        result = getattr(s, call)
+        assert (result if args is None else result(*args)) == expected
 
 
 class TestHistogram:
