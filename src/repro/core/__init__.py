@@ -11,7 +11,6 @@ from .checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
     load_checkpoint,
-    load_optimizer_state,
     read_checkpoint_meta,
     save_checkpoint,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "save_checkpoint",
     "load_checkpoint",
-    "load_optimizer_state",
     "read_checkpoint_meta",
     "PredicateFeaturizer",
     "TableEncoder",

@@ -13,8 +13,6 @@ complete :class:`~repro.core.model.MTMLFQO` —
   weights plus its schema signature (tables + column vocabulary), so a
   restore onto the wrong database fails loudly instead of silently
   permuting column embeddings;
-- the :attr:`MTMLFQO.version` counter, so serving-layer plan caches keep
-  their invalidation semantics across a save/load hop;
 - optionally an :class:`~repro.nn.optim.Adam` state dict (moments keyed
   by parameter *name*) for warm-start training.
 
@@ -28,8 +26,13 @@ join orders and cardinality/cost predictions (``tests/test_checkpoint.py``
 asserts this property), which is what lets
 :meth:`repro.serve.OptimizerService.swap_model` hot-swap checkpoints
 into a live service.  The in-memory fast path of the same guarantee is
-:meth:`MTMLFQO.clone_for_inference` — a state-dict round trip without
-the disk hop.
+:meth:`MTMLFQO.clone_for_inference` — an (S)/(T) state-dict round trip
+without the disk hop, sharing the frozen (F) objects instead of
+rebuilding them.
+
+A checkpoint carries weights, not identity: the loaded model gets a
+fresh :attr:`MTMLFQO.version` like every model built in the process,
+so serving-layer plan caches never confuse it with the saved one.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "save_checkpoint",
     "load_checkpoint",
-    "load_optimizer_state",
     "read_checkpoint_meta",
 ]
 
@@ -110,7 +112,6 @@ def save_checkpoint(model: MTMLFQO, path: str, optimizer: Adam | None = None) ->
             }
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
-            "model_version": model.version,
             "config": dataclasses.asdict(model.config),
             "featurizers": featurizer_meta,
             "optimizer": None,
@@ -176,7 +177,7 @@ def _read_archive(
 
 
 def read_checkpoint_meta(path: str) -> dict:
-    """The checkpoint's metadata (config, model version, databases, ...)
+    """The checkpoint's metadata (config, databases, optimizer, ...)
     without loading or verifying the weight arrays."""
     meta, _ = _read_archive(path, verify_digest=False, meta_only=True)
     return meta
@@ -201,9 +202,11 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     not model weights, so the caller provides them and the checkpoint
     verifies the schema signature matches before loading weights.
 
-    The returned model carries the saved ``model_version`` and is
-    bit-identical to the saved one: same join orders, same
-    cardinality/cost predictions.
+    The returned model is bit-identical to the saved one — same join
+    orders, same cardinality/cost predictions — under a fresh
+    :attr:`MTMLFQO.version`, like every model built in this process.
+    Archives from older builds, whose meta also records the saved
+    model's version, load as well; that entry is ignored.
     """
     return _build_model(*_read_archive(path, verify_digest=True), databases)
 
@@ -264,10 +267,6 @@ def _build_model(meta: dict, arrays: dict[str, np.ndarray], databases) -> MTMLFQ
                 f"incompatible featurizer state for {db_name!r}: {error}"
             ) from error
         model.attach_featurizer(db_name, featurizer)
-
-    # Restore last: attach_featurizer bumps the counter during rebuild,
-    # and serving caches key on it — the saved identity must win.
-    model.restore_version(meta["model_version"])
     return model
 
 
@@ -281,19 +280,3 @@ def _optimizer_state(meta: dict, arrays: dict[str, np.ndarray], path: str) -> di
         "m": {key: arrays[f"{_OPTIM_PREFIX}m/{key}"] for key in saved["keys"]},
         "v": {key: arrays[f"{_OPTIM_PREFIX}v/{key}"] for key in saved["keys"]},
     }
-
-
-def load_optimizer_state(path: str, optimizer: Adam) -> Adam:
-    """Warm-start ``optimizer`` from a checkpoint saved with one.
-
-    The optimizer must be built over *named* parameters whose name set
-    matches the saved state (e.g. ``Adam(model.named_parameters())`` for
-    a model loaded from the same checkpoint); any mismatch raises, it
-    never misaligns.
-    """
-    meta, arrays = _read_archive(path, verify_digest=True)
-    try:
-        optimizer.load_state_dict(_optimizer_state(meta, arrays, path))
-    except ValueError as error:
-        raise CheckpointError(str(error)) from error
-    return optimizer

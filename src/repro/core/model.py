@@ -14,6 +14,7 @@ trained separately (Algorithm 1, line 4).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 
@@ -45,6 +46,11 @@ __all__ = ["MTMLFQO", "EncodedQuery", "FeatureCache", "InferenceSession"]
 # in it, so an unbounded batch over a large workload would blow up
 # memory for no extra speedup.
 _INFERENCE_CHUNK = 64
+
+# One counter for every model in the process: a version names one model
+# state, so two models (a clone, a checkpoint load, an independently
+# built twin) can never carry the same value.
+_VERSIONS = itertools.count()
 
 
 class FeatureCache:
@@ -138,11 +144,13 @@ class MTMLFQO(nn.Module):
         # with serving safe — trainer steps mutate weights and caches
         # outside this lock; retrain offline, then mark_updated().
         self._infer_lock = threading.RLock()  # analysis: coarse-lock
-        # Bumped whenever the model's outputs may have changed
-        # (attach_featurizer, trainer runs).  Downstream result caches —
-        # the serving layer's plan cache — embed it in their keys so
-        # entries computed against old weights can never hit again.
-        self.version = 0  # guarded-by: _infer_lock
+        # Renewed whenever the model's outputs may have changed
+        # (attach_featurizer, trainer runs), from the process-wide
+        # counter.  Downstream result caches — the serving layer's plan
+        # cache — embed it in their keys so entries computed against
+        # other weights, this model's old ones or another model's, can
+        # never hit again.
+        self.version = next(_VERSIONS)  # guarded-by: _infer_lock
 
     # -- Module plumbing ------------------------------------------------------
     def named_parameters(self, prefix: str = ""):
@@ -186,31 +194,20 @@ class MTMLFQO(nn.Module):
             self._cache.clear()
             self._node_cache.clear()
 
-    def restore_version(self, version: int) -> None:
-        """Set :attr:`version` to a checkpointed value.
-
-        Used by :func:`repro.core.checkpoint.load_checkpoint` and
-        :meth:`clone_for_inference` after rebuilding a model, so the
-        instance keeps the saved version identity instead of the bumps
-        its own reconstruction (``attach_featurizer``) produced.  The
-        feature caches are left alone: they depend on (F) only.
-        """
-        with self._infer_lock:
-            self.version = int(version)
-
     def mark_updated(self) -> None:
         """Record that the model's (S)/(T) outputs may have changed.
 
         Called automatically by :meth:`attach_featurizer` and the
         trainers; call it yourself after mutating (S)/(T) weights by
-        hand.  Bumps :attr:`version`, which serving-layer plan caches
-        embed in their keys, retiring every previously cached result.
+        hand.  Gives :attr:`version` a fresh process-wide value, which
+        serving-layer plan caches embed in their keys, retiring every
+        previously cached result.
         The feature/node caches stay: (F) is frozen while (S)/(T) train,
         so its outputs are unchanged (to change a featurizer, re-attach
         it).
         """
         with self._infer_lock:
-            self.version += 1
+            self.version = next(_VERSIONS)
 
     def inference_session(self, db_name: str) -> "InferenceSession":
         """A reusable, thread-safe handle for repeated inference calls.
@@ -235,43 +232,31 @@ class MTMLFQO(nn.Module):
             return {name: featurizer.db for name, featurizer in self.featurizers.items()}
 
     def clone_for_inference(self) -> "MTMLFQO":
-        """A detached copy of this model, ready to serve.
+        """A detached copy of this model's weights, ready to serve.
 
         The in-memory equivalent of a checkpoint round trip
         (``repro.core.checkpoint``): same config, bit-identical (S)/(T)
-        and featurizer weights (state dicts copy on both save and load),
-        and the same :attr:`version`, but its **own** inference lock and
-        feature/node caches — so inference on the clone never contends
-        with (or pollutes the caches of) the original, and produces
-        orders bit-identical to the source model's.  The clone's caches
-        start with the source's entries, in LRU order: they are (F)
-        outputs, its (F) weights are bitwise the source's, and the
-        entries are read-only, so the copy is shallow.
+        weights (state dicts copy on both save and load) and the same
+        frozen (F) *objects* — a new featurizer dict holding the
+        source's :class:`DatabaseFeaturizer` instances, which no trainer
+        steps while attached — but its **own** inference lock, feature /
+        node caches and :attr:`version`, so inference on the clone never
+        contends with (or pollutes the caches of) the original, and
+        produces orders bit-identical to the source model's.  The clone's
+        caches start with the source's entries, in LRU order: they are
+        outputs of the shared (F), and read-only, so the copy is shallow.
 
-        The clone shares the source's :class:`Database` handles (table
-        data and statistics are read-only at inference time) but no
-        weight arrays, so later in-place training of either model can
-        never leak into the other.
+        The clone shares no (S)/(T) weight array, so later in-place
+        training of either model can never leak into the other.
         """
         with self._infer_lock:
             state = self.state_dict()
-            featurizer_states = {
-                name: (featurizer.db, featurizer.state_dict())
-                for name, featurizer in self.featurizers.items()
-            }
-            version = self.version
+            featurizers = dict(self.featurizers)
             caches = (self._cache.copy(), self._node_cache.copy())
         clone = MTMLFQO(self.config)
         clone.load_state_dict(state)
-        for name, (db, featurizer_state) in sorted(featurizer_states.items()):
-            featurizer = DatabaseFeaturizer(db, self.config)
-            featurizer.load_state_dict(featurizer_state)
-            clone.attach_featurizer(name, featurizer)
-        # Restore last: attach_featurizer bumps the counter and clears
-        # the caches during reconstruction, and serving caches key on
-        # (version, epoch) — the clone must carry the source's version
-        # identity.  It is not yet shared, so no lock is needed.
-        clone.restore_version(version)
+        # Not yet shared, so no lock is needed.
+        clone.featurizers = featurizers
         clone._cache, clone._node_cache = caches
         return clone
 

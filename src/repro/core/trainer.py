@@ -234,8 +234,7 @@ class JointTrainer:
     def save_checkpoint(self, path: str) -> str:
         """Persist the model *and* this trainer's Adam state to ``path``.
 
-        Returns the resolved path; ``warm_start`` (or
-        :func:`repro.core.checkpoint.load_optimizer_state`) restores the
+        Returns the resolved path; :meth:`warm_start` restores the
         optimizer moments so training resumes where it left off instead
         of re-warming from zeroed moments.
         """

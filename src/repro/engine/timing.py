@@ -39,9 +39,6 @@ class Stopwatch:
     def __init__(self):
         self._started = time.monotonic()
 
-    def restart(self) -> None:
-        self._started = time.monotonic()
-
     @property
     def elapsed_s(self) -> float:
         return time.monotonic() - self._started

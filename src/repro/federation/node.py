@@ -115,7 +115,7 @@ class TenantNode:
     @property
     def live_model(self) -> MTMLFQO:
         """The model currently serving this tenant's traffic."""
-        return self.service._serving_state()[0].model
+        return self.service.live_model
 
     def report(self) -> ServingReport:
         return self.service.report()
@@ -141,8 +141,9 @@ class TenantNode:
         Skips (returns None) when fewer than ``min_new_experience``
         fresh experiences accumulated since the last harvest — the
         asynchronous-participation rule.  Otherwise fine-tunes a private
-        model (broadcast (S)/(T) + a *clone* of the live featurizer, so
-        training can never touch the serving path) on the
+        model (a copy of the broadcast (S)/(T) + the live model's frozen
+        featurizer, which no trainer steps, so training can never touch
+        the serving weights) on the
         training slice of the experience snapshot and returns only the
         shared (S)/(T) parameters with the example count FedAvg weights
         them by.

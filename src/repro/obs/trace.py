@@ -57,10 +57,6 @@ class Span:
     def duration_s(self) -> float:
         return self.end_s - self.start_s
 
-    @property
-    def is_event(self) -> bool:
-        return self.end_s == self.start_s
-
     def to_dict(self) -> dict:
         return {
             "trace_id": self.trace_id,

@@ -14,10 +14,11 @@ deployed:
    with both the live and the candidate model and execute them through
    :mod:`repro.engine` (:func:`evaluate_regret_gate`).  The candidate
    is installed via :meth:`OptimizerService.swap_model` only if its
-   join-order regret does not worsen the live model's; the service's
-   swap epoch retires every cached pre-swap plan, so mid-adaptation
-   traffic can never be answered with a stale order.  On rejection the
-   candidate is discarded and the live model keeps serving.
+   join-order regret does not worsen the live model's; the plan cache
+   keys on the serving model's process-unique version, so
+   mid-adaptation traffic can never be answered with a stale order.
+   On rejection the candidate is discarded and the live model keeps
+   serving.
 
 Two schedulers drive it, both configured by one :class:`RoundConfig`.
 :class:`AdaptationWorker` (here) runs the phases back to back,
@@ -318,18 +319,18 @@ class TrainRound:
     # -- the round's private copy ------------------------------------------
     def private_model(self, live, global_state: dict | None = None):
         """A clone of ``live`` — under the broadcast (S)/(T)
-        ``global_state`` when one is given — sharing no module with it:
-        :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) and every
-        featurizer by state dict, so the round's training steps never
-        touch a weight array that serves traffic.  The clone starts with
-        ``live``'s (F) feature caches, which stay valid under training
-        and ``global_state``: both change (S)/(T) only."""
+        ``global_state`` when one is given — sharing no (S)/(T) array
+        with it: :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) by
+        state dict, so the round's training steps never touch a weight
+        array that serves traffic.  The clone shares ``live``'s frozen
+        featurizers, which no trainer steps, and starts with its (F)
+        feature caches, which stay valid under training and
+        ``global_state``: both change (S)/(T) only.  Its version is its
+        own from construction, so it never shares ``live``'s plan-cache
+        entries."""
         model = live.clone_for_inference()
         if global_state is not None:
             model.load_state_dict(global_state)
-            # The clone carries the live model's version; its weights no
-            # longer match, so it must not share that cache identity.
-            model.mark_updated()
         return model
 
     def private_trainer(
@@ -404,7 +405,7 @@ class TrainRound:
         if not held_out:
             self.service.stats.note_gate("unvalidated")
             return None
-        live = self.service._serving_state()[0].model
+        live = self.service.live_model
         with tracer.span(trace, "adapt.gate") as span:
             # Gated under the *service's* decode policy: the gate must
             # measure exactly what each model would serve.
@@ -578,7 +579,7 @@ class AdaptationWorker:
         # Resolved before any training: an unwritable directory fails the
         # cycle here, trigger credit intact, not after a wasted fine-tune.
         directory = self._checkpoints.path()
-        live = self.service._serving_state()[0].model
+        live = self.service.live_model
         with self._lock:
             moments, installed = self._trajectory
         # First cycle, or someone else swapped since ours: continuing our

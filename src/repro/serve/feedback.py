@@ -122,9 +122,10 @@ class FeedbackConfig:
     buffer_capacity:
         Bound of the experience buffer (FIFO eviction beyond it).
     max_intermediate_rows:
-        Execution bound for served orders *and* the optimal-order
-        oracle — a runaway order is rejected (reason-counted), never
-        executed to completion.
+        Execution bound (None, or >= 1) for served orders *and* the
+        optimal-order oracle — a runaway order is rejected
+        (reason-counted), never executed to completion; None executes
+        without a bound.
     """
 
     buffer_capacity: int = 256
@@ -133,6 +134,12 @@ class FeedbackConfig:
     def __post_init__(self):
         if self.buffer_capacity < 1:
             raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity}")
+        # Below 1 every non-empty execution runs over the cap, so all
+        # feedback is rejected as over_limit and adaptation starves.
+        if self.max_intermediate_rows is not None and self.max_intermediate_rows < 1:
+            raise ValueError(
+                f"max_intermediate_rows must be None or >= 1, got {self.max_intermediate_rows}"
+            )
 
 
 class FeedbackCollector:

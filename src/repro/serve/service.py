@@ -27,7 +27,9 @@ only split batches (DESIGN.md section 5 has the measurement).
 
 Because the batched decode path emits the same candidates as
 per-query calls (DESIGN.md section 2) and the cache key is the full structural
-query/plan signature, orders returned through the service are identical
+query/plan signature plus the serving model's version — one number per
+model state, unique in the process, so a hot swap or a retrain can never
+hit a stale entry — orders returned through the service are identical
 to direct ``predict_join_orders`` calls — the parity suite
 (``tests/test_serve.py``) asserts this at every beam width 1-8.
 
@@ -157,12 +159,6 @@ class OptimizerService:
         self._nonempty = threading.Condition(self._mutex)
         self._running = False  # guarded-by: _mutex
         self._drainer: "threading.Thread | None" = None  # guarded-by: _mutex
-        # Bumped by swap_model and embedded in every cache key: model
-        # `version` counters are per-instance, so two independently built
-        # models can share a version number — the epoch guarantees a
-        # post-swap request can never be answered from the pre-swap
-        # model's cache entries even then.
-        self._epoch = 0  # guarded-by: _mutex
         # Early close of the batching window: the callers the last
         # batch held and has released or will release.  Each one's next
         # enqueue removes it; once the set is empty, waiting longer could
@@ -276,26 +272,25 @@ class OptimizerService:
 
         Protocol (DESIGN.md "Model lifecycle"): the replacement session
         is built and validated *before* the switch; the switch itself is
-        one atomic update of ``(session, epoch)`` under the service
-        mutex.  A batch already formed finishes on the session it was
-        formed with — the drain worker reads the session at batch
-        formation — so no queued or in-flight request is lost or
-        duplicated; batches formed after the switch decode on the new
-        model.  The bumped epoch retires every
-        cached plan: a post-swap request can never be answered from the
-        pre-swap cache, even if both models share a ``version`` counter
-        value.  Returns the new serving model.
+        one atomic update of ``session`` under the service mutex.  A
+        batch already formed finishes on the session it was formed with
+        — the drain worker reads the session at batch formation — so no
+        queued or in-flight request is lost or duplicated; batches
+        formed after the switch decode on the new model.  Cache keys
+        carry the serving model's :attr:`MTMLFQO.version`, which no
+        other model state in the process shares, so a post-swap request
+        can never be answered from the pre-swap cache.  Returns the new
+        serving model.
         """
         if isinstance(model_or_path, (str, os.PathLike)):
             from ..core.checkpoint import load_checkpoint
 
             if databases is None:
-                # Snapshot the serving session under the mutex, then take
-                # the database map through MTMLFQO.databases() (atomic
-                # under the model's inference lock): a concurrent swap or
+                # Read the serving model under the mutex, then take the
+                # database map through MTMLFQO.databases() (atomic under
+                # the model's inference lock): a concurrent swap or
                 # attach_featurizer cannot race either read.
-                serving_session, _ = self._serving_state()
-                databases = serving_session.model.databases()
+                databases = self.live_model.databases()
             new_model = load_checkpoint(model_or_path, databases=databases)
         else:
             new_model = model_or_path
@@ -304,24 +299,25 @@ class OptimizerService:
         new_session = new_model.inference_session(self.db_name)
         with self._mutex:
             self.session = new_session
-            self._epoch += 1
         # Pre-swap entries are unreachable (their keys carry the old
-        # epoch); dropping them returns the LRU's full capacity to the
-        # new model while it is coldest, and resetting the hit/miss
-        # counters starts a fresh accounting epoch (the retired epoch's
-        # totals are preserved in the stats, not blended into the new
-        # hit rate).  An in-flight pre-swap batch may re-insert a few
-        # old-epoch entries after this — dead weight bounded by one
-        # batch, evicted by normal churn.
+        # model's version); dropping them returns the LRU's full
+        # capacity to the new model while it is coldest, and resetting
+        # the hit/miss counters starts a fresh accounting epoch (the
+        # retired epoch's totals are preserved in the stats, not blended
+        # into the new hit rate).  An in-flight pre-swap batch may
+        # re-insert a few old-version entries after this — dead weight
+        # bounded by one batch, evicted by normal churn — and only under
+        # the version of the model that decoded them (see _process_batch).
         retired = self.cache.clear(reset_stats=True)
         self.stats.note_swap(retired)
         return new_model
 
     # -- request path --------------------------------------------------
-    def _serving_state(self) -> tuple:
-        """Atomic read of the ``(session, epoch)`` pair swap_model writes."""
+    @property
+    def live_model(self):
+        """The model currently serving (the one swap_model last installed)."""
         with self._mutex:
-            return self.session, self._epoch
+            return self.session.model
 
     def request_key(self, labeled: LabeledQuery) -> tuple:
         """The structural identity of a request (the plan-cache key).
@@ -329,11 +325,11 @@ class OptimizerService:
         Combines the query signature (tables, joins, filters) with the
         initial plan's signature — ``predict_join_orders`` encodes the
         initial plan, so two requests may only share a cached order when
-        *both* halves match — plus the service's decode policy, the
-        model's :attr:`version` (bumped by ``attach_featurizer`` and the
-        trainers), and the service's swap epoch, so orders decoded with
-        superseded weights can never be served after the model changes
-        or is hot-swapped.
+        *both* halves match — plus the service's decode policy and the
+        serving model's :attr:`version` (unique in the process, renewed
+        by ``attach_featurizer`` and the trainers), so orders decoded
+        with superseded weights can never be served after the model
+        changes or is hot-swapped.
 
         Both signatures are computed once per object and kept on it, so
         a resubmitted request is keyed without re-signing; a copy does
@@ -342,10 +338,8 @@ class OptimizerService:
         writer under ``src/`` but ``CostModel.node_cost``'s fills of
         unset operators, which are never part of a kept signature.
         """
-        session, epoch = self._serving_state()
         return (
-            epoch,
-            session.model.version,
+            self.live_model.version,
             self.db_name,
             query_signature(labeled.query),
             plan_signature(labeled.plan),
@@ -483,7 +477,8 @@ class OptimizerService:
 
     def _process_batch(self, batch: list[_Request], session=None, formed_at=None) -> None:
         if session is None:
-            session, _ = self._serving_state()
+            with self._mutex:
+                session = self.session
         if formed_at is None:
             formed_at = time.perf_counter()
         # Span recording happens on this worker thread, outside every
@@ -552,8 +547,17 @@ class OptimizerService:
             self._serve_individually(runnable, session)
             return
         decode_ended = time.perf_counter() if tracing else 0.0
+        # Fill only keys of the model that decoded.  A request is keyed
+        # under the model serving when it was submitted, but decoded on
+        # the session pinned when its batch formed — a later model if a
+        # swap landed in between.  Swapping back to the first model
+        # makes its keys live again, so the later model's order answers
+        # its own requests and is not cached.
+        version = session.model.version
         for (key, requests), order in zip(runnable, orders):
-            self.cache.put(key, order)
+            filled = key[0] == version
+            if filled:
+                self.cache.put(key, order)
             for request in requests:
                 request.fulfill(order)
                 if tracing and request.trace_id:
@@ -573,7 +577,8 @@ class OptimizerService:
                         decode_ended,
                         {"queries": len(runnable)},
                     )
-                    tracer.event(trace_id, "cache.fill")
+                    if filled:
+                        tracer.event(trace_id, "cache.fill")
 
     def _serve_individually(self, runnable: list[tuple[tuple, list[_Request]]], session) -> None:
         """Fallback after a failed batch: isolate the offending request.
@@ -590,6 +595,7 @@ class OptimizerService:
                 for request in requests:
                     request.fail(error)
                 continue
-            self.cache.put(key, order)
+            if key[0] == session.model.version:  # see _process_batch
+                self.cache.put(key, order)
             for request in requests:
                 request.fulfill(order)

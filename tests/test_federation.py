@@ -159,23 +159,19 @@ class TestTenantNode:
         private = tenant.round.private_model(live, broadcast)
         for name, value in private.state_dict().items():
             np.testing.assert_array_equal(value, broadcast[name])
-        live_arrays = {
-            id(param.data)
-            for module in (live, live.featurizer_for(db.name))
-            for _, param in module.named_parameters()
-        }
-        private_params = private.named_parameters() + private.featurizer_for(
-            db.name
-        ).named_parameters()
-        assert not any(id(param.data) in live_arrays for _, param in private_params)
+        # (S)/(T) arrays are disjoint; the frozen (F) is the live one.
+        for (_, live_param), (_, private_param) in zip(
+            live.named_parameters(), private.named_parameters()
+        ):
+            assert not np.shares_memory(live_param.data, private_param.data)
+        assert private.featurizer_for(db.name) is live.featurizer_for(db.name)
+        assert private.featurizers is not live.featurizers
         assert private.version != live.version
         # Same decode as the hand-built equivalent: fresh model, broadcast
-        # (S)/(T), featurizer copied by state dict.
+        # (S)/(T), the live featurizer attached.
         by_hand = MTMLFQO(TINY)
         by_hand.load_state_dict(broadcast)
-        copied = DatabaseFeaturizer(db, TINY)
-        copied.load_state_dict(live.featurizer_for(db.name).state_dict())
-        by_hand.attach_featurizer(db.name, copied)
+        by_hand.attach_featurizer(db.name, live.featurizer_for(db.name))
         assert private.predict_join_orders(db.name, pool[:6]) == by_hand.predict_join_orders(
             db.name, pool[:6]
         )

@@ -12,6 +12,7 @@ import copy
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import JointTrainer, ModelConfig, MTMLFQO, serializer
@@ -170,7 +171,7 @@ class TestServeParity:
         trainer._step = lambda db_name, batch, jo_criterion: (0.0, 0.0, 0.0, 0.0)
         version = model.version
         trainer.train([("a", object())], epochs=1, batch_size=1, seed=0)
-        assert model.version == version + 1
+        assert model.version > version  # one process-wide counter: a fresh value
 
     def test_mark_updated_keeps_feature_caches(self, db, model, labeled):
         """A version bump retires plan-cache results, not (F) outputs:
@@ -181,7 +182,7 @@ class TestServeParity:
         assert entries[0] == 1 and entries[1] > 0
         version = model.version
         model.mark_updated()
-        assert model.version == version + 1
+        assert model.version > version
         assert (len(model._cache), len(model._node_cache)) == entries
         assert model.encode_query(db.name, labeled[0]) is encoded
 
@@ -372,12 +373,22 @@ class TestHotSwap:
         assert post == direct_b
         assert service.report().swaps == 1
 
-    def test_equal_version_counters_cannot_serve_stale_cache(self, db, model, model_b, labeled):
-        """The acceptance criterion's nastiest corner: `version` counters
-        are per-instance, so two models can share one.  The service's
-        swap epoch must still retire every pre-swap cache entry."""
-        model_b.restore_version(model.version)
-        assert model_b.version == model.version
+    def test_equal_version_counters_cannot_serve_stale_cache(
+        self, db, model, model_b, labeled, tmp_path
+    ):
+        """Cache keys carry the serving model's `version`, and no two
+        model states in the process share one: a fresh model, its clone,
+        a checkpoint load and a `mark_updated` give four distinct
+        values.  So a swap retires every pre-swap cache entry."""
+        from repro.core import load_checkpoint, save_checkpoint
+
+        fresh = MTMLFQO(SMALL)
+        built = fresh.version
+        clone = fresh.clone_for_inference()
+        loaded = load_checkpoint(save_checkpoint(fresh, str(tmp_path / "fresh")))
+        fresh.mark_updated()
+        assert len({built, clone.version, loaded.version, fresh.version}) == 4
+        assert model_b.version != model.version
         direct_b = model_b.predict_join_orders(db.name, labeled)
         with OptimizerService(model, db.name) as service:
             pre = [service.optimize(item) for item in labeled]  # fills the cache
@@ -388,6 +399,60 @@ class TestHotSwap:
             assert service.report().cache_hits == hits_before  # all forced misses
         assert post == direct_b
         assert pre != post
+
+    def test_a_batch_decoded_after_a_swap_fills_no_stale_key(self, db, model, model_b, labeled):
+        """A request keyed under model A but decoded on B (a swap landed
+        before its batch formed) gets B's order, and B's order is not
+        cached under A's key: once A serves again (A -> B -> A), A's
+        requests get A's orders, never B's."""
+        direct_a = model.predict_join_orders(db.name, labeled)
+        direct_b = model_b.predict_join_orders(db.name, labeled)
+        stale = next(i for i, (a, b) in enumerate(zip(direct_a, direct_b)) if a != b)
+        blocker = (stale + 1) % len(labeled)
+
+        class Gate:
+            """Holds every decode on the wrapped session until released."""
+
+            def __init__(self, session):
+                self.session = session
+                self.model = session.model
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def predict_join_orders(self, items, **kwargs):
+                self.entered.set()
+                assert self.release.wait(60)
+                return self.session.predict_join_orders(items, **kwargs)
+
+        service = OptimizerService(model, db.name, ServeConfig(max_batch_size=1))
+        served: dict[int, list[str]] = {}
+
+        def client(index):
+            served[index] = service.optimize(labeled[index])
+
+        gate_a = Gate(service.session)
+        service.session = gate_a
+        with service:
+            threads = [threading.Thread(target=client, args=(i,)) for i in (blocker, stale)]
+            threads[0].start()
+            assert gate_a.entered.wait(60)  # the worker holds A's batch
+            threads[1].start()
+            while service.queue_depth == 0:  # keyed under A, queued behind it
+                time.sleep(0.001)
+            service.swap_model(model_b)
+            gate_b = Gate(service.session)
+            service.session = gate_b
+            gate_a.release.set()
+            assert gate_b.entered.wait(60)  # the A-keyed request decodes on B
+            service.swap_model(model)
+            gate_b.release.set()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert served[stale] == direct_b[stale]  # answered by the model that decoded it
+            key = service.request_key(labeled[stale])
+            assert service.cache.get(key, count_miss=False) is None
+            assert service.optimize(labeled[stale]) == direct_a[stale]
 
     def test_swap_from_checkpoint_path(self, db, model, model_b, labeled, tmp_path):
         from repro.core import save_checkpoint
@@ -663,15 +728,18 @@ class TestCloneForInference:
     def test_clone_for_inference_is_bit_identical_and_independent(self, db, model, labeled):
         clone = model.clone_for_inference()
         assert clone is not model
-        assert clone.version == model.version
         direct = model.predict_join_orders(db.name, labeled)
         assert clone.predict_join_orders(db.name, labeled) == direct
-        # Weight arrays are copies, never views of the source's.
+        # (S)/(T) weight arrays are copies, never views of the source's.
         for (name, param), (clone_name, clone_param) in zip(
             model.named_parameters(), clone.named_parameters()
         ):
             assert name == clone_name
-            assert param.data is not clone_param.data
+            assert not np.shares_memory(param.data, clone_param.data)
+        # The frozen (F) is shared: the same featurizer object, held in
+        # a dict of the clone's own.
+        assert clone.featurizer_for(db.name) is model.featurizer_for(db.name)
+        assert clone.featurizers is not model.featurizers
         # Mutating the source does not reach into the clone.
         version = clone.version
         model.mark_updated()
@@ -684,6 +752,26 @@ class TestCloneForInference:
         model.clear_cache()
         assert len(model._cache) == 0
         assert (len(clone._cache), len(clone._node_cache)) == entries
+
+    def test_fine_tuning_a_clone_leaves_source_and_shared_featurizer_unchanged(
+        self, db, model, labeled
+    ):
+        featurizer = model.featurizer_for(db.name)
+        source_state = model.state_dict()
+        featurizer_state = featurizer.state_dict()
+        direct = model.predict_join_orders(db.name, labeled)
+        clone = model.clone_for_inference()
+        JointTrainer(clone).train([(db.name, item) for item in labeled], epochs=1, batch_size=4)
+        assert clone.featurizer_for(db.name) is featurizer
+        assert any(
+            value.tobytes() != source_state[name].tobytes()
+            for name, value in clone.state_dict().items()
+        ), "the clone must actually have trained"
+        for name, value in model.state_dict().items():
+            assert value.tobytes() == source_state[name].tobytes(), name
+        for name, value in featurizer.state_dict().items():
+            assert value.tobytes() == featurizer_state[name].tobytes(), name
+        assert model.predict_join_orders(db.name, labeled) == direct
 
 
 class TestPlanCacheStats:
