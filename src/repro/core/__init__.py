@@ -23,7 +23,7 @@ from .beam import (
     require_connected,
 )
 from .config import ModelConfig
-from .encoders import DatabaseFeaturizer, EncoderBudget, TableEncoder
+from .encoders import DatabaseFeaturizer, EncoderBudget, FeatureCache, TableEncoder
 from .featurize import PredicateFeaturizer
 from .heads import EstimationHead
 from .joeu import joeu, shared_prefix_length
@@ -40,7 +40,7 @@ from .federated import (
     shared_state_dict,
 )
 from .meta import MetaLearner, MLAConfig, transfer
-from .model import EncodedQuery, FeatureCache, InferenceSession, MTMLFQO
+from .model import EncodedQuery, InferenceSession, MTMLFQO
 from .serializer import (
     JoinTree,
     decoding_embeddings,

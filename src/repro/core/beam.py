@@ -123,6 +123,8 @@ class BeamSearchState:
         enforce_legality: bool = True,
         max_candidates: int = 16,
     ):
+        if beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {beam_width}")
         self.adjacency = np.asarray(adjacency, dtype=bool)
         self.m = self.adjacency.shape[0]
         self.beam_width = beam_width
@@ -188,7 +190,7 @@ class _Frontier:
             raise ValueError("a frontier starts from fresh, unfinished beam searches")
         self.states = states
         self.m = np.array([state.m for state in states])
-        width = np.array([max(state.beam_width, 1) for state in states])
+        width = np.array([state.beam_width for state in states])
         slots = np.arange(self.m.max())
         # Per-query limits: expansions per beam, and beams kept after
         # step t (``keep[t]``: the width, max_candidates after the last).

@@ -37,7 +37,8 @@ class ModelConfig:
     sequence_loss_lambda: float = 4.0
     beam_width: int = 3
 
-    # Plan-feature cache: max structurally-distinct plans kept (LRU).
+    # Bound of each (F) cache (LRU) of a featurizer built with this
+    # config: its plan encodings and its node contents.
     feature_cache_size: int = 4096
 
     # Optimization
@@ -50,6 +51,10 @@ class ModelConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.grad_clip > 0:
             raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        if self.feature_cache_size < 1:
+            raise ValueError(f"feature_cache_size must be >= 1, got {self.feature_cache_size}")
 
     @property
     def ff_dim(self) -> int:

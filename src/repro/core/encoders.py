@@ -20,6 +20,8 @@ nothing here needs to know which it is.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,56 @@ from ..workload.generator import generate_single_table_queries
 from .config import ModelConfig
 from .featurize import PredicateFeaturizer
 
-__all__ = ["TableEncoder", "DatabaseFeaturizer", "EncoderBudget"]
+__all__ = ["TableEncoder", "DatabaseFeaturizer", "EncoderBudget", "FeatureCache"]
+
+
+class FeatureCache:
+    """Bounded, thread-safe LRU over (F) outputs.
+
+    A :class:`DatabaseFeaturizer` owns two: its plan encodings, keyed by
+    ``plan_signature(plan)``, and its node contents (see
+    :meth:`repro.core.model.MTMLFQO.encode_query`).  Keys are structural,
+    so two distinct but node-for-node identical plans (the cost-rerank's
+    probe plans, re-labeled copies of a query) share one entry, and the
+    size bound keeps inference-time probe plans from growing the cache
+    without limit.
+
+    Every model the featurizer is attached to — the live model, a
+    fine-tune candidate, a fleet round's private copy — reads and fills
+    the same cache, possibly from several threads at once, so
+    :meth:`get` / :meth:`put` / :meth:`clear` each hold the cache's own
+    lock (a miss computed twice concurrently stores equal values).
+    Entries are read-only arrays for the same reason.
+    """
+
+    def __init__(self, maxsize: int):
+        if maxsize < 1:
+            raise ValueError(f"cache size must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()  # guarded-by: _lock
+
+    def get(self, key: tuple):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: tuple, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 class TableEncoder(nn.Module):
@@ -80,7 +131,15 @@ class DatabaseFeaturizer(nn.Module):
     Holds the database-specific knowledge: the statistics-based
     predicate featurizer, learned column embeddings, and one trained
     ``Enc_i`` per table.  Produces ``E(f(T_i))`` encodings consumed by
-    the node assembler in :mod:`repro.core.model`.
+    the node assembler in :mod:`repro.core.model`, and owns their
+    caches: ``encoding_cache`` (one ``EncodedQuery`` per structural
+    plan) and ``node_cache`` (one content vector per scan filter or
+    join-key set), each bounded by its config's ``feature_cache_size``.
+    Their entries are functions of this featurizer's weights alone, so
+    every model it is attached to shares them, and only a change of
+    those weights clears them — :meth:`train_encoders`,
+    :meth:`load_state_dict` — besides an explicit :meth:`clear_caches`
+    (which ``MTMLFQO.attach_featurizer`` / ``clear_cache`` call).
     """
 
     def __init__(self, db: Database, config: ModelConfig | None = None, seed: int | None = None):
@@ -96,6 +155,17 @@ class DatabaseFeaturizer(nn.Module):
         self.encoders = {
             table: TableEncoder(self.config, rng) for table in db.table_names
         }
+        self.encoding_cache = FeatureCache(self.config.feature_cache_size)
+        self.node_cache = FeatureCache(self.config.feature_cache_size)
+
+    def clear_caches(self) -> None:
+        """Drop every cached output of this featurizer."""
+        self.encoding_cache.clear()
+        self.node_cache.clear()
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        super().load_state_dict(state)
+        self.clear_caches()
 
     # Parameter traversal of the ``encoders`` dict is handled by the
     # ``Module`` base class, which walks dict-valued attributes in
@@ -171,6 +241,7 @@ class DatabaseFeaturizer(nn.Module):
             losses[table] = final
             if verbose:
                 print(f"  Enc[{table}]: final |log sel| error {final:.3f}")
+        self.clear_caches()
         return losses
 
 

@@ -10,13 +10,21 @@ Per the paper's training rule ("the gradient ... will be backpropagated
 to update the parameters of the (S) and (T) modules only"), featurizer
 outputs are detached inside node assembly; the per-table encoders are
 trained separately (Algorithm 1, line 4).
+
+The (F) outputs node assembly reads are cached on the featurizer that
+produced them (:class:`repro.core.encoders.FeatureCache`), not on the
+model: a model, its clones and every fleet round's private copy share
+the featurizer object and therefore one cache per featurizer, so
+encodings computed by one of them — a rejected fine-tune candidate's
+included — serve all.  A featurizer must match the model's ``d_model``
+and ``node_extra_dim``, the two values that shape an
+:class:`EncodedQuery` (DESIGN.md §3).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .serializer import plan_signature, serialize_plan
 from .shared import SharedRepresentation
 from .trans_jo import TransJO
 
-__all__ = ["MTMLFQO", "EncodedQuery", "FeatureCache", "InferenceSession"]
+__all__ = ["MTMLFQO", "EncodedQuery", "InferenceSession"]
 
 # Batched inference processes items in bounded chunks: the Trans_Share
 # forward pads to the chunk's max node count and attention is quadratic
@@ -51,57 +59,6 @@ _INFERENCE_CHUNK = 64
 # state, so two models (a clone, a checkpoint load, an independently
 # built twin) can never carry the same value.
 _VERSIONS = itertools.count()
-
-
-class FeatureCache:
-    """Bounded LRU over structurally-keyed :class:`EncodedQuery` entries.
-
-    Keys are ``(db_name, plan_signature(plan))`` — structural, so two
-    distinct but node-for-node identical plans (the cost-rerank's probe
-    plans, re-labeled copies of a query) share one entry, and a recycled
-    object address can never alias a stale encoding the way the previous
-    ``id()``-keyed dict could.  The size bound keeps inference-time probe
-    plans from growing the cache without limit.
-
-    Entries are (F) outputs, so they live as long as the attached
-    featurizer (DESIGN.md §3): only :meth:`MTMLFQO.attach_featurizer`
-    invalidates them, and :meth:`copy` hands a clone the same entries.
-    Their arrays are read-only, because a model and its clones share them.
-    """
-
-    def __init__(self, maxsize: int):
-        if maxsize < 1:
-            raise ValueError(f"cache size must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, EncodedQuery]" = OrderedDict()
-
-    def get(self, key: tuple) -> "EncodedQuery | None":
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: tuple, value: "EncodedQuery") -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def copy(self) -> "FeatureCache":
-        """A new cache holding the same (shared, read-only) entries in the
-        same LRU order."""
-        twin = FeatureCache(self.maxsize)
-        twin._entries = self._entries.copy()
-        return twin
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
 
 
 class EncodedQuery:
@@ -127,22 +84,14 @@ class MTMLFQO(nn.Module):
         self.card_head = EstimationHead(self.config, rng)
         self.cost_head = EstimationHead(self.config, rng)
         self.trans_jo = TransJO(self.config, rng)
+        # (F) modules by database; each owns the caches of its outputs.
         self.featurizers: dict[str, DatabaseFeaturizer] = {}  # guarded-by: _infer_lock
-        self._cache = FeatureCache(self.config.feature_cache_size)  # guarded-by: _infer_lock
-        # Node-content memo: a scan node's content depends only on
-        # (table, filter) and a join node's only on its predicate
-        # columns, so distinct plans over one query (rerank probes,
-        # alternative orders) share almost every node.  Memoizing here
-        # skips the per-node encoder forwards (the (F) ``Enc_i``
-        # transformer over filter predicates) that dominate encode_query
-        # on repeat traffic.
-        self._node_cache = FeatureCache(self.config.feature_cache_size)  # guarded-by: _infer_lock
         # Serializes concurrent *inference* through the model: the public
         # inference entry points (predict_*, beam_candidates_batch) all
         # acquire it, so direct calls are safe alongside a running
         # serving session.  It does NOT make training concurrent
-        # with serving safe — trainer steps mutate weights and caches
-        # outside this lock; retrain offline, then mark_updated().
+        # with serving safe — trainer steps mutate weights outside this
+        # lock; retrain offline, then mark_updated().
         self._infer_lock = threading.RLock()  # analysis: coarse-lock
         # Renewed whenever the model's outputs may have changed
         # (attach_featurizer, trainer runs), from the process-wide
@@ -167,19 +116,24 @@ class MTMLFQO(nn.Module):
 
     # ------------------------------------------------------------------
     def attach_featurizer(self, db_name: str, featurizer: DatabaseFeaturizer) -> None:
-        """Register the (F) module of a database.
+        """Register the (F) module of a database and clear its caches.
 
-        The one invalidation of the feature/node caches: their entries
-        are featurizer outputs and (F) is frozen while attached, so this
-        is the only way they can go stale.  To retrain or reload a
-        featurizer, do it detached and re-attach it.  Holds the inference
-        lock: otherwise an in-flight inference on another thread could
-        re-insert an old-featurizer encoding *after* the clear, and the
-        feature caches carry no version in their keys to catch that.
+        The featurizer owns the caches of its outputs, which every model
+        it is attached to shares (DESIGN.md §3).  An ``EncodedQuery`` is
+        shaped by ``d_model`` and ``node_extra_dim`` too, so a featurizer
+        whose config differs from the model's in either is rejected:
+        one cache key could otherwise hold two shapes.  Holds the
+        inference lock, so no inference of this model is in flight.
         """
+        for field in ("d_model", "node_extra_dim"):
+            ours, theirs = getattr(self.config, field), getattr(featurizer.config, field)
+            if ours != theirs:
+                raise ValueError(
+                    f"featurizer for {db_name!r} has {field}={theirs}, the model {field}={ours}"
+                )
         with self._infer_lock:
             self.featurizers[db_name] = featurizer
-            self.clear_cache()
+            featurizer.clear_caches()
             self.mark_updated()
 
     def featurizer_for(self, db_name: str) -> DatabaseFeaturizer:
@@ -190,9 +144,11 @@ class MTMLFQO(nn.Module):
                 raise KeyError(f"no featurizer attached for database {db_name!r}") from None
 
     def clear_cache(self) -> None:
+        """Clear the (F) caches of every attached featurizer — shared with
+        every other model they are attached to."""
         with self._infer_lock:
-            self._cache.clear()
-            self._node_cache.clear()
+            for featurizer in self.featurizers.values():
+                featurizer.clear_caches()
 
     def mark_updated(self) -> None:
         """Record that the model's (S)/(T) outputs may have changed.
@@ -202,9 +158,8 @@ class MTMLFQO(nn.Module):
         hand.  Gives :attr:`version` a fresh process-wide value, which
         serving-layer plan caches embed in their keys, retiring every
         previously cached result.
-        The feature/node caches stay: (F) is frozen while (S)/(T) train,
-        so its outputs are unchanged (to change a featurizer, re-attach
-        it).
+        The featurizers' caches stay: (F) is frozen while (S)/(T) train,
+        so its outputs are unchanged.
         """
         with self._infer_lock:
             self.version = next(_VERSIONS)
@@ -215,8 +170,8 @@ class MTMLFQO(nn.Module):
         The serving layer (``repro.serve``) holds one session per
         database instead of calling the model directly: the session
         validates the featurizer once and serializes calls through the
-        model's inference lock so that concurrent sessions can't
-        interleave feature-cache bookkeeping.
+        model's inference lock, so concurrent sessions never interleave
+        on one model (a session's scratch arena is not thread-safe).
         """
         return InferenceSession(self, db_name)
 
@@ -239,12 +194,11 @@ class MTMLFQO(nn.Module):
         weights (state dicts copy on both save and load) and the same
         frozen (F) *objects* — a new featurizer dict holding the
         source's :class:`DatabaseFeaturizer` instances, which no trainer
-        steps while attached — but its **own** inference lock, feature /
-        node caches and :attr:`version`, so inference on the clone never
-        contends with (or pollutes the caches of) the original, and
-        produces orders bit-identical to the source model's.  The clone's
-        caches start with the source's entries, in LRU order: they are
-        outputs of the shared (F), and read-only, so the copy is shallow.
+        steps while attached, and with them their caches — but its
+        **own** inference lock and :attr:`version`, so inference on the
+        clone never contends with the original, and produces orders
+        bit-identical to the source model's.  Encodings either model
+        computes serve both, a rejected candidate's included.
 
         The clone shares no (S)/(T) weight array, so later in-place
         training of either model can never leak into the other.
@@ -252,12 +206,10 @@ class MTMLFQO(nn.Module):
         with self._infer_lock:
             state = self.state_dict()
             featurizers = dict(self.featurizers)
-            caches = (self._cache.copy(), self._node_cache.copy())
         clone = MTMLFQO(self.config)
         clone.load_state_dict(state)
         # Not yet shared, so no lock is needed.
         clone.featurizers = featurizers
-        clone._cache, clone._node_cache = caches
         return clone
 
     # ------------------------------------------------------------------
@@ -290,28 +242,30 @@ class MTMLFQO(nn.Module):
             out[13] = len(node.right.tables) / 10.0
         return out
 
-    def _node_content(self, db_name: str, node: PlanNode, featurizer: DatabaseFeaturizer) -> np.ndarray:  # holds: _infer_lock
+    def _node_content(self, node: PlanNode, featurizer: DatabaseFeaturizer) -> np.ndarray:
         """The d_model content slice of a node's raw features (detached).
 
-        Memoized per structural node identity: scan content depends only
-        on ``(table, filter)``, join content only on the predicate
-        column sequence, so every plan over the same query (rerank
-        probes, alternate orders) reuses the encoder outputs instead of
-        re-running the (F) forwards node by node.  A scan is keyed by
-        the filter part of its kept :func:`plan_signature`, so a filter
-        is stringified once per node object.
+        Memoized in the featurizer's ``node_cache`` per structural node
+        identity: scan content depends only on ``(table, filter)``, join
+        content only on the predicate column sequence, so every plan
+        over the same query (rerank probes, alternate orders) reuses the
+        encoder outputs instead of re-running the (F) ``Enc_i``
+        transformer forwards node by node.  A scan is keyed by the
+        filter part of its kept :func:`plan_signature`, so a filter is
+        stringified once per node object.
         """
         d = self.config.d_model
+        cache = featurizer.node_cache
         if node.is_scan:
-            key = (db_name, "scan", node.table, plan_signature(node)[3])
-            cached = self._node_cache.get(key)
+            key = ("scan", node.table, plan_signature(node)[3])
+            cached = cache.get(key)
             if cached is not None:
                 return cached
             with nn.no_grad():
                 encoded = featurizer.encode_filter(node.filter)
             content = encoded.data.reshape(d)
             content.setflags(write=False)
-            self._node_cache.put(key, content)
+            cache.put(key, content)
             return content
         # Joins: mean embedding of the join-key columns (per-DB knowledge).
         half = d // 2
@@ -319,8 +273,8 @@ class MTMLFQO(nn.Module):
         for predicate in node.join_predicates:
             ids.append(featurizer.predicates.column_index[(predicate.left, predicate.left_column)] + 1)
             ids.append(featurizer.predicates.column_index[(predicate.right, predicate.right_column)] + 1)
-        key = (db_name, "join", tuple(ids))
-        cached = self._node_cache.get(key)
+        key = ("join", tuple(ids))
+        cached = cache.get(key)
         if cached is not None:
             return cached
         with nn.no_grad():
@@ -328,30 +282,32 @@ class MTMLFQO(nn.Module):
         content = np.zeros(d, dtype=np.float64)
         content[:half] = vectors.data.mean(axis=0)
         content.setflags(write=False)
-        self._node_cache.put(key, content)
+        cache.put(key, content)
         return content
 
-    def encode_query(self, db_name: str, labeled: LabeledQuery) -> EncodedQuery:  # holds: _infer_lock
+    def encode_query(self, db_name: str, labeled: LabeledQuery) -> EncodedQuery:
         """Run the (F) module on one query's plan.
 
-        Cached in a bounded LRU keyed by the plan's structural signature,
-        so structurally equivalent plans share one entry (DESIGN.md §3).
-        The signature is computed once per plan object and kept on it
-        (copies do not carry it), so a resubmitted plan, and every node
-        the rerank's probes share, is signed once.  Plans are treated as
-        immutable once signed.
+        Cached in the featurizer's bounded ``encoding_cache``, keyed by
+        the plan's structural signature, so structurally equivalent
+        plans share one entry (DESIGN.md §3).  The signature is computed
+        once per plan object and kept on it (copies do not carry it), so
+        a resubmitted plan, and every node the rerank's probes share, is
+        signed once.  Plans are treated as immutable once signed.
         """
-        key = (db_name, plan_signature(labeled.plan))
-        cached = self._cache.get(key)
+        return self._encode(self.featurizer_for(db_name), labeled)
+
+    def _encode(self, featurizer: DatabaseFeaturizer, labeled: LabeledQuery) -> EncodedQuery:
+        key = plan_signature(labeled.plan)
+        cached = featurizer.encoding_cache.get(key)
         if cached is not None:
             return cached
-        featurizer = self.featurizer_for(db_name)
         nodes, positions = serialize_plan(labeled.plan)
         features = np.zeros((len(nodes), self.config.node_feature_dim), dtype=np.float64)
         tree_enc = np.zeros((len(nodes), self.config.d_model), dtype=np.float64)
         leaf_positions: dict[str, int] = {}
         for index, (node, position) in enumerate(zip(nodes, positions)):
-            features[index, : self.config.d_model] = self._node_content(db_name, node, featurizer)
+            features[index, : self.config.d_model] = self._node_content(node, featurizer)
             features[index, self.config.d_model:] = self._node_extra_features(node, featurizer, position.depth)
             tree_enc[index] = tree_path_encoding(position, self.config.d_model)
             if node.is_scan:
@@ -359,7 +315,7 @@ class MTMLFQO(nn.Module):
         features.setflags(write=False)
         tree_enc.setflags(write=False)
         encoded = EncodedQuery(features, tree_enc, leaf_positions)
-        self._cache.put(key, encoded)
+        featurizer.encoding_cache.put(key, encoded)
         return encoded
 
     # ------------------------------------------------------------------
@@ -375,7 +331,8 @@ class MTMLFQO(nn.Module):
         Each item's plan is signed once per object and the signature
         kept on it (:meth:`encode_query`); copies sign themselves afresh.
         """
-        encodings = [self.encode_query(db_name, item) for item in items]
+        featurizer = self.featurizer_for(db_name)
+        encodings = [self._encode(featurizer, item) for item in items]
         max_len = max(e.num_nodes for e in encodings)
         batch = np.zeros((len(items), max_len, self.config.node_feature_dim), dtype=np.float64)
         trees = np.zeros((len(items), max_len, self.config.d_model), dtype=np.float64)
@@ -459,11 +416,19 @@ class MTMLFQO(nn.Module):
         require_connected(adjacency, query.tables)
         return adjacency
 
+    def _beam_width(self, beam_width: int | None) -> int:
+        """An explicit decode width (>= 1), or the config's for None."""
+        if beam_width is None:
+            return self.config.beam_width
+        if beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+        return beam_width
+
     def _decode_candidate_chunks(
         self,
         db_name: str,
         items: list[LabeledQuery],
-        beam_width: int | None,
+        beam_width: int,
         enforce_legality: bool,
         adjacencies: "list[np.ndarray] | None" = None,
         scratch: "nn.ScratchArena | None" = None,
@@ -475,7 +440,6 @@ class MTMLFQO(nn.Module):
         memory is capped by the chunk size no matter how many queries
         are passed in.
         """
-        width = beam_width or self.config.beam_width
         all_candidates: list[list[BeamCandidate]] = []
         for start in range(0, len(items), _INFERENCE_CHUNK):
             chunk = items[start: start + _INFERENCE_CHUNK]
@@ -489,7 +453,7 @@ class MTMLFQO(nn.Module):
                 BeamSearchState(
                     adjacencies[start + i] if adjacencies is not None
                     else item.query.adjacency_matrix(),
-                    beam_width=width,
+                    beam_width=beam_width,
                     enforce_legality=enforce_legality,
                 )
                 for i, item in enumerate(chunk)
@@ -545,16 +509,19 @@ class MTMLFQO(nn.Module):
         peak memory is capped by the chunk size.
 
         Raises ``ValueError`` up front for any query whose join graph is
-        disconnected (naming the components) when legality is enforced.
+        disconnected (naming the components) when legality is enforced,
+        and for an explicit ``beam_width`` below 1 (None means the
+        config's width).
         """
+        beam_width = self._beam_width(beam_width)
         if not items:
             return []
         adjacencies = None
         if enforce_legality:
             adjacencies = [self._require_connected(item.query) for item in items]
-        # The lock makes direct calls safe alongside a running serving
-        # session: forwards are pure but the feature/node LRU caches
-        # are not thread-safe.
+        # The lock serializes direct calls with a running serving
+        # session: forwards are pure, and the (F) caches take their own
+        # locks, but the session's scratch arena is not thread-safe.
         with self._infer_lock:
             per_query = self._decode_candidate_chunks(
                 db_name, items, beam_width, enforce_legality, adjacencies, scratch=scratch
@@ -682,8 +649,10 @@ class MTMLFQO(nn.Module):
         Batches the Trans_Share encode across queries and drives all
         beam searches in lockstep, like :meth:`predict_join_orders` but
         returning the full candidate lists (the sequence-level loss
-        needs the illegal ones too).
+        needs the illegal ones too).  ``beam_width`` as in
+        :meth:`predict_join_orders`.
         """
+        beam_width = self._beam_width(beam_width)
         if not items:
             return []
         adjacencies = None

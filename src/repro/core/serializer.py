@@ -136,7 +136,7 @@ def plan_signature(plan: PlanNode) -> tuple:
     Two plans share a signature iff they are node-for-node identical in
     shape, operators, scanned tables, filters and join predicates — the
     exact inputs the (F) module's node features are derived from.  Used
-    as the model's feature-cache key (DESIGN.md section 3) so that
+    as the featurizer's encoding-cache key (DESIGN.md section 3) so that
     structurally equivalent plans (e.g. the cost-rerank's probe plans)
     share one cached encoding, regardless of object identity.
 

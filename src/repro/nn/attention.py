@@ -10,7 +10,14 @@ precomputed ``static_kv``, which the beam driver projects once per
 decode.  Self-attention during incremental decoding
 passes ``past_kv`` instead: the K/V of every earlier row, which the call
 extends by the rows it is handed, so each decoder step projects only its
-one new token.
+one new token.  Cached and inline K/V are the same unsplit ``(B, L, dim)``
+projections.
+
+The attention itself — head split, scaled scores, mask, softmax,
+weighted sum, merge — is one op of the op table,
+:func:`repro.nn.functional.attention`, and so one tape node whose
+backward rule mirrors the layouts of the node chain it replaced
+(DESIGN.md §11); the layer adds only the four projections and the mask.
 """
 
 from __future__ import annotations
@@ -57,18 +64,6 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(dim, dim, rng=rng)
         self.out_proj = Linear(dim, dim, rng=rng)
 
-    @shape_spec(inputs={"x": "(B, L, dim)"},
-                out="(B, num_heads, L, head_dim)")
-    def _split_heads(self, x):
-        batch, seq, _ = x.shape
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose((0, 2, 1, 3))
-
-    @shape_spec(inputs={"x": "(B, num_heads, L, head_dim)"},
-                out="(B, L, num_heads*head_dim)")
-    def _merge_heads(self, x):
-        batch, heads, seq, head_dim = x.shape
-        return x.transpose((0, 2, 1, 3)).reshape(batch, seq, heads * head_dim)
-
     @staticmethod
     def _combined_mask(
         attn_mask: np.ndarray | None,
@@ -90,38 +85,30 @@ class MultiHeadAttention(Module):
         return mask & ~all_masked
 
     @shape_spec(inputs={"key": "(B, L_k, dim)"},
-                out=("(B, L_k, num_heads, head_dim)",
-                     "(B, L_k, num_heads, head_dim)"),
+                out=("(B, L_k, dim)", "(B, L_k, dim)"),
                 params=("k_proj", "v_proj"))
     def project_kv(self, key):
-        """Split-head K/V projections of a static key/value source.
+        """K/V projections of a static key/value source.
 
         For cross-attention over an unchanging encoder memory, the
-        returned pair is valid for every decoder step of the decode.  It also projects each new
-        row appended to a ``past_kv`` self-attention cache.
-
-        Layout: ``(batch, Lk, heads, head_dim)`` — the *pre-transpose*
-        head split, not the ``(batch, heads, Lk, head_dim)`` the scores
-        matmul consumes.  :meth:`forward` applies the same
-        transpose-view the inline projection uses, so the cached and
-        inline operands have identical strides and BLAS produces
-        bit-identical scores.  (A C-contiguous copy of the transposed
-        layout holds the same values but can round differently.)  It
-        also lets callers concatenate cached projections along axis 0
-        without disturbing the layout.
+        returned pair is valid for every decoder step of the decode.  It
+        also projects each new row appended to a ``past_kv``
+        self-attention cache.  The pair is exactly what :meth:`forward`
+        would project inline — unsplit ``(batch, Lk, dim)`` arrays, which
+        the attention kernel splits into heads with a reshape and a
+        transpose view either way — so cached and inline operands reach
+        BLAS with identical strides and bit-identical scores.  (A
+        C-contiguous copy of the split layout holds the same values but
+        can round differently.)  Callers concatenate cached projections
+        along axis 0 or 1 freely.
         """
-        batch, seq, _ = key.shape
-        k = self.k_proj(key).reshape(batch, seq, self.num_heads, self.head_dim)
-        v = self.v_proj(key).reshape(batch, seq, self.num_heads, self.head_dim)
-        return k, v
+        return self.k_proj(key), self.v_proj(key)
 
     @shape_spec(inputs={"query": "(B, L_q, dim)",
                         "key": "(B, L_k, dim)",
                         "value": "(B, L_k, dim)",
-                        "static_kv": ("(B, L_k, num_heads, head_dim)",
-                                      "(B, L_k, num_heads, head_dim)"),
-                        "past_kv": ("(B, L_p, num_heads, head_dim)",
-                                    "(B, L_p, num_heads, head_dim)")},
+                        "static_kv": ("(B, L_k, dim)", "(B, L_k, dim)"),
+                        "past_kv": ("(B, L_p, dim)", "(B, L_p, dim)")},
                 out="(B, L_q, dim)",
                 params=("q_proj", "k_proj", "v_proj", "out_proj"))
     def forward(
@@ -140,7 +127,7 @@ class MultiHeadAttention(Module):
 
         ``attn_mask`` is (Lq, Lk) boolean; ``key_padding_mask`` is
         (batch, Lk) boolean.  True entries are excluded from attention.
-        ``static_kv`` supplies precomputed split-head K/V (from
+        ``static_kv`` supplies precomputed K/V (from
         :meth:`project_kv`, projected once per decode), skipping
         the K/V projections; callers must pass projections of the same
         key/value source they would otherwise pass as arrays.
@@ -152,31 +139,20 @@ class MultiHeadAttention(Module):
         ``scratch``/``tag`` name reusable output buffers for the ndarray
         kernels (ignored on the tape, which must keep its values).
         """
-        if static_kv is None and past_kv is None:
-            key = query if key is None else key
-            value = key if value is None else value
-            k = self._split_heads(self.k_proj(key))
-            v = self._split_heads(self.v_proj(value))
+        if static_kv is not None:
+            k, v = static_kv
+        elif past_kv is not None:
+            k, v = self.project_kv(query)
+            if past_kv[0] is not None:
+                k = F.concat([past_kv[0], k], axis=1)
+                v = F.concat([past_kv[1], v], axis=1)
+            past_kv[0], past_kv[1] = k, v
         else:
-            if static_kv is not None:
-                k_raw, v_raw = static_kv  # (B, Lk, H, hd): see project_kv
-            else:
-                k_raw, v_raw = self.project_kv(query)
-                if past_kv[0] is not None:
-                    k_raw = F.concat([past_kv[0], k_raw], axis=1)
-                    v_raw = F.concat([past_kv[1], v_raw], axis=1)
-                past_kv[0], past_kv[1] = k_raw, v_raw
-            k = k_raw.transpose((0, 2, 1, 3))
-            v = v_raw.transpose((0, 2, 1, 3))
-        q = self._split_heads(self.q_proj(query, scratch, tag + ".q"))
-
-        scores = F.matmul(q, k.swapaxes(-1, -2), scratch, tag + ".scores")
-        scores = F.scale(scores, self.scale)  # (B, H, Lq, Lk)
-
-        mask = self._combined_mask(attn_mask, key_padding_mask, scores.shape)
-        if mask is not None:
-            scores = F.masked_fill(scores, mask, -1e9)
-
-        weights = F.softmax(scores, axis=-1)
-        attended = F.matmul(weights, v, scratch, tag + ".attended")
-        return self.out_proj(self._merge_heads(attended))
+            key = query if key is None else key
+            k = self.k_proj(key)
+            v = self.v_proj(key if value is None else value)
+        q = self.q_proj(query, scratch, tag + ".q")
+        scores_shape = (q.shape[0], self.num_heads, q.shape[1], k.shape[1])
+        mask = self._combined_mask(attn_mask, key_padding_mask, scores_shape)
+        attended = F.attention(q, k, v, self.num_heads, self.scale, mask, scratch, tag)
+        return self.out_proj(attended)

@@ -37,6 +37,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "masked_fill",
+    "attention",
     "concat",
     "repeat_batch",
     "operand",
@@ -168,6 +169,56 @@ def masked_fill(x, mask: np.ndarray, value: float):
     """Replace entries where ``mask`` is True by ``value`` (no grad there)."""
     out = kernels.masked_fill(raw(x), mask, value)
     return _unary(x, out, lambda grad: grad * np.logical_not(mask))
+
+
+def attention(q, k, v, heads: int, scale: float, mask: np.ndarray | None = None,
+              scratch=None, tag: str = ""):
+    """Multi-head scaled dot-product attention of ``(B, L, dim)``
+    projections: ``softmax(mask(q kᵀ * scale)) v`` per head, heads merged.
+
+    Among Tensors it is one tape node with parents ``(q, k, v)``.  Its
+    rule replays the backward of the chain of nodes the tape used to
+    record (head split, scores, scale, mask, softmax, weighted sum,
+    merge), operand layouts included: that chain's transposed gradient
+    of the weighted sum was a C-contiguous copy by the time it met a
+    matmul, so the rule makes the same copy and BLAS sees the same
+    strides.
+    """
+    tensors = (q, k, v)
+    taped = any(isinstance(t, Tensor) for t in tensors)
+    out, weights = kernels.attention(
+        raw(q), raw(k), raw(v), heads, scale, mask, None if taped else scratch, tag
+    )
+    if not taped:
+        return out
+
+    def backward(grad):
+        batch, lq, dim = grad.shape
+        head_dim = dim // heads
+
+        def split(x):  # (B, L, dim) -> the kernel's (B, H, L, hd) view
+            return raw(x).reshape(batch, -1, heads, head_dim).transpose((0, 2, 1, 3))
+
+        def send(x, g):  # (B, H, L, hd) -> x's (B, L, dim), a C-order copy
+            x._accumulate(g.transpose((0, 2, 1, 3)).reshape(x.shape))
+
+        wants_q, wants_k, wants_v = (isinstance(t, Tensor) and t.requires_grad for t in tensors)
+        d_attended = np.ascontiguousarray(split(grad))
+        if wants_q or wants_k:
+            d_weights = d_attended @ np.swapaxes(split(v), -1, -2)
+            d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+            if mask is not None:
+                d_scores = d_scores * np.logical_not(mask)
+            d_scores = d_scores * scale
+            if wants_q:
+                send(q, d_scores @ split(k))
+            if wants_k:  # the gradient of kᵀ, read back as k's
+                send(k, (np.swapaxes(split(q), -1, -2) @ d_scores).swapaxes(-1, -2))
+        if wants_v:
+            send(v, np.swapaxes(weights, -1, -2) @ d_attended)
+
+    requires = any(isinstance(t, Tensor) and t.requires_grad for t in tensors)
+    return Tensor._make(out, tensors, backward, requires)
 
 
 def repeat_batch(x, repeats: int):

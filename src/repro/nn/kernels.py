@@ -52,6 +52,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "masked_fill",
+    "attention",
 ]
 
 
@@ -282,3 +283,42 @@ def masked_fill(x: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
     if _PROFILE_DEPTH:
         _note("masked_fill", t0, out.nbytes)
     return out
+
+
+@shape_spec(inputs={"q": "(B, L_q, dim)", "k": "(B, L_k, dim)", "v": "(B, L_k, dim)",
+                    "mask": "(B, heads, L_q, L_k)"},
+            out=("(B, L_q, dim)", "(B, heads, L_q, L_k)"),
+            dtypes={"mask": "bool"})
+def attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    heads: int,
+    scale: float,
+    mask: np.ndarray | None = None,
+    scratch: ScratchArena | None = None,
+    tag: str = "",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward of ``functional.attention``: split ``heads``, scaled
+    ``q @ kᵀ``, ``-1e9`` where ``mask`` is True, softmax, the weighted
+    sum of ``v``, merge.  Returns ``(merged, weights)``; the weights are
+    what the backward rule reads.
+
+    Records no profile row of its own: its ``matmul`` / ``masked_fill``
+    / ``softmax`` calls record theirs.  Heads are split by a reshape and
+    a transpose *view*, so projected and cached K/V (both C-contiguous
+    ``(B, L_k, dim)``) reach BLAS with the same strides.
+    """
+    batch, lq, dim = q.shape
+    lk = k.shape[1]
+    head_dim = dim // heads
+    qh = q.reshape(batch, lq, heads, head_dim).transpose((0, 2, 1, 3))
+    kh = k.reshape(batch, lk, heads, head_dim).transpose((0, 2, 1, 3))
+    vh = v.reshape(batch, lk, heads, head_dim).transpose((0, 2, 1, 3))
+    scores = matmul(qh, kh.swapaxes(-1, -2), scratch, tag + ".scores")
+    np.multiply(scores, scale, out=scores)  # in place on the fresh (or scratch) product
+    if mask is not None:
+        scores = masked_fill(scores, mask, -1e9)
+    weights = softmax(scores, -1)
+    attended = matmul(weights, vh, scratch, tag + ".attended")
+    return attended.transpose((0, 2, 1, 3)).reshape(batch, lq, dim), weights

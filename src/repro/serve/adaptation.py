@@ -323,8 +323,8 @@ class TrainRound:
         with it: :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) by
         state dict, so the round's training steps never touch a weight
         array that serves traffic.  The clone shares ``live``'s frozen
-        featurizers, which no trainer steps, and starts with its (F)
-        feature caches, which stay valid under training and
+        featurizers, which no trainer steps, and with them the caches
+        of their outputs, which stay valid under training and
         ``global_state``: both change (S)/(T) only.  Its version is its
         own from construction, so it never shares ``live``'s plan-cache
         entries."""

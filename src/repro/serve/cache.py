@@ -1,10 +1,10 @@
 """Thread-safe bounded LRU cache of served join orders.
 
 Distinct from :class:`repro.core.FeatureCache` (which memoizes
-(F)-module encodings *inside* the model and is only touched under the
-model's inference lock): this cache stores finished *results* — join
-orders — and sits in front of the queue, so it is read and written
-concurrently by every client thread plus the drain loop.
+(F)-module encodings on their featurizer, shared by every model it is
+attached to): this cache stores finished *results* — join orders — and
+sits in front of the queue, so it is read and written concurrently by
+every client thread plus the drain loop.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 ``linear`` and ``layer_norm`` as they were recorded on the tape before
 each op had one forward: composites of the ``Tensor`` operators
 (``matmul`` + ``add``; twelve ``sum/mul/add/pow`` nodes), differentiated
-node by node by the autograd engine.  Not production code; they exist so
-the hand-written backward rules in ``repro.nn.functional`` have an
-independent derivation to be compared against — next to the other one,
-central differences.
+node by node by the autograd engine.  ``attention`` is the chain of
+nodes multi-head attention recorded before it was one op: head split,
+scores, scale, mask, softmax, weighted sum, merge.  Not production code;
+they exist so the hand-written backward rules in ``repro.nn.functional``
+have an independent derivation to be compared against — next to the
+other one, central differences.
 
 ``ReferenceAdam`` is the per-array Adam update ``repro.nn.Adam`` ran
 before it packed its parameters into one vector: a loop over the
@@ -15,6 +17,8 @@ gradient.  ``nn.Adam`` must reproduce its weights and moments bit for bit.
 """
 
 import numpy as np
+
+from repro.nn import functional as F
 
 
 def linear(x, weight, bias=None):
@@ -26,6 +30,22 @@ def layer_norm(x, gamma, beta, eps):
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * (var + eps) ** -0.5 * gamma + beta
+
+
+def attention(q, k, v, heads, scale, mask=None):
+    """``functional.attention`` as 13-14 tape nodes over ``(B, L, dim)``
+    Tensors (``mask`` is ``(B, heads, L_q, L_k)``, True = excluded)."""
+
+    def split(x):
+        batch, length, dim = x.shape
+        return x.reshape(batch, length, heads, dim // heads).transpose((0, 2, 1, 3))
+
+    scores = (split(q) @ split(k).swapaxes(-1, -2)) * scale
+    if mask is not None:
+        scores = F.masked_fill(scores, mask, -1e9)
+    attended = F.softmax(scores, axis=-1) @ split(v)
+    batch, _, length, head_dim = attended.shape
+    return attended.transpose((0, 2, 1, 3)).reshape(batch, length, heads * head_dim)
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

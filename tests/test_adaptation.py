@@ -96,9 +96,29 @@ def weak_model(db, featurizer, phase1):
     return model
 
 
+@pytest.fixture()
+def strong_model(db, featurizer, phase2):
+    """A live model that is *good* on the drifted pool: a retrain on
+    poisoned labels makes the candidate measurably worse, not
+    accidentally better."""
+    model = MTMLFQO(SMALL)
+    model.attach_featurizer(db.name, featurizer)
+    JointTrainer(model).train([(db.name, item) for item in phase2], epochs=8, batch_size=8)
+    return model
+
+
 def fill_buffer(buffer, items):
     for item in items:
         assert buffer.add(query_signature(item.query), item)
+
+
+def poisoned_buffer(db, items) -> ExperienceBuffer:
+    """``items`` as experience labeled with their worst sampled legal orders."""
+    buffer = ExperienceBuffer(64)
+    for item in items:
+        poisoned = dataclasses.replace(item, optimal_order=worst_legal_order(db, item))
+        assert buffer.add(query_signature(item.query), poisoned)
+    return buffer
 
 
 class TestExperienceBuffer:
@@ -482,27 +502,17 @@ class TestAdaptationWorker:
         assert post == pre
 
     def test_poisoned_retrain_is_rejected_and_live_model_unchanged(
-        self, db, featurizer, phase2, tmp_path
+        self, db, strong_model, phase2, tmp_path
     ):
         """The acceptance criterion's adversarial case: experience whose
         join-order labels are deliberately poisoned (worst sampled legal
         orders) must not reach production — the regression gate blocks
         the swap and the live model keeps serving bit-identical orders."""
-        model = MTMLFQO(SMALL)
-        model.attach_featurizer(db.name, featurizer)
-        # A live model that is *good* on the drifted pool: poison must
-        # make the candidate measurably worse, not accidentally better.
-        JointTrainer(model).train([(db.name, item) for item in phase2], epochs=8, batch_size=8)
-
         config = dataclasses.replace(self.CONFIG, checkpoint_dir=str(tmp_path))
-        with OptimizerService(model, db.name) as service:
+        with OptimizerService(strong_model, db.name) as service:
             live_model = service.session.model
             pre = [service.optimize(item) for item in phase2]
-            buffer = ExperienceBuffer(64)
-            for item in phase2:
-                poisoned = dataclasses.replace(item, optimal_order=worst_legal_order(db, item))
-                buffer.add(query_signature(item.query), poisoned)
-            worker = AdaptationWorker(service, db, buffer, config)
+            worker = AdaptationWorker(service, db, poisoned_buffer(db, phase2), config)
             assert not worker.run_once()
             report = service.report()
             assert report.swaps_rejected >= 1
@@ -532,30 +542,28 @@ def scan_filters(items):
     }
 
 
+def count_filter_encodes(monkeypatch) -> collections.Counter:
+    """Count ``DatabaseFeaturizer.encode_filter`` calls (every model, every thread)."""
+    calls = collections.Counter()
+    encode_filter = DatabaseFeaturizer.encode_filter
+
+    def counted(featurizer, conjunction):
+        calls["encode_filter"] += 1
+        return encode_filter(featurizer, conjunction)
+
+    monkeypatch.setattr(DatabaseFeaturizer, "encode_filter", counted)
+    return calls
+
+
 class TestFeaturesStayEncoded:
-    """A cycle's clone inherits the (F) outputs its lineage encoded, so a
-    retrain re-runs no ``Enc_i`` on experience it has already seen."""
+    """The (F) caches belong to the featurizer, which the live model and
+    every candidate share: a retrain re-runs no ``Enc_i`` on experience
+    any of them has already encoded, a rejected candidate included."""
 
     def test_cycles_encode_only_fresh_scan_filters(
         self, db, weak_model, phase2, tmp_path, monkeypatch
     ):
-        # Per model: the live model and the candidate share one (F)
-        # object, but each encodes through its own caches.
-        calls = collections.Counter()
-        encoding = threading.local()
-        node_content = MTMLFQO._node_content
-        encode_filter = DatabaseFeaturizer.encode_filter
-
-        def tracked(model, *args):
-            encoding.model = id(model)
-            return node_content(model, *args)
-
-        def counted(featurizer, conjunction):
-            calls[encoding.model] += 1
-            return encode_filter(featurizer, conjunction)
-
-        monkeypatch.setattr(MTMLFQO, "_node_content", tracked)
-        monkeypatch.setattr(DatabaseFeaturizer, "encode_filter", counted)
+        calls = count_filter_encodes(monkeypatch)
         config = AdaptationConfig(
             fine_tune_epochs=1, batch_size=8, regret_tolerance_ms=1e12,
             checkpoint_dir=str(tmp_path),
@@ -570,14 +578,54 @@ class TestFeaturesStayEncoded:
             assert sum(calls.values()) == 0
             fresh = phase2[8:12]
             fill_buffer(buffer, fresh)
-            filters = scan_filters(fresh)
-            held_out = split_experience(buffer.snapshot(), config.validation_fraction)[1]
             assert worker.run_once()
-        # Each model of the cycle (live, candidate) encodes a fresh filter
-        # at most once; only the held-out slice is decoded by both.
-        assert calls and max(calls.values()) <= len(filters)
-        fresh_held_out = [item for item in held_out if any(item is f for f in fresh)]
-        assert sum(calls.values()) <= len(filters) + len(scan_filters(fresh_held_out))
+        # Fine-tune and gate, live and candidate: each fresh filter is
+        # encoded at most once in total.
+        assert 0 < calls["encode_filter"] <= len(scan_filters(fresh))
+
+    def test_a_rejected_cycle_leaves_its_encodings(
+        self, db, strong_model, phase2, tmp_path, monkeypatch
+    ):
+        """A rejected candidate encoded the training slice; the next
+        cycle's clone, on the same experience, finds every encoding."""
+        strong_model.clear_cache()  # the live model has encoded nothing
+        config = AdaptationConfig(fine_tune_epochs=2, batch_size=8, checkpoint_dir=str(tmp_path))
+        with OptimizerService(strong_model, db.name) as service:
+            worker = AdaptationWorker(service, db, poisoned_buffer(db, phase2), config)
+            assert not worker.run_once()
+            calls = count_filter_encodes(monkeypatch)
+            assert not worker.run_once()  # no new experience
+            assert service.report().swaps_rejected == 2
+        assert calls["encode_filter"] == 0
+
+    def test_serving_while_a_clone_trains_on_the_same_featurizer(self, db, weak_model, phase2):
+        """The live model serves while a clone trains, both through one
+        small (F) cache: no error, served orders equal direct ones, and
+        the bound holds."""
+        direct = weak_model.predict_join_orders(db.name, phase2)
+        small = DatabaseFeaturizer(db, dataclasses.replace(SMALL, feature_cache_size=8))
+        small.load_state_dict(weak_model.featurizer_for(db.name).state_dict())
+        live = weak_model.clone_for_inference()
+        live.attach_featurizer(db.name, small)
+        clone = live.clone_for_inference()
+        errors = []
+
+        def train():
+            try:
+                JointTrainer(clone).train([(db.name, item) for item in phase2], epochs=2, batch_size=4)
+            except BaseException as error:  # reported on the main thread
+                errors.append(error)
+
+        served = []
+        with OptimizerService(live, db.name, ServeConfig(plan_cache_size=0)) as service:
+            trainer = threading.Thread(target=train)
+            trainer.start()
+            while trainer.is_alive() or not served:
+                served.append([service.optimize(item) for item in phase2])
+            trainer.join()
+        assert not errors
+        assert all(orders == direct for orders in served)
+        assert len(small.encoding_cache) <= 8 and len(small.node_cache) <= 8
 
 
 class TestFullLoopUnderStress:

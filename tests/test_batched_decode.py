@@ -136,7 +136,7 @@ class TestBatchedBeamParity:
         for taped, fast in zip(tape, raw):
             np.testing.assert_array_equal(fast, taped.data)
         for (tk, tv), (k, v) in zip(tape_kv, raw_kv):
-            assert k.shape == (4, 3, trans_jo.decoder.layers[0].self_attn.num_heads, 8)
+            assert k.shape == (4, 3, 16)  # 3 rows, unsplit: the kernel splits heads
             np.testing.assert_array_equal(k, tk.data)
             np.testing.assert_array_equal(v, tv.data)
 
@@ -462,6 +462,37 @@ class TestDisconnectedDetection:
             model.beam_candidates_batch("anydb", [labeled], enforce_legality=True)
 
 
+class TestBeamWidthValidation:
+    """A decode width below 1 is an error at every entry point, never a
+    silent greedy decode or a fallback to the config width; only None
+    means "the config's width"."""
+
+    @pytest.mark.parametrize("field,value", [("beam_width", 0), ("beam_width", -1),
+                                             ("feature_cache_size", 0)])
+    def test_model_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_predict_join_orders_rejects(self, db, labeled, featurizer, width):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        with pytest.raises(ValueError, match="beam_width"):
+            model.predict_join_orders(db.name, labeled[:2], beam_width=width)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_beam_candidates_batch_rejects(self, db, labeled, featurizer, width):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        with pytest.raises(ValueError, match="beam_width"):
+            model.beam_candidates_batch(db.name, labeled[:2], beam_width=width)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_beam_search_state_rejects(self, width):
+        with pytest.raises(ValueError, match="beam_width"):
+            BeamSearchState(chain_adjacency(4), beam_width=width)
+
+
 @pytest.fixture(scope="module")
 def db():
     return generate_database(seed=2, num_tables=5, row_range=(60, 200), attr_range=(2, 3))
@@ -529,39 +560,42 @@ class TestStructuralFeatureCache:
         a = model.encode_query(db.name, item)
         b = model.encode_query(db.name, twin)
         assert a is b
-        assert len(model._cache) == 1
+        assert len(featurizer.encoding_cache) == 1
 
     def test_signature_distinguishes_structure(self, labeled):
         signatures = {plan_signature(item.plan) for item in labeled}
         assert len(signatures) == len(labeled)
 
-    def test_cache_respects_size_bound(self, db, labeled, featurizer):
+    def test_cache_respects_size_bound(self, db, labeled):
+        """The bound is the featurizer's: it owns the caches."""
         config = ModelConfig(**{**SMALL.__dict__, "feature_cache_size": 3})
-        model = MTMLFQO(config)
+        featurizer = DatabaseFeaturizer(db, config)
+        model = MTMLFQO(SMALL)
         model.attach_featurizer(db.name, featurizer)
         for item in labeled[:5]:
             model.encode_query(db.name, item)
-        assert len(model._cache) == 3
+        assert len(featurizer.encoding_cache) == 3
         # Oldest entries were evicted: re-encoding returns a new object.
         evicted = model.encode_query(db.name, labeled[0])
         again = model.encode_query(db.name, labeled[0])
         assert evicted is again  # now cached once more
 
-    def test_rerank_probes_do_not_grow_cache_unboundedly(self, db, labeled, featurizer):
+    def test_rerank_probes_do_not_grow_cache_unboundedly(self, db, labeled):
         config = ModelConfig(**{**SMALL.__dict__, "feature_cache_size": 8})
-        model = MTMLFQO(config)
+        featurizer = DatabaseFeaturizer(db, config)
+        model = MTMLFQO(SMALL)
         model.attach_featurizer(db.name, featurizer)
         for item in labeled[:6]:
             model.predict_join_order(db.name, item)
-        assert len(model._cache) <= 8
+        assert len(featurizer.encoding_cache) <= 8
 
     def test_attach_featurizer_invalidates_cache(self, db, labeled, featurizer):
         model = MTMLFQO(SMALL)
         model.attach_featurizer(db.name, featurizer)
         model.encode_query(db.name, labeled[0])
-        assert len(model._cache) == 1
+        assert len(featurizer.encoding_cache) == 1
         model.attach_featurizer(db.name, featurizer)
-        assert len(model._cache) == 0
+        assert len(featurizer.encoding_cache) == 0
 
 
 class TestFeatureCacheLifetime:
@@ -582,7 +616,7 @@ class TestFeatureCacheLifetime:
         for item in items:
             model.encode_query(db.name, item)
         JointTrainer(model).train([(db.name, item) for item in items], epochs=2, batch_size=4, seed=3)
-        assert len(model._cache) >= len(items) and len(model._node_cache) > 0
+        assert len(featurizer.encoding_cache) >= len(items) and len(featurizer.node_cache) > 0
         kept = self._predict(model, db, items)
         model.clear_cache()
         cold = self._predict(model, db, items)
@@ -614,9 +648,40 @@ class TestFeatureCacheLifetime:
             encoded.features[0, 0] = 1.0
         with pytest.raises(ValueError):
             encoded.tree_encodings[0, 0] = 1.0
-        for content in model._node_cache._entries.values():
+        for content in featurizer.node_cache._entries.values():
             with pytest.raises(ValueError):
                 content[0] = 1.0
+
+
+    def test_every_weight_change_of_the_featurizer_clears_its_caches(self, db, labeled):
+        featurizer = DatabaseFeaturizer(db, SMALL)
+        model = MTMLFQO(SMALL)
+
+        def filled():
+            model.encode_query(db.name, labeled[0])
+            assert len(featurizer.encoding_cache) and len(featurizer.node_cache)
+
+        def emptied():
+            return (len(featurizer.encoding_cache), len(featurizer.node_cache)) == (0, 0)
+
+        model.attach_featurizer(db.name, featurizer)
+        filled()
+        model.attach_featurizer(db.name, featurizer)
+        assert emptied()
+        filled()
+        featurizer.train_encoders(queries_per_table=1, epochs=1)
+        assert emptied()
+        filled()
+        featurizer.load_state_dict(featurizer.state_dict())
+        assert emptied()
+
+    @pytest.mark.parametrize("field", ["d_model", "node_extra_dim"])
+    def test_attach_rejects_a_featurizer_of_another_shape(self, db, field):
+        """An ``EncodedQuery`` is shaped by both values, and the cache is
+        shared by every model the featurizer is attached to."""
+        other = ModelConfig(**{**SMALL.__dict__, field: getattr(SMALL, field) * 2})
+        with pytest.raises(ValueError, match=field):
+            MTMLFQO(SMALL).attach_featurizer(db.name, DatabaseFeaturizer(db, other))
 
 
 class TestRerankFavouriteTracking:

@@ -143,6 +143,29 @@ class TestPaperHarness:
         assert set(result["seconds"]) == set(result["rows"]) == {"Fig4"}
         assert result["rows"]["Fig4"][-1] == {"plan": "random", "round_trips": 64, "of": 64}
 
+    def test_same_json_compares_all_but_timings(self, paper, capsys, tmp_path):
+        """``same_json.py``, the CI determinism check: two runs are equal
+        outside their timings, and a changed number is named by path."""
+        spec = importlib.util.spec_from_file_location("same_json", PAPER_HARNESS.parent / "same_json.py")
+        same_json = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(same_json)
+        logs = []
+        for name in ("a", "b"):
+            assert paper.main(["--seed", "3", "Fig4"]) == 0
+            logs.append(tmp_path / f"{name}.log")
+            logs[-1].write_text(capsys.readouterr().out)
+        assert same_json.main([str(log) for log in logs]) == 0
+        result = json.loads(logs[1].read_text().strip().splitlines()[-1])
+        result["seconds"]["Fig4"] += 1.0
+        logs[1].write_text(json.dumps(result))
+        assert same_json.main([str(log) for log in logs]) == 0
+        last = len(result["rows"]["Fig4"]) - 1
+        result["rows"]["Fig4"][last]["round_trips"] -= 1
+        logs[1].write_text(json.dumps(result))
+        capsys.readouterr()
+        assert same_json.main([str(log) for log in logs]) == 1
+        assert f"$.rows.Fig4[{last}].round_trips: 64 vs 63" in capsys.readouterr().out
+
     def test_adapt_through_the_cli(self, paper, capsys):
         """Adapt at the harness's own scale (~2 s): every claim holds.
         Fleet (~5 s) runs in the CI paper job only."""

@@ -12,11 +12,13 @@ code that does differ — a kernel writing into a ``ScratchArena`` against
 the same kernel allocating, and ``scale`` in place against ``scale`` out
 of place.  What the tape adds per op is a hand-written backward rule;
 the second half of the file holds each rule to central differences and
-the two fused ones (``linear``, ``layer_norm``) to the autograd-derived
-composites in ``tests/reference_ops.py``, and checks the "one forward"
+the fused ones (``linear``, ``layer_norm``, ``attention``) to the
+autograd-derived composites in ``tests/reference_ops.py`` — ``attention``
+bit for bit, forward and gradients, since training must not move when
+the chain of nodes it replaced became one — and checks the "one forward"
 claim structurally: equal kernel call tables with and without the tape,
-one tape node per ``Linear`` / ``LayerNorm``, and a pinned tape size for
-one whole training step.
+one tape node per ``Linear`` / ``LayerNorm`` / attention, and a pinned
+tape size for one whole training step.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ import pytest
 
 import reference_ops
 import repro.nn as nn
+from repro.core import ModelConfig, TransJO, drive_beam_states
+from repro.core.beam import BeamSearchState
 from repro.nn import Parameter, Tensor
 from repro.nn import functional as F
 
@@ -263,6 +267,82 @@ def test_unary_rules_match_central_differences(op, args):
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
+def attention_operands(use: str):
+    """``(q, k, v, mask)`` of one of ``MultiHeadAttention``'s three uses
+    (B 3, 2 heads, dim 8), the mask built the way the layer builds it."""
+    rng = np.random.default_rng(17)
+    lq, lk = 5, 6 if use == "cross" else 5
+    q, k, v = (rng.normal(size=(3, length, 8)) for length in (lq, lk, lk))
+    padding = np.zeros((3, lk), dtype=bool)
+    if use == "encoder":  # key padding, one row padded throughout
+        padding[1, 3:] = padding[2, :] = True
+    elif use == "cross":  # padded memory
+        padding[0, 4:] = padding[1, 2:] = True
+    causal = nn.causal_mask(lq) if use == "causal" else None
+    mask = nn.MultiHeadAttention._combined_mask(
+        causal, padding if padding.any() else None, (3, 2, lq, lk)
+    )
+    return q, k, v, mask
+
+
+ATTENTION_USES = ["encoder", "causal", "cross"]
+
+
+@pytest.mark.parametrize("use", ATTENTION_USES)
+def test_attention_is_the_unfused_chain_bit_for_bit(use):
+    """Output and the gradients of q, k and v equal those of the 13-14
+    node chain the tape recorded before attention was one op."""
+    q, k, v, mask = attention_operands(use)
+    scale = 1.0 / np.sqrt(4)
+
+    def fused(q, k, v):
+        return F.attention(q, k, v, 2, scale, mask)
+
+    def chain(q, k, v):
+        return reference_ops.attention(q, k, v, 2, scale, mask)
+
+    tensors = [Tensor(array) for array in (q, k, v)]
+    taped = fused(*tensors).data
+    assert np.array_equal(taped, chain(*tensors).data)
+    assert np.array_equal(fused(q, k, v), taped)
+    assert np.array_equal(F.attention(q, k, v, 2, scale, mask, nn.ScratchArena(), "t"), taped)
+    for operand, got, want in zip("qkv", grads(fused, q, k, v), grads(chain, q, k, v)):
+        assert np.array_equal(got, want), operand
+
+
+def test_incremental_decode_matches_the_unfused_chain(monkeypatch):
+    """The raw incremental path — cross-attention on ``static_kv`` over
+    padded memories, self-attention on a growing ``past_kv``, scratch
+    buffers — decodes the log-probs the unfused chain decodes."""
+    trans_jo = TransJO(ModelConfig(d_model=16, num_heads=2, decoder_layers=2), np.random.default_rng(4))
+    rng = np.random.default_rng(9)
+    memories = [Tensor(rng.normal(size=(1, m, 16))) for m in (4, 6, 5)]
+
+    def decode():
+        states = [BeamSearchState(~np.eye(memory.shape[1], dtype=bool), beam_width=3)
+                  for memory in memories]
+        drive_beam_states(trans_jo, memories, states, scratch=nn.ScratchArena())
+        return [[(c.positions, c.log_prob) for c in state.candidates()] for state in states]
+
+    fused = decode()
+    monkeypatch.setattr(
+        F, "attention",
+        lambda q, k, v, heads, scale, mask=None, scratch=None, tag="":
+            reference_ops.attention(q, k, v, heads, scale, mask),
+    )
+    assert decode() == fused
+
+
+def test_attention_rule_matches_central_differences():
+    q, k, v, mask = attention_operands("cross")
+
+    def op(q, k, v):
+        return F.attention(q, k, v, 2, 0.5, mask)
+
+    for got, want in zip(grads(op, q, k, v), numeric_grads(op, q, k, v)):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # One forward, structurally
 # ---------------------------------------------------------------------------
@@ -298,13 +378,21 @@ def test_fused_layers_add_exactly_one_tape_node(layer):
     assert {id(p) for p in out._prev} == {id(x)} | {id(p) for p in layer.parameters()}
 
 
+def test_attention_adds_exactly_one_tape_node():
+    q, k, v = (Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True) for _ in range(3))
+    out = F.attention(q, k, v, 2, 0.5)
+    assert out._backward is not None
+    assert [id(p) for p in out._prev] == [id(q), id(k), id(v)]  # in the order q -> k -> v
+
+
 def test_one_training_step_tape_size_is_pinned(monkeypatch):
     """One fixed 8-query ``JointTrainer._batch_losses`` (all three tasks,
     3-6-table queries) records exactly this many tape nodes.  The
     join-order loss is one padded decoder forward, so the count does not
     depend on the batch's queries; a change that re-introduces a
     per-query (or per-layer-op) sub-graph moves it — the per-query loop
-    of ``tests/per_query_reference.py`` records 984 on this batch."""
+    of ``tests/per_query_reference.py`` records 984 on this batch.  It
+    read 183 while each attention was a 13-14 node chain."""
     from repro.core import MTMLFQO, JointTrainer, ModelConfig
     from repro.core.encoders import DatabaseFeaturizer
     from repro.datagen import generate_database
@@ -330,4 +418,4 @@ def test_one_training_step_tape_size_is_pinned(monkeypatch):
     monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
     loss, _ = trainer._batch_losses(db.name, batch)
     assert loss.requires_grad
-    assert sum(nodes) == 183
+    assert sum(nodes) == 105

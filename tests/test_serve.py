@@ -178,12 +178,13 @@ class TestServeParity:
         the featurizer is frozen while (S)/(T) change, so its encodings
         stay valid until a featurizer is (re-)attached."""
         encoded = model.encode_query(db.name, labeled[0])
-        entries = (len(model._cache), len(model._node_cache))
+        featurizer = model.featurizer_for(db.name)
+        entries = (len(featurizer.encoding_cache), len(featurizer.node_cache))
         assert entries[0] == 1 and entries[1] > 0
         version = model.version
         model.mark_updated()
         assert model.version > version
-        assert (len(model._cache), len(model._node_cache)) == entries
+        assert (len(featurizer.encoding_cache), len(featurizer.node_cache)) == entries
         assert model.encode_query(db.name, labeled[0]) is encoded
 
     def test_single_caller_needs_no_concurrency(self, db, model, labeled):
@@ -745,13 +746,17 @@ class TestCloneForInference:
         model.mark_updated()
         assert clone.version == version
         assert clone.predict_join_orders(db.name, labeled) == direct
-        # The clone's caches are its own objects: clearing the source's
-        # leaves the clone's entries in place.
-        entries = (len(clone._cache), len(clone._node_cache))
-        assert entries[0] > 0 and entries[1] > 0
+        # The (F) caches belong to that featurizer, so clone and source
+        # read and fill one cache, and clear_cache() on either clears it.
+        featurizer = model.featurizer_for(db.name)
+        caches = (featurizer.encoding_cache, featurizer.node_cache)
+        assert len(caches[0]) > 0 and len(caches[1]) > 0
         model.clear_cache()
-        assert len(model._cache) == 0
-        assert (len(clone._cache), len(clone._node_cache)) == entries
+        assert (len(caches[0]), len(caches[1])) == (0, 0)
+        encoded = clone.encode_query(db.name, labeled[0])
+        assert model.encode_query(db.name, labeled[0]) is encoded
+        clone.clear_cache()
+        assert (len(caches[0]), len(caches[1])) == (0, 0)
 
     def test_fine_tuning_a_clone_leaves_source_and_shared_featurizer_unchanged(
         self, db, model, labeled

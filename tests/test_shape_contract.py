@@ -111,11 +111,17 @@ class TestSensitivity:
                 F.masked_fill(x, np.zeros((2, 3), dtype=np.int64), -1.0)
 
     def test_class_symbols_bind_from_the_instance(self):
-        attention = nn.MultiHeadAttention(8, 2)  # head_dim 4
+        attention = nn.MultiHeadAttention(8, 2)
+        x = np.zeros((3, 5, 8))
         with enforce():
-            assert attention._merge_heads(np.zeros((3, 2, 5, 4))).shape == (3, 5, 8)
-            with pytest.raises(ShapeContractError, match=r"_merge_heads\(x\): .*head_dim=4"):
-                attention._merge_heads(np.zeros((3, 2, 5, 6)))
+            assert attention.project_kv(x)[0].shape == (3, 5, 8)
+            with pytest.raises(ShapeContractError, match=r"project_kv\(key\): .*dim=8"):
+                attention.project_kv(np.zeros((3, 5, 6)))
+            # A kernel has no instance: its int arguments bind instead.
+            heads = np.zeros((3, 2, 5, 5), dtype=bool)
+            assert F.attention(x, x, x, 2, 0.5, heads).shape == (3, 5, 8)
+            with pytest.raises(ShapeContractError, match=r"attention\(mask\): .*heads=2"):
+                F.attention(x, x, x, 2, 0.5, np.zeros((3, 4, 5, 5), dtype=bool))
 
     def test_stale_params_name_raises(self, monkeypatch):
         monkeypatch.setitem(nn.LayerNorm.forward.__shape_spec__, "params", ("gamma", "shift"))
@@ -148,7 +154,7 @@ class TestEnforce:
         generator = WorkloadGenerator(db, WorkloadConfig(min_tables=2, max_tables=3, seed=0))
         labeled = QueryLabeler(db).label_many(generator.generate(6), with_optimal_order=True)
         declared = set(annotated_callables())
-        assert len(declared) >= 29, "discovery lost declarations"
+        assert len(declared) >= 28, "discovery lost declarations"
         with enforce() as calls:
             featurizer = DatabaseFeaturizer(db, TINY)
             featurizer.train_encoders(queries_per_table=2, epochs=1)
