@@ -52,6 +52,7 @@ BLOCKING_CALLS = frozenset(
         "label_many",
         "join_order_execution_time",
         "evaluate_regret_gate",
+        "_regret_gate",
         "save_checkpoint",
         "load_checkpoint",
         "run_round",

@@ -30,7 +30,6 @@ __all__ = [
     "matmul",
     "linear",
     "layer_norm",
-    "scale",
     "relu",
     "sigmoid",
     "tanh",
@@ -123,17 +122,6 @@ def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float, dim: int):
 
     requires = x.requires_grad or gamma.requires_grad or beta.requires_grad
     return Tensor._make(out, (x, gamma, beta), backward, requires)
-
-
-def scale(x, factor: float):
-    """``x * factor``; in place on an ndarray (callers pass a fresh one)."""
-    # The one op whose two kinds of operand take different lines: among
-    # ndarrays the multiply overwrites its input (same ufunc, same bits,
-    # no allocation), which the tape must not do — whatever produced
-    # ``x`` may read x's value in its own backward rule.
-    if isinstance(x, np.ndarray):
-        return np.multiply(x, factor, out=x)
-    return x * factor
 
 
 def relu(x):

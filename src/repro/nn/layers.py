@@ -28,7 +28,10 @@ class Parameter(Tensor):
 
     ``grad_view`` is the parameter's segment of its optimizer's gradient
     vector (None until an optimizer packs it): the first gradient of a
-    backward pass is copied there, so ``grad`` is that view.
+    backward pass is written there, so ``grad`` is that view.  A gradient
+    with extra leading axes (a weight used by a batched matmul, a bias
+    added over ``(B, L, d)``) is summed over them straight into the
+    view — the reduction ``_unbroadcast`` makes, without its temporary.
     """
 
     grad_view: np.ndarray | None = None
@@ -37,11 +40,16 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None and self.grad_view is not None:
-            np.copyto(self.grad_view, _unbroadcast(grad, self.data.shape))
-            self.grad = self.grad_view
-        else:
+        view = self.grad_view
+        if self.grad is not None or view is None:
             super()._accumulate(grad)
+            return
+        extra = grad.ndim - view.ndim
+        if extra > 0 and grad.shape[extra:] == view.shape:
+            np.sum(grad, axis=tuple(range(extra)), out=view)
+        else:
+            np.copyto(view, _unbroadcast(grad, view.shape))
+        self.grad = view
 
 
 def _wrapped(value):

@@ -184,10 +184,11 @@ class Tensor:
     def _wrap(data: np.ndarray) -> "Tensor":
         """Cheapest possible Tensor around an already-float64 ndarray.
 
-        The no-tape boundary constructor: a layer body run on raw
-        ndarrays is wrapped exactly once, by ``Module.__call__`` — no
-        ``_as_array`` dtype probe, no parents, no backward closure.
-        Callers guarantee ``data`` is a float64 ``np.ndarray``.
+        The no-tape boundary constructor — a layer body run on raw
+        ndarrays is wrapped exactly once, by ``Module.__call__`` — and
+        the base of every op node (:meth:`_make`): no ``_as_array``
+        dtype probe, no parents, no backward closure.  Callers guarantee
+        ``data`` is a float64 ``np.ndarray``.
         """
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -200,15 +201,20 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward, requires_grad: bool) -> "Tensor":
-        # When nothing will ever backpropagate through this node, skip the
-        # full constructor and all bookkeeping.  The backward closure the
-        # caller built is simply dropped.
-        if not requires_grad or not is_grad_enabled():
-            return Tensor._wrap(np.asarray(data, dtype=np.float64))
-        out = Tensor(data, requires_grad=requires_grad)
-        if out.requires_grad:
-            out._prev = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
+        """The node of an op whose value is ``data``, built like
+        :meth:`_wrap` (no constructor, one grad-mode probe).  It records
+        ``backward`` over the ``parents`` that require grad unless
+        nothing will ever backpropagate through it.  A float64 ndarray —
+        every kernel result — is kept as it is; anything else (the numpy
+        scalar of a full reduction) is converted as the constructor
+        would."""
+        if type(data) is not np.ndarray or data.dtype != np.float64:
+            data = _as_array(data)
+        out = Tensor._wrap(data)
+        if requires_grad and is_grad_enabled():
+            out.requires_grad = True
             out._backward = backward
+            out._prev = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -18,7 +18,9 @@ deployed:
    keys on the serving model's process-unique version, so
    mid-adaptation traffic can never be answered with a stale order.
    On rejection the candidate is discarded and the live model keeps
-   serving.
+   serving.  A gate pays only for new evidence: it executes each
+   distinct (query, order) once, and reuses the previous gate's live
+   orders (while that model is unchanged) and executions.
 
 Two schedulers drive it, both configured by one :class:`RoundConfig`.
 :class:`AdaptationWorker` (here) runs the phases back to back,
@@ -40,12 +42,14 @@ snapshot.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from ..core.serializer import plan_signature, query_signature
 from ..core.trainer import JointTrainer
 from ..eval.experiments import join_order_execution_time
 from ..optimizer.selectivity import HistogramEstimator
@@ -84,13 +88,13 @@ class RoundConfig:
         Share of the experience snapshot held out from fine-tuning and
         used by the regression gate (at least one entry).
     regret_tolerance_ms:
-        Slack the gate allows the candidate over the live model.  0 is
-        the strict "must not worsen" rule.
+        Slack (finite, >= 0) the gate allows the candidate over the live
+        model.  0 is the strict "must not worsen" rule.
     max_intermediate_rows:
         Execution bound (>= 1) when the gate replays validation orders.
     poll_interval_s:
-        How often an :class:`AdaptationWorker`'s background loop
-        rechecks for fresh experience.
+        How often (finite, > 0) an :class:`AdaptationWorker`'s background
+        loop rechecks for fresh experience.
     checkpoint_dir:
         Where checkpoints are written (a worker's accepted
         ``adapt-NNNN.npz``, a coordinator's ``round-NNNN.npz``); a
@@ -124,12 +128,19 @@ class RoundConfig:
             raise ValueError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
             )
-        if self.regret_tolerance_ms < 0:
-            raise ValueError(f"regret_tolerance_ms must be >= 0, got {self.regret_tolerance_ms}")
+        _check_tolerance(self.regret_tolerance_ms, "regret_tolerance_ms")
         _check_execution_cap(self.max_intermediate_rows)
-        if self.poll_interval_s <= 0:
-            # wait(0) would turn the worker's poll loop into a hot spin.
-            raise ValueError(f"poll_interval_s must be > 0, got {self.poll_interval_s}")
+        if not (math.isfinite(self.poll_interval_s) and self.poll_interval_s > 0):
+            # wait(0) — or wait(nan), which returns at once too — would
+            # turn the worker's poll loop into a hot spin.
+            raise ValueError(f"poll_interval_s must be finite and > 0, got {self.poll_interval_s}")
+
+
+def _check_tolerance(tolerance_ms: float, name: str = "tolerance_ms") -> None:
+    # A NaN slack rejects every candidate (``c <= l + nan`` is False) and
+    # an infinite one accepts every candidate, poisoned ones included.
+    if not (math.isfinite(tolerance_ms) and tolerance_ms >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tolerance_ms}")
 
 
 def _check_execution_cap(max_intermediate_rows: int) -> None:
@@ -184,6 +195,25 @@ def split_experience(
     return experience[:-k], experience[-k:]
 
 
+@dataclass(frozen=True)
+class _GateCarry:
+    """What one gate knew that the next gate of the same round may reuse.
+
+    ``live_orders`` are the live model's orders per (query signature,
+    initial-plan signature), valid only while ``live_key`` — the live
+    model's version and the decode policy they were decoded under, the
+    plan cache's validity rule — still holds.  ``executed`` is the
+    simulated ms per (query signature, order), valid under the execution
+    cap ``cap`` (database and estimator are fixed per round).  Both hold
+    one gate's slice and nothing older.
+    """
+
+    live_key: tuple | None = None
+    live_orders: dict = field(default_factory=dict)
+    cap: int | None = None
+    executed: dict = field(default_factory=dict)
+
+
 def evaluate_regret_gate(
     db,
     live,
@@ -206,44 +236,85 @@ def evaluate_regret_gate(
     orders: the ECQO optimal where the experience derived one, else the
     experience's own recorded execution.  Both regrets share one
     baseline, so acceptance reduces to "candidate total simulated
-    latency must not exceed the live model's (plus ``tolerance_ms``)" —
-    but the regret numbers are what reports show.
+    latency must not exceed the live model's (plus ``tolerance_ms``,
+    finite and >= 0)" — but the regret numbers are what reports show.
+
+    Each distinct (query, order) pair is executed once per call: the
+    live, candidate and optimal arms share one memo.
     """
+    gate, _ = _regret_gate(
+        db, live, candidate, val_slice, decode, estimator, tolerance_ms,
+        max_intermediate_rows, _GateCarry(),
+    )
+    return gate
+
+
+def _regret_gate(
+    db, live, candidate, val_slice, decode, estimator, tolerance_ms,
+    max_intermediate_rows, carry: _GateCarry,
+) -> tuple[GateResult, _GateCarry]:
+    """:func:`evaluate_regret_gate` answering from ``carry`` what it can;
+    returns the verdict and the carry for the next gate on this slice's
+    entries.  The verdict equals a carry-less gate's bit for bit: every
+    arm still sums its items in slice order."""
     if not val_slice:
         raise ValueError("cannot gate on an empty validation slice")
     _check_execution_cap(max_intermediate_rows)
+    _check_tolerance(tolerance_ms)
     estimator = estimator or HistogramEstimator(db)
     decode = dict(decode or {})
-    # Each item's live, candidate and optimal order are planned against
-    # one cardinality view, dropped when the gate returns.
-    views = [estimator.for_query(item.query) for item in val_slice]
+    # Read before decoding: orders decoded while the live model changes
+    # are filed under the old version and never reused.
+    live_key = (live.version, tuple(sorted(decode.items())))
+    known = carry.live_orders if carry.live_key == live_key else {}
+    keys = [(query_signature(item.query), plan_signature(item.plan)) for item in val_slice]
+    misses = [item for item, key in zip(val_slice, keys) if key not in known]
+    decoded = iter(live.predict_join_orders(db.name, misses, **decode) if misses else ())
+    live_orders = [known[key] if key in known else next(decoded) for key in keys]
+    candidate_orders = candidate.predict_join_orders(db.name, val_slice, **decode)
 
-    def total_ms(orders: list[list[str]]) -> float:
-        total = 0.0
-        for item, order, view in zip(val_slice, orders, views):
-            total += join_order_execution_time(
-                db, item, order, view, max_intermediate_rows=max_intermediate_rows
-            )
-        return total
+    executed = carry.executed if carry.cap == max_intermediate_rows else {}
+    seen: dict[tuple, float] = {}
+    # An item's live, candidate and optimal order are planned against
+    # one cardinality view, made on its first execution and dropped
+    # when the gate returns.
+    views: dict[int, object] = {}
 
-    live_ms = total_ms(live.predict_join_orders(db.name, val_slice, **decode))
-    candidate_ms = total_ms(candidate.predict_join_orders(db.name, val_slice, **decode))
+    def ms(i: int, order: list[str]) -> float:
+        key = (keys[i][0], tuple(order))
+        value = seen.get(key)
+        if value is None:
+            value = executed.get(key)
+            if value is None:
+                item = val_slice[i]
+                if i not in views:
+                    views[i] = estimator.for_query(item.query)
+                value = join_order_execution_time(
+                    db, item, order, views[i], max_intermediate_rows=max_intermediate_rows
+                )
+            seen[key] = value
+        return value
+
+    live_ms = 0.0
+    for i, order in enumerate(live_orders):
+        live_ms += ms(i, order)
+    candidate_ms = 0.0
+    for i, order in enumerate(candidate_orders):
+        candidate_ms += ms(i, order)
     best_ms = 0.0
-    for item, view in zip(val_slice, views):
+    for i, item in enumerate(val_slice):
         if item.optimal_order is not None:
-            best_ms += join_order_execution_time(
-                db, item, item.optimal_order, view,
-                max_intermediate_rows=max_intermediate_rows,
-            )
+            best_ms += ms(i, item.optimal_order)
         else:
             best_ms += item.total_time_ms
-    return GateResult(
+    gate = GateResult(
         accepted=candidate_ms <= live_ms + tolerance_ms,
         validation_count=len(val_slice),
         live_ms=live_ms,
         candidate_ms=candidate_ms,
         best_ms=best_ms,
     )
+    return gate, _GateCarry(live_key, dict(zip(keys, live_orders)), max_intermediate_rows, seen)
 
 
 class TrainRound:
@@ -263,6 +334,12 @@ class TrainRound:
     FedAvg merge), and *when* the snapshot counts as consumed (a worker
     commits on any verdict; a fleet participant right after its
     fine-tune, and is rolled back if the round never lands).
+
+    Between gates it carries what the latest one knew (a
+    :class:`_GateCarry`: the live model's orders on that gate's slice,
+    valid while the live model's version and the decode policy are
+    unchanged, and every executed (query, order) pair's ms); each gate
+    replaces it with its own slice's entries.
 
     With telemetry on the service, a round is one trace:
     ``adapt.retrain`` → ``adapt.gate`` → a ``gate.accept`` /
@@ -290,6 +367,9 @@ class TrainRound:
         # a worker names its checkpoint adapt-000n.
         self._index = 0  # guarded-by: _lock
         self._last_gate: GateResult | None = None  # guarded-by: _lock
+        # What the latest gate knew (its slice's live orders and executed
+        # pairs), for the next gate to reuse: see _GateCarry.
+        self._carry = _GateCarry()  # guarded-by: _lock
 
     # -- fresh-experience cursor ----------------------------------------
     def pending(self) -> int:
@@ -388,6 +468,7 @@ class TrainRound:
             # must fall back to the full buffer rather than re-gate on
             # this round's stale snapshot.
             (held_out, trace), self._for_gate = self._for_gate, ([], 0)
+            carry = self._carry
         tracer = self.service.telemetry.tracer
         trace = trace or tracer.new_trace()
         if not held_out:
@@ -408,18 +489,22 @@ class TrainRound:
         live = self.service.live_model
         with tracer.span(trace, "adapt.gate") as span:
             # Gated under the *service's* decode policy: the gate must
-            # measure exactly what each model would serve.
-            gate = evaluate_regret_gate(
+            # measure exactly what each model would serve.  Decodes and
+            # executions the previous gate already made are reused.
+            gate, carry = _regret_gate(
                 self.db,
                 live,
                 candidate,
                 held_out,
-                decode=self.service.config.decode_kwargs(),
-                estimator=self._estimator,
-                tolerance_ms=self.config.regret_tolerance_ms,
-                max_intermediate_rows=self.config.max_intermediate_rows,
+                self.service.config.decode_kwargs(),
+                self._estimator,
+                self.config.regret_tolerance_ms,
+                self.config.max_intermediate_rows,
+                carry,
             )
             span.set("validation", gate.validation_count)
+        with self._lock:
+            self._carry = carry
         if gate.accepted and save_checkpoint is not None:
             gate.checkpoint_path = save_checkpoint()
         tracer.event(

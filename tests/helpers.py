@@ -1,10 +1,14 @@
 """Small helpers shared by several test suites; the system never calls them."""
 
+import collections
+
 import numpy as np
 
 import repro.nn as nn
-from repro.core import JointTrainer
+from repro.core import MTMLFQO, JointTrainer
+from repro.core.serializer import query_signature
 from repro.errors import DisconnectedQueryError
+from repro.serve import adaptation
 
 
 def spanning_join_order(schema, tables: list[str], start: str | None = None) -> list[str]:
@@ -54,3 +58,30 @@ def poison_batch_losses(monkeypatch) -> None:
         return loss + (param * nn.Tensor(np.full(param.shape, np.nan))).sum(), terms
 
     monkeypatch.setattr(JointTrainer, "_batch_losses", poisoned)
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record ``(model, number of items)`` per ``MTMLFQO.predict_join_orders``
+    call (every model, every thread) into the returned list."""
+    calls = []
+    predict = MTMLFQO.predict_join_orders
+
+    def counted(model, db_name, items, **kwargs):
+        calls.append((model, len(items)))
+        return predict(model, db_name, items, **kwargs)
+
+    monkeypatch.setattr(MTMLFQO, "predict_join_orders", counted)
+    return calls
+
+
+def count_executions(monkeypatch) -> collections.Counter:
+    """Count the regret gate's executions per ``(query signature, order)``."""
+    calls = collections.Counter()
+    execute = adaptation.join_order_execution_time
+
+    def counted(db, item, order, *args, **kwargs):
+        calls[(query_signature(item.query), tuple(order))] += 1
+        return execute(db, item, order, *args, **kwargs)
+
+    monkeypatch.setattr(adaptation, "join_order_execution_time", counted)
+    return calls

@@ -20,10 +20,10 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import poison_batch_losses, spanning_join_order
+from helpers import count_decodes, count_executions, poison_batch_losses, spanning_join_order
 from repro.core import JointTrainer, ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
-from repro.core.serializer import query_signature
+from repro.core.serializer import plan_signature, query_signature
 from repro.datagen import generate_database
 from repro.eval import join_order_execution_time, worst_legal_order
 from repro.obs import Telemetry, render_snapshot
@@ -36,6 +36,7 @@ from repro.serve import (
     OptimizerService,
     ServeConfig,
 )
+from repro.serve import adaptation
 from repro.serve.adaptation import TrainRound, evaluate_regret_gate, split_experience
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
@@ -530,6 +531,110 @@ class TestAdaptationWorker:
         for cap in (0, -5):
             with pytest.raises(ValueError, match="max_intermediate_rows"):
                 evaluate_regret_gate(db, weak_model, weak_model, phase2[:4], max_intermediate_rows=cap)
+
+
+@pytest.mark.parametrize("tolerance_ms", [float("nan"), float("inf"), -1.0])
+def test_gate_refuses_a_tolerance_that_is_not_finite_and_non_negative(db, featurizer, phase2, tolerance_ms):
+    """A NaN slack would reject every candidate silently and an infinite
+    one accept every candidate, poisoned ones included."""
+    model = MTMLFQO(SMALL)
+    model.attach_featurizer(db.name, featurizer)
+    with pytest.raises(ValueError, match="tolerance_ms"):
+        evaluate_regret_gate(db, model, model, phase2[:4], tolerance_ms=tolerance_ms)
+
+
+def slice_keys(items) -> set:
+    return {(query_signature(item.query), plan_signature(item.plan)) for item in items}
+
+
+class TestGateCarry:
+    """A gate reuses what the previous gate of its round knew — the live
+    model's orders while that model is unchanged, and every executed
+    (query, order) pair — and its verdict equals a carry-less gate's."""
+
+    def test_carried_verdicts_equal_carry_less_gates(
+        self, db, weak_model, phase2, tmp_path, monkeypatch
+    ):
+        gates, live_decoded = [], []
+        gate = adaptation._regret_gate
+        decodes = count_decodes(monkeypatch)
+
+        def recording(db, live, candidate, val_slice, *args):
+            start = len(decodes)
+            result, carry = gate(db, live, candidate, val_slice, *args)
+            gates.append((live, candidate, list(val_slice), dataclasses.replace(result)))
+            live_decoded.append(sum(n for model, n in decodes[start:] if model is live))
+            return result, carry
+
+        monkeypatch.setattr(adaptation, "_regret_gate", recording)
+        config = AdaptationConfig(
+            min_new_experience=1, fine_tune_epochs=2, batch_size=8, checkpoint_dir=str(tmp_path)
+        )
+        with OptimizerService(weak_model, db.name) as service:
+            buffer = ExperienceBuffer(64)
+            worker = AdaptationWorker(service, db, buffer, config)
+            for cycle in range(8):
+                fill_buffer(buffer, phase2[2 * cycle: 2 * cycle + 2])
+                worker.run_once()
+                carry = worker.round._carry
+                held_out = gates[-1][2]
+                # One slice's entries, nothing older.
+                assert set(carry.live_orders) == slice_keys(held_out)
+                assert {sig for sig, _ in carry.executed} <= {
+                    query_signature(item.query) for item in held_out
+                }
+                assert len(carry.executed) <= 3 * len(held_out)
+            decode = service.config.decode_kwargs()
+        verdicts = [result.accepted for *_, result in gates]
+        assert len(gates) == 8 and any(verdicts) and not all(verdicts)
+        assert sum(live_decoded) < sum(len(g[2]) for g in gates)  # the carry answered some
+        monkeypatch.setattr(adaptation, "_regret_gate", gate)
+        for live, candidate, val_slice, result in gates:
+            fresh = evaluate_regret_gate(
+                db, live, candidate, val_slice, decode=decode,
+                max_intermediate_rows=config.max_intermediate_rows,
+            )
+            assert fresh == result  # floats compared with ==
+
+    def test_a_gate_executes_each_pair_once(self, db, weak_model, phase2, monkeypatch):
+        executions = count_executions(monkeypatch)
+        candidate = weak_model.clone_for_inference()  # decodes like the live model
+        gate = evaluate_regret_gate(db, weak_model, candidate, phase2)
+        assert gate.live_ms == gate.candidate_ms
+        orders = weak_model.predict_join_orders(db.name, phase2)
+        pairs = {
+            (query_signature(item.query), tuple(order))
+            for item, own in zip(phase2, orders)
+            for order in (own, item.optimal_order)
+        }
+        assert set(executions) == pairs and set(executions.values()) == {1}
+
+    def test_unchanged_live_model_is_not_decoded_again(
+        self, db, strong_model, weak_model, phase2, monkeypatch
+    ):
+        with OptimizerService(strong_model, db.name) as service:
+            buffer = ExperienceBuffer(64)
+            fill_buffer(buffer, phase2)
+            train_round = TrainRound(service, db, buffer, AdaptationConfig())
+            first = train_round.gate_and_install(weak_model)
+            assert not first.accepted  # the live model stays
+            decodes = count_decodes(monkeypatch)
+            executions = count_executions(monkeypatch)
+            second = train_round.gate_and_install(weak_model)
+            assert second == first
+            assert [n for model, n in decodes if model is strong_model] == []
+            assert not executions  # every pair was executed by the first gate
+
+            strong_model.mark_updated()
+            third = train_round.gate_and_install(weak_model)
+            assert [n for model, n in decodes if model is strong_model] == [len(phase2)]
+            assert third == first
+
+            other = strong_model.clone_for_inference()
+            service.swap_model(other)
+            decodes.clear()
+            train_round.gate_and_install(weak_model)
+            assert [n for model, n in decodes if model is other] == [len(phase2)]
 
 
 def scan_filters(items):

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import count_decodes, count_executions
 from lock_monitor import LockMonitor, instrument_collector, instrument_model, instrument_service
 from repro.core import (
     DatabaseFeaturizer,
@@ -24,6 +25,7 @@ from repro.eval import format_fleet_report, join_order_execution_time, worst_leg
 from repro.federation import FleetCoordinator, FleetReport, TenantNode
 from repro.obs import Telemetry
 from repro.serve import AdaptationWorker, ExperienceBuffer, OptimizerService, RoundConfig
+from repro.serve.adaptation import evaluate_regret_gate
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator, traffic_stream
 
 TINY = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
@@ -94,9 +96,13 @@ def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None)
         {"batch_size": 0},
         {"validation_fraction": 1.0},
         {"regret_tolerance_ms": -1.0},
+        {"regret_tolerance_ms": float("nan")},
+        {"regret_tolerance_ms": float("inf")},
         {"max_intermediate_rows": 0},
         {"max_intermediate_rows": -5},
         {"poll_interval_s": 0.0},
+        {"poll_interval_s": float("nan")},
+        {"poll_interval_s": float("inf")},
         {"learning_rate": 0.0},
         {"learning_rate": -1e-3},
     ],
@@ -184,6 +190,31 @@ class TestTenantNode:
         assert tenant.consider_global(global_state) is None
         assert tenant.live_model is live
         assert tenant.report().gates_unvalidated == 1
+
+    def test_a_repeated_gate_reuses_the_live_arm(self, fixture, monkeypatch):
+        """Two pushes of one rejected broadcast: the second gate decodes
+        nothing with the unchanged live model and executes nothing, and
+        both verdicts equal a carry-less gate's."""
+        tenants, global_state = fixture
+        db, featurizer, pool = tenants[0]
+        tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
+        tenant.inject_experience(pool)
+        live = tenant.live_model
+        broadcast = {name: -value for name, value in global_state.items()}
+        assert tenant.consider_global(broadcast) is False
+        first = tenant.last_gate
+        decodes = count_decodes(monkeypatch)
+        executions = count_executions(monkeypatch)
+        assert tenant.consider_global(broadcast) is False
+        assert tenant.live_model is live
+        assert not any(model is live for model, _ in decodes) and not executions
+        assert tenant.last_gate == first
+        fresh = evaluate_regret_gate(
+            db, live, tenant.round.private_model(live, broadcast),
+            sorted(pool, key=lambda item: item.query.to_sql()),
+            decode=tenant.service.config.decode_kwargs(),
+        )
+        assert fresh == first
 
 
 class TestFleetRounds:

@@ -1,11 +1,14 @@
 """Unit tests for the autograd engine: gradients vs finite differences."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from reference_ops import numeric_grad
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
+from repro.nn.tensor import is_grad_enabled
 
 
 def check_gradient(make_output, x_data: np.ndarray, atol: float = 1e-5):
@@ -166,6 +169,61 @@ class TestGraphMechanics:
             y = y + 0.0
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+
+def constructor_make(data, parents, backward, requires_grad):
+    """``Tensor._make`` as it was: the full constructor, then the links."""
+    if not requires_grad or not is_grad_enabled():
+        return Tensor(data)
+    out = Tensor(data, requires_grad=requires_grad)
+    out._prev = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
+    out._backward = backward
+    return out
+
+
+class TestMake:
+    """``Tensor._make`` builds a node without the constructor; it must be
+    the node the constructor built."""
+
+    DATA = [
+        ("float64", np.arange(6.0).reshape(2, 3)),
+        ("float32", np.arange(6, dtype=np.float32)),
+        ("int", np.arange(4)),
+        ("numpy scalar", np.arange(6.0).sum()),
+        ("python float", 2.5),
+    ]
+
+    @pytest.mark.parametrize("data", [d for _, d in DATA], ids=[name for name, _ in DATA])
+    @pytest.mark.parametrize("grad_mode", [True, False], ids=["tape", "no_grad"])
+    @pytest.mark.parametrize("requires", [True, False], ids=["requires", "frozen"])
+    def test_node_matches_the_constructor(self, data, grad_mode, requires):
+        a, b, c = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3)), Tensor(
+            np.zeros(3), requires_grad=True
+        )
+        parents = (a, b, 7.0, c)
+
+        def backward(grad):
+            pass
+
+        with (contextlib.nullcontext() if grad_mode else no_grad()):
+            got = Tensor._make(data, parents, backward, requires)
+            want = constructor_make(data, parents, backward, requires)
+        recording = grad_mode and requires
+        if isinstance(data, np.ndarray) and data.dtype == np.float64:
+            assert got.data is data
+        assert type(got.data) is np.ndarray and got.data.dtype == want.data.dtype == np.float64
+        assert got.data.shape == want.data.shape and np.array_equal(got.data, want.data)
+        assert got.requires_grad is want.requires_grad is recording
+        assert got._prev == want._prev == ((a, c) if recording else ())
+        assert got._backward is want._backward
+        assert got.grad is None and got.name == ""
+
+    def test_full_reduction_is_a_zero_d_array(self):
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        total = x.sum()
+        assert type(total.data) is np.ndarray and total.data.shape == () and total.requires_grad
+        total.backward()
+        np.testing.assert_array_equal(x.grad, np.ones(6))
 
 
 class TestFunctionalCombinators:

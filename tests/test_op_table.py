@@ -9,8 +9,7 @@ C-contiguous, transposed views, strided slices, stride-0 broadcasts)
 therefore hold by construction; they stay because they are what fails
 the day an op grows a second forward, and because two of them compare
 code that does differ — a kernel writing into a ``ScratchArena`` against
-the same kernel allocating, and ``scale`` in place against ``scale`` out
-of place.  What the tape adds per op is a hand-written backward rule;
+the same kernel allocating.  What the tape adds per op is a hand-written backward rule;
 the second half of the file holds each rule to central differences and
 the fused ones (``linear``, ``layer_norm``, ``attention``) to the
 autograd-derived composites in ``tests/reference_ops.py`` — ``attention``
@@ -52,7 +51,7 @@ def both(op, array, *args, **kwargs):
     x = Tensor(array, requires_grad=True)
     tape = op(x, *args, **kwargs)
     assert isinstance(tape, Tensor) and tape.requires_grad
-    raw = op(array.copy() if op is F.scale else array, *args, **kwargs)
+    raw = op(array, *args, **kwargs)
     assert isinstance(raw, np.ndarray)
     return tape.data, raw
 
@@ -63,7 +62,6 @@ ELEMENTWISE = [
     (F.tanh, ()),
     (F.softmax, ()),
     (F.log_softmax, ()),
-    (F.scale, (0.35355339059327373,)),
 ]
 
 

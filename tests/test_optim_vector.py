@@ -274,6 +274,31 @@ class TestOwnership:
             np.testing.assert_array_equal(shared.data, plain.data)
 
 
+@pytest.mark.parametrize(
+    "param_shape,grad_shape",
+    [((6, 5), (4, 6, 5)), ((5,), (3, 4, 5)), ((6, 5), (6, 5)), ((1, 5), (4, 3, 5))],
+    ids=["weight-(B,d_in,d_out)", "bias-(B,L,d)", "same-shape", "size-one-axis"],
+)
+def test_first_gradient_is_reduced_into_the_vector_bit_for_bit(param_shape, grad_shape):
+    """A packed parameter's first gradient is summed over its leading
+    axes straight into its gradient-vector segment (``out=``); the bytes
+    equal ``copyto(_unbroadcast(...))``, signed zeros included."""
+    from repro.nn.tensor import _unbroadcast
+
+    rng = np.random.default_rng(8)
+    grad = rng.normal(size=grad_shape)
+    grad[..., 0] = -0.0  # sums of negative zeros stay negative zeros
+    param = nn.Parameter(rng.normal(size=param_shape))
+    nn.Adam([param])
+    param._accumulate(grad)
+    want = np.empty(param_shape)
+    np.copyto(want, _unbroadcast(grad, param_shape))
+    assert param.grad is param.grad_view
+    assert np.array_equal(param.grad, want) and param.grad.tobytes() == want.tobytes()
+    param._accumulate(grad)  # a second gradient adds as before
+    assert np.array_equal(param.grad, want + _unbroadcast(grad, param_shape))
+
+
 class TestGuards:
     @pytest.mark.parametrize(
         "kwargs",
