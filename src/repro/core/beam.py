@@ -25,9 +25,10 @@ prunes it — a masked stable top-k per row, one ``lexsort`` by (query,
 −score) for every query's prune — so the bookkeeping of a step costs
 the same few numpy calls at any batch size.  ``BeamSearchState.advance``
 is the one-query case of that call.  Legality is an incrementally
-OR-ed adjacency row per beam.  There is one decode path: the driver
-projects each query's encoder memory once, before its first step, and
-steps the decoder on raw ndarrays.  A one-beam-at-a-
+OR-ed adjacency column per beam, so a legality-enforced candidate is
+legal by construction.  There is one decode path: the driver stacks the
+group's encoder memories, projects the stack once, before its first
+step, and steps the decoder on raw ndarrays.  A one-beam-at-a-
 time reference search lives with the tests (``tests/sequential_oracle.py``);
 it steps the same ``decode_step`` at B = 1, and the batched search
 matches it at decode level — identical positions, legal flags and
@@ -157,16 +158,17 @@ class BeamSearchState:
         return parents
 
     def candidates(self) -> list[BeamCandidate]:
-        """Completed candidates, sorted by descending log-probability."""
-        out = [
-            BeamCandidate(
-                positions=prefix.tolist(),
-                log_prob=float(score),
-                legal=is_legal_order(prefix.tolist(), self.adjacency),
-            )
-            for prefix, score in zip(self.prefixes, self.scores)
-            if len(prefix) == self.m
-        ]
+        """Completed candidates, sorted by descending log-probability.
+
+        With legality enforced, a beam only ever extends to a slot its
+        prefix reaches (``_Frontier``), so every candidate is legal by
+        construction; without it, each is checked.
+        """
+        out = []
+        for prefix, score in zip(self.prefixes.tolist(), self.scores.tolist()):
+            if len(prefix) == self.m:
+                legal = (self.enforce_legality and self.m > 0) or is_legal_order(prefix, self.adjacency)
+                out.append(BeamCandidate(positions=prefix, log_prob=score, legal=legal))
         out.sort(key=lambda c: -c.log_prob)
         return out[: self.max_candidates]
 
@@ -181,8 +183,10 @@ class _Frontier:
     table count ``M``: a pad slot counts as used, so it is never
     expanded.  ``reach`` marks the slots adjacent to a row's prefix (all
     of them before the first step, and always for a query decoded without
-    legality).  ``beams[q]`` is query ``q``'s row count, 0 once it
-    finished, and ``live`` the number of queries with rows.
+    legality): slot ``s`` once ``adjacency[s, p]`` holds for a prefix
+    table ``p``, the test :func:`is_legal_order` applies.  ``beams[q]``
+    is query ``q``'s row count, 0 once it finished, and ``live`` the
+    number of queries with rows.
     """
 
     def __init__(self, states: list[BeamSearchState]):
@@ -204,7 +208,7 @@ class _Frontier:
         for q, state in enumerate(states):
             if state.enforce_legality:
                 self.links[q] = False
-                self.links[q, : state.m, : state.m] = state.adjacency
+                self.links[q, : state.m, : state.m] = state.adjacency.T
         self.query = np.arange(len(states))
         self.prefixes = np.zeros((len(states), 0), dtype=np.int64)
         self.scores = np.zeros(len(states), dtype=np.float64)
@@ -278,6 +282,45 @@ class _Frontier:
         return kept
 
 
+class _MemoryRows:
+    """A group's encoder memory rows, stacked and projected once.
+
+    ``rows`` stacks every query's ``(m_q, d)`` memory, query ``q``'s
+    from ``first_row[q]``: a beam that chose table ``p`` of query ``q``
+    feeds row ``first_row[q] + p`` next.  One ``project_memory`` call
+    over the stack gives every query's cross-attention K/V per decoder
+    layer and pointer keys; each projection gets one zero row appended,
+    which is where a padded slot gathers from.
+    """
+
+    def __init__(self, trans_jo, memories: list[nn.Tensor]):
+        self.rows = np.concatenate([memory.data[0] for memory in memories], axis=0)
+        self.sizes = np.array([memory.shape[1] for memory in memories])
+        self.first_row = np.cumsum(self.sizes) - self.sizes
+        memory_kv, pointer_keys = trans_jo.project_memory(self.rows[None])
+        arrays = [array for pair in memory_kv for array in pair] + [pointer_keys]
+        self.projected = [
+            np.concatenate([array[0], np.zeros((1, array.shape[-1]))]) for array in arrays
+        ]
+
+    def padded(self, beams: np.ndarray) -> tuple:
+        """``(memory_kv, pointer_keys, memory_padding_mask)`` for
+        :meth:`TransJO.decode_step` when query ``q`` has ``beams[q]``
+        rows: each query's projections repeated per beam and zero padded
+        to the largest table count among the queries with beams, one
+        gather per array.  The mask is None when those counts match."""
+        live = np.flatnonzero(beams)
+        counts, sizes = beams[live], self.sizes[live]
+        slots = np.arange(sizes.max())
+        pad = slots >= sizes[:, None]
+        index = np.where(pad, len(self.rows), self.first_row[live][:, None] + slots)
+        index = np.repeat(index, counts, axis=0)
+        arrays = [array.take(index, axis=0) for array in self.projected]
+        memory_kv = list(zip(arrays[:-1:2], arrays[1:-1:2]))
+        padding = np.repeat(pad, counts, axis=0) if pad.any() else None
+        return memory_kv, arrays[-1], padding
+
+
 def drive_beam_states(
     trans_jo,
     memories: list[nn.Tensor],
@@ -297,39 +340,32 @@ def drive_beam_states(
     prune, and finished queries' rows are dropped from it.  A state
     receives its beams when its query finishes.
 
-    Each query's encoder memory is projected (cross-attention K/V per
-    decoder layer, pointer keys) exactly once, before the step loop,
-    into locals of this call — so projections can never leak across
-    decodes or model hot-swaps.  The padded batch of them depends only on how many beams each query has
-    (0 once finished), so it is assembled once per such key; queries of
-    fewer tables are masked at the padded slots.  ``scratch`` is the
-    caller's session-private arena for kernel output buffers.
+    The queries' encoder memories are stacked and projected
+    (cross-attention K/V per decoder layer, pointer keys) exactly once,
+    before the step loop, into locals of this call — so projections can
+    never leak across decodes or model hot-swaps.  The padded batch of
+    them depends only on how many beams each query has (0 once
+    finished), so it is gathered once per such key; queries of fewer
+    tables are masked at the padded slots.  ``scratch`` is the caller's
+    session-private arena for kernel output buffers.
     """
     if len(memories) != len(states):
         raise ValueError("one memory per beam state required")
     alive = [i for i, state in enumerate(states) if not state.done]
     if not alive:
         return
-    memories = [memories[i] for i in alive]
     frontier = _Frontier([states[i] for i in alive])
     # Padded projections, keyed by the per-query beam counts.
     assembled: dict[bytes, tuple] = {}
-    # Every query's table rows, stacked: a beam that chose table p of
-    # query q feeds row ``first_row[q] + p`` next.
-    table = np.concatenate([memory.data[0] for memory in memories], axis=0)
-    first_row = np.cumsum([0] + [memory.shape[1] for memory in memories[:-1]])
     with nn.no_grad():
-        projected = [trans_jo.project_memory(memory) for memory in memories]
+        memory = _MemoryRows(trans_jo, [memories[i] for i in alive])
         past_kv = trans_jo.decoder.empty_past_kv()
         tokens = F.repeat_batch(trans_jo.start_token.data.reshape(1, 1, -1), len(alive))
         while True:
             key = frontier.beams.tobytes()
             projections = assembled.get(key)
             if projections is None:
-                live = np.flatnonzero(frontier.beams)
-                projections = assembled[key] = trans_jo.concat_memory_kv(
-                    [projected[q] for q in live], frontier.beams[live]
-                )
+                projections = assembled[key] = memory.padded(frontier.beams)
             memory_kv, pointer_keys, padding = projections
             log_probs = F.log_softmax(
                 trans_jo.decode_step(
@@ -348,7 +384,8 @@ def drive_beam_states(
                 parents = parents[kept]
             for layer_kv in past_kv:
                 layer_kv[0], layer_kv[1] = layer_kv[0][parents], layer_kv[1][parents]
-            tokens = table[first_row[frontier.query] + frontier.prefixes[:, -1]][:, None, :]
+            rows = memory.first_row[frontier.query] + frontier.prefixes[:, -1]
+            tokens = memory.rows[rows][:, None, :]
 
 
 def beam_search_join_order(

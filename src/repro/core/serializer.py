@@ -40,6 +40,9 @@ __all__ = [
 # The attribute a signed Query / PlanNode keeps its signature under;
 # ``__getstate__`` of both classes drops it.
 _MEMO = "_signature"
+# The attribute a frozen filter Conjunction / JoinRelation keeps its
+# text under (a function of its fields, so copies may carry it).
+_TEXT = "_text"
 
 
 class JoinTree:
@@ -157,9 +160,7 @@ def plan_signature(plan: PlanNode) -> tuple:
 
 def _build_plan_signature(plan: PlanNode) -> tuple:
     if plan.is_scan:
-        filter_sig = None
-        if plan.filter is not None:
-            filter_sig = (plan.filter.table, tuple(str(p) for p in plan.filter.predicates))
+        filter_sig = None if plan.filter is None else _filter_text(plan.filter)
         signature = (
             "scan",
             plan.table,
@@ -171,7 +172,7 @@ def _build_plan_signature(plan: PlanNode) -> tuple:
         signature = (
             "join",
             plan.join_op.value if plan.join_op else None,
-            tuple(str(p) for p in plan.join_predicates),
+            tuple(_join_text(join) for join in plan.join_predicates),
             plan_signature(plan.left),
             plan_signature(plan.right),
         )
@@ -206,13 +207,40 @@ def _build_query_signature(query) -> tuple:
     filters = []
     for table, conjunction in query.filters.items():
         if len(conjunction):
-            filters.append((table, tuple(sorted(str(p) for p in conjunction.predicates))))
+            filters.append((table, tuple(sorted(_filter_text(conjunction)[1]))))
     return (
         "query",
         tuple(query.tables),
-        tuple(sorted(str(j) for j in query.joins)),
+        tuple(sorted(_join_text(join) for join in query.joins)),
         tuple(sorted(filters)),
     )
+
+
+def _filter_text(conjunction) -> tuple:
+    """``(table, (str(p) per predicate))`` of a filter ``Conjunction``.
+
+    Computed once per object and kept in its ``__dict__`` (two threads
+    may both compute it, harmlessly, as :func:`_remember` explains): the
+    conjunction is a frozen dataclass, so the text cannot go stale, and
+    every scan over a query's filter (each rerank probe's, each call's)
+    shares the query's object.
+    """
+    text = conjunction.__dict__.get(_TEXT)
+    if text is None:
+        text = conjunction.__dict__[_TEXT] = (
+            conjunction.table, tuple(str(p) for p in conjunction.predicates)
+        )
+    return text
+
+
+def _join_text(join) -> str:
+    """``str(join)`` of a frozen ``JoinRelation``, kept on it like
+    :func:`_filter_text`; the planner's oriented relations are shared
+    by every prefix of a call."""
+    text = join.__dict__.get(_TEXT)
+    if text is None:
+        text = join.__dict__[_TEXT] = str(join)
+    return text
 
 
 def _remember(obj, signature: tuple) -> tuple:

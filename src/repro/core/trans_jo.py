@@ -133,9 +133,9 @@ class TransJO(nn.Module):
         ``memory_padding_mask`` (B, m) True at padded table slots when
         sequences of different table counts share the batch.
         ``memory_kv``/``pointer_keys`` are the batched projections of
-        ``memory`` (:meth:`project_memory`, :meth:`concat_memory_kv`);
-        given both, ``memory`` may be None.  ``scratch`` is the session's
-        kernel buffer arena.
+        ``memory`` (:meth:`project_memory`, padded per sequence by the
+        beam driver); given both, ``memory`` may be None.  ``scratch``
+        is the session's kernel buffer arena.
         """
         hidden = self.decoder(
             tokens,
@@ -149,48 +149,14 @@ class TransJO(nn.Module):
         logits = self._pointer_logits(hidden, memory, pointer_keys, memory_padding_mask)
         return logits.reshape(logits.shape[0], -1)
 
-    def project_memory(self, memory: nn.Tensor):
-        """Per-decode projections of one (1, m, d) encoder memory.
+    def project_memory(self, memory: np.ndarray):
+        """Per-decode projections of (1, N, d) encoder memory rows.
 
         Returns ``(memory_kv, pointer_keys)`` as raw ndarrays: the
         per-layer cross-attention K/V pairs plus the pointer keys
         ``W S_i`` — all the projections of the memory that every decoder
         step would otherwise recompute.  The beam driver calls it once
-        per query per decode.
+        per decode, on every query's rows stacked, and gathers each
+        step group's padded batch from the result.
         """
-        return self.decoder.project_memory_kv(memory.data), self.pointer_proj(memory.data)
-
-    @staticmethod
-    def concat_memory_kv(per_query, counts: list[int]):
-        """Assemble one padded batch of projections from per-query ones.
-
-        ``per_query[i]`` is :meth:`project_memory` output for query i,
-        ``counts[i]`` its number of active beams.  Each query's (1, m_i,
-        ...) projections are repeated for its beams and zero-padded to
-        the largest ``m`` among them.  Returns ``(memory_kv,
-        pointer_keys, memory_padding_mask)`` for :meth:`decode_step`; the
-        mask is None when every query has the same table count.
-        """
-        sizes = [keys.shape[1] for _, keys in per_query]
-        m_max = max(sizes)
-        starts = np.cumsum([0, *counts])
-
-        def padded(arrays):
-            out = np.zeros((int(starts[-1]), m_max) + arrays[0].shape[2:])
-            for array, m, lo, hi in zip(arrays, sizes, starts[:-1], starts[1:]):
-                out[lo:hi, :m] = array
-            return out
-
-        num_layers = len(per_query[0][0])
-        memory_kv = [
-            (
-                padded([kv[layer][0] for kv, _ in per_query]),
-                padded([kv[layer][1] for kv, _ in per_query]),
-            )
-            for layer in range(num_layers)
-        ]
-        pointer_keys = padded([keys for _, keys in per_query])
-        padding = None
-        if min(sizes) < m_max:
-            padding = np.repeat(np.arange(m_max)[None, :] >= np.asarray(sizes)[:, None], counts, axis=0)
-        return memory_kv, pointer_keys, padding
+        return self.decoder.project_memory_kv(memory), self.pointer_proj(memory)

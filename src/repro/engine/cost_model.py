@@ -21,6 +21,10 @@ from .plan import JoinOp, PlanNode, ScanOp
 
 __all__ = ["CostModel", "DEFAULT_COST_MODEL"]
 
+# ``best_join_op``'s candidates in tie order (iterating the enum itself
+# costs a generator per call).
+_JOIN_OPS = tuple(JoinOp)
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -61,9 +65,13 @@ class CostModel:
         return left_rows * right_rows * self.cpu_operator_cost + emit
 
     def best_join_op(self, left_rows: float, right_rows: float, output_rows: float) -> tuple[JoinOp, float]:
-        """Cheapest physical join operator for the given sizes."""
+        """Cheapest physical join operator for the given sizes.
+
+        Priced through ``self.join_cost``, so a subclass that overrides
+        the formula (``TimingAlignedCostModel``) chooses by its own.
+        """
         best_op, best_cost = None, float("inf")
-        for op in JoinOp:
+        for op in _JOIN_OPS:
             cost = self.join_cost(left_rows, right_rows, output_rows, op)
             if cost < best_cost:
                 best_op, best_cost = op, cost

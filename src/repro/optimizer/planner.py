@@ -74,6 +74,15 @@ def plan_with_orders(
     tables = sorted(query.tables)
     scans: dict[str, PlanNode] = {}
     prefixes: dict[tuple, PlanNode | None] = {}
+    # table -> [(neighbour, join relation oriented toward the table)] in
+    # ``query.joins`` order: a prefix's join predicates are the entries
+    # whose neighbour it holds, as ``query.joins_between`` lists them.
+    # Every prefix shares one oriented (reversed) relation per join.
+    toward: dict[str, list] = {table: [] for table in tables}
+    for join in query.joins:
+        toward[join.right].append((join.left, join))
+        if join.left != join.right:
+            toward[join.left].append((join.right, join.reversed()))
 
     def costed(node: PlanNode) -> PlanNode:
         view.rows(node.tables)
@@ -96,7 +105,7 @@ def plan_with_orders(
             if key in prefixes:
                 node = prefixes[key]
             else:
-                predicates = query.joins_between(set(node.tables), {key[-1]})
+                predicates = [join for other, join in toward[key[-1]] if other in node.tables]
                 node = prefixes[key] = (
                     costed(join_node(node, scan(key[-1]), predicates)) if predicates else None
                 )

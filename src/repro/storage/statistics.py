@@ -9,6 +9,7 @@ allows users to compute locally ("similar to an ANALYZE operation").
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,16 +22,26 @@ __all__ = ["EquiDepthHistogram", "ColumnStatistics", "TableStatistics", "analyze
 
 @dataclass
 class EquiDepthHistogram:
-    """Equi-depth (equal-frequency) histogram over a numeric column."""
+    """Equi-depth (equal-frequency) histogram over a numeric column.
 
-    bounds: np.ndarray  # length num_buckets + 1, non-decreasing
+    ``bounds`` is kept as a list of Python floats: a lookup then runs on
+    Python floats with the IEEE operations numpy scalars would do, and
+    ``bisect_right`` finds the bucket ``searchsorted(side="right")``
+    would.  The planner, (F)'s predicate features, the labeler's DP and
+    the gate all estimate through these lookups.
+    """
+
+    bounds: list[float]  # length num_buckets + 1, non-decreasing
     total_count: int
+
+    def __post_init__(self):
+        self.bounds = np.asarray(self.bounds, dtype=np.float64).tolist()
 
     @classmethod
     def build(cls, values: np.ndarray, num_buckets: int = 32) -> "EquiDepthHistogram":
         values = np.sort(np.asarray(values, dtype=np.float64))
         if values.size == 0:
-            return cls(bounds=np.array([0.0, 0.0]), total_count=0)
+            return cls(bounds=[0.0, 0.0], total_count=0)
         quantiles = np.linspace(0.0, 1.0, num_buckets + 1)
         bounds = np.quantile(values, quantiles)
         return cls(bounds=bounds, total_count=int(values.size))
@@ -41,37 +52,49 @@ class EquiDepthHistogram:
 
     @property
     def min_value(self) -> float:
-        return float(self.bounds[0])
+        return self.bounds[0]
 
     @property
     def max_value(self) -> float:
-        return float(self.bounds[-1])
+        return self.bounds[-1]
 
     def selectivity_le(self, value: float) -> float:
         """Estimated fraction of rows with column <= value."""
         if self.total_count == 0:
             return 0.0
-        if value < self.bounds[0]:
+        # numpy compares and subtracts a number with a float64 bound after
+        # converting it to float64; so does this.
+        value = float(value)
+        bounds = self.bounds
+        if value < bounds[0]:
             return 0.0
-        if value >= self.bounds[-1]:
+        if value >= bounds[-1]:
             return 1.0
         # Find the bucket containing `value` and interpolate within it.
-        idx = int(np.searchsorted(self.bounds, value, side="right")) - 1
-        idx = min(max(idx, 0), self.num_buckets - 1)
-        lo, hi = self.bounds[idx], self.bounds[idx + 1]
+        num_buckets = len(bounds) - 1
+        idx = min(max(bisect_right(bounds, value) - 1, 0), num_buckets - 1)
+        lo, hi = bounds[idx], bounds[idx + 1]
         within = 0.5 if hi <= lo else (value - lo) / (hi - lo)
-        return (idx + within) / self.num_buckets
+        return (idx + within) / num_buckets
 
     def selectivity_range(self, low: float | None, high: float | None) -> float:
         """Estimated fraction of rows with low <= column <= high."""
         lo_frac = 0.0 if low is None else self.selectivity_le(low)
         hi_frac = 1.0 if high is None else self.selectivity_le(high)
-        return float(np.clip(hi_frac - lo_frac, 0.0, 1.0))
+        return min(max(hi_frac - lo_frac, 0.0), 1.0)
 
 
 @dataclass
 class ColumnStatistics:
-    """Statistics for a single column."""
+    """Statistics for a single column.
+
+    Read-only once built (``Database.analyze`` builds fresh ones).  The
+    most-common values are indexed at construction, in a dict where the
+    first of equal values wins, as the first match of a scan would; a
+    numeric column's MCVs are float64, as ANALYZE collects them, and
+    are looked up as floats.  The uniform residual of
+    :meth:`equality_selectivity` is computed once.
+    """
 
     name: str
     ctype: ColumnType
@@ -82,21 +105,27 @@ class ColumnStatistics:
     mcv_fractions: np.ndarray = field(default_factory=lambda: np.array([]))
     null_fraction: float = 0.0
 
+    def __post_init__(self):
+        self._numeric = self.ctype is not ColumnType.STRING
+        self._mcv: dict = {}
+        for value, frac in zip(self.mcv_values, self.mcv_fractions):
+            self._mcv.setdefault(float(value) if self._numeric else value, float(frac))
+        mcv_mass = float(self.mcv_fractions.sum()) if self.mcv_fractions.size else 0.0
+        residual_distinct = max(self.n_distinct - len(self.mcv_values), 1)
+        self._residual = max((1.0 - mcv_mass) / residual_distinct, 0.0)
+
     def mcv_selectivity(self, value) -> float | None:
         """Fraction for ``value`` if it is a most-common value, else None."""
-        for v, frac in zip(self.mcv_values, self.mcv_fractions):
-            if v == value:
-                return float(frac)
-        return None
+        if self._numeric and isinstance(value, (int, np.integer)):
+            # numpy compares an integer with a float64 MCV as a float64,
+            # but an int beyond 2**53 hashes as itself, not as that float.
+            value = float(value)
+        return self._mcv.get(value)
 
     def equality_selectivity(self, value) -> float:
         """PostgreSQL-style eq selectivity: MCV hit or uniform residual."""
         hit = self.mcv_selectivity(value)
-        if hit is not None:
-            return hit
-        mcv_mass = float(self.mcv_fractions.sum()) if self.mcv_fractions.size else 0.0
-        residual_distinct = max(self.n_distinct - len(self.mcv_values), 1)
-        return max((1.0 - mcv_mass) / residual_distinct, 0.0)
+        return self._residual if hit is None else hit
 
 
 def analyze_column(column: Column, num_buckets: int = 32, num_mcv: int = 10) -> ColumnStatistics:

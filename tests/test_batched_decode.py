@@ -23,6 +23,7 @@ from repro.core import (
     TransJO,
     beam_search_join_order,
     drive_beam_states,
+    is_legal_order,
     plan_signature,
 )
 from repro.core.encoders import DatabaseFeaturizer
@@ -146,8 +147,8 @@ class TestBatchedBeamParity:
         small = random_memory(3, seed=21)
         large = random_memory(5, seed=22)
         with nn.no_grad():
-            per_query = [trans_jo.project_memory(memory) for memory in (small, large)]
-            memory_kv, pointer_keys, padding = trans_jo.concat_memory_kv(per_query, [1, 1])
+            rows = beam_module._MemoryRows(trans_jo, [small, large])
+            memory_kv, pointer_keys, padding = rows.padded(np.array([1, 1]))
             start = trans_jo.start_token.data.reshape(1, 1, -1)
             logits = trans_jo.decode_step(
                 np.concatenate([start, start]), None, trans_jo.decoder.empty_past_kv(),
@@ -178,8 +179,8 @@ class TestBatchedBeamParity:
         padding = np.arange(m_max)[None, :] >= np.asarray(sizes)[:, None]
         with nn.no_grad():
             teacher = trans_jo(memory, targets, padding)  # (B, m, m)
-            per_query = [trans_jo.project_memory(query_memory) for query_memory in memories]
-            memory_kv, pointer_keys, step_padding = trans_jo.concat_memory_kv(per_query, [1] * len(sizes))
+            rows = beam_module._MemoryRows(trans_jo, memories)
+            memory_kv, pointer_keys, step_padding = rows.padded(np.ones(len(sizes), dtype=np.int64))
             np.testing.assert_array_equal(step_padding, padding)
             past_kv = trans_jo.decoder.empty_past_kv()
             tokens = np.broadcast_to(trans_jo.start_token.data, (len(sizes), 1, 16)).copy()
@@ -191,6 +192,44 @@ class TestBatchedBeamParity:
                     if t < m:
                         np.testing.assert_allclose(logits[b], teacher[b, t], rtol=0, atol=1e-12)
                 tokens = memory[np.arange(len(sizes)), targets[:, t]][:, None]
+
+    @pytest.mark.parametrize(
+        "beams", [[1, 1, 1, 1, 1], [3, 0, 2, 1, 4], [0, 2, 0, 0, 5], [2, 2, 0, 2, 0], [0, 0, 0, 3, 0]]
+    )
+    def test_one_pass_gather_equals_per_query_projections(self, beams):
+        """The stacked memory is projected once and each beam-count key
+        gathered from it: bit for bit each query's own ``project_memory``
+        repeated per beam and zero padded to the live queries' largest
+        table count, across mixed table counts, beam counts and a
+        two-layer decoder."""
+        trans_jo = TransJO(ModelConfig(d_model=16, num_heads=2, decoder_layers=2), np.random.default_rng(1))
+        sizes = [3, 8, 5, 6, 3]
+        memories = [random_memory(m, seed=400 + i) for i, m in enumerate(sizes)]
+        beams = np.asarray(beams)
+        with nn.no_grad():
+            memory_kv, pointer_keys, padding = beam_module._MemoryRows(trans_jo, memories).padded(beams)
+            alone = [trans_jo.project_memory(memory.data) for memory in memories]
+        live = np.flatnonzero(beams)
+        m_max = max(sizes[q] for q in live)
+
+        def expected(array_of):
+            blocks = []
+            for q in live:
+                block = np.zeros((beams[q], m_max, 16))
+                block[:, : sizes[q]] = array_of(alone[q])[0]
+                blocks.append(block)
+            return np.concatenate(blocks)
+
+        assert len(memory_kv) == 2
+        for layer, (k, v) in enumerate(memory_kv):
+            assert np.array_equal(k, expected(lambda projected: projected[0][layer][0]))
+            assert np.array_equal(v, expected(lambda projected: projected[0][layer][1]))
+        assert np.array_equal(pointer_keys, expected(lambda projected: projected[1]))
+        slots = np.arange(m_max)[None, :] >= np.asarray(sizes)[live][:, None]
+        if slots.any():
+            assert np.array_equal(padding, np.repeat(slots, beams[live], axis=0))
+        else:
+            assert padding is None
 
     def test_one_padded_group_steps_as_often_as_the_largest_query(self, trans_jo, monkeypatch):
         """A 6/7/8-table chunk decodes in 8 lockstep steps (one per table
@@ -316,6 +355,49 @@ class TestFrontier:
             alone.advance(np.zeros((1, 4)))
 
 
+class TestLegalByConstruction:
+    """With legality enforced a beam only extends to a slot its prefix
+    reaches, so ``candidates()`` marks every candidate legal without
+    checking; without it, each candidate is checked."""
+
+    @pytest.mark.parametrize("beam_width", [1, 3, 8])
+    def test_flag_equals_is_legal_order(self, trans_jo, beam_width):
+        rng = np.random.default_rng(beam_width)
+        sizes = [3, 8, 5, 6, 4, 7]
+        adjacencies = [random_connected_adjacency(m, rng) for m in sizes]
+        memories = [random_memory(m, seed=800 + i) for i, m in enumerate(sizes)]
+        flags = {}
+        for enforce in (True, False):
+            states = [
+                BeamSearchState(adjacency, beam_width=beam_width, enforce_legality=enforce, max_candidates=32)
+                for adjacency in adjacencies
+            ]
+            drive_beam_states(trans_jo, memories, states)
+            flags[enforce] = []
+            for adjacency, state in zip(adjacencies, states):
+                candidates = state.candidates()
+                assert candidates
+                for candidate in candidates:
+                    assert candidate.legal == is_legal_order(candidate.positions, adjacency)
+                    flags[enforce].append(candidate.legal)
+        assert all(flags[True])
+        assert not all(flags[False])  # the unconstrained search does emit illegal orders
+
+    def test_reach_reads_adjacency_as_is_legal_order_does(self, trans_jo):
+        """On a one-way adjacency (``adj[1, 0]`` and ``adj[2, 1]`` only)
+        the search extends to slot ``s`` exactly when
+        ``adjacency[s, p]`` holds for a prefix table ``p``: its one legal
+        order, as the oracle finds it."""
+        adjacency = np.zeros((3, 3), dtype=bool)
+        adjacency[1, 0] = adjacency[2, 1] = True
+        memory = random_memory(3, seed=5)
+        fast = beam_search_join_order(trans_jo, memory, adjacency, beam_width=3)
+        assert [(c.positions, c.legal) for c in fast] == [([0, 1, 2], True)]
+        assert_candidates_match(
+            fast, beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=3)
+        )
+
+
 class TestFastVsTapeParity:
     """The production decode (layer bodies on raw ndarrays, cached K/V,
     scratch buffers) must yield bit-identical candidates to the same
@@ -384,9 +466,11 @@ class TestKVCacheStillPays:
     def test_kernel_call_counts_and_scratch_buffers_are_pinned(self, db, labeled, featurizer):
         """One fixed 8-query, width-4 decode makes exactly these kernel
         calls: 4 incremental decoder steps (its largest query has 4
-        tables), one new row per beam each.  A body that silently
-        re-projects the encoder memory's K/V or re-runs the prefix per
-        step, or allocates a fresh buffer per call, moves these numbers."""
+        tables), one new row per beam each, after one projection of the
+        8 queries' stacked memory (3 ``linear``: K, V, pointer keys).  A
+        body that silently re-projects the encoder memory's K/V per query
+        or per step, re-runs the prefix, or allocates a fresh buffer per
+        call, moves these numbers."""
         model = MTMLFQO(SMALL)
         model.attach_featurizer(db.name, featurizer)
         session = model.inference_session(db.name)
@@ -395,10 +479,10 @@ class TestKVCacheStillPays:
         expected = {
             # cold: (F) encoders + Trans_Share + beam steps + cost rerank
             # (the rerank's probe forwards run the CostEst head only)
-            "cold": {"linear": 200, "matmul": 56, "layer_norm": 76, "softmax": 28,
+            "cold": {"linear": 179, "matmul": 56, "layer_norm": 76, "softmax": 28,
                      "masked_fill": 9, "relu": 26, "log_softmax": 4},
             # warm feature caches: Trans_Share + beam steps + cost rerank
-            "warm": {"linear": 81, "matmul": 22, "layer_norm": 25, "softmax": 11,
+            "warm": {"linear": 60, "matmul": 22, "layer_norm": 25, "softmax": 11,
                      "masked_fill": 9, "relu": 9, "log_softmax": 4},
         }
         for phase in ("cold", "warm"):

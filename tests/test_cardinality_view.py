@@ -169,6 +169,24 @@ class TestPrefixPlanner:
                 assert plan_signature(plan) == plan_signature(alone)
                 assert annotations(plan) == annotations(alone)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_join_predicates_are_joins_between(self, db, seed):
+        """The planner indexes a query's joins once per call; each join
+        node still carries ``query.joins_between(prefix, {table})``, in
+        that order and orientation, and every prefix of the call shares
+        one oriented relation per join."""
+        rng = random.Random(seed)
+        for query in queries(db, seed, min_tables=3):
+            orders = legal_orders(query, rng, cap=40)
+            relations = {}
+            for plan in plan_with_orders(query, orders, HistogramEstimator(db)):
+                for node in plan.nodes_postorder():
+                    if node.is_join:
+                        expected = query.joins_between(set(node.left.tables), {node.right.table})
+                        assert node.join_predicates == expected
+                        for join in node.join_predicates:
+                            assert relations.setdefault(join, join) is join
+
     def test_shared_prefixes_are_one_node(self, db):
         query = next(q for q in queries(db, 2, count=20) if q.num_tables >= 5)
         orders = legal_orders(query, random.Random(0), cap=60)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     DEFAULT_COST_MODEL,
+    CostModel,
     DEFAULT_TIMING,
     ExecutionLimitError,
     JoinOp,
     ScanOp,
+    TimingAlignedCostModel,
     equi_join_positions,
     execute_plan,
     join_node,
@@ -293,6 +295,41 @@ class TestCostModel:
                 assert node.join_op is not None
             else:
                 assert node.scan_op is not None
+
+    def test_best_ops_choose_by_the_instances_own_formulas(self):
+        """``best_join_op`` / ``best_scan_op`` are the strict-``<`` argmin,
+        in HASH → MERGE → NESTED_LOOP (SEQ → INDEX) tie order, of the
+        instance's own ``join_cost`` / ``scan_cost`` — the timing-aligned
+        model's overrides included — over sizes with rows below 1.  The
+        timing model ties at zero rows, a zero-weight model everywhere."""
+
+        def argmin(priced):
+            best_op, best_cost = None, float("inf")
+            for op, cost in priced:
+                if cost < best_cost:
+                    best_op, best_cost = op, cost
+            return best_op, best_cost
+
+        flat = CostModel(**{name: 0.0 for name in CostModel.__dataclass_fields__ if name != "rows_per_page"})
+        rows = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 64.0, 1e3, 4e4]
+        ties = {}
+        for model in (DEFAULT_COST_MODEL, TimingAlignedCostModel(), flat):
+            ties[model] = 0
+            for left in rows:
+                for right in rows:
+                    for out in rows:
+                        priced = [
+                            (op, model.join_cost(left, right, out, op))
+                            for op in (JoinOp.HASH, JoinOp.MERGE, JoinOp.NESTED_LOOP)
+                        ]
+                        expected = argmin(priced)
+                        assert model.best_join_op(left, right, out) == expected
+                        ties[model] += sum(cost == expected[1] for _, cost in priced) > 1
+                    for has_filter in (False, True):
+                        ops = (ScanOp.SEQ, ScanOp.INDEX) if has_filter else (ScanOp.SEQ,)
+                        priced = [(op, model.scan_cost(left, right, op)) for op in ops]
+                        assert model.best_scan_op(left, right, has_filter) == argmin(priced)
+        assert list(ties.values())[1:] == [len(rows), len(rows) ** 3]  # both inputs empty / every size
 
     def test_costs_monotone_in_rows(self):
         cm = DEFAULT_COST_MODEL

@@ -15,7 +15,9 @@ Randomized over generated workloads rather than hand-picked examples.
 """
 
 import ast
+import collections
 import copy
+import itertools
 import pickle
 import sys
 import threading
@@ -25,11 +27,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import plan_signature, query_signature
+from repro.core import is_legal_order, plan_signature, query_signature
 from repro.datagen import generate_database
 from repro.engine.cost_model import DEFAULT_COST_MODEL
 from repro.engine.plan import JoinOp, PlanNode, ScanOp, left_deep_plan
-from repro.sql import Query
+from repro.optimizer import HistogramEstimator, plan_with_orders
+from repro.sql import BetweenPredicate, Comparison, InPredicate, LikePredicate, Query
+from repro.storage import JoinRelation
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 
@@ -318,6 +322,38 @@ class TestKeptSignature:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         assert [plan_signature(plan) for plan in plans] == expected
+
+
+class TestKeptPredicateText:
+    def test_each_predicate_and_relation_is_stringified_once(self, db, monkeypatch):
+        """Predicate text is kept on the frozen predicate objects:
+        signing every legal order's plan of a query, over two planner
+        calls, stringifies each filter predicate once (every scan shares
+        the query's conjunction) and each join relation object once
+        (a call's prefixes share its oriented relations)."""
+        counts = collections.Counter()
+        for cls in (Comparison, BetweenPredicate, InPredicate, LikePredicate, JoinRelation):
+            def counting(self, original=cls.__str__):
+                counts[id(self)] += 1
+                return original(self)
+
+            monkeypatch.setattr(cls, "__str__", counting)
+        generator = WorkloadGenerator(db, WorkloadConfig(min_tables=4, max_tables=5, seed=13))
+        kept = []  # every plan stays alive, so no object id is reused
+        for query in generator.generate(6):
+            adjacency = query.adjacency_matrix()
+            orders = [
+                [query.tables[p] for p in perm]
+                for perm in itertools.islice(itertools.permutations(range(query.num_tables)), 60)
+                if is_legal_order(list(perm), adjacency)
+            ]
+            for _ in range(2):
+                plans = plan_with_orders(query, orders, HistogramEstimator(db))
+                kept.append(plans)
+                for plan in plans:
+                    plan_signature(plan)
+                query_signature(query)
+        assert counts and set(counts.values()) == {1}
 
 
 # Attributes ``plan_signature`` / ``query_signature`` read.

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import spanning_join_order
+from naive_estimator import (
+    naive_equality_selectivity,
+    naive_mcv_selectivity,
+    naive_selectivity_le,
+    naive_selectivity_range,
+)
 from repro.sql import Query
 from repro.storage import (
     Column,
+    ColumnStatistics,
     ColumnType,
     Database,
     EquiDepthHistogram,
@@ -250,6 +257,133 @@ class TestStatistics:
         assert stats.column("s").histogram is None
         with pytest.raises(KeyError):
             stats.column("zzz")
+
+
+def _bits(lookup, *args):
+    """A lookup's answer as ``float.hex`` (None stays None); a number too
+    large for a float64 overflows on both sides."""
+    try:
+        value = lookup(*args)
+    except OverflowError:
+        return "OverflowError"
+    return None if value is None else float(value).hex()
+
+
+# Every kind of number a predicate may carry: Python ints (beyond 2**53
+# too) and floats (inf, nan), bools and numpy scalars.
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+_FINITE = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def _histograms(draw):
+    kind = draw(st.sampled_from(["built", "repeated", "given", "empty"]))
+    if kind == "empty":
+        return EquiDepthHistogram.build(np.array([]))
+    if kind == "given":  # bounds as given, repeats included
+        pool = draw(st.lists(_FINITE, min_size=1, max_size=4))
+        bounds = sorted(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10)))
+        return EquiDepthHistogram(bounds=np.array(bounds), total_count=draw(st.integers(0, 500)))
+    # "repeated": values from a small pool, so quantiles repeat.
+    values = _FINITE if kind == "built" else st.sampled_from(draw(st.lists(_FINITE, min_size=1, max_size=3)))
+    sample = draw(st.lists(values, min_size=1, max_size=60))
+    return EquiDepthHistogram.build(np.array(sample), num_buckets=draw(st.integers(1, 12)))
+
+
+def _near(bounds):
+    """Values below, at and above a bound, as Python and numpy floats."""
+    def around(bound):
+        return st.sampled_from([
+            bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf),
+            bound - 1.0, bound + 1.0, np.float64(bound),
+        ])
+    return st.sampled_from(bounds).flatmap(around)
+
+
+@st.composite
+def _column_statistics(draw):
+    """Statistics as ANALYZE shapes them (float64 MCVs for a numeric
+    column, str for a string one), with an MCV list that may repeat a
+    value; returns (stats, the values it was built from)."""
+    numeric = draw(st.booleans())
+    if numeric:
+        pool = draw(st.lists(st.one_of(_FINITE, st.integers(-5, 5).map(float), st.floats()), min_size=1, max_size=5))
+        ctype, make = draw(st.sampled_from([ColumnType.INT, ColumnType.FLOAT])), np.float64
+    else:
+        pool = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5))
+        ctype, make = ColumnType.STRING, np.str_
+    values = draw(st.lists(st.sampled_from(pool), max_size=8))
+    fractions = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(values), max_size=len(values))))
+    stats = ColumnStatistics(
+        name="c", ctype=ctype, num_rows=100, n_distinct=draw(st.integers(0, 40)),
+        mcv_values=[make(v) for v in values], mcv_fractions=fractions.astype(np.float64),
+    )
+    return stats, pool
+
+
+def _as_probe(value):
+    """``value`` as each type a predicate may carry it in."""
+    forms = [value, str(value)]
+    if isinstance(value, float):
+        with np.errstate(over="ignore"):  # a float32 may round it to inf
+            forms += [np.float64(value), np.float32(value)]
+        if value.is_integer():
+            forms += [int(value), np.int64(int(value)) if abs(value) < 2**63 else int(value)]
+    else:
+        forms.append(np.str_(value))
+    return st.sampled_from(forms)
+
+
+class TestStatisticsParity:
+    """The statistics answer in Python floats from an index built once;
+    the answers are the numpy-scalar arithmetic's bit for bit
+    (``tests/naive_estimator.py``)."""
+
+    @given(_histograms(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_histogram_lookups(self, histogram, data):
+        probes = st.one_of(_NUMBERS, _near(histogram.bounds))
+        for _ in range(6):
+            value = data.draw(probes)
+            assert _bits(histogram.selectivity_le, value) == _bits(naive_selectivity_le, histogram, value)
+        low, high = data.draw(st.one_of(st.none(), probes)), data.draw(st.one_of(st.none(), probes))
+        assert _bits(histogram.selectivity_range, low, high) == _bits(
+            naive_selectivity_range, histogram, low, high
+        )
+
+    @given(_column_statistics(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mcv_and_equality_lookups(self, built, data):
+        stats, pool = built
+        probes = st.one_of(
+            st.sampled_from(pool).flatmap(_as_probe), _NUMBERS, st.text(max_size=3)
+        )
+        for _ in range(6):
+            value = data.draw(probes)
+            assert _bits(stats.mcv_selectivity, value) == _bits(naive_mcv_selectivity, stats, value)
+            assert _bits(stats.equality_selectivity, value) == _bits(
+                naive_equality_selectivity, stats, value
+            )
+
+    def test_first_equal_mcv_wins(self):
+        stats = ColumnStatistics(
+            name="c", ctype=ColumnType.FLOAT, num_rows=10, n_distinct=4,
+            mcv_values=[np.float64(1.0), np.float64(2.0**53), np.float64(1.0)],
+            mcv_fractions=np.array([0.1, 0.2, 0.3]),
+        )
+        for value in (1, 1.0, True, np.int64(1), 2**53 + 1, np.int64(2**53 + 1), 7):
+            assert stats.mcv_selectivity(value) == naive_mcv_selectivity(stats, value)
+        assert stats.mcv_selectivity(True) == 0.1
+        assert stats.mcv_selectivity(2**53 + 1) == 0.2  # numpy compares it as a float64
+        assert stats.equality_selectivity(7) == naive_equality_selectivity(stats, 7) == pytest.approx(0.4)
 
 
 class TestDatabase:
