@@ -33,7 +33,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from repro.core import EncoderBudget, JoinTree, JointTrainer, MLAConfig, MTMLFQO, ModelConfig, joeu
-from repro.core import decoding_embeddings, join_tree_from_order, shared_state_dict, transfer, tree_from_embeddings
+from repro.core import decoding_embeddings, join_tree_from_order, transfer, tree_from_embeddings
 from repro.core.serializer import query_signature
 from repro.datagen import generate_database, generate_databases, imdb_like
 from repro.engine import ExecutionLimitError
@@ -441,13 +441,13 @@ def fleet_fixture() -> list[tuple]:
     return tenants
 
 
-def tenant_model(global_state: dict, db, featurizer) -> MTMLFQO:
+def tenant_model(global_state: np.ndarray, db, featurizer) -> MTMLFQO:
     model = MTMLFQO(LIFECYCLE_MODEL)
-    model.load_state_dict(global_state)
+    model.load_weights(global_state)
     return transfer(model, db, featurizer)
 
 
-def fleet_arm(tenants: list, global_state: dict, seed: int, federated: bool) -> tuple:
+def fleet_arm(tenants: list, global_state: np.ndarray, seed: int, federated: bool) -> tuple:
     """Drift traffic, one adaptation round, then each tenant's scored
     drifted pool; returns (ms per tenant, the round or None).
 
@@ -461,7 +461,7 @@ def fleet_arm(tenants: list, global_state: dict, seed: int, federated: bool) -> 
     """
     config = RoundConfig(seed=seed, **FLEET)
     with FleetCoordinator(LIFECYCLE_MODEL, config) as fleet:
-        fleet.global_model.load_state_dict(global_state)
+        fleet.global_model.load_weights(global_state)
         nodes = [fleet.register(TenantNode(db, tenant_model(global_state, db, featurizer), config=config)).start()
                  for db, featurizer, _, _ in tenants[:FLEET_TENANTS]]
         try:
@@ -476,7 +476,7 @@ def fleet_arm(tenants: list, global_state: dict, seed: int, federated: bool) -> 
             else:
                 round_ = None
                 for node in nodes:
-                    update = node.local_update(shared_state_dict(node.live_model))
+                    update = node.local_update(node.live_model.weights)
                     if update is not None:
                         node.consider_global(update[0])
             scores = [sum(serve(node.optimize, node.db, traffic_stream(tenant[3], seed=100 + i)))
@@ -487,21 +487,21 @@ def fleet_arm(tenants: list, global_state: dict, seed: int, federated: bool) -> 
     return scores, round_
 
 
-def onboarding(tenants: list, global_state: dict, seed: int) -> tuple[float, float]:
+def onboarding(tenants: list, global_state: np.ndarray, seed: int) -> tuple[float, float]:
     """A cold tenant's day-one 2-4 table traffic: global (S)/(T) zero-shot
     vs random (S)/(T), over the same featurizer, so the difference is
     exactly the federated knowledge."""
     db, featurizer, _, _ = tenants[FLEET_TENANTS]
     pool = labeled_pool(db, 16, 30, min_tables=2, max_tables=4, seed=90)
     with FleetCoordinator(LIFECYCLE_MODEL, RoundConfig(seed=seed, **FLEET)) as fleet:
-        fleet.global_model.load_state_dict(global_state)
+        fleet.global_model.load_weights(global_state)
         with fleet.onboard(db, featurizer) as onboarded:
             onboarded_ms = sum(serve(onboarded.optimize, db, traffic_stream(pool, seed=7)))
     orders = transfer(MTMLFQO(LIFECYCLE_MODEL), db, featurizer).predict_join_orders(db.name, pool)
     return onboarded_ms, sum(join_order_execution_time(db, item, order) for item, order in zip(pool, orders))
 
 
-def fleet_poison(tenants: list, global_state: dict, seed: int) -> dict:
+def fleet_poison(tenants: list, global_state: np.ndarray, seed: int) -> dict:
     """A poisoned high-traffic tenant's round against a well-adapted fleet.
 
     Each live model is the global (S)/(T) fine-tuned on its tenant's
@@ -511,7 +511,7 @@ def fleet_poison(tenants: list, global_state: dict, seed: int) -> dict:
     """
     config = RoundConfig(seed=seed, **FLEET)
     with FleetCoordinator(LIFECYCLE_MODEL, config) as fleet:
-        fleet.global_model.load_state_dict(global_state)
+        fleet.global_model.load_weights(global_state)
         nodes = []
         for i, (db, featurizer, _, drift_pool) in enumerate(tenants[:FLEET_TENANTS]):
             # Tenant 0's gate validates partly on the adversary's fresh
@@ -562,8 +562,7 @@ def fleet_poison(tenants: list, global_state: dict, seed: int) -> dict:
                 "rejected": round_.rejected, "reverted": round_.reverted,
                 "models_unchanged": all(node.live_model is live for node, live in zip(nodes, live_before)),
                 "orders_unchanged": decoded() == orders_before,
-                "global_reverted": all(np.array_equal(value, global_after[key])
-                                       for key, value in global_before.items()),
+                "global_reverted": np.array_equal(global_before, global_after),
                 "gates": {node.name: node.last_gate for node in nodes},
             }
         finally:
@@ -583,7 +582,7 @@ def federated_fleet(seed: int):
         pretrained.attach_featurizer(db.name, featurizer)
     JointTrainer(pretrained).train([(db.name, item) for db, _, pre_pool, _ in tenants[:FLEET_TENANTS]
                                     for item in pre_pool], epochs=16, batch_size=8, seed=seed)
-    global_state = pretrained.state_dict()
+    global_state = pretrained.weights.copy()
     isolated, _ = fleet_arm(tenants, global_state, seed, federated=False)
     federated, round_ = fleet_arm(tenants, global_state, seed, federated=True)
     onboarded_ms, scratch_ms = onboarding(tenants, global_state, seed)

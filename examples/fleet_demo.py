@@ -19,7 +19,7 @@ runs FedAvg rounds over them:
 Run:  python examples/fleet_demo.py
 """
 
-from repro.core import EncoderBudget, JointTrainer, MTMLFQO, ModelConfig, shared_state_dict
+from repro.core import EncoderBudget, JointTrainer, MTMLFQO, ModelConfig
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report
 from repro.federation import FleetCoordinator
@@ -51,11 +51,11 @@ def main() -> None:
         # labeled traffic — the provider's pre-trained weights.
         warmup = MTMLFQO(MODEL)
         warmup.attach_featurizer(dbs[0].name, tenants[0].live_model.featurizer_for(dbs[0].name))
-        warmup.load_state_dict(fleet.global_state())
+        warmup.load_weights(fleet.global_state())
         JointTrainer(warmup).train(
             [(dbs[0].name, item) for item in pools[0]], epochs=6, batch_size=8
         )
-        fleet.global_model.load_state_dict(shared_state_dict(warmup))
+        fleet.global_model.load_weights(warmup.weights)
 
         print("serving tenant traffic (orders are executed into experience)...")
         for tenant, pool in zip(tenants, pools):

@@ -197,7 +197,7 @@ def main() -> None:
     # and pushes the merged model back through each tenant's regression
     # gate.  A new tenant onboards by training only its featurizer (F):
     # the global (S)/(T) is deployed zero-shot.
-    from repro.core import EncoderBudget, shared_state_dict
+    from repro.core import EncoderBudget
     from repro.datagen import generate_databases
     from repro.eval import format_fleet_report
     from repro.federation import FleetCoordinator
@@ -208,8 +208,8 @@ def main() -> None:
     encoder = EncoderBudget(6, 2)   # each tenant's (F) training budget
     with FleetCoordinator(config, fleet_config) as fleet:
         # Seed the global (S)/(T) with the model trained above — the
-        # provider's pre-trained weights (only shared parameters move).
-        fleet.global_model.load_state_dict(shared_state_dict(model))
+        # provider's pre-trained weights (its (S)/(T) vector; no (F)).
+        fleet.global_model.load_weights(model.weights)
         nodes = []
         for tenant_db in fleet_dbs[:2]:
             tenant = fleet.onboard(tenant_db, encoder)   # trains (F) only

@@ -33,12 +33,7 @@ from .losses import (
     sequence_level_loss,
     sequence_log_probs,
 )
-from .federated import (
-    AggregationError,
-    SHARED_MODULE_PREFIXES,
-    aggregate_shared_states,
-    shared_state_dict,
-)
+from .federated import AggregationError, aggregate_shared_states
 from .meta import MetaLearner, MLAConfig, transfer
 from .model import EncodedQuery, InferenceSession, MTMLFQO
 from .serializer import (
@@ -93,9 +88,7 @@ __all__ = [
     "MLAConfig",
     "transfer",
     "AggregationError",
-    "SHARED_MODULE_PREFIXES",
     "aggregate_shared_states",
-    "shared_state_dict",
     "JoinTree",
     "join_tree_from_order",
     "join_tree_from_plan",

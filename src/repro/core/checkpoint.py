@@ -26,9 +26,9 @@ join orders and cardinality/cost predictions (``tests/test_checkpoint.py``
 asserts this property), which is what lets
 :meth:`repro.serve.OptimizerService.swap_model` hot-swap checkpoints
 into a live service.  The in-memory fast path of the same guarantee is
-:meth:`MTMLFQO.clone_for_inference` — an (S)/(T) state-dict round trip
-without the disk hop, sharing the frozen (F) objects instead of
-rebuilding them.
+:meth:`MTMLFQO.clone_for_inference` — one copy of the (S)/(T)
+:attr:`MTMLFQO.weights` vector without the disk hop, sharing the frozen
+(F) objects instead of rebuilding them.
 
 A checkpoint carries weights, not identity: the loaded model gets a
 fresh :attr:`MTMLFQO.version` like every model built in the process,

@@ -1,78 +1,38 @@
-"""The fleet's FedAvg merge and privacy filter (the paper's Section 7).
+"""The fleet's FedAvg merge (the paper's Section 7).
 
 The paper's cloud workflow trains MTMLF on many users' databases and
 proposes federated learning so the provider never sees raw data: users
 train locally and share only model updates.  The live FedAvg loop is
-:class:`repro.federation.FleetCoordinator`; this module holds the two
-pieces of it that touch parameters:
+:class:`repro.federation.FleetCoordinator`; this module holds the merge,
+:func:`aggregate_shared_states`: an example-weighted mean of (S)/(T)
+vectors (each a model's :attr:`~repro.core.model.MTMLFQO.weights`).
 
-- :func:`shared_state_dict` is the privacy filter.  It selects a
-  model's shared (S)/(T) parameters by name
-  (:data:`SHARED_MODULE_PREFIXES`), the only state a tenant ships;
-- :func:`aggregate_shared_states` is the merge: an example-weighted
-  mean over those parameters, raising :class:`AggregationError` on a
-  missing or mismatched one.
-
-Per-database featurizers (F) never pass either function: all
-database-specific knowledge stays with its tenant.
+A model's vector holds its (S)/(T) parameters and nothing else — no
+per-database featurizer (F) parameter is in it — so what a tenant ships
+and what the merge averages is the privacy boundary by construction:
+all database-specific knowledge stays with its tenant.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import MTMLFQO
-
-__all__ = [
-    "AggregationError",
-    "SHARED_MODULE_PREFIXES",
-    "aggregate_shared_states",
-    "shared_state_dict",
-]
-
-# The modules whose parameters are shared across the federation: the
-# representation module (S) and the task modules (T).  Everything else —
-# in particular per-database featurizer (F) parameters — is private to
-# its client and must never travel or be averaged.
-SHARED_MODULE_PREFIXES = ("shared.", "card_head.", "cost_head.", "trans_jo.")
+__all__ = ["AggregationError", "aggregate_shared_states"]
 
 
 class AggregationError(ValueError):
-    """A FedAvg merge could not be performed safely: a client state is
-    missing a shared (S)/(T) parameter, a shape disagrees across clients,
-    or the inputs are malformed (no states, weight mismatch)."""
+    """A FedAvg merge could not be performed safely: no states, a weight
+    count or sign that does not fit them, or vectors of different shapes."""
 
 
-def shared_state_dict(model: MTMLFQO) -> dict[str, np.ndarray]:
-    """The name-keyed (S)/(T) parameters of ``model`` — the only state a
-    federation participant is allowed to ship.
+def aggregate_shared_states(states: list[np.ndarray], weights: list[float]) -> np.ndarray:
+    """Example-weighted FedAvg over (S)/(T) vectors.
 
-    Selected by parameter-name prefix (:data:`SHARED_MODULE_PREFIXES`),
-    so even a state dict that happened to contain featurizer entries
-    could never leak them through this function.
-    """
-    return {
-        name: value
-        for name, value in model.state_dict().items()
-        if name.startswith(SHARED_MODULE_PREFIXES)
-    }
-
-
-def aggregate_shared_states(
-    states: list[dict],
-    weights: list[float],
-    reference: dict | None = None,
-) -> dict[str, np.ndarray]:
-    """Example-weighted FedAvg over the shared (S)/(T) parameters only.
-
-    ``reference`` (defaults to ``states[0]``) fixes the shared key set
-    and shapes being merged — typically the server model's state dict.
-    Only parameters whose names carry a :data:`SHARED_MODULE_PREFIXES`
-    prefix are averaged; any other key a client state contains (e.g. a
-    per-database featurizer parameter) is ignored, never merged — the
-    "(F) is never shared" contract.  A client state *missing* a shared
-    key, or carrying one with a mismatched shape, raises
-    :class:`AggregationError` naming the client and parameter.
+    Sums ``state * (weight / total)`` over the states in the order
+    given, elementwise as a per-parameter loop would, so the merged
+    vector is bitwise that loop's.  A state whose shape differs from the
+    first one's raises :class:`AggregationError` naming the client; the
+    vectors are never broadcast against each other.
     """
     if not states:
         raise AggregationError("no client states to aggregate")
@@ -82,32 +42,16 @@ def aggregate_shared_states(
         )
     if any(weight <= 0 for weight in weights):
         raise AggregationError(f"client weights must be positive, got {weights}")
-    reference = states[0] if reference is None else reference
-    shared_names = sorted(
-        name for name in reference if name.startswith(SHARED_MODULE_PREFIXES)
-    )
-    if not shared_names:
-        raise AggregationError(
-            "reference state holds no shared (S)/(T) parameters "
-            f"(expected names starting with {SHARED_MODULE_PREFIXES})"
-        )
+    shape = np.shape(states[0])
+    for client_index, state in enumerate(states):
+        if np.shape(state) != shape:
+            raise AggregationError(
+                f"client {client_index} vector has shape {np.shape(state)}, expected {shape}"
+            )
     total = float(sum(weights))
-    merged: dict[str, np.ndarray] = {}
-    for name in shared_names:
-        expected_shape = np.asarray(reference[name]).shape
-        accumulator: np.ndarray | None = None
-        for client_index, (state, weight) in enumerate(zip(states, weights)):
-            if name not in state:
-                raise AggregationError(
-                    f"client {client_index} state is missing shared parameter {name!r}"
-                )
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != expected_shape:
-                raise AggregationError(
-                    f"shape mismatch for shared parameter {name!r}: "
-                    f"client {client_index} has {value.shape}, expected {expected_shape}"
-                )
-            contribution = value * (weight / total)
-            accumulator = contribution if accumulator is None else accumulator + contribution
-        merged[name] = accumulator
+    merged = np.multiply(states[0], weights[0] / total)
+    contribution = np.empty_like(merged)
+    for state, weight in zip(states[1:], weights[1:]):
+        np.multiply(state, weight / total, out=contribution)
+        merged += contribution
     return merged

@@ -84,6 +84,11 @@ class MTMLFQO(nn.Module):
         self.card_head = EstimationHead(self.config, rng)
         self.cost_head = EstimationHead(self.config, rng)
         self.trans_jo = TransJO(self.config, rng)
+        # The (S)/(T) parameters' values, one aligned vector in
+        # named_parameters order (every p.data is a view into it): what
+        # a trainer's Adam steps in place, a clone copies and a fleet
+        # tenant ships.  No (F) parameter is in it.
+        self.weights = nn.parameter_vector(self.parameters())
         # (F) modules by database; each owns the caches of its outputs.
         self.featurizers: dict[str, DatabaseFeaturizer] = {}  # guarded-by: _infer_lock
         # Serializes concurrent *inference* through the model: the public
@@ -110,9 +115,15 @@ class MTMLFQO(nn.Module):
         found.extend(self.trans_jo.named_parameters(prefix=f"{prefix}trans_jo."))
         return found
 
-    def shared_task_parameters(self) -> list[nn.Parameter]:
-        """Parameters of the (S) and (T) modules (the trainable set)."""
-        return [p for _, p in self.named_parameters()]
+    def load_weights(self, weights: np.ndarray) -> None:
+        """Copy another model's (S)/(T) :attr:`weights` into this one's,
+        in place.  A vector of any other shape raises ``ValueError``;
+        it is never broadcast."""
+        if np.shape(weights) != self.weights.shape:
+            raise ValueError(
+                f"(S)/(T) vector has shape {np.shape(weights)}, this model's {self.weights.shape}"
+            )
+        np.copyto(self.weights, weights)
 
     # ------------------------------------------------------------------
     def attach_featurizer(self, db_name: str, featurizer: DatabaseFeaturizer) -> None:
@@ -190,24 +201,23 @@ class MTMLFQO(nn.Module):
         """A detached copy of this model's weights, ready to serve.
 
         The in-memory equivalent of a checkpoint round trip
-        (``repro.core.checkpoint``): same config, bit-identical (S)/(T)
-        weights (state dicts copy on both save and load) and the same
-        frozen (F) *objects* — a new featurizer dict holding the
-        source's :class:`DatabaseFeaturizer` instances, which no trainer
-        steps while attached, and with them their caches — but its
-        **own** inference lock and :attr:`version`, so inference on the
-        clone never contends with the original, and produces orders
+        (``repro.core.checkpoint``): same config, a bit-identical copy
+        of the (S)/(T) :attr:`weights` vector and the same frozen (F)
+        *objects* — a new featurizer dict holding the source's
+        :class:`DatabaseFeaturizer` instances, which no trainer steps
+        while attached, and with them their caches — but its **own**
+        inference lock and :attr:`version`, so inference on the clone
+        never contends with the original, and produces orders
         bit-identical to the source model's.  Encodings either model
         computes serve both, a rejected candidate's included.
 
-        The clone shares no (S)/(T) weight array, so later in-place
-        training of either model can never leak into the other.
+        The clone's vector shares no memory with the source's, so later
+        in-place training of either model can never leak into the other.
         """
-        with self._infer_lock:
-            state = self.state_dict()
-            featurizers = dict(self.featurizers)
         clone = MTMLFQO(self.config)
-        clone.load_state_dict(state)
+        with self._infer_lock:
+            np.copyto(clone.weights, self.weights)
+            featurizers = dict(self.featurizers)
         # Not yet shared, so no lock is needed.
         clone.featurizers = featurizers
         return clone

@@ -98,10 +98,11 @@ class JointTrainer:
     ):
         self.model = model
         self.config: ModelConfig = model.config
-        self.parameters = model.shared_task_parameters()
+        self.parameters = model.parameters()
         # Named parameters: the optimizer's moment estimates are keyed by
         # parameter name, so warm-start state saved in a checkpoint can
-        # only ever restore onto the parameters it was computed for.
+        # only ever restore onto the parameters it was computed for.  Its
+        # value vector is the model's own weights, stepped in place.
         self.optimizer = nn.Adam(
             model.named_parameters(),
             lr=self.config.learning_rate if learning_rate is None else learning_rate,

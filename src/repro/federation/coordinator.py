@@ -13,12 +13,13 @@ thread of its own):
    experience fine-tune a private copy (on parallel harvest threads —
    grad mode is thread-local, each tenant's model, featurizer clone and
    RNGs are private, so the result is deterministic regardless of
-   scheduling) and return shared-(S)/(T)-only states; tenants without
+   scheduling) and return their (S)/(T) vectors; tenants without
    fresh traffic skip, which is what makes rounds *asynchronous* — the
    fleet never blocks on an idle tenant;
-3. **merge** — the returned states are example-weighted FedAvg-merged
-   (:func:`repro.core.federated.aggregate_shared_states`: shared keys
-   selected by name, loud errors on missing/mismatched parameters);
+3. **merge** — the returned vectors are example-weighted FedAvg-merged
+   (:func:`repro.core.federated.aggregate_shared_states`); every tenant
+   was checked at :meth:`FleetCoordinator.register` to have the global
+   model's (S)/(T) layout, so equal-sized vectors are like for like;
 4. **checkpoint** — every global round is persisted via
    :func:`repro.core.checkpoint.save_checkpoint` (``round-NNNN.npz``),
    so any round can be replayed, shipped, or rolled back to;
@@ -42,6 +43,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.checkpoint import save_checkpoint
 from ..core.config import ModelConfig
 from ..core.encoders import DatabaseFeaturizer, EncoderBudget
@@ -54,6 +57,11 @@ from .node import TenantNode
 from .report import FleetReport
 
 __all__ = ["FleetCoordinator", "FleetRound"]
+
+
+def _layout(model: MTMLFQO) -> list[tuple[str, tuple[int, ...]]]:
+    """The (S)/(T) vector layout of ``model``: names and shapes, in order."""
+    return [(name, p.data.shape) for name, p in model.named_parameters()]
 
 
 @dataclass
@@ -138,9 +146,9 @@ class FleetCoordinator:
         # unguarded, that iteration would die mid-round with
         # "dictionary changed size during iteration".
         self._tenants_lock = threading.Lock()
-        # Guards reads/writes of the global model's parameters:
-        # load_state_dict assigns parameter-by-parameter, so an
-        # unguarded onboard()/global_state() racing a round's publish
+        # Guards reads/writes of the global model's weights vector: one
+        # np.copyto is not atomic against a concurrent reader either, so
+        # an unguarded onboard()/global_state() racing a round's publish
         # could copy a torn mix of old and new weights.
         self._global_lock = threading.Lock()
 
@@ -152,6 +160,13 @@ class FleetCoordinator:
 
     # -- fleet membership ----------------------------------------------
     def register(self, tenant: TenantNode) -> TenantNode:
+        """Add ``tenant`` to the fleet.  Refused (``ValueError``) when its
+        name is taken, or when its live model's (S)/(T) layout — names
+        and shapes, in order — differs from the global model's: two
+        configs whose vectors merely have the same size must never be
+        averaged element by element."""
+        if _layout(tenant.live_model) != _layout(self.global_model):
+            raise ValueError(f"tenant {tenant.name!r} has another (S)/(T) layout than the global model")
         with self._tenants_lock:
             if tenant.name in self.tenants:
                 raise ValueError(f"tenant {tenant.name!r} is already registered")
@@ -188,7 +203,8 @@ class FleetCoordinator:
             if (name or db.name) in self.tenants:
                 raise ValueError(f"tenant {(name or db.name)!r} is already registered")
         model = MTMLFQO(self.global_model.config)
-        model.load_state_dict(self.global_state())
+        with self._global_lock:
+            model.load_weights(self.global_model.weights)
         transfer(model, db, encoder, seed=self.config.seed)
         tenant = TenantNode(
             db,
@@ -202,10 +218,10 @@ class FleetCoordinator:
         return self.register(tenant)
 
     # -- global state ---------------------------------------------------
-    def global_state(self) -> dict:
-        """A copy of the global (S)/(T) named-parameter state."""
+    def global_state(self) -> np.ndarray:
+        """A copy of the global model's (S)/(T) weights vector."""
         with self._global_lock:
-            return self.global_model.state_dict()
+            return self.global_model.weights.copy()
 
     # -- rounds ----------------------------------------------------------
     def run_round(self) -> FleetRound:
@@ -230,7 +246,7 @@ class FleetCoordinator:
         # thread scheduling; parallelism only shortens the round.  A
         # crashing tenant is recorded (never silently folded into
         # "skipped") and the rest of the round proceeds without it.
-        results: dict[str, "tuple[dict, int] | None | BaseException"] = {}
+        results: dict[str, "tuple[np.ndarray, int] | None | BaseException"] = {}
 
         def harvest(tenant_name: str, tenant: TenantNode) -> None:
             try:
@@ -242,7 +258,7 @@ class FleetCoordinator:
             span.set("round", round_.index).set("tenants", len(tenants))
             self._run_per_tenant(tenants, harvest, stage="harvest")
 
-        states: list[dict] = []
+        states: list[np.ndarray] = []
         weights: list[float] = []
         for tenant_name, _ in tenants:
             update = results.get(tenant_name)
@@ -312,11 +328,10 @@ class FleetCoordinator:
         """
         with self.telemetry.tracer.span(round_trace, "fleet.merge") as span:
             span.set("participants", len(states))
-            merged = aggregate_shared_states(
-                states, weights, reference=self.global_state()
-            )
+            merged = aggregate_shared_states(states, weights)
             staging = MTMLFQO(self.global_model.config)
-            staging.load_state_dict(merged)
+            # Raises on a vector of another shape: it never reaches a tenant.
+            staging.load_weights(merged)
             round_.checkpoint_path = save_checkpoint(
                 staging,
                 os.path.join(self._checkpoints.path(), f"round-{round_.index:04d}"),
@@ -329,12 +344,11 @@ class FleetCoordinator:
         # phase they run one thread per tenant (independent models,
         # services and engines) instead of serializing the round on the
         # slowest gate.
-        push_state = staging.state_dict()
         outcomes: dict[str, "bool | None | BaseException"] = {}
 
         def push(tenant_name: str, tenant: TenantNode) -> None:
             try:
-                outcomes[tenant_name] = tenant.consider_global(push_state)
+                outcomes[tenant_name] = tenant.consider_global(merged)
             except BaseException as error:
                 outcomes[tenant_name] = error
 
@@ -372,7 +386,7 @@ class FleetCoordinator:
             round_.reverted = True
             return
         with self._global_lock:
-            self.global_model.load_state_dict(merged)
+            self.global_model.load_weights(merged)
             self.global_model.mark_updated()
 
     def _abandon_round(self, round_: FleetRound, tenants) -> None:

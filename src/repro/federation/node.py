@@ -9,10 +9,9 @@ federation through exactly two narrow interfaces:
 
 - :meth:`local_update` — fine-tune a *private* model copy (starting
   from the broadcast global weights, on this tenant's experience only)
-  and return the shared (S)/(T) parameters plus an example count.
-  Featurizer (F) weights and raw experience never cross this boundary:
-  the return value is filtered through
-  :func:`repro.core.federated.shared_state_dict`.
+  and return its (S)/(T) vector plus an example count.  Featurizer (F)
+  weights and raw experience never cross this boundary: a model's
+  :attr:`~repro.core.model.MTMLFQO.weights` hold no (F) parameter.
 - :meth:`consider_global` — evaluate a merged global model against the
   live one on a held-out slice of the tenant's own experience and
   hot-swap it in only if the tenant's simulated latency does not worsen.
@@ -35,7 +34,8 @@ from __future__ import annotations
 
 import threading
 
-from ..core.federated import shared_state_dict
+import numpy as np
+
 from ..core.model import MTMLFQO
 from ..core.serializer import query_signature
 from ..serve.adaptation import GateResult, RoundConfig, TrainRound
@@ -135,18 +135,18 @@ class TenantNode:
         return accepted
 
     # -- federation: local phase ---------------------------------------
-    def local_update(self, global_state: dict) -> tuple[dict, int] | None:
-        """One round's client-side pass; returns ``(shared_state, n)``.
+    def local_update(self, global_state: np.ndarray) -> tuple[np.ndarray, int] | None:
+        """One round's client-side pass; returns ``(weights, n)``.
 
         Skips (returns None) when fewer than ``min_new_experience``
         fresh experiences accumulated since the last harvest — the
         asynchronous-participation rule.  Otherwise fine-tunes a private
-        model (a copy of the broadcast (S)/(T) + the live model's frozen
-        featurizer, which no trainer steps, so training can never touch
-        the serving weights) on the
-        training slice of the experience snapshot and returns only the
-        shared (S)/(T) parameters with the example count FedAvg weights
-        them by.
+        model (a copy of the broadcast (S)/(T) vector + the live model's
+        frozen featurizer, which no trainer steps, so training can never
+        touch the serving weights) on the training slice of the
+        experience snapshot and returns that model's (S)/(T) vector —
+        nothing else holds the private model, so it is not copied — with
+        the example count FedAvg weights it by.
         """
         if self.pending_experience() < self.config.min_new_experience:
             return None
@@ -160,10 +160,10 @@ class TenantNode:
         self.round.commit()
         with self._lock:
             self._optimizer_state = optimizer_state
-        return shared_state_dict(trainer.model), num_examples
+        return trainer.model.weights, num_examples
 
     # -- federation: push phase ----------------------------------------
-    def consider_global(self, global_state: dict) -> bool | None:
+    def consider_global(self, global_state: np.ndarray) -> bool | None:
         """Gate the merged global model; swap it in only if safe.
 
         Returns True (accepted + swapped), False (gate-rejected), or

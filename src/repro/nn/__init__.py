@@ -3,13 +3,14 @@
 Substitutes for PyTorch in this reproduction (no deep-learning framework
 is available offline).  Provides reverse-mode autodiff tensors, standard
 layers, multi-head attention, transformer encoder/decoder stacks, the
-child-sum Tree-LSTM, the Adam optimizer and the q-error metric.
+child-sum Tree-LSTM, the one-vector parameter packing, the Adam
+optimizer and the q-error metric.
 """
 
 from . import functional, kernels
 from .attention import MultiHeadAttention, causal_mask
 from .kernels import ScratchArena
-from .layers import MLP, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter
+from .layers import MLP, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter, parameter_vector
 from .losses import cross_entropy, q_error
 from .lstm import ChildSumTreeLSTM
 from .optim import Adam, clip_grad_norm
@@ -29,6 +30,7 @@ __all__ = [
     "Module",
     "ModuleList",
     "Parameter",
+    "parameter_vector",
     "Linear",
     "LayerNorm",
     "Embedding",

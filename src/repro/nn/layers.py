@@ -10,9 +10,15 @@ Every layer has exactly one ``forward`` body, written against the
 :mod:`repro.nn.functional` op table; it computes on whatever it is
 handed — ``Tensor``s (recording tape) or raw ndarrays (in-place
 kernels) — and the two runs are the same function bit for bit.
+
+:func:`parameter_vector` packs a parameter list into one aligned
+float64 vector; a model that owns its parameters packs them once, and
+every optimizer over that list steps the same vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,7 +26,14 @@ from . import functional as F
 from .spec import shape_spec
 from .tensor import Tensor, _unbroadcast, no_tape_active, raw
 
-__all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "MLP", "ModuleList"]
+__all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "MLP", "ModuleList", "parameter_vector"]
+
+# float64s per 64 bytes.  Every segment of a parameter vector starts on a
+# 64-byte boundary: BLAS reads a weight matrix at a cache-line-aligned
+# address faster than one at an arbitrary 8-byte offset (a (128, 48) @
+# (48, 96) matmul took ~25 us against ~29 us with OpenBLAS 0.3.31 on a
+# 2-core Xeon), and every forward pass reads the weights.
+_ALIGN = 8
 
 
 class Parameter(Tensor):
@@ -50,6 +63,65 @@ class Parameter(Tensor):
         else:
             np.copyto(view, _unbroadcast(grad, view.shape))
         self.grad = view
+
+
+def aligned_zeros(size: int) -> np.ndarray:
+    """``size`` float64 zeros whose first element is 64-byte aligned."""
+    buffer = np.zeros(size + _ALIGN)
+    skip = (-buffer.ctypes.data % 64) // 8
+    return buffer[skip : skip + size]
+
+
+def segment_strides(shapes) -> np.ndarray:
+    """Each shape's segment length in a parameter vector: its size
+    rounded up to whole 64-byte cache lines (the padding stays zero)."""
+    sizes = np.array([math.prod(shape) for shape in shapes], dtype=np.int64)
+    return -(-sizes // _ALIGN) * _ALIGN
+
+
+def segment_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """``vector`` cut into one view per shape, in that shape."""
+    starts = np.cumsum(segment_strides(shapes)).tolist()
+    return [
+        vector[start : start + math.prod(shape)].reshape(shape)
+        for start, shape in zip([0] + starts[:-1], shapes)
+    ]
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def parameter_vector(parameters: list[Parameter]) -> np.ndarray:
+    """The one float64 vector holding ``parameters``' values, in order.
+
+    Each parameter's segment starts on a 64-byte boundary and is padded
+    to whole cache lines with zeros.  When the parameters' ``data``
+    already are the segments of one such vector, filling it in this
+    order, that vector is returned and nothing is copied; otherwise a
+    new one is laid out, each parameter's values copied in and its
+    ``data`` rebound to its segment.
+    """
+    datas = [p.data for p in parameters]
+    shapes = [data.shape for data in datas]
+    strides = segment_strides(shapes)
+    total = int(strides.sum())
+    owner = datas[0].base if datas else None
+    # Only a buffer aligned_zeros made for exactly this layout can hold it.
+    if owner is not None and owner.ndim == 1 and owner.size == total + _ALIGN:
+        start = _address(datas[0])
+        skip = (start - _address(owner)) // 8
+        offsets = (start + 8 * (np.cumsum(strides) - strides)).tolist()
+        if skip + total <= owner.size and all(
+            data.base is owner and data.flags.c_contiguous and _address(data) == offset
+            for data, offset in zip(datas, offsets)
+        ):
+            return owner[skip : skip + total]
+    vector = aligned_zeros(total)
+    for p, data in zip(parameters, segment_views(vector, shapes)):
+        data[...] = p.data
+        p.data = data
+    return vector
 
 
 def _wrapped(value):
@@ -100,8 +172,8 @@ class Module:
         """Copy ``state`` into the existing parameter arrays.
 
         In place, never by rebinding ``param.data``: a packed parameter's
-        array is a view into its optimizer's vector, and a load must not
-        detach it from there.
+        array is a view into its parameter vector (a model's, or a loose
+        list's optimizer's), and a load must not detach it from there.
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)

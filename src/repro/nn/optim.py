@@ -5,21 +5,22 @@ optimizer (with the standard bias-corrected moments of Kingma & Ba) is
 provided here, plus global-norm gradient clipping used to stabilise the
 small-batch CPU training runs in this reproduction.
 
-An optimizer owns one float64 vector per quantity — the parameters'
-values, their gradients and Adam's two moments — laid out in parameter
-order.  Building it copies each parameter's values into the value vector
-and rebinds ``p.data`` to its segment; each parameter's first gradient
-of a backward pass is copied into its segment of the gradient vector
-(:meth:`Parameter._accumulate`), so ``zero_grad`` needs no fill, and an
-Adam step is a fixed sequence of in-place whole-vector numpy calls, whose
-elementwise IEEE operations are those of the per-array update, in the
-same order, so weights and moments are bitwise what the per-array loop
-(kept test-side, ``tests/reference_ops.py``) computes.  Two rules keep
-the views alive: ``Module.load_state_dict`` writes into the existing
-arrays, and a step first adopts any parameter whose ``data`` was rebound
-since (another optimizer packed it, or a caller assigned ``p.data``) or
-whose gradient was assigned by hand.  A parameter with no gradient in a
-step keeps its weights and both moments bitwise unchanged.
+An optimizer steps one float64 vector per quantity — values, gradients
+and Adam's two moments — laid out in parameter order.  The value vector
+is :func:`~repro.nn.layers.parameter_vector`'s: the one a model owns
+(``MTMLFQO.weights``), or a new one for a loose parameter list.  Each
+parameter's first gradient of a backward pass is copied into its
+segment of the gradient vector (:meth:`Parameter._accumulate`), so
+``zero_grad`` needs no fill, and an Adam step is a fixed sequence of
+in-place whole-vector numpy calls, whose elementwise IEEE operations are
+those of the per-array update, in the same order, so weights and
+moments are bitwise what the per-array loop (kept test-side,
+``tests/reference_ops.py``) computes.  Two rules keep the views alive:
+``Module.load_state_dict`` writes into the existing arrays, and a step
+first adopts any parameter whose ``data`` was rebound since (another
+optimizer packed it anew, or a caller assigned ``p.data``) or whose
+gradient was assigned by hand.  A parameter with no gradient in a step
+keeps its weights and both moments bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -28,23 +29,9 @@ import math
 
 import numpy as np
 
-from .layers import Parameter
+from .layers import Parameter, aligned_zeros, parameter_vector, segment_strides, segment_views
 
 __all__ = ["Adam", "clip_grad_norm"]
-
-# float64s per 64 bytes.  Every segment starts on a 64-byte boundary:
-# BLAS reads a weight matrix at a cache-line-aligned address faster than
-# one at an arbitrary 8-byte offset (a (128, 48) @ (48, 96) matmul took
-# ~25 us against ~29 us with OpenBLAS 0.3.31 on a 2-core Xeon), and every
-# forward pass reads the weights.
-_ALIGN = 8
-
-
-def _aligned_zeros(size: int) -> np.ndarray:
-    """``size`` float64 zeros whose first element is 64-byte aligned."""
-    buffer = np.zeros(size + _ALIGN)
-    skip = (-buffer.ctypes.data % 64) // 8
-    return buffer[skip : skip + size]
 
 
 def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
@@ -72,8 +59,8 @@ def clip_grad_norm(parameters: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base optimizer holding a parameter list and its packed vectors.
+class Adam:
+    """Adam optimizer (Kingma & Ba, 2014) with bias correction.
 
     Accepts either bare parameters or ``(name, parameter)`` pairs (as
     produced by :meth:`Module.named_parameters`).  Names make optimizer
@@ -83,11 +70,23 @@ class Optimizer:
     genuine mismatch fails loudly instead of silently misaligning.
     """
 
-    def __init__(self, parameters):
-        entries = list(parameters)
+    def __init__(
+        self,
+        parameters,
+        lr: float = 1e-4,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+    ):
+        if not lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {lr}")
+        if not all(0.0 <= beta < 1.0 for beta in betas):
+            raise ValueError(f"betas must be in [0, 1), got {betas}")
+        if not eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {eps}")
         names: list[str] = []
         params: list[Parameter] = []
-        for entry in entries:
+        for entry in parameters:
             if isinstance(entry, tuple):
                 name, param = entry
                 names.append(str(name))
@@ -102,34 +101,25 @@ class Optimizer:
         if len({id(p) for p in params}) != len(params):
             raise ValueError("a parameter is listed more than once")
         self.parameters = params
-        self.param_names: list[str] | None = names or None
-        sizes = [p.data.size for p in params]
-        # Segment lengths rounded up to whole cache lines; the padding
-        # stays zero in every vector, so a step leaves it zero.
-        self._strides = -(-np.array(sizes, dtype=np.int64) // _ALIGN) * _ALIGN
-        stops = np.cumsum(self._strides).tolist()
-        self._segments = [(start, start + size) for start, size in zip([0] + stops[:-1], sizes)]
-        self._data = _aligned_zeros(stops[-1] if stops else 0)
-        self._grad = _aligned_zeros(self._data.size)
-        self._data_views = self._views(self._data)
-        self._grad_views = self._views(self._grad)
-        for p, data, grad in zip(params, self._data_views, self._grad_views):
-            data[...] = p.data
-            p.data = data
+        # Per-parameter state keys: names when given, positions otherwise.
+        self._keys = names or [str(i) for i in range(len(params))]
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self._data = parameter_vector(params)
+        self._data_views = [p.data for p in params]
+        self._shapes = [p.data.shape for p in params]
+        self._strides = segment_strides(self._shapes)
+        self._grad = aligned_zeros(self._data.size)
+        self._grad_views = segment_views(self._grad, self._shapes)
+        for p, grad in zip(params, self._grad_views):
             p.grad_view = grad
-
-    def _views(self, vector: np.ndarray) -> list[np.ndarray]:
-        """``vector`` cut into one view per parameter, in its shape."""
-        return [
-            vector[start:stop].reshape(p.data.shape)
-            for p, (start, stop) in zip(self.parameters, self._segments)
-        ]
-
-    def _state_keys(self) -> list[str]:
-        """Per-parameter state keys: names when given, positions otherwise."""
-        if self.param_names is not None:
-            return self.param_names
-        return [str(i) for i in range(len(self.parameters))]
+        self._m = aligned_zeros(self._data.size)
+        self._v = aligned_zeros(self._data.size)
+        # The step's two temporaries, allocated once.
+        self._scratch = (aligned_zeros(self._data.size), aligned_zeros(self._data.size))
+        self._t = 0
 
     def _gather(self) -> np.ndarray | None:
         """Bring every parameter's values and gradient into the vectors.
@@ -160,38 +150,6 @@ class Optimizer:
         for p in self.parameters:
             p.grad = None
 
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2014) with bias correction."""
-
-    def __init__(
-        self,
-        parameters,
-        lr: float = 1e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        if not lr > 0.0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        if not all(0.0 <= beta < 1.0 for beta in betas):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        if not eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        super().__init__(parameters)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = _aligned_zeros(self._data.size)
-        self._v = _aligned_zeros(self._data.size)
-        # The step's two temporaries, allocated once.
-        self._scratch = (_aligned_zeros(self._data.size), _aligned_zeros(self._data.size))
-        self._t = 0
-
     # -- warm-start state ---------------------------------------------------
     def state_dict(self) -> dict:
         """Moment estimates and step count, keyed by parameter name.
@@ -200,11 +158,11 @@ class Adam(Optimizer):
         either way :meth:`load_state_dict` refuses a key-set or shape
         mismatch rather than misaligning moments.
         """
-        keys = self._state_keys()
+        keys = self._keys
         return {
             "t": self._t,
-            "m": {key: m.copy() for key, m in zip(keys, self._views(self._m))},
-            "v": {key: v.copy() for key, v in zip(keys, self._views(self._v))},
+            "m": {key: m.copy() for key, m in zip(keys, segment_views(self._m, self._shapes))},
+            "v": {key: v.copy() for key, v in zip(keys, segment_views(self._v, self._shapes))},
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -214,7 +172,7 @@ class Adam(Optimizer):
         after the state was saved) surfaces as missing/unexpected keys —
         never as moments silently applied to the wrong parameters.
         """
-        keys = self._state_keys()
+        keys = self._keys
         saved = set(state["m"])
         if set(state["v"]) != saved:
             raise ValueError("corrupt optimizer state: m/v key sets differ")
@@ -237,7 +195,7 @@ class Adam(Optimizer):
                         f"{value.shape} vs parameter {param.data.shape}"
                     )
         for vector, slot in ((self._m, state["m"]), (self._v, state["v"])):
-            for key, view in zip(keys, self._views(vector)):
+            for key, view in zip(keys, segment_views(vector, self._shapes)):
                 view[...] = slot[key]
         self._t = int(state["t"])
 

@@ -49,6 +49,8 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.serializer import plan_signature, query_signature
 from ..core.trainer import JointTrainer
 from ..eval.experiments import join_order_execution_time
@@ -397,24 +399,24 @@ class TrainRound:
                 self._rollback_to = None
 
     # -- the round's private copy ------------------------------------------
-    def private_model(self, live, global_state: dict | None = None):
-        """A clone of ``live`` — under the broadcast (S)/(T)
-        ``global_state`` when one is given — sharing no (S)/(T) array
-        with it: :meth:`MTMLFQO.clone_for_inference` copies (S)/(T) by
-        state dict, so the round's training steps never touch a weight
-        array that serves traffic.  The clone shares ``live``'s frozen
-        featurizers, which no trainer steps, and with them the caches
-        of their outputs, which stay valid under training and
-        ``global_state``: both change (S)/(T) only.  Its version is its
-        own from construction, so it never shares ``live``'s plan-cache
-        entries."""
+    def private_model(self, live, global_state: np.ndarray | None = None):
+        """A clone of ``live`` — under the broadcast (S)/(T) vector
+        ``global_state`` when one is given — sharing no (S)/(T) memory
+        with it: :meth:`MTMLFQO.clone_for_inference` copies the
+        :attr:`~MTMLFQO.weights` vector, so the round's training steps
+        never touch a weight that serves traffic.  The clone shares
+        ``live``'s frozen featurizers, which no trainer steps, and with
+        them the caches of their outputs, which stay valid under
+        training and ``global_state``: both change (S)/(T) only.  Its
+        version is its own from construction, so it never shares
+        ``live``'s plan-cache entries."""
         model = live.clone_for_inference()
         if global_state is not None:
-            model.load_state_dict(global_state)
+            model.load_weights(global_state)
         return model
 
     def private_trainer(
-        self, live, global_state: dict | None = None, optimizer_state: dict | None = None
+        self, live, global_state: np.ndarray | None = None, optimizer_state: dict | None = None
     ) -> JointTrainer:
         """The trainer a round fine-tunes: :meth:`private_model` under an
         Adam at ``config.learning_rate`` that resumes ``optimizer_state``

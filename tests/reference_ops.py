@@ -14,6 +14,10 @@ other one, central differences.
 before it packed its parameters into one vector: a loop over the
 parameters, each updated in its own arrays and skipped when it has no
 gradient.  ``nn.Adam`` must reproduce its weights and moments bit for bit.
+
+``fedavg`` is the per-name FedAvg merge ``aggregate_shared_states`` ran
+before a model's (S)/(T) parameters were one vector; the vector merge
+must reproduce it byte for byte.
 """
 
 import numpy as np
@@ -115,3 +119,17 @@ class ReferenceAdam:
             m_hat = m / bias1
             v_hat = v / bias2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def fedavg(states, weights):
+    """Example-weighted mean of name-keyed states, one name at a time:
+    ``value * (weight / total)`` summed over the clients in order."""
+    total = float(sum(weights))
+    merged = {}
+    for name in sorted(states[0]):
+        accumulator = None
+        for state, weight in zip(states, weights):
+            contribution = np.asarray(state[name], dtype=np.float64) * (weight / total)
+            accumulator = contribution if accumulator is None else accumulator + contribution
+        merged[name] = accumulator
+    return merged

@@ -1,65 +1,94 @@
-"""Tests for the fleet's FedAvg merge and its (S)/(T)-only privacy filter."""
+"""Tests for the fleet's FedAvg merge over (S)/(T) vectors."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core import AggregationError, ModelConfig, MTMLFQO, aggregate_shared_states
+import reference_ops
+from repro.core import (
+    AggregationError,
+    DatabaseFeaturizer,
+    JointTrainer,
+    ModelConfig,
+    MTMLFQO,
+    aggregate_shared_states,
+)
+from repro.datagen import generate_database
+from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 TINY = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=1, decoder_layers=1)
 
 
+@pytest.fixture(scope="module")
+def trained():
+    """Three models trained from different seeds on different batches of
+    one small database, as three tenants' local updates would be."""
+    db = generate_database(seed=4, num_tables=4, row_range=(60, 150), attr_range=(2, 3))
+    featurizer = DatabaseFeaturizer(db, TINY)
+    featurizer.train_encoders(queries_per_table=3, epochs=1)
+    generator = WorkloadGenerator(db, WorkloadConfig(min_tables=2, max_tables=4, seed=3))
+    items = QueryLabeler(db).label_many(generator.generate(12), with_optimal_order=True)
+    models = []
+    for seed in range(3):
+        model = MTMLFQO(dataclasses.replace(TINY, seed=seed))
+        model.attach_featurizer(db.name, featurizer)
+        JointTrainer(model).train([(db.name, item) for item in items[seed::3]], epochs=2, batch_size=4)
+        models.append(model)
+    return models, featurizer
+
+
 class TestSharedAggregation:
-    def _server_state(self):
-        return MTMLFQO(TINY).state_dict()
-
-    def test_private_keys_are_never_merged(self):
-        """Per-client featurizer entries are ignored by name, not
-        averaged (the "(F) is never shared" contract) — and differing
-        private key sets across clients cannot break the merge."""
-        base = self._server_state()
-        state_a = {k: np.zeros_like(v) for k, v in base.items()}
-        state_b = {k: np.ones_like(v) for k, v in base.items()}
-        state_a["featurizers.db_a.column_embedding.weight"] = np.full((3, 2), 7.0)
-        state_b["featurizers.db_b.encoders.t1.weight"] = np.full((5,), 9.0)
-        merged = aggregate_shared_states([state_a, state_b], [1.0, 1.0], reference=base)
-        assert set(merged) == set(base)
-        for value in merged.values():
-            np.testing.assert_allclose(value, 0.5)
-
-    def test_missing_shared_key_raises(self):
-        base = self._server_state()
-        state_a = {k: np.zeros_like(v) for k, v in base.items()}
-        state_b = {k: np.ones_like(v) for k, v in base.items()}
-        dropped = sorted(base)[0]
-        del state_b[dropped]
-        with pytest.raises(AggregationError, match="client 1.*missing"):
-            aggregate_shared_states([state_a, state_b], [1.0, 1.0], reference=base)
+    def test_the_vector_holds_every_shared_parameter_and_no_featurizer_one(self, trained):
+        """What a tenant ships and the merge averages is the privacy
+        boundary by construction: every (S)/(T) parameter is a view into
+        the model's vector, and no (F) parameter is."""
+        models, featurizer = trained
+        model = models[0]
+        assert model.parameters() and all(
+            np.shares_memory(p.data, model.weights) for p in model.parameters()
+        )
+        assert not any(np.shares_memory(p.data, model.weights) for p in featurizer.parameters())
 
     def test_shape_mismatch_raises(self):
-        base = self._server_state()
-        state_a = {k: np.zeros_like(v) for k, v in base.items()}
-        state_b = {k: np.ones_like(v) for k, v in base.items()}
-        mangled = sorted(base)[0]
-        state_b[mangled] = np.ones(np.asarray(base[mangled]).size + 1)
-        with pytest.raises(AggregationError, match="shape mismatch"):
-            aggregate_shared_states([state_a, state_b], [1.0, 1.0], reference=base)
+        """Vectors of different shapes are never broadcast: the merge
+        names the client, and a model refuses to load such a vector."""
+        base = MTMLFQO(TINY).weights
+        with pytest.raises(AggregationError, match="client 1 vector has shape"):
+            aggregate_shared_states([base, base[:-1]], [1.0, 1.0])
+        with pytest.raises(AggregationError, match="client 1 vector has shape"):
+            aggregate_shared_states([base, base[:1]], [1.0, 1.0])
+        model = MTMLFQO(TINY)
+        before = model.weights.copy()
+        for wrong in (np.ones(1), base[:-1], base.reshape(-1, 8)):
+            with pytest.raises(ValueError, match="shape"):
+                model.load_weights(wrong)
+        np.testing.assert_array_equal(model.weights, before)
 
     def test_malformed_inputs_raise(self):
-        base = self._server_state()
-        state = {k: np.zeros_like(v) for k, v in base.items()}
+        state = MTMLFQO(TINY).weights
         with pytest.raises(AggregationError, match="no client states"):
-            aggregate_shared_states([], [], reference=base)
+            aggregate_shared_states([], [])
         with pytest.raises(AggregationError, match="weights"):
-            aggregate_shared_states([state], [1.0, 2.0], reference=base)
+            aggregate_shared_states([state], [1.0, 2.0])
         with pytest.raises(AggregationError, match="positive"):
-            aggregate_shared_states([state], [0.0], reference=base)
-        with pytest.raises(AggregationError, match="no shared"):
-            aggregate_shared_states([{"private.w": np.ones(2)}], [1.0])
+            aggregate_shared_states([state], [0.0])
 
     def test_weighted_mean_with_reference(self):
-        base = self._server_state()
-        state_a = {k: np.zeros_like(v) for k, v in base.items()}
-        state_b = {k: np.ones_like(v) for k, v in base.items()}
-        merged = aggregate_shared_states([state_a, state_b], [1.0, 3.0], reference=base)
-        for value in merged.values():
-            np.testing.assert_allclose(value, 0.75)
+        base = MTMLFQO(TINY).weights
+        merged = aggregate_shared_states([np.zeros_like(base), np.ones_like(base)], [1.0, 3.0])
+        np.testing.assert_allclose(merged, 0.75)
+
+    def test_vector_merge_is_bytewise_the_per_name_loop(self, trained):
+        """Three trained states, unequal weights, in tenant order: the
+        vector merge equals the per-name FedAvg byte for byte."""
+        models, _ = trained
+        weights = [7.0, 2.0, 5.0]
+        merged = aggregate_shared_states([model.weights for model in models], weights)
+        expected = reference_ops.fedavg([model.state_dict() for model in models], weights)
+        loaded = MTMLFQO(TINY)
+        loaded.load_weights(merged)
+        state = loaded.state_dict()
+        assert state.keys() == expected.keys()
+        for name, value in expected.items():
+            assert state[name].tobytes() == value.tobytes(), name

@@ -16,9 +16,7 @@ from repro.core import (
     JointTrainer,
     ModelConfig,
     MTMLFQO,
-    SHARED_MODULE_PREFIXES,
     query_signature,
-    shared_state_dict,
 )
 from repro.datagen import generate_databases
 from repro.eval import format_fleet_report, join_order_execution_time, worst_legal_order
@@ -46,7 +44,7 @@ def tiny_fleet_config(**overrides) -> RoundConfig:
 @pytest.fixture(scope="module")
 def fixture():
     """Three tenant databases with featurizers + labeled pools, and a
-    global (S)/(T) state pre-trained on the first two tenants' pools."""
+    global (S)/(T) vector pre-trained on the first two tenants' pools."""
     dbs = generate_databases(3, base_seed=81, row_range=(60, 200), attr_range=(2, 3))
     tenants = []
     for i, db in enumerate(dbs):
@@ -68,7 +66,7 @@ def fixture():
         epochs=2,
         batch_size=8,
     )
-    return tenants, pretrain.state_dict()
+    return tenants, pretrain.weights.copy()
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +79,7 @@ def db_workload():
 
 def make_tenant(db, featurizer, global_state, config, name=None, telemetry=None) -> TenantNode:
     model = MTMLFQO(TINY)
-    model.load_state_dict(global_state)
+    model.load_weights(global_state)
     model.attach_featurizer(db.name, featurizer)
     return TenantNode(db, model, config=config, name=name, telemetry=telemetry)
 
@@ -131,9 +129,12 @@ class TestTenantNode:
         update = tenant.local_update(global_state)
         assert update is not None
         state, num_examples = update
-        assert state, "client update must carry parameters"
-        assert all(name.startswith(SHARED_MODULE_PREFIXES) for name in state)
-        assert not any(name.startswith("featurizers.") for name in state)
+        assert state.shape == tenant.live_model.weights.shape
+        # The (S)/(T) vector is the privacy boundary: no (F) parameter,
+        # the tenant's own or another's, lives in it.
+        for p in featurizer.parameters():
+            assert not np.shares_memory(p.data, state)
+        assert not np.shares_memory(state, tenant.live_model.weights)
         assert 0 < num_examples < 6  # validation slice held out
         assert tenant.pending_experience() == 0
         assert tenant.report().retrains == 1  # one participation
@@ -161,11 +162,11 @@ class TestTenantNode:
         db, featurizer, pool = tenants[0]
         tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
         live = tenant.live_model
-        broadcast = {name: value + 0.01 for name, value in global_state.items()}
+        broadcast = global_state + 0.01
         private = tenant.round.private_model(live, broadcast)
-        for name, value in private.state_dict().items():
-            np.testing.assert_array_equal(value, broadcast[name])
+        np.testing.assert_array_equal(private.weights, broadcast)
         # (S)/(T) arrays are disjoint; the frozen (F) is the live one.
+        assert not np.shares_memory(private.weights, live.weights)
         for (_, live_param), (_, private_param) in zip(
             live.named_parameters(), private.named_parameters()
         ):
@@ -176,7 +177,7 @@ class TestTenantNode:
         # Same decode as the hand-built equivalent: fresh model, broadcast
         # (S)/(T), the live featurizer attached.
         by_hand = MTMLFQO(TINY)
-        by_hand.load_state_dict(broadcast)
+        by_hand.load_weights(broadcast)
         by_hand.attach_featurizer(db.name, live.featurizer_for(db.name))
         assert private.predict_join_orders(db.name, pool[:6]) == by_hand.predict_join_orders(
             db.name, pool[:6]
@@ -200,7 +201,7 @@ class TestTenantNode:
         tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
         tenant.inject_experience(pool)
         live = tenant.live_model
-        broadcast = {name: -value for name, value in global_state.items()}
+        broadcast = -global_state
         assert tenant.consider_global(broadcast) is False
         first = tenant.last_gate
         decodes = count_decodes(monkeypatch)
@@ -222,11 +223,11 @@ class TestFleetRounds:
         tenants, global_state = fixture
         config = tiny_fleet_config(checkpoint_dir=str(tmp_path))
         fleet = FleetCoordinator(TINY, config)
-        fleet.global_model.load_state_dict(global_state)
+        fleet.global_model.load_weights(global_state)
         for db, featurizer, pool in tenants[:2]:
             tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
             tenant.inject_experience(pool[:6])
-        before = {k: v.copy() for k, v in fleet.global_state().items()}
+        before = fleet.global_state()
         round_ = fleet.run_round()
         assert round_.merged
         assert sorted(name for name, _ in round_.participants) == sorted(
@@ -240,12 +241,11 @@ class TestFleetRounds:
         assert gated == {db.name for db, _, _ in tenants[:2]}
         if not round_.reverted:
             after = fleet.global_state()
-            assert any(not np.array_equal(before[k], after[k]) for k in before)
+            assert not np.array_equal(before, after)
         # Accepted tenants actually serve the merged model.
         for name in round_.accepted:
             tenant = fleet.tenants[name]
-            for key, value in fleet.global_state().items():
-                np.testing.assert_array_equal(tenant.live_model.state_dict()[key], value)
+            np.testing.assert_array_equal(tenant.live_model.weights, fleet.global_state())
 
     def test_every_gated_tenant_records_one_verdict_event(self, fixture):
         """Fleet pushes leave the same lineage record a worker cycle
@@ -254,7 +254,7 @@ class TestFleetRounds:
         telemetry = Telemetry()
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config, telemetry=telemetry) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             for (db, featurizer, pool), fresh in zip(tenants, (6, 2, 0)):
                 tenant = fleet.register(
                     make_tenant(db, featurizer, global_state, config, telemetry=telemetry)
@@ -282,30 +282,26 @@ class TestFleetRounds:
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             db, featurizer, _ = tenants[0]
             fleet.register(make_tenant(db, featurizer, global_state, config))
-            before = {k: v.copy() for k, v in fleet.global_state().items()}
+            before = fleet.global_state()
             round_ = fleet.run_round()
             assert not round_.merged
             assert round_.checkpoint_path is None
             assert round_.skipped == [db.name]
-            after = fleet.global_state()
-            for key in before:
-                np.testing.assert_array_equal(before[key], after[key])
+            np.testing.assert_array_equal(before, fleet.global_state())
 
     def test_onboard_deploys_global_zero_shot(self, fixture):
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             db, featurizer, pool = tenants[2]
             tenant = fleet.onboard(db, featurizer)
             assert tenant.name in fleet.tenants
             # Zero-shot: the tenant's (S)/(T) is exactly the global state.
-            live_state = tenant.live_model.state_dict()
-            for key, value in fleet.global_state().items():
-                np.testing.assert_array_equal(live_state[key], value)
+            np.testing.assert_array_equal(tenant.live_model.weights, fleet.global_state())
             with tenant:
                 order = tenant.optimize(pool[0])
             assert sorted(order) == sorted(pool[0].query.tables)
@@ -318,7 +314,7 @@ class TestFleetRounds:
         db, _, _ = tenants[2]
         budget = EncoderBudget(3, 1)
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             tenant = fleet.onboard(db, budget)
         expected = budget.train(db, TINY, seed=3).state_dict()
         trained = tenant.live_model.featurizer_for(db.name).state_dict()
@@ -335,6 +331,19 @@ class TestFleetRounds:
         with pytest.raises(ValueError, match="already registered"):
             fleet.register(make_tenant(db, featurizer, global_state, config))
 
+    def test_registration_refuses_another_parameter_layout(self, fixture):
+        """A tenant whose (S)/(T) layout (names and shapes, in order)
+        differs from the global model's is refused at the door: no
+        round can average its vector with the fleet's."""
+        tenants, _ = fixture
+        db, featurizer, _ = tenants[0]
+        deeper = MTMLFQO(dataclasses.replace(TINY, shared_layers=2))
+        deeper.attach_featurizer(db.name, featurizer)
+        fleet = FleetCoordinator(TINY, tiny_fleet_config())
+        with pytest.raises(ValueError, match="layout"):
+            fleet.register(TenantNode(db, deeper, config=fleet.config))
+        assert not fleet.tenants
+
     def test_poisoned_tenant_round_is_gate_blocked(self, fixture):
         """A tenant trained on worst-order labels cannot reach any live
         model: every gate rejects, the swap never happens, and the
@@ -342,7 +351,7 @@ class TestFleetRounds:
         tenants, global_state = fixture
         config = tiny_fleet_config(validation_fraction=0.4)
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             nodes = []
             for db, featurizer, pool in tenants[:2]:
                 tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
@@ -368,7 +377,7 @@ class TestFleetRounds:
                 [node.live_model.predict_join_order(db.name, item) for item in pool[:6]]
                 for node, (db, _, pool) in zip(nodes, tenants[:2])
             ]
-            global_before = {k: v.copy() for k, v in fleet.global_state().items()}
+            global_before = fleet.global_state()
 
             round_ = fleet.run_round()
             assert [name for name, _ in round_.participants] == [poison_db.name]
@@ -383,9 +392,7 @@ class TestFleetRounds:
             ]
             assert orders_after == orders_before
             # The poisoned merge did not linger in the global lineage.
-            global_after = fleet.global_state()
-            for key in global_before:
-                np.testing.assert_array_equal(global_before[key], global_after[key])
+            np.testing.assert_array_equal(global_before, fleet.global_state())
 
     def test_crashing_tenant_is_recorded_not_silent(self, fixture):
         """A tenant whose local update raises lands in round.failed (not
@@ -393,7 +400,7 @@ class TestFleetRounds:
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             healthy_db, healthy_featurizer, healthy_pool = tenants[0]
             healthy = fleet.register(
                 make_tenant(healthy_db, healthy_featurizer, global_state, config)
@@ -418,7 +425,7 @@ class TestFleetRounds:
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             db, featurizer, pool = tenants[0]
             tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
             tenant.inject_experience(pool[:6])
@@ -443,21 +450,19 @@ class TestFleetRounds:
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             db, featurizer, pool = tenants[0]
             tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
             tenant.inject_experience(pool[:6])
             pending_before = tenant.pending_experience()
-            before = {k: v.copy() for k, v in fleet.global_state().items()}
+            before = fleet.global_state()
             tenant.consider_global = lambda *_: (_ for _ in ()).throw(RuntimeError("gate down"))
             round_ = fleet.run_round()
             assert round_.reverted
             assert tenant.name in round_.failed
             assert round_.checkpoint_path is None
             assert tenant.pending_experience() == pending_before
-            after = fleet.global_state()
-            for key in before:
-                np.testing.assert_array_equal(before[key], after[key])
+            np.testing.assert_array_equal(before, fleet.global_state())
 
     def test_three_rounds_keep_one_fleet_round(self, fixture):
         """Only the latest round is retained: a caller can run rounds
@@ -514,12 +519,12 @@ class TestFleetRounds:
             assert worker.run_once()
             assert fleet.run_round().accepted == [tenant.name]
 
-        adapted = shared_state_dict(service.session.model)
-        federated = shared_state_dict(tenant.live_model)
+        adapted = service.session.model.state_dict()
+        federated = tenant.live_model.state_dict()
         assert any(not np.array_equal(adapted[name], start[name]) for name in adapted)
         for name, value in adapted.items():
             np.testing.assert_array_equal(federated[name], value, err_msg=name)
-            np.testing.assert_array_equal(fleet.global_state()[name], value, err_msg=name)
+        np.testing.assert_array_equal(fleet.global_state(), service.session.model.weights)
 
 
 class TestCheckpointDir:
@@ -547,7 +552,7 @@ class TestCheckpointDir:
             return directory
 
         model = MTMLFQO(TINY)
-        model.load_state_dict(global_state)
+        model.load_weights(global_state)
         model.attach_featurizer(db.name, featurizer)
         buffer = ExperienceBuffer(64)
         with OptimizerService(model, db.name) as service:
@@ -579,7 +584,7 @@ class TestCheckpointDir:
         assert worker._trajectory[0]["t"] == 2 * steps
 
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
             tenant.inject_experience(pool[:6])
             round_ = fleet.run_round()
@@ -593,7 +598,7 @@ class TestFleetReport:
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             nodes = []
             for db, featurizer, pool in tenants[:2]:
                 tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
@@ -629,7 +634,7 @@ class TestFleetReport:
         config = tiny_fleet_config()
         telemetry = Telemetry()
         with FleetCoordinator(TINY, config, telemetry=telemetry) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             db, featurizer, pool = tenants[0]
             tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
             tenant.inject_experience(pool[:6])
@@ -653,7 +658,7 @@ class TestFleetReport:
         tenants, global_state = fixture
         config = tiny_fleet_config()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             for db, featurizer, pool in tenants[:2]:
                 tenant = fleet.register(make_tenant(db, featurizer, global_state, config))
                 tenant.inject_experience(pool[:5])
@@ -683,7 +688,7 @@ class TestFleetStress:
         # inversion introduced anywhere in the fleet fails this test.
         lock_monitor = LockMonitor()
         with FleetCoordinator(TINY, config) as fleet:
-            fleet.global_model.load_state_dict(global_state)
+            fleet.global_model.load_weights(global_state)
             nodes = []
             for db, featurizer, pool in tenants[:2]:
                 tenant = fleet.register(make_tenant(db, featurizer, global_state, config))

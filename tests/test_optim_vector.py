@@ -5,9 +5,10 @@ float64 vector each and updates them with whole-vector calls.  These
 tests hold it to ``reference_ops.ReferenceAdam`` — the per-array loop it
 replaced — bit for bit (weight decay, a parameter without a gradient,
 a warm start in the middle of a run, the trainer, the per-table (F)
-optimizers), check that loads, checkpoints and clones never detach a
-model from the optimizer that trains it, and cover the hyper-parameter
-and gradient guards around the step.
+optimizers), check that a trainer steps the model's own vector and that
+loads, checkpoints and clones never detach a model from the optimizer
+that trains it, and cover the hyper-parameter and gradient guards
+around the step.
 """
 
 import dataclasses
@@ -257,6 +258,30 @@ class TestOwnership:
         assert moved(clone_before, clone)
         assert_states_equal(weights(trainer.model), source_after)
 
+    def test_a_trainer_steps_the_model_vector_in_place(self, db, featurizer, labeled):
+        """The model owns its (S)/(T) vector: the trainer's Adam adopts it
+        as its value vector (no second copy of the values) and a step
+        moves ``model.weights`` where it is."""
+        model = fresh_model(db, featurizer)
+        vector = model.weights
+        trainer = JointTrainer(model)
+        values = trainer.optimizer._data
+        assert values.__array_interface__["data"] == vector.__array_interface__["data"]
+        assert values.shape == vector.shape
+        assert all(p.data.base is vector.base for p in model.parameters())
+        before = vector.copy()
+        trainer._step(db.name, labeled[:4])
+        assert model.weights is vector and np.shares_memory(values, vector)
+        assert not np.array_equal(before, vector)
+
+    def test_clone_weights_are_a_byte_equal_disjoint_copy(self, db, featurizer, labeled):
+        source = fresh_model(db, featurizer)
+        JointTrainer(source)._step(db.name, labeled[:4])
+        clone = source.clone_for_inference()
+        assert clone.weights.tobytes() == source.weights.tobytes()
+        assert not np.shares_memory(clone.weights, source.weights)
+        assert all(np.shares_memory(p.data, clone.weights) for p in clone.parameters())
+
     def test_a_second_optimizer_over_the_same_parameters(self):
         """Packing again (as each ``train_encoders`` table does for the
         shared column embedding) hands the parameters over; stepping the
@@ -272,6 +297,24 @@ class TestOwnership:
                 (p * p * p).sum().backward()
                 opt.step()
             np.testing.assert_array_equal(shared.data, plain.data)
+
+
+def test_parameter_vector_reuses_only_a_vector_the_list_fills():
+    """Packing the list a vector was laid out for returns that vector;
+    a subset, another order or a rebound array gets a new one."""
+    a, b = nn.Parameter(np.ones((2, 3))), nn.Parameter(np.arange(5.0))
+    vector = nn.parameter_vector([a, b])
+    assert vector.shape == (16,) and vector.__array_interface__["data"][0] % 64 == 0
+    np.testing.assert_array_equal(vector, [1.0] * 6 + [0.0] * 2 + list(range(5)) + [0.0] * 3)
+    address = vector.__array_interface__["data"]
+    assert nn.parameter_vector([a, b]).__array_interface__["data"] == address
+    for loose in ([a], [b, a]):
+        fresh = nn.parameter_vector(loose)
+        assert not np.shares_memory(fresh, vector)
+        assert all(np.shares_memory(p.data, fresh) for p in loose)
+    b.data = np.arange(5.0)  # rebound by hand: [b, a] no longer fills `fresh`
+    repacked = nn.parameter_vector([b, a])
+    assert not np.shares_memory(repacked, fresh) and np.shares_memory(b.data, repacked)
 
 
 @pytest.mark.parametrize(

@@ -140,7 +140,7 @@ class TestModelPersistence:
     def test_full_model_state_roundtrip(self, db, featurizer, tmp_path):
         model = MTMLFQO(TINY)
         model.attach_featurizer(db.name, featurizer)
-        for p in model.shared_task_parameters():  # off the seed-0 initialisation
+        for p in model.parameters():  # off the seed-0 initialisation
             p.data += 1.0
         clone = load_checkpoint(save_checkpoint(model, str(tmp_path / "mtmlf")), databases=db)
         for (_, a), (_, b) in zip(model.named_parameters(), clone.named_parameters()):
@@ -181,5 +181,5 @@ class TestNumericalStability:
         trainer = JointTrainer(model)
         result = trainer.train([(db.name, item) for item in extreme], epochs=3, batch_size=2)
         assert np.isfinite(result.final_loss)
-        for p in model.shared_task_parameters():
+        for p in model.parameters():
             assert np.isfinite(p.data).all()
