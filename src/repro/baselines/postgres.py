@@ -36,20 +36,14 @@ class PostgresBaseline:
     # ------------------------------------------------------------------
     def predict_cards(self, item: LabeledQuery) -> np.ndarray:
         """Estimated cardinality per plan node (preorder)."""
-        return np.asarray(
-            [
-                max(self.estimator.estimate(item.query, node.tables), 0.0)
-                for node in item.plan.nodes_preorder()
-            ]
-        )
+        view = self.estimator.for_query(item.query)
+        return np.asarray([max(view.rows(node.tables), 0.0) for node in item.plan.nodes_preorder()])
 
     def _node_costs(self, item: LabeledQuery) -> np.ndarray:
         """Estimated *cumulative* cost per sub-plan node (preorder)."""
         plan = item.plan
-        cards = {
-            node.tables: max(self.estimator.estimate(item.query, node.tables), 0.0)
-            for node in plan.nodes_postorder()
-        }
+        view = self.estimator.for_query(item.query)
+        cards = {node.tables: max(view.rows(node.tables), 0.0) for node in plan.nodes_postorder()}
         base = {t: self.estimator.base_rows(t) for t in item.query.tables}
         self.cost_model.plan_cost(plan, cards, base)
 

@@ -98,13 +98,15 @@ class JointTrainer:
     ):
         self.model = model
         self.config: ModelConfig = model.config
-        self.parameters = model.parameters()
-        # Named parameters: the optimizer's moment estimates are keyed by
-        # parameter name, so warm-start state saved in a checkpoint can
-        # only ever restore onto the parameters it was computed for.  Its
-        # value vector is the model's own weights, stepped in place.
+        # Named parameters, walked once: the optimizer's moment estimates
+        # are keyed by parameter name, so warm-start state saved in a
+        # checkpoint can only ever restore onto the parameters it was
+        # computed for.  Its value vector is the model's own weights,
+        # stepped in place.
+        named = model.named_parameters()
+        self.parameters = [p for _, p in named]
         self.optimizer = nn.Adam(
-            model.named_parameters(),
+            named,
             lr=self.config.learning_rate if learning_rate is None else learning_rate,
         )
         # An ``optimizer.state_dict()`` carried over from an earlier

@@ -21,14 +21,21 @@ from .plan import JoinOp, PlanNode, ScanOp
 
 __all__ = ["CostModel", "DEFAULT_COST_MODEL"]
 
-# ``best_join_op``'s candidates in tie order (iterating the enum itself
-# costs a generator per call).
+# ``join_costs``' order and ``best_join_op``'s tie order (iterating the
+# enum itself costs a generator per call).
 _JOIN_OPS = tuple(JoinOp)
+_JOIN_INDEX = {op: i for i, op in enumerate(_JOIN_OPS)}
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cost weights (arbitrary units, PostgreSQL-flavoured ratios)."""
+    """Cost weights (arbitrary units, PostgreSQL-flavoured ratios).
+
+    One pricing per model: a model's join formula is :meth:`join_costs`,
+    all three operators from one call; ``join_cost`` and
+    ``best_join_op`` read it, so a subclass (``TimingAlignedCostModel``)
+    overrides only that formula (and ``scan_cost``) and chooses by it.
+    """
 
     seq_page_cost: float = 1.0
     random_page_cost: float = 4.0
@@ -49,30 +56,32 @@ class CostModel:
         pages = base_rows / self.rows_per_page
         return pages * self.seq_page_cost + base_rows * self.cpu_tuple_cost
 
-    def join_cost(self, left_rows: float, right_rows: float, output_rows: float, join_op: JoinOp) -> float:
+    def join_costs(self, left_rows: float, right_rows: float, output_rows: float) -> tuple:
+        """The cost of every join operator, in ``JoinOp`` order (hash,
+        merge, nested loop): this model's one join formula."""
         left_rows = max(left_rows, 1.0)
         right_rows = max(right_rows, 1.0)
         output_rows = max(output_rows, 0.0)
         emit = output_rows * self.cpu_tuple_cost
-        if join_op is JoinOp.HASH:
-            build, probe = min(left_rows, right_rows), max(left_rows, right_rows)
-            return build * self.hash_build_cost + probe * self.cpu_operator_cost + emit
-        if join_op is JoinOp.MERGE:
-            total = left_rows + right_rows
-            log_factor = max(np.log2(max(total, 2.0)), 1.0)
-            return total * self.sort_cost * log_factor + total * self.cpu_operator_cost + emit
-        # Nested loop: every pair is examined.
-        return left_rows * right_rows * self.cpu_operator_cost + emit
+        build, probe = min(left_rows, right_rows), max(left_rows, right_rows)
+        total = left_rows + right_rows
+        log_factor = max(np.log2(max(total, 2.0)), 1.0)
+        return (
+            build * self.hash_build_cost + probe * self.cpu_operator_cost + emit,
+            total * self.sort_cost * log_factor + total * self.cpu_operator_cost + emit,
+            # Nested loop: every pair is examined.
+            left_rows * right_rows * self.cpu_operator_cost + emit,
+        )
+
+    def join_cost(self, left_rows: float, right_rows: float, output_rows: float, join_op: JoinOp) -> float:
+        """The cost of one join operator: its entry of :meth:`join_costs`."""
+        return self.join_costs(left_rows, right_rows, output_rows)[_JOIN_INDEX[join_op]]
 
     def best_join_op(self, left_rows: float, right_rows: float, output_rows: float) -> tuple[JoinOp, float]:
-        """Cheapest physical join operator for the given sizes.
-
-        Priced through ``self.join_cost``, so a subclass that overrides
-        the formula (``TimingAlignedCostModel``) chooses by its own.
-        """
+        """Cheapest physical join operator for the given sizes (the first
+        in ``JoinOp`` order on a tie), priced by one ``join_costs`` call."""
         best_op, best_cost = None, float("inf")
-        for op in _JOIN_OPS:
-            cost = self.join_cost(left_rows, right_rows, output_rows, op)
+        for op, cost in zip(_JOIN_OPS, self.join_costs(left_rows, right_rows, output_rows)):
             if cost < best_cost:
                 best_op, best_cost = op, cost
         return best_op, best_cost
@@ -156,18 +165,15 @@ class TimingAlignedCostModel(CostModel):
             return t.index_lookup_ms + output_rows * t.index_tuple_ms + output_rows * t.emit_ms
         return base_rows * t.scan_ms + output_rows * t.emit_ms
 
-    def join_cost(self, left_rows: float, right_rows: float, output_rows: float, join_op: JoinOp) -> float:
+    def join_costs(self, left_rows: float, right_rows: float, output_rows: float) -> tuple:
         t = self.timing
         left_rows, right_rows = max(left_rows, 0.0), max(right_rows, 0.0)
         output_rows = max(output_rows, 0.0)
-        cost = output_rows * t.emit_ms
-        if join_op is JoinOp.HASH:
-            cost += min(left_rows, right_rows) * t.build_ms
-            cost += max(left_rows, right_rows) * t.probe_ms
-        elif join_op is JoinOp.MERGE:
-            total = left_rows + right_rows
-            log_factor = max(np.log2(max(total, 2.0)), 1.0)
-            cost += total * t.sort_ms * log_factor + total * t.probe_ms
-        else:
-            cost += left_rows * right_rows * t.pair_ms
-        return cost
+        emit = output_rows * t.emit_ms
+        total = left_rows + right_rows
+        log_factor = max(np.log2(max(total, 2.0)), 1.0)
+        return (
+            emit + min(left_rows, right_rows) * t.build_ms + max(left_rows, right_rows) * t.probe_ms,
+            emit + (total * t.sort_ms * log_factor + total * t.probe_ms),
+            emit + left_rows * right_rows * t.pair_ms,
+        )

@@ -6,6 +6,7 @@ optimal-order oracle standing in for the paper's ECQO program.
 """
 
 from .join_enum import PlannedQuery, dp_join_enumeration, greedy_join_order
+from .join_graph import JoinGraph
 from .optimal import optimal_join_order, optimal_plan
 from .planner import PostgresStylePlanner, plan_with_order, plan_with_orders
 from .selectivity import (
@@ -18,6 +19,7 @@ from .selectivity import (
 __all__ = [
     "CardinalityEstimator",
     "HistogramEstimator",
+    "JoinGraph",
     "QueryCardinalities",
     "TrueCardinalityOracle",
     "dp_join_enumeration",

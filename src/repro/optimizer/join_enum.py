@@ -16,6 +16,7 @@ from ..engine.cost_model import DEFAULT_COST_MODEL, CostModel
 from ..errors import DisconnectedQueryError
 from ..engine.plan import PlanNode, join_node, scan_node
 from ..sql.query import Query
+from .join_graph import JoinGraph
 from .selectivity import CardinalityEstimator
 
 __all__ = ["dp_join_enumeration", "greedy_join_order", "PlannedQuery"]
@@ -50,6 +51,11 @@ def dp_join_enumeration(
     cardinalities supplied by ``estimator``.  With ``left_deep_only``
     the search space matches the paper's focus (Section 3.2); otherwise
     all bushy partitions of each subset are considered.
+
+    Subsets are masks of the view's :class:`JoinGraph`: no subset is
+    walked for connectivity and no join list is rescanned per split.
+    Plans, costs and the ``card`` calls (order included) are those of
+    the set-based DP in ``tests/planner_reference.py``, bit for bit.
     """
     tables = list(query.tables)
     n = len(tables)
@@ -60,69 +66,68 @@ def dp_join_enumeration(
 
     view = estimator.for_query(query)
     card = view.rows
+    graph = view.graph
 
-    best: dict[frozenset, tuple[float, PlanNode]] = {}
+    # mask -> (cost, plan, rows) of the cheapest plan over that subset.
+    best: dict[int, tuple[float, PlanNode, float]] = {}
     for table in tables:
-        subset = frozenset([table])
-        has_filter = len(query.filter_for(table)) > 0
-        scan_op, cost = cost_model.best_scan_op(view.base_rows(table), card(subset), has_filter)
-        node = scan_node(table, query.filter_for(table), scan_op)
-        node.estimated_cardinality = card(subset)
-        best[subset] = (cost, node)
+        bit = graph.bit[table]
+        rows = card(graph.subset(bit))
+        conjunction = query.filter_for(table)
+        scan_op, cost = cost_model.best_scan_op(view.base_rows(table), rows, len(conjunction) > 0)
+        node = scan_node(table, conjunction, scan_op)
+        node.estimated_cardinality = rows
+        best[bit] = (cost, node, rows)
 
-    if n == 1:
-        cost, plan = best[frozenset(tables)]
-        return PlannedQuery(plan, cost, view.cardinalities)
-
-    all_tables = frozenset(tables)
+    bits = graph.bits
+    # Subsets in ``combinations(query.tables, size)`` order; a subset is
+    # connected iff one of its splits joins two planned (so connected)
+    # halves, so only connected subsets reach ``card``, in that order.
     for size in range(2, n + 1):
-        for combo in combinations(tables, size):
-            subset = frozenset(combo)
-            if not query.is_connected(subset):
-                continue
-            out_rows = card(subset)
-            candidate: tuple[float, PlanNode] | None = None
-            for left_subset, right_subset in _partitions(subset, left_deep_only):
-                if left_subset not in best or right_subset not in best:
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            out_rows = winner = None
+            for left, right in _splits(mask, graph, left_deep_only):
+                left_best, right_best = best.get(left), best.get(right)
+                if left_best is None or right_best is None:
                     continue
-                predicates = query.joins_between(set(left_subset), set(right_subset))
-                if not predicates:
-                    continue
-                left_cost, left_plan = best[left_subset]
-                right_cost, right_plan = best[right_subset]
-                join_op, op_cost = cost_model.best_join_op(card(left_subset), card(right_subset), out_rows)
-                total = left_cost + right_cost + op_cost
-                if candidate is None or total < candidate[0]:
-                    node = join_node(left_plan, right_plan, predicates, join_op)
-                    node.estimated_cardinality = out_rows
-                    candidate = (total, node)
-            if candidate is not None:
-                best[subset] = candidate
+                if out_rows is None:
+                    out_rows = card(graph.subset(mask))
+                join_op, op_cost = cost_model.best_join_op(left_best[2], right_best[2], out_rows)
+                total = left_best[0] + right_best[0] + op_cost
+                if winner is None or total < winner[0]:
+                    winner = (total, join_op, left, right)
+            if winner is not None:
+                total, join_op, left, right = winner
+                predicates = graph.predicates_between(left, right)
+                node = join_node(best[left][1], best[right][1], predicates, join_op)
+                node.estimated_cardinality = out_rows
+                best[mask] = (total, node, out_rows)
 
-    if all_tables not in best:
+    full = sum(bits)
+    if full not in best:
         raise DisconnectedQueryError("query join graph is disconnected: no complete plan exists")
-    cost, plan = best[all_tables]
+    cost, plan, _ = best[full]
     return PlannedQuery(plan, cost, view.cardinalities)
 
 
-def _partitions(subset: frozenset, left_deep_only: bool):
-    """Yield (left, right) splits of ``subset``; right is a single table
-    when ``left_deep_only``."""
-    items = sorted(subset)
+def _splits(mask: int, graph: JoinGraph, left_deep_only: bool) -> list[tuple[int, int]]:
+    """The (left, right) splits of ``mask`` joined by a predicate, in
+    sorted-name order; right is a single table when ``left_deep_only``."""
+    neighbours = graph.neighbours
     if left_deep_only:
-        for table in items:
-            yield subset - {table}, frozenset([table])
-        return
-    n = len(items)
-    # Enumerate proper non-empty subsets; fix items[0] on the left side to
-    # halve the symmetric space.
-    rest = items[1:]
-    for r in range(0, len(rest) + 1):
+        return [(mask ^ bit, bit) for _, bit in graph.by_name if mask & bit and neighbours[bit] & mask]
+    # Proper non-empty splits with the first member on the left, which
+    # halves the symmetric space.
+    members = [bit for _, bit in graph.by_name if mask & bit]
+    first, rest = members[0], members[1:]
+    splits = []
+    for r in range(len(rest)):
         for combo in combinations(rest, r):
-            left = frozenset((items[0],) + combo)
-            right = subset - left
-            if right:
-                yield left, right
+            left = first + sum(combo)
+            if graph.joined(left, mask ^ left):
+                splits.append((left, mask ^ left))
+    return splits
 
 
 def greedy_join_order(
@@ -139,23 +144,26 @@ def greedy_join_order(
     remaining = set(query.tables)
     view = estimator.for_query(query)
     card = view.rows
+    graph = view.graph
 
-    start = min(remaining, key=lambda t: card(frozenset([t])))
+    # Ties go to the first name, whatever the set's (hash-seeded) order.
+    start = min(sorted(remaining), key=lambda t: card(frozenset([t])))
     has_filter = len(query.filter_for(start)) > 0
     scan_op, total_cost = cost_model.best_scan_op(
         view.base_rows(start), card(frozenset([start])), has_filter
     )
     plan = scan_node(start, query.filter_for(start), scan_op)
     joined = {start}
+    joined_mask = graph.bit[start]
     remaining.discard(start)
 
     while remaining:
-        candidates = [t for t in sorted(remaining) if query.joins_between(joined, {t})]
+        candidates = [t for t in sorted(remaining) if graph.neighbours[graph.bit[t]] & joined_mask]
         if not candidates:
             raise DisconnectedQueryError("query join graph is disconnected")
         chosen = min(candidates, key=lambda t: card(frozenset(joined | {t})))
         subset = frozenset(joined | {chosen})
-        predicates = query.joins_between(joined, {chosen})
+        predicates = graph.predicates_toward(joined_mask, chosen)
         has_filter = len(query.filter_for(chosen)) > 0
         scan_op, scan_cost = cost_model.best_scan_op(
             view.base_rows(chosen), card(frozenset([chosen])), has_filter
@@ -168,6 +176,7 @@ def greedy_join_order(
         plan.estimated_cardinality = card(subset)
         total_cost += scan_cost + op_cost
         joined.add(chosen)
+        joined_mask |= graph.bit[chosen]
         remaining.discard(chosen)
 
     return PlannedQuery(plan, total_cost, view.cardinalities)

@@ -71,18 +71,10 @@ def plan_with_orders(
     ``ValueError``.
     """
     view = estimator.for_query(query)
+    graph = view.graph
     tables = sorted(query.tables)
     scans: dict[str, PlanNode] = {}
     prefixes: dict[tuple, PlanNode | None] = {}
-    # table -> [(neighbour, join relation oriented toward the table)] in
-    # ``query.joins`` order: a prefix's join predicates are the entries
-    # whose neighbour it holds, as ``query.joins_between`` lists them.
-    # Every prefix shares one oriented (reversed) relation per join.
-    toward: dict[str, list] = {table: [] for table in tables}
-    for join in query.joins:
-        toward[join.right].append((join.left, join))
-        if join.left != join.right:
-            toward[join.left].append((join.right, join.reversed()))
 
     def costed(node: PlanNode) -> PlanNode:
         view.rows(node.tables)
@@ -100,17 +92,23 @@ def plan_with_orders(
         if sorted(order) != tables:
             raise ValueError(f"order {order} does not cover query tables {query.tables}")
         node = scan(order[0])
+        # A prefix's join predicates are the ``graph.toward`` entries of
+        # its last table whose neighbour the tables before it hold, as
+        # ``query.joins_between`` lists them; every prefix shares one
+        # oriented (reversed) relation per join.
+        joined = graph.bit[order[0]]
         for length in range(2, len(order) + 1):
             key = tuple(order[:length])
             if key in prefixes:
                 node = prefixes[key]
             else:
-                predicates = [join for other, join in toward[key[-1]] if other in node.tables]
+                predicates = graph.predicates_toward(joined, key[-1])
                 node = prefixes[key] = (
                     costed(join_node(node, scan(key[-1]), predicates)) if predicates else None
                 )
             if node is None:
                 break
+            joined |= graph.bit[key[-1]]
         plans.append(node)
     return plans
 

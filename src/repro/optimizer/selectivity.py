@@ -15,8 +15,12 @@ paper's Table 1.
 
 from __future__ import annotations
 
-from ..errors import DisconnectedQueryError
+from functools import cached_property
 
+from ..engine.executor import ExecutionLimitError
+from ..engine.operators import JoinExpansionError, execute_join, execute_scan
+from ..engine.plan import PlanNode, scan_node
+from ..errors import DisconnectedQueryError
 from ..sql.predicates import (
     BetweenPredicate,
     Comparison,
@@ -27,6 +31,7 @@ from ..sql.predicates import (
 )
 from ..sql.query import Query
 from ..storage.catalog import Database
+from .join_graph import JoinGraph
 
 __all__ = [
     "CardinalityEstimator",
@@ -90,6 +95,11 @@ class QueryCardinalities(CardinalityEstimator):
                 f"not to the one over {query.tables}"
             )
         return self
+
+    @cached_property
+    def graph(self) -> JoinGraph:
+        """The query's join graph as bitmasks, for this call's planner."""
+        return JoinGraph(self.query)
 
     def rows(self, subset: frozenset) -> float:
         rows = self.cardinalities.get(subset)
@@ -165,7 +175,9 @@ class HistogramEstimator(CardinalityEstimator):
 
     def estimate(self, query: Query, subset: frozenset) -> float:
         """Un-memoised: a view that lives for this one answer (the
-        estimator itself keeps no state and may be shared by threads)."""
+        estimator itself keeps no state and may be shared by threads).
+        The view prices every table and join of ``query``, so whoever
+        asks about several subsets binds ``for_query`` once."""
         return self.for_query(query).rows(subset)
 
     def base_rows(self, table: str) -> float:
@@ -174,7 +186,8 @@ class HistogramEstimator(CardinalityEstimator):
 
 class _HistogramCardinalities(QueryCardinalities):
     """Also keeps each table's filtered scan rows and each join's
-    selectivity, so a further subset costs only its multiplications.
+    selectivity, computed for the whole query at the first estimate, so
+    a further subset costs only its multiplications.
 
     The product runs over ``query.tables`` then ``query.joins`` in their
     listed order, so a subset's estimate has the same bits whichever
@@ -182,26 +195,25 @@ class _HistogramCardinalities(QueryCardinalities):
     operators, costs and plan signatures with or without sharing.
     """
 
-    def __init__(self, estimator: HistogramEstimator, query: Query):
-        super().__init__(estimator, query)
-        self._scan_rows: dict[str, float] = {}
-        self._join_sel: list[float | None] = [None] * len(query.joins)
+    _factors: tuple[list, list] | None = None
 
     def _estimate(self, subset: frozenset) -> float:
-        estimator, query = self.estimator, self.query
+        graph = self.graph
+        if self._factors is None:
+            estimator, query = self.estimator, self.query
+            self._factors = (
+                [(bit, max(estimator.scan_rows(query, table), 0.0)) for table, bit in graph.bit.items()],
+                [(left | right, estimator.join_selectivity(join)) for left, right, join, _ in graph.joins],
+            )
+        scans, selectivities = self._factors
+        mask = graph.mask(subset)
         rows = 1.0
-        for table in query.tables:
-            if table in subset:
-                scan = self._scan_rows.get(table)
-                if scan is None:
-                    scan = self._scan_rows[table] = max(estimator.scan_rows(query, table), 0.0)
+        for bit, scan in scans:
+            if mask & bit:
                 rows *= scan
-        for i, join in enumerate(query.joins):
-            if join.left in subset and join.right in subset:
-                sel = self._join_sel[i]
-                if sel is None:
-                    sel = self._join_sel[i] = estimator.join_selectivity(join)
-                rows *= sel
+        for both, selectivity in selectivities:
+            if mask & both == both:
+                rows *= selectivity
         return max(rows, 0.0)
 
 
@@ -254,35 +266,25 @@ class _ExecutedCardinalities(QueryCardinalities):
         return float(self._intermediate(subset).cardinality)
 
     def _intermediate(self, subset: frozenset):
-        from ..engine.executor import ExecutionLimitError
-        from ..engine.operators import JoinExpansionError, execute_join, execute_scan
-        from ..engine.plan import join_node, scan_node
-
         if subset in self._intermediates:
             return self._intermediates[subset]
-        oracle, query = self.estimator, self.query
+        oracle, query, graph = self.estimator, self.query, self.graph
         if len(subset) == 1:
             table = next(iter(subset))
             node = scan_node(table, query.filter_for(table))
             intermediate, _ = execute_scan(node, oracle.db)
         else:
-            # Peel one table connected to the rest, join recursively.
-            ordered = sorted(subset)
-            peel = None
-            for candidate in ordered:
-                rest = subset - {candidate}
-                if query.joins_between(set(rest), {candidate}) and query.is_connected(rest):
-                    peel = candidate
-                    break
+            # Peel the first table (sorted order) joined to a connected
+            # rest; join the rest's intermediate with the table's.
+            mask = graph.mask(subset)
+            peel = graph.peel(mask) if mask.bit_count() == len(subset) else None
             if peel is None:
                 raise DisconnectedQueryError(f"subset {sorted(subset)} is not connected in query joins")
-            rest = subset - {peel}
-            left = self._intermediate(rest)
-            right = self._intermediate(frozenset([peel]))
-            predicates = query.joins_between(set(rest), {peel})
-            node = join_node(
-                _dummy_plan(rest, query), _dummy_plan(frozenset([peel]), query), predicates
-            )
+            rest = mask ^ graph.bit[peel]
+            left = self._intermediate(graph.subset(rest))
+            right = self._intermediate(graph.subset(graph.bit[peel]))
+            # ``execute_join`` reads only the node's predicates and operator.
+            node = PlanNode(tables=subset, join_predicates=graph.predicates_toward(rest, peel))
             try:
                 intermediate, _ = execute_join(
                     node, left, right, oracle.db, max_rows=oracle.max_intermediate_rows
@@ -299,13 +301,3 @@ class _ExecutedCardinalities(QueryCardinalities):
             )
         self._intermediates[subset] = intermediate
         return intermediate
-
-
-def _dummy_plan(subset: frozenset, query: Query):
-    """A structural stand-in plan node covering ``subset`` (for execute_join)."""
-    from ..engine.plan import PlanNode, scan_node
-
-    if len(subset) == 1:
-        table = next(iter(subset))
-        return scan_node(table, query.filter_for(table))
-    return PlanNode(tables=subset, left=scan_node(sorted(subset)[0]), right=scan_node(sorted(subset)[1]))

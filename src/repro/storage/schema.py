@@ -6,9 +6,10 @@ tables and their PK-FK relationships) in the database-specific bucket.
 dict adjacency ``table -> {neighbour -> JoinRelation}`` with each edge
 labelled by its join key columns.  :func:`connected_components` is the
 one connectivity traversal: the schema, ``Query.is_connected`` (the
-workload generator, the optimizer's join enumeration) and the beam
-search's ``require_connected`` all answer "are these tables
-join-connected?" through it.
+labeler) and the beam search's ``require_connected`` all answer "are
+these tables join-connected?" through it.  Join enumeration, which
+asks that of every table subset, answers it on bitmasks instead
+(``repro.optimizer.JoinGraph``).
 """
 
 from __future__ import annotations

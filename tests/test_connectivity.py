@@ -1,11 +1,16 @@
-"""The one join-graph connectivity rule, checked against a union-find reference.
+"""Join-graph connectivity, checked against a union-find reference.
 
-``connected_components`` (``repro.storage.schema``) is the only graph
-traversal in the system; ``JoinSchema.is_connected``,
+Two things answer it.  ``connected_components`` (``repro.storage.schema``)
+is the one graph traversal: ``JoinSchema.is_connected``,
 ``Query.is_connected`` (with and without a table subset) and
-``require_connected`` all answer through it.  Random small graphs,
-self-loops and repeated edges included, must split the same way under
-each of them as under ``graph_reference.union_find_components``.
+``require_connected`` answer through it.  The planner never walks a
+subset: ``JoinGraph.connected`` (``repro.optimizer``) is the one rule on
+bitmasks — one table, or a member joined to a connected rest — and the
+DP, the oracle's peel and the views read that per-call index.  Random
+small graphs, self-loops and repeated edges included, must split the
+same way under each of them as under
+``graph_reference.union_find_components``, and the index's oriented
+predicate lists must be ``Query.joins_between``'s.
 """
 
 import re
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 from graph_reference import union_find_components
 from repro.core import require_connected
 from repro.errors import DisconnectedQueryError
+from repro.optimizer import JoinGraph
 from repro.sql import Query
 from repro.storage import JoinRelation, JoinSchema, connected_components
 
@@ -88,3 +94,41 @@ def test_every_caller_agrees_with_union_find(graph):
         rendered = "; ".join("{" + ", ".join(tables[p] for p in part) + "}" for part in parts)
         with pytest.raises(DisconnectedQueryError, match=re.escape(f"components: {rendered};")):
             require_connected(query.adjacency_matrix(), tables)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_mask_rule_agrees_with_union_find_on_every_subset(graph):
+    tables, joins, _ = graph
+    # Positions against names: the peel goes by name.
+    tables = tables[::-1]
+    query = Query(tables=tables, joins=joins)
+    index = JoinGraph(query)
+    assert index.connected(0) is False
+    for mask in range(1, 1 << len(tables)):
+        subset = [table for table in tables if mask & index.bit[table]]
+        assert index.subset(mask) == frozenset(subset)
+        assert index.mask(frozenset(subset)) == mask
+        whole = len(union_find_components(subset, edges_of(joins))) == 1
+        assert index.connected(mask) is whole
+        # The peel: the first table by name joined to a connected rest.
+        peel = next(
+            (
+                table for table in sorted(subset)
+                if query.joins_between(set(subset) - {table}, {table})
+                and len(union_find_components(set(subset) - {table}, edges_of(joins))) == 1
+            ),
+            None,
+        )
+        assert index.peel(mask) == peel
+        for table in subset:
+            rest = mask ^ index.bit[table]
+            expected = query.joins_between(set(subset) - {table}, {table})
+            assert index.predicates_toward(rest, table) == expected
+            assert index.predicates_between(rest, index.bit[table]) == expected
+            assert index.joined(rest, index.bit[table]) is bool(expected)
+        # A bushy split: alternate tables on each side.
+        left = mask & 0b01010101
+        expected = query.joins_between(set(index.subset(left)), set(index.subset(mask ^ left)))
+        assert index.predicates_between(left, mask ^ left) == expected
+        assert index.joined(left, mask ^ left) is bool(expected)

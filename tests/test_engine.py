@@ -300,8 +300,9 @@ class TestCostModel:
         """``best_join_op`` / ``best_scan_op`` are the strict-``<`` argmin,
         in HASH → MERGE → NESTED_LOOP (SEQ → INDEX) tie order, of the
         instance's own ``join_cost`` / ``scan_cost`` — the timing-aligned
-        model's overrides included — over sizes with rows below 1.  The
-        timing model ties at zero rows, a zero-weight model everywhere."""
+        model's overrides included — over sizes with rows below 1, the
+        chosen cost's type included.  The timing model ties at zero rows,
+        a zero-weight model everywhere."""
 
         def argmin(priced):
             best_op, best_cost = None, float("inf")
@@ -323,7 +324,10 @@ class TestCostModel:
                             for op in (JoinOp.HASH, JoinOp.MERGE, JoinOp.NESTED_LOOP)
                         ]
                         expected = argmin(priced)
-                        assert model.best_join_op(left, right, out) == expected
+                        chosen = model.best_join_op(left, right, out)
+                        assert chosen == expected
+                        # float vs np.float64 (a merge cost's log2) too.
+                        assert type(chosen[1]) is type(expected[1])
                         ties[model] += sum(cost == expected[1] for _, cost in priced) > 1
                     for has_filter in (False, True):
                         ops = (ScanOp.SEQ, ScanOp.INDEX) if has_filter else (ScanOp.SEQ,)
