@@ -27,14 +27,21 @@ _JOIN_OPS = tuple(JoinOp)
 _JOIN_INDEX = {op: i for i, op in enumerate(_JOIN_OPS)}
 
 
+def _unit_log2(total: float) -> float:
+    """The merge join's log factor at its floor, 1: priced with it, the
+    merge cost is a lower bound of the one ``np.log2`` gives."""
+    return 1.0
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Cost weights (arbitrary units, PostgreSQL-flavoured ratios).
 
-    One pricing per model: a model's join formula is :meth:`join_costs`,
-    all three operators from one call; ``join_cost`` and
-    ``best_join_op`` read it, so a subclass (``TimingAlignedCostModel``)
-    overrides only that formula (and ``scan_cost``) and chooses by it.
+    One pricing per model: a model's join formula is :meth:`_join_costs`,
+    all three operators from one call, with the merge join's ``log2``
+    passed in; :meth:`join_costs`, ``join_cost`` and ``best_join_op``
+    read it, so a subclass (``TimingAlignedCostModel``) overrides only
+    that formula (and ``scan_cost``) and chooses by it.
     """
 
     seq_page_cost: float = 1.0
@@ -58,14 +65,19 @@ class CostModel:
 
     def join_costs(self, left_rows: float, right_rows: float, output_rows: float) -> tuple:
         """The cost of every join operator, in ``JoinOp`` order (hash,
-        merge, nested loop): this model's one join formula."""
+        merge, nested loop)."""
+        return self._join_costs(left_rows, right_rows, output_rows, np.log2)
+
+    def _join_costs(self, left_rows: float, right_rows: float, output_rows: float, log2) -> tuple:
+        """This model's one join formula, the merge sort's log factor
+        ``max(log2(max(total, 2)), 1)`` taken through ``log2``."""
         left_rows = max(left_rows, 1.0)
         right_rows = max(right_rows, 1.0)
         output_rows = max(output_rows, 0.0)
         emit = output_rows * self.cpu_tuple_cost
         build, probe = min(left_rows, right_rows), max(left_rows, right_rows)
         total = left_rows + right_rows
-        log_factor = max(np.log2(max(total, 2.0)), 1.0)
+        log_factor = max(log2(max(total, 2.0)), 1.0)
         return (
             build * self.hash_build_cost + probe * self.cpu_operator_cost + emit,
             total * self.sort_cost * log_factor + total * self.cpu_operator_cost + emit,
@@ -79,9 +91,20 @@ class CostModel:
 
     def best_join_op(self, left_rows: float, right_rows: float, output_rows: float) -> tuple[JoinOp, float]:
         """Cheapest physical join operator for the given sizes (the first
-        in ``JoinOp`` order on a tie), priced by one ``join_costs`` call."""
+        in ``JoinOp`` order on a tie), as priced by :meth:`join_costs`.
+
+        Merge is first priced with its log factor at 1, a lower bound
+        (the factor is >= 1 and rounding is monotone).  When hash already
+        costs no more than that bound, or nested loop less, merge cannot
+        be chosen and the log is never taken; otherwise all three are
+        priced in full.  The operator and cost (its type included) are
+        :meth:`join_costs`' argmin either way.
+        """
+        costs = self._join_costs(left_rows, right_rows, output_rows, _unit_log2)
+        if not (costs[0] <= costs[1] or costs[2] < costs[1]):
+            costs = self.join_costs(left_rows, right_rows, output_rows)
         best_op, best_cost = None, float("inf")
-        for op, cost in zip(_JOIN_OPS, self.join_costs(left_rows, right_rows, output_rows)):
+        for op, cost in zip(_JOIN_OPS, costs):
             if cost < best_cost:
                 best_op, best_cost = op, cost
         return best_op, best_cost
@@ -165,13 +188,13 @@ class TimingAlignedCostModel(CostModel):
             return t.index_lookup_ms + output_rows * t.index_tuple_ms + output_rows * t.emit_ms
         return base_rows * t.scan_ms + output_rows * t.emit_ms
 
-    def join_costs(self, left_rows: float, right_rows: float, output_rows: float) -> tuple:
+    def _join_costs(self, left_rows: float, right_rows: float, output_rows: float, log2) -> tuple:
         t = self.timing
         left_rows, right_rows = max(left_rows, 0.0), max(right_rows, 0.0)
         output_rows = max(output_rows, 0.0)
         emit = output_rows * t.emit_ms
         total = left_rows + right_rows
-        log_factor = max(np.log2(max(total, 2.0)), 1.0)
+        log_factor = max(log2(max(total, 2.0)), 1.0)
         return (
             emit + min(left_rows, right_rows) * t.build_ms + max(left_rows, right_rows) * t.probe_ms,
             emit + (total * t.sort_ms * log_factor + total * t.probe_ms),

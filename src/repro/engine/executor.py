@@ -30,6 +30,9 @@ class ExecutionResult:
     simulated_ms: float
     node_cardinalities: list[int]
     node_times: list[float]
+    #: each node's output, keyed by the node's table set — what a
+    #: true-cardinality oracle over the same query can start from.
+    intermediates: dict[frozenset, Intermediate]
     reports: list[WorkReport] = field(default_factory=list)
 
     @property
@@ -51,6 +54,7 @@ def execute_plan(
     cards: dict[int, int] = {}
     times: dict[int, float] = {}
     reports: dict[int, WorkReport] = {}
+    intermediates: dict[frozenset, Intermediate] = {}
 
     def run(node: PlanNode) -> Intermediate:
         if node.is_scan:
@@ -74,6 +78,7 @@ def execute_plan(
         cards[id(node)] = intermediate.cardinality
         times[id(node)] = elapsed
         reports[id(node)] = report
+        intermediates[node.tables] = intermediate
         return intermediate
 
     final = run(plan)
@@ -83,5 +88,6 @@ def execute_plan(
         simulated_ms=sum(times.values()),
         node_cardinalities=[cards[id(n)] for n in ordered],
         node_times=[times[id(n)] for n in ordered],
+        intermediates=intermediates,
         reports=[reports[id(n)] for n in ordered],
     )

@@ -120,26 +120,44 @@ def equi_join_positions(
     return left_pos, right_pos
 
 
-def _composite_keys(values_list: list[np.ndarray]) -> np.ndarray:
-    """Combine one or more key columns into a single sortable key array."""
-    if len(values_list) == 1:
-        values = values_list[0]
-        if values.dtype == object:
-            return values.astype(str)
-        return values
-    # Multi-key join: build a structured array for lexicographic compare.
-    normalized = [v.astype(str) if v.dtype == object else v for v in values_list]
-    return np.rec.fromarrays(normalized)
-
-
-def _join_keys(intermediate: Intermediate, db: Database, predicates: list[JoinRelation], side_tables: frozenset) -> np.ndarray:
+def _join_keys(
+    intermediate: Intermediate, db: Database, predicates: list[JoinRelation], side_tables: frozenset
+) -> list[np.ndarray]:
+    """One side's key columns, one per predicate (strings as ``str``)."""
     columns = []
     for pred in predicates:
         if pred.left in side_tables:
-            columns.append(intermediate.column_values(db, pred.left, pred.left_column))
+            values = intermediate.column_values(db, pred.left, pred.left_column)
         else:
-            columns.append(intermediate.column_values(db, pred.right, pred.right_column))
-    return _composite_keys(columns)
+            values = intermediate.column_values(db, pred.right, pred.right_column)
+        columns.append(values.astype(str) if values.dtype == object else values)
+    return columns
+
+
+def _paired_keys(left_columns: list[np.ndarray], right_columns: list[np.ndarray]) -> tuple:
+    """One sortable key per row of each side.
+
+    A single predicate's key is its column.  Several predicates' key is
+    one int64 code per row, equal on two rows iff every column is: each
+    column's values ranked over both sides, the ranks combined in mixed
+    radix (re-ranked first from the third column on, so codes stay
+    below the rows squared).  Only equality and a stable sort reach
+    ``equi_join_positions``, so the pairs and their order are those of
+    comparing the columns themselves.
+    """
+    if len(left_columns) == 1:
+        return left_columns[0], right_columns[0]
+    codes = None
+    for index, (left, right) in enumerate(zip(left_columns, right_columns)):
+        uniques, ranks = np.unique(np.concatenate((left, right)), return_inverse=True)
+        if codes is None:
+            codes = ranks
+        else:
+            if index > 1:
+                codes = np.unique(codes, return_inverse=True)[1]
+            codes = codes * len(uniques) + ranks
+    n_left = len(left_columns[0])
+    return codes[:n_left], codes[n_left:]
 
 
 def execute_join(
@@ -159,8 +177,10 @@ def execute_join(
     - NESTED_LOOP: examine every pair.
     """
     report = WorkReport()
-    left_keys = _join_keys(left, db, node.join_predicates, left.tables)
-    right_keys = _join_keys(right, db, node.join_predicates, right.tables)
+    left_keys, right_keys = _paired_keys(
+        _join_keys(left, db, node.join_predicates, left.tables),
+        _join_keys(right, db, node.join_predicates, right.tables),
+    )
 
     lpos, rpos = equi_join_positions(left_keys, right_keys, max_pairs=max_rows)
 

@@ -130,7 +130,7 @@ def scan_node(table: str, filter_conj: Conjunction | None = None, scan_op: ScanO
     return PlanNode(
         tables=frozenset([table]),
         table=table,
-        filter=filter_conj or Conjunction(table=table, predicates=()),
+        filter=filter_conj if filter_conj is not None else Conjunction(table=table, predicates=()),
         scan_op=scan_op,
     )
 

@@ -52,10 +52,13 @@ def dp_join_enumeration(
     the search space matches the paper's focus (Section 3.2); otherwise
     all bushy partitions of each subset are considered.
 
-    Subsets are masks of the view's :class:`JoinGraph`: no subset is
-    walked for connectivity and no join list is rescanned per split.
-    Plans, costs and the ``card`` calls (order included) are those of
-    the set-based DP in ``tests/planner_reference.py``, bit for bit.
+    Subsets are masks of the view's :class:`JoinGraph`.  Only connected
+    subsets are visited — each size's are grown from the previous
+    size's by one neighbouring table — and each keeps the tuple of its
+    cheapest split; :class:`PlanNode` objects are built for the winning
+    tree alone.  Plans, costs and the ``card`` calls (order included)
+    are those of the set-based DP in ``tests/planner_reference.py``,
+    bit for bit.
     """
     tables = list(query.tables)
     n = len(tables)
@@ -65,50 +68,52 @@ def dp_join_enumeration(
         raise ValueError("query touches no tables")
 
     view = estimator.for_query(query)
-    card = view.rows
+    card = view.mask_rows
     graph = view.graph
+    best_join_op = cost_model.best_join_op
 
-    # mask -> (cost, plan, rows) of the cheapest plan over that subset.
-    best: dict[int, tuple[float, PlanNode, float]] = {}
+    # mask -> (cost, operator, left mask, right mask, rows) of the
+    # cheapest plan over that subset; a scan's halves are 0.
+    best: dict[int, tuple] = {}
     for table in tables:
         bit = graph.bit[table]
-        rows = card(graph.subset(bit))
-        conjunction = query.filter_for(table)
-        scan_op, cost = cost_model.best_scan_op(view.base_rows(table), rows, len(conjunction) > 0)
-        node = scan_node(table, conjunction, scan_op)
-        node.estimated_cardinality = rows
-        best[bit] = (cost, node, rows)
+        rows = card(bit)
+        scan_op, cost = cost_model.best_scan_op(
+            view.base_rows(table), rows, len(query.filter_for(table)) > 0
+        )
+        best[bit] = (cost, scan_op, 0, 0, rows)
 
-    bits = graph.bits
-    # Subsets in ``combinations(query.tables, size)`` order; a subset is
-    # connected iff one of its splits joins two planned (so connected)
-    # halves, so only connected subsets reach ``card``, in that order.
+    # Each size's connected subsets in ``combinations(query.tables,
+    # size)`` order, so ``card`` sees them in the reference's order.
     for size in range(2, n + 1):
-        for combo in combinations(bits, size):
-            mask = sum(combo)
-            out_rows = winner = None
+        for mask in graph.connected_subsets(size):
+            out_rows = card(mask)
+            winner = None
             for left, right in _splits(mask, graph, left_deep_only):
                 left_best, right_best = best.get(left), best.get(right)
                 if left_best is None or right_best is None:
                     continue
-                if out_rows is None:
-                    out_rows = card(graph.subset(mask))
-                join_op, op_cost = cost_model.best_join_op(left_best[2], right_best[2], out_rows)
+                join_op, op_cost = best_join_op(left_best[4], right_best[4], out_rows)
                 total = left_best[0] + right_best[0] + op_cost
                 if winner is None or total < winner[0]:
-                    winner = (total, join_op, left, right)
-            if winner is not None:
-                total, join_op, left, right = winner
-                predicates = graph.predicates_between(left, right)
-                node = join_node(best[left][1], best[right][1], predicates, join_op)
-                node.estimated_cardinality = out_rows
-                best[mask] = (total, node, out_rows)
+                    winner = (total, join_op, left, right, out_rows)
+            best[mask] = winner
 
-    full = sum(bits)
+    full = sum(graph.bits)
     if full not in best:
         raise DisconnectedQueryError("query join graph is disconnected: no complete plan exists")
-    cost, plan, _ = best[full]
-    return PlannedQuery(plan, cost, view.cardinalities)
+
+    def build(mask: int) -> PlanNode:
+        _, op, left, right, rows = best[mask]
+        if left:
+            node = join_node(build(left), build(right), graph.predicates_between(left, right), op)
+        else:
+            table = graph.table_of[mask]
+            node = scan_node(table, query.filter_for(table), op)
+        node.estimated_cardinality = rows
+        return node
+
+    return PlannedQuery(build(full), best[full][0], view.cardinalities)
 
 
 def _splits(mask: int, graph: JoinGraph, left_deep_only: bool) -> list[tuple[int, int]]:

@@ -1,12 +1,14 @@
 """One query's join graph as bitmasks, built once per planning call.
 
-Table ``query.tables[i]`` is bit ``1 << i``, so a table subset is an
-int and the questions join enumeration asks of every subset — is it
-connected, which predicates join two of its parts — are bit tests.
-A :class:`JoinGraph` hangs off each per-call cardinality view
-(``QueryCardinalities.graph``); the DP, the views, the oracle's peel and
-``plan_with_orders`` all read that one index, and its per-subset memos
-die with the call.  Nothing is kept on the ``Query``.
+Table ``query.tables[i]`` of ``n`` is bit ``1 << (n - 1 - i)``, so a
+table subset is an int, the questions join enumeration asks of every
+subset — is it connected, which predicates join two of its parts — are
+bit tests, and the subsets of one size sorted by descending mask come
+in ``combinations(query.tables, size)`` order.  A :class:`JoinGraph`
+hangs off each per-call cardinality view (``QueryCardinalities.graph``);
+the DP, the views, the oracle's peel and ``plan_with_orders`` all read
+that one index, and its per-subset memos die with the call.  Nothing is
+kept on the ``Query``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ __all__ = ["JoinGraph"]
 class JoinGraph:
     """Bits, neighbour masks and oriented join lists of one query.
 
-    - ``bit[table]``: the table's bit, in ``query.tables`` order;
+    - ``bit[table]``: the table's bit, descending in ``query.tables``
+      order, and ``table_of[bit]`` its inverse;
     - ``neighbours[bit]``: the mask of the tables one join predicate
       away (a self-join predicate adds nothing);
     - ``toward[table]``: ``[(neighbour bit, relation oriented toward
@@ -31,7 +34,9 @@ class JoinGraph:
     """
 
     def __init__(self, query: Query):
-        self.bit = {table: 1 << i for i, table in enumerate(query.tables)}
+        last = len(query.tables) - 1
+        self.bit = {table: 1 << (last - i) for i, table in enumerate(query.tables)}
+        self.table_of = {bit: table for table, bit in self.bit.items()}
         #: the tables' bits in ``query.tables`` order.
         self.bits = list(self.bit.values())
         self.by_name = sorted(self.bit.items())
@@ -50,8 +55,12 @@ class JoinGraph:
                 self.neighbours[left] |= right
                 self.neighbours[right] |= left
         self._connected: dict[int, bool] = {}
-        self._subsets: dict[int, frozenset] = {}
-        self._masks: dict[frozenset, int] = {}
+        self._subsets = {bit: frozenset((table,)) for bit, table in self.table_of.items()}
+        self._masks = {subset: bit for bit, subset in self._subsets.items()}
+        #: connected mask -> the mask of it and its neighbours, and the
+        #: connected subsets per size (``connected_subsets``).
+        self._reach = {bit: bit | self.neighbours[bit] for bit in self.bits}
+        self._levels = [sorted(self.bits, reverse=True)]
 
     # -- subsets -----------------------------------------------------------
     def subset(self, mask: int) -> frozenset:
@@ -64,6 +73,32 @@ class JoinGraph:
             self._masks[subset] = mask
         return subset
 
+    def connected_subsets(self, size: int) -> list[int]:
+        """The connected subsets of ``size`` tables, descending — that is,
+        in ``combinations(query.tables, size)`` order.  Each size's are
+        grown from the previous size's by one neighbouring table, and
+        each one's frozenset is its parent's and that table's united."""
+        levels = self._levels
+        while len(levels) < size:
+            reach, neighbours, subsets = self._reach, self.neighbours, self._subsets
+            grown = []
+            for mask in levels[-1]:
+                around = reach[mask]
+                frontier = around ^ mask
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    larger = mask | bit
+                    if larger not in reach:
+                        reach[larger] = around | neighbours[bit]
+                        subset = subsets[larger] = subsets[mask] | subsets[bit]
+                        self._masks[subset] = larger
+                        self._connected[larger] = True
+                        grown.append(larger)
+            grown.sort(reverse=True)
+            levels.append(grown)
+        return levels[size - 1]
+
     def mask(self, subset: frozenset) -> int:
         """The mask of ``subset``'s tables; a table outside the query adds no bit."""
         mask = self._masks.get(subset)
@@ -73,15 +108,21 @@ class JoinGraph:
                 mask |= self.bit.get(table, 0)
         return mask
 
-    # -- the connectivity rule ---------------------------------------------
+    # -- connectivity ------------------------------------------------------
     def connected(self, mask: int) -> bool:
-        """True iff ``mask`` is one table, or some member has a neighbour
-        in the rest and the rest is connected (the peel finds one)."""
+        """True iff the join predicates inside ``mask`` reach all of it
+        from its lowest table (one flood over neighbour masks)."""
         answer = self._connected.get(mask)
         if answer is None:
-            answer = self._connected[mask] = (
-                mask != 0 if not mask & (mask - 1) else self.peel(mask) is not None
-            )
+            neighbours = self.neighbours
+            reached = frontier = mask & -mask
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = neighbours[bit] & mask & ~reached
+                reached |= new
+                frontier |= new
+            answer = self._connected[mask] = mask != 0 and reached == mask
         return answer
 
     def peel(self, mask: int) -> str | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from ..engine.executor import ExecutionLimitError
-from ..engine.operators import JoinExpansionError, execute_join, execute_scan
+from ..engine.operators import Intermediate, JoinExpansionError, execute_join, execute_scan
 from ..engine.plan import PlanNode, scan_node
 from ..errors import DisconnectedQueryError
 from ..sql.predicates import (
@@ -106,6 +106,11 @@ class QueryCardinalities(CardinalityEstimator):
         if rows is None:
             rows = self.cardinalities[subset] = max(float(self._estimate(subset)), 0.0)
         return rows
+
+    def mask_rows(self, mask: int) -> float:
+        """:meth:`rows` of the subset ``mask`` names in :attr:`graph`:
+        the one entry point the DP reads rows through."""
+        return self.rows(self.graph.subset(mask))
 
     def _estimate(self, subset: frozenset) -> float:
         return self.estimator.estimate(self.query, subset)
@@ -197,16 +202,26 @@ class _HistogramCardinalities(QueryCardinalities):
 
     _factors: tuple[list, list] | None = None
 
+    def mask_rows(self, mask: int) -> float:
+        subset = self.graph.subset(mask)
+        rows = self.cardinalities.get(subset)
+        if rows is None:
+            rows = self.cardinalities[subset] = max(float(self._product(mask)), 0.0)
+        return rows
+
     def _estimate(self, subset: frozenset) -> float:
-        graph = self.graph
+        return self._product(self.graph.mask(subset))
+
+    def _product(self, mask: int) -> float:
+        """The subset's scan rows times its joins' selectivities, each
+        factor in or out by a mask test."""
         if self._factors is None:
-            estimator, query = self.estimator, self.query
+            estimator, query, graph = self.estimator, self.query, self.graph
             self._factors = (
                 [(bit, max(estimator.scan_rows(query, table), 0.0)) for table, bit in graph.bit.items()],
                 [(left | right, estimator.join_selectivity(join)) for left, right, join, _ in graph.joins],
             )
         scans, selectivities = self._factors
-        mask = graph.mask(subset)
         rows = 1.0
         for bit, scan in scans:
             if mask & bit:
@@ -230,7 +245,8 @@ class TrueCardinalityOracle(CardinalityEstimator):
     keeps the view of the query it was last asked about, so a second DP
     over the same ``Query`` object (left-deep, then bushy) re-executes
     nothing, and moving on to another query frees the previous one's
-    intermediates.
+    intermediates.  :meth:`seed` starts a view from a plan's executed
+    intermediates, so those subsets do not execute again either.
     """
 
     def __init__(self, db: Database, max_intermediate_rows: int | None = 20_000_000):
@@ -247,6 +263,21 @@ class TrueCardinalityOracle(CardinalityEstimator):
 
     def estimate(self, query: Query, subset: frozenset) -> float:
         return self.for_query(query).rows(subset)
+
+    def seed(self, query: Query, intermediates: dict[frozenset, Intermediate]) -> None:
+        """Bind to ``query`` with intermediates already executed for it:
+        ``ExecutionResult.intermediates`` of one of its plans, each the
+        join of its table set's filtered scans under every join
+        predicate among them.  A subset's cardinality does not depend on
+        the order that produced it, so every answer, error and later
+        execution is the same; only the seeded subsets are not executed.
+        One over this oracle's row cap is left out, to fail as before.
+        """
+        view = self.for_query(query)
+        cap = self.max_intermediate_rows
+        for subset, intermediate in intermediates.items():
+            if cap is None or intermediate.cardinality <= cap:
+                view._intermediates.setdefault(subset, intermediate)
 
     def base_rows(self, table: str) -> float:
         return float(self.db.table(table).num_rows)

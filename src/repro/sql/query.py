@@ -9,6 +9,7 @@ scan/join planning).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -64,8 +65,10 @@ class Query:
         return len(self.tables)
 
     def filter_for(self, table: str) -> Conjunction:
-        """The filter conjunction on ``table`` (empty if unfiltered)."""
-        return self.filters.get(table, Conjunction(table=table, predicates=()))
+        """The filter conjunction on ``table`` (empty if unfiltered: one
+        shared, frozen empty conjunction per table name)."""
+        conjunction = self.filters.get(table)
+        return _unfiltered(table) if conjunction is None else conjunction
 
     def joins_between(self, group_a: set[str], group_b: set[str]) -> list[JoinRelation]:
         """All join predicates with one side in each group."""
@@ -106,3 +109,8 @@ class Query:
 
     def __str__(self) -> str:
         return self.to_sql()
+
+
+@functools.cache
+def _unfiltered(table: str) -> Conjunction:
+    return Conjunction(table=table, predicates=())

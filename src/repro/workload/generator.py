@@ -47,13 +47,28 @@ class WorkloadConfig:
 
 
 class WorkloadGenerator:
-    """Generates random executable SPJ queries over a database."""
+    """Generates random executable SPJ queries over a database.
+
+    Every random pick is an index drawn from ``rng`` —
+    ``seq[rng.integers(0, len(seq))]`` for one item,
+    ``rng.choice(len(seq), size=k, replace=False)`` for ``k`` distinct
+    ones — which consumes the stream exactly as ``rng.choice(seq)``
+    would, so a seed names the same queries as when the sequences were
+    handed to ``rng.choice`` whole.  The candidate tables, each table's
+    neighbours and filterable columns, and each numeric column's values
+    are listed once per generator.
+    """
 
     def __init__(self, db: Database, config: WorkloadConfig | None = None):
         self.db = db
         self.config = config or WorkloadConfig()
         self.rng = np.random.default_rng(self.config.seed)
         self._key_columns = self._collect_key_columns()
+        schema = db.join_schema
+        self._neighbors = {table: schema.neighbors(table) for table in schema.tables}
+        self._candidates = [table for table, around in self._neighbors.items() if around]
+        self._eligible: dict[str, list[str]] = {}
+        self._numeric: dict[tuple[str, str], np.ndarray] = {}
 
     def _collect_key_columns(self) -> dict[str, set]:
         """PK/FK columns per table (excluded from filter predicates)."""
@@ -67,35 +82,40 @@ class WorkloadGenerator:
             keys[relation.right].add(relation.right_column)
         return keys
 
+    def _pick(self, seq):
+        """One uniform item of ``seq`` (the draw ``rng.choice(seq)`` makes)."""
+        return seq[self.rng.integers(0, len(seq))]
+
     # ------------------------------------------------------------------
     def sample_tables(self, num_tables: int) -> list[str]:
         """Random connected subgraph of the join graph via a random walk."""
-        schema = self.db.join_schema
-        candidates = [t for t in schema.tables if schema.neighbors(t)]
+        candidates = self._candidates
         if not candidates:
             raise ValueError("join schema has no joinable tables")
-        start = str(self.rng.choice(candidates))
+        start = str(self._pick(candidates))
         chosen = [start]
-        frontier = set(schema.neighbors(start))
+        frontier = set(self._neighbors[start])
         while len(chosen) < num_tables and frontier:
-            nxt = str(self.rng.choice(sorted(frontier)))
+            nxt = str(self._pick(sorted(frontier)))
             chosen.append(nxt)
-            frontier |= set(schema.neighbors(nxt))
-            frontier -= set(chosen)
+            frontier.update(self._neighbors[nxt])
+            frontier.difference_update(chosen)
         return chosen
 
     def _numeric_predicate(self, table: str, column: str):
-        values = self.db.table(table).column(column).numeric_values()
+        values = self._numeric.get((table, column))
+        if values is None:
+            values = self._numeric[(table, column)] = self.db.table(table).column(column).numeric_values()
         if values.size == 0:
             return None
-        anchor = float(self.rng.choice(values))
+        anchor = float(self._pick(values))
         roll = self.rng.random()
         if roll < 0.3:
             return Comparison(table, column, CompareOp.LE, anchor)
         if roll < 0.6:
             return Comparison(table, column, CompareOp.GE, anchor)
         if roll < 0.8:
-            other = float(self.rng.choice(values))
+            other = float(self._pick(values))
             low, high = sorted((anchor, other))
             return BetweenPredicate(table, column, low, high)
         return Comparison(table, column, CompareOp.EQ, anchor)
@@ -104,7 +124,7 @@ class WorkloadGenerator:
         col = self.db.table(table).column(column)
         if len(col) == 0:
             return None
-        value = str(self.rng.choice(col.values))
+        value = str(self._pick(col.values))
         roll = self.rng.random()
         if roll < self.config.like_probability and len(value) >= 2:
             # Substring LIKE: '%mid%', prefix 'pre%' or suffix '%suf'.
@@ -119,7 +139,7 @@ class WorkloadGenerator:
         if roll < self.config.like_probability + self.config.in_probability:
             pool = col.dictionary if col.dictionary is not None else np.unique(col.values.astype(str))
             k = int(self.rng.integers(2, min(5, len(pool)) + 1))
-            picks = tuple(str(v) for v in self.rng.choice(pool, size=k, replace=False))
+            picks = tuple(str(pool[i]) for i in self.rng.choice(len(pool), size=k, replace=False))
             return InPredicate(table, column, picks)
         return Comparison(table, column, CompareOp.EQ, value)
 
@@ -128,12 +148,15 @@ class WorkloadGenerator:
         predicates = []
         if self.rng.random() < self.config.filter_probability:
             table_obj = self.db.table(table)
-            eligible = [c for c in table_obj.column_order if c not in self._key_columns[table]]
+            eligible = self._eligible.get(table)
+            if eligible is None:
+                keys = self._key_columns[table]
+                eligible = self._eligible[table] = [c for c in table_obj.column_order if c not in keys]
             if eligible:
                 count = int(self.rng.integers(1, self.config.max_filters_per_table + 1))
                 count = min(count, len(eligible))
-                columns = self.rng.choice(eligible, size=count, replace=False)
-                for column in columns:
+                for index in self.rng.choice(len(eligible), size=count, replace=False):
+                    column = eligible[index]
                     if table_obj.column(column).is_numeric:
                         pred = self._numeric_predicate(table, column)
                     else:

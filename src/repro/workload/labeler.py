@@ -17,8 +17,14 @@ row cap (:class:`ExecutionLimitError`) or the join graph is disconnected
 labeler (:attr:`QueryLabeler.last_skip_reason`, :attr:`skip_counts`) so
 callers such as the serving feedback loop can report why experience was
 rejected.  Any other error is a genuine planner/connectivity bug and
-propagates.  When only the optimal-order derivation is skipped, the
-query is still labeled and the reason lands in ``extras``.
+propagates.  When only the optimal-order derivation is skipped — over
+the row cap, disconnected, or a query of more than
+``max_optimal_tables`` tables — the query is still labeled and the
+reason lands in ``extras``.
+
+The optimal order's oracle starts from the intermediates of the plan
+just executed for the labels, so no table subset executes twice for one
+query.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..engine.executor import ExecutionLimitError, execute_plan
+from ..engine.operators import Intermediate
 from ..engine.plan import PlanNode
 from ..errors import DisconnectedQueryError
 from ..optimizer.planner import PostgresStylePlanner, plan_with_order
@@ -35,12 +42,16 @@ from ..optimizer.optimal import optimal_join_order
 from ..sql.query import Query
 from ..storage.catalog import Database
 
-__all__ = ["LabeledQuery", "QueryLabeler", "SKIP_OVER_LIMIT", "SKIP_DISCONNECTED"]
+__all__ = [
+    "LabeledQuery", "QueryLabeler", "SKIP_OVER_LIMIT", "SKIP_DISCONNECTED", "SKIP_TOO_MANY_TABLES",
+]
 
 # Canonical skip-reason labels (keys of QueryLabeler.skip_counts and the
-# values of LabeledQuery.extras["optimal_order_skip"]).
+# values of LabeledQuery.extras["optimal_order_skip"]; the last is an
+# optimal-order skip only).
 SKIP_OVER_LIMIT = "over_limit"
 SKIP_DISCONNECTED = "disconnected"
+SKIP_TOO_MANY_TABLES = "too_many_tables"
 
 
 @dataclass
@@ -117,14 +128,26 @@ class QueryLabeler:
         self.last_skip_detail = str(error)
         self.skip_counts[reason] = self.skip_counts.get(reason, 0) + 1
 
-    def _derive_optimal(self, query: Query, extras: dict) -> list[str] | None:
-        """The ECQO optimal-order label; skip reasons land in ``extras``."""
+    def _derive_optimal(
+        self, query: Query, extras: dict, executed: dict[frozenset, Intermediate]
+    ) -> list[str] | None:
+        """The ECQO optimal-order label; skip reasons land in ``extras``.
+
+        ``executed`` is the labeled plan's ``ExecutionResult.intermediates``
+        (run under the same row cap): the oracle starts from them.
+        """
         if query.num_tables > self.max_optimal_tables:
+            extras["optimal_order_skip"] = SKIP_TOO_MANY_TABLES
+            extras["optimal_order_skip_detail"] = (
+                f"query joins {query.num_tables} tables; optimal orders are derived "
+                f"for at most {self.max_optimal_tables}"
+            )
             return None
         try:
             oracle = TrueCardinalityOracle(
                 self.db, max_intermediate_rows=self.max_intermediate_rows
             )
+            oracle.seed(query, executed)
             return optimal_join_order(query, self.db, oracle=oracle)
         except ExecutionLimitError as error:
             extras["optimal_order_skip"] = SKIP_OVER_LIMIT
@@ -158,7 +181,9 @@ class QueryLabeler:
             self._record_skip(SKIP_DISCONNECTED, error)
             return None
 
-        optimal = self._derive_optimal(query, extras) if with_optimal_order else None
+        optimal = (
+            self._derive_optimal(query, extras, result.intermediates) if with_optimal_order else None
+        )
         return LabeledQuery(
             query=query,
             plan=plan,

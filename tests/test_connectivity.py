@@ -3,16 +3,19 @@
 Two things answer it.  ``connected_components`` (``repro.storage.schema``)
 is the one graph traversal: ``JoinSchema.is_connected``,
 ``Query.is_connected`` (with and without a table subset) and
-``require_connected`` answer through it.  The planner never walks a
-subset: ``JoinGraph.connected`` (``repro.optimizer``) is the one rule on
-bitmasks — one table, or a member joined to a connected rest — and the
-DP, the oracle's peel and the views read that per-call index.  Random
+``require_connected`` answer through it.  The planner answers on
+bitmasks: ``JoinGraph.connected`` (``repro.optimizer``) floods neighbour
+masks, ``JoinGraph.peel`` picks the first table by name joined to a
+connected rest, ``JoinGraph.connected_subsets`` grows each size's
+connected subsets from the previous size's, and the DP, the oracle's
+peel and the views read that per-call index.  Random
 small graphs, self-loops and repeated edges included, must split the
 same way under each of them as under
 ``graph_reference.union_find_components``, and the index's oriented
 predicate lists must be ``Query.joins_between``'s.
 """
 
+import itertools
 import re
 
 import pytest
@@ -132,3 +135,15 @@ def test_mask_rule_agrees_with_union_find_on_every_subset(graph):
         expected = query.joins_between(set(index.subset(left)), set(index.subset(mask ^ left)))
         assert index.predicates_between(left, mask ^ left) == expected
         assert index.joined(left, mask ^ left) is bool(expected)
+    # Each size's connected subsets, grown, in combinations order.
+    for size in range(1, len(tables) + 1):
+        grown = index.connected_subsets(size)
+        expected = [
+            sum(index.bit[table] for table in combo)
+            for combo in itertools.combinations(tables, size)
+            if len(union_find_components(combo, edges_of(joins))) == 1
+        ]
+        assert grown == expected
+        assert [index.subset(mask) for mask in grown] == [
+            frozenset(table for table in tables if mask & index.bit[table]) for mask in grown
+        ]

@@ -114,6 +114,66 @@ class TestEquiJoinPositions:
         assert got == expected
 
 
+def record_key_join(node, left, right, db):
+    """``execute_join``'s rows as they were when several predicates'
+    keys were record arrays (``np.rec.fromarrays``) compared field by
+    field."""
+
+    def keys(intermediate):
+        columns = []
+        for pred in node.join_predicates:
+            side = (pred.left, pred.left_column) if pred.left in intermediate.tables else (pred.right, pred.right_column)
+            values = intermediate.column_values(db, *side)
+            columns.append(values.astype(str) if values.dtype == object else values)
+        return columns[0] if len(columns) == 1 else np.rec.fromarrays(columns)
+
+    lpos, rpos = equi_join_positions(keys(left), keys(right))
+    rows = {table: ids[lpos] for table, ids in left.rows.items()}
+    rows.update({table: ids[rpos] for table, ids in right.rows.items()})
+    return rows
+
+
+def assert_rows_equal(got, expected):
+    assert list(got) == list(expected)
+    for table in expected:
+        assert got[table].dtype == expected[table].dtype
+        np.testing.assert_array_equal(got[table], expected[table])
+
+
+class TestMultiPredicateJoinKeys:
+    """Several join predicates key a join on one int64 code per row; the
+    pairs and their order are the record-array keys' (``record_key_join``)."""
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_codes_pair_rows_like_record_arrays(self, num_keys, n_left, n_right, spread, seed):
+        from repro.engine.operators import Intermediate, execute_join
+
+        rng = np.random.default_rng(seed)
+        words = np.array(["a", "b", "c", "d"])
+        data = {}
+        for name, n in (("l", n_left), ("r", n_right)):
+            columns = {"id": np.arange(n)}
+            for k in range(num_keys):
+                values = rng.integers(0, spread, n)
+                # The second key column holds strings, others integers.
+                columns[f"k{k}"] = words[values] if k == 1 else values
+            data[name] = Table.from_dict(name, columns, primary_key="id")
+        database = Database("keys", list(data.values()))
+        predicates = [JoinRelation("l", f"k{k}", "r", f"k{k}") for k in range(num_keys)]
+        node = join_node(scan_node("l"), scan_node("r"), predicates, JoinOp.HASH)
+        left = Intermediate({"l": rng.permutation(n_left).astype(np.int64)})
+        right = Intermediate({"r": rng.permutation(n_right).astype(np.int64)})
+        got, _ = execute_join(node, left, right, database)
+        assert_rows_equal(got.rows, record_key_join(node, left, right, database))
+
+
 class TestPlanTree:
     def test_scan_node_fields(self):
         node = scan_node("orders")

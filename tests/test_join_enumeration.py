@@ -15,10 +15,12 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import spanning_join_order
 from naive_estimator import NaiveHistogramEstimator
 from planner_reference import (
     ReferenceOracle,
@@ -29,7 +31,9 @@ from planner_reference import (
 from repro.core.serializer import plan_signature
 from repro.datagen import generate_database
 from repro.engine import execute_plan
+from repro.engine import cost_model as cost_model_module
 from repro.engine.cost_model import DEFAULT_COST_MODEL, CostModel, TimingAlignedCostModel
+from repro.engine.timing import TimingModel
 from repro.engine.plan import JoinOp
 from repro.optimizer import (
     HistogramEstimator,
@@ -149,6 +153,49 @@ class TestJoinPricing:
                     assert hexed(model.join_cost(left, right, out, op)) == hexed(expected)
 
 
+    def test_the_merge_bound_never_changes_the_choice(self):
+        """``best_join_op`` prices merge at its log factor's floor first;
+        its answer is still ``join_costs``' strict-``<`` argmin, the
+        cost's type included, over random sizes — in models where merge
+        wins too, so the full pricing runs as well."""
+        rng = np.random.default_rng(0)
+        models = [
+            DEFAULT_COST_MODEL,
+            TimingAlignedCostModel(),
+            CostModel(sort_cost=0.0002, hash_build_cost=0.05),
+            TimingAlignedCostModel(TimingModel(sort_ms=0.00005, build_ms=0.02, pair_ms=0.01)),
+        ]
+        sizes = np.concatenate([[0.0, 0.5, 1.0, 2.0], 10.0 ** rng.uniform(-1, 6, size=400)])
+        merge_wins = 0
+        for model in models:
+            for _ in range(3000):
+                left, right, out = (float(value) for value in rng.choice(sizes, size=3))
+                expected_op, expected_cost = None, float("inf")
+                for op, cost in zip(JoinOp, model.join_costs(left, right, out)):
+                    if cost < expected_cost:
+                        expected_op, expected_cost = op, cost
+                op, cost = model.best_join_op(left, right, out)
+                assert (op, hexed(cost)) == (expected_op, hexed(expected_cost))
+                merge_wins += op is JoinOp.MERGE
+        assert merge_wins > 100
+        # Nested loop ties merge's floor exactly while the full merge
+        # cost is higher: merge has to be priced in full, and loses.
+        tie = CostModel(cpu_operator_cost=1.0, sort_cost=1.0, hash_build_cost=4.0, cpu_tuple_cost=0.0)
+        assert tie.join_costs(4.0, 4.0, 1.0) == (20.0, 32.0, 16.0)
+        assert tie.best_join_op(4.0, 4.0, 1.0) == (JoinOp.NESTED_LOOP, 16.0)
+
+    def test_shipped_weights_never_take_the_log(self, monkeypatch):
+        """Under both shipped models hash already costs no more than
+        merge's bound, so choosing an operator never calls ``np.log2``."""
+        calls = []
+        log2 = np.log2
+        monkeypatch.setattr(cost_model_module.np, "log2", lambda x: calls.append(x) or log2(x))
+        for model in (DEFAULT_COST_MODEL, TimingAlignedCostModel()):
+            for left, right, out in itertools.product(self.ROWS, repeat=3):
+                model.best_join_op(left, right, out)
+        assert calls == []
+
+
 class TestExecutorOracle:
     @given(queries(max_tables=5, thin=False))
     @settings(max_examples=25, deadline=None)
@@ -165,6 +212,35 @@ class TestExecutorOracle:
         assert [plan.leaf_tables_in_order() for plan in planned if plan is not None] == legal
         rows = {execute_plan(plan_with_order(query, order, estimator), db).cardinality for order in legal}
         assert rows == {TrueCardinalityOracle(db).estimate(query, frozenset(query.tables))}
+
+
+def test_cyclic_queries_join_like_record_array_keys():
+    """Every join of every left-deep prefix of generated 5-8-table
+    queries over a cyclic schema: the executed rows equal the
+    record-array keys' (``test_engine.record_key_join``), multi-predicate
+    joins included."""
+    from test_engine import assert_rows_equal, record_key_join
+
+    from repro.engine.operators import execute_join, execute_scan
+
+    db = database()
+    multi = 0
+    for seed in range(40):
+        config = WorkloadConfig(min_tables=5, max_tables=8, seed=seed)
+        query = WorkloadGenerator(db, config).generate_query()
+        order = spanning_join_order(db.join_schema, query.tables, start=query.tables[0])
+        plan = plan_with_order(query, order, HistogramEstimator(db))
+        node = plan
+        while node.is_join:
+            node = node.left
+        current, _ = execute_scan(node, db)
+        for join in reversed(plan.nodes_preorder()[: query.num_tables - 1]):
+            right, _ = execute_scan(join.right, db)
+            expected = record_key_join(join, current, right, db)
+            current, _ = execute_join(join, current, right, db)
+            assert_rows_equal(current.rows, expected)
+            multi += len(join.join_predicates) > 1
+    assert multi >= 10
 
 
 def test_greedy_ties_do_not_depend_on_the_hash_seed():

@@ -1,12 +1,21 @@
 """Tests for workload generation, labeling and dataset splitting."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from generator_reference import ReferenceGenerator, reference_single_table_queries
 from helpers import spanning_join_order
+from repro.core.serializer import query_signature
 from repro.datagen import generate_database
 from repro.engine import execute_plan
 from repro.sql import LikePredicate, Query
+from repro.engine import ExecutionLimitError
+from repro.optimizer import TrueCardinalityOracle, optimal_join_order
+from repro.workload.labeler import SKIP_TOO_MANY_TABLES
 from repro.workload import (
     QueryDataset,
     QueryLabeler,
@@ -85,6 +94,64 @@ class TestGenerator:
         for query in queries:
             assert query.tables == [table]
             assert not query.joins
+
+
+@functools.cache
+def reference_databases():
+    """A small schema and the ledger's, both with string columns."""
+    return (
+        generate_database(seed=3, num_tables=6, row_range=(80, 400), attr_range=(2, 4)),
+        generate_database(seed=5, num_tables=8, row_range=(80, 300), attr_range=(2, 3)),
+    )
+
+
+def streamed(queries):
+    """Each query's signature, SQL text and table names' ``repr``."""
+    return [(query_signature(query), query.to_sql(), repr(query.tables)) for query in queries]
+
+
+class TestGeneratorMatchesReference:
+    """Drawing by index emits the stream ``rng.choice`` over the
+    sequences did (``tests/generator_reference.py``), seed for seed."""
+
+    @given(
+        which=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+        min_tables=st.integers(1, 6),
+        extra_tables=st.integers(0, 3),
+        max_filters=st.integers(1, 3),
+        filter_probability=st.sampled_from([0.0, 0.4, 0.7, 1.0]),
+        like_probability=st.sampled_from([0.0, 0.3, 0.9]),
+        in_probability=st.sampled_from([0.0, 0.2, 0.6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_generate_query(
+        self, which, seed, min_tables, extra_tables, max_filters,
+        filter_probability, like_probability, in_probability,
+    ):
+        db = reference_databases()[which]
+        config = WorkloadConfig(
+            min_tables=min_tables,
+            max_tables=min_tables + extra_tables,
+            max_filters_per_table=max_filters,
+            filter_probability=filter_probability,
+            like_probability=like_probability,
+            in_probability=in_probability,
+            seed=seed,
+        )
+        ours, reference = WorkloadGenerator(db, config), ReferenceGenerator(db, config)
+        assert streamed(ours.generate_query() for _ in range(15)) == streamed(
+            reference.generate_query() for _ in range(15)
+        )
+
+    @given(which=st.integers(0, 1), seed=st.integers(0, 2**32 - 1), table_index=st.integers(0, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_single_table_queries(self, which, seed, table_index):
+        db = reference_databases()[which]
+        table = db.table_names[table_index % len(db.table_names)]
+        assert streamed(generate_single_table_queries(db, table, 20, seed=seed)) == streamed(
+            reference_single_table_queries(db, table, 20, seed=seed)
+        )
 
 
 class TestLabeler:
@@ -191,6 +258,18 @@ class TestLabelerSkipReasons:
         assert item.extras["optimal_order_skip"] == "over_limit"
         assert "oracle blew the cap" in item.extras["optimal_order_skip_detail"]
 
+    def test_too_many_tables_skip_lands_in_extras(self, db, generator):
+        labeler = QueryLabeler(db, max_optimal_tables=1)
+        query = generator.generate_query()
+        item = labeler.label(query, with_optimal_order=True)
+        assert item is not None
+        assert item.optimal_order is None
+        assert item.extras["optimal_order_skip"] == SKIP_TOO_MANY_TABLES
+        assert item.extras["optimal_order_skip_detail"] == (
+            f"query joins {query.num_tables} tables; optimal orders are derived for at most 1"
+        )
+        assert labeler.last_skip_reason is None and labeler.skip_counts == {}
+
     def test_label_with_order_executes_served_order(self, db, generator):
         labeler = QueryLabeler(db)
         for query in generator.generate(10):
@@ -227,6 +306,84 @@ class TestLabelerSkipReasons:
                 labeler.label_with_order(query, illegal)
             return
         pytest.skip("no query with an illegal reversal found")
+
+
+def oracle_outcome(query, db, oracle):
+    """The optimal order, or the over-limit error's text."""
+    try:
+        return optimal_join_order(query, db, oracle=oracle)
+    except ExecutionLimitError as error:
+        return "over_limit", str(error)
+
+
+class TestSeededOracle:
+    """The optimal order's oracle starts from the labeled plan's executed
+    intermediates: the same order or skip as a fresh oracle, and none of
+    the plan's subsets executes again."""
+
+    def queries(self):
+        config = WorkloadConfig(min_tables=3, max_tables=7, seed=11)
+        return WorkloadGenerator(reference_databases()[1], config).generate(40)
+
+    def test_same_order_and_no_plan_subset_executes(self, monkeypatch):
+        import repro.workload.labeler as labeler_module
+
+        oracles = []
+
+        class Recording(TrueCardinalityOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                oracles.append(self)
+
+        monkeypatch.setattr(labeler_module, "TrueCardinalityOracle", Recording)
+        db = reference_databases()[1]
+        labeler = QueryLabeler(db)
+        labeled = 0
+        for query in self.queries():
+            result = execute_plan(labeler.planner.plan(query).plan, db, max_intermediate_rows=5_000_000)
+            fresh = TrueCardinalityOracle(db, max_intermediate_rows=5_000_000)
+            seeded = TrueCardinalityOracle(db, max_intermediate_rows=5_000_000)
+            seeded.seed(query, result.intermediates)
+            expected = oracle_outcome(query, db, fresh)
+            assert oracle_outcome(query, db, seeded) == expected
+            # Every connected subset executes once; the plan's 2n - 1
+            # node subsets are among them and none executes again.
+            assert len(result.intermediates) == 2 * query.num_tables - 1
+            assert seeded.executions == fresh.executions - len(result.intermediates)
+            extras = {}
+            assert labeler._derive_optimal(query, extras, result.intermediates) == expected
+            assert extras == {}
+            assert labeler.label(query, with_optimal_order=True).optimal_order == expected
+            assert oracles[-1].executions == seeded.executions
+            labeled += 1
+        assert labeled == 40
+
+    def test_over_limit_skips_keep_their_reason_and_detail(self):
+        """A row cap the plan fits under but another subset does not: the
+        seeded oracle fails on the same subset with the same text."""
+        db = reference_databases()[1]
+        planner = QueryLabeler(db).planner
+        found = 0
+        for query in self.queries():
+            plan = planner.plan(query).plan
+            cap = max(execute_plan(plan, db).node_cardinalities)
+            fresh = oracle_outcome(query, db, TrueCardinalityOracle(db, max_intermediate_rows=cap))
+            if not isinstance(fresh, tuple):
+                continue
+            found += 1
+            labeler = QueryLabeler(db, max_intermediate_rows=cap)
+            item = labeler.label(query, with_optimal_order=True)
+            assert item.optimal_order is None
+            assert (item.extras["optimal_order_skip"], item.extras["optimal_order_skip_detail"]) == fresh
+            # Seeded from a plan run without a cap, the over-cap
+            # intermediates are left out and fail as before.
+            loose = execute_plan(plan, db, max_intermediate_rows=None).intermediates
+            tight = TrueCardinalityOracle(db, max_intermediate_rows=cap // 2)
+            tight.seed(query, loose)
+            assert oracle_outcome(query, db, tight) == oracle_outcome(
+                query, db, TrueCardinalityOracle(db, max_intermediate_rows=cap // 2)
+            )
+        assert found >= 2
 
 
 class TestDataset:
