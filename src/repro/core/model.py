@@ -30,7 +30,7 @@ import numpy as np
 
 from .. import nn
 from ..engine.plan import JoinOp, PlanNode, ScanOp
-from ..nn.positional import tree_path_encoding
+from ..nn.positional import tree_layout_encoding
 from ..nn.spec import shape_spec
 from ..sql.query import Query
 from ..workload.labeler import LabeledQuery
@@ -47,7 +47,7 @@ from .serializer import plan_signature, serialize_plan
 from .shared import SharedRepresentation
 from .trans_jo import TransJO
 
-__all__ = ["MTMLFQO", "EncodedQuery", "InferenceSession"]
+__all__ = ["MTMLFQO", "EncodedQuery", "InferenceSession", "assemble_nodes"]
 
 # Batched inference processes items in bounded chunks: the Trans_Share
 # forward pads to the chunk's max node count and attention is quadratic
@@ -62,15 +62,83 @@ _VERSIONS = itertools.count()
 
 
 class EncodedQuery:
-    """Cached raw features of one labeled query (F-module output)."""
+    """The (F) output of one plan, by reference (DESIGN.md §3).
 
-    __slots__ = ("features", "tree_encodings", "leaf_positions", "num_nodes")
+    ``contents`` holds each node's ``(1, d_model)`` content row, in
+    preorder — the read-only arrays the featurizer's ``node_cache``
+    stores, not copies — and ``extras`` the ``(L, node_extra_dim)``
+    structural features.  ``tree_encodings`` is the ``(L, d_model)``
+    tree-position rows of the plan's shape, one read-only array shared
+    by every plan of that shape (:func:`tree_layout_encoding`).  A plan
+    and its rerank probes therefore share rows instead of each holding
+    its own.
+    """
 
-    def __init__(self, features: np.ndarray, tree_encodings: np.ndarray, leaf_positions: dict[str, int]):
-        self.features = features              # (L, node_feature_dim)
-        self.tree_encodings = tree_encodings  # (L, d_model)
+    __slots__ = ("contents", "extras", "tree_encodings", "leaf_positions", "num_nodes")
+
+    def __init__(
+        self,
+        contents: tuple[np.ndarray, ...],
+        extras: np.ndarray,
+        tree_encodings: np.ndarray,
+        leaf_positions: dict[str, int],
+    ):
+        self.contents = contents              # L x (1, d_model), node_cache's
+        self.extras = extras                  # (L, node_extra_dim)
+        self.tree_encodings = tree_encodings  # (L, d_model), interned per shape
         self.leaf_positions = leaf_positions  # table -> node index
-        self.num_nodes = features.shape[0]
+        self.num_nodes = extras.shape[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The dense ``(L, node_feature_dim)`` raw node features, read-only:
+        this plan's row of :func:`assemble_nodes`, built on each read."""
+        features = assemble_nodes([self])[0][0]
+        features.setflags(write=False)
+        return features
+
+
+def assemble_nodes(encodings: list[EncodedQuery]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Trans_Share inputs of a batch: ``(B, Lmax, node_feature_dim)``
+    raw node features, ``(B, Lmax, d_model)`` tree encodings and the
+    ``(B, Lmax)`` padding mask (True at padded slots).
+
+    Three gathers, however many plans, write every plan's content rows,
+    structural features and tree rows — zeros at padded slots — into
+    the two arrays: the values the dense per-plan copy wrote
+    (``tests/dense_assembly_reference.py``).  Content rows and features
+    are joined as raw bytes (every stored array is C-contiguous
+    float64), which copies a row for a fraction of what
+    ``np.concatenate`` spends per array.
+    """
+    max_len = max(encoding.num_nodes for encoding in encodings)
+    d_model = encodings[0].tree_encodings.shape[1]
+    extra_dim = encodings[0].extras.shape[1]
+    pads: dict[int, tuple[bytes, bytes]] = {}  # padded slots -> zero rows
+    contents: list = []
+    extras: list = []
+    trees: list = []
+    for encoding in encodings:
+        contents.extend(encoding.contents)
+        extras.append(encoding.extras)
+        trees.append(encoding.tree_encodings)
+        padding = max_len - encoding.num_nodes
+        if padding:
+            pad = pads.get(padding)
+            if pad is None:
+                pad = pads[padding] = (bytes(8 * padding * d_model), bytes(8 * padding * extra_dim))
+            contents.append(pad[0])
+            extras.append(pad[1])
+            trees.append(pad[0])
+    shape = (len(encodings), max_len)
+    batch = np.empty((*shape, d_model + extra_dim), dtype=np.float64)
+    rows = batch.reshape(-1, d_model + extra_dim)
+    rows[:, :d_model] = np.frombuffer(b"".join(contents), dtype=np.float64).reshape(-1, d_model)
+    rows[:, d_model:] = np.frombuffer(b"".join(extras), dtype=np.float64).reshape(-1, extra_dim)
+    # A bytearray join is writable, so the tree rows need no second copy.
+    trees_batch = np.frombuffer(bytearray().join(trees), dtype=np.float64).reshape(*shape, d_model)
+    pad_mask = np.arange(max_len) >= np.array([encoding.num_nodes for encoding in encodings])[:, None]
+    return batch, trees_batch, pad_mask
 
 
 class MTMLFQO(nn.Module):
@@ -253,16 +321,18 @@ class MTMLFQO(nn.Module):
         return out
 
     def _node_content(self, node: PlanNode, featurizer: DatabaseFeaturizer) -> np.ndarray:
-        """The d_model content slice of a node's raw features (detached).
+        """The ``(1, d_model)`` content row of a node's raw features
+        (detached, read-only).
 
         Memoized in the featurizer's ``node_cache`` per structural node
         identity: scan content depends only on ``(table, filter)``, join
         content only on the predicate column sequence, so every plan
         over the same query (rerank probes, alternate orders) reuses the
         encoder outputs instead of re-running the (F) ``Enc_i``
-        transformer forwards node by node.  A scan is keyed by the
-        filter part of its kept :func:`plan_signature`, so a filter is
-        stringified once per node object.
+        transformer forwards node by node, and its encoding references
+        the cached row.  A scan is keyed by the filter part of its kept
+        :func:`plan_signature`, so a filter is stringified once per node
+        object.
         """
         d = self.config.d_model
         cache = featurizer.node_cache
@@ -273,7 +343,9 @@ class MTMLFQO(nn.Module):
                 return cached
             with nn.no_grad():
                 encoded = featurizer.encode_filter(node.filter)
-            content = encoded.data.reshape(d)
+            # A copy: the summary token's row is a view of the whole
+            # encoder output, which the cache would otherwise keep alive.
+            content = encoded.data.reshape(1, d).copy()
             content.setflags(write=False)
             cache.put(key, content)
             return content
@@ -289,8 +361,8 @@ class MTMLFQO(nn.Module):
             return cached
         with nn.no_grad():
             vectors = featurizer.column_embedding(np.asarray(ids, dtype=np.int64))
-        content = np.zeros(d, dtype=np.float64)
-        content[:half] = vectors.data.mean(axis=0)
+        content = np.zeros((1, d), dtype=np.float64)
+        content[0, :half] = vectors.data.mean(axis=0)
         content.setflags(write=False)
         cache.put(key, content)
         return content
@@ -313,18 +385,16 @@ class MTMLFQO(nn.Module):
         if cached is not None:
             return cached
         nodes, positions = serialize_plan(labeled.plan)
-        features = np.zeros((len(nodes), self.config.node_feature_dim), dtype=np.float64)
-        tree_enc = np.zeros((len(nodes), self.config.d_model), dtype=np.float64)
-        leaf_positions: dict[str, int] = {}
+        extras = np.zeros((len(nodes), self.config.node_extra_dim), dtype=np.float64)
         for index, (node, position) in enumerate(zip(nodes, positions)):
-            features[index, : self.config.d_model] = self._node_content(node, featurizer)
-            features[index, self.config.d_model:] = self._node_extra_features(node, featurizer, position.depth)
-            tree_enc[index] = tree_path_encoding(position, self.config.d_model)
-            if node.is_scan:
-                leaf_positions[node.table] = index
-        features.setflags(write=False)
-        tree_enc.setflags(write=False)
-        encoded = EncodedQuery(features, tree_enc, leaf_positions)
+            extras[index] = self._node_extra_features(node, featurizer, position.depth)
+        extras.setflags(write=False)
+        encoded = EncodedQuery(
+            tuple(self._node_content(node, featurizer) for node in nodes),
+            extras,
+            tree_layout_encoding(positions, self.config.d_model),
+            {node.table: index for index, node in enumerate(nodes) if node.is_scan},
+        )
         featurizer.encoding_cache.put(key, encoded)
         return encoded
 
@@ -340,17 +410,12 @@ class MTMLFQO(nn.Module):
         (B, Lmax, d_model) and pad_mask is True at padded node slots.
         Each item's plan is signed once per object and the signature
         kept on it (:meth:`encode_query`); copies sign themselves afresh.
+        The Trans_Share inputs are gathered from the rows the encodings
+        reference by one :func:`assemble_nodes` call.
         """
         featurizer = self.featurizer_for(db_name)
         encodings = [self._encode(featurizer, item) for item in items]
-        max_len = max(e.num_nodes for e in encodings)
-        batch = np.zeros((len(items), max_len, self.config.node_feature_dim), dtype=np.float64)
-        trees = np.zeros((len(items), max_len, self.config.d_model), dtype=np.float64)
-        pad_mask = np.ones((len(items), max_len), dtype=bool)
-        for i, encoding in enumerate(encodings):
-            batch[i, : encoding.num_nodes] = encoding.features
-            trees[i, : encoding.num_nodes] = encoding.tree_encodings
-            pad_mask[i, : encoding.num_nodes] = False
+        batch, trees, pad_mask = assemble_nodes(encodings)
         shared = self.shared(nn.Tensor(batch), trees, key_padding_mask=pad_mask)
         return shared, pad_mask, encodings
 

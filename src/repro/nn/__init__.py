@@ -14,7 +14,7 @@ from .layers import MLP, Embedding, LayerNorm, Linear, Module, ModuleList, Param
 from .losses import cross_entropy, q_error
 from .lstm import ChildSumTreeLSTM
 from .optim import Adam, clip_grad_norm
-from .positional import TreePosition, tree_path_encoding
+from .positional import TreePosition, tree_layout_encoding, tree_path_encoding
 from .spec import shape_spec
 from .tensor import Tensor, is_grad_enabled, no_grad, no_tape_active
 from .transformer import TransformerDecoder, TransformerDecoderLayer, TransformerEncoder, TransformerEncoderLayer
@@ -46,6 +46,7 @@ __all__ = [
     "clip_grad_norm",
     "q_error",
     "cross_entropy",
+    "tree_layout_encoding",
     "tree_path_encoding",
     "TreePosition",
     "shape_spec",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .spec import shape_spec
 
-__all__ = ["tree_path_encoding", "TreePosition"]
+__all__ = ["tree_layout_encoding", "tree_path_encoding", "TreePosition"]
 
 # Decode workloads re-encode the same shallow tree paths for every
 # candidate and every beam step; the vectors are tiny, pure functions of
@@ -22,6 +22,10 @@ __all__ = ["tree_path_encoding", "TreePosition"]
 # Entries are marked non-writable so no consumer can corrupt the cache.
 _TREE_PATH_CACHE: dict[tuple, np.ndarray] = {}
 _TREE_PATH_CACHE_MAX = 4096
+# Whole plan layouts, same rules and bound: every plan of one shape —
+# a query's plan and its rerank probes, all m-table left-deep plans —
+# holds the one array of its shape.
+_TREE_LAYOUT_CACHE: dict[tuple, np.ndarray] = {}
 
 
 class TreePosition:
@@ -84,4 +88,24 @@ def tree_path_encoding(position: TreePosition, dim: int, max_depth: int | None =
     if len(_TREE_PATH_CACHE) >= _TREE_PATH_CACHE_MAX:
         _TREE_PATH_CACHE.clear()
     _TREE_PATH_CACHE[key] = out
+    return out
+
+
+@shape_spec(out="(L, dim)")
+def tree_layout_encoding(positions: list[TreePosition], dim: int) -> np.ndarray:
+    """The ``(L, dim)`` :func:`tree_path_encoding` rows of a serialized
+    plan's node positions, in order.
+
+    A pure function of the plan's shape, interned: every plan of one
+    shape gets the same read-only array.
+    """
+    key = (tuple(position.path for position in positions), dim)
+    cached = _TREE_LAYOUT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    out = np.stack([tree_path_encoding(position, dim) for position in positions])
+    out.setflags(write=False)
+    if len(_TREE_LAYOUT_CACHE) >= _TREE_PATH_CACHE_MAX:
+        _TREE_LAYOUT_CACHE.clear()
+    _TREE_LAYOUT_CACHE[key] = out
     return out

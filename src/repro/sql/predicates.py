@@ -38,6 +38,14 @@ _OP_FUNCS = {
 }
 
 
+def _sql_literal(value) -> str:
+    """``value`` as a SQL literal: a string quoted, its quotes doubled
+    (what the parser's ``_unquote`` undoes); anything else ``str``."""
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return str(value)
+
+
 class Predicate:
     """Base class; subclasses implement ``evaluate`` and ``column_names``."""
 
@@ -74,8 +82,7 @@ class Comparison(Predicate):
         return [self.column]
 
     def __str__(self) -> str:
-        value = f"'{self.value}'" if isinstance(self.value, str) else self.value
-        return f"{self.table}.{self.column} {self.op.value} {value}"
+        return f"{self.table}.{self.column} {self.op.value} {_sql_literal(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ class InPredicate(Predicate):
         return [self.column]
 
     def __str__(self) -> str:
-        inner = ", ".join(f"'{v}'" if isinstance(v, str) else str(v) for v in self.values)
+        inner = ", ".join(_sql_literal(v) for v in self.values)
         return f"{self.table}.{self.column} IN ({inner})"
 
 
@@ -160,7 +167,7 @@ class LikePredicate(Predicate):
 
     def __str__(self) -> str:
         op = "NOT LIKE" if self.negated else "LIKE"
-        return f"{self.table}.{self.column} {op} '{self.pattern}'"
+        return f"{self.table}.{self.column} {op} {_sql_literal(self.pattern)}"
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ class Column:
             self.dictionary = None
             self.codes = None
             self._data = values.astype(np.float64)
+        self._numeric: np.ndarray | None = None  # numeric_values(), once
 
     # ------------------------------------------------------------------
     @property
@@ -75,10 +76,20 @@ class Column:
         return self.ctype in (ColumnType.INT, ColumnType.FLOAT)
 
     def numeric_values(self) -> np.ndarray:
-        """Return values as float64 (raises for string columns)."""
+        """The values as float64, read-only (raises for string columns).
+
+        Computed once per column — a FLOAT column's is a view of its
+        data — and shared by every caller, so every numeric predicate
+        evaluation reads the same array instead of a fresh copy.
+        """
         if not self.is_numeric:
             raise TypeError(f"column {self.name!r} is not numeric")
-        return self._data.astype(np.float64)
+        values = self._numeric
+        if values is None:
+            values = self._data.view() if self.ctype is ColumnType.FLOAT else self._data.astype(np.float64)
+            values.setflags(write=False)
+            self._numeric = values
+        return values
 
     def n_distinct(self) -> int:
         if self.ctype is ColumnType.STRING:

@@ -68,7 +68,6 @@ class WorkloadGenerator:
         self._neighbors = {table: schema.neighbors(table) for table in schema.tables}
         self._candidates = [table for table, around in self._neighbors.items() if around]
         self._eligible: dict[str, list[str]] = {}
-        self._numeric: dict[tuple[str, str], np.ndarray] = {}
 
     def _collect_key_columns(self) -> dict[str, set]:
         """PK/FK columns per table (excluded from filter predicates)."""
@@ -103,9 +102,7 @@ class WorkloadGenerator:
         return chosen
 
     def _numeric_predicate(self, table: str, column: str):
-        values = self._numeric.get((table, column))
-        if values is None:
-            values = self._numeric[(table, column)] = self.db.table(table).column(column).numeric_values()
+        values = self.db.table(table).column(column).numeric_values()
         if values.size == 0:
             return None
         anchor = float(self._pick(values))

@@ -25,7 +25,7 @@ from repro.core import MTMLFQO, JointTrainer, ModelConfig
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
 from repro.nn import functional as F
-from repro.nn import kernels
+from repro.nn import kernels, positional
 from repro.nn.spec import shape_spec
 from repro.sql import Conjunction
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
@@ -87,6 +87,7 @@ class TestLayerSpecs:
 
     def test_positional_encodings_are_annotated(self):
         assert nn.tree_path_encoding.__shape_spec__["out"] == "(dim,)"
+        assert nn.tree_layout_encoding.__shape_spec__["out"] == "(L, dim)"
 
     def test_decorator_returns_the_function_itself(self):
         def body(x):
@@ -142,15 +143,18 @@ class TestSensitivity:
 
 class TestEnforce:
     def test_every_binding_is_rebound_and_restored(self):
-        linear, path_encoding = nn.Linear.forward, nn.tree_path_encoding
+        linear, layout_encoding = nn.Linear.forward, nn.tree_layout_encoding
         with enforce():
             assert nn.Linear.forward.__wrapped__ is linear
-            assert repro.core.model.tree_path_encoding.__wrapped__ is path_encoding  # a by-name import
-        assert nn.Linear.forward is linear and repro.core.model.tree_path_encoding is path_encoding
+            assert repro.core.model.tree_layout_encoding.__wrapped__ is layout_encoding  # a by-name import
+        assert nn.Linear.forward is linear and repro.core.model.tree_layout_encoding is layout_encoding
         # This module has not opted in: outside enforce() nothing is wrapped.
         assert not [name for name, fn in annotated_callables().items() if hasattr(fn, "__wrapped__")]
 
-    def test_one_compact_pass_reaches_every_declaration(self, db):
+    def test_one_compact_pass_reaches_every_declaration(self, db, monkeypatch):
+        # A plan shape interned by an earlier test would skip its
+        # per-position tree_path_encoding calls: start with no layouts.
+        monkeypatch.setattr(positional, "_TREE_LAYOUT_CACHE", {})
         generator = WorkloadGenerator(db, WorkloadConfig(min_tables=2, max_tables=3, seed=0))
         labeled = QueryLabeler(db).label_many(generator.generate(6), with_optimal_order=True)
         declared = set(annotated_callables())

@@ -195,6 +195,49 @@ class TestQueryModel:
         assert query_signature(reparsed) == query_signature(q)
 
 
+# Literal text holding the characters that delimit SQL literals and lists.
+_LITERALS = st.text(alphabet="ab', %_()", max_size=8)
+
+
+class TestQuotedLiterals:
+    """A string literal renders with its quotes doubled, the form the
+    parser's ``_unquote`` reads back, so ``to_sql`` parses and two
+    different filters never share one text or signature."""
+
+    @given(
+        value=_LITERALS,
+        values=st.lists(_LITERALS, min_size=1, max_size=3).map(tuple),
+        pattern=_LITERALS,
+        negated=st.booleans(),
+    )
+    @example(value="o'brien", values=("x', 'y",), pattern="%'%", negated=False)
+    @settings(max_examples=80, deadline=None)
+    def test_to_sql_roundtrip_with_quotes_and_commas(self, value, values, pattern, negated):
+        predicates = (
+            Comparison("t", "s", CompareOp.EQ, value),
+            InPredicate("t", "s", values),
+            LikePredicate("t", "s", pattern, negated),
+        )
+        query = Query(tables=["t"], joins=[], filters={"t": Conjunction("t", predicates)})
+        reparsed = parse_query(query.to_sql())
+        assert reparsed.filters["t"].predicates == predicates
+        assert query_signature(reparsed) == query_signature(query)
+
+    def test_rendering_doubles_quotes(self):
+        assert str(Comparison("t", "s", CompareOp.EQ, "o'brien")) == "t.s = 'o''brien'"
+        assert str(InPredicate("t", "s", ("x', 'y",))) == "t.s IN ('x'', ''y')"
+        assert str(LikePredicate("t", "s", "%'", negated=True)) == "t.s NOT LIKE '%'''"
+
+    def test_list_values_do_not_merge(self):
+        """One value holding ``', '`` and two values are two filters."""
+        one = InPredicate("t", "s", ("x', 'y",))
+        two = InPredicate("t", "s", ("x", "y"))
+        assert str(one) != str(two)
+        queries = [Query(tables=["t"], joins=[], filters={"t": Conjunction("t", (p,))}) for p in (one, two)]
+        assert query_signature(queries[0]) != query_signature(queries[1])
+        assert [parse_query(q.to_sql()).filters["t"].predicates for q in queries] == [(one,), (two,)]
+
+
 class TestParser:
     def test_basic_query(self):
         q = parse_query("SELECT COUNT(*) FROM a, b WHERE a.bid = b.id AND a.x > 5")

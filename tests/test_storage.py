@@ -12,7 +12,7 @@ from naive_estimator import (
     naive_selectivity_le,
     naive_selectivity_range,
 )
-from repro.sql import Query
+from repro.sql import BetweenPredicate, Comparison, CompareOp, InPredicate, Query
 from repro.storage import (
     Column,
     ColumnStatistics,
@@ -25,6 +25,15 @@ from repro.storage import (
     analyze_column,
     analyze_table,
 )
+
+_NUMPY_OPS = {
+    CompareOp.EQ: np.equal,
+    CompareOp.NE: np.not_equal,
+    CompareOp.LT: np.less,
+    CompareOp.LE: np.less_equal,
+    CompareOp.GT: np.greater,
+    CompareOp.GE: np.greater_equal,
+}
 
 
 class TestColumn:
@@ -46,6 +55,47 @@ class TestColumn:
     def test_numeric_values_on_string_raises(self):
         with pytest.raises(TypeError):
             Column("s", ["a"]).numeric_values()
+
+    @pytest.mark.parametrize("values", [[3, -1, 7], [1.5, -2.25, 0.0]])
+    def test_numeric_values_are_computed_once_and_read_only(self, values):
+        col = Column("a", values)
+        numeric = col.numeric_values()
+        assert numeric.dtype == np.float64 and numeric.tolist() == [float(v) for v in values]
+        assert col.numeric_values() is numeric
+        with pytest.raises(ValueError):
+            numeric[0] = 99.0
+        with pytest.raises(ValueError):
+            np.negative(numeric, out=numeric)
+        assert col.numeric_values().tolist() == [float(v) for v in values]
+        # A float column's is a view of its data, an int column's a copy.
+        assert np.shares_memory(numeric, col.values) == (col.ctype is ColumnType.FLOAT)
+
+    @given(
+        ints=st.lists(st.integers(-50, 50), min_size=1, max_size=30),
+        offsets=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_predicates_read_the_shared_values_as_before(self, ints, offsets):
+        """Every numeric predicate's mask equals the one it computed over
+        a fresh float64 copy of the column, and the column's values are
+        unchanged after all of them ran."""
+        table = Table.from_dict("t", {"i": ints, "f": [v / 4.0 for v in ints]})
+        anchor = float(ints[0])
+        for column in ("i", "f"):
+            fresh = table.column(column).values.astype(np.float64)
+            low, high = sorted((anchor + offsets[0], anchor + offsets[1]))
+            cases = [(Comparison("t", column, op, anchor + offsets[2]), op) for op in CompareOp]
+            cases.append((BetweenPredicate("t", column, low, high), None))
+            cases.append((InPredicate("t", column, (anchor, anchor + offsets[2], 3)), None))
+            for predicate, op in cases:
+                if isinstance(predicate, Comparison):
+                    expected = _NUMPY_OPS[op](fresh, float(predicate.value))
+                elif isinstance(predicate, BetweenPredicate):
+                    expected = (fresh >= predicate.low) & (fresh <= predicate.high)
+                else:
+                    expected = np.isin(fresh, np.asarray([float(v) for v in predicate.values]))
+                np.testing.assert_array_equal(predicate.evaluate(table), expected)
+            np.testing.assert_array_equal(table.column(column).numeric_values(), fresh)
 
     def test_take_and_filter(self):
         col = Column("a", [10, 20, 30, 40])
