@@ -2,24 +2,22 @@
 
 The paper's workflow has the cloud provider pre-train (S)+(T) and ship
 them to users, who bolt on per-database (F) modules.  This module makes
-that a first-class, durable artifact: one ``.npz`` file holding the
-complete :class:`~repro.core.model.MTMLFQO` —
-
-- the :class:`~repro.core.config.ModelConfig` (so load rebuilds the
-  exact architecture, not whatever the caller's defaults happen to be);
-- the (S)/(T) weights (``shared``, ``card_head``, ``cost_head``,
-  ``trans_jo``);
-- every attached :class:`~repro.core.encoders.DatabaseFeaturizer`'s
-  weights plus its schema signature (tables + column vocabulary), so a
-  restore onto the wrong database fails loudly instead of silently
-  permuting column embeddings;
-- optionally an :class:`~repro.nn.optim.Adam` state dict (moments keyed
-  by parameter *name*) for warm-start training.
-
-Durability and integrity: files are written atomically (tmp +
-``os.replace`` via :func:`repro.nn.serialize.atomic_savez`) and carry a
-SHA-256 digest over all array payloads; a truncated, corrupted or
-non-checkpoint file raises :class:`CheckpointError` on load.
+that a durable artifact: one ``.npz`` file holding the complete
+:class:`~repro.core.model.MTMLFQO` as a few vectors — ``model`` (the
+(S)/(T) :attr:`MTMLFQO.weights`), one ``featurizer/<db>`` per attached
+:class:`~repro.core.encoders.DatabaseFeaturizer`, and with an optimizer
+Adam's ``optim/m`` and ``optim/v`` — plus the JSON
+``__checkpoint_meta__``: the :class:`~repro.core.config.ModelConfig`
+(load rebuilds that architecture), each featurizer's schema signature
+(a restore onto the wrong database fails loudly), each vector's layout,
+Adam's step and hyper-parameters, and the digest.  A layout is the
+ordered ``(name, shape)`` pairs of ``nn.layers.vector_layout``, the rule
+``nn.Adam`` lays its vectors out by; a load refuses one that differs
+from the rebuilt model's or featurizer's, naming the first differing
+entry.  Files are written atomically (:func:`repro.nn.serialize.atomic_savez`:
+tmp + fsync + ``os.replace``), and a SHA-256 digest covers the meta and
+every vector: a truncated, corrupted or non-checkpoint file, or one of
+another format version, raises :class:`CheckpointError` on load.
 
 Round trips are bit-exact: a loaded model produces byte-identical
 join orders and cardinality/cost predictions (``tests/test_checkpoint.py``
@@ -45,6 +43,7 @@ import zipfile
 
 import numpy as np
 
+from ..nn.layers import layout_mismatch, parameter_vector, vector_layout
 from ..nn.optim import Adam
 from ..nn.serialize import atomic_savez, resolve_npz_path
 from ..storage.catalog import Database
@@ -60,93 +59,92 @@ __all__ = [
     "read_checkpoint_meta",
 ]
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 _META_KEY = "__checkpoint_meta__"
-_MODEL_PREFIX = "model/"
+_MODEL_KEY = "model"
 _FEATURIZER_PREFIX = "featurizer/"
-_OPTIM_PREFIX = "optim/"
+_OPTIM_M, _OPTIM_V = "optim/m", "optim/v"
 
 
 class CheckpointError(RuntimeError):
     """The file is not a readable checkpoint (corrupt, truncated, wrong
     format version) or does not fit the load target (missing database,
-    schema mismatch, no optimizer state)."""
+    schema or layout mismatch, no optimizer state)."""
 
 
-def _digest(arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over every array's name, dtype, shape and raw bytes."""
-    digest = hashlib.sha256()
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode())
-        digest.update(str(array.dtype).encode())
-        digest.update(str(array.shape).encode())
-        digest.update(array.tobytes())
+def _digest(meta: dict, vectors: dict[str, np.ndarray]) -> str:
+    """SHA-256 over the meta (its ``digest`` aside) and every vector's
+    name, dtype, shape and bytes, read through a ``memoryview``."""
+    digest = hashlib.sha256(_meta_bytes({k: v for k, v in meta.items() if k != "digest"}))
+    for name in sorted(vectors):
+        digest.update(f"{name} {vectors[name].dtype} {vectors[name].shape}".encode())
+        digest.update(memoryview(vectors[name]))
     return digest.hexdigest()
 
 
-def _encode_meta(meta: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+def _meta_bytes(meta: dict) -> bytes:
+    return json.dumps(meta, sort_keys=True).encode()
 
 
 def save_checkpoint(model: MTMLFQO, path: str, optimizer: Adam | None = None) -> str:
     """Atomically persist a complete model (and optional Adam state).
 
-    Taken under the model's inference lock, so the snapshot is
-    consistent with respect to concurrent inference and ``mark_updated``
-    bumps (training concurrently with a save is unsupported, as
-    everywhere else in the repo — retrain offline).  Returns the
-    resolved ``.npz`` path actually written.
+    The (S)/(T) and featurizer vectors are written as they are, not
+    copied (Adam's moments come from :meth:`Adam.state`): training
+    concurrently with a save is unsupported, as everywhere else in the
+    repo — retrain offline.  A featurizer's parameters are packed into
+    one vector on its first save (:func:`~repro.nn.layers.parameter_vector`:
+    values unchanged, so inference reads the same floats), and later
+    saves find it packed.  The featurizers and the meta are taken under
+    the model's inference lock, consistent with a concurrent
+    ``attach_featurizer``.  Returns the resolved ``.npz`` path written.
     """
-    arrays: dict[str, np.ndarray] = {}
     with model._infer_lock:
-        for name, value in model.state_dict().items():
-            arrays[_MODEL_PREFIX + name] = value
-        featurizer_meta: dict[str, dict] = {}
-        for db_name, featurizer in sorted(model.featurizers.items()):
-            for name, value in featurizer.state_dict().items():
-                arrays[f"{_FEATURIZER_PREFIX}{db_name}/{name}"] = value
-            featurizer_meta[db_name] = {
-                "schema": [list(entry) for entry in featurizer.schema_signature()],
-            }
+        arrays = {_MODEL_KEY: model.weights}
         meta = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "config": dataclasses.asdict(model.config),
-            "featurizers": featurizer_meta,
+            "model": {"layout": vector_layout(model.named_parameters())},
+            "featurizers": {},
             "optimizer": None,
         }
-        if optimizer is not None:
-            state = optimizer.state_dict()
-            for key in sorted(state["m"]):
-                arrays[f"{_OPTIM_PREFIX}m/{key}"] = state["m"][key]
-                arrays[f"{_OPTIM_PREFIX}v/{key}"] = state["v"][key]
-            meta["optimizer"] = {
-                "t": state["t"],
-                "keys": sorted(state["m"]),
-                "lr": optimizer.lr,
-                "betas": [optimizer.beta1, optimizer.beta2],
-                "eps": optimizer.eps,
-                "weight_decay": optimizer.weight_decay,
+        for db_name, featurizer in sorted(model.featurizers.items()):
+            named = featurizer.named_parameters()
+            arrays[_FEATURIZER_PREFIX + db_name] = parameter_vector([p for _, p in named])
+            meta["featurizers"][db_name] = {
+                "schema": [list(entry) for entry in featurizer.schema_signature()],
+                "layout": vector_layout(named),
             }
-    meta["digest"] = _digest(arrays)
-    arrays[_META_KEY] = _encode_meta(meta)
+    if optimizer is not None:
+        state = optimizer.state()
+        arrays[_OPTIM_M], arrays[_OPTIM_V] = state["m"], state["v"]
+        meta["optimizer"] = {
+            "t": state["t"],
+            "layout": state["layout"],
+            "lr": optimizer.lr,
+            "betas": [optimizer.beta1, optimizer.beta2],
+            "eps": optimizer.eps,
+            "weight_decay": optimizer.weight_decay,
+        }
+    meta["digest"] = _digest(meta, arrays)
+    arrays[_META_KEY] = np.frombuffer(_meta_bytes(meta), dtype=np.uint8)
     return atomic_savez(path, arrays)
 
 
 def _read_archive(
     path: str, verify_digest: bool, meta_only: bool = False
 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Load + validate a checkpoint archive into (meta, arrays).
+    """Load + validate a checkpoint archive into (meta, vectors).
 
     ``meta_only`` decompresses just the metadata member (npz members load
-    lazily), so peeking at a large checkpoint stays cheap; ``arrays`` is
+    lazily), so peeking at a large checkpoint stays cheap; ``vectors`` is
     empty and no digest can be checked in that mode.
     """
     path = resolve_npz_path(path)
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint at {path!r}")
-    arrays: dict[str, np.ndarray] = {}
+    vectors: dict[str, np.ndarray] = {}
     try:
         # Own the file handle: np.load(path) opens the fd itself and
         # leaks it when the constructor raises before the NpzFile exists
@@ -157,7 +155,7 @@ def _read_archive(
                 raise CheckpointError(f"{path!r} is not an MTMLF-QO checkpoint (no metadata)")
             meta_raw = archive[_META_KEY]
             if not meta_only:
-                arrays = {key: archive[key] for key in archive.files if key != _META_KEY}
+                vectors = {key: archive[key] for key in archive.files if key != _META_KEY}
     except CheckpointError:
         raise
     except (zipfile.BadZipFile, OSError, ValueError, EOFError, KeyError) as error:
@@ -171,14 +169,14 @@ def _read_archive(
             f"unsupported checkpoint format version {meta.get('format_version')!r} "
             f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
         )
-    if verify_digest and _digest(arrays) != meta.get("digest"):
+    if verify_digest and _digest(meta, vectors) != meta.get("digest"):
         raise CheckpointError(f"checkpoint {path!r} failed its integrity check")
-    return meta, arrays
+    return meta, vectors
 
 
 def read_checkpoint_meta(path: str) -> dict:
-    """The checkpoint's metadata (config, databases, optimizer, ...)
-    without loading or verifying the weight arrays."""
+    """The checkpoint's metadata (config, databases, layouts, optimizer,
+    ...) without loading or verifying the vectors."""
     meta, _ = _read_archive(path, verify_digest=False, meta_only=True)
     return meta
 
@@ -205,14 +203,27 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     The returned model is bit-identical to the saved one — same join
     orders, same cardinality/cost predictions — under a fresh
     :attr:`MTMLFQO.version`, like every model built in this process.
-    Archives from older builds, whose meta also records the saved
-    model's version, load as well; that entry is ignored.
     """
     return _build_model(*_read_archive(path, verify_digest=True), databases)
 
 
-def _build_model(meta: dict, arrays: dict[str, np.ndarray], databases) -> MTMLFQO:
-    """The model a verified ``(meta, arrays)`` archive holds."""
+def _load_vector(what: str, saved_layout, named_parameters, vector: np.ndarray) -> None:
+    """Copy a saved vector into the parameters of a rebuilt module (the
+    model's own vector, or a featurizer's, packed here) once its saved
+    layout is theirs."""
+    mismatch = layout_mismatch(saved_layout, vector_layout(named_parameters))
+    if mismatch is not None:
+        raise CheckpointError(f"the checkpoint's {what} layout differs from this build's: {mismatch}")
+    target = parameter_vector([p for _, p in named_parameters])
+    if vector.shape != target.shape:
+        raise CheckpointError(
+            f"the checkpoint's {what} vector has shape {vector.shape}, its layout needs {target.shape}"
+        )
+    np.copyto(target, vector)
+
+
+def _build_model(meta: dict, vectors: dict[str, np.ndarray], databases) -> MTMLFQO:
+    """The model a verified ``(meta, vectors)`` archive holds."""
     by_name = _databases_by_name(databases)
     saved_dbs = sorted(meta["featurizers"])
     missing = [name for name in saved_dbs if name not in by_name]
@@ -222,61 +233,32 @@ def _build_model(meta: dict, arrays: dict[str, np.ndarray], databases) -> MTMLFQ
             f"Database was provided for {missing}; pass them via `databases`"
         )
 
-    saved_config = dict(meta["config"])
-    # Archives written while ModelConfig still had a ``dropout`` field
-    # carry it; 0.0 is what the model computes, anything else is not.
-    dropout = saved_config.pop("dropout", 0.0)
-    if dropout != 0.0:
-        raise CheckpointError(
-            f"checkpoint config has dropout={dropout!r}; this build has no "
-            f"dropout layers and can only load archives saved with dropout 0.0"
-        )
-    config = ModelConfig(**saved_config)
+    config = ModelConfig(**meta["config"])
     model = MTMLFQO(config)
-    model_state = {
-        name[len(_MODEL_PREFIX):]: value
-        for name, value in arrays.items()
-        if name.startswith(_MODEL_PREFIX)
-    }
-    try:
-        model.load_state_dict(model_state)
-    except (KeyError, ValueError) as error:
-        raise CheckpointError(f"incompatible (S)/(T) state: {error}") from error
+    _load_vector("(S)/(T)", meta["model"]["layout"], model.named_parameters(), vectors[_MODEL_KEY])
 
     for db_name in saved_dbs:
         featurizer = DatabaseFeaturizer(by_name[db_name], config)
-        saved_schema = tuple(
-            (table, tuple(columns)) for table, columns in meta["featurizers"][db_name]["schema"]
-        )
+        saved = meta["featurizers"][db_name]
+        saved_schema = tuple((table, tuple(columns)) for table, columns in saved["schema"])
         if featurizer.schema_signature() != saved_schema:
             raise CheckpointError(
                 f"database {db_name!r} does not match the checkpointed schema: "
                 f"saved {saved_schema} vs provided "
                 f"{featurizer.schema_signature()}"
             )
-        prefix = f"{_FEATURIZER_PREFIX}{db_name}/"
-        featurizer_state = {
-            name[len(prefix):]: value
-            for name, value in arrays.items()
-            if name.startswith(prefix)
-        }
-        try:
-            featurizer.load_state_dict(featurizer_state)
-        except (KeyError, ValueError) as error:
-            raise CheckpointError(
-                f"incompatible featurizer state for {db_name!r}: {error}"
-            ) from error
+        _load_vector(
+            f"featurizer {db_name!r}", saved["layout"], featurizer.named_parameters(),
+            vectors[_FEATURIZER_PREFIX + db_name],
+        )
         model.attach_featurizer(db_name, featurizer)
     return model
 
 
-def _optimizer_state(meta: dict, arrays: dict[str, np.ndarray], path: str) -> dict:
-    """The name-keyed Adam ``state_dict`` a verified archive holds."""
+def _optimizer_state(meta: dict, vectors: dict[str, np.ndarray], path: str) -> dict:
+    """The saved Adam state — step, layout, hyper-parameters and the two
+    moment vectors — of a verified archive."""
     saved = meta.get("optimizer")
     if saved is None:
         raise CheckpointError(f"checkpoint {path!r} carries no optimizer state")
-    return {
-        "t": saved["t"],
-        "m": {key: arrays[f"{_OPTIM_PREFIX}m/{key}"] for key in saved["keys"]},
-        "v": {key: arrays[f"{_OPTIM_PREFIX}v/{key}"] for key in saved["keys"]},
-    }
+    return {**saved, "m": vectors[_OPTIM_M], "v": vectors[_OPTIM_V]}

@@ -55,6 +55,13 @@ class ModelConfig:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
         if self.feature_cache_size < 1:
             raise ValueError(f"feature_cache_size must be >= 1, got {self.feature_cache_size}")
+        from .model import NODE_EXTRA_FEATURES  # model.py imports this module
+
+        if self.node_extra_dim < NODE_EXTRA_FEATURES:
+            raise ValueError(
+                f"node_extra_dim must be >= {NODE_EXTRA_FEATURES} (the raw node features), "
+                f"got {self.node_extra_dim}"
+            )
 
     @property
     def ff_dim(self) -> int:

@@ -47,7 +47,7 @@ from .serializer import plan_signature, serialize_plan
 from .shared import SharedRepresentation
 from .trans_jo import TransJO
 
-__all__ = ["MTMLFQO", "EncodedQuery", "InferenceSession", "assemble_nodes"]
+__all__ = ["MTMLFQO", "EncodedQuery", "InferenceSession", "assemble_nodes", "NODE_EXTRA_FEATURES"]
 
 # Batched inference processes items in bounded chunks: the Trans_Share
 # forward pads to the chunk's max node count and attention is quadratic
@@ -59,6 +59,10 @@ _INFERENCE_CHUNK = 64
 # state, so two models (a clone, a checkpoint load, an independently
 # built twin) can never carry the same value.
 _VERSIONS = itertools.count()
+
+# The raw node features MTMLFQO._node_extra_features writes, slots 0..13
+# of a ``node_extra_dim``-wide row (``ModelConfig`` refuses a narrower one).
+NODE_EXTRA_FEATURES = 14
 
 
 class EncodedQuery:

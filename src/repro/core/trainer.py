@@ -98,23 +98,22 @@ class JointTrainer:
     ):
         self.model = model
         self.config: ModelConfig = model.config
-        # Named parameters, walked once: the optimizer's moment estimates
-        # are keyed by parameter name, so warm-start state saved in a
-        # checkpoint can only ever restore onto the parameters it was
-        # computed for.  Its value vector is the model's own weights,
-        # stepped in place.
+        # Named parameters, walked once: the names are the optimizer's
+        # layout, so warm-start state saved in a checkpoint can only ever
+        # restore onto the parameters it was computed for.  Its value
+        # vector is the model's own weights, stepped in place.
         named = model.named_parameters()
         self.parameters = [p for _, p in named]
         self.optimizer = nn.Adam(
             named,
             lr=self.config.learning_rate if learning_rate is None else learning_rate,
         )
-        # An ``optimizer.state_dict()`` carried over from an earlier
-        # trainer on the same parameter names (a checkpoint, the previous
-        # round): this trainer continues that trajectory instead of
-        # re-warming from zeroed moments.
+        # An ``optimizer.state()`` carried over from an earlier trainer
+        # of the same layout (a checkpoint, the previous round): this
+        # trainer continues that trajectory instead of re-warming from
+        # zeroed moments.
         if optimizer_state is not None:
-            self.optimizer.load_state_dict(optimizer_state)
+            self.optimizer.load_state(optimizer_state)
 
     # ------------------------------------------------------------------
     def _batch_losses(
@@ -258,15 +257,14 @@ class JointTrainer:
 
         # One read (and one digest check) of the archive yields the model,
         # the moments and the hyper-parameters.
-        meta, arrays = checkpoint._read_archive(path, verify_digest=True)
-        model = checkpoint._build_model(meta, arrays, databases)
-        moments = checkpoint._optimizer_state(meta, arrays, path)
+        meta, vectors = checkpoint._read_archive(path, verify_digest=True)
+        model = checkpoint._build_model(meta, vectors, databases)
+        saved = checkpoint._optimizer_state(meta, vectors, path)
         trainer = cls(model, learning_rate=learning_rate)
         try:
-            trainer.optimizer.load_state_dict(moments)
+            trainer.optimizer.load_state(saved)
         except ValueError as error:
             raise checkpoint.CheckpointError(str(error)) from error
-        saved = meta["optimizer"]
         trainer.optimizer.beta1, trainer.optimizer.beta2 = saved["betas"]
         trainer.optimizer.eps = saved["eps"]
         trainer.optimizer.weight_decay = saved["weight_decay"]

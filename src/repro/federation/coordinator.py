@@ -51,17 +51,13 @@ from ..core.encoders import DatabaseFeaturizer, EncoderBudget
 from ..core.federated import aggregate_shared_states
 from ..core.meta import transfer
 from ..core.model import MTMLFQO
+from ..nn.layers import layout_mismatch, vector_layout
 from ..obs import Telemetry
 from ..serve.adaptation import CheckpointDir, RoundConfig
 from .node import TenantNode
 from .report import FleetReport
 
 __all__ = ["FleetCoordinator", "FleetRound"]
-
-
-def _layout(model: MTMLFQO) -> list[tuple[str, tuple[int, ...]]]:
-    """The (S)/(T) vector layout of ``model``: names and shapes, in order."""
-    return [(name, p.data.shape) for name, p in model.named_parameters()]
 
 
 @dataclass
@@ -165,8 +161,12 @@ class FleetCoordinator:
         and shapes, in order — differs from the global model's: two
         configs whose vectors merely have the same size must never be
         averaged element by element."""
-        if _layout(tenant.live_model) != _layout(self.global_model):
-            raise ValueError(f"tenant {tenant.name!r} has another (S)/(T) layout than the global model")
+        layouts = [vector_layout(m.named_parameters()) for m in (tenant.live_model, self.global_model)]
+        mismatch = layout_mismatch(*layouts)
+        if mismatch is not None:
+            raise ValueError(
+                f"tenant {tenant.name!r} has another (S)/(T) layout than the global model: {mismatch}"
+            )
         with self._tenants_lock:
             if tenant.name in self.tenants:
                 raise ValueError(f"tenant {tenant.name!r} is already registered")

@@ -85,8 +85,8 @@ class TenantNode:
         self.buffer = self.collector.buffer
         self.round = TrainRound(self.service, db, self.buffer, self.config)
         self._lock = threading.Lock()
-        # Name-keyed Adam moments carried across rounds (PR-3 state-dict
-        # machinery): each round's private trainer resumes this tenant's
+        # Adam's state (step, moment vectors, layout) carried across
+        # rounds: each round's private trainer resumes this tenant's
         # optimizer trajectory instead of re-warming from zero.
         self._optimizer_state: dict | None = None  # guarded-by: _lock
 
@@ -154,7 +154,7 @@ class TenantNode:
             optimizer_state = self._optimizer_state
         trainer = self.round.private_trainer(self.live_model, global_state, optimizer_state)
         num_examples = self.round.fine_tune(trainer)
-        optimizer_state = trainer.optimizer.state_dict()
+        optimizer_state = trainer.optimizer.state()
         # Harvested now; the coordinator rolls the round back (returning
         # the credit) if the merge never lands.
         self.round.commit()

@@ -18,6 +18,7 @@ every optimizer over that list steps the same vector.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -86,6 +87,22 @@ def segment_views(vector: np.ndarray, shapes) -> list[np.ndarray]:
         vector[start : start + math.prod(shape)].reshape(shape)
         for start, shape in zip([0] + starts[:-1], shapes)
     ]
+
+
+def vector_layout(named_parameters) -> list[tuple[str, tuple[int, ...]]]:
+    """The ``(name, shape)`` pair of each segment, in order: with
+    :func:`segment_strides`, what places every float of a vector."""
+    return [(str(name), tuple(p.data.shape)) for name, p in named_parameters]
+
+
+def layout_mismatch(saved, current) -> str | None:
+    """None when two layouts are equal, else a message naming the first
+    differing entry (``saved`` may hold JSON lists)."""
+    saved = [(name, tuple(shape)) for name, shape in saved]
+    for index, (ours, theirs) in enumerate(itertools.zip_longest(saved, current)):
+        if ours != theirs:
+            return f"entry {index} is {ours} in the saved layout, {theirs} here"
+    return None
 
 
 def _address(array: np.ndarray) -> int:

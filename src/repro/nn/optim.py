@@ -6,21 +6,24 @@ provided here, plus global-norm gradient clipping used to stabilise the
 small-batch CPU training runs in this reproduction.
 
 An optimizer steps one float64 vector per quantity — values, gradients
-and Adam's two moments — laid out in parameter order.  The value vector
-is :func:`~repro.nn.layers.parameter_vector`'s: the one a model owns
-(``MTMLFQO.weights``), or a new one for a loose parameter list.  Each
-parameter's first gradient of a backward pass is copied into its
+and Adam's two moments — laid out in parameter order by one rule: the
+ordered ``(name, shape)`` pairs of :func:`~repro.nn.layers.vector_layout`,
+each segment cache-line aligned.  The value vector is the one a model
+owns (``MTMLFQO.weights``), or a new one for a loose parameter list.
+Each parameter's first gradient of a backward pass is copied into its
 segment of the gradient vector (:meth:`Parameter._accumulate`), so
-``zero_grad`` needs no fill, and an Adam step is a fixed sequence of
-in-place whole-vector numpy calls, whose elementwise IEEE operations are
-those of the per-array update, in the same order, so weights and
-moments are bitwise what the per-array loop (kept test-side,
-``tests/reference_ops.py``) computes.  Two rules keep the views alive:
-``Module.load_state_dict`` writes into the existing arrays, and a step
-first adopts any parameter whose ``data`` was rebound since (another
-optimizer packed it anew, or a caller assigned ``p.data``) or whose
-gradient was assigned by hand.  A parameter with no gradient in a step
-keeps its weights and both moments bitwise unchanged.
+``zero_grad`` needs no fill, and a step is a fixed sequence of in-place
+whole-vector numpy calls running the per-array update's elementwise IEEE
+operations in its order: weights and moments are bitwise what the
+per-array loop (test-side, ``tests/reference_ops.py``) computes.  Loads
+write into the existing arrays, and a step first adopts any parameter
+whose ``data`` was rebound or whose gradient was assigned by hand.  A
+parameter with no gradient in a step keeps its weights and both moments
+bitwise unchanged.  The training state is vectors too:
+:meth:`Adam.state` is the step, copies of the two moment vectors and
+the layout, which rounds hand to the next trainer and a checkpoint
+(``repro.core.checkpoint``) stores; :meth:`Adam.load_state` refuses any
+other layout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import math
 
 import numpy as np
 
-from .layers import Parameter, aligned_zeros, parameter_vector, segment_strides, segment_views
+from .layers import Parameter, aligned_zeros, layout_mismatch, parameter_vector, segment_strides, segment_views
+from .layers import vector_layout
 
 __all__ = ["Adam", "clip_grad_norm"]
 
@@ -63,11 +67,10 @@ class Adam:
     """Adam optimizer (Kingma & Ba, 2014) with bias correction.
 
     Accepts either bare parameters or ``(name, parameter)`` pairs (as
-    produced by :meth:`Module.named_parameters`).  Names make optimizer
-    state *portable*: state dicts are keyed by parameter name instead of
-    list position, so a warm start restores each moment to the right
-    parameter even when the surrounding parameter set changed — and a
-    genuine mismatch fails loudly instead of silently misaligning.
+    produced by :meth:`Module.named_parameters`).  The names (positions
+    for bare parameters) and shapes are its :attr:`layout`, carried in
+    every :meth:`state`, so moments only ever restore onto the
+    parameters they were computed for.
     """
 
     def __init__(
@@ -84,15 +87,9 @@ class Adam:
             raise ValueError(f"betas must be in [0, 1), got {betas}")
         if not eps > 0.0:
             raise ValueError(f"eps must be > 0, got {eps}")
-        names: list[str] = []
-        params: list[Parameter] = []
-        for entry in parameters:
-            if isinstance(entry, tuple):
-                name, param = entry
-                names.append(str(name))
-                params.append(param)
-            else:
-                params.append(entry)
+        entries = [entry if isinstance(entry, tuple) else (None, entry) for entry in parameters]
+        names = [str(name) for name, _ in entries if name is not None]
+        params = [param for _, param in entries]
         if names and len(names) != len(params):
             raise ValueError("mix of named and unnamed parameters")
         if len(set(names)) != len(names):
@@ -101,8 +98,6 @@ class Adam:
         if len({id(p) for p in params}) != len(params):
             raise ValueError("a parameter is listed more than once")
         self.parameters = params
-        # Per-parameter state keys: names when given, positions otherwise.
-        self._keys = names or [str(i) for i in range(len(params))]
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -110,6 +105,9 @@ class Adam:
         self._data = parameter_vector(params)
         self._data_views = [p.data for p in params]
         self._shapes = [p.data.shape for p in params]
+        # What places every float of the four vectors (positions stand in
+        # for the names of unnamed parameters).
+        self.layout = vector_layout(zip(names or map(str, range(len(params))), params))
         self._strides = segment_strides(self._shapes)
         self._grad = aligned_zeros(self._data.size)
         self._grad_views = segment_views(self._grad, self._shapes)
@@ -151,52 +149,31 @@ class Adam:
             p.grad = None
 
     # -- warm-start state ---------------------------------------------------
-    def state_dict(self) -> dict:
-        """Moment estimates and step count, keyed by parameter name.
+    def state(self) -> dict:
+        """The moments as one state: step ``t``, copies of the ``m`` and
+        ``v`` vectors, and the ``layout`` that places their floats."""
+        return {"t": self._t, "m": self._m.copy(), "v": self._v.copy(), "layout": list(self.layout)}
 
-        Unnamed parameter lists fall back to positional string keys;
-        either way :meth:`load_state_dict` refuses a key-set or shape
-        mismatch rather than misaligning moments.
+    def load_state(self, state: dict) -> None:
+        """Restore :meth:`state` output (other keys are ignored).
+
+        Refuses, with a ``ValueError`` naming the first differing entry,
+        a state laid out for other parameters — a renamed, reordered,
+        grown or reshaped set — rather than misalign its moments.
         """
-        keys = self._keys
-        return {
-            "t": self._t,
-            "m": {key: m.copy() for key, m in zip(keys, segment_views(self._m, self._shapes))},
-            "v": {key: v.copy() for key, v in zip(keys, segment_views(self._v, self._shapes))},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output; raises on any misalignment.
-
-        A grown or shuffled parameter set (e.g. a featurizer attached
-        after the state was saved) surfaces as missing/unexpected keys —
-        never as moments silently applied to the wrong parameters.
-        """
-        keys = self._keys
-        saved = set(state["m"])
-        if set(state["v"]) != saved:
-            raise ValueError("corrupt optimizer state: m/v key sets differ")
-        current = set(keys)
-        if saved != current:
-            missing = sorted(current - saved)
-            unexpected = sorted(saved - current)
+        mismatch = layout_mismatch(state["layout"], self.layout)
+        if mismatch is not None:
             raise ValueError(
-                "optimizer state does not match the current parameter set "
-                f"(missing={missing} unexpected={unexpected}); the model's "
-                "parameters changed since the state was saved — rebuild the "
-                "optimizer instead of warm-starting"
+                f"optimizer state does not fit this optimizer's parameters: {mismatch}; "
+                "rebuild the optimizer instead of warm-starting"
             )
-        for key, param in zip(keys, self.parameters):
-            for slot, name in ((state["m"], "m"), (state["v"], "v")):
-                value = np.asarray(slot[key], dtype=np.float64)
-                if value.shape != param.data.shape:
-                    raise ValueError(
-                        f"optimizer state shape mismatch for {key!r} ({name}): "
-                        f"{value.shape} vs parameter {param.data.shape}"
-                    )
-        for vector, slot in ((self._m, state["m"]), (self._v, state["v"])):
-            for key, view in zip(keys, segment_views(vector, self._shapes)):
-                view[...] = slot[key]
+        for name in ("m", "v"):
+            if np.shape(state[name]) != self._m.shape:
+                raise ValueError(
+                    f"optimizer state {name} has shape {np.shape(state[name])}, not {self._m.shape}"
+                )
+        np.copyto(self._m, state["m"])
+        np.copyto(self._v, state["v"])
         self._t = int(state["t"])
 
     def step(self) -> None:

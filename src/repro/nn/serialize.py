@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -27,6 +28,19 @@ def resolve_npz_path(path: str) -> str:
     return path
 
 
+def _write_npz(handle, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez(handle, **arrays)``, without its ``tobytes`` copy of
+    each array: a member's bytes reach the zip through a ``memoryview``."""
+    with zipfile.ZipFile(handle, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in arrays.items():
+            array = np.asarray(array, order="C")
+            with archive.open(f"{name}.npy", mode="w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array)
+                )
+                member.write(memoryview(array.reshape(-1)).cast("B"))
+
+
 def atomic_savez(path: str, arrays: dict[str, np.ndarray]) -> str:
     """Write ``arrays`` to ``path`` atomically; return the resolved path.
 
@@ -40,9 +54,7 @@ def atomic_savez(path: str, arrays: dict[str, np.ndarray]) -> str:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            # A file object suppresses np.savez's implicit ".npz" suffix,
-            # so the temporary file's name is exactly tmp_path.
-            np.savez(handle, **arrays)
+            _write_npz(handle, arrays)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

@@ -420,7 +420,8 @@ class TrainRound:
     ) -> JointTrainer:
         """The trainer a round fine-tunes: :meth:`private_model` under an
         Adam at ``config.learning_rate`` that resumes ``optimizer_state``
-        (the scheduler's name-keyed moments; fresh ones when None)."""
+        (the scheduler's carried ``Adam.state()``; fresh moments when
+        None)."""
         return JointTrainer(
             self.private_model(live, global_state),
             learning_rate=self.config.learning_rate,
@@ -688,7 +689,7 @@ class AdaptationWorker:
             # Only installed models are continued: had the save or
             # swap_model's validation raised, this is never reached.
             with self._lock:
-                self._trajectory = (trainer.optimizer.state_dict(), trainer.model)
+                self._trajectory = (trainer.optimizer.state(), trainer.model)
         return gate.accepted
 
     # -- reporting -----------------------------------------------------

@@ -73,7 +73,7 @@ class ReferenceAdam:
 
     Works on ``p.data`` / ``p.grad`` where they are and never packs, so a
     model trained under it keeps its own arrays.  ``moments()`` returns
-    ``{key: (m, v)}`` keyed like ``nn.Adam.state_dict``.
+    ``{key: (m, v)}`` keyed by the names of ``nn.Adam.layout``.
     """
 
     def __init__(self, parameters, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
@@ -93,11 +93,6 @@ class ReferenceAdam:
     def zero_grad(self):
         for p in self.parameters:
             p.grad = None
-
-    def load_state_dict(self, state):
-        self._m = [np.array(state["m"][key], dtype=np.float64) for key in self.keys]
-        self._v = [np.array(state["v"][key], dtype=np.float64) for key in self.keys]
-        self._t = int(state["t"])
 
     def moments(self):
         return {key: (m, v) for key, m, v in zip(self.keys, self._m, self._v)}

@@ -3,18 +3,24 @@
 The ISSUE's contract: ``save_checkpoint`` → ``load_checkpoint`` is
 bit-exact (identical join orders and cardinality/cost predictions),
 atomic on disk, gives the loaded model a version of its own, refuses
-corrupted/truncated files and mismatched databases, and optionally
-restores Adam moments keyed by parameter name for warm-start training.
+corrupted/truncated files, format-1 archives, mismatched databases and
+any layout but the rebuilt model's, and optionally restores Adam's
+moment vectors for warm-start training.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
+import re
+import zipfile
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
 from repro.core import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
     DatabaseFeaturizer,
     JointTrainer,
@@ -24,7 +30,10 @@ from repro.core import (
     read_checkpoint_meta,
     save_checkpoint,
 )
-from repro.core.checkpoint import _META_KEY, _encode_meta
+from repro.core import checkpoint
+from repro.core.checkpoint import _META_KEY
+from repro.nn.layers import segment_views, vector_layout
+from repro.nn.serialize import atomic_savez
 from repro.datagen import generate_database
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
@@ -179,60 +188,147 @@ class TestErrorPaths:
             load_checkpoint(path, databases={saved_name: other})
 
 
-class TestArchivesFromOlderBuilds:
-    """Builds before the model lost its train/eval mode saved a
-    ``dropout`` rate in the config; no caller ever set it off 0.0.
-    Builds before model versions became process-wide saved the model's
-    ``model_version`` in the meta."""
+def _members(path) -> list[str]:
+    with zipfile.ZipFile(path) as archive:
+        return sorted(name.removesuffix(".npy") for name in archive.namelist())
 
-    @staticmethod
-    def _save_with_meta(model, path, edit) -> str:
-        """Save ``model``, then rewrite its meta in place with ``edit``."""
-        path = save_checkpoint(model, path)
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        meta = json.loads(bytes(arrays[_META_KEY]).decode())
-        edit(meta)
-        arrays[_META_KEY] = _encode_meta(meta)
-        with open(path, "wb") as handle:
-            np.savez(handle, **arrays)
-        return path
 
-    @classmethod
-    def _save_with_dropout(cls, model, path, rate) -> str:
-        return cls._save_with_meta(model, path, lambda meta: meta["config"].update(dropout=rate))
+def _rewrite(path, edit_meta, resign: bool) -> None:
+    """Rewrite a saved archive's meta with ``edit_meta``; ``resign``
+    recomputes the digest over the edited meta, as a writer would."""
+    with np.load(path) as archive:
+        vectors = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(vectors.pop(_META_KEY)).decode())
+    edit_meta(meta)
+    if resign:
+        meta["digest"] = checkpoint._digest(meta, vectors)
+    vectors[_META_KEY] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    atomic_savez(path, vectors)
 
-    def test_zero_dropout_archive_loads_and_serves_identical_orders(
-        self, db, labeled, trained, tmp_path
-    ):
-        model, _ = trained
-        path = self._save_with_dropout(model, str(tmp_path / "old"), 0.0)
-        assert read_checkpoint_meta(path)["config"]["dropout"] == 0.0
-        loaded = load_checkpoint(path, databases=db)
-        assert loaded.config == model.config
-        assert loaded.predict_join_orders(db.name, labeled) == model.predict_join_orders(
-            db.name, labeled
+
+def _save_v1(model, path, optimizer=None) -> str:
+    """The format-1 writer: one npz member per array, the Adam moments
+    keyed by parameter name, a digest over the arrays only."""
+    arrays = {f"model/{name}": value for name, value in model.state_dict().items()}
+    featurizers = {}
+    for db_name, featurizer in sorted(model.featurizers.items()):
+        for name, value in featurizer.state_dict().items():
+            arrays[f"featurizer/{db_name}/{name}"] = value
+        featurizers[db_name] = {"schema": [list(e) for e in featurizer.schema_signature()]}
+    meta = {
+        "format_version": 1,
+        "config": dataclasses.asdict(model.config),
+        "featurizers": featurizers,
+        "optimizer": None,
+    }
+    if optimizer is not None:
+        state = optimizer.state()
+        names = [name for name, _ in state["layout"]]
+        shapes = [shape for _, shape in state["layout"]]
+        for slot in ("m", "v"):
+            for name, value in zip(names, segment_views(state[slot], shapes)):
+                arrays[f"optim/{slot}/{name}"] = value
+        meta["optimizer"] = {"t": state["t"], "keys": sorted(names), "lr": optimizer.lr,
+                             "betas": [optimizer.beta1, optimizer.beta2], "eps": optimizer.eps,
+                             "weight_decay": optimizer.weight_decay}
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        for part in (name.encode(), str(array.dtype).encode(), str(array.shape).encode(), array.tobytes()):
+            digest.update(part)
+    meta["digest"] = digest.hexdigest()
+    arrays[_META_KEY] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    return path
+
+
+def _rename_entry(layout) -> str:
+    layout[3][0] += "_renamed"
+    return layout[3][0]
+
+
+def _reorder_entries(layout) -> str:
+    layout[0], layout[1] = layout[1], layout[0]
+    return layout[0][0]
+
+
+def _reshape_entry_at_equal_size(layout) -> str:
+    index = next(i for i, (_, shape) in enumerate(layout) if len(shape) == 2 and shape[0] != shape[1])
+    layout[index][1] = layout[index][1][::-1]
+    return layout[index][0]
+
+
+LAYOUT_EDITS = [_rename_entry, _reorder_entries, _reshape_entry_at_equal_size]
+
+
+class TestFormat:
+    """Format 2: the archive is the training state's vectors and a meta
+    whose layouts place every float, all under one digest."""
+
+    def test_archive_members_are_the_vectors(self, db, trained, tmp_path):
+        """A return to per-array members fails here, with no timing gate."""
+        model, trainer = trained
+        assert _members(save_checkpoint(model, str(tmp_path / "bare"))) == sorted(
+            [_META_KEY, "model", f"featurizer/{db.name}"]
+        )
+        assert _members(trainer.save_checkpoint(str(tmp_path / "warm"))) == sorted(
+            [_META_KEY, "model", f"featurizer/{db.name}", "optim/m", "optim/v"]
         )
 
-    def test_nonzero_dropout_archive_is_refused_naming_the_field(self, db, trained, tmp_path):
-        model, _ = trained
-        path = self._save_with_dropout(model, str(tmp_path / "old"), 0.1)
-        with pytest.raises(CheckpointError, match="dropout=0.1"):
+    def test_meta_records_each_vector_layout(self, db, trained, tmp_path):
+        model, trainer = trained
+        meta = read_checkpoint_meta(trainer.save_checkpoint(str(tmp_path / "layouts")))
+        assert meta["format_version"] == CHECKPOINT_FORMAT_VERSION == 2
+        named = model.named_parameters()
+        assert [(n, tuple(s)) for n, s in meta["model"]["layout"]] == vector_layout(named)
+        assert [(n, tuple(s)) for n, s in meta["optimizer"]["layout"]] == trainer.optimizer.layout
+        featurizer = model.featurizer_for(db.name)
+        assert [(n, tuple(s)) for n, s in meta["featurizers"][db.name]["layout"]] == (
+            vector_layout(featurizer.named_parameters())
+        )
+
+    def test_v1_archive_is_refused_naming_version_1(self, db, trained, tmp_path):
+        model, trainer = trained
+        path = _save_v1(model, str(tmp_path / "v1.npz"), optimizer=trainer.optimizer)
+        assert len(_members(path)) > 100
+        with pytest.raises(CheckpointError, match="format version 1 "):
             load_checkpoint(path, databases=db)
+        with pytest.raises(CheckpointError, match="format version 1 "):
+            JointTrainer.warm_start(path, databases=db)
 
-    def test_model_version_archive_loads_under_a_fresh_version(
-        self, db, labeled, trained, tmp_path
-    ):
+    @pytest.mark.parametrize("edit", LAYOUT_EDITS)
+    @pytest.mark.parametrize("vector", ["model", "featurizer", "optimizer"])
+    def test_layout_edit_is_refused_naming_the_entry(self, db, trained, tmp_path, edit, vector):
+        """Re-signed, so only the layout check stands between the edited
+        meta and a misaligned load."""
+        _, trainer = trained
+        path = trainer.save_checkpoint(str(tmp_path / "edited"))
+        named = []
+
+        def edit_meta(meta):
+            section = {
+                "model": meta["model"],
+                "featurizer": meta["featurizers"][db.name],
+                "optimizer": meta["optimizer"],
+            }[vector]
+            named.append(edit(section["layout"]))
+
+        _rewrite(path, edit_meta, resign=True)
+        with pytest.raises(CheckpointError, match=re.escape(repr(named[0]))):
+            JointTrainer.warm_start(path, databases=db)
+
+    def test_layout_byte_flip_fails_the_integrity_check(self, db, trained, tmp_path):
         model, _ = trained
-        path = self._save_with_meta(
-            model, str(tmp_path / "old"), lambda meta: meta.update(model_version=model.version)
-        )
-        assert read_checkpoint_meta(path)["model_version"] == model.version
-        loaded = load_checkpoint(path, databases=db)
-        assert loaded.version != model.version
-        assert loaded.predict_join_orders(db.name, labeled) == model.predict_join_orders(
-            db.name, labeled
-        )
+        path = save_checkpoint(model, str(tmp_path / "flip"))
+
+        def flip(meta):
+            name = meta["model"]["layout"][0][0]
+            meta["model"]["layout"][0][0] = chr(ord(name[0]) ^ 1) + name[1:]
+
+        _rewrite(path, flip, resign=False)
+        with pytest.raises(CheckpointError, match="integrity check"):
+            load_checkpoint(path, databases=db)
 
 
 class TestWarmStart:
@@ -241,29 +337,26 @@ class TestWarmStart:
         path = trainer.save_checkpoint(str(tmp_path / "warm"))
         assert read_checkpoint_meta(path)["optimizer"]["t"] == trainer.optimizer._t
         restored = JointTrainer.warm_start(path, databases=db)
-        original = trainer.optimizer.state_dict()
-        roundtripped = restored.optimizer.state_dict()
+        original = trainer.optimizer.state()
+        roundtripped = restored.optimizer.state()
         assert roundtripped["t"] == original["t"]
-        assert set(roundtripped["m"]) == set(original["m"])
-        for key in original["m"]:
-            np.testing.assert_array_equal(roundtripped["m"][key], original["m"][key])
-            np.testing.assert_array_equal(roundtripped["v"][key], original["v"][key])
+        assert roundtripped["layout"] == original["layout"]
+        np.testing.assert_array_equal(roundtripped["m"], original["m"])
+        np.testing.assert_array_equal(roundtripped["v"], original["v"])
 
     def test_warm_started_step_matches_original(self, db, labeled, trained, tmp_path):
-        """One identical gradient step after restore lands on identical
-        weights — the whole point of persisting the moments."""
+        """Identical gradient steps after restore land on identical
+        weights and moments — the whole point of persisting the moments."""
         model, trainer = trained
         path = trainer.save_checkpoint(str(tmp_path / "step"))
         restored = JointTrainer.warm_start(path, databases=db)
-        batch = labeled[:4]
-        loss_a = trainer._step(db.name, batch)
-        loss_b = restored._step(db.name, batch)
-        assert loss_a == loss_b
-        for (name_a, pa), (name_b, pb) in zip(
-            trainer.model.named_parameters(), restored.model.named_parameters()
-        ):
-            assert name_a == name_b
-            np.testing.assert_array_equal(pa.data, pb.data)
+        for batch in (labeled[:4], labeled[4:8], labeled[:4]):
+            assert trainer._step(db.name, batch) == restored._step(db.name, batch)
+        assert restored.model.weights.tobytes() == trainer.model.weights.tobytes()
+        original, resumed = trainer.optimizer.state(), restored.optimizer.state()
+        assert resumed["t"] == original["t"]
+        assert resumed["m"].tobytes() == original["m"].tobytes()
+        assert resumed["v"].tobytes() == original["v"].tobytes()
 
     def test_warm_start_restores_saved_hyperparameters(self, db, labeled, tmp_path):
         """Resuming must continue the saved run's lr/betas, not whatever
@@ -289,10 +382,11 @@ class TestWarmStart:
 
     def test_stale_optimizer_state_refused_by_name(self, trained):
         """Optimizer state from a differently-shaped parameter set must
-        raise, never misalign (the old positional-keying bug)."""
+        raise, naming the first differing entry, never misalign (the old
+        positional-keying bug)."""
         _, trainer = trained
         bigger = MTMLFQO(ModelConfig(d_model=16, num_heads=2, encoder_layers=1,
                                      shared_layers=2, decoder_layers=1))
         optimizer = nn.Adam(bigger.named_parameters())
-        with pytest.raises(ValueError, match="does not match the current parameter set"):
-            optimizer.load_state_dict(trainer.optimizer.state_dict())
+        with pytest.raises(ValueError, match="does not fit this optimizer's parameters: entry 0 "):
+            optimizer.load_state(trainer.optimizer.state())

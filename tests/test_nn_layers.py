@@ -180,7 +180,8 @@ class TestDictSubmodules:
 
 
 class TestOptimizerStateDict:
-    """Adam warm-start state is keyed by parameter name, never position."""
+    """Adam warm-start state is its moment vectors plus their layout, and
+    loads only onto an optimizer of the same layout."""
 
     @staticmethod
     def _fit_step(opt, params):
@@ -195,7 +196,7 @@ class TestOptimizerStateDict:
         b = nn.Adam([("x", b_params[0]), ("y", b_params[1])], lr=1e-2)
         for _ in range(3):
             self._fit_step(a, a_params)
-        b.load_state_dict(a.state_dict())
+        b.load_state(a.state())
         assert b._t == a._t
         for pa, pb in zip(a_params, b_params):  # weights travel separately
             pb.data = pa.data.copy()
@@ -208,24 +209,46 @@ class TestOptimizerStateDict:
         """The attach_featurizer scenario: state saved before the set grew
         must refuse to load, not silently misalign by position."""
         base = [("shared.w", nn.Parameter(np.zeros(2)))]
-        saved = nn.Adam(base, lr=1e-2).state_dict()
+        saved = nn.Adam(base, lr=1e-2).state()
         grown = nn.Adam(
             [("featurizer.emb", nn.Parameter(np.zeros(4)))] + base, lr=1e-2
         )
-        with pytest.raises(ValueError, match="missing=\\['featurizer.emb'\\]"):
-            grown.load_state_dict(saved)
+        with pytest.raises(ValueError, match="entry 0 is \\('shared.w', \\(2,\\)\\) in the saved layout"):
+            grown.load_state(saved)
 
     def test_positional_fallback_detects_mismatch(self):
-        saved = nn.Adam([nn.Parameter(np.zeros(2))]).state_dict()
+        saved = nn.Adam([nn.Parameter(np.zeros(2))]).state()
         grown = nn.Adam([nn.Parameter(np.zeros(2)), nn.Parameter(np.zeros(3))])
-        with pytest.raises(ValueError, match="does not match"):
-            grown.load_state_dict(saved)
+        with pytest.raises(ValueError, match="entry 1 is None in the saved layout, \\('1', \\(3,\\)\\)"):
+            grown.load_state(saved)
 
     def test_shape_mismatch_raises(self):
-        saved = nn.Adam([("w", nn.Parameter(np.zeros(2)))]).state_dict()
-        other = nn.Adam([("w", nn.Parameter(np.zeros(5)))])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            other.load_state_dict(saved)
+        """Reshaped at equal size: the moment vectors would fit, the
+        layout says they belong to other floats."""
+        saved = nn.Adam([("w", nn.Parameter(np.zeros((2, 3))))]).state()
+        other = nn.Adam([("w", nn.Parameter(np.zeros((3, 2))))])
+        assert other.state()["m"].shape == saved["m"].shape
+        with pytest.raises(ValueError, match="entry 0 is \\('w', \\(2, 3\\)\\)"):
+            other.load_state(saved)
+
+    def test_renamed_entry_raises_naming_it(self):
+        saved = nn.Adam([("a", nn.Parameter(np.zeros(2))), ("b", nn.Parameter(np.zeros(3)))]).state()
+        other = nn.Adam([("a", nn.Parameter(np.zeros(2))), ("c", nn.Parameter(np.zeros(3)))])
+        with pytest.raises(ValueError, match="entry 1 is \\('b', \\(3,\\)\\) in the saved layout, \\('c'"):
+            other.load_state(saved)
+
+    def test_reordered_entries_raise_naming_the_first(self):
+        saved = nn.Adam([("a", nn.Parameter(np.zeros(2))), ("b", nn.Parameter(np.zeros(2)))]).state()
+        other = nn.Adam([("b", nn.Parameter(np.zeros(2))), ("a", nn.Parameter(np.zeros(2)))])
+        with pytest.raises(ValueError, match="entry 0 is \\('a', \\(2,\\)\\) in the saved layout, \\('b'"):
+            other.load_state(saved)
+
+    def test_moment_vector_of_another_size_raises(self):
+        adam = nn.Adam([("w", nn.Parameter(np.zeros(2)))])
+        state = adam.state()
+        state["m"] = np.zeros(1)  # would broadcast into the 8-float vector
+        with pytest.raises(ValueError, match="optimizer state m has shape"):
+            adam.load_state(state)
 
     def test_duplicate_names_rejected(self):
         p = nn.Parameter(np.zeros(1))

@@ -19,6 +19,7 @@ import pytest
 import repro.nn as nn
 from dense_assembly_reference import dense_batch, dense_encoding
 from repro.core import MTMLFQO, ModelConfig
+from repro.core.model import NODE_EXTRA_FEATURES
 from repro.core.encoders import DatabaseFeaturizer
 from repro.core.serializer import serialize_plan
 from repro.datagen import generate_database
@@ -237,6 +238,29 @@ class TestEncodingsShareRows:
             encodings.append(model.encode_query(db.name, as_item(query, scan_node(table, conjunction))))
         assert (len(featurizer.node_cache), len(featurizer.encoding_cache)) == (2, 2)
         assert encodings[0].contents[0] is not encodings[1].contents[0]
+
+
+class TestNodeExtraWidth:
+    """``node_extra_dim`` holds the NODE_EXTRA_FEATURES raw features."""
+
+    def test_a_narrower_row_is_refused_at_config_time(self):
+        with pytest.raises(ValueError, match=rf"node_extra_dim must be >= {NODE_EXTRA_FEATURES} \(.*\), got 8"):
+            ModelConfig(node_extra_dim=8)
+
+    def test_the_narrowest_accepted_row_decodes(self, db, left_deep):
+        config = ModelConfig(d_model=16, num_heads=2, encoder_layers=1, shared_layers=1,
+                             decoder_layers=1, node_extra_dim=NODE_EXTRA_FEATURES)
+        model = MTMLFQO(config)
+        model.attach_featurizer(db.name, DatabaseFeaturizer(db, config))
+        orders = model.predict_join_orders(db.name, left_deep[:4])
+        assert [sorted(order) for order in orders] == [sorted(item.query.tables) for item in left_deep[:4]]
+
+    def test_no_feature_is_written_past_the_count(self, db, model, left_deep, bushy):
+        for item in left_deep + bushy:
+            extras = model.encode_query(db.name, item).extras
+            assert extras.shape[1] == CONFIG.node_extra_dim > NODE_EXTRA_FEATURES
+            assert not extras[:, NODE_EXTRA_FEATURES:].any()
+            assert extras[:, NODE_EXTRA_FEATURES - 1].any() or len(item.query.tables) == 1
 
 
 def bytes_kept_per_encoding(model, db_name, items) -> float:
