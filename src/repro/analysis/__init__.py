@@ -7,11 +7,13 @@ that use it (``tests/lock_monitor.py``):
 - **static** (:mod:`.linter`, :mod:`.checks`) — a stdlib-only AST lint
   pass that enforces the repo's hand-maintained conventions
   mechanically: guarded-by annotations, inference-lock discipline,
-  no-blocking-under-mutex, no-tape-in-serving, atomic writes, thread
-  daemonization, no silent excepts, monotonic latency clocks, canonical
-  dtypes.  Each checker is kept because a mutation of the real tree
-  shows the test suite would miss, or cannot see, what it catches
-  (DESIGN.md section 10).  Run it with ``python -m repro.analysis`` (CI
+  no-blocking-under-mutex, atomic writes, thread daemonization, no
+  silent excepts, monotonic latency clocks, private scratch arenas,
+  telemetry outside locks, canonical dtypes.  Each checker is kept
+  because a mutation of the real tree shows the test suite would miss,
+  or cannot see, what it catches (DESIGN.md section 10); where a
+  runtime test can, the rule is a test instead (serving records no
+  tape, every (S)/(T) parameter learns: ``tests/test_tape_boundary.py``).  Run it with ``python -m repro.analysis`` (CI
   runs ``--fail-on-findings``).  Shapes are not its business: every
   ``@shape_spec`` is checked on real calls by ``tests/shape_contract.py``.
 - **runtime** (``tests/lock_monitor.py``) — traced lock wrappers that

@@ -8,7 +8,6 @@ construct checkers directly with fixture-specific configuration.
 from __future__ import annotations
 
 from .base import Checker
-from .grad_mode import GradModeChecker, GradModeScope, RawKernelChecker
 from .guarded_by import GuardedByChecker
 from .hygiene import (
     AtomicWriteChecker,
@@ -26,9 +25,6 @@ __all__ = [
     "GuardedByChecker",
     "LockDisciplineChecker",
     "EntryLockRule",
-    "GradModeChecker",
-    "GradModeScope",
-    "RawKernelChecker",
     "AtomicWriteChecker",
     "ThreadDisciplineChecker",
     "SilentExceptChecker",
@@ -44,8 +40,6 @@ def all_checkers() -> list[Checker]:
     return [
         GuardedByChecker(),
         LockDisciplineChecker(),
-        GradModeChecker(),
-        RawKernelChecker(),
         AtomicWriteChecker(),
         ThreadDisciplineChecker(),
         SilentExceptChecker(),

@@ -210,6 +210,10 @@ class DatabaseFeaturizer(nn.Module):
         log-selectivity with an absolute-log (q-error) loss.  Returns the
         final mean loss per table.
         """
+        if queries_per_table < 1 or epochs < 1:
+            raise ValueError(
+                f"queries_per_table and epochs must be >= 1, got {queries_per_table} and {epochs}"
+            )
         losses: dict[str, float] = {}
         for table_index, table in enumerate(self.db.table_names):
             queries = generate_single_table_queries(
@@ -253,6 +257,13 @@ class EncoderBudget:
 
     queries_per_table: int
     epochs: int
+
+    def __post_init__(self):
+        if self.queries_per_table < 1 or self.epochs < 1:
+            raise ValueError(
+                f"an encoder budget needs >= 1 query per table and >= 1 epoch, "
+                f"got {self.queries_per_table} and {self.epochs}"
+            )
 
     def train(self, db: Database, config: ModelConfig, seed: int = 0, verbose: bool = False) -> DatabaseFeaturizer:
         """A new :class:`DatabaseFeaturizer` over ``db``, its encoders trained."""

@@ -49,8 +49,13 @@ def transfer(
     attached as is, or an :class:`EncoderBudget` to train one with under
     ``seed``.  With no ``fine_tune`` queries (k = 0) this is zero-shot
     and the (S)/(T) weights are untouched; otherwise one
-    :class:`JointTrainer` runs ``epochs`` over the k labeled queries.
+    :class:`JointTrainer` runs ``epochs`` (>= 1) over the k labeled
+    queries.
     """
+    if fine_tune and (epochs < 1 or batch_size < 1):
+        raise ValueError(
+            f"fine-tuning needs epochs >= 1 and batch_size >= 1, got {epochs} and {batch_size}"
+        )
     if not isinstance(encoder, DatabaseFeaturizer):
         encoder = encoder.train(db, model.config, seed=seed, verbose=verbose)
     model.attach_featurizer(db.name, encoder)
@@ -70,6 +75,11 @@ class MLAConfig:
     fine_tune_epochs: int = 5
     seed: int = 0
     verbose: bool = False
+
+    def __post_init__(self):
+        for name in ("joint_epochs", "batch_size", "fine_tune_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class MetaLearner:

@@ -198,6 +198,10 @@ class JointTrainer:
         """
         if jo_criterion not in _JO_CRITERIA:
             raise ValueError(f"jo_criterion must be one of {_JO_CRITERIA}, got {jo_criterion!r}")
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not examples:
             raise ValueError("no training examples")
         if jo_criterion == "sequence" and not any(_jo_label(item, jo_criterion) for _, item in examples):

@@ -440,16 +440,18 @@ def run_table3(
     holdout = test_items[: max(len(test_items) // 3, 5)]   # evaluation slice
     finetune = test_items[len(holdout):]
 
+    # MLA-pretrained (S)/(T) against the controlled study, random (S)/(T):
+    # both fine-tune on the same queries over one (F), trained once.
+    meta = MetaLearner(model_config, mla_config)
+    meta.pretrain(train_dbs, workloads)
+    featurizer = mla_config.encoder.train(test_db, model_config, seed=seed, verbose=mla_config.verbose)
+
     def onto_test_db(model: MTMLFQO, epochs: int) -> MTMLFQO:
         return transfer(
-            model, test_db, mla_config.encoder, seed=seed, fine_tune=finetune, epochs=epochs,
+            model, test_db, featurizer, seed=seed, fine_tune=finetune, epochs=epochs,
             batch_size=mla_config.batch_size, verbose=mla_config.verbose,
         )
 
-    # MLA-pretrained (S)/(T) against the controlled study, random (S)/(T):
-    # both fine-tune on the same queries over an identically trained (F).
-    meta = MetaLearner(model_config, mla_config)
-    meta.pretrain(train_dbs, workloads)
     mla_model = onto_test_db(meta.model, mla_config.fine_tune_epochs)
     single_model = onto_test_db(MTMLFQO(model_config), mla_config.joint_epochs)
 

@@ -15,8 +15,10 @@ the body.
 
 Among Tensors a kernel never gets a ``ScratchArena``: a buffer reused by
 the next call would overwrite an activation a backward rule still
-needs.  This is the only module allowed to call ``kernels.*`` (the
-``raw-kernel`` checker enforces it).
+needs.  This is the only module that calls ``kernels.*``: a layer that
+called one itself would skip the tape, and its weights would get no
+gradient (``tests/test_tape_boundary.py`` checks every (S)/(T)
+parameter gets one).
 """
 
 from __future__ import annotations

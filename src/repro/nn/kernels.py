@@ -8,9 +8,10 @@ computes these values, so a kernel may be fused or reordered freely:
 training and serving move together.
 
 Kernels record no gradients, so nothing but the op table calls them, and
-it only ever hands a kernel operands that are already raw ndarrays.  The
-static ``raw-kernel`` checker rejects any other ``kernels.*`` call site
-in ``src/repro``.
+it only ever hands a kernel operands that are already raw ndarrays.  A
+layer that called one directly would leave its weights without a
+gradient; ``tests/test_tape_boundary.py`` fails when one training step
+misses any (S)/(T) parameter.
 
 Two cross-cutting facilities live here as well:
 

@@ -1,14 +1,17 @@
 """Tests for the concurrency & invariant analyzer (repro.analysis).
 
-Four layers of evidence:
+Five layers of evidence:
 
 - **meta-tests** — every checker fires on a fixture snippet seeded with
   its violation, and stays silent on the disciplined version of the
   same code (no false positives);
 - **real-source mutations** — a scratch copy of a *real* module with
   the one edit each checker exists to catch fires exactly that checker,
-  and the pristine file is silent (DESIGN.md section 10 records which
-  of these edits tier-1 would miss without the analyzer);
+  and the pristine file is silent (DESIGN.md section 10 says why no
+  runtime test can catch these edits);
+- **retired checkers** — each edit a retired checker existed to catch,
+  applied to a copy of the package, fails the runtime test that
+  replaced the checker;
 - **escape hatches** — inline suppressions and ``# holds:`` /
   coarse-lock annotations behave as documented;
 - **runtime layer** — the lock monitor catches a deliberately inverted
@@ -20,6 +23,10 @@ Plus the enforcement test CI relies on: the real checkers over the real
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -32,18 +39,15 @@ from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.checks import (
     AtomicWriteChecker,
     DtypeChecker,
-    GradModeChecker,
     GuardedByChecker,
     LockDisciplineChecker,
     ObsDisciplineChecker,
-    RawKernelChecker,
     ScratchPrivacyChecker,
     SilentExceptChecker,
     ThreadDisciplineChecker,
     WallClockChecker,
     all_checkers,
 )
-from repro.analysis.checks.grad_mode import GradModeScope
 from repro.analysis.checks.lock_discipline import EntryLockRule
 from repro.analysis.linter import SourceModule
 
@@ -333,126 +337,6 @@ class Round:
 
 
 # ---------------------------------------------------------------------------
-# grad-mode
-# ---------------------------------------------------------------------------
-class TestGradModeChecker:
-    SCOPES = (GradModeScope("*serve/*.py", "*"),)
-
-    def test_forward_call_outside_no_grad_fires(self):
-        source = """
-def serve(model, batch):
-    return model.forward_batch("db", batch)
-"""
-        findings = run_checker(
-            GradModeChecker(scopes=self.SCOPES), source, "pkg/serve/loop.py"
-        )
-        assert len(findings) == 1 and "forward_batch" in findings[0].message
-
-    def test_no_grad_wrapped_call_passes(self):
-        source = """
-from repro import nn
-
-def serve(model, batch):
-    with nn.no_grad():
-        return model.forward_batch("db", batch)
-"""
-        assert run_checker(
-            GradModeChecker(scopes=self.SCOPES), source, "pkg/serve/loop.py"
-        ) == []
-
-    def test_out_of_scope_file_is_ignored(self):
-        source = """
-def train(model, batch):
-    return model.forward_batch("db", batch)  # the trainer needs the tape
-"""
-        assert run_checker(
-            GradModeChecker(scopes=self.SCOPES), source, "pkg/core/trainer.py"
-        ) == []
-
-
-# ---------------------------------------------------------------------------
-# raw-kernel (the op table is the kernels' only caller)
-# ---------------------------------------------------------------------------
-class TestRawKernelChecker:
-    def test_unguarded_kernel_and_infer_calls_fire(self):
-        # every kernel call outside the op table fires, however spelled
-        source = """
-from repro import nn
-from repro.nn import kernels
-
-def forward(model, x):
-    h = kernels.linear(x, model.w, model.b)
-    return nn.kernels.relu(h)
-"""
-        findings = run_checker(RawKernelChecker(), source)
-        assert len(findings) == 2
-        assert "kernels.linear" in findings[0].message
-        assert "nn.kernels.relu" in findings[1].message
-        assert all(f.symbol == "forward" for f in findings)
-
-    def test_no_grad_block_does_not_exempt(self):
-        # Reachable with grad on or not, a direct kernel call is a second
-        # copy of an op-table entry; the rule has no guard forms.
-        source = """
-from repro import nn
-from repro.nn import kernels
-
-class Layer:
-    def forward(self, x):
-        with nn.no_grad():
-            if nn.no_tape_active():
-                return kernels.linear(x, self.w, self.b)
-"""
-        findings = run_checker(RawKernelChecker(), source)
-        assert len(findings) == 1 and findings[0].symbol == "Layer.forward"
-
-    def test_op_table_module_is_exempt(self):
-        source = """
-from . import kernels
-
-def relu(x):
-    out = kernels.relu(raw(x))
-    return _unary(x, out, lambda grad: grad * (out > 0))
-"""
-        assert run_checker(RawKernelChecker(), source, "repro/nn/functional.py") == []
-        assert len(run_checker(RawKernelChecker(), source, "repro/nn/layers.py")) == 1
-
-    def test_plumbing_is_not_a_kernel_op(self):
-        source = """
-from repro.nn import kernels
-
-def profile(session):
-    arena = kernels.ScratchArena()
-    with kernels.profiled() as p:
-        session.run(arena)
-    return p
-"""
-        assert run_checker(RawKernelChecker(), source) == []
-
-    def test_unrelated_branch_does_not_guard(self):
-        source = """
-from repro.nn import kernels
-
-def forward(model, x, fast):
-    if fast:
-        return kernels.relu(x)
-    return model.slow(x)
-"""
-        findings = run_checker(RawKernelChecker(), source)
-        assert len(findings) == 1 and "kernels.relu" in findings[0].message
-
-    def test_kernels_module_itself_is_exempt(self):
-        source = """
-def linear(x, w, b):
-    return matmul(x, w) + b
-
-def fused(x, w, b):
-    return kernels.relu(linear(x, w, b))
-"""
-        assert run_checker(RawKernelChecker(), source, "repro/nn/kernels.py") == []
-
-
-# ---------------------------------------------------------------------------
 # hygiene checkers
 # ---------------------------------------------------------------------------
 class TestHygieneCheckers:
@@ -704,10 +588,6 @@ MUTATIONS = [
      "            with nn.no_grad():\n                _, log_costs,",
      '(linear scale), preorder."""\n        if True:\n'
      "            with nn.no_grad():\n                _, log_costs,"),
-    ("grad-mode", "core/model.py",
-     "            with nn.no_grad():\n                _, log_costs,",
-     "            if True:\n                _, log_costs,"),
-    ("raw-kernel", "nn/layers.py", "x = F.relu(x)", "x = F.kernels.relu(x)"),
     ("atomic-write", "core/checkpoint.py",
      "    return atomic_savez(path, arrays)\n",
      "    path = resolve_npz_path(path)\n    np.savez(path, **arrays)\n    return path\n"),
@@ -748,6 +628,64 @@ class TestRealSourceMutations:
 
     def test_every_registered_checker_has_a_mutation_row(self):
         assert sorted(row[0] for row in MUTATIONS) == sorted(c.name for c in all_checkers())
+
+
+# ---------------------------------------------------------------------------
+# Retired checkers — each edit a runtime test now catches
+# ---------------------------------------------------------------------------
+# (retired checker, file under src/repro, anchor, replacement, the test in
+# tests/ that must fail on a copy of the package carrying the edit).
+TAPE_TEST = "test_tape_boundary.py::TestInferenceRecordsNoTape::test_entry_point_records_no_tape"
+TRAINING_RULE_TEST = (
+    "test_tape_boundary.py::TestTrainingRule::"
+    "test_one_step_reaches_every_st_parameter_and_no_featurizer_parameter"
+)
+RETIRED = [
+    # An inference entry point that records tape.
+    ("grad-mode", "core/model.py",
+     "            with nn.no_grad():\n                _, log_costs,",
+     "            if True:\n                _, log_costs,",
+     f"{TAPE_TEST}[predict_costs]"),
+    # A raw kernel on the tape path: crashes on a Tensor.
+    ("raw-kernel", "nn/layers.py", "x = F.relu(x)", "x = F.kernels.relu(x)", TRAINING_RULE_TEST),
+    # A raw kernel that runs: the layer trains on, its weight gets no gradient.
+    ("raw-kernel", "core/trans_jo.py",
+     "else self.pointer_proj(memory)",
+     "else nn.Tensor(F.kernels.linear(F.raw(memory), self.pointer_proj.weight.data))",
+     TRAINING_RULE_TEST),
+    # The (F) encoders run with the tape on.
+    ("grad-mode", "core/model.py",
+     "            with nn.no_grad():\n                encoded = featurizer.encode_filter",
+     "            if True:\n                encoded = featurizer.encode_filter",
+     f"{TAPE_TEST}[encode_query]"),
+]
+
+
+class TestRetiredCheckers:
+    @pytest.mark.parametrize(
+        "checker, path, old, new, test_id", RETIRED,
+        ids=[f"{i}-{row[0]}" for i, row in enumerate(RETIRED)],
+    )
+    def test_replacement_test_fails_on_the_mutated_package(
+        self, checker, path, old, new, test_id, tmp_path
+    ):
+        package = tmp_path / "repro"
+        shutil.copytree(SRC_ROOT, package, ignore=shutil.ignore_patterns("__pycache__"))
+        target = package / path
+        text = target.read_text()
+        assert text.count(old) == 1, f"mutation anchor not unique in {path}: {old!r}"
+        target.write_text(text.replace(old, new))
+        # Only the copy is importable: a run on the real package would pass.
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(Path(__file__).parent / test_id)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 1 and "1 failed" in run.stdout, run.stdout + run.stderr
+
+    def test_retired_checkers_are_not_registered(self):
+        assert not {row[0] for row in RETIRED} & {c.name for c in all_checkers()}
 
 
 # ---------------------------------------------------------------------------
@@ -854,12 +792,11 @@ class TestRepoIsClean:
         findings = Linter().run_paths([SRC_ROOT], root=SRC_ROOT.parent.parent)
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
-    def test_registry_is_exactly_the_eleven_checkers(self):
+    def test_registry_is_exactly_the_nine_checkers(self):
         # CI runs the registry once; a checker dropped from it fails here.
         assert {checker.name for checker in all_checkers()} == {
-            "guarded-by", "lock-discipline", "grad-mode", "raw-kernel",
-            "atomic-write", "thread-discipline", "silent-except", "wall-clock",
-            "scratch-privacy", "obs-discipline", "dtype-lattice",
+            "guarded-by", "lock-discipline", "atomic-write", "thread-discipline",
+            "silent-except", "wall-clock", "scratch-privacy", "obs-discipline", "dtype-lattice",
         }
 
 

@@ -9,6 +9,7 @@ size bound.
 """
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.core import (
     drive_beam_states,
     is_legal_order,
     plan_signature,
+    sequence_log_probs,
 )
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
@@ -396,6 +398,58 @@ class TestLegalByConstruction:
         assert_candidates_match(
             fast, beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=3)
         )
+
+
+class TestExhaustiveOracle:
+    """A beam as wide as the answer space returns that whole space.  On
+    generated queries of up to 5 tables, the answer is every legal order
+    (every permutation, with legality off), each scored by the
+    teacher-forced ``sequence_log_probs``, and ranked by that score."""
+
+    @pytest.mark.parametrize("enforce_legality", [True, False], ids=["legal", "permutations"])
+    def test_wide_beam_returns_every_order_with_its_teacher_forced_score(
+        self, db, featurizer, enforce_legality
+    ):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        generator = WorkloadGenerator(db, WorkloadConfig(min_tables=3, max_tables=5, seed=4))
+        items = QueryLabeler(db).label_many(generator.generate(6))
+        assert {item.query.num_tables for item in items} >= {4, 5}
+        with nn.no_grad():
+            shared, _, encodings = model.forward_batch(db.name, items)
+            memories = [
+                model.join_order_memory(shared[i], encodings[i], item.query.tables)
+                for i, item in enumerate(items)
+            ]
+        answers, states = [], []
+        for item, memory in zip(items, memories):
+            adjacency = item.query.adjacency_matrix()
+            orders = [
+                order for order in itertools.permutations(range(item.query.num_tables))
+                if not enforce_legality or is_legal_order(list(order), adjacency)
+            ]
+            targets = np.array(orders)
+            with nn.no_grad():
+                scores = sequence_log_probs(
+                    model.trans_jo, nn.Tensor(np.repeat(memory.data, len(orders), axis=0)),
+                    targets, np.full(len(orders), targets.shape[1]),
+                )
+            answers.append(dict(zip(orders, scores.data.tolist())))
+            states.append(
+                BeamSearchState(
+                    adjacency, beam_width=len(orders), enforce_legality=enforce_legality,
+                    max_candidates=len(orders),
+                )
+            )
+        drive_beam_states(model.trans_jo, memories, states)
+        for answer, state in zip(answers, states):
+            found = state.candidates()
+            assert sorted(tuple(c.positions) for c in found) == sorted(answer)
+            for candidate in found:
+                assert abs(candidate.log_prob - answer[tuple(candidate.positions)]) <= 1e-9
+            # In the beam's rank order, no later order scores clearly higher.
+            exact = np.array([answer[tuple(c.positions)] for c in found])
+            assert not np.triu(exact[None, :] > exact[:, None] + 1e-9, 1).any()
 
 
 class TestFastVsTapeParity:

@@ -423,6 +423,50 @@ class TestMetaLearning:
             meta.pretrain(dbs[:2], workloads[:1])
 
 
+class TestTrainingInputs:
+    """A training input that would silently do nothing is refused with
+    ``ValueError`` before any work."""
+
+    @pytest.fixture
+    def model(self, db, featurizer):
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        return model
+
+    def test_zero_batch_size_is_refused(self, db, labeled, model):
+        before = model.weights.copy()
+        with pytest.raises(ValueError, match="batch_size"):
+            JointTrainer(model).train([(db.name, item) for item in labeled[:4]], batch_size=0)
+        assert model.weights.tobytes() == before.tobytes()
+
+    def test_negative_epochs_are_refused_and_keep_the_version(self, db, labeled, model):
+        version = model.version
+        with pytest.raises(ValueError, match="epochs"):
+            JointTrainer(model).train([(db.name, item) for item in labeled[:4]], epochs=-2)
+        assert model.version == version  # the plan cache's entries stay valid
+
+    def test_empty_encoder_budget_is_refused(self, db):
+        with pytest.raises(ValueError, match="encoder budget"):
+            EncoderBudget(0, 0).train(db, SMALL)
+
+    def test_fine_tune_without_epochs_is_refused_before_training_the_featurizer(
+        self, db, labeled, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the featurizer was trained before the inputs were checked")
+
+        monkeypatch.setattr(DatabaseFeaturizer, "train_encoders", no_training)
+        model = MTMLFQO(SMALL)
+        with pytest.raises(ValueError, match="epochs"):
+            transfer(model, db, EncoderBudget(3, 1), fine_tune=labeled[:4])
+        assert db.name not in model.featurizers
+
+    @pytest.mark.parametrize("field", ["joint_epochs", "fine_tune_epochs", "batch_size"])
+    def test_mla_config_refuses_a_zero(self, field):
+        with pytest.raises(ValueError, match=field):
+            MLAConfig(**{field: 0})
+
+
 class TestQErrorNodeLoss:
     def test_masked_positions_ignored(self):
         preds = nn.Tensor(np.zeros((1, 3)), requires_grad=True)

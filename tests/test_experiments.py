@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import EncoderBudget, MLAConfig, ModelConfig
+from repro.core import EncoderBudget, MLAConfig, ModelConfig, transfer
 from repro.datagen import generate_databases, imdb_like
+from repro.eval import experiments
 from repro.eval import (
     SingleDBStudy,
     StudyConfig,
@@ -219,6 +220,25 @@ class TestTable3:
         assert [item["claim"] for item in claims] == [
             "T3: MTMLF-QO (MLA) < PostgreSQL", "T3: MTMLF-QO (single) < PostgreSQL",
         ]
+
+    def test_both_arms_share_one_test_featurizer(self, monkeypatch):
+        """The test database's (F) is trained once and handed to both
+        arms: same seed, budget and config would train it twice alike."""
+        databases = generate_databases(3, base_seed=50, row_range=(60, 250), attr_range=(2, 3))
+        attached = []
+
+        def recording_transfer(model, db, *args, **kwargs):
+            model = transfer(model, db, *args, **kwargs)
+            attached.append(model.featurizer_for(db.name))
+            return model
+
+        monkeypatch.setattr(experiments, "transfer", recording_transfer)
+        run_table3(
+            databases, num_queries=25, max_tables=3, model_config=MICRO_MODEL,
+            mla_config=MLAConfig(encoder=EncoderBudget(4, 2), joint_epochs=3, fine_tune_epochs=1),
+        )
+        assert len(attached) == 2 and attached[0] is attached[1]
+        assert attached[0].db is databases[-1]
 
     def test_too_few_databases_rejected(self):
         databases = generate_databases(2, base_seed=60, row_range=(50, 100))
