@@ -8,7 +8,7 @@ Two beam-search phases over the same workload (beam width 8, 8-table queries):
   ``no_grad``.
 - ``fast_batched`` — the production search (``drive_beam_states``): all
   beams of a timestep in one incremental step on raw ndarrays,
-  per-decode KV cache, session scratch arena.
+  per-decode KV cache.
 
 Candidates from both phases are verified to match at decode level —
 identical positions, legal flags and order, log-probabilities within
@@ -176,8 +176,6 @@ def run_benchmark(
     config = ModelConfig(d_model=d_model, num_heads=4, decoder_layers=decoder_layers)
     trans_jo = TransJO(config, np.random.default_rng(seed))
     cases = build_cases(num_queries, m, d_model, seed=seed + 1)
-    scratch = nn.ScratchArena()  # stands in for InferenceSession.scratch
-
     def sequential():
         with nn.no_grad():
             return [
@@ -187,7 +185,7 @@ def run_benchmark(
 
     def fast_batched():
         return [
-            beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width, scratch=scratch)
+            beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width)
             for memory, adjacency in cases
         ]
 
@@ -336,10 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         config = ModelConfig(d_model=48, num_heads=4, decoder_layers=2)
         trans_jo = TransJO(config, np.random.default_rng(0))
         cases = build_cases(result["meta"]["num_queries"], 8, 48, seed=1)
-        scratch = nn.ScratchArena()
         with nn.kernels.profiled() as profile:
             for memory, adjacency in cases:
-                beam_search_join_order(trans_jo, memory, adjacency, beam_width=8, scratch=scratch)
+                beam_search_join_order(trans_jo, memory, adjacency, beam_width=8)
         print()
         print("kernel profile (one decode sweep):")
         print(profile.table())

@@ -102,9 +102,9 @@ def main() -> None:
     # coalesces them into the batched decode path and caches plans by
     # structural signature.  Orders are identical to direct calls.
     # Decodes run on the no-tape fast path (raw-ndarray kernels, encoder
-    # K/V cached once per decode, per-session scratch buffers — DESIGN.md
-    # section 11); it is bit-identical to the tape path, so none of the
-    # parity claims below depend on which mode runs.
+    # K/V cached once per decode — DESIGN.md section 11); it is
+    # bit-identical to the tape path, so none of the parity claims below
+    # depend on which mode runs.
     # One model, one drain worker: at this model size decode time is
     # Python dispatch under the GIL, so more workers only split batches
     # (DESIGN.md section 5).

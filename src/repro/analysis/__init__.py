@@ -8,8 +8,8 @@ that use it (``tests/lock_monitor.py``):
   pass that enforces the repo's hand-maintained conventions
   mechanically: guarded-by annotations, inference-lock discipline,
   no-blocking-under-mutex, atomic writes, thread daemonization, no
-  silent excepts, monotonic latency clocks, private scratch arenas,
-  telemetry outside locks, canonical dtypes.  Each checker is kept
+  silent excepts, monotonic latency clocks, telemetry outside locks,
+  canonical dtypes.  Each checker is kept
   because a mutation of the real tree shows the test suite would miss,
   or cannot see, what it catches (DESIGN.md section 10); where a
   runtime test can, the rule is a test instead (serving records no

@@ -11,7 +11,6 @@ from .base import Checker
 from .guarded_by import GuardedByChecker
 from .hygiene import (
     AtomicWriteChecker,
-    ScratchPrivacyChecker,
     SilentExceptChecker,
     ThreadDisciplineChecker,
     WallClockChecker,
@@ -29,7 +28,6 @@ __all__ = [
     "ThreadDisciplineChecker",
     "SilentExceptChecker",
     "WallClockChecker",
-    "ScratchPrivacyChecker",
     "ObsDisciplineChecker",
     "DtypeChecker",
     "all_checkers",
@@ -44,7 +42,6 @@ def all_checkers() -> list[Checker]:
         ThreadDisciplineChecker(),
         SilentExceptChecker(),
         WallClockChecker(),
-        ScratchPrivacyChecker(),
         ObsDisciplineChecker(),
         DtypeChecker(),
     ]

@@ -15,10 +15,6 @@
 - **wall-clock** — ``time.time()`` is wall clock and jumps under NTP;
   all latency/interval math uses ``time.monotonic()`` or
   ``time.perf_counter()``.
-- **scratch-privacy** — ``ScratchArena`` instances must never live at
-  module scope or on a class body.  Arenas hand out reusable buffers;
-  shared across sessions they are write-after-free bugs waiting for a
-  second thread.  An arena belongs to exactly one ``InferenceSession``.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ __all__ = [
     "ThreadDisciplineChecker",
     "SilentExceptChecker",
     "WallClockChecker",
-    "ScratchPrivacyChecker",
 ]
 
 
@@ -163,52 +158,3 @@ class WallClockChecker(_CallChecker):
                 "time.monotonic() or time.perf_counter() for durations"
             )
         return None
-
-
-class ScratchPrivacyChecker(Checker):
-    """No module-level or class-body ``ScratchArena``.
-
-    The type is deliberately unsynchronized and owner-scoped (see
-    ``repro.nn.kernels.ScratchArena``).  An instance created at import
-    time is process-global by construction — buffers shared across
-    sessions.
-    """
-
-    name = "scratch-privacy"
-    description = "ScratchArena instances are owner-scoped, never global"
-
-    _OWNER_SCOPED = frozenset({"ScratchArena"})
-
-    def check(self, module: SourceModule) -> list[Finding]:
-        findings: list[Finding] = []
-        self._scan(module, module.tree.body, "<module>", findings)
-        return findings
-
-    def _scan(self, module, body, where, findings) -> None:
-        for stmt in body:
-            if isinstance(stmt, ast.ClassDef):
-                self._scan(module, stmt.body, f"class {stmt.name}", findings)
-                continue
-            # Walk the statement but never descend into function bodies:
-            # code in a def runs per call with the instance as owner.
-            stack: list[ast.AST] = [stmt]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    continue
-                if isinstance(node, ast.Call):
-                    name = dotted_name(node.func)
-                    leaf = name.rsplit(".", 1)[-1] if name else None
-                    if leaf in self._OWNER_SCOPED:
-                        findings.append(
-                            self.finding(
-                                module,
-                                node,
-                                f"{leaf}() instantiated at {where} scope — scratch "
-                                f"buffers must be private to one session, not "
-                                f"process-global; create them in the owner's "
-                                f"__init__ instead",
-                                symbol=where,
-                            )
-                        )
-                stack.extend(ast.iter_child_nodes(node))

@@ -96,6 +96,8 @@ class TreeLSTMEstimator(nn.Module):
         verbose: bool = False,
     ) -> list[float]:
         """Train on labeled plans with the q-error criterion."""
+        if epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {epochs}")
         params = self.parameters()
         optimizer = nn.Adam(params, lr=learning_rate)
         rng = np.random.default_rng(seed)

@@ -325,7 +325,7 @@ def drive_beam_states(
     trans_jo,
     memories: list[nn.Tensor],
     states: list[BeamSearchState],
-    scratch: "nn.ScratchArena | None" = None,
+    scratch=None,  # ignored; read only by benchmarks/ledger, goes with ROADMAP item 12's [benchmark] PR
 ) -> None:
     """Advance many beam searches in lockstep off shared decoder steps.
 
@@ -346,8 +346,7 @@ def drive_beam_states(
     never leak across decodes or model hot-swaps.  The padded batch of
     them depends only on how many beams each query has (0 once
     finished), so it is gathered once per such key; queries of fewer
-    tables are masked at the padded slots.  ``scratch`` is the caller's
-    session-private arena for kernel output buffers.
+    tables are masked at the padded slots.
     """
     if len(memories) != len(states):
         raise ValueError("one memory per beam state required")
@@ -373,7 +372,6 @@ def drive_beam_states(
                     memory_padding_mask=padding,
                     memory_kv=memory_kv,
                     pointer_keys=pointer_keys,
-                    scratch=scratch,
                 )
             )
             parents = frontier.advance(log_probs)
@@ -395,7 +393,6 @@ def beam_search_join_order(
     beam_width: int = 3,
     enforce_legality: bool = True,
     max_candidates: int = 16,
-    scratch: "nn.ScratchArena | None" = None,
 ) -> list[BeamCandidate]:
     """Decode join orders with batched beam search.
 
@@ -425,5 +422,5 @@ def beam_search_join_order(
         enforce_legality=enforce_legality,
         max_candidates=max_candidates,
     )
-    drive_beam_states(trans_jo, [memory], [state], scratch=scratch)
+    drive_beam_states(trans_jo, [memory], [state])
     return state.candidates()

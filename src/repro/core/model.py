@@ -254,7 +254,7 @@ class MTMLFQO(nn.Module):
         database instead of calling the model directly: the session
         validates the featurizer once and serializes calls through the
         model's inference lock, so concurrent sessions never interleave
-        on one model (a session's scratch arena is not thread-safe).
+        on one model or with ``mark_updated`` and checkpointing.
         """
         return InferenceSession(self, db_name)
 
@@ -510,7 +510,6 @@ class MTMLFQO(nn.Module):
         beam_width: int,
         enforce_legality: bool,
         adjacencies: "list[np.ndarray] | None" = None,
-        scratch: "nn.ScratchArena | None" = None,
     ) -> list[list[BeamCandidate]]:
         """Encode + lockstep-decode ``items`` in bounded chunks.
 
@@ -537,7 +536,7 @@ class MTMLFQO(nn.Module):
                 )
                 for i, item in enumerate(chunk)
             ]
-            drive_beam_states(self.trans_jo, memories, states, scratch=scratch)
+            drive_beam_states(self.trans_jo, memories, states)
             all_candidates.extend(state.candidates() for state in states)
         return all_candidates
 
@@ -575,7 +574,6 @@ class MTMLFQO(nn.Module):
         beam_width: int | None = None,
         enforce_legality: bool = True,
         rerank_with_cost: bool | None = None,
-        scratch: "nn.ScratchArena | None" = None,
     ) -> list[list[str]]:
         """Batched join-order inference for many queries at once.
 
@@ -599,11 +597,12 @@ class MTMLFQO(nn.Module):
         if enforce_legality:
             adjacencies = [self._require_connected(item.query) for item in items]
         # The lock serializes direct calls with a running serving
-        # session: forwards are pure, and the (F) caches take their own
-        # locks, but the session's scratch arena is not thread-safe.
+        # session and with mark_updated / checkpointing: forwards are
+        # pure and the (F) caches take their own locks, but
+        # ``featurizers`` and ``version`` are read under it.
         with self._infer_lock:
             per_query = self._decode_candidate_chunks(
-                db_name, items, beam_width, enforce_legality, adjacencies, scratch=scratch
+                db_name, items, beam_width, enforce_legality, adjacencies
             )
             if rerank_with_cost is None:
                 rerank_with_cost = self.config.w_cost > 0.0
@@ -721,7 +720,6 @@ class MTMLFQO(nn.Module):
         items: list[LabeledQuery],
         beam_width: int | None = None,
         enforce_legality: bool = False,
-        scratch: "nn.ScratchArena | None" = None,
     ) -> list[list[BeamCandidate]]:
         """Raw beam candidates for many queries off one shared forward.
 
@@ -739,7 +737,7 @@ class MTMLFQO(nn.Module):
             adjacencies = [self._require_connected(item.query) for item in items]
         with self._infer_lock:
             return self._decode_candidate_chunks(
-                db_name, items, beam_width, enforce_legality, adjacencies, scratch=scratch
+                db_name, items, beam_width, enforce_legality, adjacencies
             )
 
 
@@ -752,23 +750,19 @@ class InferenceSession:
     calls — serialize against each other, and results are identical to
     calling the model directly.  The lock does *not* cover trainer
     steps: training concurrently with serving is unsupported — retrain
-    offline, then :meth:`MTMLFQO.mark_updated`.
+    offline, then :meth:`MTMLFQO.mark_updated`.  A session is only that
+    binding, which the serving layer swaps atomically with its model.
     """
+
+    scratch = ()  # empty; read only by benchmarks/ledger, goes with ROADMAP item 12's [benchmark] PR
 
     def __init__(self, model: MTMLFQO, db_name: str):
         self.model = model
         self.db_name = db_name
-        # Session-private scratch arena for no-tape kernel outputs.  It
-        # must never be shared across sessions or hoisted to module
-        # scope (the scratch-privacy checker enforces the latter): all
-        # uses run under the model's inference lock, so buffers are
-        # never written concurrently.
-        self.scratch = nn.ScratchArena()
         model.featurizer_for(db_name)  # fail fast on a missing (F) module
 
     def predict_join_orders(self, items: list[LabeledQuery], **kwargs) -> list[list[str]]:
         """Batched join-order inference; see :meth:`MTMLFQO.predict_join_orders`."""
-        kwargs.setdefault("scratch", self.scratch)
         return self.model.predict_join_orders(self.db_name, items, **kwargs)
 
     def predict_cardinalities(self, items: list[LabeledQuery]) -> list[np.ndarray]:

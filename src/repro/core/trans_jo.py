@@ -99,7 +99,7 @@ class TransJO(nn.Module):
         if indices.shape[1]:
             gathered = memory[rows[:, None], indices]  # (B, m - 1, d)
             x = F.concat([x, gathered], axis=1)
-        hidden = self.decoder(x, memory, memory_padding_mask=memory_padding_mask, tag="jo")
+        hidden = self.decoder(x, memory, memory_padding_mask=memory_padding_mask)
         logits = self._pointer_logits(hidden, memory, None, memory_padding_mask)
         return logits.swapaxes(-1, -2)
 
@@ -118,7 +118,6 @@ class TransJO(nn.Module):
         memory_padding_mask: np.ndarray | None = None,
         memory_kv: list | None = None,
         pointer_keys=None,
-        scratch=None,
     ):
         """One incremental decoder step: next-timestamp pointer logits,
         ``(B, m)``, for B sequences at once.
@@ -134,8 +133,7 @@ class TransJO(nn.Module):
         sequences of different table counts share the batch.
         ``memory_kv``/``pointer_keys`` are the batched projections of
         ``memory`` (:meth:`project_memory`, padded per sequence by the
-        beam driver); given both, ``memory`` may be None.  ``scratch``
-        is the session's kernel buffer arena.
+        beam driver); given both, ``memory`` may be None.
         """
         hidden = self.decoder(
             tokens,
@@ -143,8 +141,6 @@ class TransJO(nn.Module):
             memory_padding_mask=memory_padding_mask,
             memory_kv=memory_kv,
             past_kv=past_kv,
-            scratch=scratch,
-            tag="jo",
         )
         logits = self._pointer_logits(hidden, memory, pointer_keys, memory_padding_mask)
         return logits.reshape(logits.shape[0], -1)

@@ -181,6 +181,11 @@ class StudyConfig:
     # JOB queries return results; drop degenerate empty-result queries.
     drop_empty_results: bool = True
 
+    def __post_init__(self):
+        for name in ("joint_epochs", "treelstm_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 class SingleDBStudy:
     """Prepares workloads and trains every method on a single database."""

@@ -9,7 +9,6 @@ optimizer and the q-error metric.
 
 from . import functional, kernels
 from .attention import MultiHeadAttention, causal_mask
-from .kernels import ScratchArena
 from .layers import MLP, Embedding, LayerNorm, Linear, Module, ModuleList, Parameter, parameter_vector
 from .losses import cross_entropy, q_error
 from .lstm import ChildSumTreeLSTM
@@ -26,7 +25,6 @@ __all__ = [
     "no_tape_active",
     "functional",
     "kernels",
-    "ScratchArena",
     "Module",
     "ModuleList",
     "Parameter",

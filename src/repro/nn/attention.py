@@ -120,8 +120,6 @@ class MultiHeadAttention(Module):
         key_padding_mask: np.ndarray | None = None,
         static_kv: tuple | None = None,
         past_kv: list | None = None,
-        scratch=None,
-        tag: str = "",
     ):
         """Attend ``query`` over ``key``/``value`` (self-attention if omitted).
 
@@ -136,8 +134,6 @@ class MultiHeadAttention(Module):
         ``query`` (``[None, None]`` before the first): ``query``'s own
         K/V are appended to it in place and it attends over all of them,
         so a one-row ``query`` needs no causal mask.
-        ``scratch``/``tag`` name reusable output buffers for the ndarray
-        kernels (ignored on the tape, which must keep its values).
         """
         if static_kv is not None:
             k, v = static_kv
@@ -151,8 +147,8 @@ class MultiHeadAttention(Module):
             key = query if key is None else key
             k = self.k_proj(key)
             v = self.v_proj(key if value is None else value)
-        q = self.q_proj(query, scratch, tag + ".q")
+        q = self.q_proj(query)
         scores_shape = (q.shape[0], self.num_heads, q.shape[1], k.shape[1])
         mask = self._combined_mask(attn_mask, key_padding_mask, scores_shape)
-        attended = F.attention(q, k, v, self.num_heads, self.scale, mask, scratch, tag)
+        attended = F.attention(q, k, v, self.num_heads, self.scale, mask)
         return self.out_proj(attended)

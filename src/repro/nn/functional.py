@@ -13,9 +13,7 @@ plus the operators ``Tensor`` and ``ndarray`` already share (``+``,
 kind of operand they see is decided by ``Module.__call__`` — never by
 the body.
 
-Among Tensors a kernel never gets a ``ScratchArena``: a buffer reused by
-the next call would overwrite an activation a backward rule still
-needs.  This is the only module that calls ``kernels.*``: a layer that
+This is the only module that calls ``kernels.*``: a layer that
 called one itself would skip the tape, and its weights would get no
 gradient (``tests/test_tape_boundary.py`` checks every (S)/(T)
 parameter gets one).
@@ -69,11 +67,10 @@ def _unary(x, out: np.ndarray, grad_fn):
     return Tensor._make(out, (x,), lambda grad: x._accumulate(grad_fn(grad)), x.requires_grad)
 
 
-def matmul(a, b, scratch=None, tag: str = ""):
-    """``a @ b``; among ndarrays it can write into a ``scratch`` buffer."""
-    taped = isinstance(a, Tensor)
-    out = kernels.matmul(raw(a), raw(b), None if taped else scratch, tag)
-    if not taped:
+def matmul(a, b):
+    """``a @ b``."""
+    out = kernels.matmul(raw(a), raw(b))
+    if not isinstance(a, Tensor):
         return out
     b = b if isinstance(b, Tensor) else Tensor(b)
     return Tensor._make(
@@ -81,13 +78,10 @@ def matmul(a, b, scratch=None, tag: str = ""):
     )
 
 
-def linear(x, weight: Tensor, bias: Tensor | None = None, scratch=None, tag: str = ""):
+def linear(x, weight: Tensor, bias: Tensor | None = None):
     """Affine map ``x @ W`` then ``+ b`` over parameters ``weight``/``bias``."""
-    taped = isinstance(x, Tensor)
-    out = kernels.linear(
-        raw(x), weight.data, None if bias is None else bias.data, None if taped else scratch, tag
-    )
-    if not taped:
+    out = kernels.linear(raw(x), weight.data, None if bias is None else bias.data)
+    if not isinstance(x, Tensor):
         return out
 
     def backward(grad):
@@ -161,8 +155,7 @@ def masked_fill(x, mask: np.ndarray, value: float):
     return _unary(x, out, lambda grad: grad * np.logical_not(mask))
 
 
-def attention(q, k, v, heads: int, scale: float, mask: np.ndarray | None = None,
-              scratch=None, tag: str = ""):
+def attention(q, k, v, heads: int, scale: float, mask: np.ndarray | None = None):
     """Multi-head scaled dot-product attention of ``(B, L, dim)``
     projections: ``softmax(mask(q kᵀ * scale)) v`` per head, heads merged.
 
@@ -175,11 +168,8 @@ def attention(q, k, v, heads: int, scale: float, mask: np.ndarray | None = None,
     strides.
     """
     tensors = (q, k, v)
-    taped = any(isinstance(t, Tensor) for t in tensors)
-    out, weights = kernels.attention(
-        raw(q), raw(k), raw(v), heads, scale, mask, None if taped else scratch, tag
-    )
-    if not taped:
+    out, weights = kernels.attention(raw(q), raw(k), raw(v), heads, scale, mask)
+    if not any(isinstance(t, Tensor) for t in tensors):
         return out
 
     def backward(grad):

@@ -13,22 +13,15 @@ layer that called one directly would leave its weights without a
 gradient; ``tests/test_tape_boundary.py`` fails when one training step
 misses any (S)/(T) parameter.
 
-Two cross-cutting facilities live here as well:
+Every kernel returns a freshly allocated array (in-place ufunc calls
+only touch intermediates the kernel itself allocated): at
+``d_model = 48`` a gemm's cost is call overhead, not allocation, so
+reusing output buffers does not pay (DESIGN.md section 11).
 
-- :class:`ScratchArena` — a shape-keyed pool of reusable output buffers.
-  Decode workloads repeat the same shapes across beam steps and queries,
-  so hot matmuls write into preallocated arrays instead of allocating.
-  Arenas must be **session-private** (one per ``InferenceSession``);
-  the ``scratch-privacy`` hygiene checker rejects module-level
-  instances.  A buffer handed out for a ``(tag, shape)``
-  pair is overwritten the next time the same call site runs, so kernel
-  outputs must be consumed (or copied) before the next decode step —
-  which the beam driver does by construction.
-
-- :func:`profiled` — per-op call/time/alloc counters (the kernel table
-  of the latency ledger, ``bench_batched_decode.py --profile``, the
-  pinned call-count test).  Costs one module global integer check per
-  kernel call when inactive.
+:func:`profiled` gives per-op call/time/alloc counters (the kernel
+table of the latency ledger, ``bench_batched_decode.py --profile``, the
+pinned call-count test).  It costs one module global integer check per
+kernel call when inactive.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import numpy as np
 from .spec import shape_spec
 
 __all__ = [
-    "ScratchArena",
     "KernelProfile",
     "profiled",
     "matmul",
@@ -55,46 +47,6 @@ __all__ = [
     "masked_fill",
     "attention",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Scratch buffers
-# ---------------------------------------------------------------------------
-class ScratchArena:
-    """Shape-keyed pool of reusable float64 output buffers.
-
-    ``take(tag, shape)`` returns the same C-contiguous array every time
-    a call site (identified by ``tag``) asks for the same shape, so
-    repeated decode steps reuse their allocations.  Distinct call sites
-    use distinct tags, which is what makes intra-forward aliasing
-    impossible: no two live intermediates ever share a buffer.
-
-    Not thread-safe by itself — an arena belongs to one
-    ``InferenceSession``, whose calls are serialized by the model's
-    inference lock.
-    """
-
-    __slots__ = ("_buffers", "max_buffers")
-
-    def __init__(self, max_buffers: int = 4096):
-        self._buffers: dict[tuple, np.ndarray] = {}
-        self.max_buffers = max_buffers
-
-    def take(self, tag: str, shape: tuple) -> np.ndarray:
-        key = (tag, shape)
-        buf = self._buffers.get(key)
-        if buf is None:
-            if len(self._buffers) >= self.max_buffers:
-                self._buffers.clear()  # shapes drifted; start over
-            buf = np.empty(shape, dtype=np.float64)
-            self._buffers[key] = buf
-        return buf
-
-    def clear(self) -> None:
-        self._buffers.clear()
-
-    def __len__(self) -> int:
-        return len(self._buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +123,10 @@ def _note(name: str, t0: float, nbytes: int) -> None:
 # even two extra function calls per kernel are measurable.
 # ---------------------------------------------------------------------------
 @shape_spec(inputs={"a": "(..., M, K)", "b": "(..., K, N)"}, out="(..., M, N)")
-def matmul(a: np.ndarray, b: np.ndarray, scratch: ScratchArena | None = None, tag: str = "") -> np.ndarray:
-    """``a @ b`` with an optional preallocated output buffer."""
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
-    if scratch is not None:
-        out = scratch.take(tag, a.shape[:-1] + b.shape[-1:])
-        np.matmul(a, b, out=out)
-    else:
-        out = a @ b
+    out = a @ b
     if _PROFILE_DEPTH:
         _note("matmul", t0, out.nbytes)
     return out
@@ -186,24 +134,12 @@ def matmul(a: np.ndarray, b: np.ndarray, scratch: ScratchArena | None = None, ta
 
 @shape_spec(inputs={"x": "(..., d_in)", "weight": "(d_in, d_out)", "bias": "(d_out,)"},
             out="(..., d_out)")
-def linear(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray | None = None,
-    scratch: ScratchArena | None = None,
-    tag: str = "",
-) -> np.ndarray:
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Affine map: ``x @ W`` then ``+ b``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
-    if scratch is not None:
-        out = scratch.take(tag, x.shape[:-1] + weight.shape[-1:])
-        np.matmul(x, weight, out=out)
-        if bias is not None:
-            np.add(out, bias, out=out)
-    else:
-        out = x @ weight
-        if bias is not None:
-            out = out + bias
+    out = x @ weight
+    if bias is not None:
+        out = out + bias
     if _PROFILE_DEPTH:
         _note("linear", t0, out.nbytes)
     return out
@@ -297,8 +233,6 @@ def attention(
     heads: int,
     scale: float,
     mask: np.ndarray | None = None,
-    scratch: ScratchArena | None = None,
-    tag: str = "",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Forward of ``functional.attention``: split ``heads``, scaled
     ``q @ kᵀ``, ``-1e9`` where ``mask`` is True, softmax, the weighted
@@ -316,10 +250,10 @@ def attention(
     qh = q.reshape(batch, lq, heads, head_dim).transpose((0, 2, 1, 3))
     kh = k.reshape(batch, lk, heads, head_dim).transpose((0, 2, 1, 3))
     vh = v.reshape(batch, lk, heads, head_dim).transpose((0, 2, 1, 3))
-    scores = matmul(qh, kh.swapaxes(-1, -2), scratch, tag + ".scores")
-    np.multiply(scores, scale, out=scores)  # in place on the fresh (or scratch) product
+    scores = matmul(qh, kh.swapaxes(-1, -2))
+    np.multiply(scores, scale, out=scores)  # in place on the fresh product
     if mask is not None:
         scores = masked_fill(scores, mask, -1e9)
     weights = softmax(scores, -1)
-    attended = matmul(weights, vh, scratch, tag + ".attended")
+    attended = matmul(weights, vh)
     return attended.transpose((0, 2, 1, 3)).reshape(batch, lq, dim), weights

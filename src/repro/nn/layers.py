@@ -260,8 +260,8 @@ class Linear(Module):
     @shape_spec(inputs={"x": "(..., in_features)"},
                 out="(..., out_features)",
                 params=("weight", "bias"))
-    def forward(self, x, scratch=None, tag: str = ""):
-        return F.linear(x, self.weight, self.bias, scratch, tag)
+    def forward(self, x):
+        return F.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

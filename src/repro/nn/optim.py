@@ -116,7 +116,7 @@ class Adam:
         self._m = aligned_zeros(self._data.size)
         self._v = aligned_zeros(self._data.size)
         # The step's two temporaries, allocated once.
-        self._scratch = (aligned_zeros(self._data.size), aligned_zeros(self._data.size))
+        self._temps = (aligned_zeros(self._data.size), aligned_zeros(self._data.size))
         self._t = 0
 
     def _gather(self) -> np.ndarray | None:
@@ -196,7 +196,7 @@ class Adam:
             # Their gradient segments hold an earlier step's values, maybe
             # non-finite; zeroed, the throwaway update raises no warning.
             grad[idle] = 0.0
-        work, denom = self._scratch
+        work, denom = self._temps
         if self.weight_decay:
             np.multiply(data, self.weight_decay, out=denom)
             denom += grad

@@ -34,11 +34,11 @@ class TransformerEncoderLayer(Module):
     @shape_spec(inputs={"x": "(B, L, dim)"},
                 out="(B, L, dim)",
                 params=("attn", "norm1", "norm2", "ff1", "ff2"))
-    def forward(self, x, key_padding_mask: np.ndarray | None = None, scratch=None, tag: str = ""):
+    def forward(self, x, key_padding_mask: np.ndarray | None = None):
         normed = self.norm1(x)
-        x = x + self.attn(normed, key_padding_mask=key_padding_mask, scratch=scratch, tag=tag + ".attn")
+        x = x + self.attn(normed, key_padding_mask=key_padding_mask)
         normed = self.norm2(x)
-        hidden = F.relu(self.ff1(normed, scratch, tag + ".ff1"))
+        hidden = F.relu(self.ff1(normed))
         x = x + self.ff2(hidden)
         return x
 
@@ -57,9 +57,9 @@ class TransformerEncoder(Module):
     @shape_spec(inputs={"x": "(B, L, dim)"},
                 out="(B, L, dim)",
                 params=("layers", "final_norm"))
-    def forward(self, x, key_padding_mask: np.ndarray | None = None, scratch=None, tag: str = ""):
-        for i, layer in enumerate(self.layers):
-            x = layer(x, key_padding_mask=key_padding_mask, scratch=scratch, tag=f"{tag}.l{i}")
+    def forward(self, x, key_padding_mask: np.ndarray | None = None):
+        for layer in self.layers:
+            x = layer(x, key_padding_mask=key_padding_mask)
         return self.final_norm(x)
 
 
@@ -88,8 +88,6 @@ class TransformerDecoderLayer(Module):
         memory_padding_mask: np.ndarray | None = None,
         memory_kv: tuple | None = None,
         past_kv: list | None = None,
-        scratch=None,
-        tag: str = "",
     ):
         """``memory_kv`` supplies this layer's precomputed cross-attention
         K/V (from ``cross_attn.project_kv(memory)``); when given,
@@ -101,9 +99,7 @@ class TransformerDecoderLayer(Module):
         """
         mask = causal_mask(x.shape[1]) if past_kv is None else None
         normed = self.norm1(x)
-        x = x + self.self_attn(
-            normed, attn_mask=mask, past_kv=past_kv, scratch=scratch, tag=tag + ".self"
-        )
+        x = x + self.self_attn(normed, attn_mask=mask, past_kv=past_kv)
         normed = self.norm2(x)
         x = x + self.cross_attn(
             normed,
@@ -111,11 +107,9 @@ class TransformerDecoderLayer(Module):
             memory,
             key_padding_mask=memory_padding_mask,
             static_kv=memory_kv,
-            scratch=scratch,
-            tag=tag + ".cross",
         )
         normed = self.norm3(x)
-        hidden = F.relu(self.ff1(normed, scratch, tag + ".ff1"))
+        hidden = F.relu(self.ff1(normed))
         x = x + self.ff2(hidden)
         return x
 
@@ -141,8 +135,6 @@ class TransformerDecoder(Module):
         memory_padding_mask: np.ndarray | None = None,
         memory_kv: list | None = None,
         past_kv: list | None = None,
-        scratch=None,
-        tag: str = "",
     ):
         """``memory_kv`` is one ``(k, v)`` pair per layer (see
         :meth:`project_memory_kv`); with it the encoder memory's K/V are
@@ -157,8 +149,6 @@ class TransformerDecoder(Module):
                 memory_padding_mask=memory_padding_mask,
                 memory_kv=memory_kv[i] if memory_kv is not None else None,
                 past_kv=past_kv[i] if past_kv is not None else None,
-                scratch=scratch,
-                tag=f"{tag}.l{i}",
             )
         return self.final_norm(x)
 

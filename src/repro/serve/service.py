@@ -36,9 +36,8 @@ to direct ``predict_join_orders`` calls — the parity suite
 Every decode runs through the service's
 :class:`repro.core.InferenceSession`, whose calls run under
 ``nn.no_grad()`` — so the layer bodies take the ndarray kernels
-(DESIGN.md section 11) — and thread the session's private
-``ScratchArena`` into them; those kernels are bit-identical to the
-autograd ops, so none of the parity guarantees above are weakened.
+(DESIGN.md section 11); those kernels are the autograd ops' own
+forwards, so none of the parity guarantees above are weakened.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from repro.analysis.checks import (
     GuardedByChecker,
     LockDisciplineChecker,
     ObsDisciplineChecker,
-    ScratchPrivacyChecker,
     SilentExceptChecker,
     ThreadDisciplineChecker,
     WallClockChecker,
@@ -400,33 +399,6 @@ def span():
         assert len(run_checker(WallClockChecker(), bad)) == 1
         assert run_checker(WallClockChecker(), good) == []
 
-    def test_module_and_class_scoped_scratch_fire(self):
-        bad = """
-from repro import nn
-
-ARENA = nn.ScratchArena()
-
-class Decoder:
-    scratch = nn.ScratchArena()
-"""
-        findings = run_checker(ScratchPrivacyChecker(), bad)
-        assert len(findings) == 2
-        assert "<module>" in findings[0].message and "ScratchArena" in findings[0].message
-        assert "class Decoder" in findings[1].message and "ScratchArena" in findings[1].message
-
-    def test_owner_scoped_scratch_passes(self):
-        good = """
-from repro import nn
-
-class Session:
-    def __init__(self):
-        self.scratch = nn.ScratchArena()
-
-def decode(memory):
-    scratch = nn.ScratchArena()
-    return scratch
-"""
-        assert run_checker(ScratchPrivacyChecker(), good) == []
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +570,6 @@ MUTATIONS = [
      "                self.service.stats.note_adaptation_failure()\n                settled = False\n",
      "                pass\n"),
     ("wall-clock", "serve/stats.py", "time.perf_counter()", "time.time()"),
-    ("scratch-privacy", "core/model.py",
-     "class InferenceSession:", "_SESSION_SCRATCH = nn.ScratchArena()\n\n\nclass InferenceSession:"),
     ("obs-discipline", "serve/stats.py",
      "            self._last_done_at = now\n        self._completed.inc()\n"
      "        self._latency.observe(latency)\n",
@@ -792,11 +762,11 @@ class TestRepoIsClean:
         findings = Linter().run_paths([SRC_ROOT], root=SRC_ROOT.parent.parent)
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
-    def test_registry_is_exactly_the_nine_checkers(self):
+    def test_registry_is_exactly_the_eight_checkers(self):
         # CI runs the registry once; a checker dropped from it fails here.
         assert {checker.name for checker in all_checkers()} == {
             "guarded-by", "lock-discipline", "atomic-write", "thread-discipline",
-            "silent-except", "wall-clock", "scratch-privacy", "obs-discipline", "dtype-lattice",
+            "silent-except", "wall-clock", "obs-discipline", "dtype-lattice",
         }
 
 

@@ -120,6 +120,11 @@ class TestTreeLSTMBaseline:
         assert costs.shape == (labeled[0].num_nodes,)
         assert (cards > 0).all() and (costs > 0).all()
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fit_refuses_no_epochs(self, db, labeled, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            TreeLSTMEstimator(db, hidden_dim=8, seed=0).fit(labeled[:2], epochs=epochs)
+
     def test_beats_untrained(self, db, labeled):
         trained = TreeLSTMEstimator(db, hidden_dim=24, seed=0)
         trained.fit(labeled[:15], epochs=6, seed=0)

@@ -233,17 +233,6 @@ class TestTraining:
 
         assert mean_abs_log_error(model) < mean_abs_log_error(fresh)
 
-    def test_gradients_do_not_touch_featurizer(self, db, labeled, featurizer):
-        """The paper: L_QO updates (S) and (T) only."""
-        model = MTMLFQO(SMALL)
-        model.attach_featurizer(db.name, featurizer)
-        before = {n: p.data.copy() for n, p in featurizer.named_parameters()}
-        trainer = JointTrainer(model)
-        trainer.train([(db.name, item) for item in labeled[:8]], epochs=2, batch_size=4)
-        after = dict(featurizer.named_parameters())
-        for name, original in before.items():
-            np.testing.assert_array_equal(original, after[name].data)
-
     def test_single_task_configs(self, db, labeled, featurizer):
         for weights in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
             config = ModelConfig(

@@ -56,6 +56,11 @@ def study():
 
 
 class TestSingleDBStudy:
+    @pytest.mark.parametrize("field", ["joint_epochs", "treelstm_epochs", "batch_size"])
+    def test_study_config_refuses_a_zero(self, field):
+        with pytest.raises(ValueError, match=field):
+            StudyConfig(**{field: 0})
+
     def test_prepare_splits(self, study):
         assert len(study.train) > len(study.test) > 0
 

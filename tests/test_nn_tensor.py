@@ -311,13 +311,10 @@ class TestFastPathBitIdentity:
             inline = attn(q.data, memory.data, memory.data)
             kv = attn.project_kv(memory.data)
             cached = attn(q.data, static_kv=kv)
-            arena = nn.ScratchArena()
-            pooled = attn(q.data, static_kv=kv, scratch=arena, tag="x")
-        assert isinstance(inline, np.ndarray) and len(arena) == 3
+        assert isinstance(inline, np.ndarray)
         np.testing.assert_array_equal(tape_cached.data, tape.data)
         np.testing.assert_array_equal(inline, tape.data)
         np.testing.assert_array_equal(cached, tape.data)
-        np.testing.assert_array_equal(pooled, tape.data)
 
     def test_transformer_encoder_and_decoder_blocks(self):
         from repro.nn import TransformerDecoder, TransformerEncoder

@@ -7,11 +7,9 @@ with grad enabled against the same values as raw ndarrays, across the
 operand layouts BLAS and the ufunc machinery treat differently:
 C-contiguous, transposed views, strided slices, stride-0 broadcasts)
 therefore hold by construction; they stay because they are what fails
-the day an op grows a second forward, and because two of them compare
-code that does differ — a kernel writing into a ``ScratchArena`` against
-the same kernel allocating.  What the tape adds per op is a hand-written backward rule;
-the second half of the file holds each rule to central differences and
-the fused ones (``linear``, ``layer_norm``, ``attention``) to the
+the day an op grows a second forward.  What the tape adds per op is a
+hand-written backward rule; the second half of the file holds each rule
+to central differences and the fused ones (``linear``, ``layer_norm``, ``attention``) to the
 autograd-derived composites in ``tests/reference_ops.py`` — ``attention``
 bit for bit, forward and gradients, since training must not move when
 the chain of nodes it replaced became one — and checks the "one forward"
@@ -91,38 +89,30 @@ def test_masked_fill():
         np.testing.assert_array_equal(raw, tape, err_msg=name)
 
 
-@pytest.mark.parametrize("with_scratch", [False, True])
-def test_matmul(with_scratch):
-    arena = nn.ScratchArena() if with_scratch else None
+def test_matmul():
     for name_a, a in layouts((2, 3, 5, 4)):
         for name_b, b in layouts((2, 3, 4, 6)):
             tape = F.matmul(Tensor(a, requires_grad=True), Tensor(b))
             assert tape.requires_grad
-            for _ in range(2):  # second pass reuses the arena's buffer
-                raw = F.matmul(a, b, scratch=arena, tag="t")
-                np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name_a} @ {name_b}")
+            raw = F.matmul(a, b)
+            np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name_a} @ {name_b}")
     # attention's scores operand: a swapped-axes view on the right
     q, k = RNG.normal(size=(2, 3, 5, 4)), RNG.normal(size=(2, 3, 7, 4))
     tape = F.matmul(Tensor(q, requires_grad=True), Tensor(k).swapaxes(-1, -2))
-    raw = F.matmul(q, k.swapaxes(-1, -2), scratch=arena, tag="s")
+    raw = F.matmul(q, k.swapaxes(-1, -2))
     np.testing.assert_array_equal(raw, tape.data)
-    if with_scratch:
-        assert len(arena) == 2  # one buffer per (tag, shape), reused
 
 
-@pytest.mark.parametrize("with_scratch", [False, True])
 @pytest.mark.parametrize("with_bias", [False, True])
-def test_linear(with_scratch, with_bias):
-    arena = nn.ScratchArena() if with_scratch else None
+def test_linear(with_bias):
     weight = Parameter(RNG.normal(size=(6, 9)))
     bias = Parameter(RNG.normal(size=9)) if with_bias else None
     for shape in ((5, 6), (2, 4, 6)):
         for name, x in layouts(shape):
             tape = F.linear(Tensor(x), weight, bias)
             assert tape.requires_grad
-            for _ in range(2):
-                raw = F.linear(x, weight, bias, scratch=arena, tag="lin")
-                np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name} {shape}")
+            raw = F.linear(x, weight, bias)
+            np.testing.assert_array_equal(raw, tape.data, err_msg=f"{name} {shape}")
     # a time-slice view of a sequence
     seq = RNG.normal(size=(3, 5, 6))
     tape = F.linear(Tensor(seq)[:, 2, :], weight, bias)
@@ -164,16 +154,6 @@ def test_operand_and_zeros_follow_their_neighbour():
     assert isinstance(F.zeros((2, 3), like=Tensor(array)), Tensor)
     raw = F.zeros((2, 3), like=array)
     assert isinstance(raw, np.ndarray) and raw.dtype == np.float64 and not raw.any()
-
-
-def test_tape_half_ignores_scratch():
-    """The tape must keep its values: a scratch buffer is never used for
-    a Tensor result, however many times the call site runs."""
-    arena = nn.ScratchArena()
-    a, b = Tensor(RNG.normal(size=(3, 4)), requires_grad=True), Tensor(RNG.normal(size=(4, 5)))
-    first = F.matmul(a, b, scratch=arena, tag="t")
-    second = F.matmul(a * 2.0, b, scratch=arena, tag="t")
-    assert len(arena) == 0 and first.data is not second.data
 
 
 def test_module_call_is_the_boundary():
@@ -303,15 +283,14 @@ def test_attention_is_the_unfused_chain_bit_for_bit(use):
     taped = fused(*tensors).data
     assert np.array_equal(taped, chain(*tensors).data)
     assert np.array_equal(fused(q, k, v), taped)
-    assert np.array_equal(F.attention(q, k, v, 2, scale, mask, nn.ScratchArena(), "t"), taped)
     for operand, got, want in zip("qkv", grads(fused, q, k, v), grads(chain, q, k, v)):
         assert np.array_equal(got, want), operand
 
 
 def test_incremental_decode_matches_the_unfused_chain(monkeypatch):
     """The raw incremental path — cross-attention on ``static_kv`` over
-    padded memories, self-attention on a growing ``past_kv``, scratch
-    buffers — decodes the log-probs the unfused chain decodes."""
+    padded memories, self-attention on a growing ``past_kv`` — decodes
+    the log-probs the unfused chain decodes."""
     trans_jo = TransJO(ModelConfig(d_model=16, num_heads=2, decoder_layers=2), np.random.default_rng(4))
     rng = np.random.default_rng(9)
     memories = [Tensor(rng.normal(size=(1, m, 16))) for m in (4, 6, 5)]
@@ -319,14 +298,13 @@ def test_incremental_decode_matches_the_unfused_chain(monkeypatch):
     def decode():
         states = [BeamSearchState(~np.eye(memory.shape[1], dtype=bool), beam_width=3)
                   for memory in memories]
-        drive_beam_states(trans_jo, memories, states, scratch=nn.ScratchArena())
+        drive_beam_states(trans_jo, memories, states)
         return [[(c.positions, c.log_prob) for c in state.candidates()] for state in states]
 
     fused = decode()
     monkeypatch.setattr(
         F, "attention",
-        lambda q, k, v, heads, scale, mask=None, scratch=None, tag="":
-            reference_ops.attention(q, k, v, heads, scale, mask),
+        lambda q, k, v, heads, scale, mask=None: reference_ops.attention(q, k, v, heads, scale, mask),
     )
     assert decode() == fused
 

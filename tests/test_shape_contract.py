@@ -166,7 +166,7 @@ class TestEnforce:
             model.attach_featurizer(db.name, featurizer)
             # the tape: one joint epoch over all three tasks
             JointTrainer(model).train([(db.name, item) for item in labeled], epochs=1, batch_size=4, seed=0)
-            # the kernels: batched beam decode on a session scratch, then the heads
+            # the kernels: batched beam decode through a session, then the heads
             session = model.inference_session(db.name)
             session.predict_join_orders(labeled)
             session.predict_cardinalities(labeled)

@@ -95,6 +95,7 @@ class TestTrainingRule:
     def test_one_step_reaches_every_st_parameter_and_no_featurizer_parameter(self, db, labeled):
         model = cold_model(db)
         featurizer = model.featurizer_for(db.name)
+        before = {name: p.data.tobytes() for name, p in featurizer.named_parameters()}
         result = JointTrainer(model).train(
             [(db.name, item) for item in labeled], epochs=1, batch_size=len(labeled)
         )
@@ -103,3 +104,5 @@ class TestTrainingRule:
         assert missing == [], f"(S)/(T) parameters without a gradient: {missing}"
         reached = [name for name, p in featurizer.named_parameters() if p.grad is not None]
         assert reached == [], f"featurizer parameters with a gradient: {reached}"
+        moved = [name for name, p in featurizer.named_parameters() if p.data.tobytes() != before[name]]
+        assert moved == [], f"featurizer parameters changed by the step: {moved}"
