@@ -18,8 +18,12 @@ round, best-of-N) so CPU frequency drift hits both phases equally.
 A third pair of phases times what follows the beam: one warm 16-query
 batch of 6-8-table queries through ``MTMLFQO.predict_join_orders`` at
 the serving beam width (3) with and without the CostEst rerank.  Their
-ratio, ``rerank_overhead``, is what planning every candidate with the
-classical estimator and costing it with the model adds to a decode.
+ratio, ``rerank_overhead``, is what the rerank adds to a decode.  The
+batch is decoded once before timing, so ``rerank_on`` re-decodes it and
+times the probe-hit path: every candidate's probe encoding is read from
+the featurizer's cache by (query, order), and only the CostEst forwards
+run.  Planning a probe with the classical estimator happens in the
+untimed warm pass.
 
 Run:
     PYTHONPATH=src python benchmarks/bench_batched_decode.py                 # full: asserts gates

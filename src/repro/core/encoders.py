@@ -40,13 +40,15 @@ __all__ = ["TableEncoder", "DatabaseFeaturizer", "EncoderBudget", "FeatureCache"
 class FeatureCache:
     """Bounded, thread-safe LRU over (F) outputs.
 
-    A :class:`DatabaseFeaturizer` owns two: its plan encodings, keyed by
-    ``plan_signature(plan)``, and its node contents (see
-    :meth:`repro.core.model.MTMLFQO.encode_query`).  Keys are structural,
-    so two distinct but node-for-node identical plans (the cost-rerank's
-    probe plans, re-labeled copies of a query) share one entry, and the
-    size bound keeps inference-time probe plans from growing the cache
-    without limit.
+    A :class:`DatabaseFeaturizer` owns two: its node contents and its
+    plan encodings (see :meth:`repro.core.model.MTMLFQO.encode_query`).
+    The encoding cache holds two kinds of entry under one bound: a
+    plan's, keyed by ``plan_signature(plan)``, so two distinct but
+    node-for-node identical plans (re-labeled copies of a query) share
+    one entry; and a cost-rerank probe's, keyed by
+    ``("probe", query_probe_key(query), order)``, so a query decoded
+    again finds its probes without planning them.  The size bound keeps
+    inference-time probes from growing the cache without limit.
 
     Every model the featurizer is attached to — the live model, a
     fine-tune candidate, a fleet round's private copy — reads and fills
@@ -133,8 +135,9 @@ class DatabaseFeaturizer(nn.Module):
     ``Enc_i`` per table.  Produces ``E(f(T_i))`` encodings consumed by
     the node assembler in :mod:`repro.core.model`, and owns their
     caches: ``encoding_cache`` (one ``EncodedQuery`` per structural
-    plan) and ``node_cache`` (one content vector per scan filter or
-    join-key set), each bounded by its config's ``feature_cache_size``.
+    plan or rerank probe) and ``node_cache`` (one content vector per
+    scan filter or join-key set), each bounded by its config's
+    ``feature_cache_size``.
     Their entries are functions of this featurizer's weights alone, so
     every model it is attached to shares them, and only a change of
     those weights clears them — :meth:`train_encoders`,

@@ -43,7 +43,7 @@ from .beam import (
 from .config import ModelConfig
 from .encoders import DatabaseFeaturizer
 from .heads import EstimationHead
-from .serializer import plan_signature, serialize_plan
+from .serializer import plan_signature, query_probe_key, serialize_plan
 from .shared import SharedRepresentation
 from .trans_jo import TransJO
 
@@ -145,13 +145,30 @@ def assemble_nodes(encodings: list[EncodedQuery]) -> tuple[np.ndarray, np.ndarra
     return batch, trees_batch, pad_mask
 
 
+class _NoDraws:
+    """Stands in for the initialising generator of a clone, whose
+    weights are overwritten right after construction: every draw the
+    layers ask for is zeros of the asked shape."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
 class MTMLFQO(nn.Module):
     """The multi-task model for CardEst + CostEst + JoinSel."""
 
     def __init__(self, config: ModelConfig | None = None):
+        config = config or ModelConfig()
+        self._build(config, np.random.default_rng(config.seed))
+
+    def _build(self, config: ModelConfig, rng) -> None:
         super().__init__()
-        self.config = config or ModelConfig()
-        rng = np.random.default_rng(self.config.seed)
+        self.config = config
         self.shared = SharedRepresentation(self.config, rng)
         self.card_head = EstimationHead(self.config, rng)
         self.cost_head = EstimationHead(self.config, rng)
@@ -285,10 +302,18 @@ class MTMLFQO(nn.Module):
 
         The clone's vector shares no memory with the source's, so later
         in-place training of either model can never leak into the other.
+        Its module tree draws no initial values: the copy overwrites them.
         """
-        clone = MTMLFQO(self.config)
+        return self._clone_under(None)
+
+    def _clone_under(self, weights: np.ndarray | None) -> "MTMLFQO":
+        """:meth:`clone_for_inference` holding ``weights`` — a vector of
+        this model's layout, copied once — instead of this model's own
+        (None).  A vector of another shape raises ``ValueError``."""
+        clone = MTMLFQO.__new__(MTMLFQO)
+        clone._build(self.config, _NoDraws())
         with self._infer_lock:
-            np.copyto(clone.weights, self.weights)
+            clone.load_weights(self.weights if weights is None else weights)
             featurizers = dict(self.featurizers)
         # Not yet shared, so no lock is needed.
         clone.featurizers = featurizers
@@ -378,8 +403,8 @@ class MTMLFQO(nn.Module):
         the plan's structural signature, so structurally equivalent
         plans share one entry (DESIGN.md §3).  The signature is computed
         once per plan object and kept on it (copies do not carry it), so
-        a resubmitted plan, and every node the rerank's probes share, is
-        signed once.  Plans are treated as immutable once signed.
+        a resubmitted plan is signed once.  Plans are treated as
+        immutable once signed.
         """
         return self._encode(self.featurizer_for(db_name), labeled)
 
@@ -388,19 +413,24 @@ class MTMLFQO(nn.Module):
         cached = featurizer.encoding_cache.get(key)
         if cached is not None:
             return cached
-        nodes, positions = serialize_plan(labeled.plan)
+        encoded = self._encode_plan(featurizer, labeled.plan)
+        featurizer.encoding_cache.put(key, encoded)
+        return encoded
+
+    def _encode_plan(self, featurizer: DatabaseFeaturizer, plan: PlanNode) -> EncodedQuery:
+        """The plan-level half of :meth:`_encode`, uncached: the caller
+        stores the result under its own key."""
+        nodes, positions = serialize_plan(plan)
         extras = np.zeros((len(nodes), self.config.node_extra_dim), dtype=np.float64)
         for index, (node, position) in enumerate(zip(nodes, positions)):
             extras[index] = self._node_extra_features(node, featurizer, position.depth)
         extras.setflags(write=False)
-        encoded = EncodedQuery(
+        return EncodedQuery(
             tuple(self._node_content(node, featurizer) for node in nodes),
             extras,
             tree_layout_encoding(positions, self.config.d_model),
             {node.table: index for index, node in enumerate(nodes) if node.is_scan},
         )
-        featurizer.encoding_cache.put(key, encoded)
-        return encoded
 
     # ------------------------------------------------------------------
     # Forward passes
@@ -419,9 +449,13 @@ class MTMLFQO(nn.Module):
         """
         featurizer = self.featurizer_for(db_name)
         encodings = [self._encode(featurizer, item) for item in items]
-        batch, trees, pad_mask = assemble_nodes(encodings)
-        shared = self.shared(nn.Tensor(batch), trees, key_padding_mask=pad_mask)
+        shared, pad_mask = self._share(encodings)
         return shared, pad_mask, encodings
+
+    def _share(self, encodings: list[EncodedQuery]) -> tuple[nn.Tensor, np.ndarray]:
+        """The Trans_Share output and padding mask of ``encodings``."""
+        batch, trees, pad_mask = assemble_nodes(encodings)
+        return self.shared(nn.Tensor(batch), trees, key_padding_mask=pad_mask), pad_mask
 
     def predict_log_nodes(
         self, db_name: str, items: list[LabeledQuery]
@@ -639,18 +673,21 @@ class MTMLFQO(nn.Module):
         should shield, so the top-scoring survivor — the plannable
         candidate with the best predicted cost — is returned instead.
 
+        A probe's encoding is a function of the database, the query and
+        the order alone, so it is looked up in the featurizer's
+        ``encoding_cache`` under ``("probe", query_probe_key(query),
+        order)``: a query decoded again — by this model after a swap, a
+        gate's candidate, a clone — builds no plan for it.  Only the
+        misses are planned (``plan_with_orders``, against one
+        cardinality view per query: a query's candidates share their
+        scans and most prefixes), encoded and stored under that key.
         Probes of *all* queries are costed in shared CostEst forwards,
         grouped by probe node count so each forward pads exactly like a
         solo call would, and costs are bit-identical to per-query ones.
         A complete order over ``m`` tables always plans to ``2m - 1``
         nodes, so a group mixes queries only when their table counts
-        match.  A query's candidates share their scans and most
-        prefixes, so each distinct prefix is planned once
-        (``plan_with_orders``, against one cardinality view per query)
-        and signed once: a probe node keeps its ``plan_signature``, and
-        probes share nodes.  Probes are fresh objects, fully costed
-        before they are signed and never written after.  Only the
-        CostEst head runs.  Returns ``{entry index -> chosen order}``.
+        match.  Only the CostEst head runs.  Returns ``{entry index ->
+        chosen order}``.
         """
         from ..optimizer.planner import plan_with_orders
         from ..optimizer.selectivity import HistogramEstimator
@@ -659,32 +696,32 @@ class MTMLFQO(nn.Module):
         if not entries:
             return results
         featurizer = self.featurizer_for(db_name)
-        estimator = HistogramEstimator(featurizer.db)
-        prepared = []  # (index, orders, probes, favourite_planned)
+        cache = featurizer.encoding_cache
+        estimator = None  # built on the first miss
+        prepared = []  # (index, orders, probe encodings, favourite_planned)
         for index, labeled, candidates in entries:
             query = labeled.query
-            num_nodes = 2 * query.num_tables - 1
+            query_key = query_probe_key(query)
             all_orders = [candidate.tables(query.tables) for candidate in candidates]
-            plans = plan_with_orders(query, all_orders, estimator.for_query(query))
-            orders: list[list[str]] = []
-            probes: list[LabeledQuery] = []
-            for order, plan in zip(all_orders, plans):
-                if plan is None:
-                    continue
-                orders.append(order)
-                probes.append(
-                    LabeledQuery(
-                        query=query,
-                        plan=plan,
-                        node_cardinalities=[0] * num_nodes,
-                        node_costs=[0.0] * num_nodes,
-                        total_time_ms=0.0,
-                    )
+            keys = [("probe", query_key, tuple(order)) for order in all_orders]
+            encodings = [cache.get(key) for key in keys]
+            missing = [i for i, encoding in enumerate(encodings) if encoding is None]
+            if missing:
+                if estimator is None:
+                    estimator = HistogramEstimator(featurizer.db)
+                plans = plan_with_orders(
+                    query, [all_orders[i] for i in missing], estimator.for_query(query)
                 )
+                for i, plan in zip(missing, plans):
+                    if plan is not None:  # an illegal order: no probe
+                        encodings[i] = self._encode_plan(featurizer, plan)
+                        cache.put(keys[i], encodings[i])
+            probes = [encoding for encoding in encodings if encoding is not None]
             if not probes:
                 results[index] = all_orders[0]
             else:
-                prepared.append((index, orders, probes, plans[0] is not None))
+                orders = [order for order, encoding in zip(all_orders, encodings) if encoding is not None]
+                prepared.append((index, orders, probes, encodings[0] is not None))
 
         groups: dict[int, list] = {}
         for entry in prepared:
@@ -696,7 +733,7 @@ class MTMLFQO(nn.Module):
             root_costs: list[float] = []
             with nn.no_grad():
                 for start in range(0, len(flat), _INFERENCE_CHUNK):
-                    shared, _, _ = self.forward_batch(db_name, flat[start: start + _INFERENCE_CHUNK])
+                    shared, _ = self._share(flat[start: start + _INFERENCE_CHUNK])
                     root_costs.extend(self.cost_head(shared).data[:, 0].tolist())
             cursor = 0
             for index, orders, probes, favourite_planned in group:

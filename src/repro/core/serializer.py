@@ -30,6 +30,7 @@ __all__ = [
     "serialize_plan",
     "plan_signature",
     "query_signature",
+    "query_probe_key",
     "decoding_embeddings",
     "tree_from_embeddings",
     "JoinTree",
@@ -139,9 +140,10 @@ def plan_signature(plan: PlanNode) -> tuple:
     Two plans share a signature iff they are node-for-node identical in
     shape, operators, scanned tables, filters and join predicates — the
     exact inputs the (F) module's node features are derived from.  Used
-    as the featurizer's encoding-cache key (DESIGN.md section 3) so that
-    structurally equivalent plans (e.g. the cost-rerank's probe plans)
-    share one cached encoding, regardless of object identity.
+    as the featurizer's encoding-cache key of a passed-in plan
+    (DESIGN.md section 3) so that structurally equivalent plans share
+    one cached encoding, regardless of object identity; a rerank probe
+    is keyed by :func:`query_probe_key` and its order instead.
 
     Computed once per node object and kept on it, so a resubmitted plan
     and every node that plans share (:func:`repro.optimizer.plan_with_orders`)
@@ -213,6 +215,23 @@ def _build_query_signature(query) -> tuple:
         tuple(query.tables),
         tuple(sorted(_join_text(join) for join in query.joins)),
         tuple(sorted(filters)),
+    )
+
+
+def query_probe_key(query) -> tuple:
+    """The query half of a rerank probe's ``encoding_cache`` key.
+
+    Unlike :func:`query_signature` it keeps every order the probe's plan
+    and encoding read: ``query.tables``, ``query.joins`` as listed
+    (the estimate's product order and each join node's predicate
+    order) and each table's filter predicates as listed.  It is rebuilt
+    per call from the texts kept on the relations and conjunctions, so
+    an edited query never reads a stale key.
+    """
+    return (
+        tuple(query.tables),
+        tuple(_join_text(join) for join in query.joins),
+        tuple(_filter_text(query.filter_for(table))[1] for table in query.tables),
     )
 
 

@@ -402,18 +402,16 @@ class TrainRound:
     def private_model(self, live, global_state: np.ndarray | None = None):
         """A clone of ``live`` — under the broadcast (S)/(T) vector
         ``global_state`` when one is given — sharing no (S)/(T) memory
-        with it: :meth:`MTMLFQO.clone_for_inference` copies the
-        :attr:`~MTMLFQO.weights` vector, so the round's training steps
-        never touch a weight that serves traffic.  The clone shares
-        ``live``'s frozen featurizers, which no trainer steps, and with
-        them the caches of their outputs, which stay valid under
-        training and ``global_state``: both change (S)/(T) only.  Its
-        version is its own from construction, so it never shares
-        ``live``'s plan-cache entries."""
-        model = live.clone_for_inference()
-        if global_state is not None:
-            model.load_weights(global_state)
-        return model
+        with it: the (S)/(T) vector it holds — ``live``'s
+        :attr:`~MTMLFQO.weights` or ``global_state`` — is copied once
+        into the clone, so the round's training steps never touch a
+        weight that serves traffic.  The clone shares ``live``'s frozen
+        featurizers, which no trainer steps, and with them the caches
+        of their outputs, which stay valid under training and
+        ``global_state``: both change (S)/(T) only.  Its version is its
+        own from construction, so it never shares ``live``'s
+        plan-cache entries."""
+        return live._clone_under(global_state)
 
     def private_trainer(
         self, live, global_state: np.ndarray | None = None, optimizer_state: dict | None = None

@@ -1,5 +1,6 @@
 """The per-query cardinality view: same bits as recomputing, work done once."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -8,10 +9,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.optimizer.planner as planner
 import repro.optimizer.selectivity as selectivity
 from naive_estimator import NaiveHistogramEstimator
 from repro.core import DatabaseFeaturizer, ModelConfig, MTMLFQO, is_legal_order
-from repro.core.serializer import plan_signature
+from repro.core.serializer import plan_signature, query_signature
 from repro.datagen import generate_database
 from repro.engine.plan import left_deep_plan
 from repro.optimizer import (
@@ -307,3 +309,111 @@ class TestOracleView:
         oracle.clear_cache()
         optimal_plan(query, db, oracle=oracle)
         assert oracle.executions == 2 * executed
+
+
+def probe_keys(featurizer) -> set:
+    return {key for key in featurizer.encoding_cache._entries if key[0] == "probe"}
+
+
+def decode(model, db, items):
+    """The served orders and the bytes of every probe root cost the
+    rerank's CostEst forwards produced, in forward order."""
+    head, roots = model.cost_head, []
+
+    def recording(shared):
+        out = head(shared)
+        roots.append(out.data[:, 0].copy())
+        return out
+
+    model.cost_head = recording
+    try:
+        orders = model.predict_join_orders(db.name, items)
+    finally:
+        model.cost_head = head
+    assert roots, "no query was reranked"
+    return orders, np.concatenate(roots).tobytes()
+
+
+@pytest.fixture
+def planned(monkeypatch):
+    """The plans of every ``plan_with_orders`` call the test makes."""
+    calls = []
+    original = planner.plan_with_orders
+
+    def spy(*args, **kwargs):
+        plans = original(*args, **kwargs)
+        calls.append(plans)
+        return plans
+
+    monkeypatch.setattr(planner, "plan_with_orders", spy)
+    return calls
+
+
+class TestProbeLookup:
+    """A rerank probe's encoding is keyed by (query, order): a query
+    decoded again, by any model holding the featurizer, plans nothing."""
+
+    @pytest.fixture(scope="class")
+    def served(self, db):
+        featurizer = DatabaseFeaturizer(db, SMALL)
+        featurizer.train_encoders(queries_per_table=3, epochs=1)
+        model = MTMLFQO(SMALL)
+        model.attach_featurizer(db.name, featurizer)
+        items = QueryLabeler(db).label_many(queries(db, 11, count=12, min_tables=4))
+        assert len(items) >= 8
+        return model, featurizer, items
+
+    def test_a_second_decode_plans_and_estimates_nothing(self, db, served, counting, planned):
+        model, _, items = served
+        model.clear_cache()
+        cold = decode(model, db, items)
+        assert planned and counting
+        planned.clear()
+        counting.clear()
+        assert decode(model, db, items) == cold
+        assert planned == [] and not counting
+
+    def test_a_twin_with_reordered_joins_misses_and_reranks_as_cold(self, db, served, planned):
+        model, featurizer, items = served
+        item = next(item for item in items if len(item.query.joins) >= 2)
+        query = item.query
+        twin = dataclasses.replace(
+            item, query=Query(list(query.tables), list(reversed(query.joins)), dict(query.filters))
+        )
+        assert query_signature(twin.query) == query_signature(query)
+        model.clear_cache()
+        cold_item = decode(model, db, [item])
+        model.clear_cache()
+        cold_twin = decode(model, db, [twin])
+        model.clear_cache()
+        assert decode(model, db, [item]) == cold_item
+        first = probe_keys(featurizer)
+        planned.clear()
+        assert decode(model, db, [twin]) == cold_twin
+        added = probe_keys(featurizer) - first
+        assert len(added) == sum(plan is not None for plans in planned for plan in plans) > 0
+        planned.clear()
+        assert decode(model, db, [item]) == cold_item and planned == []
+
+    def test_entries_outlive_a_version_and_serve_a_clone(self, db, served, planned):
+        model, featurizer, items = served
+        model.clear_cache()
+        cold = decode(model, db, items)
+        kept = probe_keys(featurizer)
+        model.mark_updated()
+        assert probe_keys(featurizer) == kept
+        planned.clear()
+        assert decode(model.clone_for_inference(), db, items) == cold
+        assert planned == []
+        model.attach_featurizer(db.name, featurizer)
+        assert not probe_keys(featurizer)
+
+    def test_a_cold_decode_adds_one_entry_per_planned_probe(self, db, served, planned):
+        model, featurizer, items = served
+        model.clear_cache()
+        decode(model, db, items)
+        probes = sum(plan is not None for plans in planned for plan in plans)
+        assert len(probe_keys(featurizer)) == probes > 0
+        # Nothing is stored under a plan signature but the items' own plans.
+        others = set(featurizer.encoding_cache._entries) - probe_keys(featurizer)
+        assert others == {plan_signature(item.plan) for item in items}

@@ -157,6 +157,27 @@ class TestTenantNode:
         assert tenant.inject_experience(pool[:4]) == 4
         assert tenant.inject_experience(pool[:4]) == 0
 
+    def test_private_model_draws_nothing_and_copies_once(self, fixture, monkeypatch):
+        tenants, global_state = fixture
+        db, featurizer, _ = tenants[0]
+        tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
+        broadcast = global_state + 0.01
+        copied = []
+        load_weights = MTMLFQO.load_weights
+
+        def counted(model, weights):
+            copied.append(weights)
+            load_weights(model, weights)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a private model built a generator to draw initial weights")
+
+        monkeypatch.setattr(MTMLFQO, "load_weights", counted)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        private = tenant.round.private_model(tenant.live_model, broadcast)
+        assert len(copied) == 1 and copied[0] is broadcast
+        np.testing.assert_array_equal(private.weights, broadcast)
+
     def test_private_model_is_broadcast_weights_on_a_disjoint_copy(self, fixture):
         tenants, global_state = fixture
         db, featurizer, pool = tenants[0]

@@ -12,6 +12,7 @@ around the step.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -291,6 +292,27 @@ class TestOwnership:
         assert clone.weights.tobytes() == source.weights.tobytes()
         assert not np.shares_memory(clone.weights, source.weights)
         assert all(np.shares_memory(p.data, clone.weights) for p in clone.parameters())
+
+    @pytest.mark.parametrize("config, digest", [
+        (SMALL, "f86199d77bdcd6e693556cab603ee5ec82009bfb22d7b922116ab51449411408"),
+        (ModelConfig(), "25968682c09321b7f27125e0dccf64e4529152e63ceb6d5bd1d791b70034603b"),
+    ], ids=["small", "default"])
+    def test_a_fresh_model_draws_the_pinned_initial_weights(self, config, digest):
+        """Only a clone skips the draws: a constructed model's initial
+        (S)/(T) vector is pinned byte for byte."""
+        assert hashlib.sha256(MTMLFQO(config).weights.tobytes()).hexdigest() == digest
+
+    def test_a_clone_draws_nothing(self, db, featurizer, labeled, monkeypatch):
+        source = fresh_model(db, featurizer)
+        JointTrainer(source)._step(db.name, labeled[:4])
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a clone built a generator to draw initial weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        clone = source.clone_for_inference()
+        assert clone.weights.tobytes() == source.weights.tobytes()
+        assert clone.predict_join_orders(db.name, labeled) == source.predict_join_orders(db.name, labeled)
 
     def test_a_second_optimizer_over_the_same_parameters(self):
         """Packing again (as each ``train_encoders`` table does for the
