@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.cost_model import DEFAULT_COST_MODEL, CostModel
+from ..engine.cost_model import DEFAULT_COST_MODEL
 from ..optimizer.selectivity import HistogramEstimator
 from ..storage.catalog import Database
 from ..workload.labeler import LabeledQuery
@@ -27,10 +27,9 @@ _COST_FLOOR = 1e-9
 class PostgresBaseline:
     """Per-node card/cost predictions from classical statistics."""
 
-    def __init__(self, db: Database, cost_model: CostModel = DEFAULT_COST_MODEL):
+    def __init__(self, db: Database):
         self.db = db
         self.estimator = HistogramEstimator(db)
-        self.cost_model = cost_model
         self.cost_scale = 1.0
 
     # ------------------------------------------------------------------
@@ -45,7 +44,7 @@ class PostgresBaseline:
         view = self.estimator.for_query(item.query)
         cards = {node.tables: max(view.rows(node.tables), 0.0) for node in plan.nodes_postorder()}
         base = {t: self.estimator.base_rows(t) for t in item.query.tables}
-        self.cost_model.plan_cost(plan, cards, base)
+        DEFAULT_COST_MODEL.plan_cost(plan, cards, base)
 
         cumulative: dict[int, float] = {}
 

@@ -58,8 +58,9 @@ class TreeLSTMEstimator(nn.Module):
                 out[16:] = np.mean(tokens, axis=0)
         else:
             out[1] = 1.0
+            # Slot 5 held the merge join's one-hot; it stays 0 so widths
+            # and initial draws hold until the width change (ROADMAP item 7).
             out[4] = 1.0 if node.join_op is JoinOp.HASH else 0.0
-            out[5] = 1.0 if node.join_op is JoinOp.MERGE else 0.0
             out[6] = 1.0 if node.join_op is JoinOp.NESTED_LOOP else 0.0
             out[10] = len(node.join_predicates) / 4.0
         return out

@@ -4,7 +4,7 @@ Featurization (F), per-table encoders Enc_i, tree serialization with
 decoding embeddings (Figures 3-4), the shared representation Trans_Share
 (S), task heads and the Trans_JO join-order decoder (T), legality-aware
 beam search, JOEU, the Equation 1/3 loss criteria, the joint trainer and
-the MLA cross-DB meta-learner (Algorithm 1).
+MLA cross-DB pre-training (Algorithm 1).
 """
 
 from .checkpoint import (
@@ -34,7 +34,7 @@ from .losses import (
     sequence_log_probs,
 )
 from .federated import AggregationError, aggregate_shared_states
-from .meta import MetaLearner, MLAConfig, transfer
+from .meta import MLAConfig, pretrain, transfer
 from .model import EncodedQuery, InferenceSession, MTMLFQO
 from .serializer import (
     JoinTree,
@@ -84,8 +84,8 @@ __all__ = [
     "TrainResult",
     "TrainingExample",
     "order_positions",
-    "MetaLearner",
     "MLAConfig",
+    "pretrain",
     "transfer",
     "AggregationError",
     "aggregate_shared_states",

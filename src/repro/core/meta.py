@@ -10,11 +10,11 @@ MLA trains one MTMLF-QO over N databases:
    because one set of weights must fit all DBs simultaneously;
 4. jointly train the (S) and (T) modules on the pooled data (line 8).
 
-Transfer to a new DB (:func:`transfer`) then needs only: train the
-new DB's featurizer (cheap single-table queries) and optionally
-fine-tune (S)/(T) on a small number of labeled queries.  It is the one
-cross-database path: MLA transfer, fleet onboarding and the
-from-scratch control all run it.
+:func:`pretrain` runs it.  Transfer to a new DB (:func:`transfer`) then
+needs only: train the new DB's featurizer (cheap single-table queries)
+and optionally fine-tune (S)/(T) on a small number of labeled queries.
+It is the one cross-database path: MLA transfer, fleet onboarding and
+the from-scratch control all run it.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from typing import Sequence
 
 from ..storage.catalog import Database
 from ..workload.labeler import LabeledQuery
-from .config import ModelConfig
 from .encoders import DatabaseFeaturizer, EncoderBudget
 from .model import MTMLFQO
 from .trainer import JointTrainer, TrainingExample
 
-__all__ = ["MetaLearner", "MLAConfig", "transfer"]
+__all__ = ["MLAConfig", "pretrain", "transfer"]
 
 
 def transfer(
@@ -82,37 +81,29 @@ class MLAConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-class MetaLearner:
-    """Runs MLA (Algorithm 1) over multiple databases."""
-
-    def __init__(self, model_config: ModelConfig | None = None, mla_config: MLAConfig | None = None):
-        self.model_config = model_config or ModelConfig()
-        self.mla_config = mla_config or MLAConfig()
-        self.model = MTMLFQO(self.model_config)
-
-    def pretrain(
-        self,
-        databases: list[Database],
-        workloads: list[list[LabeledQuery]],
-    ) -> JointTrainer:
-        """Algorithm 1: train (S)+(T) on the shuffled multi-DB pool."""
-        if len(databases) != len(workloads):
-            raise ValueError("databases and workloads must align")
-        cfg = self.mla_config
-        train_data: list[TrainingExample] = []
-        for db, workload in zip(databases, workloads):
-            if db.name not in self.model.featurizers:
-                # Line 4: train the database's (F) module.
-                transfer(self.model, db, cfg.encoder, seed=cfg.seed, verbose=cfg.verbose)
-            train_data.extend((db.name, item) for item in workload)
-        trainer = JointTrainer(self.model)
-        # Line 7's shuffle happens inside JointTrainer.train (per epoch),
-        # interleaving examples from all databases.
-        trainer.train(
-            train_data,
-            epochs=cfg.joint_epochs,
-            batch_size=cfg.batch_size,
-            seed=cfg.seed,
-            verbose=cfg.verbose,
-        )
-        return trainer
+def pretrain(
+    model: MTMLFQO,
+    databases: list[Database],
+    workloads: list[list[LabeledQuery]],
+    config: MLAConfig,
+) -> MTMLFQO:
+    """Algorithm 1: train ``model``'s (S)+(T) on the shuffled multi-DB
+    pool; returns ``model``."""
+    if len(databases) != len(workloads):
+        raise ValueError("databases and workloads must align")
+    train_data: list[TrainingExample] = []
+    for db, workload in zip(databases, workloads):
+        if db.name not in model.featurizers:
+            # Line 4: train the database's (F) module.
+            transfer(model, db, config.encoder, seed=config.seed, verbose=config.verbose)
+        train_data.extend((db.name, item) for item in workload)
+    # Line 7's shuffle happens inside JointTrainer.train (per epoch),
+    # interleaving examples from all databases.
+    JointTrainer(model).train(
+        train_data,
+        epochs=config.joint_epochs,
+        batch_size=config.batch_size,
+        seed=config.seed,
+        verbose=config.verbose,
+    )
+    return model

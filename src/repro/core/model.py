@@ -338,10 +338,10 @@ class MTMLFQO(nn.Module):
             out[11] = len(node.filter) / 4.0 if node.filter is not None else 0.0
         else:
             out[1] = 1.0
+            # Slot 5 held the merge join's one-hot; it stays 0 so widths
+            # and initial draws hold until the width change (ROADMAP item 7).
             if node.join_op is JoinOp.HASH:
                 out[4] = 1.0
-            elif node.join_op is JoinOp.MERGE:
-                out[5] = 1.0
             elif node.join_op is JoinOp.NESTED_LOOP:
                 out[6] = 1.0
             out[10] = len(node.join_predicates) / 4.0

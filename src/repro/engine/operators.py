@@ -55,7 +55,6 @@ class WorkReport:
     tuples_scanned: int = 0
     tuples_built: int = 0
     tuples_probed: int = 0
-    tuples_sorted: int = 0
     pairs_examined: int = 0
     tuples_emitted: int = 0
     extra: dict = field(default_factory=dict)
@@ -169,11 +168,10 @@ def execute_join(
 ) -> tuple[Intermediate, WorkReport]:
     """Execute a join node over two intermediates.
 
-    All three physical algorithms produce identical output; they differ
-    in the work they report (and hence their simulated latency):
+    Both physical algorithms produce identical output; they differ in
+    the work they report (and hence their simulated latency):
 
     - HASH: build the smaller side, probe the larger;
-    - MERGE: sort both sides, then a linear merge;
     - NESTED_LOOP: examine every pair.
     """
     report = WorkReport()
@@ -189,9 +187,6 @@ def execute_join(
     if op is JoinOp.HASH:
         report.tuples_built = min(n_left, n_right)
         report.tuples_probed = max(n_left, n_right)
-    elif op is JoinOp.MERGE:
-        report.tuples_sorted = n_left + n_right
-        report.tuples_probed = n_left + n_right
     else:  # NESTED_LOOP
         report.pairs_examined = n_left * n_right
     report.tuples_emitted = int(len(lpos))

@@ -1,11 +1,13 @@
 """Query plan trees.
 
 A plan is a binary tree whose leaves are scans (sequential or index)
-over filtered base tables and whose inner nodes are joins (hash, merge
-or nested-loop) — exactly the operator set the paper considers
-("we omit other physical operations, e.g. aggregate or hash",
-Section 3.1).  The same tree type serves as logical plan (operators
-unset) and physical plan (operators chosen).
+over filtered base tables and whose inner nodes are joins (hash or
+nested-loop).  The paper considers scans and joins only ("we omit other
+physical operations, e.g. aggregate or hash", Section 3.1); of its join
+operators the engine models two, since merge join, with no sorted input
+to exploit, never undercuts hash (DESIGN.md §14).  The same tree type
+serves as logical plan (operators unset) and physical plan (operators
+chosen).
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class ScanOp(Enum):
 
 class JoinOp(Enum):
     HASH = "HashJoin"
-    MERGE = "MergeJoin"
     NESTED_LOOP = "NestLoopJoin"
 
 

@@ -5,7 +5,7 @@ orders in PostgreSQL.  Real wall-clock is neither available offline nor
 reproducible, so this module defines a deterministic substitute: each
 operator's :class:`WorkReport` is converted to simulated milliseconds
 with PostgreSQL-flavoured weights (sequential reads cheap, random index
-lookups and per-pair nested-loop work expensive, sorts n·log n).
+lookups and per-pair nested-loop work expensive).
 
 Because the weights are applied to *true* observed tuple counts, two
 plans are ranked exactly as a real system dominated by tuple-processing
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .operators import WorkReport
 
@@ -57,7 +55,6 @@ class TimingModel:
     index_tuple_ms: float = 0.004   # per tuple fetched through an index
     build_ms: float = 0.004         # hash-table insert
     probe_ms: float = 0.002         # hash-table probe
-    sort_ms: float = 0.004          # per tuple per log-factor in sorting
     pair_ms: float = 0.0005         # nested-loop pair examination
     emit_ms: float = 0.001          # materializing an output tuple
 
@@ -75,9 +72,6 @@ class TimingModel:
         time = report.tuples_emitted * self.emit_ms
         time += report.tuples_built * self.build_ms
         time += report.tuples_probed * self.probe_ms
-        if report.tuples_sorted:
-            log_factor = max(np.log2(max(report.tuples_sorted, 2)), 1.0)
-            time += report.tuples_sorted * self.sort_ms * log_factor
         time += report.pairs_examined * self.pair_ms
         return time
 

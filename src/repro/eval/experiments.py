@@ -24,7 +24,7 @@ from ..baselines.postgres import PostgresBaseline
 from ..baselines.treelstm import TreeLSTMEstimator
 from ..core.config import ModelConfig
 from ..core.encoders import DatabaseFeaturizer, EncoderBudget
-from ..core.meta import MetaLearner, MLAConfig, transfer
+from ..core.meta import MLAConfig, pretrain, transfer
 from ..core.model import MTMLFQO
 from ..core.trainer import JointTrainer
 from ..engine.executor import ExecutionLimitError, execute_plan
@@ -447,8 +447,7 @@ def run_table3(
 
     # MLA-pretrained (S)/(T) against the controlled study, random (S)/(T):
     # both fine-tune on the same queries over one (F), trained once.
-    meta = MetaLearner(model_config, mla_config)
-    meta.pretrain(train_dbs, workloads)
+    pretrained = pretrain(MTMLFQO(model_config), train_dbs, workloads, mla_config)
     featurizer = mla_config.encoder.train(test_db, model_config, seed=seed, verbose=mla_config.verbose)
 
     def onto_test_db(model: MTMLFQO, epochs: int) -> MTMLFQO:
@@ -457,7 +456,7 @@ def run_table3(
             batch_size=mla_config.batch_size, verbose=mla_config.verbose,
         )
 
-    mla_model = onto_test_db(meta.model, mla_config.fine_tune_epochs)
+    mla_model = onto_test_db(pretrained, mla_config.fine_tune_epochs)
     single_model = onto_test_db(MTMLFQO(model_config), mla_config.joint_epochs)
 
     estimator = HistogramEstimator(test_db)

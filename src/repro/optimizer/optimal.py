@@ -32,8 +32,11 @@ def optimal_plan(
     """The cost-optimal plan under true cardinalities.
 
     The objective defaults to :class:`TimingAlignedCostModel`, so
-    "optimal" means minimal *simulated execution time* — the quantity
-    the Table 2/3 experiments measure.
+    "optimal" means minimal *simulated execution time* with every
+    operator chosen on true cardinalities.  Tables 2/3 instead execute
+    each order with operators chosen on histogram estimates, and under
+    that policy this plan's order is not always the fastest legal one
+    (ROADMAP item 4).
     """
     oracle = oracle or TrueCardinalityOracle(db)
     return dp_join_enumeration(

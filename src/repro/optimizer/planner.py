@@ -19,33 +19,24 @@ from .selectivity import CardinalityEstimator, HistogramEstimator
 
 __all__ = ["PostgresStylePlanner", "plan_with_order", "plan_with_orders"]
 
+# Queries of more tables than this are ordered greedily, not by the DP.
+MAX_DP_TABLES = 10
+
 
 class PostgresStylePlanner:
-    """Cost-based planner with ANALYZE statistics (the classical baseline)."""
+    """Cost-based planner with ANALYZE statistics (the classical baseline):
+    the left-deep DP under the default cost model, or the greedy order
+    for queries of more than ``MAX_DP_TABLES`` tables."""
 
-    def __init__(
-        self,
-        db: Database,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        left_deep_only: bool = True,
-        max_dp_tables: int = 10,
-    ):
+    def __init__(self, db: Database):
         self.db = db
-        self.cost_model = cost_model
         self.estimator = HistogramEstimator(db)
-        self.left_deep_only = left_deep_only
-        self.max_dp_tables = max_dp_tables
 
     def plan(self, query: Query) -> PlannedQuery:
         """Choose a join order and physical operators for ``query``."""
-        if query.num_tables <= self.max_dp_tables:
-            return dp_join_enumeration(
-                query,
-                self.estimator,
-                cost_model=self.cost_model,
-                left_deep_only=self.left_deep_only,
-            )
-        return greedy_join_order(query, self.estimator, cost_model=self.cost_model)
+        if query.num_tables <= MAX_DP_TABLES:
+            return dp_join_enumeration(query, self.estimator)
+        return greedy_join_order(query, self.estimator)
 
     def estimate_cardinality(self, query: Query) -> float:
         """Estimated output cardinality of the full query."""

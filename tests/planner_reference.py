@@ -8,7 +8,7 @@ and each operator is priced by its own ``join_cost`` call.
 ``ReferenceOracle`` is the true-cardinality oracle with that era's peel
 (``joins_between`` and ``is_connected`` per candidate).  The
 ``reference_*_join_cost`` functions are the per-operator cost formulas
-before one ``join_costs`` call priced all three.
+before one ``join_costs`` call priced every operator.
 
 Not production code: the tests require the system's plans, costs,
 cardinalities (keys and their order), oracle executions and errors to
@@ -16,8 +16,6 @@ equal these bit for bit.
 """
 
 from itertools import combinations
-
-import numpy as np
 
 from repro.engine.cost_model import DEFAULT_COST_MODEL
 from repro.engine.plan import JoinOp, PlanNode, join_node, scan_node
@@ -171,10 +169,6 @@ def reference_join_cost(model, left_rows, right_rows, output_rows, join_op):
     if join_op is JoinOp.HASH:
         build, probe = min(left_rows, right_rows), max(left_rows, right_rows)
         return build * model.hash_build_cost + probe * model.cpu_operator_cost + emit
-    if join_op is JoinOp.MERGE:
-        total = left_rows + right_rows
-        log_factor = max(np.log2(max(total, 2.0)), 1.0)
-        return total * model.sort_cost * log_factor + total * model.cpu_operator_cost + emit
     return left_rows * right_rows * model.cpu_operator_cost + emit
 
 
@@ -187,10 +181,6 @@ def reference_timing_join_cost(model, left_rows, right_rows, output_rows, join_o
     if join_op is JoinOp.HASH:
         cost += min(left_rows, right_rows) * t.build_ms
         cost += max(left_rows, right_rows) * t.probe_ms
-    elif join_op is JoinOp.MERGE:
-        total = left_rows + right_rows
-        log_factor = max(np.log2(max(total, 2.0)), 1.0)
-        cost += total * t.sort_ms * log_factor + total * t.probe_ms
     else:
         cost += left_rows * right_rows * t.pair_ms
     return cost

@@ -8,7 +8,6 @@ from repro.core import (
     DatabaseFeaturizer,
     EncoderBudget,
     JointTrainer,
-    MetaLearner,
     MLAConfig,
     ModelConfig,
     MTMLFQO,
@@ -16,6 +15,7 @@ from repro.core import (
     joint_loss,
     node_qerror_loss,
     order_positions,
+    pretrain,
     sequence_level_loss,
     sequence_log_probs,
     transfer,
@@ -330,19 +330,19 @@ class TestMetaLearning:
     def test_mla_pretrain_and_transfer(self, fleet):
         dbs, workloads = fleet
         mla = MLAConfig(encoder=EncoderBudget(4, 2), joint_epochs=3, fine_tune_epochs=1)
-        meta = MetaLearner(SMALL, mla)
-        meta.pretrain(dbs[:-1], workloads[:-1])
+        pretrained = MTMLFQO(SMALL)
+        assert pretrain(pretrained, dbs[:-1], workloads[:-1], mla) is pretrained
         # After pretraining, both training DBs have featurizers attached.
-        assert dbs[0].name in meta.model.featurizers
-        assert dbs[1].name in meta.model.featurizers
+        assert dbs[0].name in pretrained.featurizers
+        assert dbs[1].name in pretrained.featurizers
         model = transfer(
-            meta.model, dbs[-1], mla.encoder, seed=mla.seed, fine_tune=workloads[-1][:6],
+            pretrained, dbs[-1], mla.encoder, seed=mla.seed, fine_tune=workloads[-1][:6],
             epochs=mla.fine_tune_epochs, batch_size=mla.batch_size,
         )
-        assert model is meta.model
-        assert dbs[-1].name in meta.model.featurizers
+        assert model is pretrained
+        assert dbs[-1].name in pretrained.featurizers
         item = workloads[-1][-1]
-        order = meta.model.predict_join_order(dbs[-1].name, item)
+        order = pretrained.predict_join_order(dbs[-1].name, item)
         assert sorted(order) == sorted(item.query.tables)
 
     def test_shared_modules_are_shared_across_dbs(self, fleet):
@@ -351,12 +351,11 @@ class TestMetaLearning:
         bit for bit as it was."""
         dbs, workloads = fleet
         mla = MLAConfig(encoder=EncoderBudget(3, 1), joint_epochs=2)
-        meta = MetaLearner(SMALL, mla)
-        meta.pretrain(dbs[:2], workloads[:2])
-        before = meta.model.weights.copy()
-        transfer(meta.model, dbs[2], mla.encoder, epochs=3)
-        assert dbs[2].name in meta.model.featurizers
-        assert meta.model.weights.tobytes() == before.tobytes()
+        pretrained = pretrain(MTMLFQO(SMALL), dbs[:2], workloads[:2], mla)
+        before = pretrained.weights.copy()
+        transfer(pretrained, dbs[2], mla.encoder, epochs=3)
+        assert dbs[2].name in pretrained.featurizers
+        assert pretrained.weights.tobytes() == before.tobytes()
 
     def test_fine_tune_matches_joint_trainer(self, fleet):
         """k > 0 is one JointTrainer run from the same weights and seed."""
@@ -407,9 +406,8 @@ class TestMetaLearning:
 
     def test_mismatched_inputs_raise(self, fleet):
         dbs, workloads = fleet
-        meta = MetaLearner(SMALL, MLAConfig())
         with pytest.raises(ValueError):
-            meta.pretrain(dbs[:2], workloads[:1])
+            pretrain(MTMLFQO(SMALL), dbs[:2], workloads[:1], MLAConfig())
 
 
 class TestTrainingInputs:

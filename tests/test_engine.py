@@ -358,7 +358,7 @@ class TestCostModel:
 
     def test_best_ops_choose_by_the_instances_own_formulas(self):
         """``best_join_op`` / ``best_scan_op`` are the strict-``<`` argmin,
-        in HASH → MERGE → NESTED_LOOP (SEQ → INDEX) tie order, of the
+        in HASH → NESTED_LOOP (SEQ → INDEX) tie order, of the
         instance's own ``join_cost`` / ``scan_cost`` — the timing-aligned
         model's overrides included — over sizes with rows below 1, the
         chosen cost's type included.  The timing model ties at zero rows,
@@ -381,12 +381,11 @@ class TestCostModel:
                     for out in rows:
                         priced = [
                             (op, model.join_cost(left, right, out, op))
-                            for op in (JoinOp.HASH, JoinOp.MERGE, JoinOp.NESTED_LOOP)
+                            for op in (JoinOp.HASH, JoinOp.NESTED_LOOP)
                         ]
                         expected = argmin(priced)
                         chosen = model.best_join_op(left, right, out)
                         assert chosen == expected
-                        # float vs np.float64 (a merge cost's log2) too.
                         assert type(chosen[1]) is type(expected[1])
                         ties[model] += sum(cost == expected[1] for _, cost in priced) > 1
                     for has_filter in (False, True):
