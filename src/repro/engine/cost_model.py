@@ -9,6 +9,10 @@ task (computed with true cardinalities plugged in).
 The structure mirrors PostgreSQL's costing: per-tuple CPU terms, a
 cheaper sequential page term, random-access penalties for index scans,
 build+probe terms for hash joins and per-pair terms for nested loops.
+
+:class:`TimingAlignedCostModel`, the optimal-order DP's objective, has
+no formula of its own: it calls the timing model's per-operator
+functions with the rows it is given.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plan import JoinOp, PlanNode, ScanOp
+from .timing import DEFAULT_TIMING, TimingModel
 
 __all__ = ["CostModel", "DEFAULT_COST_MODEL"]
 
@@ -131,40 +136,34 @@ DEFAULT_COST_MODEL = CostModel()
 
 
 class TimingAlignedCostModel(CostModel):
-    """A cost model whose operator costs equal the simulated timing.
+    """A cost model whose operator costs are the simulated timing:
+    ``timing.scan_time`` / ``join_time`` called with the given rows.
 
     Used by the optimal-order oracle: with true cardinalities plugged
     in, the DP minimises simulated execution time with every operator
     chosen on those true cardinalities.  That is not what Tables 2/3
     measure: they execute each order with operators chosen on histogram
     estimates, under which the label is not the fastest legal order for
-    some queries (ROADMAP item 4).  The formulas follow
-    :class:`repro.engine.timing.TimingModel` with one known difference:
-    an index scan is charged one ``index_lookup_ms`` here, while the
-    executor charges one per filter predicate (``execute_scan``'s
-    ``index_lookups``), so a plan's DP cost can differ from its
-    executed simulated time.
+    some queries (ROADMAP item 4).
     """
 
-    def __init__(self, timing=None):
-        from .timing import DEFAULT_TIMING
-
-        object.__setattr__(self, "timing", timing or DEFAULT_TIMING)
+    def __init__(self, timing: TimingModel = DEFAULT_TIMING):
+        object.__setattr__(self, "timing", timing)
 
     def scan_cost(self, base_rows: float, output_rows: float, scan_op: ScanOp) -> float:
-        t = self.timing
         base_rows = max(base_rows, 0.0)
         output_rows = max(output_rows, 0.0)
         if scan_op is ScanOp.INDEX:
-            return t.index_lookup_ms + output_rows * t.index_tuple_ms + output_rows * t.emit_ms
-        return base_rows * t.scan_ms + output_rows * t.emit_ms
+            # One lookup, where the executor charges one per filter
+            # predicate: ROADMAP item 4's remainder.
+            return self.timing.scan_time(output_rows, output_rows, 1)
+        return self.timing.scan_time(base_rows, output_rows)
 
     def join_costs(self, left_rows: float, right_rows: float, output_rows: float) -> tuple:
-        t = self.timing
         left_rows, right_rows = max(left_rows, 0.0), max(right_rows, 0.0)
         output_rows = max(output_rows, 0.0)
-        emit = output_rows * t.emit_ms
+        join_time = self.timing.join_time
         return (
-            emit + min(left_rows, right_rows) * t.build_ms + max(left_rows, right_rows) * t.probe_ms,
-            emit + left_rows * right_rows * t.pair_ms,
+            join_time(output_rows, min(left_rows, right_rows), max(left_rows, right_rows), 0),
+            join_time(output_rows, 0, 0, left_rows * right_rows),
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..storage.catalog import Database
 from .operators import Intermediate, JoinExpansionError, WorkReport, execute_join, execute_scan
 from .plan import PlanNode, ScanOp
-from .timing import DEFAULT_TIMING, TimingModel
+from .timing import DEFAULT_TIMING
 
 __all__ = ["ExecutionResult", "execute_plan", "ExecutionLimitError"]
 
@@ -43,7 +43,6 @@ class ExecutionResult:
 def execute_plan(
     plan: PlanNode,
     db: Database,
-    timing: TimingModel = DEFAULT_TIMING,
     max_intermediate_rows: int | None = 20_000_000,
 ) -> ExecutionResult:
     """Execute ``plan`` against ``db``; annotate nodes with true cards.
@@ -59,7 +58,8 @@ def execute_plan(
     def run(node: PlanNode) -> Intermediate:
         if node.is_scan:
             intermediate, report = execute_scan(node, db)
-            elapsed = timing.scan_time(report, used_index=node.scan_op is ScanOp.INDEX)
+            lookups = report.index_lookups if node.scan_op is ScanOp.INDEX else None
+            elapsed = DEFAULT_TIMING.scan_time(report.tuples_scanned, report.tuples_emitted, lookups)
         else:
             left = run(node.left)
             right = run(node.right)
@@ -69,7 +69,9 @@ def execute_plan(
                 )
             except JoinExpansionError as exc:
                 raise ExecutionLimitError(str(exc)) from exc
-            elapsed = timing.join_time(report)
+            elapsed = DEFAULT_TIMING.join_time(
+                report.tuples_emitted, report.tuples_built, report.tuples_probed, report.pairs_examined
+            )
         if max_intermediate_rows is not None and intermediate.cardinality > max_intermediate_rows:
             raise ExecutionLimitError(
                 f"intermediate of {intermediate.cardinality} rows exceeds cap {max_intermediate_rows}"

@@ -12,7 +12,7 @@ deterministic "execution time" (see :mod:`repro.engine.timing`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,9 @@ class WorkReport:
     tuples_probed: int = 0
     pairs_examined: int = 0
     tuples_emitted: int = 0
-    extra: dict = field(default_factory=dict)
+    #: random lookups of an index scan: one per filter predicate, one
+    #: when unfiltered; 0 for every other operator.
+    index_lookups: int = 0
 
 
 def execute_scan(node: PlanNode, db: Database) -> tuple[Intermediate, WorkReport]:
@@ -71,12 +73,14 @@ def execute_scan(node: PlanNode, db: Database) -> tuple[Intermediate, WorkReport
             # An index scan touches only matching tuples (plus lookup work,
             # charged by the timing model); a seq scan reads everything.
             report.tuples_scanned = int(len(row_ids))
-            report.extra["index_lookups"] = len(node.filter)
+            report.index_lookups = len(node.filter)
         else:
             report.tuples_scanned = table.num_rows
     else:
         row_ids = np.arange(table.num_rows, dtype=np.int64)
         report.tuples_scanned = table.num_rows
+        if node.scan_op is ScanOp.INDEX:
+            report.index_lookups = 1
     report.tuples_emitted = int(len(row_ids))
     return Intermediate({node.table: row_ids.astype(np.int64)}), report
 

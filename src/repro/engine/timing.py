@@ -3,9 +3,14 @@
 The paper's Tables 2 and 3 report wall-clock totals of executing join
 orders in PostgreSQL.  Real wall-clock is neither available offline nor
 reproducible, so this module defines a deterministic substitute: each
-operator's :class:`WorkReport` is converted to simulated milliseconds
-with PostgreSQL-flavoured weights (sequential reads cheap, random index
+operator's row counts are converted to simulated milliseconds with
+PostgreSQL-flavoured weights (sequential reads cheap, random index
 lookups and per-pair nested-loop work expensive).
+
+Each operator's time is written once, as a function of row counts
+(:meth:`TimingModel.scan_time`, :meth:`TimingModel.join_time`): the
+executor passes an operator's :class:`WorkReport` counts, and
+``TimingAlignedCostModel`` the optimal-order DP's rows.
 
 Because the weights are applied to *true* observed tuple counts, two
 plans are ranked exactly as a real system dominated by tuple-processing
@@ -16,8 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-from .operators import WorkReport
 
 __all__ = ["TimingModel", "DEFAULT_TIMING", "over_limit_penalty_ms", "Stopwatch"]
 
@@ -58,28 +61,30 @@ class TimingModel:
     pair_ms: float = 0.0005         # nested-loop pair examination
     emit_ms: float = 0.001          # materializing an output tuple
 
-    def scan_time(self, report: WorkReport, used_index: bool) -> float:
-        if used_index:
-            lookups = report.extra.get("index_lookups", 1)
-            return (
-                lookups * self.index_lookup_ms
-                + report.tuples_scanned * self.index_tuple_ms
-                + report.tuples_emitted * self.emit_ms
-            )
-        return report.tuples_scanned * self.scan_ms + report.tuples_emitted * self.emit_ms
+    def scan_time(self, scanned, emitted, lookups=None) -> float:
+        """A scan's time: ``scanned`` rows read, ``emitted`` rows output,
+        and ``lookups`` random index lookups, or None for a sequential
+        scan."""
+        if lookups is None:
+            return scanned * self.scan_ms + emitted * self.emit_ms
+        return lookups * self.index_lookup_ms + scanned * self.index_tuple_ms + emitted * self.emit_ms
 
-    def join_time(self, report: WorkReport) -> float:
-        time = report.tuples_emitted * self.emit_ms
-        time += report.tuples_built * self.build_ms
-        time += report.tuples_probed * self.probe_ms
-        time += report.pairs_examined * self.pair_ms
-        return time
+    def join_time(self, emitted, built, probed, pairs) -> float:
+        """A join's time: ``emitted`` rows output, ``built`` hash-table
+        inserts, ``probed`` hash probes and ``pairs`` nested-loop pairs
+        examined (a hash join examines no pair, a nested loop builds and
+        probes nothing)."""
+        ms = emitted * self.emit_ms
+        ms += built * self.build_ms
+        ms += probed * self.probe_ms
+        ms += pairs * self.pair_ms
+        return ms
 
 
 DEFAULT_TIMING = TimingModel()
 
 
-def over_limit_penalty_ms(max_intermediate_rows: int, timing: TimingModel = DEFAULT_TIMING) -> float:
+def over_limit_penalty_ms(max_intermediate_rows: int) -> float:
     """Simulated charge for a plan that blew the intermediate-row cap.
 
     The moral equivalent of the paper's query timeouts: instead of
@@ -89,4 +94,4 @@ def over_limit_penalty_ms(max_intermediate_rows: int, timing: TimingModel = DEFA
     Table 2/3 harness and the online-adaptation regret gate so both
     penalize runaway orders identically.
     """
-    return max_intermediate_rows * (timing.emit_ms + timing.probe_ms)
+    return max_intermediate_rows * (DEFAULT_TIMING.emit_ms + DEFAULT_TIMING.probe_ms)

@@ -151,23 +151,7 @@ def format_fleet_report(report: "FleetReport", title: str = "Federated fleet rep
     lines.append(f"{'failed (fleet)':<22}{report.failed:>12,}")
     lines.append(f"{'throughput (fleet)':<22}{report.throughput_qps:>12,.1f} q/s")
     lines.append(f"{'model hot-swaps':<22}{report.swaps:>12,}")
-    if report.slo:
-        breached = report.slo_breached
-        lines.append(
-            f"{'slo breached':<22}{len(breached):>12,} tenants"
-            + (f"  ({', '.join(breached)})" if breached else "")
-        )
     for name in sorted(report.tenants):
         lines.append("")
         lines.append(format_serving_report(report.tenants[name], title=f"tenant {name!r}"))
-        status = report.slo.get(name)
-        if status is not None:
-            flag = "  BREACHED" if status.breached else ""
-            lines.append(
-                f"{'slo':<22}{status.window:>12,} in window"
-                f"  {status.violations:,} violations"
-                f"  burn {status.burn_rate:.2f}x"
-                f"  (target {status.objective.target:.0%} < "
-                f"{status.objective.latency_s * 1e3:g}ms){flag}"
-            )
     return "\n".join(lines)

@@ -78,12 +78,6 @@ class FleetRound:
     failed: list[str] = field(default_factory=list)
     checkpoint_path: str | None = None
     reverted: bool = False
-    # Tenants whose SLO error budget was burning faster than allowed at
-    # the end of this round (empty while telemetry is off): the
-    # round-level signal the ROADMAP's fleet item asks for — a merge
-    # that helps the median tenant but breaches one tenant's SLO is
-    # flagged on the round itself.
-    slo_breached: "tuple[str, ...]" = ()
 
     @property
     def merged(self) -> bool:
@@ -116,9 +110,8 @@ class FleetCoordinator:
         self._checkpoints = CheckpointDir(self.config, "fleet-coordinator")
         self.global_model = global_model or MTMLFQO(model_config)
         # A shared repro.obs.Telemetry (a private disabled one when
-        # None): round spans and counters land in it, onboarded tenants
-        # inherit it (tenant-keyed SLO recording), and report() folds its
-        # per-tenant SLO state in.
+        # None): round spans and counters land in it, and onboarded
+        # tenants inherit it (tenant-keyed SLO recording).
         self.telemetry = telemetry if telemetry is not None else Telemetry.disabled()
         self.tenants: dict[str, TenantNode] = {}  # guarded-by: _tenants_lock
         # The latest completed round; its index + 1 numbers the next.
@@ -293,17 +286,13 @@ class FleetCoordinator:
         return round_
 
     def _note_round(self, round_: FleetRound, round_trace: int, round_started: float) -> None:
-        """Round-end telemetry (outside every coordinator lock): capture
-        the fleet's SLO state on the round and count/trace the round."""
+        """Round-end telemetry (outside every coordinator lock): count
+        and trace the round."""
         telemetry = self.telemetry
-        round_.slo_breached = telemetry.slo.breached()
-        registry = telemetry.registry
         self._rounds_total.inc()
         if round_.reverted:
             self._reverted_rounds.inc()
-        if round_.slo_breached:
-            registry.counter("fleet.slo_breached_rounds").inc()
-        registry.histogram("fleet.round_s").observe(time.perf_counter() - round_started)
+        telemetry.registry.histogram("fleet.round_s").observe(time.perf_counter() - round_started)
         telemetry.tracer.event(
             round_trace,
             "round.done",
@@ -312,7 +301,6 @@ class FleetCoordinator:
                 "accepted": len(round_.accepted),
                 "rejected": len(round_.rejected),
                 "reverted": round_.reverted,
-                "slo_breached": list(round_.slo_breached),
             },
         )
 
@@ -429,5 +417,4 @@ class FleetCoordinator:
             reverted_rounds=int(self._reverted_rounds.value),
             tenant_failures=int(self._tenant_failures.value),
             last_round=last_round,
-            slo=self.telemetry.slo.statuses(),
         )

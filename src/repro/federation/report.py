@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..obs.slo import SLOStatus
 from ..serve.stats import ServingReport
 
 if TYPE_CHECKING:  # circular at runtime: coordinator imports this module
@@ -34,11 +33,6 @@ class FleetReport:
     # serving failures.
     tenant_failures: int = 0
     last_round: "FleetRound | None" = None
-    # Per-tenant SLO state (empty unless the coordinator carries an
-    # enabled telemetry bundle): rolling error-budget burn rates, so a round
-    # that helps the median tenant but breaches one tenant's SLO is
-    # visible in the same report that shows the round's gate outcomes.
-    slo: dict[str, SLOStatus] = field(default_factory=dict)
 
     # -- fleet-wide aggregates -----------------------------------------
     def _sum(self, attribute: str) -> int:
@@ -86,10 +80,3 @@ class FleetReport:
     @property
     def gates_unvalidated(self) -> int:
         return self._sum("gates_unvalidated")
-
-    @property
-    def slo_breached(self) -> "tuple[str, ...]":
-        """Tenants currently burning error budget faster than allowed."""
-        return tuple(
-            name for name, status in sorted(self.slo.items()) if status.breached
-        )

@@ -21,6 +21,10 @@ from .selectivity import CardinalityEstimator
 
 __all__ = ["dp_join_enumeration", "greedy_join_order", "PlannedQuery"]
 
+#: The most tables the DP enumerates; the planner orders larger queries
+#: greedily.
+MAX_DP_TABLES = 10
+
 
 class PlannedQuery:
     """The result of join enumeration: a physical plan plus metadata."""
@@ -43,14 +47,14 @@ def dp_join_enumeration(
     estimator: CardinalityEstimator,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     left_deep_only: bool = True,
-    max_dp_tables: int = 12,
 ) -> PlannedQuery:
     """Optimal join order via dynamic programming over connected subsets.
 
     Cost of a plan = sum of operator costs under ``cost_model`` with
     cardinalities supplied by ``estimator``.  With ``left_deep_only``
     the search space matches the paper's focus (Section 3.2); otherwise
-    all bushy partitions of each subset are considered.
+    all bushy partitions of each subset are considered.  A query of
+    more than :data:`MAX_DP_TABLES` tables raises ``ValueError``.
 
     Subsets are masks of the view's :class:`JoinGraph`.  Only connected
     subsets are visited — each size's are grown from the previous
@@ -62,8 +66,8 @@ def dp_join_enumeration(
     """
     tables = list(query.tables)
     n = len(tables)
-    if n > max_dp_tables:
-        raise ValueError(f"DP enumeration limited to {max_dp_tables} tables, query has {n}")
+    if n > MAX_DP_TABLES:
+        raise ValueError(f"DP enumeration limited to {MAX_DP_TABLES} tables, query has {n}")
     if n == 0:
         raise ValueError("query touches no tables")
 
@@ -138,13 +142,12 @@ def _splits(mask: int, graph: JoinGraph, left_deep_only: bool) -> list[tuple[int
 def greedy_join_order(
     query: Query,
     estimator: CardinalityEstimator,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> PlannedQuery:
     """Greedy smallest-intermediate-first join ordering (GEQO stand-in).
 
     Used for queries too large for DP: start from the smallest filtered
     table and repeatedly join the neighbour that minimises the estimated
-    intermediate size.
+    intermediate size.  Operators are priced by the default cost model.
     """
     remaining = set(query.tables)
     view = estimator.for_query(query)
@@ -154,7 +157,7 @@ def greedy_join_order(
     # Ties go to the first name, whatever the set's (hash-seeded) order.
     start = min(sorted(remaining), key=lambda t: card(frozenset([t])))
     has_filter = len(query.filter_for(start)) > 0
-    scan_op, total_cost = cost_model.best_scan_op(
+    scan_op, total_cost = DEFAULT_COST_MODEL.best_scan_op(
         view.base_rows(start), card(frozenset([start])), has_filter
     )
     plan = scan_node(start, query.filter_for(start), scan_op)
@@ -170,11 +173,11 @@ def greedy_join_order(
         subset = frozenset(joined | {chosen})
         predicates = graph.predicates_toward(joined_mask, chosen)
         has_filter = len(query.filter_for(chosen)) > 0
-        scan_op, scan_cost = cost_model.best_scan_op(
+        scan_op, scan_cost = DEFAULT_COST_MODEL.best_scan_op(
             view.base_rows(chosen), card(frozenset([chosen])), has_filter
         )
         right = scan_node(chosen, query.filter_for(chosen), scan_op)
-        join_op, op_cost = cost_model.best_join_op(
+        join_op, op_cost = DEFAULT_COST_MODEL.best_join_op(
             card(frozenset(joined)), card(frozenset([chosen])), card(subset)
         )
         plan = join_node(plan, right, predicates, join_op)

@@ -10,17 +10,14 @@ cost rerank's candidates) with each distinct prefix planned once, and
 
 from __future__ import annotations
 
-from ..engine.cost_model import DEFAULT_COST_MODEL, CostModel
+from ..engine.cost_model import DEFAULT_COST_MODEL
 from ..engine.plan import PlanNode, join_node, scan_node
 from ..sql.query import Query
 from ..storage.catalog import Database
-from .join_enum import PlannedQuery, dp_join_enumeration, greedy_join_order
+from .join_enum import MAX_DP_TABLES, PlannedQuery, dp_join_enumeration, greedy_join_order
 from .selectivity import CardinalityEstimator, HistogramEstimator
 
 __all__ = ["PostgresStylePlanner", "plan_with_order", "plan_with_orders"]
-
-# Queries of more tables than this are ordered greedily, not by the DP.
-MAX_DP_TABLES = 10
 
 
 class PostgresStylePlanner:
@@ -47,11 +44,10 @@ def plan_with_orders(
     query: Query,
     orders: list[list[str]],
     estimator: CardinalityEstimator,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> list[PlanNode | None]:
     """Physical left-deep plans for externally-supplied join orders.
 
-    Scan and join operators are chosen by ``cost_model`` using
+    Scan and join operators are chosen by the default cost model using
     ``estimator``'s cardinalities (bound once, ``estimator.for_query``);
     the join *orders* are fixed.  Each distinct prefix — its node, rows,
     operator and cost — is built once, so orders that share a prefix
@@ -69,7 +65,7 @@ def plan_with_orders(
 
     def costed(node: PlanNode) -> PlanNode:
         view.rows(node.tables)
-        cost_model.node_cost(node, view.cardinalities, view.base)
+        DEFAULT_COST_MODEL.node_cost(node, view.cardinalities, view.base)
         return node
 
     def scan(table: str) -> PlanNode:
@@ -108,7 +104,6 @@ def plan_with_order(
     query: Query,
     order: list[str],
     estimator: CardinalityEstimator,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
 ) -> PlanNode:
     """Physical left-deep plan for one externally-supplied join order.
 
@@ -119,7 +114,7 @@ def plan_with_order(
     query one at a time: every table's filter selectivity and each
     shared prefix's rows are then estimated once.
     """
-    plan = plan_with_orders(query, [order], estimator, cost_model)[0]
+    plan = plan_with_orders(query, [order], estimator)[0]
     if plan is None:
         raise ValueError(
             f"illegal join order: {order} joins a table with no join predicate to the tables before it"

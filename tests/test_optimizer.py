@@ -14,6 +14,7 @@ from repro.optimizer import (
     optimal_plan,
     plan_with_order,
 )
+from repro.optimizer.join_enum import MAX_DP_TABLES
 from repro.sql import Comparison, CompareOp, parse_query
 from repro.storage import Database, JoinRelation, Table
 
@@ -156,10 +157,26 @@ class TestDPEnumeration:
         with pytest.raises(ValueError):
             dp_join_enumeration(query, HistogramEstimator(db))
 
-    def test_too_many_tables_raises(self, db):
-        query = parse_query(QUERY_4WAY)
-        with pytest.raises(ValueError):
-            dp_join_enumeration(query, HistogramEstimator(db), max_dp_tables=2)
+    def test_too_many_tables_raises(self):
+        """The DP plans a chain of ``MAX_DP_TABLES`` tables and refuses
+        one more, which the planner orders greedily instead."""
+        n = MAX_DP_TABLES + 1
+        names = [f"t{i}" for i in range(n)]
+        chain = Database("chain", [Table.from_dict(name, {"id": np.arange(5)}) for name in names])
+        for left, right in zip(names, names[1:]):
+            chain.add_join(JoinRelation(left, "id", right, "id"))
+        chain.analyze()
+
+        def query(tables):
+            joins = " AND ".join(f"{a}.id = {b}.id" for a, b in zip(tables, tables[1:]))
+            return parse_query(f"SELECT COUNT(*) FROM {', '.join(tables)} WHERE {joins}")
+
+        estimator = HistogramEstimator(chain)
+        assert dp_join_enumeration(query(names[:MAX_DP_TABLES]), estimator).plan.tables == set(names[:-1])
+        with pytest.raises(ValueError, match=f"limited to {MAX_DP_TABLES} tables"):
+            dp_join_enumeration(query(names), estimator)
+        planned = PostgresStylePlanner(chain).plan(query(names))
+        assert planned.join_order == greedy_join_order(query(names), estimator).join_order
 
     def test_dp_beats_or_ties_all_enumerable_orders(self, db):
         """The DP result must not be worse than any explicit legal order."""

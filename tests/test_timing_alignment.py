@@ -2,11 +2,13 @@
 
 The "Optimal" rows of Tables 2/3 are only meaningful if the DP's
 objective matches what the evaluation measures; these tests pin the
-formula equivalence operator by operator.
+formula equivalence operator by operator, and the optimal plan's DP
+cost against its executed simulated time.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.engine import (
     DEFAULT_TIMING,
@@ -15,11 +17,11 @@ from repro.engine import (
     TimingAlignedCostModel,
     execute_plan,
     left_deep_plan,
-    scan_node,
 )
-from repro.engine.operators import WorkReport
+from repro.optimizer import optimal_plan
 from repro.sql import parse_query
 from repro.storage import Database, JoinRelation, Table
+from test_join_enumeration import database, queries
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +31,19 @@ def model():
 
 class TestFormulaEquivalence:
     def test_seq_scan(self, model):
-        report = WorkReport(tuples_scanned=1000, tuples_emitted=400)
-        measured = DEFAULT_TIMING.scan_time(report, used_index=False)
+        measured = DEFAULT_TIMING.scan_time(1000, 400)
         assert model.scan_cost(1000, 400, ScanOp.SEQ).hex() == measured.hex()
 
     def test_index_scan(self, model):
-        report = WorkReport(tuples_scanned=40, tuples_emitted=40, extra={"index_lookups": 1})
-        measured = DEFAULT_TIMING.scan_time(report, used_index=True)
+        measured = DEFAULT_TIMING.scan_time(40, 40, 1)
         assert model.scan_cost(1000, 40, ScanOp.INDEX).hex() == measured.hex()
 
     def test_hash_join(self, model):
-        report = WorkReport(tuples_built=100, tuples_probed=900, tuples_emitted=300)
-        measured = DEFAULT_TIMING.join_time(report)
+        measured = DEFAULT_TIMING.join_time(300, 100, 900, 0)
         assert model.join_cost(900, 100, 300, JoinOp.HASH).hex() == measured.hex()
 
     def test_nested_loop(self, model):
-        report = WorkReport(pairs_examined=300 * 200, tuples_emitted=50)
-        measured = DEFAULT_TIMING.join_time(report)
+        measured = DEFAULT_TIMING.join_time(50, 0, 0, 300 * 200)
         assert model.join_cost(300, 200, 50, JoinOp.NESTED_LOOP).hex() == measured.hex()
 
 
@@ -70,3 +68,25 @@ class TestEndToEndAlignment:
         base = {"a": 300.0, "b": 200.0}
         cost = model.plan_cost(plan, cards, base)
         assert cost == pytest.approx(result.simulated_ms, rel=1e-9)
+
+
+class TestDPPricesWhatTheExecutorTimes:
+    @given(queries(max_tables=6, thin=False))
+    @settings(max_examples=60, deadline=None)
+    def test_optimal_cost_is_the_executed_time(self, query):
+        """The optimal plan's DP cost is its executed simulated time, bit
+        for bit, except that the DP charges an index scan one lookup
+        where the executor charges one per predicate: a k-predicate
+        index scan executes (k - 1) lookups slower than it was priced."""
+        planned = optimal_plan(query, database())
+        executed = execute_plan(planned.plan, database()).simulated_ms
+        extra_lookups = sum(
+            len(node.filter) - 1
+            for node in planned.plan.nodes_preorder()
+            if node.is_scan and node.scan_op is ScanOp.INDEX and len(node.filter) > 1
+        )
+        if extra_lookups == 0:
+            assert executed.hex() == float(planned.cost).hex()
+        else:
+            gap = extra_lookups * DEFAULT_TIMING.index_lookup_ms
+            assert executed - planned.cost == pytest.approx(gap, abs=1e-9)

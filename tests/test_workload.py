@@ -1,6 +1,7 @@
 """Tests for workload generation, labeling and dataset splitting."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ class TestLabeler:
         item = labeled[0]
         result = execute_plan(item.plan, db)
         assert result.node_cardinalities == item.node_cardinalities
+
+
+class TestLabelPin:
+    def test_a_generated_workload_labels_to_the_pinned_digest(self, db):
+        """Every label of a fixed workload is pinned byte for byte: each
+        node's cardinality and cost, the total time, the optimal order
+        and the skip reason (its 6-table queries are over the labeler's
+        5-table bound).  A change that moves any label shows here."""
+        queries = WorkloadGenerator(db, WorkloadConfig(min_tables=1, max_tables=6, seed=11)).generate(60)
+        labeled = QueryLabeler(db, max_optimal_tables=5).label_many(queries, with_optimal_order=True)
+        digest = hashlib.sha256()
+        for item in labeled:
+            digest.update(item.query.to_sql().encode())
+            for value in (*item.node_cardinalities, *item.node_costs, item.total_time_ms):
+                digest.update(float(value).hex().encode())
+            digest.update(repr((item.optimal_order, item.extras.get("optimal_order_skip"))).encode())
+        assert len(labeled) == 60
+        assert sum(item.optimal_order is None for item in labeled) == 11
+        assert digest.hexdigest() == "eeb80c7f28f5d892317019fbb3cd38c0627915437a75f9713f064ea7abb293cd"
 
 
 class TestLabelerSkipReasons:
